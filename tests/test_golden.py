@@ -1,0 +1,35 @@
+"""Byte-for-byte regression of every shipped config's outputs.
+
+`tests/golden/<config>/` holds the report (and, for the lattice, the DOT
+diagram) that each `configs/*.json` produced when the files were captured.
+A refactor must reproduce them exactly; a deliberate format change updates
+them in the same change and says why.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from conecalc.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CONFIG_NAMES = sorted(p.stem for p in CONFIGS.glob("*.json"))
+
+
+def test_every_config_has_a_golden_report():
+    assert CONFIG_NAMES == sorted(p.name for p in GOLDEN.iterdir() if p.is_dir())
+
+
+@pytest.mark.parametrize("name", CONFIG_NAMES)
+def test_outputs_match_golden_bytes(name, tmp_path, capsys):
+    config = CONFIGS / f"{name}.json"
+    task = json.loads(config.read_text())["task"]
+    main([task, "--config", str(config), "--out", str(tmp_path)])
+    expected = sorted(p.name for p in (GOLDEN / name).iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == expected
+    for filename in expected:
+        assert (tmp_path / filename).read_bytes() == (GOLDEN / name / filename).read_bytes(), \
+            f"{name}/{filename} differs from the golden bytes"
