@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,10 +47,6 @@ from .stability import (
 TASKS = ("classify", "mu", "chain", "lattice", "trotter", "spin-demo",
          "richness", "weak-equiv", "stability")
 
-# these exception types mean "the verification ran and said no", not "crash"
-_FAIL_STATUS = ConecalcError
-
-
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise SchemaError(message)
@@ -85,6 +81,13 @@ class RunContext:
         _require(isinstance(name, str) and name in self.embeddings,
                  f"unknown embedding id {name!r}")
         return self.embeddings[name]
+
+
+def _tolerance(value, source: str) -> float:
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool)
+             and math.isfinite(value) and value > 0,
+             f"{source} must be a finite positive number, got {value!r}")
+    return float(value)
 
 
 def _build_context(config: dict, tol_override: float | None) -> RunContext:
@@ -160,9 +163,9 @@ def _build_context(config: dict, tol_override: float | None) -> RunContext:
 
     tolerances = config.get("tolerances", {})
     _require(isinstance(tolerances, dict), "tolerances must be a mapping")
-    ctx.tol = float(tolerances.get("default", DEFAULT_TOL))
+    ctx.tol = _tolerance(tolerances.get("default", DEFAULT_TOL), "tolerances.default")
     if tol_override is not None:
-        ctx.tol = tol_override
+        ctx.tol = _tolerance(tol_override, "--tol")
     return ctx
 
 
@@ -245,11 +248,9 @@ def _task_lattice(ctx: RunContext, params: dict):
         observable=ctx.operator(params.get("observable")),
         x=ctx.operator(params.get("x")),
         factors=tuple(pairs),
-        dim_cap=int(params.get("dim_cap", 4096)),
     )
     assumptions = verify_spec(spec, ctx.tol)
-    workers = max(1, int(os.environ.get("CONECALC_THREADS", "1")))
-    diagram = build_lattice(spec, ctx.tol, max_workers=workers)
+    diagram = build_lattice(spec, ctx.tol)
     payload = {
         "assumptions": assumptions.to_payload(),
         "diagram": diagram.to_payload(),
@@ -369,7 +370,7 @@ def run_config(config: dict, digest: str, tol_override: float | None = None) -> 
         status = "pass" if ok else "fail"
     except SchemaError:
         raise
-    except _FAIL_STATUS as exc:
+    except ConecalcError as exc:  # the verification ran and said no, not a crash
         status = "fail"
         payload = {"reason": str(exc), "error_type": type(exc).__name__}
         index = getattr(exc, "index", None)
@@ -427,6 +428,10 @@ def _spin_demo_config(args) -> dict:
     return config
 
 
+def _reject_constant(token: str):
+    raise SchemaError(f"config contains the non-finite number {token}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="conecalc",
@@ -446,7 +451,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.config is not None:
             raw = Path(args.config).read_bytes()
             try:
-                config = json.loads(raw)
+                config = json.loads(raw, parse_constant=_reject_constant)
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"config is not valid JSON: {exc}") from exc
         elif args.task == "spin-demo":

@@ -110,9 +110,5 @@ class SchemaError(ConecalcError):
     """Run configuration does not conform to the expected schema."""
 
 
-class TaskError(ConecalcError):
-    """A task failed while executing on a valid configuration."""
-
-
 class IoError(ConecalcError):
     """Report or diagram files could not be written."""

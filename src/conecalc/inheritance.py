@@ -279,14 +279,12 @@ def verify_chain(chain: ArrowChain, tol: float = DEFAULT_TOL) -> ChainReport:
     for j in range(len(chain.nodes) - 1):
         src = chain.nodes[j]
         dst = chain.nodes[j + 1]
-        arrow = check_arrow(src.hamiltonian, src.cone,
-                            dst.hamiltonian, dst.cone_in,
-                            chain.embeddings[j], tol)
-        if not arrow:
-            raise LinkFailed(j, "; ".join(arrow.reasons))
-        rep = ground_overlap(src.hamiltonian, src.cone,
-                             dst.hamiltonian, dst.cone_in,
-                             chain.embeddings[j], tol)
+        try:
+            rep = ground_overlap(src.hamiltonian, src.cone,
+                                 dst.hamiltonian, dst.cone_in,
+                                 chain.embeddings[j], tol)
+        except ArrowFailed as exc:
+            raise LinkFailed(j, str(exc)) from exc
         if rep.overlap <= tol:
             raise LinkFailed(j, f"ground overlap {rep.overlap!r} is not strictly positive")
         if not rep.improving_ok:

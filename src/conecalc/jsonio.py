@@ -9,6 +9,7 @@ entries.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -65,11 +66,19 @@ def matrix_to_json(mat: np.ndarray) -> list:
 
 def _parse_entry(cell) -> complex:
     if isinstance(cell, (int, float)):
-        return complex(cell)
-    if isinstance(cell, list) and len(cell) == 2 and all(
+        parts = (cell, 0.0)
+    elif isinstance(cell, list) and len(cell) == 2 and all(
             isinstance(c, (int, float)) for c in cell):
-        return complex(cell[0], cell[1])
-    raise SchemaError(f"matrix entry must be a number or [re, im] pair, got {cell!r}")
+        parts = cell
+    else:
+        raise SchemaError(f"matrix entry must be a number or [re, im] pair, got {cell!r}")
+    try:
+        z = complex(parts[0], parts[1])
+    except OverflowError:  # an integer literal too large for a float
+        z = complex(math.inf)
+    if not cmath.isfinite(z):
+        raise SchemaError(f"matrix entry {cell!r} is not finite")
+    return z
 
 
 def matrix_from_json(rows, context: str = "matrix") -> np.ndarray:

@@ -6,22 +6,16 @@ and deterministic Hasse-diagram export.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from .cones import SelfDualCone, orthant, tensor_cone
-from .errors import ClassificationFailed, DimCap, LinkFailed, SpecFailed
-from .inheritance import Embedding, check_arrow, ground_overlap, identity_embedding
-from .numerics import DEFAULT_TOL, LinearOperator, hermitian_eig, op_exp, product_space
-from .positivity import (
-    classify,
-    generates_improving_semigroup,
-    is_ergodic,
-    ground_state,
-)
+from .errors import ArrowFailed, ClassificationFailed, DimCap, LinkFailed, SpecFailed
+from .inheritance import Embedding, ground_overlap, identity_embedding
+from .numerics import DEFAULT_TOL, DIM_CAP, LinearOperator, hermitian_eig, op_exp, product_space
+from .positivity import classify, generates_improving_semigroup, is_ergodic
 from .stability import commutes_with_observable, good_quantum_number
 
 Subset = tuple[int, ...]
@@ -41,7 +35,6 @@ class LatticeSpec:
     observable: LinearOperator
     x: LinearOperator
     factors: tuple[tuple[int, LinearOperator], ...]
-    dim_cap: int = 4096
 
     @property
     def ell(self) -> int:
@@ -218,8 +211,8 @@ def build_node(spec: LatticeSpec, subset: Subset, tol: float = DEFAULT_TOL,
     a sampled beta, and the ground state carries the base quantum number.
     """
     subset = tuple(sorted(subset))
-    if spec.full_dim() > spec.dim_cap:
-        raise DimCap(f"total dimension {spec.full_dim()} exceeds cap {spec.dim_cap}")
+    if spec.full_dim() > DIM_CAP:
+        raise DimCap(f"total dimension {spec.full_dim()} exceeds cap {DIM_CAP}")
     h = _node_hamiltonian(spec, subset)
     cone = _node_cone(spec, subset)
     if subset:
@@ -240,8 +233,7 @@ def build_node(spec: LatticeSpec, subset: Subset, tol: float = DEFAULT_TOL,
     if snap_to is None:
         snap_to = np.concatenate([hermitian_eig(spec.observable).eigenvalues, [0.0]])
     gqn = good_quantum_number(h, observable, cone, tol, snap_to=snap_to)
-    energy = ground_state(h, cone, tol).energy
-    return LatticeNode(subset, h, cone, emb, gqn.value, gqn.snapped, energy)
+    return LatticeNode(subset, h, cone, emb, gqn.value, gqn.snapped, gqn.ground.energy)
 
 
 @dataclass(frozen=True)
@@ -276,13 +268,11 @@ def _all_subsets(ell: int) -> list[Subset]:
     return out
 
 
-def build_lattice(spec: LatticeSpec, tol: float = DEFAULT_TOL,
-                  max_workers: int = 1) -> HasseDiagram:
+def build_lattice(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> HasseDiagram:
     """Build every subset node and verify every covering-relation arrow.
 
-    Nodes are constructed in (size, lexicographic) order (possibly on a small
-    thread pool; the merge is order-preserving), then each covering pair
-    (I, I u {mu}) is checked as a full arrow with strict ground overlap.
+    Nodes are constructed in (size, lexicographic) order, then each covering
+    pair (I, I u {mu}) is checked as a full arrow with strict ground overlap.
     """
     report = verify_spec(spec, tol)
     if not report.ok:
@@ -292,16 +282,10 @@ def build_lattice(spec: LatticeSpec, tol: float = DEFAULT_TOL,
             "uniform vector is not an eigenvector of every Y_mu; "
             "quantum numbers would not transfer to the perturbed nodes"
         )
-    if spec.full_dim() > spec.dim_cap:
-        raise DimCap(f"total dimension {spec.full_dim()} exceeds cap {spec.dim_cap}")
 
     snap = np.concatenate([hermitian_eig(spec.observable).eigenvalues, [0.0]])
     subsets = _all_subsets(spec.ell)
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            nodes = list(pool.map(lambda s: build_node(spec, s, tol, snap), subsets))
-    else:
-        nodes = [build_node(spec, s, tol, snap) for s in subsets]
+    nodes = [build_node(spec, s, tol, snap) for s in subsets]
     by_subset = {n.subset: n for n in nodes}
 
     base_mu = by_subset[()].mu_snapped
@@ -321,10 +305,10 @@ def build_lattice(spec: LatticeSpec, tol: float = DEFAULT_TOL,
             idx = len(edges)
             emb = subset_embedding(spec, small, large)
             a, b = by_subset[small], by_subset[large]
-            arrow = check_arrow(a.hamiltonian, a.cone, b.hamiltonian, b.cone, emb, tol)
-            if not arrow:
-                raise LinkFailed(idx, f"{small} -> {large}: " + "; ".join(arrow.reasons))
-            rep = ground_overlap(a.hamiltonian, a.cone, b.hamiltonian, b.cone, emb, tol)
+            try:
+                rep = ground_overlap(a.hamiltonian, a.cone, b.hamiltonian, b.cone, emb, tol)
+            except ArrowFailed as exc:
+                raise LinkFailed(idx, f"{small} -> {large}: {exc}") from exc
             if rep.overlap <= tol or not rep.improving_ok:
                 raise LinkFailed(idx, f"{small} -> {large}: overlap {rep.overlap!r}")
             edges.append((small, large))

@@ -14,7 +14,7 @@ from .cones import SelfDualCone
 from .errors import DimCap, PreconditionFailed, SignRuleFailed
 from .inheritance import Embedding
 from .numerics import DEFAULT_TOL, LinearOperator
-from .positivity import generates_improving_semigroup, ground_state
+from .positivity import generates_improving_semigroup
 from .stability import good_quantum_number
 
 SITE_CAP = 12
@@ -228,10 +228,11 @@ class MlmReport:
 
 
 def verify_mlm(system: SpinSystem, m: float = 0.0, tol: float = DEFAULT_TOL) -> MlmReport:
-    """Check that the sector ground state carries total spin S* = ||A|-|B||/2.
+    """Check that the sector ground state carries total spin S = max(S*, |M|),
+    with S* = ||A|-|B||/2 the spin of the absolute ground state.
 
     The quantum number of the restricted Hamiltonian with respect to the
-    restricted S_tot^2 must equal S*(S*+1) after snapping.
+    restricted S_tot^2 must equal S(S+1) after snapping.
     """
     sector = m_sector(system.sites, m)
     h = mlm_hamiltonian(system)
@@ -242,13 +243,13 @@ def verify_mlm(system: SpinSystem, m: float = 0.0, tol: float = DEFAULT_TOL) -> 
     if not generates_improving_semigroup(h_r, cone, tol):
         raise SignRuleFailed("restricted Hamiltonian is not improving-class on the sign cone")
     gqn = good_quantum_number(h_r, o_r, cone, tol)
-    g = ground_state(h_r, cone, tol)
     s_star = abs(len(system.sublattice_a) - len(system.sublattice_b)) / 2.0
-    expected = s_star * (s_star + 1.0)
+    s = max(s_star, abs(m))
+    expected = s * (s + 1.0)
     ok = abs(gqn.snapped - expected) <= 1e-8
     return MlmReport(system.sites, system.sublattice_a, system.sublattice_b,
                      m, sector.dim, s_star, gqn.value, gqn.snapped, expected, ok,
-                     g.energy, g.gap01)
+                     gqn.ground.energy, gqn.gap01)
 
 
 def complete_bipartite_edges(system: SpinSystem) -> tuple[tuple[int, int], ...]:

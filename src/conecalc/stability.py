@@ -40,7 +40,7 @@ from .numerics import (
     op_exp_unitary,
     partial_trace,
 )
-from .positivity import generates_improving_semigroup, ground_state
+from .positivity import GroundState, generates_improving_semigroup, ground_state
 
 COMMUTATOR_TOL = 1e-10
 SNAP_TOL_FACTOR = 1e-8
@@ -82,13 +82,19 @@ class GoodQuantumNumber:
     Both the raw expectation and the value snapped to the observable's
     spectrum are kept; equality claims downstream always compare snapped
     values so float drift cannot masquerade as a changed quantum number.
+    The ground state it was read from is kept too, so callers never
+    recompute it.
     """
 
     value: float
     snapped: float
     residual: float
-    gap01: float
     commutator_norm: float
+    ground: GroundState = field(compare=False, repr=False)
+
+    @property
+    def gap01(self) -> float:
+        return self.ground.gap01
 
     def to_payload(self) -> dict:
         return {
@@ -130,7 +136,7 @@ def good_quantum_number(h: LinearOperator, o: LinearOperator, cone: SelfDualCone
         raise Inconsistent(
             f"ground state is not an observable eigenvector: residual {residual:.3e}"
         )
-    return GoodQuantumNumber(mu, snapped, residual, g.gap01, comm)
+    return GoodQuantumNumber(mu, snapped, residual, comm, g)
 
 
 @dataclass(frozen=True)
@@ -168,8 +174,10 @@ def quantum_number_along_chain(chain: ArrowChain, o: LinearOperator,
     The observable lives on the first node's space and is pushed forward as
     tau O tau^* along each embedding.  All nodes snap against the base
     observable's eigenvalues (plus 0, which extensions acquire), so equality
-    of snapped values is exact.  Failures carry the index of the offending
-    node or link.
+    of snapped values is exact.  Each link's telescope residual compares
+    <O psi_j, tau^* psi_{j+1}> with mu_j times the link's overlap, using the
+    ground states the quantum numbers were read from.  Failures carry the
+    index of the offending node or link.
     """
     try:
         chain_report = verify_chain(chain, tol)
@@ -178,7 +186,7 @@ def quantum_number_along_chain(chain: ArrowChain, o: LinearOperator,
     base_candidates = hermitian_eig(o).eigenvalues
     extended_candidates = np.concatenate([base_candidates, [0.0]])
 
-    values, snapped = [], []
+    values, snapped, telescopes = [], [], []
     extended = o
     for j, node in enumerate(chain.nodes):
         candidates = base_candidates if j == 0 else extended_candidates
@@ -191,20 +199,15 @@ def quantum_number_along_chain(chain: ArrowChain, o: LinearOperator,
         snapped.append(gqn.snapped)
         if snapped[j] != snapped[0]:
             raise MuMismatch(j, snapped[0], snapped[j])
+        if j:  # telescope of link j-1; o_psi is O psi on the previous node
+            lhs = complex(np.vdot(o_psi, chain.embeddings[j - 1].pull(gqn.ground.vector)))
+            telescopes.append(abs(lhs - snapped[j - 1] * chain_report.overlaps[j - 1]))
+        o_psi = extended.mat @ gqn.ground.vector
+        # gqn.ground.vector is a view into this node's full eigenbasis; drop it
+        # before the next node is checked, or both bases are held at once
+        del gqn
         if j < len(chain.embeddings):
             extended = chain.embeddings[j].extend(extended)
-
-    telescopes = []
-    for j, emb in enumerate(chain.embeddings):
-        g1 = ground_state(chain.nodes[j].hamiltonian, chain.mu_cone(j), tol)
-        g2 = ground_state(chain.nodes[j + 1].hamiltonian, chain.mu_cone(j + 1), tol)
-        overlap = chain_report.overlaps[j]
-        if overlap > tol:  # overlaps are divisors in the telescoping argument
-            o_j = o
-            for k in range(j):
-                o_j = chain.embeddings[k].extend(o_j)
-            lhs = complex(np.vdot(o_j.mat @ g1.vector, chain.embeddings[j].pull(g2.vector)))
-            telescopes.append(abs(lhs - snapped[j] * overlap))
     return ChainMuReport(tuple(values), tuple(snapped),
                          chain_report.overlaps, tuple(telescopes))
 

@@ -6,8 +6,10 @@ matrix powers, and simplex integrals from composite Simpson quadrature.
 """
 
 import numpy as np
+import pytest
 from scipy.linalg import expm
 
+from conecalc import inheritance, lattice
 from conecalc.numerics import LinearOperator
 
 
@@ -63,6 +65,22 @@ def random_unit(gen: np.random.Generator, n: int, real: bool = False) -> np.ndar
 
 def op(space: str, mat) -> LinearOperator:
     return LinearOperator(space, np.asarray(mat, dtype=complex))
+
+
+@pytest.fixture
+def arrow_calls(monkeypatch) -> list:
+    """Records every `check_arrow` call, under whichever module binds it."""
+    calls = []
+    original = inheritance.check_arrow
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (inheritance, lattice):
+        if getattr(module, "check_arrow", None) is original:
+            monkeypatch.setattr(module, "check_arrow", counting)
+    return calls
 
 
 def expm_oracle(mat: np.ndarray) -> np.ndarray:

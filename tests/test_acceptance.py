@@ -204,13 +204,16 @@ def test_criterion_07_inequivalence_fixtures():
 
 
 def test_criterion_08_mlm_ground_spin():
-    with criterion(8, "MLM sector quantum numbers: balanced -> 0, star -> 2"):
-        for system, expected in (
-            (SpinSystem(4, (1, 2), (3, 4)), 0.0),
-            (SpinSystem(4, (1, 2, 3), (4,)), 2.0),
+    with criterion(8, "MLM sector quantum numbers: balanced -> 0, star -> 2, "
+                      "M=1 above S*=0 -> 2"):
+        for system, m, expected in (
+            (SpinSystem(4, (1, 2), (3, 4)), 0.0, 0.0),
+            (SpinSystem(4, (1, 2, 3), (4,)), 0.0, 2.0),
+            # |M| > S*: the sector's lowest state has S = |M|, not S*
+            (SpinSystem(6, (1, 2, 3), (4, 5, 6)), 1.0, 2.0),
         ):
             start = time.monotonic()
-            report = verify_mlm(system)
+            report = verify_mlm(system, m)
             elapsed = time.monotonic() - start
             assert report.ok
             assert abs(report.mu_snapped - expected) <= 1e-8

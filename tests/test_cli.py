@@ -212,14 +212,6 @@ class TestMainExitCodes:
 
 
 class TestInterfaceKnobs:
-    def test_thread_cap_env_var_keeps_output_identical(self, monkeypatch):
-        config = load("lattice_ell3.json")
-        serial, extra_serial = run_config(config, "e" * 64)
-        monkeypatch.setenv("CONECALC_THREADS", "4")
-        threaded, extra_threaded = run_config(config, "e" * 64)
-        assert canonical_dumps(serial) == canonical_dumps(threaded)
-        assert extra_serial == extra_threaded
-
     def test_tolerance_override_flag(self, tmp_path):
         code = main(["classify", "--config", str(CONFIGS / "classify_flip.json"),
                      "--out", str(tmp_path), "--tol", "1e-6"])
@@ -236,6 +228,42 @@ class TestInterfaceKnobs:
         assert blob["space"] == "a*b" and blob["label"] == "demo"
         again = cone_from_json(blob)
         assert np.array_equal(again.generators, cone.generators)
+
+
+CLASSIFY_TEXT = (CONFIGS / "classify_flip.json").read_text()
+WITH_TOLERANCE = CLASSIFY_TEXT.replace('"task"', '"tolerances": {"default": TOL},\n  "task"')
+
+
+@pytest.mark.parametrize("text, extra_args", [
+    pytest.param(CLASSIFY_TEXT.replace("[[0, 1]", "[[NaN, 1]"), [], id="nan-token"),
+    pytest.param(CLASSIFY_TEXT.replace("[[0, 1]", "[[Infinity, 1]"), [], id="infinity-token"),
+    pytest.param(CLASSIFY_TEXT.replace("[[0, 1]", "[[-Infinity, 1]"), [], id="minus-infinity-token"),
+    pytest.param(CLASSIFY_TEXT.replace("[[0, 1]", "[[1e400, 1]"), [], id="overflowing-entry"),
+    pytest.param(CLASSIFY_TEXT.replace("[[0, 1]", "[[[0, -1e400], 1]"), [],
+                 id="overflowing-imaginary-part"),
+    pytest.param(CLASSIFY_TEXT.replace("[[0, 1]", "[[" + "9" * 400 + ", 1]"), [],
+                 id="overflowing-integer"),
+    pytest.param(WITH_TOLERANCE.replace("TOL", '"abc"'), [], id="tolerance-abc"),
+    pytest.param(WITH_TOLERANCE.replace("TOL", "true"), [], id="tolerance-bool"),
+    pytest.param(WITH_TOLERANCE.replace("TOL", "-1"), [], id="tolerance-negative"),
+    pytest.param(WITH_TOLERANCE.replace("TOL", "0"), [], id="tolerance-zero"),
+    pytest.param(WITH_TOLERANCE.replace("TOL", "1e400"), [], id="tolerance-overflow"),
+    pytest.param(CLASSIFY_TEXT, ["--tol", "-1"], id="tol-flag-negative"),
+    pytest.param(CLASSIFY_TEXT, ["--tol", "0"], id="tol-flag-zero"),
+    pytest.param(CLASSIFY_TEXT, ["--tol", "nan"], id="tol-flag-nan"),
+    pytest.param(CLASSIFY_TEXT, ["--tol", "inf"], id="tol-flag-inf"),
+])
+def test_bad_numeric_input_exits_two_and_writes_nothing(text, extra_args, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    out = tmp_path / "out"
+    code = main(["classify", "--config", str(config), "--out", str(out), *extra_args])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("conecalc: schema error: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
 
 
 class TestModuleEntryPoint:

@@ -199,6 +199,10 @@ class TestChain:
             assert o == pytest.approx(1.0, abs=1e-10)
         assert report.product == pytest.approx(1.0, abs=1e-10)
 
+    def test_each_link_checks_its_arrow_once(self, arrow_calls):
+        verify_chain(three_link_tower())
+        assert len(arrow_calls) == 3
+
     def test_broken_middle_link_is_localized(self):
         chain = three_link_tower()
         # swap link 1's embedding for a signed vector: inheritance fails there
@@ -210,6 +214,7 @@ class TestChain:
         with pytest.raises(LinkFailed) as err:
             verify_chain(broken)
         assert err.value.index == 1
+        assert str(err.value) == "link 1: cone inheritance failed"
 
     def test_concatenation_of_verified_chains_verifies(self):
         first = three_link_tower()

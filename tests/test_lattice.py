@@ -17,7 +17,7 @@ from conecalc.lattice import (
     subset_embedding,
     verify_spec,
 )
-from conecalc.numerics import LinearOperator, hermitian_eig
+from conecalc.numerics import DIM_CAP, LinearOperator, hermitian_eig
 from conecalc.positivity import generates_improving_semigroup, is_ergodic
 from conecalc.stability import PAULI_X, is_decoupled_extension, quantum_number_along_chain
 
@@ -119,11 +119,14 @@ class TestBuildNode:
         assert np.allclose(pushed, expanded.reshape(-1), atol=1e-12)
 
     def test_dim_cap(self):
+        # 2 * 2^12 = 8192 > DIM_CAP: refused before any node matrix is formed
         spec = demo_spec()
-        capped = LatticeSpec(spec.h0, spec.cone, spec.observable, spec.x,
-                             spec.factors, dim_cap=8)
+        wide = LatticeSpec(spec.h0, spec.cone, spec.observable, spec.x,
+                           tuple((2, op(f"f{mu}", PAULI_X)) for mu in range(1, 13)))
+        with pytest.raises(DimCap, match=f"total dimension 8192 exceeds cap {DIM_CAP}"):
+            build_node(wide, ())
         with pytest.raises(DimCap):
-            build_node(capped, (1, 2, 3))
+            build_lattice(wide)
 
 
 @pytest.fixture(scope="module")
@@ -216,10 +219,10 @@ class TestBuildLattice:
         assert len(diagram.nodes) == 2
         assert len(diagram.covering_edges) == 1
 
-    def test_threaded_build_matches_serial(self, diagram):
-        threaded = build_lattice(demo_spec(), max_workers=4)
-        assert [n.subset for n in threaded.nodes] == [n.subset for n in diagram.nodes]
-        assert hasse_export(threaded) == hasse_export(diagram)
+    def test_each_edge_checks_its_arrow_once(self, arrow_calls):
+        diagram = build_lattice(demo_spec())
+        assert len(diagram.covering_edges) == 12
+        assert len(arrow_calls) == 12
 
 
 class TestHasseExport:

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import op, random_metzler_generator, rng
 
-from conecalc.cones import orthant, tensor_cone
+from conecalc.cones import SelfDualCone, orthant, tensor_cone
 from conecalc.errors import (
     ChainFailed,
     MuMismatch,
@@ -23,7 +23,8 @@ from conecalc.inheritance import (
     identity_embedding,
     verify_chain,
 )
-from conecalc.numerics import LinearOperator, hermitian_eig, identity, kron
+from conecalc.numerics import DEFAULT_TOL, LinearOperator, hermitian_eig, identity, kron
+from conecalc.positivity import ground_state
 from conecalc.stability import (
     PAULI_X,
     StabilityClassRecord,
@@ -42,6 +43,26 @@ UNIFORM2 = np.array([1.0, 1.0]) / np.sqrt(2.0)
 def seed_hamiltonian(space="base"):
     """diag(0, 1) with a small coupling to make it irreducible."""
     return op(space, np.diag([0.0, 1.0]) - 0.1 * PAULI_X)
+
+
+def negated(cone: SelfDualCone) -> SelfDualCone:
+    return SelfDualCone(cone.space, -cone.generators)
+
+
+def two_pass_telescopes(chain, o, overlaps, snapped, tol=DEFAULT_TOL):
+    """Telescope residuals recomputed link by link from scratch: both ground
+    states on the cones the quantum numbers were read on, and the observable
+    re-extended from the base for every link."""
+    out = []
+    for j, emb in enumerate(chain.embeddings):
+        g1 = ground_state(chain.nodes[j].hamiltonian, chain.mu_cone(j), tol)
+        g2 = ground_state(chain.nodes[j + 1].hamiltonian, chain.mu_cone(j + 1), tol)
+        o_j = o
+        for k in range(j):
+            o_j = chain.embeddings[k].extend(o_j)
+        lhs = complex(np.vdot(o_j.mat @ g1.vector, emb.pull(g2.vector)))
+        out.append(abs(lhs - snapped[j] * overlaps[j]))
+    return tuple(out)
 
 
 class TestCommutesWithObservable:
@@ -167,6 +188,25 @@ class TestChainInvariance:
         with pytest.raises(NotCommuting) as err:
             quantum_number_along_chain(chain, o)
         assert err.value.index == 2
+
+    def test_interior_node_with_its_own_incoming_cone(self):
+        # node 1 is entered on the orthant but left on the negated orthant, so
+        # the ground state its quantum number is read from has the opposite
+        # sign to the one its incoming overlap uses
+        h0 = op("base", -PAULI_X)
+        o = op("base", PAULI_X)
+        tower = extension_tower(h0, orthant("base", 2), o, 2)
+        n1, n2 = tower.nodes[1], tower.nodes[2]
+        chain = ArrowChain(
+            (tower.nodes[0], ChainNode(n1.hamiltonian, negated(n1.cone), n1.cone),
+             ChainNode(n2.hamiltonian, negated(n2.cone))),
+            tower.embeddings)
+        report = quantum_number_along_chain(chain, o)
+        assert report.snapped == (1.0, 1.0, 1.0)
+        assert report.overlaps == pytest.approx((1.0, 1.0), abs=1e-10)
+        assert report.telescope_residuals == two_pass_telescopes(
+            chain, o, report.overlaps, report.snapped)
+        assert report.telescope_residuals == pytest.approx((2.0, 0.0), abs=1e-10)
 
     def test_broken_link_raises_chain_failed(self):
         h = op("s", -PAULI_X)
