@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .cones import SelfDualCone, orthant, tensor_cone
-from .errors import ConecalcError, IoError, SchemaError
+from .errors import ConecalcError, DimMismatch, IoError, SchemaError
 from .inheritance import (
     ArrowChain,
     ChainNode,
@@ -50,6 +51,16 @@ TASKS = ("classify", "mu", "chain", "lattice", "trotter", "spin-demo",
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise SchemaError(message)
+
+
+@contextmanager
+def _constructing(what: str):
+    """Report a cone or embedding constructor's refusal of its numbers
+    (not orthonormal, not normalized, wrong shape) as a schema error."""
+    try:
+        yield
+    except (ValueError, DimMismatch) as exc:
+        raise SchemaError(f"{what}: {exc}") from exc
 
 
 @dataclass
@@ -127,10 +138,13 @@ def _build_context(config: dict, tol_override: float | None) -> RunContext:
         elif kind == "explicit":
             _require("space" in spec and "generators" in spec,
                      f"explicit cone {spec['name']!r} needs space and generators")
-            gens = np.column_stack([
-                vector_from_json(g, f"cone {spec['name']!r}") for g in spec["generators"]
-            ])
-            cone = SelfDualCone(spec["space"], gens, spec.get("label", ""))
+            dim = ctx.space_dim(spec["space"])
+            _require(isinstance(spec["generators"], list) and len(spec["generators"]) == dim,
+                     f"cone {spec['name']!r}: needs {dim} generators, one per dimension")
+            vectors = [vector_from_json(g, f"cone {spec['name']!r}") for g in spec["generators"]]
+            with _constructing(f"cone {spec['name']!r}"):
+                cone = SelfDualCone(spec["space"], np.column_stack(vectors),
+                                    spec.get("label", ""))
         else:
             raise SchemaError(f"unknown cone kind {kind!r}")
         ctx.cones[spec["name"]] = cone
@@ -148,7 +162,8 @@ def _build_context(config: dict, tol_override: float | None) -> RunContext:
             dim = ctx.space_dim(spec["from_space"])
             _require(ctx.space_dim(spec["to_space"]) == dim * vec.size,
                      f"embedding {spec['name']!r}: to_space dim must be {dim * vec.size}")
-            emb = append_factor_embedding(spec["from_space"], spec["to_space"], dim, vec)
+            with _constructing(f"embedding {spec['name']!r}"):
+                emb = append_factor_embedding(spec["from_space"], spec["to_space"], dim, vec)
         elif kind == "isometry":
             _require(all(k in spec for k in ("from_space", "to_space", "matrix")),
                      f"embedding {spec['name']!r} needs from_space, to_space, matrix")
@@ -156,7 +171,8 @@ def _build_context(config: dict, tol_override: float | None) -> RunContext:
             _require(mat.shape == (ctx.space_dim(spec["to_space"]),
                                    ctx.space_dim(spec["from_space"])),
                      f"embedding {spec['name']!r} has mismatched shape")
-            emb = Embedding(spec["from_space"], spec["to_space"], mat)
+            with _constructing(f"embedding {spec['name']!r}"):
+                emb = Embedding(spec["from_space"], spec["to_space"], mat)
         else:
             raise SchemaError(f"unknown embedding kind {kind!r}")
         ctx.embeddings[spec["name"]] = emb

@@ -8,14 +8,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .cones import SelfDualCone
 from .errors import ArrowFailed, DimMismatch, LinkFailed
 from .numerics import DEFAULT_TOL, LinearOperator, _freeze
 from .positivity import classify, generates_improving_semigroup, ground_state
 
-NNLS_TOL = 1e-8
+INHERIT_TOL = 1e-8
 ISOMETRY_TOL = 1e-10
 
 
@@ -99,31 +98,49 @@ def conditional_expectation(emb: Embedding, a: LinearOperator) -> LinearOperator
 
 
 def inherits_positivity(p1: SelfDualCone, p2: SelfDualCone, emb: Embedding,
-                        tol: float = NNLS_TOL) -> bool:
+                        tol: float = INHERIT_TOL) -> bool:
     """Whether the small cone is exactly the projection of the big one.
 
-    Three conditions: the projection preserves the big cone; every projected
-    generator of the big cone lands in the small cone; and every generator of
-    the small cone is a nonnegative combination of those projections, which a
-    nonnegative-least-squares solve certifies up to residual tol per unit
-    norm.
+    Three conditions: the projection preserves the big cone; every pulled-back
+    generator tau^* g_j of the big cone lies in the small cone; and every
+    generator u_i of the small cone is a nonnegative combination of those
+    pulled-back generators.
+
+    The last two are read off one matrix, the small-cone coordinates of all
+    pulled-back generators.  Membership is the coordinate test of
+    ``SelfDualCone.contains``, column by column.  Given membership, the third
+    condition has an exact answer: u_i spans an extreme ray of the simplicial
+    small cone, so a nonnegative combination equal to u_i can only use
+    generators that lie on that ray.  It therefore holds iff some column c
+    has Re c_i > 0 and |c - Re(c_i) e_i| <= tol |c|, which says that the
+    residual of u_i against that single column is at most tol.
+
+    A nonnegative-least-squares solve over all columns (the tests' oracle)
+    can differ from this only at the tolerance scale: when several columns
+    that each sit just over tol from the ray combine to a residual within
+    tol.  tol must stay below 1/sqrt(2), so that only a column's dominant
+    coordinate can qualify.
     """
     if emb.dim_from != p1.dim or emb.dim_to != p2.dim:
         raise DimMismatch("embedding does not match the two cones")
+    if not tol < np.sqrt(0.5):
+        raise ValueError(f"inheritance tolerance {tol!r} must be below 1/sqrt(2)")
     if not classify(emb.projection(), p2, tol).preserving:
         return False
     pulled = emb.isometry.conj().T @ p2.generators  # tau^* g_j as columns
-    for j in range(pulled.shape[1]):
-        if not p1.contains(pulled[:, j], tol):
-            return False
-    stacked = np.vstack([pulled.real, pulled.imag])
-    for i in range(p1.dim):
-        u = p1.generator(i)
-        target = np.concatenate([u.real, u.imag])
-        _, residual = nnls(stacked, target)
-        if residual > tol:
-            return False
-    return True
+    coords = p1.generators.conj().T @ pulled
+    scale = tol * np.linalg.norm(pulled, axis=0)
+    if not ((coords.real >= -scale).all() and (np.abs(coords.imag) <= scale).all()):
+        return False
+    columns = np.arange(coords.shape[1])
+    ray = np.abs(coords).argmax(axis=0)
+    head = coords[ray, columns].real
+    rest = coords.copy()
+    rest[ray, columns] -= head
+    on_ray = (head > 0) & (np.linalg.norm(rest, axis=0) <= scale)
+    covered = np.zeros(p1.dim, dtype=bool)
+    covered[ray[on_ray]] = True
+    return bool(covered.all())
 
 
 @dataclass(frozen=True)

@@ -254,16 +254,54 @@ WITH_TOLERANCE = CLASSIFY_TEXT.replace('"task"', '"tolerances": {"default": TOL}
     pytest.param(CLASSIFY_TEXT, ["--tol", "inf"], id="tol-flag-inf"),
 ])
 def test_bad_numeric_input_exits_two_and_writes_nothing(text, extra_args, tmp_path, capsys):
+    assert_schema_error_writes_nothing("classify", text, extra_args, tmp_path, capsys)
+
+
+def assert_schema_error_writes_nothing(task, text, extra_args, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(text)
     out = tmp_path / "out"
-    code = main(["classify", "--config", str(config), "--out", str(out), *extra_args])
+    code = main([task, "--config", str(config), "--out", str(out), *extra_args])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("conecalc: schema error: ")
     assert captured.err.count("\n") == 1
     assert captured.out == ""
     assert not out.exists()
+    return captured.err
+
+
+CHAIN_TEXT = (CONFIGS / "chain_two_level.json").read_text()
+ORTHANT_P0 = '{"name": "P0", "kind": "orthant", "space": "base"}'
+UP_VECTOR = '"vector": [0.7071067811865476, 0.7071067811865476]'
+
+
+def explicit_p0(generators: str) -> str:
+    return CHAIN_TEXT.replace(
+        ORTHANT_P0, '{"name": "P0", "kind": "explicit", "space": "base", "generators": '
+        + generators + "}")
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param(explicit_p0("[[1, 0], [1, 1]]"), "cone 'P0'", id="explicit-not-orthonormal"),
+    pytest.param(explicit_p0("[[1, 0]]"), "cone 'P0'", id="explicit-too-few-generators"),
+    pytest.param(explicit_p0("[[1, 0, 0], [0, 1, 0]]"), "cone 'P0'",
+                 id="explicit-generators-too-long"),
+    pytest.param(explicit_p0("[[1, 0], [0, 1, 0]]"), "cone 'P0'", id="explicit-ragged-generators"),
+    pytest.param(explicit_p0("5"), "cone 'P0'", id="explicit-generators-not-a-list"),
+    pytest.param(explicit_p0("[[1, 0], [0, 1]]").replace(
+        '"explicit", "space": "base"', '"explicit", "space": "nowhere"'), "unknown space id",
+        id="explicit-unknown-space"),
+    pytest.param(CHAIN_TEXT.replace(UP_VECTOR, '"vector": [1, 1]'), "embedding 'up'",
+                 id="append-vector-not-normalized"),
+    pytest.param(CHAIN_TEXT.replace('"append_vector"', '"isometry"').replace(
+        UP_VECTOR, '"matrix": [[1, 0], [1, 0], [0, 1], [0, 0]]'), "embedding 'up'",
+        id="isometry-not-orthonormal"),
+])
+def test_malformed_cone_or_embedding_exits_two_and_writes_nothing(text, message, tmp_path, capsys):
+    assert text != CHAIN_TEXT
+    err = assert_schema_error_writes_nothing("chain", text, [], tmp_path, capsys)
+    assert err.startswith(f"conecalc: schema error: {message}")
 
 
 class TestModuleEntryPoint:

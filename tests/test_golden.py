@@ -7,6 +7,9 @@ them in the same change and says why.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +36,32 @@ def test_outputs_match_golden_bytes(name, tmp_path, capsys):
     for filename in expected:
         assert (tmp_path / filename).read_bytes() == (GOLDEN / name / filename).read_bytes(), \
             f"{name}/{filename} differs from the golden bytes"
+
+
+WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # every import of scipy or a submodule now fails
+import json
+from pathlib import Path
+from conecalc.cli import main
+configs, out = Path(sys.argv[1]), Path(sys.argv[2])
+for config in sorted(configs.glob("*.json")):
+    main([json.loads(config.read_text())["task"], "--config", str(config),
+          "--out", str(out / config.stem)])
+loaded = [name for name, module in sys.modules.items()
+          if name.split(".")[0] == "scipy" and module is not None]
+print(json.dumps(loaded))
+"""
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, str(CONFIGS), str(tmp_path)],
+                            capture_output=True, text=True, timeout=300, env=env)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == []
+    for name in CONFIG_NAMES:
+        for golden in (GOLDEN / name).iterdir():
+            assert (tmp_path / name / golden.name).read_bytes() == golden.read_bytes(), \
+                f"{name}/{golden.name} differs from the golden bytes without scipy"

@@ -5,7 +5,7 @@ from scipy.optimize import nnls
 from conftest import op, random_metzler_generator, random_unit, rng
 from test_cones import haar_cone
 
-from conecalc.cones import orthant, tensor_cone
+from conecalc.cones import SelfDualCone, orthant, tensor_cone
 from conecalc.errors import ArrowFailed, DimMismatch, LinkFailed
 from conecalc.inheritance import (
     ArrowChain,
@@ -90,6 +90,109 @@ class TestConeInheritance:
         p2 = tensor_cone(p1, orthant("b", 2))
         emb = append_factor_embedding("a", "a*b", 2, np.array([1.0, -1.0]) / np.sqrt(2))
         assert not inherits_positivity(p1, p2, emb)
+
+    @pytest.mark.parametrize("angle, inherited", [(0.6e-8, True), (0.9e-8, False)])
+    def test_tolerance_scale_tilt_is_decided_by_the_rays(self, angle, inherited):
+        # u_0 is tilted by angle and phase-shifted by angle: each pulled
+        # generator is in the small cone within tol, and e_0, the only one
+        # near the ray of u_0, sits sqrt(2) * angle off it
+        c, s = np.cos(angle), np.sin(angle)
+        p1 = SelfDualCone("s", np.array([[c, s], [-s, c]]) * [np.exp(1j * angle), 1.0])
+        p2 = orthant("s", 2)
+        emb = identity_embedding("s", 2)
+        assert all(p1.contains(g, 1e-8) for g in p2.generators.T)
+        assert nnls_inherits(p1, p2, emb) == inherited
+        assert inherits_positivity(p1, p2, emb) == inherited
+
+
+def nnls_inherits(p1, p2, emb, tol=1e-8):
+    """The three-condition test with one nonnegative-least-squares solve per
+    small-cone generator: the oracle for `inherits_positivity`."""
+    if not classify(emb.projection(), p2, tol).preserving:
+        return False
+    pulled = emb.isometry.conj().T @ p2.generators
+    for j in range(pulled.shape[1]):
+        if not p1.contains(pulled[:, j], tol):
+            return False
+    stacked = np.vstack([pulled.real, pulled.imag])
+    for i in range(p1.dim):
+        u = p1.generator(i)
+        _, residual = nnls(stacked, np.concatenate([u.real, u.imag]))
+        if residual > tol:
+            return False
+    return True
+
+
+def random_unitary(gen, n, real):
+    a = gen.normal(size=(n, n))
+    if not real:
+        a = a + 1j * gen.normal(size=(n, n))
+    q, r = np.linalg.qr(a)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_small_cone(gen, space, n):
+    kind = gen.integers(3)
+    if kind == 0:
+        return orthant(space, n)
+    return SelfDualCone(space, random_unitary(gen, n, real=kind == 1))
+
+
+def random_factor_cone(gen, space, d):
+    kind = gen.integers(4)
+    if kind == 0:
+        gens = np.eye(d)
+    elif kind == 1:
+        gens = np.eye(d)[:, gen.permutation(d)]
+    elif kind == 2:
+        gens = np.diag(gen.choice([-1.0, 1.0], size=d))
+    else:
+        gens = random_unitary(gen, d, real=True)
+    return SelfDualCone(space, gens)
+
+
+def random_append_vector(gen, factor):
+    kind = gen.integers(4)
+    d = factor.dim
+    if kind == 0:  # interior of the factor cone
+        v = factor.from_coords(gen.uniform(0.1, 1.0, size=d))
+    elif kind == 1:
+        v = np.eye(d)[gen.integers(d)]
+    elif kind == 2:
+        v = gen.normal(size=d)
+    else:
+        v = np.ones(d)
+    return v / np.linalg.norm(v)
+
+
+def random_inheritance_case(gen):
+    """(small cone, big cone, append-vector embedding) over a product space."""
+    n, d = int(gen.integers(1, 5)), int(gen.integers(2, 4))
+    p1 = random_small_cone(gen, "a", n)
+    factor = random_factor_cone(gen, "b", d)
+    p2 = tensor_cone(p1, factor)
+    if gen.random() < 0.15:  # a big cone with no product structure at all
+        p2 = SelfDualCone(p2.space, random_unitary(gen, n * d, real=bool(gen.integers(2))))
+    emb = append_factor_embedding("a", p2.space, n, random_append_vector(gen, factor))
+    return p1, p2, emb
+
+
+def test_agrees_with_nnls_oracle_on_random_cases():
+    gen = rng(2024)
+    verdicts = []
+    for case in range(1200):
+        p1, p2, emb = random_inheritance_case(gen)
+        expected = nnls_inherits(p1, p2, emb)
+        assert inherits_positivity(p1, p2, emb) == expected, f"case {case}"
+        verdicts.append(expected)
+    share = sum(verdicts) / len(verdicts)
+    assert 0.3 <= share <= 0.7, share
+
+
+def test_rejects_tolerance_past_the_dominant_coordinate_bound():
+    p = orthant("s", 2)
+    with pytest.raises(ValueError):
+        inherits_positivity(p, p, identity_embedding("s", 2), tol=0.75)
 
 
 class TestConditionalExpectation:
