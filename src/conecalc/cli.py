@@ -26,6 +26,7 @@ from .inheritance import (
     ArrowChain,
     ChainNode,
     Embedding,
+    TOL_LIMIT,
     append_factor_embedding,
     identity_embedding,
     verify_chain,
@@ -98,6 +99,7 @@ def _tolerance(value, source: str) -> float:
     _require(isinstance(value, (int, float)) and not isinstance(value, bool)
              and math.isfinite(value) and value > 0,
              f"{source} must be a finite positive number, got {value!r}")
+    _require(value < TOL_LIMIT, f"{source} must be below 1/sqrt(2), got {value!r}")
     return float(value)
 
 

@@ -15,6 +15,7 @@ from .numerics import DEFAULT_TOL, LinearOperator, _freeze
 from .positivity import classify, generates_improving_semigroup, ground_state
 
 INHERIT_TOL = 1e-8
+TOL_LIMIT = float(np.sqrt(0.5))  # inherits_positivity needs tol below this
 ISOMETRY_TOL = 1e-10
 
 
@@ -123,7 +124,7 @@ def inherits_positivity(p1: SelfDualCone, p2: SelfDualCone, emb: Embedding,
     """
     if emb.dim_from != p1.dim or emb.dim_to != p2.dim:
         raise DimMismatch("embedding does not match the two cones")
-    if not tol < np.sqrt(0.5):
+    if not tol < TOL_LIMIT:
         raise ValueError(f"inheritance tolerance {tol!r} must be below 1/sqrt(2)")
     if not classify(emb.projection(), p2, tol).preserving:
         return False
@@ -165,7 +166,7 @@ def check_arrow(h1: LinearOperator, p1: SelfDualCone,
             reasons.append("source Hamiltonian is not improving-class on its cone")
         if not generates_improving_semigroup(h2, p2, tol):
             reasons.append("target Hamiltonian is not improving-class on its cone")
-        if not inherits_positivity(p1, p2, emb):
+        if not inherits_positivity(p1, p2, emb, tol):
             reasons.append("cone inheritance failed")
     except DimMismatch as exc:
         reasons.append(f"dimension mismatch: {exc}")

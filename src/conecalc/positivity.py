@@ -5,7 +5,10 @@ All tests reduce to the operator's matrix in the cone's generator basis.  A
 map preserves the cone iff that matrix is real with nonnegative entries, and
 improves it iff the entries are strictly positive; both follow from linearity
 over the generators.  Ergodicity and irreducibility are digraph reachability
-on the support pattern of that matrix.
+on the support pattern of that matrix: ergodicity reports the least walk
+length between every generator pair, while irreducibility only asks for
+strong connectivity, which forward and reverse reachability from a single
+generator decide.
 """
 
 from __future__ import annotations
@@ -165,6 +168,19 @@ def _metzler_offdiag_ok(m: np.ndarray, thresh: float) -> tuple[bool, Witness | N
     return True, None
 
 
+def _metzler_coords(h: LinearOperator, cone: SelfDualCone, tol: float) -> np.ndarray | None:
+    """H in the generator basis when -H is Metzler there, else None."""
+    h.require_hermitian()
+    m = cone.operator_coords(h)
+    scale = float(np.abs(m).max())
+    if scale == 0.0:
+        return m
+    if np.abs(m.imag).max() > tol * scale:
+        return None
+    ok, _ = _metzler_offdiag_ok(m, tol * scale)
+    return m if ok else None
+
+
 def generates_positive_semigroup(h: LinearOperator, cone: SelfDualCone,
                                  tol: float = DEFAULT_TOL) -> bool:
     """Whether exp(-beta*H) preserves the cone for every beta >= 0.
@@ -173,15 +189,18 @@ def generates_positive_semigroup(h: LinearOperator, cone: SelfDualCone,
     above +tol*scale, i.e. -H is Metzler there.  Equivalent to resolvent
     positivity (H+s)^{-1} >= 0 for all s above the spectral bound.
     """
-    h.require_hermitian()
-    m = cone.operator_coords(h)
-    scale = float(np.abs(m).max())
-    if scale == 0.0:
-        return True
-    if np.abs(m.imag).max() > tol * scale:
-        return False
-    ok, _ = _metzler_offdiag_ok(m, tol * scale)
-    return ok
+    return _metzler_coords(h, cone, tol) is not None
+
+
+def _reaches_all(edges: np.ndarray) -> bool:
+    """Whether a frontier sweep from vertex 0 along edges[i, j] (j -> i) visits every vertex."""
+    seen = np.zeros(edges.shape[0], dtype=bool)
+    seen[0] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = edges[:, frontier].any(axis=1) & ~seen
+        seen |= frontier
+    return bool(seen.all())
 
 
 def generates_improving_semigroup(h: LinearOperator, cone: SelfDualCone,
@@ -190,19 +209,21 @@ def generates_improving_semigroup(h: LinearOperator, cone: SelfDualCone,
 
     On top of the Metzler criterion this needs the off-diagonal support
     digraph of -H to be strongly connected; reducible generators leave some
-    generator pair forever uncoupled.
+    generator pair forever uncoupled.  Strong connectivity holds iff every
+    generator is reachable from generator 0 and generator 0 from every
+    generator, so two sweeps from one vertex decide it, one along the edges
+    and one against them.  The all-pairs walk lengths stay with `is_ergodic`.
     """
-    if not generates_positive_semigroup(h, cone, tol):
+    m = _metzler_coords(h, cone, tol)
+    if m is None:
         return False
-    m = cone.operator_coords(h).real
+    m = m.real
     n = m.shape[0]
     if n == 1:
         return True
-    scale = float(np.abs(m).max())
-    coupling = -m
-    np.fill_diagonal(coupling, 0.0)
-    out_edges = [list(np.nonzero(coupling[:, j] > tol * scale)[0]) for j in range(n)]
-    return bool((_reach_table(out_edges, n) >= 0).all())
+    edges = -m > tol * float(np.abs(m).max())
+    np.fill_diagonal(edges, False)
+    return _reaches_all(edges) and _reaches_all(edges.T)
 
 
 def positive_combination(h: LinearOperator, h_prime: LinearOperator,

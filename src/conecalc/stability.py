@@ -48,6 +48,11 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 UNITARY_SAMPLES = ((1.0, 1.0), (0.3, 2.0))
 
 
+def _commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
+    # the products die with the call, so no caller holds them past its norm
+    return float(np.linalg.norm(a @ b - b @ a, 2))
+
+
 def commutes_with_observable(h: LinearOperator, o: LinearOperator,
                              tol: float = COMMUTATOR_TOL) -> bool:
     """Whether H and O strongly commute, via the commutator norm.
@@ -60,14 +65,11 @@ def commutes_with_observable(h: LinearOperator, o: LinearOperator,
     o.require_hermitian()
     if h.dim != o.dim:
         raise NotCommuting("operators act on different spaces")
-    comm = h.mat @ o.mat - o.mat @ h.mat
     scale = h.norm() * o.norm()
-    result = float(np.linalg.norm(comm, 2)) <= tol * max(scale, 1e-300)
+    result = _commutator_norm(h.mat, o.mat) <= tol * max(scale, 1e-300)
     if result:
         for s, t in UNITARY_SAMPLES:
-            u = op_exp_unitary(o, s).mat
-            v = op_exp_unitary(h, t).mat
-            drift = float(np.linalg.norm(u @ v - v @ u, 2))
+            drift = _commutator_norm(op_exp_unitary(o, s).mat, op_exp_unitary(h, t).mat)
             if drift > 2.0 * s * t * tol * scale + 1e-12:
                 raise Inconsistent(
                     f"commutator passed but unitaries at (s,t)=({s},{t}) drift {drift:.3e}"

@@ -252,6 +252,9 @@ WITH_TOLERANCE = CLASSIFY_TEXT.replace('"task"', '"tolerances": {"default": TOL}
     pytest.param(CLASSIFY_TEXT, ["--tol", "0"], id="tol-flag-zero"),
     pytest.param(CLASSIFY_TEXT, ["--tol", "nan"], id="tol-flag-nan"),
     pytest.param(CLASSIFY_TEXT, ["--tol", "inf"], id="tol-flag-inf"),
+    pytest.param(CLASSIFY_TEXT, ["--tol", "0.8"], id="tol-flag-past-inheritance-limit"),
+    pytest.param(WITH_TOLERANCE.replace("TOL", "0.7071067811865476"), [],
+                 id="tolerance-at-inheritance-limit"),
 ])
 def test_bad_numeric_input_exits_two_and_writes_nothing(text, extra_args, tmp_path, capsys):
     assert_schema_error_writes_nothing("classify", text, extra_args, tmp_path, capsys)

@@ -231,6 +231,18 @@ class TestArrow:
         p = orthant("s", 2)
         assert check_arrow(h, p, h, p, identity_embedding("s", 2))
 
+    @pytest.mark.parametrize("tol, ok", [(1e-4, True), (1e-9, False)])
+    def test_inheritance_runs_at_the_arrow_tolerance(self, tol, ok):
+        # the small cone is the orthant tilted by 1e-6, and h1 is -sigma_x in
+        # its generator basis, so only the inheritance test sees the tilt
+        angle = 1e-6
+        c, s = np.cos(angle), np.sin(angle)
+        p1 = SelfDualCone("s", np.array([[c, s], [-s, c]]))
+        h1 = op("s", p1.generators @ -SIGMA_X @ p1.generators.T)
+        res = check_arrow(h1, p1, flip_op(), orthant("s", 2), identity_embedding("s", 2), tol)
+        assert res.ok == ok
+        assert res.reasons == (() if ok else ("cone inheritance failed",))
+
     def test_reducible_target_fails_with_reason(self):
         h1, p1, _, p2, emb = tower_link()
         decoupled = kron(flip_op("a"), identity("b", 2))  # no coupling on factor 2

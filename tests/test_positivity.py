@@ -12,10 +12,12 @@ from conftest import (
 )
 from test_cones import haar_cone
 
-from conecalc.cones import orthant, tensor_cone
+from conecalc import positivity
+from conecalc.cones import SelfDualCone, orthant, tensor_cone
 from conecalc.errors import InputNotInClass, NotPreserving, NotRealForm
-from conecalc.numerics import identity, kron
+from conecalc.numerics import DEFAULT_TOL, LinearOperator, identity, kron
 from conecalc.positivity import (
+    _reach_table,
     classify,
     dominates,
     generates_improving_semigroup,
@@ -284,3 +286,125 @@ class TestPerronFrobeniusEquivalence:
             energy = g.energy
             residual = np.linalg.norm(h.mat @ repaired - energy * repaired)
             assert residual <= 1e-8 * max(np.linalg.norm(h.mat, 2), 1e-300)
+
+
+# Irreducibility: the one-generator sweeps against the all-pairs reach table.
+# An edge j -> i is a coupling entry -H[i, j] above tol*scale.  H must stay
+# Hermitian, so an edge is one-way only when its own entry sits just above the
+# threshold and the reverse entry exactly on it (in a rotated basis, just under).
+
+TOL = DEFAULT_TOL
+
+
+def one_way_values(exact: bool) -> tuple[float, float]:
+    """(above, at) coupling magnitudes for scale 1: an edge and a non-edge."""
+    if exact:
+        return float(np.nextafter(TOL, 1.0)), TOL
+    return TOL * (1 + 1e-4), TOL * (1 - 1e-4)  # clears basis-change rounding
+
+
+def metzler_from_pattern(gen, edges: np.ndarray, exact: bool) -> np.ndarray:
+    """Real H with max |H| = 1 whose coupling digraph is exactly `edges`."""
+    n = edges.shape[0]
+    above, at = one_way_values(exact)
+    strong = np.triu(gen.uniform(0.1, 1.0, size=(n, n)), 1)
+    quiet = np.triu(gen.choice([0.0, at, -0.5 * TOL], size=(n, n)), 1)  # non-edges
+    coupling = np.where(edges & edges.T, strong + strong.T,
+                        np.where(edges, above, np.where(edges.T, at, quiet + quiet.T)))
+    h = -coupling
+    np.fill_diagonal(h, gen.uniform(-1.0, 1.0, size=n))
+    h[0, 0] = 1.0
+    return h
+
+
+def random_pattern(gen, n: int, family: str) -> np.ndarray:
+    """edges[i, j] = edge j -> i, for a digraph of the named family."""
+    edges = np.zeros((n, n), dtype=bool)
+    order = gen.permutation(n)
+    if family == "random":
+        edges = gen.random((n, n)) < gen.uniform(0.1, 0.6)
+    elif family in ("path", "cycle", "two-way path"):
+        for a, b in zip(order[:-1], order[1:]):
+            edges[b, a] = True
+            edges[a, b] |= family == "two-way path"
+        if family == "cycle":
+            edges[order[0], order[-1]] = True
+    elif family == "bridged blocks":
+        k = int(gen.integers(1, n))
+        for block in (order[:k], order[k:]):
+            for a, b in zip(block, np.roll(block, 1)):
+                edges[a, b] = edges[b, a] = a != b
+            extra = gen.random((len(block), len(block))) < 0.3
+            edges[np.ix_(block, block)] |= extra & extra.T
+        edges[gen.choice(order[k:]), gen.choice(order[:k])] = True
+    np.fill_diagonal(edges, False)
+    return edges
+
+
+def reach_table_oracle(edges: np.ndarray) -> bool:
+    n = edges.shape[0]
+    out_edges = [list(np.nonzero(edges[:, j])[0]) for j in range(n)]
+    return bool((_reach_table(out_edges, n) >= 0).all())
+
+
+FAMILIES = ("random", "path", "cycle", "two-way path", "bridged blocks")
+
+
+def test_irreducibility_agrees_with_the_reach_table_oracle():
+    gen = rng(163)
+    verdicts = []
+    for case in range(2000):
+        n = 1 + case % 2 if case < 200 else int(gen.integers(3, 13))
+        family = FAMILIES[case % len(FAMILIES)]
+        if n == 1 and family == "bridged blocks":
+            family = "random"
+        edges = random_pattern(gen, n, family)
+        rotated = case % 4 == 3
+        h = metzler_from_pattern(gen, edges, exact=not rotated)
+        cone = haar_cone(case, n) if rotated else orthant("s", n)
+        g = cone.generators
+        expected = reach_table_oracle(edges)
+        assert generates_improving_semigroup(op("s", g @ h @ g.conj().T), cone) == expected, \
+            f"case {case}: {family}, n={n}, rotated={rotated}"
+        verdicts.append(expected)
+    share = sum(verdicts) / len(verdicts)
+    assert 0.3 <= share <= 0.7, share
+
+
+class SentinelError(Exception):
+    pass
+
+
+def three_vertex(gen, family: str) -> LinearOperator:
+    return op("s", metzler_from_pattern(gen, random_pattern(gen, 3, family), exact=True))
+
+
+def test_irreducibility_needs_no_reach_table(monkeypatch):
+    def refuse(out_edges, n):
+        raise SentinelError
+
+    monkeypatch.setattr(positivity, "_reach_table", refuse)
+    gen = rng(167)
+    cone = orthant("s", 3)
+    assert generates_improving_semigroup(three_vertex(gen, "cycle"), cone)
+    assert not generates_improving_semigroup(three_vertex(gen, "path"), cone)
+    with pytest.raises(SentinelError):  # the reported k_table still comes from it
+        is_ergodic(op("s", np.roll(np.eye(3), 1, axis=0)), cone)
+
+
+@pytest.mark.parametrize("mat, improving", [
+    pytest.param(-SIGMA_X, True, id="improving"),
+    pytest.param(np.diag([1.0, 2.0]), False, id="reducible"),
+    pytest.param(SIGMA_X, False, id="not-metzler"),
+])
+def test_improving_check_reads_the_generator_basis_once(monkeypatch, mat, improving):
+    calls = []
+    original = SelfDualCone.operator_coords
+
+    def counting(self, operator):
+        calls.append(operator)
+        return original(self, operator)
+
+    monkeypatch.setattr(SelfDualCone, "operator_coords", counting)
+    assert generates_improving_semigroup(op("s", mat), orthant("s", 2)) == improving
+    assert len(calls) == 1
