@@ -36,7 +36,7 @@ from .lattice import LatticeSpec, build_lattice, hasse_export, verify_spec
 from .numerics import DEFAULT_TOL, LinearOperator, kron, identity
 from .positivity import classify, is_ergodic
 from .semigroup import trotter_verify
-from .spin import SpinSystem, verify_mlm
+from .spin import SpinSystem, _check_cap, verify_mlm
 from .stability import (
     StabilityClassRecord,
     extension_tower,
@@ -95,9 +95,12 @@ class RunContext:
         return self.embeddings[name]
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _tolerance(value, source: str) -> float:
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool)
-             and math.isfinite(value) and value > 0,
+    _require(_is_number(value) and math.isfinite(value) and value > 0,
              f"{source} must be a finite positive number, got {value!r}")
     _require(value < TOL_LIMIT, f"{source} must be below 1/sqrt(2), got {value!r}")
     return float(value)
@@ -306,15 +309,31 @@ def _task_weak_equiv(ctx: RunContext, params: dict):
     return True, payload
 
 
+def _site_list(value, sites: int, name: str) -> list[int]:
+    _require(isinstance(value, list) and all(
+        isinstance(s, int) and not isinstance(s, bool) and 1 <= s <= sites for s in value),
+        f"spin-demo {name} must be a list of sites 1..{sites}, got {value!r}")
+    _require(len(set(value)) == len(value), f"spin-demo {name} repeats a site: {value!r}")
+    return value
+
+
 def _task_spin_demo(ctx: RunContext, params: dict):
     sites = params.get("sites")
-    _require(isinstance(sites, int) and sites >= 2, "spin-demo needs sites >= 2")
+    _require(isinstance(sites, int) and not isinstance(sites, bool) and sites >= 2,
+             "spin-demo needs sites >= 2")
+    _check_cap(sites)  # before any list over the sites is built
     a = params.get("sublattice_a")
     _require(isinstance(a, list) and a, "spin-demo needs sublattice_a")
-    b = params.get("sublattice_b",
-                   [s for s in range(1, sites + 1) if s not in set(a)])
+    a = _site_list(a, sites, "sublattice_a")
+    b = _site_list(params.get("sublattice_b", [s for s in range(1, sites + 1) if s not in a]),
+                   sites, "sublattice_b")
+    _require(not set(a) & set(b), f"spin-demo sublattices overlap: {sorted(set(a) & set(b))}")
+    _require(len(a) + len(b) == sites, f"spin-demo sublattices must cover sites 1..{sites}")
+    m = params.get("sector_m", 0.0)
+    _require(_is_number(m) and math.isfinite(m),
+             f"spin-demo sector_m must be a finite number, got {m!r}")
     system = SpinSystem(sites, tuple(a), tuple(b))
-    report = verify_mlm(system, float(params.get("sector_m", 0.0)), ctx.tol)
+    report = verify_mlm(system, float(m), ctx.tol)
     return report.ok, report.to_payload()
 
 
@@ -442,6 +461,7 @@ def _spin_demo_config(args) -> dict:
         config["params"]["sublattice_b"] = b
         config["params"].setdefault("sites", len(a) + len(b))
     if args.sector is not None:
+        _require(math.isfinite(args.sector), f"--sector must be finite, got {args.sector!r}")
         config["params"]["sector_m"] = args.sector
     return config
 

@@ -5,7 +5,7 @@ cone, and the ground-state total-spin verification.
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,49 +76,63 @@ def spin_operators(n: int) -> list[tuple[LinearOperator, LinearOperator, LinearO
     ]
 
 
-def _collective(n: int, sites: tuple[int, ...], component: int) -> np.ndarray:
-    total = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    for x in sites:
-        total += _site_operator(n, x, component)
-    return total
+def _bits(n: int, basis: np.ndarray, site: int) -> np.ndarray:
+    """Bit of `site` in each basis index: 0 = up, 1 = down."""
+    return (basis >> (n - site)) & 1
+
+
+def _down_count(n: int, basis: np.ndarray) -> np.ndarray:
+    return sum(_bits(n, basis, x) for x in range(1, n + 1))
+
+
+def _exchange(n: int, basis: np.ndarray, pairs) -> np.ndarray:
+    """sum over (x, y) in pairs of S_x . S_y, on the span of the ascending
+    computational-basis states `basis`.
+
+    S_x . S_y = S_x^z S_y^z + (S_x^+ S_y^- + S_x^- S_y^+) / 2.  The first term
+    is +1/4 where bits x and y agree and -1/4 where they differ; the second
+    joins two states that differ by swapping those bits, with amplitude 1/2.
+    Every entry is dyadic, so the matrix equals the compression of the
+    kron-built operator exactly.
+    """
+    dim = basis.size
+    mat = np.zeros((dim, dim))
+    diag = np.zeros(dim)
+    rows = np.arange(dim)
+    for x, y in pairs:
+        differ = (_bits(n, basis, x) ^ _bits(n, basis, y)).astype(bool)
+        diag += np.where(differ, -0.25, 0.25)
+        swapped = basis[differ] ^ ((1 << (n - x)) | (1 << (n - y)))
+        mat[rows[differ], np.searchsorted(basis, swapped)] += 0.5
+    mat[rows, rows] = diag
+    return mat
+
+
+def _bipartite_pairs(system: SpinSystem) -> list[tuple[int, int]]:
+    return [(x, y) for x in system.sublattice_a for y in system.sublattice_b]
+
+
+def _total_spin_sq(n: int, basis: np.ndarray) -> np.ndarray:
+    # S_tot^2 = sum_x S_x . S_x + 2 sum_{x<y} S_x . S_y, and S_x . S_x = 3/4
+    mat = 2.0 * _exchange(n, basis, itertools.combinations(range(1, n + 1), 2))
+    mat[np.diag_indices(basis.size)] += 0.75 * n
+    return mat
 
 
 def mlm_hamiltonian(system: SpinSystem) -> LinearOperator:
     """S_A . S_B: every site of one sublattice coupled to every site of the other."""
     _check_cap(system.sites)
     n = system.sites
-    mat = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    for j in range(3):
-        mat += _collective(n, system.sublattice_a, j) @ _collective(n, system.sublattice_b, j)
-    return LinearOperator(system.space, mat)
-
-
-def heisenberg_hamiltonian(system: SpinSystem,
-                           edges: tuple[tuple[int, int], ...]) -> LinearOperator:
-    """sum over edges of S_x . S_y, for an arbitrary coupling graph."""
-    _check_cap(system.sites)
-    n = system.sites
-    mat = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    for x, y in edges:
-        for j in range(3):
-            mat += _site_operator(n, x, j) @ _site_operator(n, y, j)
-    return LinearOperator(system.space, mat)
+    return LinearOperator(system.space, _exchange(n, np.arange(2 ** n), _bipartite_pairs(system)))
 
 
 def total_spin(n: int) -> tuple[LinearOperator, LinearOperator]:
     """(S_tot^2, S_tot^z); the first has eigenvalues S(S+1)."""
     _check_cap(n)
     space = f"spins{n}"
-    everything = tuple(range(1, n + 1))
-    sq = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    for j in range(3):
-        comp = _collective(n, everything, j)
-        sq += comp @ comp
-    return LinearOperator(space, sq), LinearOperator(space, _collective(n, everything, 2))
-
-
-def _down_count(index: int) -> int:
-    return bin(index).count("1")
+    basis = np.arange(2 ** n)
+    return (LinearOperator(space, _total_spin_sq(n, basis)),
+            LinearOperator(space, np.diag(n / 2.0 - _down_count(n, basis))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,29 +152,53 @@ class MSector:
         return len(self.indices)
 
 
-def m_sector(n: int, m: float) -> MSector:
-    """Build the magnetization-M subspace of n spins."""
+def _sector_basis(n: int, m: float) -> np.ndarray:
+    """Ascending indices of the Ising configurations with magnetization m."""
     _check_cap(n)
     downs = n / 2.0 - m
     if abs(downs - round(downs)) > 1e-12 or not 0 <= round(downs) <= n:
         raise PreconditionFailed(f"sector M={m} is empty for {n} sites")
-    k = int(round(downs))
-    indices = tuple(i for i in range(2 ** n) if _down_count(i) == k)
-    tau = np.zeros((2 ** n, len(indices)))
-    for col, idx in enumerate(indices):
-        tau[idx, col] = 1.0
-    emb = Embedding(f"spins{n}_M{m:g}", f"spins{n}", tau)
-    return MSector(m, indices, emb)
+    basis = np.arange(2 ** n)
+    return basis[_down_count(n, basis) == round(downs)]
 
 
-def _marshall_signs(system: SpinSystem, sector: MSector) -> np.ndarray:
-    signs = np.empty(sector.dim)
-    for col, idx in enumerate(sector.indices):
-        downs_on_a = sum(
-            1 for site in system.sublattice_a if (idx >> (system.sites - site)) & 1
-        )
-        signs[col] = -1.0 if downs_on_a % 2 else 1.0
-    return signs
+def _sector_space(n: int, m: float) -> str:
+    return f"spins{n}_M{m:g}"
+
+
+def m_sector(n: int, m: float) -> MSector:
+    """Build the magnetization-M subspace of n spins."""
+    basis = _sector_basis(n, m)
+    tau = np.zeros((2 ** n, basis.size))
+    tau[basis, np.arange(basis.size)] = 1.0
+    emb = Embedding(_sector_space(n, m), f"spins{n}", tau)
+    return MSector(m, tuple(int(i) for i in basis), emb)
+
+
+def _marshall_signs(n: int, sublattice: tuple[int, ...], basis: np.ndarray) -> np.ndarray:
+    """(-1)^(number of down spins on the sublattice) for each basis state."""
+    parity = np.zeros(basis.size, dtype=basis.dtype)
+    for site in sublattice:
+        parity ^= _bits(n, basis, site)
+    return 1.0 - 2.0 * parity
+
+
+def _sign_cone(system: SpinSystem, m: float, basis: np.ndarray, restricted: np.ndarray,
+               tol: float) -> SelfDualCone:
+    """The Marshall-sign cone of a sector, once the sector matrix of the
+    Hamiltonian is Metzler in both the A and the B sign gauge."""
+    n = system.sites
+    scale = max(float(np.abs(restricted).max()), 1e-300)
+    signs_a = _marshall_signs(n, system.sublattice_a, basis)
+    for signs, gauge in ((signs_a, "A"), (_marshall_signs(n, system.sublattice_b, basis), "B")):
+        off = (restricted * np.outer(signs, signs)).real.copy()
+        np.fill_diagonal(off, -np.inf)
+        if off.max() > tol * scale:
+            raise SignRuleFailed(
+                f"restricted Hamiltonian is not Metzler in the {gauge}-gauge sign basis"
+            )
+    return SelfDualCone(_sector_space(n, m), np.diag(signs_a).astype(complex),
+                        label=f"marshall_M{m:g}")
 
 
 def marshall_cone(system: SpinSystem, sector: MSector,
@@ -170,27 +208,15 @@ def marshall_cone(system: SpinSystem, sector: MSector,
     parity of down spins on sublattice A.
 
     Validity is not assumed: the restricted Hamiltonian (Marshall-Lieb-Mattis
-    by default) must come out Metzler in this basis, in both the A and the B
-    sign gauge, or the construction aborts.
+    by default, built in the sector basis) must come out Metzler in this
+    basis, in both the A and the B sign gauge, or the construction aborts.
     """
+    basis = np.asarray(sector.indices, dtype=np.int64)
     if hamiltonian is None:
-        hamiltonian = mlm_hamiltonian(system)
-    restricted = sector.embedding.compress(hamiltonian).mat
-    scale = max(float(np.abs(restricted).max()), 1e-300)
-    for sub, gauge in ((system.sublattice_a, "A"), (system.sublattice_b, "B")):
-        gauged = SpinSystem(system.sites, sub, tuple(
-            s for s in range(1, system.sites + 1) if s not in sub))
-        signs = _marshall_signs(gauged, sector)
-        conjugated = restricted * np.outer(signs, signs)
-        off = conjugated.real.copy()
-        np.fill_diagonal(off, -np.inf)
-        if off.max() > tol * scale:
-            raise SignRuleFailed(
-                f"restricted Hamiltonian is not Metzler in the {gauge}-gauge sign basis"
-            )
-    signs = _marshall_signs(system, sector)
-    return SelfDualCone(sector.embedding.from_space, np.diag(signs).astype(complex),
-                        label=f"marshall_M{sector.m:g}")
+        restricted = _exchange(system.sites, basis, _bipartite_pairs(system))
+    else:
+        restricted = sector.embedding.compress(hamiltonian).mat
+    return _sign_cone(system, sector.m, basis, restricted, tol)
 
 
 @dataclass(frozen=True)
@@ -234,12 +260,12 @@ def verify_mlm(system: SpinSystem, m: float = 0.0, tol: float = DEFAULT_TOL) -> 
     The quantum number of the restricted Hamiltonian with respect to the
     restricted S_tot^2 must equal S(S+1) after snapping.
     """
-    sector = m_sector(system.sites, m)
-    h = mlm_hamiltonian(system)
-    cone = marshall_cone(system, sector, h, tol)
-    h_r = sector.embedding.compress(h)
-    s_sq, _ = total_spin(system.sites)
-    o_r = sector.embedding.compress(s_sq)
+    n = system.sites
+    basis = _sector_basis(n, m)
+    h = _exchange(n, basis, _bipartite_pairs(system))
+    cone = _sign_cone(system, m, basis, h, tol)
+    h_r = LinearOperator(cone.space, h)
+    o_r = LinearOperator(cone.space, _total_spin_sq(n, basis))
     if not generates_improving_semigroup(h_r, cone, tol):
         raise SignRuleFailed("restricted Hamiltonian is not improving-class on the sign cone")
     gqn = good_quantum_number(h_r, o_r, cone, tol)
@@ -248,19 +274,6 @@ def verify_mlm(system: SpinSystem, m: float = 0.0, tol: float = DEFAULT_TOL) -> 
     expected = s * (s + 1.0)
     ok = abs(gqn.snapped - expected) <= 1e-8
     return MlmReport(system.sites, system.sublattice_a, system.sublattice_b,
-                     m, sector.dim, s_star, gqn.value, gqn.snapped, expected, ok,
+                     m, basis.size, s_star, gqn.value, gqn.snapped, expected, ok,
                      gqn.ground.energy, gqn.gap01)
 
-
-def complete_bipartite_edges(system: SpinSystem) -> tuple[tuple[int, int], ...]:
-    return tuple(
-        (x, y) for x in system.sublattice_a for y in system.sublattice_b
-    )
-
-
-def all_sector_dims(n: int) -> dict[float, int]:
-    """Dimension of every magnetization sector; they must sum to 2^n."""
-    _check_cap(n)
-    return {
-        n / 2.0 - k: math.comb(n, k) for k in range(n + 1)
-    }

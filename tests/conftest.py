@@ -2,15 +2,21 @@
 
 Oracles here deliberately avoid the code paths they check: matrix
 exponentials come from scipy's Pade implementation, ergodicity from explicit
-matrix powers, and simplex integrals from composite Simpson quadrature.
+matrix powers, simplex integrals from composite Simpson quadrature, and spin
+operators from dense Kronecker products on the full 2^n space.
 """
+
+import math
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from conecalc import inheritance, lattice
-from conecalc.numerics import LinearOperator
+from conecalc.numerics import DEFAULT_TOL, LinearOperator
+from conecalc.positivity import generates_improving_semigroup
+from conecalc.spin import MlmReport, SpinSystem, m_sector, marshall_cone
+from conecalc.stability import good_quantum_number
 
 
 def rng(seed: int) -> np.random.Generator:
@@ -141,3 +147,92 @@ def duhamel_term_oracle(a: np.ndarray, b: np.ndarray, beta: float, order: int,
             total += w2 * inner
         return total
     raise ValueError("oracle implemented for orders 0..2 only")
+
+
+_HALF_PAULI = (
+    np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex),
+    np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=complex),
+    np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex),
+)
+
+
+def dense_site_spin(n: int, site: int, component: int) -> np.ndarray:
+    """Component (0, 1, 2 = x, y, z) of the spin of one site, site 1 the
+    leftmost tensor factor, as a dense 2^n matrix."""
+    return np.kron(np.kron(np.eye(2 ** (site - 1)), _HALF_PAULI[component]),
+                   np.eye(2 ** (n - site)))
+
+
+def _dense_collective(n: int, sites, component: int) -> np.ndarray:
+    total = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for x in sites:
+        total += dense_site_spin(n, x, component)
+    return total
+
+
+def dense_mlm_hamiltonian(system: SpinSystem) -> LinearOperator:
+    """S_A . S_B as the product of the two collective spins."""
+    n = system.sites
+    mat = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for j in range(3):
+        mat += _dense_collective(n, system.sublattice_a, j) @ _dense_collective(
+            n, system.sublattice_b, j)
+    return LinearOperator(system.space, mat)
+
+
+def dense_total_spin(n: int) -> tuple[LinearOperator, LinearOperator]:
+    """(S_tot^2, S_tot^z) as squares and sums of collective spins."""
+    everything = range(1, n + 1)
+    sq = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for j in range(3):
+        comp = _dense_collective(n, everything, j)
+        sq += comp @ comp
+    space = f"spins{n}"
+    return LinearOperator(space, sq), LinearOperator(space, _dense_collective(n, everything, 2))
+
+
+def heisenberg_hamiltonian(system: SpinSystem, edges) -> LinearOperator:
+    """sum over edges of S_x . S_y, for an arbitrary coupling graph."""
+    n = system.sites
+    mat = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for x, y in edges:
+        for j in range(3):
+            mat += dense_site_spin(n, x, j) @ dense_site_spin(n, y, j)
+    return LinearOperator(system.space, mat)
+
+
+def complete_bipartite_edges(system: SpinSystem) -> tuple[tuple[int, int], ...]:
+    return tuple((x, y) for x in system.sublattice_a for y in system.sublattice_b)
+
+
+def all_sector_dims(n: int) -> dict[float, int]:
+    """Dimension of every magnetization sector; they must sum to 2^n."""
+    return {n / 2.0 - k: math.comb(n, k) for k in range(n + 1)}
+
+
+def random_spin_system(gen: np.random.Generator, n: int) -> SpinSystem:
+    """n sites split into two nonempty sublattices of random size."""
+    size = int(gen.integers(1, n))
+    a = tuple(sorted(int(s) for s in gen.choice(np.arange(1, n + 1), size, replace=False)))
+    return SpinSystem(n, a, tuple(s for s in range(1, n + 1) if s not in a))
+
+
+def dense_verify_mlm(system: SpinSystem, m: float, tol: float = DEFAULT_TOL,
+                     hamiltonian: LinearOperator | None = None,
+                     s_sq: LinearOperator | None = None) -> MlmReport:
+    """`verify_mlm` through the dense operators: both are compressed into the
+    sector through its isometry before the same cone and quantum-number
+    checks.  Pass precomputed operators to reuse them across sectors."""
+    sector = m_sector(system.sites, m)
+    h = dense_mlm_hamiltonian(system) if hamiltonian is None else hamiltonian
+    cone = marshall_cone(system, sector, h, tol)
+    h_r = sector.embedding.compress(h)
+    o_r = sector.embedding.compress(dense_total_spin(system.sites)[0] if s_sq is None else s_sq)
+    assert generates_improving_semigroup(h_r, cone, tol)
+    gqn = good_quantum_number(h_r, o_r, cone, tol)
+    s_star = abs(len(system.sublattice_a) - len(system.sublattice_b)) / 2.0
+    s = max(s_star, abs(m))
+    expected = s * (s + 1.0)
+    return MlmReport(system.sites, system.sublattice_a, system.sublattice_b, m, sector.dim,
+                     s_star, gqn.value, gqn.snapped, expected,
+                     abs(gqn.snapped - expected) <= 1e-8, gqn.ground.energy, gqn.gap01)

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -272,6 +273,67 @@ def assert_schema_error_writes_nothing(task, text, extra_args, tmp_path, capsys)
     assert captured.out == ""
     assert not out.exists()
     return captured.err
+
+
+SPIN_TEXT = (CONFIGS / "spin_demo_n4.json").read_text()
+SPIN_A = '"sublattice_a": [1, 2]'
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(SPIN_TEXT.replace('"sector_m": 0', '"sector_m": "abc"'), id="sector-abc"),
+    pytest.param(SPIN_TEXT.replace('"sector_m": 0', '"sector_m": 1e400'), id="sector-overflow"),
+    pytest.param(SPIN_TEXT.replace('"sector_m": 0', '"sector_m": true'), id="sector-bool"),
+    pytest.param(SPIN_TEXT.replace(SPIN_A, '"sublattice_a": [1.0, 2]'), id="site-float"),
+    pytest.param(SPIN_TEXT.replace(SPIN_A, '"sublattice_a": ["1", 2]'), id="site-string"),
+    pytest.param(SPIN_TEXT.replace(SPIN_A, '"sublattice_a": [[1], 2]'), id="site-list"),
+    pytest.param(SPIN_TEXT.replace(SPIN_A, '"sublattice_a": [0, 2]'), id="site-zero"),
+    pytest.param(SPIN_TEXT.replace(SPIN_A, '"sublattice_a": [1, 5]'), id="site-past-last"),
+    pytest.param(SPIN_TEXT.replace(SPIN_A, '"sublattice_a": [true, 2]'), id="site-bool"),
+    pytest.param(SPIN_TEXT.replace(SPIN_A, '"sublattice_a": [1, 1, 2]'), id="site-repeated"),
+    pytest.param(SPIN_TEXT.replace(SPIN_A, SPIN_A + ', "sublattice_b": [2, 3, 4]'),
+                 id="sublattices-overlap"),
+    pytest.param(SPIN_TEXT.replace(SPIN_A, SPIN_A + ', "sublattice_b": 3'),
+                 id="sublattice-b-not-list"),
+    pytest.param(SPIN_TEXT.replace(SPIN_A, SPIN_A + ', "sublattice_b": [3]'),
+                 id="sublattices-miss-a-site"),
+    pytest.param(SPIN_TEXT.replace('"sites": 4', '"sites": 4.0'), id="sites-float"),
+])
+def test_malformed_spin_demo_exits_two_and_writes_nothing(text, tmp_path, capsys):
+    assert text != SPIN_TEXT
+    err = assert_schema_error_writes_nothing("spin-demo", text, [], tmp_path, capsys)
+    assert err.startswith("conecalc: schema error: spin-demo ")
+
+
+def test_spin_demo_sector_flag_must_be_finite(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["spin-demo", "--sites", "4", "--partition", "1,2/3,4", "--sector", "nan",
+                 "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err.count("\n") == 1 and not out.exists()
+
+
+def test_empty_spin_sector_stays_a_failed_verification(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(SPIN_TEXT.replace('"sector_m": 0', '"sector_m": 0.25'))
+    out = tmp_path / "out"
+    assert main(["spin-demo", "--config", str(config), "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "fail"
+    assert report["payload"]["error_type"] == "PreconditionFailed"
+
+
+def test_spin_sites_past_the_cap_fail_before_any_site_list_is_built():
+    config = {"version": 1, "task": "spin-demo",
+              "params": {"sites": 10 ** 6, "sublattice_a": [1]}}
+    tracemalloc.start()
+    try:
+        report, _ = run_config(config, "0" * 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["status"] == "fail"
+    assert report["payload"]["error_type"] == "DimCap"
+    assert peak < 1_000_000
 
 
 CHAIN_TEXT = (CONFIGS / "chain_two_level.json").read_text()

@@ -3,15 +3,24 @@ import time
 
 import numpy as np
 import pytest
+from conftest import (
+    all_sector_dims,
+    complete_bipartite_edges,
+    dense_mlm_hamiltonian,
+    dense_total_spin,
+    dense_verify_mlm,
+    heisenberg_hamiltonian,
+    random_spin_system,
+    rng,
+)
 
+from conecalc import spin
 from conecalc.errors import DimCap, PreconditionFailed, SignRuleFailed
+from conecalc.inheritance import Embedding
 from conecalc.numerics import hermitian_eig
 from conecalc.positivity import generates_improving_semigroup, ground_state
 from conecalc.spin import (
     SpinSystem,
-    all_sector_dims,
-    complete_bipartite_edges,
-    heisenberg_hamiltonian,
     m_sector,
     marshall_cone,
     mlm_hamiltonian,
@@ -240,3 +249,74 @@ class TestHeisenbergVariant:
         cone = marshall_cone(system, sector, h)
         report = verify_mlm(system)
         assert report.ok and report.mu_snapped == pytest.approx(0.0, abs=1e-8)
+
+
+def _sector_cases():
+    """Two seeded bipartitions for each n <= 8, then one of 9 and one of 10 sites."""
+    gen = rng(511)
+    cases = [random_spin_system(gen, n) for n in range(2, 9) for _ in range(2)]
+    return cases + [SpinSystem(9, (1, 4, 5, 8), (2, 3, 6, 7, 9)),
+                    SpinSystem(10, (2, 3, 5, 7, 10), (1, 4, 6, 8, 9))]
+
+
+class TestSectorBuilders:
+    """The bit-pattern builders against the kron-built dense operators."""
+
+    @pytest.mark.parametrize("system", _sector_cases(),
+                             ids=lambda s: f"n{s.sites}-A{s.sublattice_a}")
+    def test_sector_matrices_equal_compressed_dense_operators(self, system):
+        n = system.sites
+        h = dense_mlm_hamiltonian(system)
+        s_sq, _ = dense_total_spin(n)
+        sectors = range(n + 1) if n <= 8 else (n // 2, n // 2 - 1)
+        for k in sectors:
+            sector = m_sector(n, n / 2.0 - k)
+            basis = np.asarray(sector.indices)
+            pairs = [(x, y) for x in system.sublattice_a for y in system.sublattice_b]
+            assert np.array_equal(spin._exchange(n, basis, pairs),
+                                  sector.embedding.compress(h).mat)
+            assert np.array_equal(spin._total_spin_sq(n, basis),
+                                  sector.embedding.compress(s_sq).mat)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_full_space_operators_equal_dense_operators(self, n):
+        system = random_spin_system(rng(520 + n), n) if n >= 2 else SpinSystem(1, (1,), ())
+        assert np.array_equal(mlm_hamiltonian(system).mat, dense_mlm_hamiltonian(system).mat)
+        for built, dense in zip(total_spin(n), dense_total_spin(n)):
+            assert np.array_equal(built.mat, dense.mat)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("dense spin operator built")
+
+
+class TestVerifyMlmInSector:
+    def test_builds_no_dense_operator(self, monkeypatch):
+        gen = rng(530)
+        systems = [SpinSystem(6, (1, 2, 3), (4, 5, 6)), SpinSystem(6, (1, 3, 5), (2, 4, 6))]
+        systems += [random_spin_system(gen, 6) for _ in range(3)]
+        s_sq = dense_total_spin(6)[0]
+        dense = {}
+        for system in systems:
+            h = dense_mlm_hamiltonian(system)
+            for m in (3.0 - k for k in range(7)):
+                dense[system, m] = dense_verify_mlm(system, m, hamiltonian=h, s_sq=s_sq)
+        for name in ("mlm_hamiltonian", "total_spin", "_site_operator", "m_sector"):
+            monkeypatch.setattr(spin, name, _refuse)
+        monkeypatch.setattr(Embedding, "compress", _refuse)
+        for (system, m), want in dense.items():
+            assert verify_mlm(system, m).to_payload() == want.to_payload()
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_payload_equals_dense_route(self, n):
+        gen = rng(540 + n)
+        system = random_spin_system(gen, n)
+        m = n / 2.0 - int(gen.integers(0, n + 1))
+        assert verify_mlm(system, m).to_payload() == dense_verify_mlm(system, m).to_payload()
+
+    def test_empty_sector_raises_before_any_build(self, monkeypatch):
+        monkeypatch.setattr(spin, "_exchange", _refuse)
+        with pytest.raises(PreconditionFailed):
+            verify_mlm(SpinSystem(10, (1, 2, 3, 4, 5), (6, 7, 8, 9, 10)), 1.5)
+        with pytest.raises(PreconditionFailed):
+            m_sector(10, 0.5)
