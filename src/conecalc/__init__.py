@@ -38,6 +38,7 @@ from .numerics import (
 )
 from .positivity import (
     ErgodicityReport,
+    NodeAnalysis,
     PositivityReport,
     classify,
     dominates,

@@ -1,5 +1,8 @@
 """Exception hierarchy shared by all conecalc modules."""
 
+import functools
+import traceback
+
 
 class ConecalcError(Exception):
     """Base class for every error raised by this package."""
@@ -112,3 +115,29 @@ class SchemaError(ConecalcError):
 
 class IoError(ConecalcError):
     """Report or diagram files could not be written."""
+
+
+def clears_failure_frames(fn):
+    """Decorate a verifier so that a failure leaving it keeps none of the
+    operands it checked.
+
+    A raised failure holds its traceback, and each frame on the traceback
+    holds its arguments and locals: for a chain, every node's matrices and
+    any eigenbasis computed so far.  A caller that keeps the failure, in a
+    list of results or in a reference cycle through its own frame, would
+    keep all of that alive until the garbage collector breaks the cycle.
+    The failure's message and index say what failed, so the frames on its
+    tracebacks, and on those of its causes, are cleared as it leaves.
+    """
+    @functools.wraps(fn)
+    def verifier(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except ConecalcError as exc:
+            failure = exc
+            while failure is not None:
+                traceback.clear_frames(failure.__traceback__)
+                failure = failure.__cause__ or failure.__context__
+            del args, kwargs
+            raise
+    return verifier

@@ -10,9 +10,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cones import SelfDualCone
-from .errors import ArrowFailed, DimMismatch, LinkFailed
+from .errors import ArrowFailed, DimMismatch, LinkFailed, clears_failure_frames
 from .numerics import DEFAULT_TOL, LinearOperator, _freeze
-from .positivity import classify, generates_improving_semigroup, ground_state
+from .positivity import NodeAnalysis, classify
 
 INHERIT_TOL = 1e-8
 TOL_LIMIT = float(np.sqrt(0.5))  # inherits_positivity needs tol below this
@@ -155,16 +155,37 @@ class ArrowResult:
         return self.ok
 
 
+Records = tuple[NodeAnalysis, NodeAnalysis]
+
+
+def _pair_records(h1: LinearOperator, p1: SelfDualCone, h2: LinearOperator,
+                  p2: SelfDualCone, tol: float, records: Records | None) -> Records:
+    """The two Hamiltonians' records: the passed ones, which must describe
+    exactly these operators, cones and tolerance, or fresh ones."""
+    if records is None:
+        return NodeAnalysis(h1, p1, tol), NodeAnalysis(h2, p2, tol)
+    for record, h, p in zip(records, (h1, h2), (p1, p2)):
+        if record.hamiltonian is not h or record.cone is not p or record.tol != tol:
+            raise ValueError("record does not describe this Hamiltonian, cone and tolerance")
+    return records
+
+
 def check_arrow(h1: LinearOperator, p1: SelfDualCone,
                 h2: LinearOperator, p2: SelfDualCone,
-                emb: Embedding, tol: float = DEFAULT_TOL) -> ArrowResult:
+                emb: Embedding, tol: float = DEFAULT_TOL, *,
+                records: Records | None = None) -> ArrowResult:
     """Verify the ordered pair: both Hamiltonians improving-class on their
-    cones, and the small cone inherited through the embedding."""
+    cones, and the small cone inherited through the embedding.
+
+    ``records`` are the two Hamiltonians' `NodeAnalysis` on these cones at
+    this tolerance; their improving verdicts are read instead of recomputed.
+    """
+    a1, a2 = _pair_records(h1, p1, h2, p2, tol, records)
     reasons = []
     try:
-        if not generates_improving_semigroup(h1, p1, tol):
+        if not a1.improving:
             reasons.append("source Hamiltonian is not improving-class on its cone")
-        if not generates_improving_semigroup(h2, p2, tol):
+        if not a2.improving:
             reasons.append("target Hamiltonian is not improving-class on its cone")
         if not inherits_positivity(p1, p2, emb, tol):
             reasons.append("cone inheritance failed")
@@ -181,20 +202,22 @@ class OverlapReport:
 
 def ground_overlap(h1: LinearOperator, p1: SelfDualCone,
                    h2: LinearOperator, p2: SelfDualCone,
-                   emb: Embedding, tol: float = DEFAULT_TOL) -> OverlapReport:
+                   emb: Embedding, tol: float = DEFAULT_TOL, *,
+                   records: Records | None = None) -> OverlapReport:
     """Strict-positivity propagation across one verified pair.
 
     Reports the inner product of the source ground state with the projected
     target ground state (strictly positive for a genuine pair) and whether
-    the compressed ground-state projector improves the small cone.
+    the compressed ground-state projector improves the small cone.  Verdicts
+    and ground states are read from ``records`` when given (see
+    `check_arrow`), so a caller holding them decomposes nothing again.
     """
-    arrow = check_arrow(h1, p1, h2, p2, emb, tol)
+    a1, a2 = _pair_records(h1, p1, h2, p2, tol, records)
+    arrow = check_arrow(h1, p1, h2, p2, emb, tol, records=(a1, a2))
     if not arrow:
         raise ArrowFailed("; ".join(arrow.reasons))
-    g1 = ground_state(h1, p1, tol)
-    g2 = ground_state(h2, p2, tol)
-    pulled = emb.pull(g2.vector)
-    overlap = complex(np.vdot(g1.vector, pulled))
+    pulled = emb.pull(a2.ground.vector)
+    overlap = complex(np.vdot(a1.ground.vector, pulled))
     compressed = LinearOperator(emb.from_space, np.outer(pulled, pulled.conj()))
     improving = classify(compressed, p1, tol).improving
     if abs(overlap.imag) > tol * max(1.0, abs(overlap.real)):
@@ -285,6 +308,7 @@ class ChainReport:
         }
 
 
+@clears_failure_frames
 def verify_chain(chain: ArrowChain, tol: float = DEFAULT_TOL) -> ChainReport:
     """Check every link of the chain; raise LinkFailed at the first bad one.
 
@@ -292,21 +316,43 @@ def verify_chain(chain: ArrowChain, tol: float = DEFAULT_TOL) -> ChainReport:
     is strictly positive, and the compressed ground projector improves the
     source cone.
     """
+    return _verify_links(chain, tol)[0]
+
+
+def _verify_links(chain: ArrowChain, tol: float) -> tuple[ChainReport, list[NodeAnalysis]]:
+    """`verify_chain`, also returning each node's record on `chain.mu_cone(j)`,
+    the cone it was verified improving-class on.
+
+    A node's record serves both of its links when its two cones agree.  It
+    is released of its eigendecomposition once those links are done, so at
+    most two eigenbases are alive at once and the returned records keep only
+    their verdicts.
+    """
     overlaps = []
     improving = []
+    records = []
+    target = None
     for j in range(len(chain.nodes) - 1):
         src = chain.nodes[j]
         dst = chain.nodes[j + 1]
+        source = target if target is not None and src.cone is src.cone_in \
+            else NodeAnalysis(src.hamiltonian, src.cone, tol)
+        target = NodeAnalysis(dst.hamiltonian, dst.cone_in, tol)
         try:
-            rep = ground_overlap(src.hamiltonian, src.cone,
-                                 dst.hamiltonian, dst.cone_in,
-                                 chain.embeddings[j], tol)
+            rep = ground_overlap(src.hamiltonian, src.cone, dst.hamiltonian, dst.cone_in,
+                                 chain.embeddings[j], tol, records=(source, target))
         except ArrowFailed as exc:
             raise LinkFailed(j, str(exc)) from exc
+        source.release()
+        records.append(source)
         if rep.overlap <= tol:
             raise LinkFailed(j, f"ground overlap {rep.overlap!r} is not strictly positive")
         if not rep.improving_ok:
             raise LinkFailed(j, "compressed ground projector does not improve the cone")
         overlaps.append(rep.overlap)
         improving.append(rep.improving_ok)
-    return ChainReport(tuple(overlaps), tuple(improving))
+    if target is None:
+        target = NodeAnalysis(chain.nodes[0].hamiltonian, chain.nodes[0].cone, tol)
+    target.release()
+    records.append(target)
+    return ChainReport(tuple(overlaps), tuple(improving)), records

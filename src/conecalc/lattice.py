@@ -14,9 +14,18 @@ import numpy as np
 from .cones import SelfDualCone, orthant, tensor_cone
 from .errors import ArrowFailed, ClassificationFailed, DimCap, LinkFailed, SpecFailed
 from .inheritance import Embedding, ground_overlap, identity_embedding
-from .numerics import DEFAULT_TOL, DIM_CAP, LinearOperator, hermitian_eig, op_exp, product_space
-from .positivity import classify, generates_improving_semigroup, is_ergodic
-from .stability import commutes_with_observable, good_quantum_number
+from .numerics import (
+    DEFAULT_TOL,
+    DIM_CAP,
+    LinearOperator,
+    Spectrum,
+    hermitian_eig,
+    op_exp,
+    product_space,
+    spectral_exp,
+)
+from .positivity import NodeAnalysis, classify, generates_improving_semigroup, is_ergodic
+from .stability import _quantum_number, commutes_with_observable
 
 Subset = tuple[int, ...]
 
@@ -210,6 +219,17 @@ def build_node(spec: LatticeSpec, subset: Subset, tol: float = DEFAULT_TOL,
     improving-class on the tensor cone, its semigroup is strictly positive at
     a sampled beta, and the ground state carries the base quantum number.
     """
+    o_spectrum = hermitian_eig(spec.observable)
+    if snap_to is None:
+        snap_to = np.concatenate([o_spectrum.eigenvalues, [0.0]])
+    return _build_node(spec, subset, tol, snap_to, o_spectrum)[0]
+
+
+def _build_node(spec: LatticeSpec, subset: Subset, tol: float, snap_to,
+                o_spectrum: Spectrum) -> tuple[LatticeNode, NodeAnalysis]:
+    """`build_node` given the base observable's spectrum, also returning the
+    node's record.  spec(tau O tau^*) is spec(O) and 0, so the extended
+    observable has the norm of the base one."""
     subset = tuple(sorted(subset))
     if spec.full_dim() > DIM_CAP:
         raise DimCap(f"total dimension {spec.full_dim()} exceeds cap {DIM_CAP}")
@@ -224,16 +244,17 @@ def build_node(spec: LatticeSpec, subset: Subset, tol: float = DEFAULT_TOL,
         y_combined = combined_factor_operator(spec, subset)
         if not is_ergodic(y_combined, _factor_cone(spec, subset), tol).ergodic:
             raise ClassificationFailed(f"combined factor operator of {subset} is not ergodic")
-    if not generates_improving_semigroup(h, cone, tol):
+    node = NodeAnalysis(h, cone, tol)
+    if not node.improving:
         raise ClassificationFailed(f"H_{set(subset) or '{}'} is not improving-class")
-    if not classify(op_exp(h, -1.0), cone, tol).improving:
+    # only the verdict of the sampled exp(-H) is used, so it may come from
+    # the record's spectrum
+    if not classify(spectral_exp(node.spectrum, h.space, -1.0), cone, tol).improving:
         raise ClassificationFailed(f"exp(-H_{set(subset) or '{}'}) is not strictly positive")
 
     observable = emb.extend(spec.observable)
-    if snap_to is None:
-        snap_to = np.concatenate([hermitian_eig(spec.observable).eigenvalues, [0.0]])
-    gqn = good_quantum_number(h, observable, cone, tol, snap_to=snap_to)
-    return LatticeNode(subset, h, cone, emb, gqn.value, gqn.snapped, gqn.ground.energy)
+    mu, mu_snapped = _quantum_number(node, observable, o_spectrum.norm, snap_to)
+    return LatticeNode(subset, h, cone, emb, mu, mu_snapped, node.ground.energy), node
 
 
 @dataclass(frozen=True)
@@ -283,12 +304,16 @@ def build_lattice(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> HasseDiagram:
             "quantum numbers would not transfer to the perturbed nodes"
         )
 
-    snap = np.concatenate([hermitian_eig(spec.observable).eigenvalues, [0.0]])
+    o_spectrum = hermitian_eig(spec.observable)
+    snap = np.concatenate([o_spectrum.eigenvalues, [0.0]])
     subsets = _all_subsets(spec.ell)
-    nodes = [build_node(spec, s, tol, snap) for s in subsets]
-    by_subset = {n.subset: n for n in nodes}
+    # every node's record stays alive through the edge loop, which reads
+    # the improving verdicts and ground states again
+    built = [_build_node(spec, s, tol, snap, o_spectrum) for s in subsets]
+    nodes = [node for node, _ in built]
+    records = {node.subset: record for node, record in built}
 
-    base_mu = by_subset[()].mu_snapped
+    base_mu = nodes[0].mu_snapped  # the unperturbed node, subset ()
     for n in nodes:
         if n.mu_snapped != base_mu:
             raise ClassificationFailed(
@@ -304,9 +329,10 @@ def build_lattice(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> HasseDiagram:
             large = tuple(sorted(small + (mu,)))
             idx = len(edges)
             emb = subset_embedding(spec, small, large)
-            a, b = by_subset[small], by_subset[large]
+            a, b = records[small], records[large]
             try:
-                rep = ground_overlap(a.hamiltonian, a.cone, b.hamiltonian, b.cone, emb, tol)
+                rep = ground_overlap(a.hamiltonian, a.cone, b.hamiltonian, b.cone, emb, tol,
+                                     records=(a, b))
             except ArrowFailed as exc:
                 raise LinkFailed(idx, f"{small} -> {large}: {exc}") from exc
             if rep.overlap <= tol or not rep.improving_ok:

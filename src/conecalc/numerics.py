@@ -20,6 +20,11 @@ DIM_CAP = 4096
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
+    """An immutable C-ordered complex128 copy of `a`; an array that already
+    is one, and owns its data, is kept as it is."""
+    if (isinstance(a, np.ndarray) and a.dtype == np.complex128 and a.flags.owndata
+            and a.flags.c_contiguous and not a.flags.writeable):
+        return a
     out = np.array(a, dtype=np.complex128, copy=True, order="C")
     out.setflags(write=False)
     return out
@@ -108,16 +113,19 @@ class Spectrum:
     def ground_vector(self) -> np.ndarray:
         return self.eigenvectors[:, 0]
 
+    @property
+    def norm(self) -> float:
+        """Spectral norm of the decomposed operator, max |lambda|."""
+        return float(max(-self.eigenvalues[0], self.eigenvalues[-1]))
 
-def _fix_phase(vec: np.ndarray) -> np.ndarray:
-    """Rotate so the first non-negligible component is real positive."""
-    mags = np.abs(vec)
-    peak = mags.max()
-    if peak == 0.0:
-        return vec
-    idx = int(np.argmax(mags > 1e-8 * peak))
-    pivot = vec[idx]
-    return vec * (pivot.conjugate() / abs(pivot))
+
+def _fix_phases(vecs: np.ndarray) -> None:
+    """Rotate every column in place so that its first non-negligible
+    component is real positive."""
+    mags = np.abs(vecs)
+    rows = np.argmax(mags > 1e-8 * mags.max(axis=0), axis=0)
+    pivots = vecs[rows, np.arange(vecs.shape[1])]
+    vecs *= pivots.conjugate() / np.abs(pivots)
 
 
 def hermitian_eig(op: LinearOperator) -> Spectrum:
@@ -125,11 +133,13 @@ def hermitian_eig(op: LinearOperator) -> Spectrum:
 
     Eigenvalues come out ascending and every eigenvector has its first
     non-negligible component rotated to the positive real axis, so repeated
-    runs on the same matrix produce identical output.
+    runs on the same matrix produce identical output.  The phases are fixed
+    in the array `eigh` returned, which the spectrum then keeps uncopied.
     """
     op.require_hermitian()
     vals, vecs = np.linalg.eigh(op.mat)
-    vecs = np.column_stack([_fix_phase(vecs[:, k]) for k in range(vecs.shape[1])])
+    _fix_phases(vecs)
+    vecs.setflags(write=False)
     return Spectrum(vals, vecs)
 
 
@@ -143,8 +153,17 @@ def op_exp(op: LinearOperator, t: float) -> LinearOperator:
     if not np.isfinite(t):
         raise ValueError("time parameter must be finite")
     vals, vecs = np.linalg.eigh(op.mat)
+    return _exp(op.space, vals, vecs, t)
+
+
+def spectral_exp(spectrum: Spectrum, space: str, t: float) -> LinearOperator:
+    """exp(t*M) on `space` from a spectrum of M already computed."""
+    return _exp(space, spectrum.eigenvalues, spectrum.eigenvectors, t)
+
+
+def _exp(space: str, vals: np.ndarray, vecs: np.ndarray, t: float) -> LinearOperator:
     out = (vecs * np.exp(float(t) * vals)) @ vecs.conj().T
-    return LinearOperator(op.space, 0.5 * (out + out.conj().T))
+    return LinearOperator(space, 0.5 * (out + out.conj().T))
 
 
 def op_exp_unitary(op: LinearOperator, s: float) -> LinearOperator:

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .cones import SelfDualCone
 from .errors import InputNotInClass, NotPreserving, NotRealForm
-from .numerics import DEFAULT_TOL, LinearOperator, hermitian_eig
+from .numerics import DEFAULT_TOL, LinearOperator, Spectrum, hermitian_eig
 
 Witness = tuple[int, int, complex]
 
@@ -252,19 +253,62 @@ class GroundState:
     strictly_positive: bool
 
 
-def ground_state(h: LinearOperator, cone: SelfDualCone, tol: float = DEFAULT_TOL) -> GroundState:
-    """Spectrum-derived ground-state record with cone diagnostics.
-
-    `simple` applies the relative gap threshold used everywhere for refusing
-    degenerate ground states.  The eigenvector's global sign is flipped when
-    its generator coordinates sum negative, so that the representative lying
-    in the cone (when one exists) is the one reported.
-    """
-    spec = hermitian_eig(h)
-    scale = max(h.norm(), 1e-300)
+def _oriented_ground(spec: Spectrum, cone: SelfDualCone, tol: float) -> GroundState:
+    scale = max(spec.norm, 1e-300)
     simple = spec.gap01 > 1e-8 * scale
     psi = spec.ground_vector
     if cone.coords(psi).real.sum() < 0.0:
         psi = -psi
     strict = cone.strictly_positive(psi, tol)
     return GroundState(spec.ground_energy, spec.gap01, simple, psi, strict)
+
+
+def ground_state(h: LinearOperator, cone: SelfDualCone, tol: float = DEFAULT_TOL) -> GroundState:
+    """Spectrum-derived ground-state record with cone diagnostics.
+
+    `simple` applies the relative gap threshold used everywhere for refusing
+    degenerate ground states, with the norm read from the same spectrum.
+    The eigenvector's global sign is flipped when its generator coordinates
+    sum negative, so that the representative lying in the cone (when one
+    exists) is the one reported.
+    """
+    return _oriented_ground(hermitian_eig(h), cone, tol)
+
+
+@dataclass(frozen=True, eq=False)
+class NodeAnalysis:
+    """One Hamiltonian read against one cone, each fact computed once.
+
+    The improving-class verdict needs only the generator-basis matrix.  The
+    spectrum, its norm max|lambda| and the cone-oriented ground state all
+    come from a single eigendecomposition, made the first time one of them
+    is asked for, so a link that fails its arrow never decomposes anything.
+    A record lives as long as its caller holds it; the ground vector is a
+    view into the full eigenbasis, which stays alive with it.
+    """
+
+    hamiltonian: LinearOperator
+    cone: SelfDualCone
+    tol: float = DEFAULT_TOL
+
+    @cached_property
+    def improving(self) -> bool:
+        return generates_improving_semigroup(self.hamiltonian, self.cone, self.tol)
+
+    @cached_property
+    def spectrum(self) -> Spectrum:
+        return hermitian_eig(self.hamiltonian)
+
+    @property
+    def norm(self) -> float:
+        return self.spectrum.norm
+
+    @cached_property
+    def ground(self) -> GroundState:
+        return _oriented_ground(self.spectrum, self.cone, self.tol)
+
+    def release(self) -> None:
+        """Forget the eigendecomposition and the ground state read from it,
+        keeping the improving verdict; a later read decomposes again."""
+        self.__dict__.pop("spectrum", None)
+        self.__dict__.pop("ground", None)

@@ -13,9 +13,9 @@ import numpy as np
 from .cones import SelfDualCone
 from .errors import DimCap, PreconditionFailed, SignRuleFailed
 from .inheritance import Embedding
-from .numerics import DEFAULT_TOL, LinearOperator
-from .positivity import generates_improving_semigroup
-from .stability import good_quantum_number
+from .numerics import DEFAULT_TOL, LinearOperator, hermitian_eig
+from .positivity import NodeAnalysis
+from .stability import _quantum_number
 
 SITE_CAP = 12
 
@@ -266,14 +266,16 @@ def verify_mlm(system: SpinSystem, m: float = 0.0, tol: float = DEFAULT_TOL) -> 
     cone = _sign_cone(system, m, basis, h, tol)
     h_r = LinearOperator(cone.space, h)
     o_r = LinearOperator(cone.space, _total_spin_sq(n, basis))
-    if not generates_improving_semigroup(h_r, cone, tol):
+    node = NodeAnalysis(h_r, cone, tol)
+    if not node.improving:
         raise SignRuleFailed("restricted Hamiltonian is not improving-class on the sign cone")
-    gqn = good_quantum_number(h_r, o_r, cone, tol)
+    o_spectrum = hermitian_eig(o_r)
+    mu, mu_snapped = _quantum_number(node, o_r, o_spectrum.norm, o_spectrum.eigenvalues)
     s_star = abs(len(system.sublattice_a) - len(system.sublattice_b)) / 2.0
     s = max(s_star, abs(m))
     expected = s * (s + 1.0)
-    ok = abs(gqn.snapped - expected) <= 1e-8
+    ok = abs(mu_snapped - expected) <= 1e-8
     return MlmReport(system.sites, system.sublattice_a, system.sublattice_b,
-                     m, basis.size, s_star, gqn.value, gqn.snapped, expected, ok,
-                     gqn.ground.energy, gqn.gap01)
+                     m, basis.size, s_star, mu, mu_snapped, expected, ok,
+                     node.ground.energy, node.ground.gap01)
 

@@ -6,7 +6,9 @@ matrix powers, simplex integrals from composite Simpson quadrature, and spin
 operators from dense Kronecker products on the full 2^n space.
 """
 
+import collections
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -87,6 +89,33 @@ def arrow_calls(monkeypatch) -> list:
         if getattr(module, "check_arrow", None) is original:
             monkeypatch.setattr(module, "check_arrow", counting)
     return calls
+
+
+def _caller_package(frame) -> str:
+    """Top-level package of the nearest caller outside numpy."""
+    while frame is not None and frame.f_globals.get("__name__", "").split(".")[0] == "numpy":
+        frame = frame.f_back
+    return "" if frame is None else frame.f_globals.get("__name__", "").split(".")[0]
+
+
+@pytest.fixture
+def decompositions(monkeypatch) -> collections.Counter:
+    """Counts the `np.linalg` eigh, eigvalsh and svd calls made by conecalc,
+    keyed by name; the svd inside `np.linalg.norm(a, 2)` counts as an svd."""
+    counts = collections.Counter()
+    norm_module = getattr(np.linalg.norm, "__wrapped__", np.linalg.norm).__globals__
+    for name in ("eigh", "eigvalsh", "svd"):
+        original = getattr(np.linalg, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            if _caller_package(sys._getframe(1)) == "conecalc":
+                counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+        if norm_module.get(name) is original:
+            monkeypatch.setitem(norm_module, name, counting)
+    return counts
 
 
 def expm_oracle(mat: np.ndarray) -> np.ndarray:

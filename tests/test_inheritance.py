@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from scipy.optimize import nnls
@@ -21,8 +23,9 @@ from conecalc.inheritance import (
     inherits_positivity,
     verify_chain,
 )
+from conecalc import positivity
 from conecalc.numerics import LinearOperator, identity, kron
-from conecalc.positivity import classify
+from conecalc.positivity import NodeAnalysis, classify
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 UNIFORM2 = np.array([1.0, 1.0]) / np.sqrt(2.0)
@@ -331,6 +334,20 @@ class TestChain:
         assert err.value.index == 1
         assert str(err.value) == "link 1: cone inheritance failed"
 
+    def test_a_kept_failure_keeps_no_node_alive(self):
+        chain = three_link_tower()
+        bad = append_factor_embedding(
+            chain.nodes[1].hamiltonian.space, chain.nodes[2].hamiltonian.space,
+            chain.nodes[1].hamiltonian.dim, np.array([1.0, -1.0]) / np.sqrt(2))
+        broken = ArrowChain(chain.nodes, (chain.embeddings[0], bad, chain.embeddings[2]))
+        nodes = [weakref.ref(node.hamiltonian) for node in chain.nodes]
+        del chain, bad
+        with pytest.raises(LinkFailed) as err:
+            verify_chain(broken)
+        del broken
+        assert err.value.index == 1
+        assert [node() for node in nodes] == [None] * 4
+
     def test_concatenation_of_verified_chains_verifies(self):
         first = three_link_tower()
         h_end = first.nodes[-1].hamiltonian
@@ -388,3 +405,28 @@ class TestCompressionPreservation:
         compressed = emb.compress(op(h2.space, rho))
         rep = classify(compressed, p1)
         assert rep.preserving and rep.improving
+
+
+class TestRecords:
+    def test_arrow_reads_the_records_verdicts(self, monkeypatch):
+        h1, p1, h2, p2, emb = tower_link()
+        records = (NodeAnalysis(h1, p1), NodeAnalysis(h2, p2))
+        assert all(record.improving for record in records)
+        calls = []
+        monkeypatch.setattr(positivity, "generates_improving_semigroup",
+                            lambda *args: calls.append(args))
+        assert check_arrow(h1, p1, h2, p2, emb, records=records)
+        assert ground_overlap(h1, p1, h2, p2, emb, records=records).overlap == \
+            pytest.approx(1.0, abs=1e-12)
+        assert calls == []
+
+    @pytest.mark.parametrize("which", ["hamiltonian", "cone", "tol"])
+    def test_a_record_of_something_else_is_refused(self, which):
+        h1, p1, h2, p2, emb = tower_link()
+        fields = {"hamiltonian": h2, "cone": p2, "tol": 1e-9}
+        fields[which] = {"hamiltonian": kron(h1, identity("b", 2)),
+                         "cone": tensor_cone(p1, orthant("b", 2)), "tol": 1e-6}[which]
+        records = (NodeAnalysis(h1, p1), NodeAnalysis(**fields))
+        for check in (check_arrow, ground_overlap):
+            with pytest.raises(ValueError, match="record does not describe"):
+                check(h1, p1, h2, p2, emb, records=records)

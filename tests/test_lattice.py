@@ -219,6 +219,10 @@ class TestBuildLattice:
         assert len(diagram.nodes) == 2
         assert len(diagram.covering_edges) == 1
 
+    def test_decomposition_budget(self, decompositions):
+        diagram = build_lattice(demo_spec())
+        assert decompositions["eigh"] <= 2 * len(diagram.nodes) + 2
+
     def test_each_edge_checks_its_arrow_once(self, arrow_calls):
         diagram = build_lattice(demo_spec())
         assert len(diagram.covering_edges) == 12

@@ -8,6 +8,7 @@ from conftest import expm_oracle, op, random_density, random_hermitian, random_u
 from conecalc.errors import BadFactorization, NonHermitian, NotDensityMatrix
 from conecalc.numerics import (
     LinearOperator,
+    Spectrum,
     hermitian_eig,
     identity,
     kron,
@@ -63,6 +64,21 @@ class TestHermitianEig:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitian):
             hermitian_eig(op("s", [[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_norm_is_the_largest_absolute_eigenvalue(self):
+        for shift in (-5.0, 0.0, 5.0):
+            h = op("s", random_hermitian(rng(8), 7) + shift * np.eye(7))
+            assert hermitian_eig(h).norm == pytest.approx(np.linalg.norm(h.mat, 2), rel=1e-12)
+
+    def test_spectrum_keeps_a_frozen_eigenbasis_uncopied(self):
+        vecs = np.eye(3, dtype=complex)
+        copied = Spectrum(np.arange(3.0), vecs)
+        assert copied.eigenvectors is not vecs and not copied.eigenvectors.flags.writeable
+        vecs.setflags(write=False)
+        assert Spectrum(np.arange(3.0), vecs).eigenvectors is vecs
+        for other in (vecs.T.copy(order="F"), vecs.real.copy(), np.eye(4, dtype=complex)[:3, :3]):
+            other.setflags(write=False)
+            assert Spectrum(np.arange(3.0), other).eigenvectors is not other
 
 
 class TestOpExp:

@@ -17,6 +17,7 @@ from conecalc.cones import SelfDualCone, orthant, tensor_cone
 from conecalc.errors import InputNotInClass, NotPreserving, NotRealForm
 from conecalc.numerics import DEFAULT_TOL, LinearOperator, identity, kron
 from conecalc.positivity import (
+    NodeAnalysis,
     _reach_table,
     classify,
     dominates,
@@ -408,3 +409,39 @@ def test_improving_check_reads_the_generator_basis_once(monkeypatch, mat, improv
     monkeypatch.setattr(SelfDualCone, "operator_coords", counting)
     assert generates_improving_semigroup(op("s", mat), orthant("s", 2)) == improving
     assert len(calls) == 1
+
+
+class TestNodeAnalysis:
+    def test_one_decomposition_serves_every_reading(self, monkeypatch):
+        h = op("s", random_metzler_generator(rng(4), 6))
+        cone = orthant("s", 6)
+        want = ground_state(h, cone)
+        calls = []
+        original = positivity.hermitian_eig
+        monkeypatch.setattr(positivity, "hermitian_eig",
+                            lambda op: calls.append(op) or original(op))
+        record = NodeAnalysis(h, cone)
+        assert record.improving and calls == []
+        assert record.norm == pytest.approx(np.linalg.norm(h.mat, 2), rel=1e-12)
+        got = record.ground
+        assert record.spectrum is record.spectrum and record.ground is got
+        assert len(calls) == 1
+        assert (got.energy, got.gap01, got.simple, got.strictly_positive) == \
+            (want.energy, want.gap01, want.simple, want.strictly_positive)
+        assert np.array_equal(got.vector, want.vector)
+
+    def test_release_forgets_the_decomposition_only(self, monkeypatch):
+        h = op("s", random_metzler_generator(rng(5), 4))
+        record = NodeAnalysis(h, orthant("s", 4))
+        first = record.ground.vector.copy()
+        assert record.improving
+        calls = []
+        original = positivity.hermitian_eig
+        monkeypatch.setattr(positivity, "hermitian_eig",
+                            lambda op: calls.append(op) or original(op))
+        monkeypatch.setattr(positivity, "generates_improving_semigroup",
+                            lambda *args: calls.append(args))
+        record.release()
+        assert record.improving
+        assert np.array_equal(record.ground.vector, first)
+        assert calls == [h]

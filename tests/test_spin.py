@@ -314,6 +314,11 @@ class TestVerifyMlmInSector:
         m = n / 2.0 - int(gen.integers(0, n + 1))
         assert verify_mlm(system, m).to_payload() == dense_verify_mlm(system, m).to_payload()
 
+    def test_two_eigendecompositions_and_no_svd(self, decompositions):
+        report = verify_mlm(SpinSystem(8, (1, 3, 5, 7), (2, 4, 6, 8)), 0.0)
+        assert report.ok and report.sector_dim == 70
+        assert decompositions["eigh"] == 2 and decompositions["svd"] == 0
+
     def test_empty_sector_raises_before_any_build(self, monkeypatch):
         monkeypatch.setattr(spin, "_exchange", _refuse)
         with pytest.raises(PreconditionFailed):

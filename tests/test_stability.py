@@ -1,9 +1,19 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from conftest import op, random_metzler_generator, rng
+from conftest import (
+    all_sector_dims,
+    dense_mlm_hamiltonian,
+    dense_total_spin,
+    op,
+    random_hermitian,
+    random_metzler_generator,
+    random_spin_system,
+    rng,
+)
 
 from conecalc.cones import SelfDualCone, orthant, tensor_cone
 from conecalc.errors import (
@@ -23,9 +33,18 @@ from conecalc.inheritance import (
     identity_embedding,
     verify_chain,
 )
-from conecalc.numerics import DEFAULT_TOL, LinearOperator, hermitian_eig, identity, kron
+from conecalc.numerics import (
+    DEFAULT_TOL,
+    LinearOperator,
+    hermitian_eig,
+    identity,
+    kron,
+    op_exp_unitary,
+)
 from conecalc.positivity import ground_state
+from conecalc.spin import m_sector
 from conecalc.stability import (
+    COMMUTATOR_TOL,
     PAULI_X,
     StabilityClassRecord,
     commutes_with_observable,
@@ -65,7 +84,102 @@ def two_pass_telescopes(chain, o, overlaps, snapped, tol=DEFAULT_TOL):
     return tuple(out)
 
 
+UNITARY_SAMPLES = ((1.0, 1.0), (0.3, 2.0))
+EDGE_FACTORS = (0.25, 0.9, 0.99, 1.01, 1.1, 4.0)
+
+
+def unitary_drift(h: LinearOperator, o: LinearOperator, s: float, t: float) -> float:
+    """||[e^{isO}, e^{itH}]||, from the two unitary groups themselves."""
+    u = op_exp_unitary(o, s).mat
+    v = op_exp_unitary(h, t).mat
+    return float(np.linalg.norm(u @ v - v @ u, 2))
+
+
+def svd_norm(a: np.ndarray) -> float:
+    return float(np.linalg.norm(a, 2))
+
+
+def random_unitary(gen: np.random.Generator, n: int) -> np.ndarray:
+    q, r = np.linalg.qr(gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def shared_eigenbasis_pair(gen: np.random.Generator, n: int):
+    u = random_unitary(gen, n)
+    h, o = ((u * vals) @ u.conj().T for vals in (gen.normal(size=n), gen.normal(size=n)))
+    return 0.5 * (h + h.conj().T), 0.5 * (o + o.conj().T)
+
+
+def edge_pair(gen: np.random.Generator, factor: float, n: int):
+    """(H, O) with ||[H, O]|| about factor * COMMUTATOR_TOL * ||H|| * ||O||:
+    a commuting pair with O tilted along a random Hermitian direction."""
+    h, o = shared_eigenbasis_pair(gen, n)
+    k = random_hermitian(gen, n)
+    tilt = factor * COMMUTATOR_TOL * svd_norm(h) * svd_norm(o) / svd_norm(h @ k - k @ h)
+    return op("s", h), op("s", o + tilt * k)
+
+
+def oracle_pairs() -> list[tuple[LinearOperator, LinearOperator]]:
+    """Seeded (H, O) pairs: tower nodes with their pushed-forward
+    observable, every magnetization sector of seeded spin systems up to 8
+    sites, pairs sharing an eigenbasis, and pairs at the tolerance edge."""
+    gen = rng(61)
+    pairs = []
+    for n in (2, 3):
+        h = op("base", random_metzler_generator(gen, n))
+        for o in (h, op("base", h.mat @ h.mat)):
+            chain = extension_tower(h, orthant("base", n), o, 4)
+            extended = o
+            for j, node in enumerate(chain.nodes):
+                pairs.append((node.hamiltonian, extended))
+                if j < len(chain.embeddings):
+                    extended = chain.embeddings[j].extend(extended)
+    for sites in range(2, 9):
+        system = random_spin_system(gen, sites)
+        h, s_sq = dense_mlm_hamiltonian(system), dense_total_spin(sites)[0]
+        for m in all_sector_dims(sites):
+            emb = m_sector(sites, m).embedding
+            pairs.append((emb.compress(h), emb.compress(s_sq)))
+    for _ in range(40):
+        h, o = shared_eigenbasis_pair(gen, int(gen.integers(1, 13)))
+        pairs.append((op("s", h), op("s", o)))
+    for factor in EDGE_FACTORS * 4:
+        pairs.append(edge_pair(gen, factor, int(gen.integers(2, 9))))
+    return pairs
+
+
 class TestCommutesWithObservable:
+    def test_unitary_groups_never_drift_past_duhamel(self):
+        # Duhamel: ||[e^{isO}, e^{itH}]|| <= |st| ||[H, O]||, so a positive
+        # verdict bounds the drift of both sampled unitary pairs
+        verdicts = []
+        for h, o in oracle_pairs():
+            verdicts.append(commutes_with_observable(h, o))
+            if not verdicts[-1]:
+                continue
+            scale = svd_norm(h.mat) * svd_norm(o.mat)
+            for s, t in UNITARY_SAMPLES:
+                assert unitary_drift(h, o, s, t) <= 2.0 * s * t * COMMUTATOR_TOL * scale + 1e-12
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_verdict_agrees_with_the_svd_at_the_tolerance_edge(self):
+        # sizes past one block of rows of the Frobenius sum included
+        gen = rng(62)
+        for factor, n in zip(EDGE_FACTORS * 20, [2, 3, 5, 8, 64, 65, 100, 129] * 15):
+            h, o = edge_pair(gen, factor, n)
+            ratio = svd_norm(h.mat @ o.mat - o.mat @ h.mat) / (
+                COMMUTATOR_TOL * svd_norm(h.mat) * svd_norm(o.mat))
+            assert abs(ratio - factor) <= 1e-3 * factor
+            assert commutes_with_observable(h, o) == (ratio <= 1.0)
+
+    def test_a_commutator_in_the_last_rows_is_seen(self):
+        # two diagonal matrices commute; a block coupling only the last rows
+        # of H leaves the first rows of HO - OH exactly zero
+        gen = rng(63)
+        h, o = (np.diag(gen.normal(size=100)).astype(complex) for _ in range(2))
+        h[90:, 90:] += random_hermitian(gen, 10)
+        assert not commutes_with_observable(op("s", h), op("s", o))
+
     def test_identity_always_commutes(self):
         h = op("s", random_metzler_generator(rng(3), 4))
         assert commutes_with_observable(h, identity("s", 4))
@@ -217,6 +331,31 @@ class TestChainInvariance:
         with pytest.raises(ChainFailed) as err:
             quantum_number_along_chain(chain, h)
         assert err.value.index == 0
+
+
+class TestOneSpectrumPerNode:
+    def test_depth_six_tower_budget(self, decompositions):
+        h = seed_hamiltonian()
+        chain = extension_tower(h, orthant("base", 2), h, 6)
+        quantum_number_along_chain(chain, h)
+        assert decompositions["eigh"] <= 2 * len(chain.nodes) + 1
+        assert decompositions["svd"] == 0
+
+    def test_a_kept_failure_keeps_no_node_alive(self):
+        h = seed_hamiltonian()
+        tower = extension_tower(h, orthant("base", 2), h, 3)
+        emb = tower.embeddings[1]
+        flipped = append_factor_embedding(emb.from_space, emb.to_space, emb.dim_from,
+                                          np.array([1.0, -1.0]) / np.sqrt(2.0))
+        chain = ArrowChain(tower.nodes,
+                           (tower.embeddings[0], flipped, tower.embeddings[2]))
+        node = weakref.ref(chain.nodes[-1].hamiltonian)
+        del tower, emb, flipped
+        with pytest.raises(ChainFailed) as err:
+            quantum_number_along_chain(chain, h)
+        del chain
+        assert err.value.index == 1
+        assert node() is None
 
 
 class TestDecoupledExtension:
