@@ -39,6 +39,7 @@ from .semigroup import trotter_verify
 from .spin import SpinSystem, _check_cap, verify_mlm
 from .stability import (
     StabilityClassRecord,
+    _chain_pass,
     extension_tower,
     good_quantum_number,
     ground_state_factorizes,
@@ -228,11 +229,13 @@ def _build_chain(ctx: RunContext, params: dict) -> ArrowChain:
 def _task_chain(ctx: RunContext, params: dict):
     chain = _build_chain(ctx, params)
     payload: dict = {"nodes": len(chain.nodes)}
-    report = verify_chain(chain, ctx.tol)
-    payload.update(report.to_payload())
     if "observable" in params:
-        mu_report = quantum_number_along_chain(chain, ctx.operator(params["observable"]), ctx.tol)
+        # one pass; a failed link stays a LinkFailed, as verify_chain raises it
+        report, mu_report = _chain_pass(chain, ctx.operator(params["observable"]), ctx.tol)
         payload["quantum_numbers"] = mu_report.to_payload()
+    else:
+        report = verify_chain(chain, ctx.tol)
+    payload.update(report.to_payload())
     return True, payload
 
 

@@ -134,10 +134,15 @@ def clears_failure_frames(fn):
         try:
             return fn(*args, **kwargs)
         except ConecalcError as exc:
-            failure = exc
-            while failure is not None:
-                traceback.clear_frames(failure.__traceback__)
-                failure = failure.__cause__ or failure.__context__
+            clear_frames(exc)
             del args, kwargs
             raise
     return verifier
+
+
+def clear_frames(exc: BaseException) -> None:
+    """Clear the finished frames on the tracebacks of an exception and of
+    its causes, so that holding the exception keeps none of their locals."""
+    while exc is not None:
+        traceback.clear_frames(exc.__traceback__)
+        exc = exc.__cause__ or exc.__context__

@@ -5,12 +5,13 @@ and verification of whole chains of such pairs.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cones import SelfDualCone
-from .errors import ArrowFailed, DimMismatch, LinkFailed, clears_failure_frames
+from .errors import ArrowFailed, DimMismatch, LinkFailed, clear_frames, clears_failure_frames
 from .numerics import DEFAULT_TOL, LinearOperator, _freeze
 from .positivity import NodeAnalysis, classify
 
@@ -156,6 +157,7 @@ class ArrowResult:
 
 
 Records = tuple[NodeAnalysis, NodeAnalysis]
+Reader = Callable[[int, NodeAnalysis], None]
 
 
 def _pair_records(h1: LinearOperator, p1: SelfDualCone, h2: LinearOperator,
@@ -314,45 +316,77 @@ def verify_chain(chain: ArrowChain, tol: float = DEFAULT_TOL) -> ChainReport:
 
     A link passes when its arrow verifies, the projected ground-state overlap
     is strictly positive, and the compressed ground projector improves the
-    source cone.
+    source cone.  The links are checked in order, and each node is
+    decomposed once: its record serves as the target of its incoming link
+    and, handing on its spectrum if its outgoing cone differs, as the source
+    of its outgoing one.
     """
-    return _verify_links(chain, tol)[0]
+    return _verify_links(chain, tol)
 
 
-def _verify_links(chain: ArrowChain, tol: float) -> tuple[ChainReport, list[NodeAnalysis]]:
-    """`verify_chain`, also returning each node's record on `chain.mu_cone(j)`,
-    the cone it was verified improving-class on.
+def _verify_links(chain: ArrowChain, tol: float, read: Reader | None = None) -> ChainReport:
+    """The one pass over a chain behind `verify_chain` and the quantum
+    numbers of `stability.quantum_number_along_chain`.
 
-    A node's record serves both of its links when its two cones agree.  It
-    is released of its eigendecomposition once those links are done, so at
-    most two eigenbases are alive at once and the returned records keep only
-    their verdicts.
+    Link j is verified on node j's record on its ``cone`` and node j+1's on
+    its ``cone_in``.  A node's two records share one eigendecomposition: the
+    incoming record serves again as the outgoing one when the two cones are
+    the same object, and hands its spectrum on otherwise.  ``read(j, record)``
+    is called with each node's record on ``chain.mu_cone(j)``: node j's
+    outgoing record once link j has passed, and the last link's target
+    record once every link has.  Each outgoing record is released after its
+    reading, so at most two eigenbases are alive at once.
+
+    A failed link raises `LinkFailed` at once.  The first exception that
+    ``read`` raises is held instead: no later node is read, the remaining
+    links are still verified, and it is raised only once all of them have
+    passed.  A link failure therefore always wins over a reading failure.
     """
     overlaps = []
     improving = []
-    records = []
+    held = None
     target = None
-    for j in range(len(chain.nodes) - 1):
+    for j, emb in enumerate(chain.embeddings):
         src = chain.nodes[j]
         dst = chain.nodes[j + 1]
-        source = target if target is not None and src.cone is src.cone_in \
-            else NodeAnalysis(src.hamiltonian, src.cone, tol)
+        if target is None:
+            source = NodeAnalysis(src.hamiltonian, src.cone, tol)
+        elif src.cone is src.cone_in:
+            source = target
+        else:
+            source = target.on_cone(src.cone)
         target = NodeAnalysis(dst.hamiltonian, dst.cone_in, tol)
         try:
             rep = ground_overlap(src.hamiltonian, src.cone, dst.hamiltonian, dst.cone_in,
-                                 chain.embeddings[j], tol, records=(source, target))
+                                 emb, tol, records=(source, target))
         except ArrowFailed as exc:
             raise LinkFailed(j, str(exc)) from exc
-        source.release()
-        records.append(source)
         if rep.overlap <= tol:
             raise LinkFailed(j, f"ground overlap {rep.overlap!r} is not strictly positive")
         if not rep.improving_ok:
             raise LinkFailed(j, "compressed ground projector does not improve the cone")
         overlaps.append(rep.overlap)
         improving.append(rep.improving_ok)
-    if target is None:
-        target = NodeAnalysis(chain.nodes[0].hamiltonian, chain.nodes[0].cone, tol)
-    target.release()
-    records.append(target)
-    return ChainReport(tuple(overlaps), tuple(improving)), records
+        held = _read_node(read, held, j, source)
+        source.release()
+    if read is not None:
+        if target is None:
+            target = NodeAnalysis(chain.nodes[0].hamiltonian, chain.nodes[0].cone, tol)
+        held = _read_node(read, held, len(chain.nodes) - 1, target)
+    if held is not None:
+        raise held
+    return ChainReport(tuple(overlaps), tuple(improving))
+
+
+def _read_node(read: Reader | None, held: Exception | None, j: int,
+               record: NodeAnalysis) -> Exception | None:
+    """Call ``read(j, record)`` unless there is no reader or an earlier
+    reading failed; return the first failure, to be raised after the links."""
+    if read is None or held is not None:
+        return held
+    try:
+        read(j, record)
+    except Exception as exc:  # noqa: BLE001 - raised once every link has passed
+        clear_frames(exc)  # the reading's frames hold node j's eigenbasis
+        return exc
+    return None

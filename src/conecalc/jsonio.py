@@ -16,7 +16,6 @@ import numpy as np
 
 from .cones import SelfDualCone
 from .errors import SchemaError
-from .numerics import LinearOperator
 
 
 def _canon_float(x: float) -> str:
@@ -103,10 +102,6 @@ def vector_from_json(cells, context: str = "vector") -> np.ndarray:
     if not isinstance(cells, list) or not cells:
         raise SchemaError(f"{context}: expected a nonempty list")
     return np.array([_parse_entry(c) for c in cells])
-
-
-def operator_to_json(op: LinearOperator) -> dict:
-    return {"space": op.space, "entries": matrix_to_json(op.mat)}
 
 
 def cone_to_json(cone: SelfDualCone) -> dict:

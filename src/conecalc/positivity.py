@@ -307,6 +307,15 @@ class NodeAnalysis:
     def ground(self) -> GroundState:
         return _oriented_ground(self.spectrum, self.cone, self.tol)
 
+    def on_cone(self, cone: SelfDualCone) -> "NodeAnalysis":
+        """The same Hamiltonian read against another cone at the same
+        tolerance.  The spectrum does not depend on the cone, so the new
+        record shares this one's; its improving verdict and the orientation
+        of its ground state are its own."""
+        other = NodeAnalysis(self.hamiltonian, cone, self.tol)
+        other.__dict__["spectrum"] = self.spectrum
+        return other
+
     def release(self) -> None:
         """Forget the eigendecomposition and the ground state read from it,
         keeping the improving verdict; a later read decomposes again."""

@@ -28,6 +28,7 @@ from .errors import (
 from .inheritance import (
     ArrowChain,
     ChainNode,
+    ChainReport,
     Embedding,
     _verify_links,
     append_factor_embedding,
@@ -229,48 +230,82 @@ def quantum_number_along_chain(chain: ArrowChain, o: LinearOperator,
     observable's eigenvalues (plus 0, which extensions acquire), so equality
     of snapped values is exact.  Each link's telescope residual compares
     <O psi_j, tau^* psi_{j+1}> with mu_j times the link's overlap, using the
-    ground states the quantum numbers were read from.  Failures carry the
-    index of the offending node or link.
+    ground states the quantum numbers were read from.
+
+    One pass does the work, link by link: link j is verified, which
+    decomposes node j+1; node j's quantum number is read from the ground
+    state link j used; link j-1's telescope residual is taken and the
+    observable pushed forward; node j's eigenbasis is then released.  The
+    last node is read once the last link has passed.  Every node is thus
+    decomposed once, and at most two eigenbases are alive at a time.
+
+    Failures carry the index of the offending node or link.  A failed link
+    raises `ChainFailed` at once.  A failure while reading a node is held
+    until every remaining link has passed, so a broken link always wins
+    over a quantum-number failure, wherever the two sit.
     """
     try:
-        chain_report, records = _verify_links(chain, tol)
+        return _chain_pass(chain, o, tol)[1]
     except LinkFailed as exc:
         raise _indexed(ChainFailed(str(exc)), exc.index) from exc
-    o_spectrum = hermitian_eig(o)
-    base_candidates = o_spectrum.eigenvalues
-    extended_candidates = np.concatenate([base_candidates, [0.0]])
-    # spec(tau O tau^*) is spec(O) and 0, so every pushed-forward observable
-    # has the norm of O
-    o_norm = o_spectrum.norm
 
-    values, snapped, telescopes = [], [], []
-    extended = o
-    for j, record in enumerate(records):
-        # decompose H_j before its observable is pushed forward, so that the
-        # eigh workspace and that n x n matrix are never alive together
-        record.spectrum
-        if j:
-            extended = chain.embeddings[j - 1].extend(extended)
-        candidates = base_candidates if j == 0 else extended_candidates
+
+def _chain_pass(chain: ArrowChain, o: LinearOperator,
+                tol: float) -> tuple[ChainReport, ChainMuReport]:
+    """`quantum_number_along_chain`, also returning the chain's link report;
+    a failed link raises `LinkFailed` itself."""
+    reading = _ChainReading(chain, o)
+    links = _verify_links(chain, tol, reading)
+    return links, reading.report(links)
+
+
+class _ChainReading:
+    """The quantum numbers of a chain, read node by node by the link pass
+    of `inheritance._verify_links`, which holds their failures.
+
+    A class and not a closure: a failure's traceback keeps every frame it
+    passed through, and a frame, even cleared, keeps its function and so
+    any closure cells, which here would hold the chain.
+    """
+
+    def __init__(self, chain: ArrowChain, o: LinearOperator):
+        self.chain = chain
+        self.observable = o  # pushed forward to each node in turn
+        self.values, self.snapped, self.crossings = [], [], []
+
+    def __call__(self, j: int, record: NodeAnalysis) -> None:
+        if j == 0:
+            o_spectrum = hermitian_eig(self.observable)
+            self.base_candidates = o_spectrum.eigenvalues
+            self.extended_candidates = np.concatenate([self.base_candidates, [0.0]])
+            # spec(tau O tau^*) is spec(O) and 0, so every pushed-forward
+            # observable has the norm of O
+            self.o_norm = o_spectrum.norm
+        candidates = self.base_candidates if j == 0 else self.extended_candidates
         try:
-            mu, mu_snapped = _quantum_number(record, extended, o_norm, candidates)
+            mu, mu_snapped = _quantum_number(record, self.observable, self.o_norm, candidates)
         except (NotCommuting, NotSimple, NotInAPlus) as exc:
             raise _indexed(type(exc)(f"node {j}: {exc}"), j) from exc
-        values.append(mu)
-        snapped.append(mu_snapped)
-        if snapped[j] != snapped[0]:
-            raise MuMismatch(j, snapped[0], snapped[j])
+        self.values.append(mu)
+        self.snapped.append(mu_snapped)
+        if mu_snapped != self.snapped[0]:
+            raise MuMismatch(j, self.snapped[0], mu_snapped)
         psi = record.ground.vector
-        if j:  # telescope of link j-1; o_psi is O psi on the previous node
-            lhs = complex(np.vdot(o_psi, chain.embeddings[j - 1].pull(psi)))
-            telescopes.append(abs(lhs - snapped[j - 1] * chain_report.overlaps[j - 1]))
-        o_psi = extended.mat @ psi
-        # psi is a view into this node's full eigenbasis; drop it with the
-        # record's before the next node is decomposed
-        del psi
-        record.release()
-    return ChainMuReport(tuple(values), tuple(snapped),
-                         chain_report.overlaps, tuple(telescopes))
+        if j:  # <O psi_{j-1}, tau^* psi_j>, the left side of link j-1's telescope
+            self.crossings.append(
+                complex(np.vdot(self.o_psi, self.chain.embeddings[j - 1].pull(psi))))
+        if j < len(self.chain.embeddings):
+            self.o_psi = self.observable.mat @ psi
+            # pushed forward only after link j has decomposed node j+1, so
+            # that its eigh workspace and this n x n matrix are never alive
+            # together
+            self.observable = self.chain.embeddings[j].extend(self.observable)
+
+    def report(self, links: ChainReport) -> ChainMuReport:
+        telescopes = tuple(abs(lhs - self.snapped[j] * links.overlaps[j])
+                           for j, lhs in enumerate(self.crossings))
+        return ChainMuReport(tuple(self.values), tuple(self.snapped), links.overlaps,
+                             telescopes)
 
 
 def extension_tower(h: LinearOperator, cone: SelfDualCone, o: LinearOperator,

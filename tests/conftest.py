@@ -2,8 +2,9 @@
 
 Oracles here deliberately avoid the code paths they check: matrix
 exponentials come from scipy's Pade implementation, ergodicity from explicit
-matrix powers, simplex integrals from composite Simpson quadrature, and spin
-operators from dense Kronecker products on the full 2^n space.
+matrix powers, simplex integrals from composite Simpson quadrature, spin
+operators from dense Kronecker products on the full 2^n space, and chain
+quantum numbers from two passes, every link before any node is read.
 """
 
 import collections
@@ -15,10 +16,20 @@ import pytest
 from scipy.linalg import expm
 
 from conecalc import inheritance, lattice
-from conecalc.numerics import DEFAULT_TOL, LinearOperator
-from conecalc.positivity import generates_improving_semigroup
+from conecalc.errors import (
+    ArrowFailed,
+    ChainFailed,
+    LinkFailed,
+    MuMismatch,
+    NotCommuting,
+    NotInAPlus,
+    NotSimple,
+)
+from conecalc.inheritance import ChainReport, ground_overlap
+from conecalc.numerics import DEFAULT_TOL, LinearOperator, hermitian_eig
+from conecalc.positivity import NodeAnalysis, generates_improving_semigroup
 from conecalc.spin import MlmReport, SpinSystem, m_sector, marshall_cone
-from conecalc.stability import good_quantum_number
+from conecalc.stability import ChainMuReport, _quantum_number, good_quantum_number
 
 
 def rng(seed: int) -> np.random.Generator:
@@ -265,3 +276,65 @@ def dense_verify_mlm(system: SpinSystem, m: float, tol: float = DEFAULT_TOL,
     return MlmReport(system.sites, system.sublattice_a, system.sublattice_b, m, sector.dim,
                      s_star, gqn.value, gqn.snapped, expected,
                      abs(gqn.snapped - expected) <= 1e-8, gqn.ground.energy, gqn.gap01)
+
+
+def _failure(exc: Exception, index: int) -> Exception:
+    exc.index = index
+    return exc
+
+
+def two_pass_links(chain, tol: float = DEFAULT_TOL) -> ChainReport:
+    """`verify_chain` link by link, each link on fresh records of its two
+    nodes, so that nothing is shared or released between links."""
+    overlaps, improving = [], []
+    for j, emb in enumerate(chain.embeddings):
+        src, dst = chain.nodes[j], chain.nodes[j + 1]
+        try:
+            rep = ground_overlap(src.hamiltonian, src.cone, dst.hamiltonian, dst.cone_in,
+                                 emb, tol)
+        except ArrowFailed as exc:
+            raise LinkFailed(j, str(exc)) from exc
+        if rep.overlap <= tol:
+            raise LinkFailed(j, f"ground overlap {rep.overlap!r} is not strictly positive")
+        if not rep.improving_ok:
+            raise LinkFailed(j, "compressed ground projector does not improve the cone")
+        overlaps.append(rep.overlap)
+        improving.append(rep.improving_ok)
+    return ChainReport(tuple(overlaps), tuple(improving))
+
+
+def two_pass_quantum_numbers(chain, o: LinearOperator,
+                             tol: float = DEFAULT_TOL) -> ChainMuReport:
+    """`quantum_number_along_chain` in two passes: every link is verified
+    first, then every node is decomposed afresh on `chain.mu_cone(j)` and
+    read against the observable pushed forward to it.  A failure in the
+    second pass can only surface once the first has passed."""
+    try:
+        links = two_pass_links(chain, tol)
+    except LinkFailed as exc:
+        raise _failure(ChainFailed(str(exc)), exc.index) from exc
+    o_spectrum = hermitian_eig(o)
+    base_candidates = o_spectrum.eigenvalues
+    extended_candidates = np.concatenate([base_candidates, [0.0]])
+    values, snapped, telescopes = [], [], []
+    extended = o
+    for j, node in enumerate(chain.nodes):
+        record = NodeAnalysis(node.hamiltonian, chain.mu_cone(j), tol)
+        record.spectrum  # decomposed before the observable is pushed on to it
+        if j:
+            extended = chain.embeddings[j - 1].extend(extended)
+        candidates = base_candidates if j == 0 else extended_candidates
+        try:
+            mu, mu_snapped = _quantum_number(record, extended, o_spectrum.norm, candidates)
+        except (NotCommuting, NotSimple, NotInAPlus) as exc:
+            raise _failure(type(exc)(f"node {j}: {exc}"), j) from exc
+        values.append(mu)
+        snapped.append(mu_snapped)
+        if snapped[j] != snapped[0]:
+            raise MuMismatch(j, snapped[0], snapped[j])
+        psi = record.ground.vector
+        if j:
+            lhs = complex(np.vdot(o_psi, chain.embeddings[j - 1].pull(psi)))
+            telescopes.append(abs(lhs - snapped[j - 1] * links.overlaps[j - 1]))
+        o_psi = extended.mat @ psi
+    return ChainMuReport(tuple(values), tuple(snapped), links.overlaps, tuple(telescopes))

@@ -89,6 +89,18 @@ class TestRunConfig:
         assert report["payload"]["overlaps"][0] == pytest.approx(1.0, abs=1e-10)
         assert report["payload"]["quantum_numbers"]["mu_snapped"] == [1.0, 1.0]
 
+    def test_chain_task_checks_each_link_once(self, arrow_calls):
+        run_config(load("chain_two_level.json"), "0" * 64)
+        assert len(arrow_calls) == 1
+
+    def test_chain_task_with_observable_reports_the_failed_link(self):
+        config = load("chain_two_level.json")
+        config["embeddings"][0]["vector"] = [0.7071067811865476, -0.7071067811865476]
+        report, _ = run_config(config, "0" * 64)
+        assert report["status"] == "fail"
+        assert report["payload"] == {"reason": "link 0: cone inheritance failed",
+                                     "error_type": "LinkFailed", "index": 0}
+
     def test_trotter_task(self):
         report, _ = run_config(load("trotter_pair.json"), "0" * 64)
         assert report["status"] == "pass"

@@ -13,12 +13,15 @@ from conftest import (
     random_metzler_generator,
     random_spin_system,
     rng,
+    two_pass_links,
+    two_pass_quantum_numbers,
 )
 
 from conecalc.cones import SelfDualCone, orthant, tensor_cone
 from conecalc.errors import (
     ChainFailed,
     MuMismatch,
+    NonHermitian,
     NotCommuting,
     NotDensityMatrix,
     NotInAPlus,
@@ -28,6 +31,7 @@ from conecalc.errors import (
 from conecalc.inheritance import (
     ArrowChain,
     ChainNode,
+    ChainReport,
     append_factor_embedding,
     concatenate,
     identity_embedding,
@@ -41,12 +45,13 @@ from conecalc.numerics import (
     kron,
     op_exp_unitary,
 )
-from conecalc.positivity import ground_state
 from conecalc.spin import m_sector
 from conecalc.stability import (
     COMMUTATOR_TOL,
     PAULI_X,
+    ChainMuReport,
     StabilityClassRecord,
+    _chain_pass,
     commutes_with_observable,
     extension_tower,
     good_quantum_number,
@@ -66,22 +71,6 @@ def seed_hamiltonian(space="base"):
 
 def negated(cone: SelfDualCone) -> SelfDualCone:
     return SelfDualCone(cone.space, -cone.generators)
-
-
-def two_pass_telescopes(chain, o, overlaps, snapped, tol=DEFAULT_TOL):
-    """Telescope residuals recomputed link by link from scratch: both ground
-    states on the cones the quantum numbers were read on, and the observable
-    re-extended from the base for every link."""
-    out = []
-    for j, emb in enumerate(chain.embeddings):
-        g1 = ground_state(chain.nodes[j].hamiltonian, chain.mu_cone(j), tol)
-        g2 = ground_state(chain.nodes[j + 1].hamiltonian, chain.mu_cone(j + 1), tol)
-        o_j = o
-        for k in range(j):
-            o_j = chain.embeddings[k].extend(o_j)
-        lhs = complex(np.vdot(o_j.mat @ g1.vector, emb.pull(g2.vector)))
-        out.append(abs(lhs - snapped[j] * overlaps[j]))
-    return tuple(out)
 
 
 UNITARY_SAMPLES = ((1.0, 1.0), (0.3, 2.0))
@@ -303,10 +292,11 @@ class TestChainInvariance:
             quantum_number_along_chain(chain, o)
         assert err.value.index == 2
 
-    def test_interior_node_with_its_own_incoming_cone(self):
+    def test_interior_node_with_its_own_incoming_cone(self, decompositions):
         # node 1 is entered on the orthant but left on the negated orthant, so
         # the ground state its quantum number is read from has the opposite
-        # sign to the one its incoming overlap uses
+        # sign to the one its incoming overlap uses; both records of node 1
+        # read one eigendecomposition
         h0 = op("base", -PAULI_X)
         o = op("base", PAULI_X)
         tower = extension_tower(h0, orthant("base", 2), o, 2)
@@ -316,11 +306,11 @@ class TestChainInvariance:
              ChainNode(n2.hamiltonian, negated(n2.cone))),
             tower.embeddings)
         report = quantum_number_along_chain(chain, o)
+        assert decompositions["eigh"] == len(chain.nodes) + 1
         assert report.snapped == (1.0, 1.0, 1.0)
         assert report.overlaps == pytest.approx((1.0, 1.0), abs=1e-10)
-        assert report.telescope_residuals == two_pass_telescopes(
-            chain, o, report.overlaps, report.snapped)
         assert report.telescope_residuals == pytest.approx((2.0, 0.0), abs=1e-10)
+        assert report == two_pass_quantum_numbers(chain, o)
 
     def test_broken_link_raises_chain_failed(self):
         h = op("s", -PAULI_X)
@@ -338,7 +328,7 @@ class TestOneSpectrumPerNode:
         h = seed_hamiltonian()
         chain = extension_tower(h, orthant("base", 2), h, 6)
         quantum_number_along_chain(chain, h)
-        assert decompositions["eigh"] <= 2 * len(chain.nodes) + 1
+        assert decompositions["eigh"] <= len(chain.nodes) + 1
         assert decompositions["svd"] == 0
 
     def test_a_kept_failure_keeps_no_node_alive(self):
@@ -355,6 +345,135 @@ class TestOneSpectrumPerNode:
             quantum_number_along_chain(chain, h)
         del chain
         assert err.value.index == 1
+        assert node() is None
+
+
+SKEW = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 2.0], [1.0, 2.0, 0.0]])
+WEAK = 3e-9  # flip coupling, relative to the node below: a ground gap under the simplicity threshold
+
+
+def level_chain(h: LinearOperator, levels, signs=(), broken=None) -> ArrowChain:
+    """A chain from h that appends one factor per level: node j+1 is
+    H_j (x) 1 - 1 (x) Y on the product cone, reached by appending Y's uniform
+    vector.  Y is sigma_x for "flip", whose Perron vector is uniform, so the
+    pushed-forward observable keeps commuting; SKEW for "skew", whose Perron
+    vector is not, so it stops; and a sigma_x coupling of WEAK times the
+    node below for "weak", which leaves the ground state not simple.
+
+    Link j runs between cones of sign signs[j] (default +1), so a node
+    whose two links differ in sign has its own incoming cone.  Link
+    ``broken`` appends a sign-alternating vector, which no orthant inherits.
+    """
+    hams, cones, embeddings = [h], [orthant(h.space, h.dim)], []
+    for level, kind in enumerate(levels, start=1):
+        prev = hams[-1]
+        y = {"flip": PAULI_X, "skew": SKEW,
+             "weak": WEAK * float(np.abs(prev.mat).max()) * PAULI_X}[kind]
+        aux, d = f"q{level}", y.shape[0]
+        hams.append(kron(prev, identity(aux, d)) - kron(identity(prev.space, prev.dim),
+                                                        op(aux, y)))
+        cones.append(tensor_cone(cones[-1], orthant(aux, d)))
+        vec = np.ones(d) if level - 1 != broken else (-1.0) ** np.arange(d)
+        embeddings.append(append_factor_embedding(prev.space, hams[-1].space, prev.dim,
+                                                  vec / np.sqrt(d)))
+    signs = tuple(signs) or (1,) * len(levels)
+    out_signs = signs + signs[-1:] if signs else (1,)
+    nodes = []
+    for j, (ham, cone) in enumerate(zip(hams, cones)):
+        cone_out = cone if out_signs[j] > 0 else negated(cone)
+        cone_in = cone_out if j == 0 or signs[j - 1] == out_signs[j] else negated(cone_out)
+        nodes.append(ChainNode(ham, cone_out, cone_in))
+    return ArrowChain(tuple(nodes), tuple(embeddings))
+
+
+def outcome(fn, *args):
+    """What a call returned, or the type, message and index of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc), getattr(exc, "index", None)
+
+
+TOWERS = [({"levels": ("flip",) * depth, "broken": broken},
+           None if broken is None else (ChainFailed, broken))
+          for depth in range(6) for broken in (None, *range(depth))]
+QUANTUM_NUMBER_FAILURES = [
+    *[({"levels": ("flip",) * (k - 1) + ("skew",) + ("flip",) * (3 - k)}, (NotCommuting, k))
+      for k in (1, 2, 3)],
+    *[({"levels": ("flip",) * (k - 1) + ("weak",) + ("flip",) * (3 - k)}, (NotSimple, k))
+      for k in (1, 2, 3)],
+    ({"levels": ("flip", "flip"), "observable": "nonhermitian"}, (NonHermitian, None)),
+]
+LINK_AFTER_READING_FAILURE = [  # node k is read once link k has passed
+    ({"levels": ("skew", "flip", "flip"), "broken": 2}, (ChainFailed, 2)),
+    ({"levels": ("flip", "skew", "flip", "flip"), "broken": 3}, (ChainFailed, 3)),
+    ({"levels": ("weak", "flip", "flip"), "broken": 2}, (ChainFailed, 2)),
+    ({"levels": ("flip", "flip"), "broken": 1, "observable": "nonhermitian"}, (ChainFailed, 1)),
+    ({"levels": ("skew", "flip"), "broken": 1}, (ChainFailed, 1)),
+]
+SINGLE_NODES = [
+    ({}, None),
+    ({"observable": "square"}, None),
+    ({"reducible": True}, (NotInAPlus, 0)),
+    ({"observable": "random"}, (NotCommuting, 0)),
+    ({"observable": "wide"}, (NotCommuting, 0)),
+    ({"observable": "nonhermitian"}, (NonHermitian, None)),
+]
+INCOMING_CONES = [({"levels": ("flip",) * 3, "signs": signs}, None)
+                  for signs in ((1, -1, 1), (-1, -1, 1), (1, 1, -1), (-1, 1, -1))]
+ORACLE_CASES = TOWERS + QUANTUM_NUMBER_FAILURES + LINK_AFTER_READING_FAILURE \
+    + SINGLE_NODES + INCOMING_CONES
+
+
+def case_id(case: dict) -> str:
+    parts = ["-".join(case.get("levels", ())) or "single"]
+    parts += [f"{key}={case[key]}" for key in ("broken", "signs", "observable", "reducible")
+              if case.get(key) is not None]
+    return ",".join(parts).replace(" ", "")
+
+
+class TestOnePassMatchesTwoPasses:
+    @pytest.mark.parametrize("seed, case, expected", [
+        pytest.param(seed, case, expected, id=f"{seed}:{case_id(case)}")
+        for seed, (case, expected) in enumerate(ORACLE_CASES)])
+    def test_same_report_or_same_failure(self, seed, case, expected):
+        gen = rng(seed)
+        n = 2 + seed % 2
+        h = op("base", random_metzler_generator(
+            gen, n, block_split=1 if case.get("reducible") else None))
+        o = {"h": lambda: h, "square": lambda: h @ h,
+             "random": lambda: op("base", random_hermitian(gen, n)),
+             "nonhermitian": lambda: op("base", gen.normal(size=(n, n))),
+             "wide": lambda: identity("wide", n + 1)}[case.get("observable", "h")]()
+        chain = level_chain(h, case.get("levels", ()), case.get("signs", ()),
+                            case.get("broken"))
+
+        want = outcome(two_pass_quantum_numbers, chain, o)
+        assert outcome(quantum_number_along_chain, chain, o) == want
+        if expected is None:
+            assert isinstance(want, ChainMuReport)
+        else:
+            assert want[0] is expected[0] and want[2] == expected[1]
+
+        links = outcome(two_pass_links, chain)
+        assert outcome(verify_chain, chain) == links
+        if not isinstance(links, ChainReport):
+            assert outcome(_chain_pass, chain, o, DEFAULT_TOL) == links
+        elif isinstance(want, ChainMuReport):
+            assert _chain_pass(chain, o, DEFAULT_TOL) == (links, want)
+        else:
+            assert outcome(_chain_pass, chain, o, DEFAULT_TOL) == want
+
+
+class TestHeldFailures:
+    def test_a_held_failure_keeps_no_node_alive(self):
+        h = seed_hamiltonian()
+        chain = level_chain(h, ("flip", "skew", "flip"))
+        node = weakref.ref(chain.nodes[-1].hamiltonian)
+        with pytest.raises(NotCommuting) as err:
+            quantum_number_along_chain(chain, h)
+        del chain
+        assert err.value.index == 2
         assert node() is None
 
 
