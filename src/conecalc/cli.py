@@ -32,7 +32,7 @@ from .inheritance import (
     verify_chain,
 )
 from .jsonio import canonical_dumps, matrix_from_json, vector_from_json
-from .lattice import LatticeSpec, build_lattice, hasse_export, verify_spec
+from .lattice import LatticeSpec, build_lattice, hasse_export
 from .numerics import DEFAULT_TOL, LinearOperator, kron, identity
 from .positivity import classify, is_ergodic
 from .semigroup import trotter_verify
@@ -273,10 +273,9 @@ def _task_lattice(ctx: RunContext, params: dict):
         x=ctx.operator(params.get("x")),
         factors=tuple(pairs),
     )
-    assumptions = verify_spec(spec, ctx.tol)
     diagram = build_lattice(spec, ctx.tol)
     payload = {
-        "assumptions": assumptions.to_payload(),
+        "assumptions": diagram.assumptions.to_payload(),
         "diagram": diagram.to_payload(),
     }
     return True, payload, {"hasse.dot": hasse_export(diagram)}

@@ -153,17 +153,8 @@ def op_exp(op: LinearOperator, t: float) -> LinearOperator:
     if not np.isfinite(t):
         raise ValueError("time parameter must be finite")
     vals, vecs = np.linalg.eigh(op.mat)
-    return _exp(op.space, vals, vecs, t)
-
-
-def spectral_exp(spectrum: Spectrum, space: str, t: float) -> LinearOperator:
-    """exp(t*M) on `space` from a spectrum of M already computed."""
-    return _exp(space, spectrum.eigenvalues, spectrum.eigenvectors, t)
-
-
-def _exp(space: str, vals: np.ndarray, vecs: np.ndarray, t: float) -> LinearOperator:
     out = (vecs * np.exp(float(t) * vals)) @ vecs.conj().T
-    return LinearOperator(space, 0.5 * (out + out.conj().T))
+    return LinearOperator(op.space, 0.5 * (out + out.conj().T))
 
 
 def op_exp_unitary(op: LinearOperator, s: float) -> LinearOperator:

@@ -3,8 +3,10 @@
 Oracles here deliberately avoid the code paths they check: matrix
 exponentials come from scipy's Pade implementation, ergodicity from explicit
 matrix powers, simplex integrals from composite Simpson quadrature, spin
-operators from dense Kronecker products on the full 2^n space, and chain
-quantum numbers from two passes, every link before any node is read.
+operators from dense Kronecker products on the full 2^n space, chain
+quantum numbers from two passes, every link before any node is read, and a
+lattice node's coupling from its factor operators summed on the bare factor
+product.
 """
 
 import collections
@@ -16,6 +18,7 @@ import pytest
 from scipy.linalg import expm
 
 from conecalc import inheritance, lattice
+from conecalc.cones import SelfDualCone, orthant, tensor_cone
 from conecalc.errors import (
     ArrowFailed,
     ChainFailed,
@@ -132,6 +135,28 @@ def decompositions(monkeypatch) -> collections.Counter:
 def expm_oracle(mat: np.ndarray) -> np.ndarray:
     """Independent matrix exponential (scaling-and-squaring, not eigenbasis)."""
     return expm(np.asarray(mat, dtype=complex))
+
+
+def combined_factor_operator(spec: lattice.LatticeSpec, subset) -> LinearOperator:
+    """sum_mu 1(x)...(x)Y_mu(x)...(x)1 on the bare factor product of a
+    nonempty subset (no base space)."""
+    dims = [spec.factors[mu - 1][0] for mu in subset]
+    total = math.prod(dims)
+    mat = np.zeros((total, total), dtype=complex)
+    for k, mu in enumerate(subset):
+        before = math.prod(dims[:k])
+        after = math.prod(dims[k + 1:])
+        mat += np.kron(np.kron(np.eye(before), spec.factors[mu - 1][1].mat), np.eye(after))
+    return LinearOperator("*".join(f"f{mu}" for mu in subset), mat)
+
+
+def factor_cone(spec: lattice.LatticeSpec, subset) -> SelfDualCone:
+    """The orthant of the bare factor product of a nonempty subset."""
+    cones = [orthant(f"f{mu}", spec.factors[mu - 1][0]) for mu in subset]
+    cone = cones[0]
+    for c in cones[1:]:
+        cone = tensor_cone(cone, c)
+    return cone
 
 
 def power_connectivity_oracle(m: np.ndarray, max_k: int) -> np.ndarray:

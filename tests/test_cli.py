@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from conecalc import cli, lattice
 from conecalc.cli import emit, main, run_config
 from conecalc.errors import SchemaError
 from conecalc.jsonio import canonical_dumps, matrix_from_json, matrix_to_json
@@ -115,6 +116,21 @@ class TestRunConfig:
         assert report["payload"]["assumptions"]["ok"] is True
         assert set(extra) == {"hasse.dot"}
         assert extra["hasse.dot"].startswith("digraph hasse {")
+
+    def test_lattice_task_checks_the_spec_once(self, monkeypatch):
+        calls = []
+        original = lattice.verify_spec
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (cli, lattice):
+            if getattr(module, "verify_spec", None) is original:
+                monkeypatch.setattr(module, "verify_spec", counting)
+        report, _ = run_config(load("lattice_ell3.json"), "0" * 64)
+        assert report["status"] == "pass"
+        assert len(calls) == 1
 
     def test_richness_task(self):
         report, _ = run_config(load("richness_depth5.json"), "0" * 64)

@@ -3,21 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from conftest import expm_oracle, op, rng
+from conftest import combined_factor_operator, expm_oracle, factor_cone, op, rng
 
-from conecalc.cones import orthant
+from conecalc.cones import SelfDualCone, orthant
 from conecalc.errors import DimCap, SpecFailed
 from conecalc.inheritance import ArrowChain, ChainNode, verify_chain
 from conecalc.lattice import (
     LatticeSpec,
     build_lattice,
     build_node,
-    combined_factor_operator,
     hasse_export,
     subset_embedding,
     verify_spec,
 )
-from conecalc.numerics import DIM_CAP, LinearOperator, hermitian_eig
+from conecalc.numerics import DEFAULT_TOL, DIM_CAP, LinearOperator, hermitian_eig
 from conecalc.positivity import generates_improving_semigroup, is_ergodic
 from conecalc.stability import PAULI_X, is_decoupled_extension, quantum_number_along_chain
 
@@ -37,6 +36,45 @@ def demo_spec(ell: int = 3) -> LatticeSpec:
         cone=orthant("base", 2),
         observable=op("base", PAULI_X),
         x=op("base", np.eye(2) + 0.5 * PAULI_X),
+        factors=tuple(factors),
+    )
+
+
+def _random_circulant(gen: np.random.Generator, n: int, nonnegative: bool) -> np.ndarray:
+    """Symmetric circulant; with ``nonnegative`` its ring entries are
+    positive, so its digraph is connected."""
+    row = gen.uniform(0.0, 1.0, size=n) if nonnegative else gen.normal(size=n)
+    row = 0.5 * (row + np.roll(row[::-1], 1))
+    if nonnegative and n > 1:
+        row[1] = row[-1] = max(row[1], 0.2)
+    return np.array([np.roll(row, k) for k in range(n)])
+
+
+def random_lattice_spec(gen: np.random.Generator) -> LatticeSpec:
+    """A spec that meets every standing assumption.  In the generator basis
+    of a random unitary base cone, H0 = a - C0, X and O are symmetric
+    circulants, so they commute; C0 and X are nonnegative and C0 is
+    irreducible.  Each Y_mu is a nonnegative irreducible symmetric circulant
+    with its coordinates permuted, so the uniform vector stays an
+    eigenvector."""
+    n = int(gen.integers(2, 4))
+    q, _ = np.linalg.qr(gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n)))
+    cone = SelfDualCone("base", q)
+
+    def base_op(coords):
+        return op("base", q @ coords @ q.conj().T)
+
+    factors = []
+    for mu in range(1, int(gen.integers(1, 4)) + 1):
+        m = int(gen.integers(2, 4))
+        perm = np.eye(m)[gen.permutation(m)]
+        y = perm @ _random_circulant(gen, m, True) @ perm.T
+        factors.append((m, op(f"f{mu}", gen.uniform(0.1, 2.0) * y)))
+    return LatticeSpec(
+        h0=base_op(gen.normal() * np.eye(n) - _random_circulant(gen, n, True)),
+        cone=cone,
+        observable=base_op(_random_circulant(gen, n, False)),
+        x=base_op(_random_circulant(gen, n, True)),
         factors=tuple(factors),
     )
 
@@ -158,13 +196,11 @@ class TestBuildLattice:
 
     def test_combined_coupling_is_ergodic_on_every_node(self, diagram):
         spec = demo_spec()
-        from conecalc.lattice import _factor_cone
-
         for node in diagram.nodes:
             if not node.subset:
                 continue
             y = combined_factor_operator(spec, node.subset)
-            assert is_ergodic(y, _factor_cone(spec, node.subset)).ergodic
+            assert is_ergodic(y, factor_cone(spec, node.subset)).ergodic
 
     def test_strict_positivity_of_sampled_matrix_elements(self, diagram):
         # <phi| e^{-H_I} |psi> > 0 for nonzero cone members phi, psi
@@ -220,13 +256,49 @@ class TestBuildLattice:
         assert len(diagram.covering_edges) == 1
 
     def test_decomposition_budget(self, decompositions):
+        # one eigh per node and one for the observable
         diagram = build_lattice(demo_spec())
-        assert decompositions["eigh"] <= 2 * len(diagram.nodes) + 2
+        assert decompositions["eigh"] <= len(diagram.nodes) + 1
 
     def test_each_edge_checks_its_arrow_once(self, arrow_calls):
         diagram = build_lattice(demo_spec())
         assert len(diagram.covering_edges) == 12
         assert len(arrow_calls) == 12
+
+
+class TestStructuralCriterionDecides:
+    def test_improving_node_with_a_tiny_sampled_exponential_entry(self):
+        # weak couplings leave e^{-H_{1}} strictly positive, but its smallest
+        # generator-basis entry is ~1e-10 of its largest, below the default
+        # tolerance: a sampled strict-positivity check would refuse this node
+        spec = LatticeSpec(
+            h0=op("base", np.eye(2) - 1e-5 * PAULI_X),
+            cone=orthant("base", 2),
+            observable=op("base", PAULI_X),
+            x=op("base", np.eye(2)),
+            factors=((3, op("f1", 1e-5 * (np.ones((3, 3)) - np.eye(3)))),),
+        )
+        diagram = build_lattice(spec)
+        assert [node.mu_snapped for node in diagram.nodes] == [1.0, 1.0]
+        assert diagram.assumptions == verify_spec(spec)
+        e = expm_oracle(-diagram.node((1,)).hamiltonian.mat).real
+        assert 0.0 < e.min() < DEFAULT_TOL * e.max()
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_improving_nodes_have_ergodic_couplings_and_positive_exponentials(self, seed):
+        # Perron-Frobenius: -H_I Metzler and irreducible on the cone makes
+        # every e^{-beta H_I}, beta > 0, strictly positive there
+        spec = random_lattice_spec(rng(1000 + seed))
+        assert verify_spec(spec).ok
+        diagram = build_lattice(spec)
+        for node in diagram.nodes:
+            if node.subset:
+                y = combined_factor_operator(spec, node.subset)
+                assert is_ergodic(y, factor_cone(spec, node.subset)).ergodic
+            g = node.cone.generators
+            e = g.conj().T @ expm_oracle(-node.hamiltonian.mat) @ g
+            assert e.real.min() > 0.0
+            assert np.abs(e.imag).max() <= 1e-12 * e.real.max()
 
 
 class TestHasseExport:
