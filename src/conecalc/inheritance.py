@@ -22,11 +22,22 @@ ISOMETRY_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class Embedding:
-    """Isometry between two spaces, with its induced orthogonal projection."""
+    """Isometry between two spaces, with its induced orthogonal projection.
+
+    The embeddings built by `identity_embedding`, `append_factor_embedding`
+    and `lattice.subset_embedding` are Kronecker products of identities and
+    real unit vectors: row r of the isometry is vals[r] e_{cols[r]}^T, one
+    entry at most.  They keep (cols, vals) besides the dense isometry, and
+    `extend` and `projection` gather instead of multiplying.  Every entry of
+    those dense products is a single term, taken in the same order, so the
+    values are the same.  `push`, `pull` and `compress` sum several terms and
+    stay dense on every embedding.
+    """
 
     from_space: str
     to_space: str
     isometry: np.ndarray  # shape (dim_to, dim_from), columns orthonormal
+    _cols = _vals = None  # not fields: the rows' entries of a Kronecker embedding
 
     def __post_init__(self):
         tau = _freeze(self.isometry)
@@ -53,7 +64,16 @@ class Embedding:
 
     def projection(self) -> LinearOperator:
         """pi = tau tau^*, the orthogonal projection onto the embedded copy."""
-        return LinearOperator(self.to_space, self.isometry @ self.isometry.conj().T)
+        if self._cols is None:
+            return LinearOperator(self.to_space, self.isometry @ self.isometry.conj().T)
+        # pi[r, r'] = vals[r] vals[r'] where rows r and r' share their column;
+        # every column of a Kronecker embedding has the same number of rows
+        members = np.argsort(self._cols, kind="stable").reshape(self.dim_from, -1)
+        vals = self._vals[members]
+        out = np.zeros((self.dim_to, self.dim_to), dtype=np.complex128)
+        out[members[:, :, None], members[:, None, :]] = vals[:, :, None] * vals[:, None, :]
+        out.setflags(write=False)
+        return LinearOperator(self.to_space, out)
 
     def compress(self, a: LinearOperator) -> LinearOperator:
         """tau^* A tau, the block of A seen from the smaller space."""
@@ -65,21 +85,68 @@ class Embedding:
         """tau A tau^*: the operator acting as A on the embedded copy, 0 elsewhere."""
         if a.dim != self.dim_from:
             raise DimMismatch("operator does not act on the source space")
-        return LinearOperator(self.to_space, self.isometry @ a.mat @ self.isometry.conj().T)
+        if self._cols is None:
+            return LinearOperator(self.to_space, self.isometry @ a.mat @ self.isometry.conj().T)
+        # (vals[r] A[cols[r], cols[r']]) vals[r'], the order of the dense product
+        out = a.mat[np.ix_(self._cols, self._cols)]
+        out *= self._vals[:, None]
+        out *= self._vals
+        out.setflags(write=False)
+        return LinearOperator(self.to_space, out)
+
+
+def _kronecker_embedding(from_space: str, to_space: str, blocks) -> Embedding:
+    """The embedding by kron(*blocks), each block an identity, given by its
+    size, or a real unit vector, appended as a column.
+
+    Distinct columns of such an isometry have disjoint supports, and each
+    column's squared norm is the product of the vectors' own, so these decide
+    orthonormality without the Gram product.
+    """
+    tau = np.ones((1, 1))
+    cols = np.zeros(1, dtype=np.intp)
+    square_norm = 1.0
+    for block in blocks:
+        if np.ndim(block) == 0:
+            block = int(block)
+            cols = (cols[:, None] * block + np.arange(block)).ravel()
+            block = np.eye(block)
+        else:
+            cols = np.repeat(cols, block.size)
+            square_norm *= float(block @ block)
+            block = block.reshape(-1, 1)
+        # np.kron(tau, block), entry for entry, without its per-call overhead
+        tau = (tau[:, None, :, None] * block[None, :, None, :]).reshape(
+            tau.shape[0] * block.shape[0], tau.shape[1] * block.shape[1])
+    if abs(square_norm - 1.0) > ISOMETRY_TOL:
+        raise ValueError("isometry columns are not orthonormal")
+    vals = tau[np.arange(cols.size), cols]
+    cols.setflags(write=False)
+    vals.setflags(write=False)
+    emb = object.__new__(Embedding)
+    for name, value in (("from_space", from_space), ("to_space", to_space),
+                        ("isometry", _freeze(tau)), ("_cols", cols), ("_vals", vals)):
+        object.__setattr__(emb, name, value)
+    return emb
 
 
 def identity_embedding(space: str, dim: int) -> Embedding:
-    return Embedding(space, space, np.eye(dim))
+    return _kronecker_embedding(space, space, [dim])
 
 
 def append_factor_embedding(from_space: str, to_space: str, dim: int,
                             vec: np.ndarray) -> Embedding:
-    """phi -> phi (x) v for a fixed unit vector v on the appended factor."""
+    """phi -> phi (x) v for a fixed unit vector v on the appended factor.
+
+    A complex v gets a dense isometry: its gathered products would round
+    differently from the dense ones."""
     v = np.asarray(vec, dtype=np.complex128).reshape(-1, 1)
     n = float(np.linalg.norm(v))
     if abs(n - 1.0) > ISOMETRY_TOL:
         raise ValueError("appended vector must be normalized")
-    return Embedding(from_space, to_space, np.kron(np.eye(dim), v))
+    if v.imag.any():
+        return Embedding(from_space, to_space, np.kron(np.eye(dim), v))
+    return _kronecker_embedding(from_space, to_space, [dim, v.real.ravel()])
 
 
 def compose(first: Embedding, second: Embedding) -> Embedding:
@@ -122,6 +189,12 @@ def inherits_positivity(p1: SelfDualCone, p2: SelfDualCone, emb: Embedding,
     that each sit just over tol from the ray combine to a residual within
     tol.  tol must stay below 1/sqrt(2), so that only a column's dominant
     coordinate can qualify.
+
+    On signed-permutation cones (see `cones`) the pull-back and the
+    coordinates are gathers, and the projection, gathered too on a Kronecker
+    embedding, is classified through the gathered generator-basis matrix.
+    Each is a single term per entry, so the verdict is that of the dense
+    products.
     """
     if emb.dim_from != p1.dim or emb.dim_to != p2.dim:
         raise DimMismatch("embedding does not match the two cones")
@@ -129,8 +202,8 @@ def inherits_positivity(p1: SelfDualCone, p2: SelfDualCone, emb: Embedding,
         raise ValueError(f"inheritance tolerance {tol!r} must be below 1/sqrt(2)")
     if not classify(emb.projection(), p2, tol).preserving:
         return False
-    pulled = emb.isometry.conj().T @ p2.generators  # tau^* g_j as columns
-    coords = p1.generators.conj().T @ pulled
+    pulled = p2._pulled_generators(emb.isometry)  # tau^* g_j as columns
+    coords = p1._column_coords(pulled)
     scale = tol * np.linalg.norm(pulled, axis=0)
     if not ((coords.real >= -scale).all() and (np.abs(coords.imag) <= scale).all()):
         return False

@@ -13,7 +13,7 @@ import numpy as np
 
 from .cones import SelfDualCone, orthant, tensor_cone
 from .errors import ArrowFailed, ClassificationFailed, DimCap, LinkFailed, SpecFailed
-from .inheritance import Embedding, ground_overlap, identity_embedding
+from .inheritance import Embedding, _kronecker_embedding, ground_overlap
 from .numerics import (
     DEFAULT_TOL,
     DIM_CAP,
@@ -107,7 +107,11 @@ def verify_spec(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> SpecReport:
     if not x_preserving:
         notes.append("coupling operator X has a negative generator-basis entry")
     x_commutes = commutes_with_observable(spec.x, spec.observable)
+    if not x_commutes:
+        notes.append("coupling operator X does not commute with the observable")
     h0_commutes = commutes_with_observable(spec.h0, spec.observable)
+    if not h0_commutes:
+        notes.append("H0 does not commute with the observable")
 
     y_ergodic = []
     y_uniform = []
@@ -123,6 +127,8 @@ def verify_spec(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> SpecReport:
         y_uniform.append(bool(np.linalg.norm(image - lam * w) <= 1e-10 * max(1.0, y.norm())))
 
     h0_improving = generates_improving_semigroup(spec.h0, spec.cone, tol)
+    if not h0_improving:
+        notes.append("H0 is not improving-class on the base cone")
     return SpecReport(x_preserving, x_commutes, tuple(y_ergodic),
                       h0_improving, h0_commutes, tuple(y_uniform), tuple(notes))
 
@@ -182,12 +188,11 @@ def subset_embedding(spec: LatticeSpec, small: Subset, large: Subset) -> Embeddi
     ascending, so new factors are inserted, not appended, when needed)."""
     if not set(small) <= set(large):
         raise SpecFailed(f"{small} is not a subset of {large}")
-    tau = np.eye(spec.h0.dim)
+    blocks = [spec.h0.dim]
     for mu in large:
         n = spec.factors[mu - 1][0]
-        block = np.eye(n) if mu in small else _uniform(n).reshape(n, 1)
-        tau = np.kron(tau, block)
-    return Embedding(_node_space(spec, small), _node_space(spec, large), tau)
+        blocks.append(n if mu in small else _uniform(n))
+    return _kronecker_embedding(_node_space(spec, small), _node_space(spec, large), blocks)
 
 
 def build_node(spec: LatticeSpec, subset: Subset, tol: float = DEFAULT_TOL,
@@ -218,10 +223,7 @@ def _build_node(spec: LatticeSpec, subset: Subset, tol: float, snap_to,
         raise DimCap(f"total dimension {spec.full_dim()} exceeds cap {DIM_CAP}")
     h = _node_hamiltonian(spec, subset)
     cone = _node_cone(spec, subset)
-    if subset:
-        emb = subset_embedding(spec, (), subset)
-    else:
-        emb = identity_embedding(spec.h0.space, spec.h0.dim)
+    emb = subset_embedding(spec, (), subset)  # the identity for the empty subset
 
     node = NodeAnalysis(h, cone, tol)
     if not node.improving:
@@ -277,7 +279,7 @@ def build_lattice(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> HasseDiagram:
     """
     report = verify_spec(spec, tol)
     if not report.ok:
-        raise SpecFailed("; ".join(report.notes) or "standing assumptions failed")
+        raise SpecFailed("; ".join(report.notes))
     if not report.mu_compatible:
         raise SpecFailed(
             "uniform vector is not an eigenvector of every Y_mu; "

@@ -56,8 +56,15 @@ class LinearOperator:
         return float(np.abs(self.mat - self.mat.conj().T).max()) <= tol * scale
 
     def require_hermitian(self, tol: float = HERMITIAN_TOL) -> None:
+        """Raise `NonHermitian` unless `is_hermitian(tol)`.  The matrix is
+        immutable, so a passed check is remembered for its tolerance and
+        not repeated."""
+        passed = self.__dict__.setdefault("_hermitian_at", set())
+        if tol in passed:
+            return
         if not self.is_hermitian(tol):
             raise NonHermitian(f"operator on {self.space!r} is not Hermitian")
+        passed.add(tol)
 
     def __add__(self, other: "LinearOperator") -> "LinearOperator":
         self._check_same_space(other)

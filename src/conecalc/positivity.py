@@ -69,10 +69,16 @@ def classify(op: LinearOperator, cone: SelfDualCone, tol: float = DEFAULT_TOL) -
 
     witness: Witness | None = None
     if not real_form:
-        witness = (int(imax[0]), int(imax[1]), complex(m[imax]))
+        witness = (int(imax[0]), int(imax[1]), _unsigned_zeros(m[imax]))
     elif not preserving or not improving:
-        witness = (int(rmin[0]), int(rmin[1]), complex(m[rmin]))
+        witness = (int(rmin[0]), int(rmin[1]), _unsigned_zeros(m[rmin]))
     return PositivityReport(preserving, improving, real_form, witness)
+
+
+def _unsigned_zeros(value) -> complex:
+    """The entry with -0.0 parts made +0.0: a gathered generator-basis matrix
+    keeps the sign of a zero that a dense product may drop."""
+    return complex(value.real + 0.0, value.imag + 0.0)
 
 
 def dominates(a: LinearOperator, b: LinearOperator, cone: SelfDualCone,

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import SelfDualCone
+from .cones import SelfDualCone, _signed_permutation_cone
 from .errors import DimCap, PreconditionFailed, SignRuleFailed
 from .inheritance import Embedding
 from .numerics import DEFAULT_TOL, LinearOperator, hermitian_eig
@@ -197,8 +197,8 @@ def _sign_cone(system: SpinSystem, m: float, basis: np.ndarray, restricted: np.n
             raise SignRuleFailed(
                 f"restricted Hamiltonian is not Metzler in the {gauge}-gauge sign basis"
             )
-    return SelfDualCone(_sector_space(n, m), np.diag(signs_a).astype(complex),
-                        label=f"marshall_M{m:g}")
+    return _signed_permutation_cone(_sector_space(n, m), np.arange(basis.size), signs_a,
+                                    label=f"marshall_M{m:g}")
 
 
 def marshall_cone(system: SpinSystem, sector: MSector,

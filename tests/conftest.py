@@ -4,9 +4,10 @@ Oracles here deliberately avoid the code paths they check: matrix
 exponentials come from scipy's Pade implementation, ergodicity from explicit
 matrix powers, simplex integrals from composite Simpson quadrature, spin
 operators from dense Kronecker products on the full 2^n space, chain
-quantum numbers from two passes, every link before any node is read, and a
+quantum numbers from two passes, every link before any node is read, a
 lattice node's coupling from its factor operators summed on the bare factor
-product.
+product, and signed-permutation cones and Kronecker embeddings from the same
+generators and isometries taken as dense matrices.
 """
 
 import collections
@@ -157,6 +158,18 @@ def factor_cone(spec: lattice.LatticeSpec, subset) -> SelfDualCone:
     for c in cones[1:]:
         cone = tensor_cone(cone, c)
     return cone
+
+
+def dense_cone(cone: SelfDualCone) -> SelfDualCone:
+    """The same cone given by its generator matrix, as an explicit cone: the
+    dense products and the Gram check, whatever structure the cone keeps."""
+    return SelfDualCone(cone.space, np.array(cone.generators), cone.label)
+
+
+def dense_embedding(emb: inheritance.Embedding) -> inheritance.Embedding:
+    """The same embedding given by its isometry: dense products and the Gram
+    check, whatever structure the embedding keeps."""
+    return inheritance.Embedding(emb.from_space, emb.to_space, np.array(emb.isometry))
 
 
 def power_connectivity_oracle(m: np.ndarray, max_k: int) -> np.ndarray:

@@ -95,6 +95,36 @@ class TestVerifySpec:
         assert not report.ok
         assert any("ergodic" in n for n in report.notes)
 
+    def test_reducible_h0_is_named(self):
+        spec = demo_spec(1)
+        flat = LatticeSpec(op("base", np.eye(2)), spec.cone, spec.observable, spec.x,
+                           spec.factors)
+        report = verify_spec(flat)
+        assert not report.h0_improving and report.h0_commutes
+        assert report.notes == ("H0 is not improving-class on the base cone",)
+        with pytest.raises(SpecFailed, match="^H0 is not improving-class on the base cone$"):
+            build_lattice(flat)
+
+    def test_non_commuting_h0_and_x_are_named(self):
+        spec = demo_spec(1)
+        tilted = op("base", -PAULI_X + 0.3 * np.diag([1.0, -1.0]))
+        x = op("base", 2 * np.eye(2) + PAULI_X + 0.3 * np.diag([1.0, -1.0]))
+        both = LatticeSpec(tilted, spec.cone, spec.observable, x, spec.factors)
+        report = verify_spec(both)
+        assert report.h0_improving and report.x_preserving
+        assert not report.h0_commutes and not report.x_commutes
+        assert report.notes == ("coupling operator X does not commute with the observable",
+                                "H0 does not commute with the observable")
+        with pytest.raises(SpecFailed, match="X does not commute.*; H0 does not commute"):
+            build_lattice(both)
+
+    def test_non_commuting_h0_alone_is_named(self):
+        spec = demo_spec(1)
+        tilted = op("base", -PAULI_X + 0.3 * np.diag([1.0, -1.0]))
+        report = verify_spec(LatticeSpec(tilted, spec.cone, spec.observable, spec.x,
+                                         spec.factors))
+        assert report.notes == ("H0 does not commute with the observable",)
+
     def test_negative_entry_coupling_operator_fails_with_witness(self):
         spec = demo_spec(1)
         bad_x = op("base", np.eye(2) - 0.5 * PAULI_X)

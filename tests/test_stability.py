@@ -331,6 +331,31 @@ class TestOneSpectrumPerNode:
         assert decompositions["eigh"] <= len(chain.nodes) + 1
         assert decompositions["svd"] == 0
 
+    def test_depth_six_tower_checks_each_operator_hermitian_once(self, monkeypatch):
+        h = seed_hamiltonian()
+        tower = extension_tower(h, orthant("base", 2), h, 6)
+        # operators the tower's own checks have not seen
+        chain = ArrowChain(tuple(ChainNode(LinearOperator(n.hamiltonian.space, n.hamiltonian.mat),
+                                           n.cone) for n in tower.nodes), tower.embeddings)
+        observable = LinearOperator(h.space, h.mat)
+        checks = []
+        original = LinearOperator.is_hermitian
+
+        def counting(self, *args, **kwargs):
+            checks.append(self)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(LinearOperator, "is_hermitian", counting)
+        quantum_number_along_chain(chain, observable)
+        assert len(checks) == len(chain.nodes) + 1  # every node and the observable
+        assert len({id(op) for op in checks}) == len(checks)
+
+    def test_a_failed_hermitian_check_is_raised_again(self):
+        skew = LinearOperator("s", np.array([[0.0, 1.0], [0.0, 0.0]]))
+        for _ in range(2):
+            with pytest.raises(NonHermitian, match="operator on 's' is not Hermitian"):
+                skew.require_hermitian()
+
     def test_a_kept_failure_keeps_no_node_alive(self):
         h = seed_hamiltonian()
         tower = extension_tower(h, orthant("base", 2), h, 3)
