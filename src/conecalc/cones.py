@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatch, NotReal
-from .numerics import DEFAULT_TOL, LinearOperator, _freeze, product_space
+from .numerics import DEFAULT_TOL, LinearOperator, _freeze, _kron, _numeric, product_space
 
 GENERATOR_ORTHO_TOL = 1e-10
 
@@ -54,7 +54,7 @@ class _SignedPermutation:
 
     def matrix(self) -> np.ndarray:
         """The dense generator stack, read-only."""
-        gen = np.zeros((self.rows.size, self.rows.size), dtype=np.complex128)
+        gen = np.zeros((self.rows.size, self.rows.size))
         gen[self.rows, np.arange(self.rows.size)] = self.signs
         gen.setflags(write=False)
         return gen
@@ -123,7 +123,7 @@ class SelfDualCone:
 
     def coords(self, x: np.ndarray) -> np.ndarray:
         """Coordinates <u_i|x> of a vector in the generator basis."""
-        x = np.asarray(x, dtype=np.complex128)
+        x = _numeric(x)
         if x.shape != (self.dim,):
             raise DimMismatch(f"vector shape {x.shape} on cone of dim {self.dim}")
         if self._perm is not None:
@@ -131,7 +131,7 @@ class SelfDualCone:
         return self.generators.conj().T @ x
 
     def from_coords(self, c: np.ndarray) -> np.ndarray:
-        return self.generators @ np.asarray(c, dtype=np.complex128)
+        return self.generators @ _numeric(c)
 
     def operator_coords(self, op: LinearOperator) -> np.ndarray:
         """Matrix of an operator expressed in the generator basis.  On an
@@ -262,4 +262,4 @@ def tensor_cone(p: SelfDualCone, q: SelfDualCone, label: str = "") -> SelfDualCo
         rows = (p._perm.rows[:, None] * q.dim + q._perm.rows).ravel()
         signs = np.outer(p._perm.signs, q._perm.signs).ravel()
         return _signed_permutation_cone(space, rows, signs, label)
-    return SelfDualCone(space, np.kron(p.generators, q.generators), label)
+    return SelfDualCone(space, _kron(p.generators, q.generators), label)

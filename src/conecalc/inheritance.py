@@ -12,7 +12,7 @@ import numpy as np
 
 from .cones import SelfDualCone
 from .errors import ArrowFailed, DimMismatch, LinkFailed, clear_frames, clears_failure_frames
-from .numerics import DEFAULT_TOL, LinearOperator, _freeze
+from .numerics import DEFAULT_TOL, LinearOperator, _freeze, _kron, _numeric
 from .positivity import NodeAnalysis, classify
 
 INHERIT_TOL = 1e-8
@@ -70,7 +70,7 @@ class Embedding:
         # every column of a Kronecker embedding has the same number of rows
         members = np.argsort(self._cols, kind="stable").reshape(self.dim_from, -1)
         vals = self._vals[members]
-        out = np.zeros((self.dim_to, self.dim_to), dtype=np.complex128)
+        out = np.zeros((self.dim_to, self.dim_to), dtype=vals.dtype)
         out[members[:, :, None], members[:, None, :]] = vals[:, :, None] * vals[:, None, :]
         out.setflags(write=False)
         return LinearOperator(self.to_space, out)
@@ -115,14 +115,12 @@ def _kronecker_embedding(from_space: str, to_space: str, blocks) -> Embedding:
             cols = np.repeat(cols, block.size)
             square_norm *= float(block @ block)
             block = block.reshape(-1, 1)
-        # np.kron(tau, block), entry for entry, without its per-call overhead
-        tau = (tau[:, None, :, None] * block[None, :, None, :]).reshape(
-            tau.shape[0] * block.shape[0], tau.shape[1] * block.shape[1])
+        tau = _kron(tau, block)
     if abs(square_norm - 1.0) > ISOMETRY_TOL:
         raise ValueError("isometry columns are not orthonormal")
     vals = tau[np.arange(cols.size), cols]
-    cols.setflags(write=False)
-    vals.setflags(write=False)
+    for array in (tau, cols, vals):
+        array.setflags(write=False)
     emb = object.__new__(Embedding)
     for name, value in (("from_space", from_space), ("to_space", to_space),
                         ("isometry", _freeze(tau)), ("_cols", cols), ("_vals", vals)):
@@ -140,13 +138,13 @@ def append_factor_embedding(from_space: str, to_space: str, dim: int,
 
     A complex v gets a dense isometry: its gathered products would round
     differently from the dense ones."""
-    v = np.asarray(vec, dtype=np.complex128).reshape(-1, 1)
+    v = _numeric(vec).reshape(-1, 1)
     n = float(np.linalg.norm(v))
     if abs(n - 1.0) > ISOMETRY_TOL:
         raise ValueError("appended vector must be normalized")
-    if v.imag.any():
-        return Embedding(from_space, to_space, np.kron(np.eye(dim), v))
-    return _kronecker_embedding(from_space, to_space, [dim, v.real.ravel()])
+    if np.iscomplexobj(v):
+        return Embedding(from_space, to_space, _kron(np.eye(dim), v))
+    return _kronecker_embedding(from_space, to_space, [dim, v.ravel()])
 
 
 def compose(first: Embedding, second: Embedding) -> Embedding:

@@ -19,6 +19,8 @@ from .numerics import (
     DIM_CAP,
     LinearOperator,
     Spectrum,
+    _adopt,
+    _kron,
     hermitian_eig,
     product_space,
 )
@@ -172,14 +174,13 @@ def _node_cone(spec: LatticeSpec, subset: Subset) -> SelfDualCone:
 def _node_hamiltonian(spec: LatticeSpec, subset: Subset) -> LinearOperator:
     dims = [spec.factors[mu - 1][0] for mu in subset]
     total = math.prod(dims) if dims else 1
-    mat = np.kron(spec.h0.mat, np.eye(total))
+    mat = _kron(spec.h0.mat, np.eye(total))
     for k, mu in enumerate(subset):
         before = math.prod(dims[:k]) if k else 1
         after = math.prod(dims[k + 1:]) if k + 1 < len(dims) else 1
-        coupling = np.kron(np.kron(np.eye(before), spec.factors[mu - 1][1].mat),
-                           np.eye(after))
-        mat = mat - np.kron(spec.x.mat, coupling)
-    return LinearOperator(_node_space(spec, subset), mat)
+        coupling = _kron(_kron(np.eye(before), spec.factors[mu - 1][1].mat), np.eye(after))
+        mat = mat - _kron(spec.x.mat, coupling)
+    return _adopt(_node_space(spec, subset), mat)
 
 
 def subset_embedding(spec: LatticeSpec, small: Subset, large: Subset) -> Embedding:

@@ -53,7 +53,8 @@ def classify(op: LinearOperator, cone: SelfDualCone, tol: float = DEFAULT_TOL) -
     Tested on generators only: the matrix M of the operator in the generator
     basis must be real and entrywise >= -tol*scale to preserve, and entrywise
     >= +tol*scale to improve.  Entries inside the +-tol*scale band block
-    `improving` without voiding `preserving`.
+    `improving` without voiding `preserving`.  A float64 M is real as it
+    stands.
     """
     m = cone.operator_coords(op)
     scale = float(np.abs(m).max())
@@ -61,8 +62,11 @@ def classify(op: LinearOperator, cone: SelfDualCone, tol: float = DEFAULT_TOL) -
         return PositivityReport(preserving=True, improving=False, real_form=True)
     thresh = tol * scale
 
-    imax = np.unravel_index(np.argmax(np.abs(m.imag)), m.shape)
-    real_form = bool(np.abs(m.imag).max() <= thresh)
+    real_form = True
+    if np.iscomplexobj(m):
+        imag = np.abs(m.imag)
+        imax = np.unravel_index(np.argmax(imag), m.shape)
+        real_form = bool(imag[imax] <= thresh)
     rmin = np.unravel_index(np.argmin(m.real), m.shape)
     preserving = real_form and bool(m.real.min() >= -thresh)
     improving = real_form and bool(m.real.min() >= thresh)
@@ -87,7 +91,7 @@ def dominates(a: LinearOperator, b: LinearOperator, cone: SelfDualCone,
     for name, op in (("first", a), ("second", b)):
         m = cone.operator_coords(op)
         scale = max(float(np.abs(m).max()), 1e-300)
-        if np.abs(m.imag).max() > tol * scale:
+        if np.iscomplexobj(m) and np.abs(m.imag).max() > tol * scale:
             raise NotRealForm(f"{name} operand does not preserve the real form")
     return classify(a - b, cone, tol).preserving
 
@@ -182,7 +186,7 @@ def _metzler_coords(h: LinearOperator, cone: SelfDualCone, tol: float) -> np.nda
     scale = float(np.abs(m).max())
     if scale == 0.0:
         return m
-    if np.abs(m.imag).max() > tol * scale:
+    if np.iscomplexobj(m) and np.abs(m.imag).max() > tol * scale:
         return None
     ok, _ = _metzler_offdiag_ok(m, tol * scale)
     return m if ok else None
@@ -259,12 +263,21 @@ class GroundState:
     strictly_positive: bool
 
 
+def _toward_cone(x: np.ndarray, cone: SelfDualCone) -> np.ndarray:
+    """x times the unit scalar that makes its generator coordinates sum to a
+    real number >= 0, so that a multiple of a cone member comes out in the
+    cone.  A real x on a real cone is only ever negated."""
+    coords = cone.coords(x)
+    total = complex(coords.real.sum(), coords.imag.sum())
+    if total.imag != 0.0:
+        return x * (abs(total) / total)
+    return -x if total.real < 0.0 else x
+
+
 def _oriented_ground(spec: Spectrum, cone: SelfDualCone, tol: float) -> GroundState:
     scale = max(spec.norm, 1e-300)
     simple = spec.gap01 > 1e-8 * scale
-    psi = spec.ground_vector
-    if cone.coords(psi).real.sum() < 0.0:
-        psi = -psi
+    psi = _toward_cone(spec.ground_vector, cone)
     strict = cone.strictly_positive(psi, tol)
     return GroundState(spec.ground_energy, spec.gap01, simple, psi, strict)
 
@@ -274,9 +287,9 @@ def ground_state(h: LinearOperator, cone: SelfDualCone, tol: float = DEFAULT_TOL
 
     `simple` applies the relative gap threshold used everywhere for refusing
     degenerate ground states, with the norm read from the same spectrum.
-    The eigenvector's global sign is flipped when its generator coordinates
-    sum negative, so that the representative lying in the cone (when one
-    exists) is the one reported.
+    The eigenvector's global phase is chosen so that its generator
+    coordinates sum to a nonnegative real number, so that the representative
+    lying in the cone (when one exists) is the one reported.
     """
     return _oriented_ground(hermitian_eig(h), cone, tol)
 

@@ -13,16 +13,16 @@ import numpy as np
 from .cones import SelfDualCone, _signed_permutation_cone
 from .errors import DimCap, PreconditionFailed, SignRuleFailed
 from .inheritance import Embedding
-from .numerics import DEFAULT_TOL, LinearOperator, hermitian_eig
+from .numerics import DEFAULT_TOL, LinearOperator, _kron, hermitian_eig
 from .positivity import NodeAnalysis
 from .stability import _quantum_number
 
 SITE_CAP = 12
 
 _HALF_PAULI = (
-    np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex),
-    np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=complex),
-    np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex),
+    np.array([[0.0, 0.5], [0.5, 0.0]]),
+    np.array([[0.0, -0.5j], [0.5j, 0.0]]),
+    np.array([[0.5, 0.0], [0.0, -0.5]]),
 )
 
 
@@ -63,7 +63,7 @@ def _site_operator(n: int, site: int, component: int) -> np.ndarray:
     # site is 1-based; site 1 is the leftmost (most significant) tensor factor
     before = 2 ** (site - 1)
     after = 2 ** (n - site)
-    return np.kron(np.kron(np.eye(before), _HALF_PAULI[component]), np.eye(after))
+    return _kron(_kron(np.eye(before), _HALF_PAULI[component]), np.eye(after))
 
 
 def spin_operators(n: int) -> list[tuple[LinearOperator, LinearOperator, LinearOperator]]:

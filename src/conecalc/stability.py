@@ -36,12 +36,13 @@ from .inheritance import (
 from .numerics import (
     DEFAULT_TOL,
     LinearOperator,
+    _kron,
     hermitian_eig,
     identity,
     kron,
     partial_trace,
 )
-from .positivity import GroundState, NodeAnalysis, generates_improving_semigroup
+from .positivity import GroundState, NodeAnalysis, _toward_cone, generates_improving_semigroup
 
 COMMUTATOR_TOL = 1e-10
 SNAP_TOL_FACTOR = 1e-8
@@ -64,7 +65,8 @@ def _commutes(a: np.ndarray, b: np.ndarray, scale: float,
     over blocks of rows of the commutator, so no n x n product is formed.
     Only when that bound exceeds the threshold is the spectral norm itself
     computed: the commutator is anti-Hermitian, so its norm is the largest
-    |eigenvalue| of the Hermitian i(ab - ba).
+    |eigenvalue| of the Hermitian i(ab - ba), which is complex even when a
+    and b are real.
     """
     thresh = tol * max(scale, 1e-300)
     square = 0.0
@@ -75,8 +77,7 @@ def _commutes(a: np.ndarray, b: np.ndarray, scale: float,
         square += float(np.vdot(block, block).real)
     if math.sqrt(square) <= thresh:
         return True
-    c = _commutator(a, b)
-    c *= 1j
+    c = 1j * _commutator(a, b)
     return float(np.abs(np.linalg.eigvalsh(c)).max()) <= thresh
 
 
@@ -368,10 +369,10 @@ def is_decoupled_extension(h2: LinearOperator, h_star: LinearOperator,
     d2 = h2.dim // d1
     if env_cone.dim != d2 or emb.dim_from != d1 or emb.dim_to != h2.dim:
         raise BadFactorization("embedding or factor cone does not match the split")
-    diff = h2.mat - np.kron(h_star.mat, np.eye(d2))
+    diff = h2.mat - _kron(h_star.mat, np.eye(d2))
     blocks = diff.reshape(d1, d2, d1, d2)
     env = np.einsum("ijik->jk", blocks) / d1
-    residual = float(np.linalg.norm(diff - np.kron(np.eye(d1), env), 2))
+    residual = float(np.linalg.norm(diff - _kron(np.eye(d1), env), 2))
     if residual > tol_factor * max(h2.norm(), 1e-300):
         return DecoupledExtensionReport(False, residual, None)
     env_op = LinearOperator(env_cone.space, env)
@@ -457,9 +458,7 @@ def ground_state_factorizes(h2: LinearOperator, h_star: LinearOperator,
         return FactorizationReport(False, entropy, None)
     coeffs = psi.reshape(d1, d2)
     omega = psi_star.conj() @ coeffs
-    omega = omega / np.linalg.norm(omega)
-    if env_cone.coords(omega).real.sum() < 0.0:
-        omega = -omega
+    omega = _toward_cone(omega / np.linalg.norm(omega), env_cone)
     if not env_cone.strictly_positive(omega, tol):
         raise Inconsistent("factored environment vector is not strictly positive")
     return FactorizationReport(True, entropy, omega)

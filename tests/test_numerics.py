@@ -3,20 +3,81 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import expm_oracle, op, random_density, random_hermitian, random_unit, rng
+from conftest import (
+    expm_oracle,
+    op,
+    random_density,
+    random_hermitian,
+    random_real_symmetric,
+    random_unit,
+    rng,
+)
 
 from conecalc.errors import BadFactorization, NonHermitian, NotDensityMatrix
 from conecalc.numerics import (
     LinearOperator,
     Spectrum,
+    _kron,
     hermitian_eig,
     identity,
     kron,
     op_exp,
+    op_exp_unitary,
     partial_trace,
 )
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
+
+
+class TestDtype:
+    """Operators are float64 when their entries are real, an imaginary part
+    that is exactly zero included, and complex128 otherwise."""
+
+    @pytest.mark.parametrize("entries", [
+        [[0, 1], [1, 0]], np.eye(2, dtype=bool), SIGMA_X.astype(np.float32), SIGMA_X,
+    ])
+    def test_real_input_gives_float64(self, entries):
+        got = LinearOperator("s", entries).mat
+        assert got.dtype == np.float64
+        assert np.array_equal(got, np.asarray(entries, dtype=float))
+
+    @pytest.mark.parametrize("imag", [0.0, -0.0])
+    def test_a_zero_imaginary_part_gives_float64(self, imag):
+        entries = SIGMA_X.astype(complex)
+        entries.imag = imag
+        for mat in (entries, entries.astype(np.complex64)):
+            got = LinearOperator("s", mat).mat
+            assert got.dtype == np.float64 and same_bytes(got, SIGMA_X)
+
+    def test_a_nonzero_imaginary_part_gives_complex128(self):
+        for mat in (SIGMA_Y, SIGMA_Y.astype(np.complex64), SIGMA_X + 1e-300j * SIGMA_X):
+            got = LinearOperator("s", mat).mat
+            assert got.dtype == np.complex128 and np.array_equal(got, mat)
+
+    def test_an_owned_frozen_array_is_kept_uncopied(self):
+        for mat in (SIGMA_X.copy(), SIGMA_Y.copy()):
+            mat.setflags(write=False)
+            assert LinearOperator("s", mat).mat is mat
+        writable = SIGMA_X.copy()
+        got = LinearOperator("s", writable).mat
+        assert got is not writable and not got.flags.writeable
+        writable[0, 0] = 5.0
+        assert got[0, 0] == 0.0
+
+    def test_real_operators_stay_real(self):
+        h = LinearOperator("s", random_real_symmetric(rng(2), 4))
+        z = LinearOperator("s", random_hermitian(rng(3), 4))
+        for real in (h + h, h - h, h @ h, 2.0 * h, h.adjoint(), op_exp(h, -0.5),
+                     kron(h, h), identity("s", 4)):
+            assert real.mat.dtype == np.float64
+        assert hermitian_eig(h).eigenvectors.dtype == np.float64
+        for mixed in (h + z, h @ z, 1j * h, kron(h, z), kron(z, h), op_exp_unitary(h, 0.5)):
+            assert mixed.mat.dtype == np.complex128
+
+
+def same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestHermitianEig:
@@ -71,14 +132,22 @@ class TestHermitianEig:
             assert hermitian_eig(h).norm == pytest.approx(np.linalg.norm(h.mat, 2), rel=1e-12)
 
     def test_spectrum_keeps_a_frozen_eigenbasis_uncopied(self):
-        vecs = np.eye(3, dtype=complex)
+        vecs = np.eye(3)
         copied = Spectrum(np.arange(3.0), vecs)
         assert copied.eigenvectors is not vecs and not copied.eigenvectors.flags.writeable
         vecs.setflags(write=False)
         assert Spectrum(np.arange(3.0), vecs).eigenvectors is vecs
-        for other in (vecs.T.copy(order="F"), vecs.real.copy(), np.eye(4, dtype=complex)[:3, :3]):
+        for other in (vecs.T.copy(order="F"), vecs.astype(complex), np.eye(4)[:3, :3]):
             other.setflags(write=False)
             assert Spectrum(np.arange(3.0), other).eigenvectors is not other
+
+    def test_real_symmetric_input_is_decomposed_in_real_arithmetic(self):
+        h = op("s", random_real_symmetric(rng(19), 6))
+        spec = hermitian_eig(h)
+        assert spec.eigenvectors.dtype == np.float64
+        vals, vecs = np.linalg.eigh(h.mat)
+        assert np.array_equal(spec.eigenvalues, vals)
+        assert np.array_equal(np.abs(spec.eigenvectors), np.abs(vecs))
 
 
 class TestOpExp:
@@ -125,6 +194,21 @@ class TestKron:
         e11 = np.kron([1, 0], [1, 0]).astype(complex)
         e21 = np.kron([0, 1], [1, 0]).astype(complex)
         assert np.allclose(big.mat @ e11, e21)
+
+    def test_equals_numpys_kron_bit_for_bit(self):
+        gen = rng(29)
+        for _ in range(40):
+            a, b = (gen.normal(size=tuple(gen.integers(1, 5, size=2))) for _ in range(2))
+            if gen.uniform() < 0.5:
+                a = a + 1j * gen.normal(size=a.shape)
+            if gen.uniform() < 0.5:
+                b = b * np.where(gen.uniform(size=b.shape) < 0.3, -0.0, 1.0)
+            assert same_bytes(_kron(a, b), np.kron(a, b))
+            assert same_bytes(_kron(b, a), np.kron(b, a))
+
+    def test_the_product_is_adopted_uncopied(self):
+        got = kron(op("a", SIGMA_X), identity("b", 3)).mat
+        assert got.flags.owndata and not got.flags.writeable
 
     def test_norm_is_multiplicative(self):
         gen = rng(23)

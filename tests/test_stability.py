@@ -11,6 +11,7 @@ from conftest import (
     op,
     random_hermitian,
     random_metzler_generator,
+    random_real_symmetric,
     random_spin_system,
     rng,
     two_pass_links,
@@ -19,6 +20,7 @@ from conftest import (
 
 from conecalc.cones import SelfDualCone, orthant, tensor_cone
 from conecalc.errors import (
+    ArrowFailed,
     ChainFailed,
     MuMismatch,
     NonHermitian,
@@ -32,8 +34,11 @@ from conecalc.inheritance import (
     ArrowChain,
     ChainNode,
     ChainReport,
+    Embedding,
     append_factor_embedding,
+    check_arrow,
     concatenate,
+    ground_overlap,
     identity_embedding,
     verify_chain,
 )
@@ -88,22 +93,24 @@ def svd_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def random_unitary(gen: np.random.Generator, n: int) -> np.ndarray:
-    q, r = np.linalg.qr(gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n)))
+def random_unitary(gen: np.random.Generator, n: int, real: bool = False) -> np.ndarray:
+    a = gen.normal(size=(n, n))
+    q, r = np.linalg.qr(a if real else a + 1j * gen.normal(size=(n, n)))
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def shared_eigenbasis_pair(gen: np.random.Generator, n: int):
-    u = random_unitary(gen, n)
+def shared_eigenbasis_pair(gen: np.random.Generator, n: int, real: bool = False):
+    u = random_unitary(gen, n, real)
     h, o = ((u * vals) @ u.conj().T for vals in (gen.normal(size=n), gen.normal(size=n)))
     return 0.5 * (h + h.conj().T), 0.5 * (o + o.conj().T)
 
 
-def edge_pair(gen: np.random.Generator, factor: float, n: int):
+def edge_pair(gen: np.random.Generator, factor: float, n: int, real: bool = False):
     """(H, O) with ||[H, O]|| about factor * COMMUTATOR_TOL * ||H|| * ||O||:
-    a commuting pair with O tilted along a random Hermitian direction."""
-    h, o = shared_eigenbasis_pair(gen, n)
-    k = random_hermitian(gen, n)
+    a commuting pair with O tilted along a random Hermitian direction, real
+    symmetric when ``real``."""
+    h, o = shared_eigenbasis_pair(gen, n, real)
+    k = random_real_symmetric(gen, n) if real else random_hermitian(gen, n)
     tilt = factor * COMMUTATOR_TOL * svd_norm(h) * svd_norm(o) / svd_norm(h @ k - k @ h)
     return op("s", h), op("s", o + tilt * k)
 
@@ -156,6 +163,18 @@ class TestCommutesWithObservable:
         gen = rng(62)
         for factor, n in zip(EDGE_FACTORS * 20, [2, 3, 5, 8, 64, 65, 100, 129] * 15):
             h, o = edge_pair(gen, factor, n)
+            ratio = svd_norm(h.mat @ o.mat - o.mat @ h.mat) / (
+                COMMUTATOR_TOL * svd_norm(h.mat) * svd_norm(o.mat))
+            assert abs(ratio - factor) <= 1e-3 * factor
+            assert commutes_with_observable(h, o) == (ratio <= 1.0)
+
+    def test_a_real_pair_at_the_tolerance_edge(self):
+        # the real commutator is antisymmetric; its norm past the Frobenius
+        # bound is read from the complex Hermitian i(HO - OH)
+        gen = rng(64)
+        for factor, n in zip(EDGE_FACTORS * 4, [3, 8, 64, 65, 100, 129] * 4):
+            h, o = edge_pair(gen, factor, n, real=True)
+            assert h.mat.dtype == o.mat.dtype == np.float64
             ratio = svd_norm(h.mat @ o.mat - o.mat @ h.mat) / (
                 COMMUTATOR_TOL * svd_norm(h.mat) * svd_norm(o.mat))
             assert abs(ratio - factor) <= 1e-3 * factor
@@ -225,6 +244,59 @@ class TestGoodQuantumNumber:
         h = op("s", np.diag([0.0, 1.0]))
         with pytest.raises(NotInAPlus):
             good_quantum_number(h, identity("s", 2), orthant("s", 2))
+
+
+def phase_rotated(u: np.ndarray, h: LinearOperator) -> LinearOperator:
+    """U H U^* for the diagonal unitary U = diag(u)."""
+    return LinearOperator(h.space, u[:, None] * h.mat * u.conj())
+
+
+def link_answers(h1, p1, h2, p2, emb, o):
+    """(verdicts, readings) of one link: the arrow's reasons, node 1's
+    quantum number and the link's ground overlap, or the exception each
+    raised."""
+    verdicts, readings = [check_arrow(h1, p1, h2, p2, emb).reasons], []
+    try:
+        gqn = good_quantum_number(h1, o, p1)
+        verdicts.append(gqn.ground.strictly_positive)
+        readings += [gqn.ground.energy, gqn.value, gqn.snapped]
+    except (NotCommuting, NotInAPlus, NotSimple) as exc:
+        verdicts.append(type(exc))
+    try:
+        rep = ground_overlap(h1, p1, h2, p2, emb)
+        verdicts.append(rep.improving_ok)
+        readings.append(rep.overlap)
+    except ArrowFailed as exc:
+        verdicts.append(type(exc))
+    return verdicts, np.array(readings)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_a_phase_rotated_link_gives_the_same_answers_in_complex_arithmetic(seed):
+    # every shipped config is real; a diagonal phase unitary turns a real
+    # problem into a genuinely complex Hermitian one on the rotated explicit
+    # cones, whose verdicts and readings must not move
+    gen = rng(9000 + seed)
+    n = int(gen.integers(2, 6))
+    split = int(gen.integers(1, n)) if seed % 4 == 3 else None  # not improving
+    h1 = LinearOperator("a", random_metzler_generator(gen, n, split))
+    h2 = LinearOperator("a*b", random_metzler_generator(gen, 2 * n))
+    o = LinearOperator("a", h1.mat @ h1.mat / h1.norm())
+    p1 = orthant("a", n)
+    p2 = tensor_cone(p1, orthant("b", 2))
+    v = gen.uniform(0.2, 1.0, 2)
+    emb = append_factor_embedding("a", "a*b", n, v / np.linalg.norm(v))
+    u1, u2 = (np.exp(1j * gen.uniform(0.0, 2.0 * np.pi, k)) for k in (n, 2 * n))
+    h1_u, h2_u, o_u = phase_rotated(u1, h1), phase_rotated(u2, h2), phase_rotated(u1, o)
+    for real, rotated in ((h1, h1_u), (h2, h2_u), (o, o_u)):
+        assert real.mat.dtype == np.float64 and rotated.mat.dtype == np.complex128
+    emb_u = Embedding("a", "a*b", u2[:, None] * emb.isometry * u1.conj())
+    verdicts, readings = link_answers(h1, p1, h2, p2, emb, o)
+    turned_verdicts, turned_readings = link_answers(
+        h1_u, SelfDualCone("a", np.diag(u1)), h2_u, SelfDualCone("a*b", np.diag(u2)), emb_u, o_u)
+    assert turned_verdicts == verdicts
+    scale = max(h1.norm(), h2.norm())
+    assert np.abs(turned_readings - readings).max(initial=0.0) <= 1e-12 * scale
 
 
 class TestExtensionTower:
@@ -574,6 +646,18 @@ class TestGroundStateFactorizes:
         assert rep.weak
         assert rep.entropy <= 1e-9
         assert np.allclose(rep.omega, UNIFORM2, atol=1e-10)
+
+    def test_phase_rotated_environment_is_weak(self):
+        # a complex environment cone: omega is turned into it by the phase of
+        # its coordinates, not only by a sign
+        h_star = op("base", -PAULI_X)
+        h2 = kron(h_star, identity("env", 2)) - kron(identity("base", 2), op("env", PAULI_X))
+        w = np.exp(1j * np.array([0.9, 2.3]))
+        u = np.kron(np.ones(2), w)
+        h2 = LinearOperator(h2.space, u[:, None] * h2.mat * u.conj())
+        rep = ground_state_factorizes(h2, h_star, SelfDualCone("env", np.diag(w)))
+        assert rep.weak
+        assert np.allclose(rep.omega, w * UNIFORM2, atol=1e-10)
 
     def test_coupled_extension_is_not_weak(self):
         h_star = op("base", -PAULI_X)

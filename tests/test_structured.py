@@ -192,7 +192,7 @@ class TestEmbeddingOracle:
         d, k = int(gen.integers(1, 6)), int(gen.integers(1, 4))
         v = random_real_unit(gen, k)
         emb = append_factor_embedding("s", "s*e", d, v)
-        assert same_bits(emb.isometry, np.kron(np.eye(d), v.astype(complex).reshape(-1, 1)))
+        assert same_bits(emb.isometry, np.kron(np.eye(d), v.reshape(-1, 1)))
         dense = dense_embedding(emb)
         a = LinearOperator("s", gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d)))
         assert np.array_equal(emb.extend(a).mat, dense.extend(a).mat)
@@ -212,7 +212,7 @@ class TestEmbeddingOracle:
         for mu in large:
             n = dims[mu - 1]
             tau = np.kron(tau, np.eye(n) if mu in small else np.full((n, 1), 1 / math.sqrt(n)))
-        assert same_bits(emb.isometry, tau.astype(complex))
+        assert same_bits(emb.isometry, tau)
         dense = dense_embedding(emb)
         a = LinearOperator(emb.from_space, gen.normal(size=(emb.dim_from, emb.dim_from)))
         assert np.array_equal(emb.extend(a).mat, dense.extend(a).mat)
@@ -239,7 +239,7 @@ class TestEmbeddingOracle:
             got = str(exc)
         assert got == expected
         if got is None:
-            assert same_bits(emb.isometry, tau.astype(complex))
+            assert same_bits(emb.isometry, tau)
 
 
 def inheritance_case(seed: int):
