@@ -160,6 +160,13 @@ def factor_cone(spec: lattice.LatticeSpec, subset) -> SelfDualCone:
     return cone
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal entry for entry in the same dtype, the sign of every zero
+    included."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def dense_cone(cone: SelfDualCone) -> SelfDualCone:
     """The same cone given by its generator matrix, as an explicit cone: the
     dense products and the Gram check, whatever structure the cone keeps."""

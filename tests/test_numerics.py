@@ -11,6 +11,7 @@ from conftest import (
     random_real_symmetric,
     random_unit,
     rng,
+    same_bits,
 )
 
 from conecalc.errors import BadFactorization, NonHermitian, NotDensityMatrix
@@ -48,7 +49,7 @@ class TestDtype:
         entries.imag = imag
         for mat in (entries, entries.astype(np.complex64)):
             got = LinearOperator("s", mat).mat
-            assert got.dtype == np.float64 and same_bytes(got, SIGMA_X)
+            assert got.dtype == np.float64 and same_bits(got, SIGMA_X)
 
     def test_a_nonzero_imaginary_part_gives_complex128(self):
         for mat in (SIGMA_Y, SIGMA_Y.astype(np.complex64), SIGMA_X + 1e-300j * SIGMA_X):
@@ -74,10 +75,6 @@ class TestDtype:
         assert hermitian_eig(h).eigenvectors.dtype == np.float64
         for mixed in (h + z, h @ z, 1j * h, kron(h, z), kron(z, h), op_exp_unitary(h, 0.5)):
             assert mixed.mat.dtype == np.complex128
-
-
-def same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestHermitianEig:
@@ -203,8 +200,8 @@ class TestKron:
                 a = a + 1j * gen.normal(size=a.shape)
             if gen.uniform() < 0.5:
                 b = b * np.where(gen.uniform(size=b.shape) < 0.3, -0.0, 1.0)
-            assert same_bytes(_kron(a, b), np.kron(a, b))
-            assert same_bytes(_kron(b, a), np.kron(b, a))
+            assert same_bits(_kron(a, b), np.kron(a, b))
+            assert same_bits(_kron(b, a), np.kron(b, a))
 
     def test_the_product_is_adopted_uncopied(self):
         got = kron(op("a", SIGMA_X), identity("b", 3)).mat

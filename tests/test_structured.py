@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import dense_cone, dense_embedding, random_spin_system, rng
+from conftest import dense_cone, dense_embedding, random_spin_system, rng, same_bits
 
 from conecalc.cones import SelfDualCone, _signed_permutation_cone, orthant, tensor_cone
 from conecalc.errors import NotPreserving
@@ -85,12 +85,6 @@ def zero_signs(witness) -> tuple[bool, bool] | None:
     if witness is None:
         return None
     return bool(np.signbit(witness[2].real)), bool(np.signbit(witness[2].imag))
-
-
-def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    """Equal entry for entry, the sign of every zero included."""
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def random_real_unit(gen: np.random.Generator, k: int) -> np.ndarray:
