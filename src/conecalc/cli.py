@@ -100,6 +100,17 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _finite(params: dict, key: str, default: float, task: str) -> float:
+    value = params.get(key, default)
+    _require(_is_number(value) and math.isfinite(value),
+             f"{task} {key} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _tolerance(value, source: str) -> float:
     _require(_is_number(value) and math.isfinite(value) and value > 0,
              f"{source} must be a finite positive number, got {value!r}")
@@ -112,7 +123,7 @@ def _build_context(config: dict, tol_override: float | None) -> RunContext:
     spaces = config.get("spaces", {})
     _require(isinstance(spaces, dict), "spaces must map names to dimensions")
     for name, dim in spaces.items():
-        _require(isinstance(dim, int) and dim >= 1, f"space {name!r} has bad dimension")
+        _require(_is_int(dim) and dim >= 1, f"space {name!r} has bad dimension")
         ctx.spaces[name] = dim
 
     for spec in config.get("operators", []):
@@ -244,11 +255,10 @@ def _task_trotter(ctx: RunContext, params: dict):
     h_prime = ctx.operator(params.get("h_prime"))
     cone = ctx.cone(params.get("cone"))
     n_values = params.get("n_values", [1, 2, 4, 8, 16, 32, 64, 128, 256])
-    _require(isinstance(n_values, list) and all(isinstance(n, int) and n >= 1 for n in n_values),
+    _require(isinstance(n_values, list) and all(_is_int(n) and n >= 1 for n in n_values),
              "n_values must be positive integers")
-    report = trotter_verify(h, h_prime, float(params.get("s", 1.0)),
-                            float(params.get("t", 1.0)), float(params.get("beta", 1.0)),
-                            tuple(n_values), cone, ctx.tol)
+    s, t, beta = (_finite(params, key, 1.0, "trotter") for key in ("s", "t", "beta"))
+    report = trotter_verify(h, h_prime, s, t, beta, tuple(n_values), cone, ctx.tol)
     scale = max(report.errors) if report.errors else 0.0
     converged = scale <= 1e-12 or all(2.0 / 3.0 <= r <= 6.0 for r in report.ratios())
     ok = converged and all(report.positivity_ok)
@@ -286,7 +296,7 @@ def _task_richness(ctx: RunContext, params: dict):
     cone = ctx.cone(params.get("cone"))
     o = ctx.operator(params.get("observable"))
     depth = params.get("depth", 5)
-    _require(isinstance(depth, int) and depth >= 0, "depth must be a nonnegative integer")
+    _require(_is_int(depth) and depth >= 0, "depth must be a nonnegative integer")
     chain = extension_tower(h, cone, o, depth, ctx.tol)
     report = quantum_number_along_chain(chain, o, ctx.tol)
     payload = {
@@ -313,7 +323,7 @@ def _task_weak_equiv(ctx: RunContext, params: dict):
 
 def _site_list(value, sites: int, name: str) -> list[int]:
     _require(isinstance(value, list) and all(
-        isinstance(s, int) and not isinstance(s, bool) and 1 <= s <= sites for s in value),
+        _is_int(s) and 1 <= s <= sites for s in value),
         f"spin-demo {name} must be a list of sites 1..{sites}, got {value!r}")
     _require(len(set(value)) == len(value), f"spin-demo {name} repeats a site: {value!r}")
     return value
@@ -321,7 +331,7 @@ def _site_list(value, sites: int, name: str) -> list[int]:
 
 def _task_spin_demo(ctx: RunContext, params: dict):
     sites = params.get("sites")
-    _require(isinstance(sites, int) and not isinstance(sites, bool) and sites >= 2,
+    _require(_is_int(sites) and sites >= 2,
              "spin-demo needs sites >= 2")
     _check_cap(sites)  # before any list over the sites is built
     a = params.get("sublattice_a")
@@ -331,11 +341,9 @@ def _task_spin_demo(ctx: RunContext, params: dict):
                    sites, "sublattice_b")
     _require(not set(a) & set(b), f"spin-demo sublattices overlap: {sorted(set(a) & set(b))}")
     _require(len(a) + len(b) == sites, f"spin-demo sublattices must cover sites 1..{sites}")
-    m = params.get("sector_m", 0.0)
-    _require(_is_number(m) and math.isfinite(m),
-             f"spin-demo sector_m must be a finite number, got {m!r}")
+    m = _finite(params, "sector_m", 0.0, "spin-demo")
     system = SpinSystem(sites, tuple(a), tuple(b))
-    report = verify_mlm(system, float(m), ctx.tol)
+    report = verify_mlm(system, m, ctx.tol)
     return report.ok, report.to_payload()
 
 
@@ -344,7 +352,7 @@ def _stability_member_chain(ctx: RunContext, h_star: LinearOperator,
     kind = recipe.get("type")
     if kind == "tower":
         depth = recipe.get("depth", 1)
-        _require(isinstance(depth, int) and depth >= 1, "tower depth must be >= 1")
+        _require(_is_int(depth) and depth >= 1, "tower depth must be >= 1")
         return extension_tower(h_star, cone, o, depth, ctx.tol)
     if kind == "coupling":
         x = ctx.operator(recipe.get("x"))

@@ -5,13 +5,13 @@ and verification of whole chains of such pairs.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cones import SelfDualCone
-from .errors import ArrowFailed, DimMismatch, LinkFailed, clear_frames, clears_failure_frames
+from .errors import ArrowFailed, DimMismatch, LinkFailed, clears_failure_frames
 from .numerics import DEFAULT_TOL, LinearOperator, _freeze, _kron, _numeric
 from .positivity import NodeAnalysis, classify
 
@@ -228,7 +228,6 @@ class ArrowResult:
 
 
 Records = tuple[NodeAnalysis, NodeAnalysis]
-Reader = Callable[[int, NodeAnalysis], None]
 
 
 def _pair_records(h1: LinearOperator, p1: SelfDualCone, h2: LinearOperator,
@@ -392,37 +391,37 @@ def verify_chain(chain: ArrowChain, tol: float = DEFAULT_TOL) -> ChainReport:
     and, handing on its spectrum if its outgoing cone differs, as the source
     of its outgoing one.
     """
-    return _verify_links(chain, tol)
+    return _chain_report([link for _, _, link in _passed_links(chain, tol)
+                          if link is not None])
 
 
-def _verify_links(chain: ArrowChain, tol: float, read: Reader | None = None) -> ChainReport:
+def _chain_report(links: list[OverlapReport]) -> ChainReport:
+    return ChainReport(tuple(link.overlap for link in links),
+                       tuple(link.improving_ok for link in links))
+
+
+def _passed_links(chain: ArrowChain, tol: float
+                  ) -> Iterator[tuple[int, NodeAnalysis, OverlapReport | None]]:
     """The one pass over a chain behind `verify_chain` and the quantum
     numbers of `stability.quantum_number_along_chain`.
+
+    Yields (j, record, report) for each node j, with its record on
+    ``chain.mu_cone(j)``: once link j has passed, node j's outgoing record
+    and that link's `OverlapReport`, and last the final node's record with
+    None.  A failed link raises `LinkFailed` at once.
 
     Link j is verified on node j's record on its ``cone`` and node j+1's on
     its ``cone_in``.  A node's two records share one eigendecomposition: the
     incoming record serves again as the outgoing one when the two cones are
-    the same object, and hands its spectrum on otherwise.  ``read(j, record)``
-    is called with each node's record on ``chain.mu_cone(j)``: node j's
-    outgoing record once link j has passed, and the last link's target
-    record once every link has.  Each outgoing record is released after its
-    reading, so at most two eigenbases are alive at once.
-
-    A failed link raises `LinkFailed` at once.  The first exception that
-    ``read`` raises is held instead: no later node is read, the remaining
-    links are still verified, and it is raised only once all of them have
-    passed.  A link failure therefore always wins over a reading failure.
+    the same object, and hands its spectrum on otherwise.  Each outgoing
+    record is released when the next node is asked for, so at most two
+    eigenbases are alive at once.
     """
-    overlaps = []
-    improving = []
-    held = None
-    target = None
+    target = NodeAnalysis(chain.nodes[0].hamiltonian, chain.nodes[0].cone, tol)
     for j, emb in enumerate(chain.embeddings):
         src = chain.nodes[j]
         dst = chain.nodes[j + 1]
-        if target is None:
-            source = NodeAnalysis(src.hamiltonian, src.cone, tol)
-        elif src.cone is src.cone_in:
+        if j == 0 or src.cone is src.cone_in:
             source = target
         else:
             source = target.on_cone(src.cone)
@@ -436,28 +435,6 @@ def _verify_links(chain: ArrowChain, tol: float, read: Reader | None = None) -> 
             raise LinkFailed(j, f"ground overlap {rep.overlap!r} is not strictly positive")
         if not rep.improving_ok:
             raise LinkFailed(j, "compressed ground projector does not improve the cone")
-        overlaps.append(rep.overlap)
-        improving.append(rep.improving_ok)
-        held = _read_node(read, held, j, source)
+        yield j, source, rep
         source.release()
-    if read is not None:
-        if target is None:
-            target = NodeAnalysis(chain.nodes[0].hamiltonian, chain.nodes[0].cone, tol)
-        held = _read_node(read, held, len(chain.nodes) - 1, target)
-    if held is not None:
-        raise held
-    return ChainReport(tuple(overlaps), tuple(improving))
-
-
-def _read_node(read: Reader | None, held: Exception | None, j: int,
-               record: NodeAnalysis) -> Exception | None:
-    """Call ``read(j, record)`` unless there is no reader or an earlier
-    reading failed; return the first failure, to be raised after the links."""
-    if read is None or held is not None:
-        return held
-    try:
-        read(j, record)
-    except Exception as exc:  # noqa: BLE001 - raised once every link has passed
-        clear_frames(exc)  # the reading's frames hold node j's eigenbasis
-        return exc
-    return None
+    yield len(chain.nodes) - 1, target, None

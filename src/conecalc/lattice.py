@@ -196,8 +196,7 @@ def subset_embedding(spec: LatticeSpec, small: Subset, large: Subset) -> Embeddi
     return _kronecker_embedding(_node_space(spec, small), _node_space(spec, large), blocks)
 
 
-def build_node(spec: LatticeSpec, subset: Subset, tol: float = DEFAULT_TOL,
-               snap_to: np.ndarray | None = None) -> LatticeNode:
+def build_node(spec: LatticeSpec, subset: Subset, tol: float = DEFAULT_TOL) -> LatticeNode:
     """Construct and validate the node of one subset.
 
     Validation: the Hamiltonian is improving-class on the tensor cone, decided
@@ -208,17 +207,14 @@ def build_node(spec: LatticeSpec, subset: Subset, tol: float = DEFAULT_TOL,
     follows from that of every Y_mu (`verify_spec`), and the positivity of a
     sampled exponential from the criterion; both are test oracles only.
     """
-    o_spectrum = hermitian_eig(spec.observable)
-    if snap_to is None:
-        snap_to = np.concatenate([o_spectrum.eigenvalues, [0.0]])
-    return _build_node(spec, subset, tol, snap_to, o_spectrum)[0]
+    return _build_node(spec, subset, tol, hermitian_eig(spec.observable))[0]
 
 
-def _build_node(spec: LatticeSpec, subset: Subset, tol: float, snap_to,
+def _build_node(spec: LatticeSpec, subset: Subset, tol: float,
                 o_spectrum: Spectrum) -> tuple[LatticeNode, NodeAnalysis]:
     """`build_node` given the base observable's spectrum, also returning the
     node's record.  spec(tau O tau^*) is spec(O) and 0, so the extended
-    observable has the norm of the base one."""
+    observable has the norm of the base one and snaps to those values."""
     subset = tuple(sorted(subset))
     if spec.full_dim() > DIM_CAP:
         raise DimCap(f"total dimension {spec.full_dim()} exceeds cap {DIM_CAP}")
@@ -231,7 +227,8 @@ def _build_node(spec: LatticeSpec, subset: Subset, tol: float, snap_to,
         raise ClassificationFailed(f"H_{set(subset) or '{}'} is not improving-class")
 
     observable = emb.extend(spec.observable)
-    mu, mu_snapped = _quantum_number(node, observable, o_spectrum.norm, snap_to)
+    snap_to = np.concatenate([o_spectrum.eigenvalues, [0.0]])
+    mu, mu_snapped, _ = _quantum_number(node, observable, o_spectrum.norm, snap_to)
     return LatticeNode(subset, h, cone, emb, mu, mu_snapped, node.ground.energy), node
 
 
@@ -288,11 +285,10 @@ def build_lattice(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> HasseDiagram:
         )
 
     o_spectrum = hermitian_eig(spec.observable)
-    snap = np.concatenate([o_spectrum.eigenvalues, [0.0]])
     subsets = _all_subsets(spec.ell)
     # every node's record stays alive through the edge loop, which reads
     # the improving verdicts and ground states again
-    built = [_build_node(spec, s, tol, snap, o_spectrum) for s in subsets]
+    built = [_build_node(spec, s, tol, o_spectrum) for s in subsets]
     nodes = [node for node, _ in built]
     records = {node.subset: record for node, record in built}
 

@@ -22,6 +22,7 @@ from .errors import BadFactorization, DimMismatch, NonHermitian, NotDensityMatri
 
 DEFAULT_TOL = 1e-9
 HERMITIAN_TOL = 1e-12
+SIMPLE_GAP_FACTOR = 1e-8  # a ground state is simple when gap01 > this * ||H||
 DIM_CAP = 4096
 
 
@@ -89,20 +90,18 @@ class LinearOperator:
         """Spectral norm."""
         return float(np.linalg.norm(self.mat, 2))
 
-    def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
+    def is_hermitian(self) -> bool:
         scale = max(np.abs(self.mat).max(), 1e-300)
-        return float(np.abs(self.mat - self.mat.conj().T).max()) <= tol * scale
+        return float(np.abs(self.mat - self.mat.conj().T).max()) <= HERMITIAN_TOL * scale
 
-    def require_hermitian(self, tol: float = HERMITIAN_TOL) -> None:
-        """Raise `NonHermitian` unless `is_hermitian(tol)`.  The matrix is
-        immutable, so a passed check is remembered for its tolerance and
-        not repeated."""
-        passed = self.__dict__.setdefault("_hermitian_at", set())
-        if tol in passed:
+    def require_hermitian(self) -> None:
+        """Raise `NonHermitian` unless `is_hermitian()`.  The matrix is
+        immutable, so a passed check is remembered and not repeated."""
+        if self.__dict__.get("_hermitian"):
             return
-        if not self.is_hermitian(tol):
+        if not self.is_hermitian():
             raise NonHermitian(f"operator on {self.space!r} is not Hermitian")
-        passed.add(tol)
+        self.__dict__["_hermitian"] = True
 
     def __add__(self, other: "LinearOperator") -> "LinearOperator":
         self._check_same_space(other)
@@ -162,6 +161,13 @@ class Spectrum:
     def norm(self) -> float:
         """Spectral norm of the decomposed operator, max |lambda|."""
         return float(max(-self.eigenvalues[0], self.eigenvalues[-1]))
+
+    @property
+    def simple(self) -> bool:
+        """Whether the lowest eigenvalue is simple: gap01 above
+        SIMPLE_GAP_FACTOR times the norm.  Degenerate and nearly degenerate
+        ground states are refused, never resolved."""
+        return self.gap01 > SIMPLE_GAP_FACTOR * max(self.norm, 1e-300)
 
 
 def _fix_phases(vecs: np.ndarray) -> None:

@@ -56,7 +56,11 @@ def classify(op: LinearOperator, cone: SelfDualCone, tol: float = DEFAULT_TOL) -
     `improving` without voiding `preserving`.  A float64 M is real as it
     stands.
     """
-    m = cone.operator_coords(op)
+    return _classify(cone.operator_coords(op), tol)
+
+
+def _classify(m: np.ndarray, tol: float) -> PositivityReport:
+    """`classify` on the generator-basis matrix M itself."""
     scale = float(np.abs(m).max())
     if scale == 0.0:
         return PositivityReport(preserving=True, improving=False, real_form=True)
@@ -89,9 +93,7 @@ def dominates(a: LinearOperator, b: LinearOperator, cone: SelfDualCone,
               tol: float = DEFAULT_TOL) -> bool:
     """Operator order A >= B: both fix the real form and A-B preserves the cone."""
     for name, op in (("first", a), ("second", b)):
-        m = cone.operator_coords(op)
-        scale = max(float(np.abs(m).max()), 1e-300)
-        if np.iscomplexobj(m) and np.abs(m.imag).max() > tol * scale:
+        if not classify(op, cone, tol).real_form:
             raise NotRealForm(f"{name} operand does not preserve the real form")
     return classify(a - b, cone, tol).preserving
 
@@ -152,10 +154,10 @@ def is_ergodic(op: LinearOperator, cone: SelfDualCone, tol: float = DEFAULT_TOL)
     M[i, j] clears tol*max|M|, then BFS-checks that every ordered generator
     pair is connected by some power; walk lengths never need to exceed dim-1.
     """
-    report = classify(op, cone, tol)
-    if not report.preserving:
+    m = cone.operator_coords(op)
+    if not _classify(m, tol).preserving:
         raise NotPreserving("ergodicity is defined for cone-preserving operators only")
-    m = cone.operator_coords(op).real
+    m = m.real
     n = m.shape[0]
     scale = float(np.abs(m).max())
     thresh = tol * scale
@@ -170,13 +172,11 @@ def is_ergodic(op: LinearOperator, cone: SelfDualCone, tol: float = DEFAULT_TOL)
     return ErgodicityReport(failing is None, table, failing, borderline)
 
 
-def _metzler_offdiag_ok(m: np.ndarray, thresh: float) -> tuple[bool, Witness | None]:
+def _largest_offdiag(m: np.ndarray) -> float:
+    """The largest real part off the diagonal of M, -inf for a 1x1 M."""
     off = m.real.copy()
     np.fill_diagonal(off, -np.inf)
-    worst = np.unravel_index(np.argmax(off), off.shape)
-    if off[worst] > thresh:
-        return False, (int(worst[0]), int(worst[1]), complex(m[worst]))
-    return True, None
+    return float(off.max())
 
 
 def _metzler_coords(h: LinearOperator, cone: SelfDualCone, tol: float) -> np.ndarray | None:
@@ -188,8 +188,7 @@ def _metzler_coords(h: LinearOperator, cone: SelfDualCone, tol: float) -> np.nda
         return m
     if np.iscomplexobj(m) and np.abs(m.imag).max() > tol * scale:
         return None
-    ok, _ = _metzler_offdiag_ok(m, tol * scale)
-    return m if ok else None
+    return None if _largest_offdiag(m) > tol * scale else m
 
 
 def generates_positive_semigroup(h: LinearOperator, cone: SelfDualCone,
@@ -275,18 +274,16 @@ def _toward_cone(x: np.ndarray, cone: SelfDualCone) -> np.ndarray:
 
 
 def _oriented_ground(spec: Spectrum, cone: SelfDualCone, tol: float) -> GroundState:
-    scale = max(spec.norm, 1e-300)
-    simple = spec.gap01 > 1e-8 * scale
     psi = _toward_cone(spec.ground_vector, cone)
     strict = cone.strictly_positive(psi, tol)
-    return GroundState(spec.ground_energy, spec.gap01, simple, psi, strict)
+    return GroundState(spec.ground_energy, spec.gap01, spec.simple, psi, strict)
 
 
 def ground_state(h: LinearOperator, cone: SelfDualCone, tol: float = DEFAULT_TOL) -> GroundState:
     """Spectrum-derived ground-state record with cone diagnostics.
 
-    `simple` applies the relative gap threshold used everywhere for refusing
-    degenerate ground states, with the norm read from the same spectrum.
+    `simple` is `Spectrum.simple`, the relative gap threshold used
+    everywhere for refusing degenerate ground states.
     The eigenvector's global phase is chosen so that its generator
     coordinates sum to a nonnegative real number, so that the representative
     lying in the cone (when one exists) is the one reported.

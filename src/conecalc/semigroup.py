@@ -12,7 +12,7 @@ import numpy as np
 from .cones import SelfDualCone
 from .errors import Inconsistent, InputNotInClass, PreconditionFailed, SpectralBound
 from .numerics import DEFAULT_TOL, LinearOperator, hermitian_eig, op_exp
-from .positivity import classify, generates_positive_semigroup, is_ergodic
+from .positivity import _largest_offdiag, classify, generates_positive_semigroup, is_ergodic
 
 BETA_SAMPLES = (0.1, 1.0, 10.0)
 
@@ -49,9 +49,7 @@ def semigroup_positive_all_beta(h: LinearOperator, cone: SelfDualCone,
         raise Inconsistent("Metzler criterion holds but a sampled exponential fails")
     if not metzler and sampled:
         m = cone.operator_coords(h)
-        off = m.real.copy()
-        np.fill_diagonal(off, -np.inf)
-        worst = float(off.max())
+        worst = _largest_offdiag(m)
         norm_sq = float(np.linalg.norm(m, 2)) ** 2
         if worst > 0.0 and norm_sq > 0.0:
             refined = classify(op_exp(h, -worst / norm_sq), cone, tol).preserving

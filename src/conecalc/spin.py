@@ -14,7 +14,7 @@ from .cones import SelfDualCone, _signed_permutation_cone
 from .errors import DimCap, PreconditionFailed, SignRuleFailed
 from .inheritance import Embedding
 from .numerics import DEFAULT_TOL, LinearOperator, _kron, hermitian_eig
-from .positivity import NodeAnalysis
+from .positivity import NodeAnalysis, generates_positive_semigroup
 from .stability import _quantum_number
 
 SITE_CAP = 12
@@ -183,22 +183,21 @@ def _marshall_signs(n: int, sublattice: tuple[int, ...], basis: np.ndarray) -> n
     return 1.0 - 2.0 * parity
 
 
-def _sign_cone(system: SpinSystem, m: float, basis: np.ndarray, restricted: np.ndarray,
+def _sign_cone(system: SpinSystem, m: float, basis: np.ndarray, h: LinearOperator,
                tol: float) -> SelfDualCone:
-    """The Marshall-sign cone of a sector, once the sector matrix of the
-    Hamiltonian is Metzler in both the A and the B sign gauge."""
+    """The Marshall-sign cone of a sector, once the sector Hamiltonian
+    generates a positive semigroup on it.
+
+    The signs of sublattice B need no test of their own: every state of a
+    sector has the same number of down spins, so they are the signs of
+    sublattice A times one global sign, and both give the same matrix."""
     n = system.sites
-    scale = max(float(np.abs(restricted).max()), 1e-300)
-    signs_a = _marshall_signs(n, system.sublattice_a, basis)
-    for signs, gauge in ((signs_a, "A"), (_marshall_signs(n, system.sublattice_b, basis), "B")):
-        off = (restricted * np.outer(signs, signs)).real.copy()
-        np.fill_diagonal(off, -np.inf)
-        if off.max() > tol * scale:
-            raise SignRuleFailed(
-                f"restricted Hamiltonian is not Metzler in the {gauge}-gauge sign basis"
-            )
-    return _signed_permutation_cone(_sector_space(n, m), np.arange(basis.size), signs_a,
+    cone = _signed_permutation_cone(_sector_space(n, m), np.arange(basis.size),
+                                    _marshall_signs(n, system.sublattice_a, basis),
                                     label=f"marshall_M{m:g}")
+    if not generates_positive_semigroup(h, cone, tol):
+        raise SignRuleFailed("restricted Hamiltonian is not Metzler in the sign basis")
+    return cone
 
 
 def marshall_cone(system: SpinSystem, sector: MSector,
@@ -208,14 +207,15 @@ def marshall_cone(system: SpinSystem, sector: MSector,
     parity of down spins on sublattice A.
 
     Validity is not assumed: the restricted Hamiltonian (Marshall-Lieb-Mattis
-    by default, built in the sector basis) must come out Metzler in this
-    basis, in both the A and the B sign gauge, or the construction aborts.
+    by default, built in the sector basis) must be Hermitian and come out
+    Metzler in this basis, or the construction aborts.
     """
     basis = np.asarray(sector.indices, dtype=np.int64)
     if hamiltonian is None:
-        restricted = _exchange(system.sites, basis, _bipartite_pairs(system))
+        restricted = LinearOperator(_sector_space(system.sites, sector.m),
+                                    _exchange(system.sites, basis, _bipartite_pairs(system)))
     else:
-        restricted = sector.embedding.compress(hamiltonian).mat
+        restricted = sector.embedding.compress(hamiltonian)
     return _sign_cone(system, sector.m, basis, restricted, tol)
 
 
@@ -262,15 +262,14 @@ def verify_mlm(system: SpinSystem, m: float = 0.0, tol: float = DEFAULT_TOL) -> 
     """
     n = system.sites
     basis = _sector_basis(n, m)
-    h = _exchange(n, basis, _bipartite_pairs(system))
-    cone = _sign_cone(system, m, basis, h, tol)
-    h_r = LinearOperator(cone.space, h)
+    h_r = LinearOperator(_sector_space(n, m), _exchange(n, basis, _bipartite_pairs(system)))
+    cone = _sign_cone(system, m, basis, h_r, tol)
     o_r = LinearOperator(cone.space, _total_spin_sq(n, basis))
     node = NodeAnalysis(h_r, cone, tol)
     if not node.improving:
         raise SignRuleFailed("restricted Hamiltonian is not improving-class on the sign cone")
     o_spectrum = hermitian_eig(o_r)
-    mu, mu_snapped = _quantum_number(node, o_r, o_spectrum.norm, o_spectrum.eigenvalues)
+    mu, mu_snapped, _ = _quantum_number(node, o_r, o_spectrum.norm, o_spectrum.eigenvalues)
     s_star = abs(len(system.sublattice_a) - len(system.sublattice_b)) / 2.0
     s = max(s_star, abs(m))
     expected = s * (s + 1.0)

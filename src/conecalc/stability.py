@@ -23,6 +23,7 @@ from .errors import (
     NotInAPlus,
     NotSimple,
     PreconditionFailed,
+    clear_frames,
     clears_failure_frames,
 )
 from .inheritance import (
@@ -30,12 +31,14 @@ from .inheritance import (
     ChainNode,
     ChainReport,
     Embedding,
-    _verify_links,
+    _chain_report,
+    _passed_links,
     append_factor_embedding,
 )
 from .numerics import (
     DEFAULT_TOL,
     LinearOperator,
+    _check_density,
     _kron,
     hermitian_eig,
     identity,
@@ -134,46 +137,35 @@ class GoodQuantumNumber:
 
 
 def good_quantum_number(h: LinearOperator, o: LinearOperator, cone: SelfDualCone,
-                        tol: float = DEFAULT_TOL,
-                        snap_to: np.ndarray | None = None) -> GoodQuantumNumber:
+                        tol: float = DEFAULT_TOL) -> GoodQuantumNumber:
     """The observable's eigenvalue on the ground state of H.
 
     Requires H improving-class on the cone (so the ground state is simple and
-    strictly positive) and H commuting with O.  ``snap_to`` overrides the
-    candidate eigenvalue list, which chain verifications use so that every
-    node snaps against the same floats.  The reported commutator norm is the
-    largest singular value of HO - OH.
+    strictly positive) and H commuting with O, decided as for every chain
+    and lattice node.  The reported commutator norm is the largest singular
+    value of HO - OH.
     """
     h.require_hermitian()
     o.require_hermitian()
-    if h.dim != o.dim:
-        raise NotCommuting("operators act on different spaces")
     node = NodeAnalysis(h, cone, tol)
     o_spectrum = hermitian_eig(o)
+    mu, snapped, residual = _quantum_number(node, o, o_spectrum.norm, o_spectrum.eigenvalues)
     comm = float(np.linalg.norm(_commutator(h.mat, o.mat), 2))
-    if not comm <= COMMUTATOR_TOL * max(node.norm * o_spectrum.norm, 1e-300):
-        raise NotCommuting("Hamiltonian does not commute with the observable")
-    candidates = o_spectrum.eigenvalues if snap_to is None else snap_to
-    mu, snapped, residual = _read_quantum_number(node, o, o_spectrum.norm, candidates)
     return GoodQuantumNumber(mu, snapped, residual, comm, node.ground)
 
 
 def _quantum_number(node: NodeAnalysis, o: LinearOperator, o_norm: float,
-                    candidates) -> tuple[float, float]:
-    """`good_quantum_number` from a node's record and the observable's norm,
-    for callers that report neither the commutator norm nor the residual:
-    (mu, snapped mu), read on ``node.ground``."""
+                    candidates) -> tuple[float, float, float]:
+    """The quantum number of O on ``node.ground``, given the norm of O and
+    the eigenvalues to snap to: (mu, snapped mu, residual |O psi - mu psi|).
+
+    H must commute with O, be improving-class on the node's cone and have a
+    simple ground state, which must be an eigenvector of O.
+    """
     if node.hamiltonian.dim != o.dim:
         raise NotCommuting("operators act on different spaces")
     if not _commutes(node.hamiltonian.mat, o.mat, node.norm * o_norm):
         raise NotCommuting("Hamiltonian does not commute with the observable")
-    return _read_quantum_number(node, o, o_norm, candidates)[:2]
-
-
-def _read_quantum_number(node: NodeAnalysis, o: LinearOperator, o_norm: float,
-                         candidates) -> tuple[float, float, float]:
-    """The checks and readings of `good_quantum_number` that follow the
-    commutation test."""
     if not node.improving:
         raise NotInAPlus("Hamiltonian is not improving-class on the cone")
     g = node.ground
@@ -254,59 +246,51 @@ def quantum_number_along_chain(chain: ArrowChain, o: LinearOperator,
 def _chain_pass(chain: ArrowChain, o: LinearOperator,
                 tol: float) -> tuple[ChainReport, ChainMuReport]:
     """`quantum_number_along_chain`, also returning the chain's link report;
-    a failed link raises `LinkFailed` itself."""
-    reading = _ChainReading(chain, o)
-    links = _verify_links(chain, tol, reading)
-    return links, reading.report(links)
+    a failed link raises `LinkFailed` itself.
 
-
-class _ChainReading:
-    """The quantum numbers of a chain, read node by node by the link pass
-    of `inheritance._verify_links`, which holds their failures.
-
-    A class and not a closure: a failure's traceback keeps every frame it
-    passed through, and a frame, even cleared, keeps its function and so
-    any closure cells, which here would hold the chain.
+    Node j is read as `_passed_links` hands it over.  The observable is
+    pushed forward to node j+1 only then, after link j has decomposed that
+    node, so that its eigh workspace and this n x n matrix are never alive
+    together.  spec(tau O tau^*) is spec(O) and 0, so every pushed-forward
+    observable has the norm of O.  The first reading failure is held, its
+    frames cleared, since they hold node j's eigenbasis; no later node is
+    read, and it is raised only once every link has passed.
     """
-
-    def __init__(self, chain: ArrowChain, o: LinearOperator):
-        self.chain = chain
-        self.observable = o  # pushed forward to each node in turn
-        self.values, self.snapped, self.crossings = [], [], []
-
-    def __call__(self, j: int, record: NodeAnalysis) -> None:
-        if j == 0:
-            o_spectrum = hermitian_eig(self.observable)
-            self.base_candidates = o_spectrum.eigenvalues
-            self.extended_candidates = np.concatenate([self.base_candidates, [0.0]])
-            # spec(tau O tau^*) is spec(O) and 0, so every pushed-forward
-            # observable has the norm of O
-            self.o_norm = o_spectrum.norm
-        candidates = self.base_candidates if j == 0 else self.extended_candidates
+    links, values, snapped, crossings = [], [], [], []
+    held = None
+    for j, record, link in _passed_links(chain, tol):
+        if link is not None:
+            links.append(link)
+        if held is not None:
+            continue
         try:
-            mu, mu_snapped = _quantum_number(record, self.observable, self.o_norm, candidates)
-        except (NotCommuting, NotSimple, NotInAPlus) as exc:
-            raise _indexed(type(exc)(f"node {j}: {exc}"), j) from exc
-        self.values.append(mu)
-        self.snapped.append(mu_snapped)
-        if mu_snapped != self.snapped[0]:
-            raise MuMismatch(j, self.snapped[0], mu_snapped)
-        psi = record.ground.vector
-        if j:  # <O psi_{j-1}, tau^* psi_j>, the left side of link j-1's telescope
-            self.crossings.append(
-                complex(np.vdot(self.o_psi, self.chain.embeddings[j - 1].pull(psi))))
-        if j < len(self.chain.embeddings):
-            self.o_psi = self.observable.mat @ psi
-            # pushed forward only after link j has decomposed node j+1, so
-            # that its eigh workspace and this n x n matrix are never alive
-            # together
-            self.observable = self.chain.embeddings[j].extend(self.observable)
-
-    def report(self, links: ChainReport) -> ChainMuReport:
-        telescopes = tuple(abs(lhs - self.snapped[j] * links.overlaps[j])
-                           for j, lhs in enumerate(self.crossings))
-        return ChainMuReport(tuple(self.values), tuple(self.snapped), links.overlaps,
-                             telescopes)
+            if j == 0:
+                o_spectrum = hermitian_eig(o)
+                extended_candidates = np.concatenate([o_spectrum.eigenvalues, [0.0]])
+            candidates = o_spectrum.eigenvalues if j == 0 else extended_candidates
+            try:
+                mu, mu_snapped, _ = _quantum_number(record, o, o_spectrum.norm, candidates)
+            except (NotCommuting, NotSimple, NotInAPlus) as exc:
+                raise _indexed(type(exc)(f"node {j}: {exc}"), j) from exc
+            values.append(mu)
+            snapped.append(mu_snapped)
+            if mu_snapped != snapped[0]:
+                raise MuMismatch(j, snapped[0], mu_snapped)
+            if j:  # <O psi_{j-1}, tau^* psi_j>, the left side of link j-1's telescope
+                crossings.append(complex(
+                    np.vdot(o_psi, chain.embeddings[j - 1].pull(record.ground.vector))))
+            if link is not None:
+                o_psi = o.mat @ record.ground.vector
+                o = chain.embeddings[j].extend(o)
+        except Exception as exc:  # noqa: BLE001 - raised once every link has passed
+            clear_frames(exc)
+            held = exc
+    if held is not None:
+        raise held
+    report = _chain_report(links)
+    telescopes = tuple(abs(lhs - snapped[j] * report.overlaps[j])
+                       for j, lhs in enumerate(crossings))
+    return report, ChainMuReport(tuple(values), tuple(snapped), report.overlaps, telescopes)
 
 
 def extension_tower(h: LinearOperator, cone: SelfDualCone, o: LinearOperator,
@@ -391,10 +375,7 @@ def relative_entropy(rho: LinearOperator, sigma: LinearOperator,
     if rho.dim != sigma.dim:
         raise NotDensityMatrix("density matrices live on different spaces")
     for op in (rho, sigma):
-        vals = np.linalg.eigvalsh(0.5 * (op.mat + op.mat.conj().T))
-        if vals.min() < -1e-10 or abs(np.trace(op.mat).real - 1.0) > 1e-10 \
-                or np.abs(op.mat - op.mat.conj().T).max() > 1e-10:
-            raise NotDensityMatrix("expected a PSD trace-one operator")
+        _check_density(op.mat)
 
     p_vals, p_vecs = np.linalg.eigh(0.5 * (rho.mat + rho.mat.conj().T))
     s_vals, s_vecs = np.linalg.eigh(0.5 * (sigma.mat + sigma.mat.conj().T))
@@ -447,7 +428,7 @@ def ground_state_factorizes(h2: LinearOperator, h_star: LinearOperator,
     spec2 = hermitian_eig(h2)
     spec_star = hermitian_eig(h_star)
     for name, spec in (("joint", spec2), ("base", spec_star)):
-        if spec.gap01 <= 1e-8 * max(spec.norm, 1e-300):
+        if not spec.simple:
             raise NotSimple(f"{name} Hamiltonian has a degenerate ground state")
     psi = spec2.ground_vector
     psi_star = spec_star.ground_vector

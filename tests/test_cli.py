@@ -364,6 +364,36 @@ def test_spin_sites_past_the_cap_fail_before_any_site_list_is_built():
     assert peak < 1_000_000
 
 
+TROTTER_TEXT = (CONFIGS / "trotter_pair.json").read_text()
+RICHNESS_TEXT = (CONFIGS / "richness_depth5.json").read_text()
+STABILITY_TEXT = (CONFIGS / "stability_demo.json").read_text()
+
+
+@pytest.mark.parametrize("task, text, message", [
+    pytest.param("trotter", TROTTER_TEXT.replace('"s": 0.7', '"s": "abc"'), "trotter s",
+                 id="trotter-s-string"),
+    pytest.param("trotter", TROTTER_TEXT.replace('"s": 0.7', '"s": true'), "trotter s",
+                 id="trotter-s-bool"),
+    pytest.param("trotter", TROTTER_TEXT.replace('"t": 1.1', '"t": [1]'), "trotter t",
+                 id="trotter-t-list"),
+    pytest.param("trotter", TROTTER_TEXT.replace('"beta": 1.0', '"beta": "nan"'),
+                 "trotter beta", id="trotter-beta-nan-string"),
+    pytest.param("trotter", TROTTER_TEXT.replace('"beta": 1.0', '"beta": 1e400'),
+                 "trotter beta", id="trotter-beta-overflow"),
+    pytest.param("trotter", TROTTER_TEXT.replace('"n_values": [1, 2,', '"n_values": [true, 2,'),
+                 "n_values", id="trotter-n-values-bool"),
+    pytest.param("richness", RICHNESS_TEXT.replace('"depth": 5', '"depth": true'), "depth",
+                 id="richness-depth-bool"),
+    pytest.param("richness", RICHNESS_TEXT.replace('"base": 2', '"base": true'), "space",
+                 id="space-dim-bool"),
+    pytest.param("stability", STABILITY_TEXT.replace('"depth": 2', '"depth": true'),
+                 "tower depth", id="tower-depth-bool"),
+])
+def test_malformed_number_exits_two_and_writes_nothing(task, text, message, tmp_path, capsys):
+    err = assert_schema_error_writes_nothing(task, text, [], tmp_path, capsys)
+    assert err.startswith(f"conecalc: schema error: {message}")
+
+
 CHAIN_TEXT = (CONFIGS / "chain_two_level.json").read_text()
 ORTHANT_P0 = '{"name": "P0", "kind": "orthant", "space": "base"}'
 UP_VECTOR = '"vector": [0.7071067811865476, 0.7071067811865476]'

@@ -393,12 +393,18 @@ def test_irreducibility_needs_no_reach_table(monkeypatch):
         is_ergodic(op("s", np.roll(np.eye(3), 1, axis=0)), cone)
 
 
-@pytest.mark.parametrize("mat, improving", [
-    pytest.param(-SIGMA_X, True, id="improving"),
-    pytest.param(np.diag([1.0, 2.0]), False, id="reducible"),
-    pytest.param(SIGMA_X, False, id="not-metzler"),
+def ergodic(h, cone):
+    return is_ergodic(h, cone).ergodic
+
+
+@pytest.mark.parametrize("check, mat, verdict", [
+    pytest.param(generates_improving_semigroup, -SIGMA_X, True, id="improving"),
+    pytest.param(generates_improving_semigroup, np.diag([1.0, 2.0]), False, id="reducible"),
+    pytest.param(generates_improving_semigroup, SIGMA_X, False, id="not-metzler"),
+    pytest.param(ergodic, SIGMA_X, True, id="ergodic"),
+    pytest.param(ergodic, np.eye(2), False, id="not-ergodic"),
 ])
-def test_improving_check_reads_the_generator_basis_once(monkeypatch, mat, improving):
+def test_improving_check_reads_the_generator_basis_once(monkeypatch, check, mat, verdict):
     calls = []
     original = SelfDualCone.operator_coords
 
@@ -407,7 +413,7 @@ def test_improving_check_reads_the_generator_basis_once(monkeypatch, mat, improv
         return original(self, operator)
 
     monkeypatch.setattr(SelfDualCone, "operator_coords", counting)
-    assert generates_improving_semigroup(op("s", mat), orthant("s", 2)) == improving
+    assert check(op("s", mat), orthant("s", 2)) == verdict
     assert len(calls) == 1
 
 

@@ -15,7 +15,7 @@ from conftest import (
 )
 
 from conecalc import spin
-from conecalc.errors import DimCap, PreconditionFailed, SignRuleFailed
+from conecalc.errors import DimCap, NonHermitian, PreconditionFailed, SignRuleFailed
 from conecalc.inheritance import Embedding
 from conecalc.numerics import hermitian_eig
 from conecalc.positivity import generates_improving_semigroup, ground_state
@@ -186,6 +186,29 @@ class TestMarshallCone:
         flipped = type(h)(h.space, -h.mat)
         with pytest.raises(SignRuleFailed):
             marshall_cone(system, sector, flipped)
+
+    def test_non_hermitian_hamiltonian_is_refused(self):
+        system = SpinSystem(2, (1,), (2,))
+        h = mlm_hamiltonian(system)
+        skew = type(h)(h.space, h.mat + np.triu(np.ones((4, 4)), 1))
+        with pytest.raises(NonHermitian):
+            marshall_cone(system, m_sector(2, 0.0), skew)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_both_sublattice_sign_gauges_give_one_matrix(n):
+    # every state of a sector has n/2 - M down spins, so the B signs are the
+    # A signs times one global sign: testing the A gauge alone suffices
+    basis = np.arange(2 ** n)
+    downs = spin._down_count(n, basis)
+    for mask in range(2 ** (n - 1)):  # A holds site n; swapping A and B swaps the gauges
+        a = tuple(x for x in range(1, n + 1) if x == n or mask >> (x - 1) & 1)
+        b = tuple(x for x in range(1, n + 1) if x not in a)
+        for k in range(n + 1):
+            sector = basis[downs == k]
+            signs_a = spin._marshall_signs(n, a, sector)
+            signs_b = spin._marshall_signs(n, b, sector)
+            assert np.array_equal(np.outer(signs_a, signs_a), np.outer(signs_b, signs_b))
 
 
 class TestVerifyMlm:

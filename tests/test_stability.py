@@ -44,12 +44,14 @@ from conecalc.inheritance import (
 )
 from conecalc.numerics import (
     DEFAULT_TOL,
+    SIMPLE_GAP_FACTOR,
     LinearOperator,
     hermitian_eig,
     identity,
     kron,
     op_exp_unitary,
 )
+from conecalc.positivity import ground_state
 from conecalc.spin import m_sector
 from conecalc.stability import (
     COMMUTATOR_TOL,
@@ -673,6 +675,32 @@ class TestGroundStateFactorizes:
         rep = ground_state_factorizes(h2, h_star, orthant("e", 1))
         assert rep.weak
         assert np.allclose(rep.omega, [1.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("factor, simple", [
+    pytest.param(1 - 1e-3, False, id="just-below"),
+    pytest.param(1 + 1e-3, True, id="just-above"),
+])
+def test_every_simplicity_check_shares_one_threshold(factor, simple):
+    # 1 - d sigma_x has gap 2d and norm 1 + d, so d puts gap / norm at
+    # factor * SIMPLE_GAP_FACTOR; the ground state is uniform, with sigma_x = 1
+    ratio = factor * SIMPLE_GAP_FACTOR
+    d = ratio / (2.0 - ratio)
+    h = op("s", np.eye(2) - d * PAULI_X)
+    cone = orthant("s", 2)
+    spec = hermitian_eig(h)
+    assert spec.gap01 / spec.norm == pytest.approx(ratio, rel=1e-5)
+    assert spec.simple is simple
+    assert ground_state(h, cone).simple is simple
+    h2 = LinearOperator("s*e", h.mat)
+    if simple:
+        assert good_quantum_number(h, op("s", PAULI_X), cone).snapped == 1.0
+        assert ground_state_factorizes(h2, h, orthant("e", 1)).weak
+    else:
+        with pytest.raises(NotSimple):
+            good_quantum_number(h, op("s", PAULI_X), cone)
+        with pytest.raises(NotSimple):
+            ground_state_factorizes(h2, h, orthant("e", 1))
 
 
 class TestStabilityClassStructure:
