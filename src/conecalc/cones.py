@@ -23,6 +23,7 @@ from .errors import DimMismatch, NotReal
 from .numerics import DEFAULT_TOL, LinearOperator, _freeze, _kron, _numeric, product_space
 
 GENERATOR_ORTHO_TOL = 1e-10
+JORDAN_TOL = 1e-10  # a vector is involution-fixed when |Im c| <= this * |x|
 
 
 class _SignedPermutation:
@@ -195,12 +196,12 @@ class SelfDualCone:
         """
         return self.from_coords(self.coords(x).conjugate())
 
-    def jordan_decompose(self, x: np.ndarray, tol: float = 1e-10) -> "JordanParts":
+    def jordan_decompose(self, x: np.ndarray) -> "JordanParts":
         """Split an involution-fixed vector as plus - minus with both parts in
         the cone and orthogonal to each other."""
         c = self.coords(x)
         scale = max(float(np.linalg.norm(x)), 1e-300)
-        if np.abs(c.imag).max() > tol * scale:
+        if np.abs(c.imag).max() > JORDAN_TOL * scale:
             raise NotReal("vector is not fixed by the cone involution")
         pos = np.clip(c.real, 0.0, None)
         neg = np.clip(-c.real, 0.0, None)

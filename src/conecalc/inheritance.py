@@ -15,7 +15,6 @@ from .errors import ArrowFailed, DimMismatch, LinkFailed, clears_failure_frames
 from .numerics import DEFAULT_TOL, LinearOperator, _freeze, _kron, _numeric
 from .positivity import NodeAnalysis, classify
 
-INHERIT_TOL = 1e-8
 TOL_LIMIT = float(np.sqrt(0.5))  # inherits_positivity needs tol below this
 ISOMETRY_TOL = 1e-10
 
@@ -165,7 +164,7 @@ def conditional_expectation(emb: Embedding, a: LinearOperator) -> LinearOperator
 
 
 def inherits_positivity(p1: SelfDualCone, p2: SelfDualCone, emb: Embedding,
-                        tol: float = INHERIT_TOL) -> bool:
+                        tol: float = DEFAULT_TOL) -> bool:
     """Whether the small cone is exactly the projection of the big one.
 
     Three conditions: the projection preserves the big cone; every pulled-back
@@ -227,39 +226,20 @@ class ArrowResult:
         return self.ok
 
 
-Records = tuple[NodeAnalysis, NodeAnalysis]
-
-
-def _pair_records(h1: LinearOperator, p1: SelfDualCone, h2: LinearOperator,
-                  p2: SelfDualCone, tol: float, records: Records | None) -> Records:
-    """The two Hamiltonians' records: the passed ones, which must describe
-    exactly these operators, cones and tolerance, or fresh ones."""
-    if records is None:
-        return NodeAnalysis(h1, p1, tol), NodeAnalysis(h2, p2, tol)
-    for record, h, p in zip(records, (h1, h2), (p1, p2)):
-        if record.hamiltonian is not h or record.cone is not p or record.tol != tol:
-            raise ValueError("record does not describe this Hamiltonian, cone and tolerance")
-    return records
-
-
-def check_arrow(h1: LinearOperator, p1: SelfDualCone,
-                h2: LinearOperator, p2: SelfDualCone,
-                emb: Embedding, tol: float = DEFAULT_TOL, *,
-                records: Records | None = None) -> ArrowResult:
-    """Verify the ordered pair: both Hamiltonians improving-class on their
-    cones, and the small cone inherited through the embedding.
-
-    ``records`` are the two Hamiltonians' `NodeAnalysis` on these cones at
-    this tolerance; their improving verdicts are read instead of recomputed.
+def check_arrow(source: NodeAnalysis, target: NodeAnalysis, emb: Embedding) -> ArrowResult:
+    """Verify the ordered pair (H1, P1) -> (H2, P2) of two records: both
+    Hamiltonians improving-class on their cones, and the small cone inherited
+    through the embedding.  Every test runs at the records' one tolerance.
     """
-    a1, a2 = _pair_records(h1, p1, h2, p2, tol, records)
+    if source.tol != target.tol:
+        raise ValueError(f"records at tolerances {source.tol!r} and {target.tol!r}")
     reasons = []
     try:
-        if not a1.improving:
+        if not source.improving:
             reasons.append("source Hamiltonian is not improving-class on its cone")
-        if not a2.improving:
+        if not target.improving:
             reasons.append("target Hamiltonian is not improving-class on its cone")
-        if not inherits_positivity(p1, p2, emb, tol):
+        if not inherits_positivity(source.cone, target.cone, emb, source.tol):
             reasons.append("cone inheritance failed")
     except DimMismatch as exc:
         reasons.append(f"dimension mismatch: {exc}")
@@ -272,29 +252,43 @@ class OverlapReport:
     improving_ok: bool
 
 
-def ground_overlap(h1: LinearOperator, p1: SelfDualCone,
-                   h2: LinearOperator, p2: SelfDualCone,
-                   emb: Embedding, tol: float = DEFAULT_TOL, *,
-                   records: Records | None = None) -> OverlapReport:
-    """Strict-positivity propagation across one verified pair.
+def ground_overlap(source: NodeAnalysis, target: NodeAnalysis, emb: Embedding) -> OverlapReport:
+    """Strict-positivity propagation across one verified pair of records.
 
     Reports the inner product of the source ground state with the projected
     target ground state (strictly positive for a genuine pair) and whether
-    the compressed ground-state projector improves the small cone.  Verdicts
-    and ground states are read from ``records`` when given (see
-    `check_arrow`), so a caller holding them decomposes nothing again.
+    the compressed ground-state projector improves the small cone.  The
+    verdicts and ground states are the records' own, so a caller holding
+    them decomposes nothing again.
     """
-    a1, a2 = _pair_records(h1, p1, h2, p2, tol, records)
-    arrow = check_arrow(h1, p1, h2, p2, emb, tol, records=(a1, a2))
+    arrow = check_arrow(source, target, emb)
     if not arrow:
         raise ArrowFailed("; ".join(arrow.reasons))
-    pulled = emb.pull(a2.ground.vector)
-    overlap = complex(np.vdot(a1.ground.vector, pulled))
+    tol = source.tol
+    pulled = emb.pull(target.ground.vector)
+    overlap = complex(np.vdot(source.ground.vector, pulled))
     compressed = LinearOperator(emb.from_space, np.outer(pulled, pulled.conj()))
-    improving = classify(compressed, p1, tol).improving
+    improving = classify(compressed, source.cone, tol).improving
     if abs(overlap.imag) > tol * max(1.0, abs(overlap.real)):
         return OverlapReport(float(overlap.real), False)
     return OverlapReport(float(overlap.real), improving)
+
+
+def _verified_link(index: int, source: NodeAnalysis, target: NodeAnalysis,
+                   emb: Embedding, label: str = "") -> OverlapReport:
+    """The link verdict of chains and lattice edges alike: the arrow
+    verifies, the ground overlap is strictly positive, and the compressed
+    ground projector improves the source cone.  Any other outcome raises
+    `LinkFailed` at ``index``, its reason prefixed by ``label``."""
+    try:
+        rep = ground_overlap(source, target, emb)
+    except ArrowFailed as exc:
+        raise LinkFailed(index, f"{label}{exc}") from exc
+    if rep.overlap <= source.tol:
+        raise LinkFailed(index, f"{label}ground overlap {rep.overlap!r} is not strictly positive")
+    if not rep.improving_ok:
+        raise LinkFailed(index, f"{label}compressed ground projector does not improve the cone")
+    return rep
 
 
 @dataclass(frozen=True, eq=False)
@@ -426,15 +420,6 @@ def _passed_links(chain: ArrowChain, tol: float
         else:
             source = target.on_cone(src.cone)
         target = NodeAnalysis(dst.hamiltonian, dst.cone_in, tol)
-        try:
-            rep = ground_overlap(src.hamiltonian, src.cone, dst.hamiltonian, dst.cone_in,
-                                 emb, tol, records=(source, target))
-        except ArrowFailed as exc:
-            raise LinkFailed(j, str(exc)) from exc
-        if rep.overlap <= tol:
-            raise LinkFailed(j, f"ground overlap {rep.overlap!r} is not strictly positive")
-        if not rep.improving_ok:
-            raise LinkFailed(j, "compressed ground projector does not improve the cone")
-        yield j, source, rep
+        yield j, source, _verified_link(j, source, target, emb)
         source.release()
     yield len(chain.nodes) - 1, target, None

@@ -12,8 +12,8 @@ from itertools import combinations
 import numpy as np
 
 from .cones import SelfDualCone, orthant, tensor_cone
-from .errors import ArrowFailed, ClassificationFailed, DimCap, LinkFailed, SpecFailed
-from .inheritance import Embedding, _kronecker_embedding, ground_overlap
+from .errors import ClassificationFailed, DimCap, SpecFailed
+from .inheritance import Embedding, _kronecker_embedding, _verified_link
 from .numerics import (
     DEFAULT_TOL,
     DIM_CAP,
@@ -28,6 +28,7 @@ from .positivity import NodeAnalysis, classify, generates_improving_semigroup, i
 from .stability import _quantum_number, commutes_with_observable
 
 Subset = tuple[int, ...]
+UNIFORM_EIGEN_TOL = 1e-10  # |Y w - lambda w| <= this * max(1, ||Y||) for the uniform w
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,7 +127,8 @@ def verify_spec(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> SpecReport:
         w = _uniform(n)
         image = y.mat @ w
         lam = float(np.vdot(w, image).real)
-        y_uniform.append(bool(np.linalg.norm(image - lam * w) <= 1e-10 * max(1.0, y.norm())))
+        y_uniform.append(bool(np.linalg.norm(image - lam * w)
+                              <= UNIFORM_EIGEN_TOL * max(1.0, y.norm())))
 
     h0_improving = generates_improving_semigroup(spec.h0, spec.cone, tol)
     if not h0_improving:
@@ -272,8 +274,9 @@ def build_lattice(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> HasseDiagram:
 
     The standing assumptions are checked first (`verify_spec`), and the
     diagram carries that report.  Nodes are constructed in (size,
-    lexicographic) order, then each covering pair (I, I u {mu}) is checked as
-    a full arrow with strict ground overlap.
+    lexicographic) order, then each covering pair (I, I u {mu}) is decided
+    by the link verdict of chains: a full arrow, a strictly positive ground
+    overlap and a compressed ground projector that improves the small cone.
     """
     report = verify_spec(spec, tol)
     if not report.ok:
@@ -306,16 +309,8 @@ def build_lattice(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> HasseDiagram:
             if mu in small:
                 continue
             large = tuple(sorted(small + (mu,)))
-            idx = len(edges)
-            emb = subset_embedding(spec, small, large)
-            a, b = records[small], records[large]
-            try:
-                rep = ground_overlap(a.hamiltonian, a.cone, b.hamiltonian, b.cone, emb, tol,
-                                     records=(a, b))
-            except ArrowFailed as exc:
-                raise LinkFailed(idx, f"{small} -> {large}: {exc}") from exc
-            if rep.overlap <= tol or not rep.improving_ok:
-                raise LinkFailed(idx, f"{small} -> {large}: overlap {rep.overlap!r}")
+            rep = _verified_link(len(edges), records[small], records[large],
+                                 subset_embedding(spec, small, large), f"{small} -> {large}: ")
             edges.append((small, large))
             overlaps.append(rep.overlap)
     return HasseDiagram(tuple(nodes), tuple(edges), tuple(overlaps), report)

@@ -24,6 +24,7 @@ DEFAULT_TOL = 1e-9
 HERMITIAN_TOL = 1e-12
 SIMPLE_GAP_FACTOR = 1e-8  # a ground state is simple when gap01 > this * ||H||
 DIM_CAP = 4096
+DENSITY_TOL = 1e-10  # Hermiticity, unit trace and eigenvalues >= -this of a density matrix
 
 
 def _numeric(a) -> np.ndarray:
@@ -225,13 +226,13 @@ def kron(a: LinearOperator, b: LinearOperator) -> LinearOperator:
     return _adopt(product_space(a.space, b.space), _kron(a.mat, b.mat))
 
 
-def _check_density(mat: np.ndarray, tol: float = 1e-10) -> None:
+def _check_density(mat: np.ndarray) -> None:
     scale = max(np.abs(mat).max(), 1.0)
-    if np.abs(mat - mat.conj().T).max() > tol * scale:
+    if np.abs(mat - mat.conj().T).max() > DENSITY_TOL * scale:
         raise NotDensityMatrix("not Hermitian")
-    if abs(np.trace(mat).real - 1.0) > tol or abs(np.trace(mat).imag) > tol:
+    if abs(np.trace(mat).real - 1.0) > DENSITY_TOL or abs(np.trace(mat).imag) > DENSITY_TOL:
         raise NotDensityMatrix(f"trace is {np.trace(mat):.3e}, expected 1")
-    if np.linalg.eigvalsh(0.5 * (mat + mat.conj().T)).min() < -tol:
+    if np.linalg.eigvalsh(0.5 * (mat + mat.conj().T)).min() < -DENSITY_TOL:
         raise NotDensityMatrix("negative eigenvalue")
 
 
@@ -244,8 +245,13 @@ def partial_trace(rho: LinearOperator, keep_dim: int) -> LinearOperator:
     d = rho.dim
     if keep_dim < 1 or d % keep_dim != 0:
         raise BadFactorization(f"dim {d} does not factor with first factor {keep_dim}")
-    env_dim = d // keep_dim
     _check_density(rho.mat)
+    return _reduced(rho, keep_dim)
+
+
+def _reduced(rho: LinearOperator, keep_dim: int) -> LinearOperator:
+    """`partial_trace` of an operator already known to factor and to be a
+    density matrix."""
+    env_dim = rho.dim // keep_dim
     blocks = rho.mat.reshape(keep_dim, env_dim, keep_dim, env_dim)
-    reduced = np.einsum("ijkj->ik", blocks)
-    return LinearOperator(f"{rho.space}[0:{keep_dim}]", reduced)
+    return LinearOperator(f"{rho.space}[0:{keep_dim}]", np.einsum("ijkj->ik", blocks))

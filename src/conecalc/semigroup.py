@@ -15,12 +15,13 @@ from .numerics import DEFAULT_TOL, LinearOperator, hermitian_eig, op_exp
 from .positivity import _largest_offdiag, classify, generates_positive_semigroup, is_ergodic
 
 BETA_SAMPLES = (0.1, 1.0, 10.0)
+RESOLVENT_MARGIN = 1e-10  # s must exceed the spectral bound -E(H) by more than this
 
 
 def resolvent(h: LinearOperator, s: float) -> LinearOperator:
     """(H + s)^{-1} for s strictly above the spectral bound -E(H)."""
     spec = hermitian_eig(h)
-    if s <= -spec.ground_energy + 1e-10:
+    if s <= -spec.ground_energy + RESOLVENT_MARGIN:
         raise SpectralBound(
             f"s = {s!r} is not above the spectral bound {-spec.ground_energy!r}"
         )

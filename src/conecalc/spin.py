@@ -18,6 +18,7 @@ from .positivity import NodeAnalysis, generates_positive_semigroup
 from .stability import _quantum_number
 
 SITE_CAP = 12
+TOTAL_SPIN_TOL = 1e-8  # a sector passes when |snapped mu - S(S+1)| <= this
 
 _HALF_PAULI = (
     np.array([[0.0, 0.5], [0.5, 0.0]]),
@@ -183,21 +184,21 @@ def _marshall_signs(n: int, sublattice: tuple[int, ...], basis: np.ndarray) -> n
     return 1.0 - 2.0 * parity
 
 
-def _sign_cone(system: SpinSystem, m: float, basis: np.ndarray, h: LinearOperator,
-               tol: float) -> SelfDualCone:
-    """The Marshall-sign cone of a sector, once the sector Hamiltonian
-    generates a positive semigroup on it.
+def _sign_cone(system: SpinSystem, m: float, basis: np.ndarray) -> SelfDualCone:
+    """The Marshall-sign cone of a sector, its validity not yet tested.
 
-    The signs of sublattice B need no test of their own: every state of a
+    The signs of sublattice B need no cone of their own: every state of a
     sector has the same number of down spins, so they are the signs of
     sublattice A times one global sign, and both give the same matrix."""
     n = system.sites
-    cone = _signed_permutation_cone(_sector_space(n, m), np.arange(basis.size),
+    return _signed_permutation_cone(_sector_space(n, m), np.arange(basis.size),
                                     _marshall_signs(n, system.sublattice_a, basis),
                                     label=f"marshall_M{m:g}")
+
+
+def _require_metzler(h: LinearOperator, cone: SelfDualCone, tol: float) -> None:
     if not generates_positive_semigroup(h, cone, tol):
         raise SignRuleFailed("restricted Hamiltonian is not Metzler in the sign basis")
-    return cone
 
 
 def marshall_cone(system: SpinSystem, sector: MSector,
@@ -216,7 +217,9 @@ def marshall_cone(system: SpinSystem, sector: MSector,
                                     _exchange(system.sites, basis, _bipartite_pairs(system)))
     else:
         restricted = sector.embedding.compress(hamiltonian)
-    return _sign_cone(system, sector.m, basis, restricted, tol)
+    cone = _sign_cone(system, sector.m, basis)
+    _require_metzler(restricted, cone, tol)
+    return cone
 
 
 @dataclass(frozen=True)
@@ -263,17 +266,18 @@ def verify_mlm(system: SpinSystem, m: float = 0.0, tol: float = DEFAULT_TOL) -> 
     n = system.sites
     basis = _sector_basis(n, m)
     h_r = LinearOperator(_sector_space(n, m), _exchange(n, basis, _bipartite_pairs(system)))
-    cone = _sign_cone(system, m, basis, h_r, tol)
-    o_r = LinearOperator(cone.space, _total_spin_sq(n, basis))
+    cone = _sign_cone(system, m, basis)
     node = NodeAnalysis(h_r, cone, tol)
-    if not node.improving:
+    if not node.improving:  # the Metzler test is read again only to name the failure
+        _require_metzler(h_r, cone, tol)
         raise SignRuleFailed("restricted Hamiltonian is not improving-class on the sign cone")
+    o_r = LinearOperator(cone.space, _total_spin_sq(n, basis))
     o_spectrum = hermitian_eig(o_r)
     mu, mu_snapped, _ = _quantum_number(node, o_r, o_spectrum.norm, o_spectrum.eigenvalues)
     s_star = abs(len(system.sublattice_a) - len(system.sublattice_b)) / 2.0
     s = max(s_star, abs(m))
     expected = s * (s + 1.0)
-    ok = abs(mu_snapped - expected) <= 1e-8
+    ok = abs(mu_snapped - expected) <= TOTAL_SPIN_TOL
     return MlmReport(system.sites, system.sublattice_a, system.sublattice_b,
                      m, basis.size, s_star, mu, mu_snapped, expected, ok,
                      node.ground.energy, node.ground.gap01)

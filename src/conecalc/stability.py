@@ -40,15 +40,19 @@ from .numerics import (
     LinearOperator,
     _check_density,
     _kron,
+    _reduced,
     hermitian_eig,
     identity,
     kron,
-    partial_trace,
 )
 from .positivity import GroundState, NodeAnalysis, _toward_cone, generates_improving_semigroup
 
 COMMUTATOR_TOL = 1e-10
 SNAP_TOL_FACTOR = 1e-8
+DECOUPLED_TOL_FACTOR = 1e-8  # H2 is H*(x)1 + 1(x)L when the misfit is <= this * ||H2||
+SUPPORT_TOL = 1e-12  # eigenvalues below this count as zero in the relative entropy
+NULL_WEIGHT_TOL = 1e-10  # rho weight on sigma's null space above this makes it +inf
+ENTROPY_TOL = 1e-9  # a reduced ground state matches the base when the entropy is <= this
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 _COMMUTATOR_ROWS = 64  # row block of the commutator's Frobenius sum
 
@@ -338,8 +342,7 @@ class DecoupledExtensionReport:
 
 
 def is_decoupled_extension(h2: LinearOperator, h_star: LinearOperator,
-                           emb: Embedding, env_cone: SelfDualCone,
-                           tol_factor: float = 1e-8) -> DecoupledExtensionReport:
+                           emb: Embedding, env_cone: SelfDualCone) -> DecoupledExtensionReport:
     """Whether H2 = H*(x)1 + 1(x)L for some improving-class L on the factor.
 
     The candidate L is the least-squares projection of H2 - H*(x)1 onto the
@@ -357,20 +360,19 @@ def is_decoupled_extension(h2: LinearOperator, h_star: LinearOperator,
     blocks = diff.reshape(d1, d2, d1, d2)
     env = np.einsum("ijik->jk", blocks) / d1
     residual = float(np.linalg.norm(diff - _kron(np.eye(d1), env), 2))
-    if residual > tol_factor * max(h2.norm(), 1e-300):
+    if residual > DECOUPLED_TOL_FACTOR * max(h2.norm(), 1e-300):
         return DecoupledExtensionReport(False, residual, None)
     env_op = LinearOperator(env_cone.space, env)
     ok = generates_improving_semigroup(env_op, env_cone)
     return DecoupledExtensionReport(ok, residual, env_op)
 
 
-def relative_entropy(rho: LinearOperator, sigma: LinearOperator,
-                     support_tol: float = 1e-12, weight_tol: float = 1e-10) -> float:
+def relative_entropy(rho: LinearOperator, sigma: LinearOperator) -> float:
     """Quantum relative entropy tr[rho log rho] - tr[rho log sigma].
 
     Natural logarithm, 0*log(0) = 0, and +inf when rho puts weight above
-    ``weight_tol`` on the null space of sigma (eigenvalues below
-    ``support_tol``).
+    `NULL_WEIGHT_TOL` on the null space of sigma (eigenvalues below
+    `SUPPORT_TOL`).
     """
     if rho.dim != sigma.dim:
         raise NotDensityMatrix("density matrices live on different spaces")
@@ -381,16 +383,16 @@ def relative_entropy(rho: LinearOperator, sigma: LinearOperator,
     s_vals, s_vecs = np.linalg.eigh(0.5 * (sigma.mat + sigma.mat.conj().T))
     p_vals = np.clip(p_vals, 0.0, None)
 
-    null = s_vals < support_tol
+    null = s_vals < SUPPORT_TOL
     if null.any():
         null_weight = float(np.einsum(
             "ij,jk,ki->", s_vecs[:, null].conj().T, rho.mat, s_vecs[:, null]).real)
-        if null_weight > weight_tol:
+        if null_weight > NULL_WEIGHT_TOL:
             return math.inf
 
-    entropy_rho = float(sum(p * math.log(p) for p in p_vals if p > support_tol))
+    entropy_rho = float(sum(p * math.log(p) for p in p_vals if p > SUPPORT_TOL))
     weights = np.einsum("ij,jk,ki->i", s_vecs.conj().T, rho.mat, s_vecs).real
-    cross = float(sum(w * math.log(s) for w, s in zip(weights, s_vals) if s >= support_tol))
+    cross = float(sum(w * math.log(s) for w, s in zip(weights, s_vals) if s >= SUPPORT_TOL))
     return entropy_rho - cross
 
 
@@ -411,7 +413,6 @@ class FactorizationReport:
 
 def ground_state_factorizes(h2: LinearOperator, h_star: LinearOperator,
                             env_cone: SelfDualCone,
-                            entropy_tol: float = 1e-9,
                             tol: float = DEFAULT_TOL) -> FactorizationReport:
     """Weak equivalence via relative entropy of the reduced ground state.
 
@@ -432,10 +433,11 @@ def ground_state_factorizes(h2: LinearOperator, h_star: LinearOperator,
             raise NotSimple(f"{name} Hamiltonian has a degenerate ground state")
     psi = spec2.ground_vector
     psi_star = spec_star.ground_vector
-    rho_red = partial_trace(LinearOperator(h2.space, np.outer(psi, psi.conj())), d1)
+    # a unit vector's projector is a density matrix: `relative_entropy` checks the reduced one
+    rho_red = _reduced(LinearOperator(h2.space, np.outer(psi, psi.conj())), d1)
     rho_star = LinearOperator(rho_red.space, np.outer(psi_star, psi_star.conj()))
     entropy = relative_entropy(rho_red, rho_star)
-    if entropy > entropy_tol:
+    if entropy > ENTROPY_TOL:
         return FactorizationReport(False, entropy, None)
     coeffs = psi.reshape(d1, d2)
     omega = psi_star.conj() @ coeffs

@@ -92,7 +92,7 @@ def op(space: str, mat) -> LinearOperator:
 
 @pytest.fixture
 def arrow_calls(monkeypatch) -> list:
-    """Records every `check_arrow` call, under whichever module binds it."""
+    """Keeps the arguments of every `check_arrow` call, under whichever module binds it."""
     calls = []
     original = inheritance.check_arrow
 
@@ -335,8 +335,8 @@ def two_pass_links(chain, tol: float = DEFAULT_TOL) -> ChainReport:
     for j, emb in enumerate(chain.embeddings):
         src, dst = chain.nodes[j], chain.nodes[j + 1]
         try:
-            rep = ground_overlap(src.hamiltonian, src.cone, dst.hamiltonian, dst.cone_in,
-                                 emb, tol)
+            rep = ground_overlap(NodeAnalysis(src.hamiltonian, src.cone, tol),
+                                 NodeAnalysis(dst.hamiltonian, dst.cone_in, tol), emb)
         except ArrowFailed as exc:
             raise LinkFailed(j, str(exc)) from exc
         if rep.overlap <= tol:

@@ -5,6 +5,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conecalc import cli, lattice
@@ -144,6 +145,17 @@ class TestRunConfig:
         assert report["status"] == "pass"
         assert report["payload"]["equivalence"]["equivalent"] is False
         assert report["payload"]["weak"]["weak"] is False
+
+    def test_weak_equiv_checks_only_the_reduced_states(self, monkeypatch):
+        # the joint ground projector is a density matrix by construction; the
+        # density check runs on the two reduced states alone
+        dims = []
+        original = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a, *args, **kwargs: dims.append(a.shape[0])
+                            or original(a, *args, **kwargs))
+        run_config(load("weak_equiv_4x4.json"), "0" * 64)
+        assert dims == [2, 2]
 
     def test_weak_equiv_decoupled_fixture(self):
         report, _ = run_config(load("weak_equiv_decoupled.json"), "0" * 64)

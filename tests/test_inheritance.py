@@ -24,7 +24,7 @@ from conecalc.inheritance import (
     verify_chain,
 )
 from conecalc import positivity
-from conecalc.numerics import LinearOperator, identity, kron
+from conecalc.numerics import DEFAULT_TOL, LinearOperator, identity, kron
 from conecalc.positivity import NodeAnalysis, classify
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -43,6 +43,11 @@ def tower_link():
     p2 = tensor_cone(p1, orthant("b", 2))
     emb = append_factor_embedding("a", h2.space, 2, UNIFORM2)
     return h1, p1, h2, p2, emb
+
+
+def records(h1, p1, h2, p2, tol=DEFAULT_TOL):
+    """The source and target records of one link, at one tolerance."""
+    return NodeAnalysis(h1, p1, tol), NodeAnalysis(h2, p2, tol)
 
 
 class TestEmbedding:
@@ -105,7 +110,7 @@ class TestConeInheritance:
         emb = identity_embedding("s", 2)
         assert all(p1.contains(g, 1e-8) for g in p2.generators.T)
         assert nnls_inherits(p1, p2, emb) == inherited
-        assert inherits_positivity(p1, p2, emb) == inherited
+        assert inherits_positivity(p1, p2, emb, 1e-8) == inherited
 
 
 def nnls_inherits(p1, p2, emb, tol=1e-8):
@@ -227,12 +232,12 @@ class TestConditionalExpectation:
 class TestArrow:
     def test_tower_link_verifies(self):
         h1, p1, h2, p2, emb = tower_link()
-        assert check_arrow(h1, p1, h2, p2, emb)
+        assert check_arrow(*records(h1, p1, h2, p2), emb)
 
     def test_reflexive(self):
         h = flip_op()
         p = orthant("s", 2)
-        assert check_arrow(h, p, h, p, identity_embedding("s", 2))
+        assert check_arrow(*records(h, p, h, p), identity_embedding("s", 2))
 
     @pytest.mark.parametrize("tol, ok", [(1e-4, True), (1e-9, False)])
     def test_inheritance_runs_at_the_arrow_tolerance(self, tol, ok):
@@ -242,14 +247,15 @@ class TestArrow:
         c, s = np.cos(angle), np.sin(angle)
         p1 = SelfDualCone("s", np.array([[c, s], [-s, c]]))
         h1 = op("s", p1.generators @ -SIGMA_X @ p1.generators.T)
-        res = check_arrow(h1, p1, flip_op(), orthant("s", 2), identity_embedding("s", 2), tol)
+        res = check_arrow(*records(h1, p1, flip_op(), orthant("s", 2), tol),
+                          identity_embedding("s", 2))
         assert res.ok == ok
         assert res.reasons == (() if ok else ("cone inheritance failed",))
 
     def test_reducible_target_fails_with_reason(self):
         h1, p1, _, p2, emb = tower_link()
         decoupled = kron(flip_op("a"), identity("b", 2))  # no coupling on factor 2
-        res = check_arrow(h1, p1, decoupled, p2, emb)
+        res = check_arrow(*records(h1, p1, decoupled, p2), emb)
         assert not res
         assert any("improving" in r for r in res.reasons)
 
@@ -259,14 +265,14 @@ class TestGroundOverlap:
         # ground state of the extension is psi (x) uniform, and the embedding
         # appends exactly the uniform vector
         h1, p1, h2, p2, emb = tower_link()
-        rep = ground_overlap(h1, p1, h2, p2, emb)
+        rep = ground_overlap(*records(h1, p1, h2, p2), emb)
         assert rep.overlap == pytest.approx(1.0, abs=1e-12)
         assert rep.improving_ok
 
     def test_identity_link(self):
         h = flip_op()
         p = orthant("s", 2)
-        rep = ground_overlap(h, p, h, p, identity_embedding("s", 2))
+        rep = ground_overlap(*records(h, p, h, p), identity_embedding("s", 2))
         assert rep.overlap == pytest.approx(1.0, abs=1e-12)
 
     def test_random_verified_link_has_positive_overlap(self):
@@ -276,14 +282,14 @@ class TestGroundOverlap:
         h2 = kron(h1, identity("b", 2)) - kron(identity("a", 4), op("b", SIGMA_X))
         p2 = tensor_cone(p1, orthant("b", 2))
         emb = append_factor_embedding("a", h2.space, 4, UNIFORM2)
-        rep = ground_overlap(h1, p1, h2, p2, emb)
+        rep = ground_overlap(*records(h1, p1, h2, p2), emb)
         assert rep.overlap > 1e-6
 
     def test_requires_arrow(self):
         h1, p1, _, p2, emb = tower_link()
         bad = kron(identity("a", 2), identity("b", 2))
         with pytest.raises(ArrowFailed):
-            ground_overlap(h1, p1, bad, p2, emb)
+            ground_overlap(*records(h1, p1, bad, p2), emb)
 
 
 def three_link_tower():
@@ -407,26 +413,21 @@ class TestCompressionPreservation:
         assert rep.preserving and rep.improving
 
 
-class TestRecords:
+class TestRecordOperands:
     def test_arrow_reads_the_records_verdicts(self, monkeypatch):
         h1, p1, h2, p2, emb = tower_link()
-        records = (NodeAnalysis(h1, p1), NodeAnalysis(h2, p2))
-        assert all(record.improving for record in records)
+        pair = records(h1, p1, h2, p2)
+        assert all(record.improving for record in pair)
         calls = []
         monkeypatch.setattr(positivity, "generates_improving_semigroup",
                             lambda *args: calls.append(args))
-        assert check_arrow(h1, p1, h2, p2, emb, records=records)
-        assert ground_overlap(h1, p1, h2, p2, emb, records=records).overlap == \
-            pytest.approx(1.0, abs=1e-12)
+        assert check_arrow(*pair, emb)
+        assert ground_overlap(*pair, emb).overlap == pytest.approx(1.0, abs=1e-12)
         assert calls == []
 
-    @pytest.mark.parametrize("which", ["hamiltonian", "cone", "tol"])
-    def test_a_record_of_something_else_is_refused(self, which):
+    def test_records_at_different_tolerances_are_refused(self):
         h1, p1, h2, p2, emb = tower_link()
-        fields = {"hamiltonian": h2, "cone": p2, "tol": 1e-9}
-        fields[which] = {"hamiltonian": kron(h1, identity("b", 2)),
-                         "cone": tensor_cone(p1, orthant("b", 2)), "tol": 1e-6}[which]
-        records = (NodeAnalysis(h1, p1), NodeAnalysis(**fields))
+        pair = NodeAnalysis(h1, p1), NodeAnalysis(h2, p2, 1e-6)
         for check in (check_arrow, ground_overlap):
-            with pytest.raises(ValueError, match="record does not describe"):
-                check(h1, p1, h2, p2, emb, records=records)
+            with pytest.raises(ValueError, match="records at tolerances"):
+                check(*pair, emb)

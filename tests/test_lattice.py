@@ -6,8 +6,9 @@ import pytest
 from conftest import combined_factor_operator, expm_oracle, factor_cone, op, rng
 
 from conecalc.cones import SelfDualCone, orthant
-from conecalc.errors import DimCap, SpecFailed
-from conecalc.inheritance import ArrowChain, ChainNode, verify_chain
+from conecalc import inheritance, lattice
+from conecalc.errors import DimCap, LinkFailed, SpecFailed
+from conecalc.inheritance import ArrowChain, ChainNode, _kronecker_embedding, verify_chain
 from conecalc.lattice import (
     LatticeSpec,
     build_lattice,
@@ -294,6 +295,25 @@ class TestBuildLattice:
         diagram = build_lattice(demo_spec())
         assert len(diagram.covering_edges) == 12
         assert len(arrow_calls) == 12
+
+    def test_a_failed_edge_is_named_in_the_chain_wording(self, monkeypatch):
+        # the first edge appends -uniform: only the cone test would refuse
+        # that sign, so with it passed, the edge fails on its ground overlap
+        spec = demo_spec(1)
+
+        def flipped(spec, small, large):
+            emb = subset_embedding(spec, small, large)
+            if small == large:
+                return emb
+            return _kronecker_embedding(emb.from_space, emb.to_space, [2, -lattice._uniform(2)])
+
+        monkeypatch.setattr(inheritance, "inherits_positivity", lambda *args: True)
+        monkeypatch.setattr(lattice, "subset_embedding", flipped)
+        with pytest.raises(LinkFailed) as info:
+            build_lattice(spec)
+        assert info.value.index == 0
+        assert info.value.reason.startswith("() -> (1,): ground overlap -")
+        assert info.value.reason.endswith(" is not strictly positive")
 
 
 class TestStructuralCriterionDecides:

@@ -16,6 +16,7 @@ from conecalc import positivity
 from conecalc.cones import SelfDualCone, orthant, tensor_cone
 from conecalc.errors import InputNotInClass, NotPreserving, NotRealForm
 from conecalc.numerics import DEFAULT_TOL, LinearOperator, identity, kron
+from conecalc.spin import SpinSystem, verify_mlm
 from conecalc.positivity import (
     NodeAnalysis,
     _reach_table,
@@ -397,14 +398,22 @@ def ergodic(h, cone):
     return is_ergodic(h, cone).ergodic
 
 
-@pytest.mark.parametrize("check, mat, verdict", [
-    pytest.param(generates_improving_semigroup, -SIGMA_X, True, id="improving"),
-    pytest.param(generates_improving_semigroup, np.diag([1.0, 2.0]), False, id="reducible"),
-    pytest.param(generates_improving_semigroup, SIGMA_X, False, id="not-metzler"),
-    pytest.param(ergodic, SIGMA_X, True, id="ergodic"),
-    pytest.param(ergodic, np.eye(2), False, id="not-ergodic"),
+def on_orthant(check, mat):
+    """``check`` of a 2x2 matrix against the orthant, as a call without arguments."""
+    return lambda: check(op("s", mat), orthant("s", 2))
+
+
+@pytest.mark.parametrize("check, verdict", [
+    pytest.param(on_orthant(generates_improving_semigroup, -SIGMA_X), True, id="improving"),
+    pytest.param(on_orthant(generates_improving_semigroup, np.diag([1.0, 2.0])), False,
+                 id="reducible"),
+    pytest.param(on_orthant(generates_improving_semigroup, SIGMA_X), False, id="not-metzler"),
+    pytest.param(on_orthant(ergodic, SIGMA_X), True, id="ergodic"),
+    pytest.param(on_orthant(ergodic, np.eye(2)), False, id="not-ergodic"),
+    # a passing sector's Metzler test is the one inside its improving verdict
+    pytest.param(lambda: verify_mlm(SpinSystem(4, (1, 3), (2, 4))).ok, True, id="verify-mlm"),
 ])
-def test_improving_check_reads_the_generator_basis_once(monkeypatch, check, mat, verdict):
+def test_improving_check_reads_the_generator_basis_once(monkeypatch, check, verdict):
     calls = []
     original = SelfDualCone.operator_coords
 
@@ -413,7 +422,7 @@ def test_improving_check_reads_the_generator_basis_once(monkeypatch, check, mat,
         return original(self, operator)
 
     monkeypatch.setattr(SelfDualCone, "operator_coords", counting)
-    assert check(op("s", mat), orthant("s", 2)) == verdict
+    assert check() == verdict
     assert len(calls) == 1
 
 

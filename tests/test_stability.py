@@ -51,7 +51,7 @@ from conecalc.numerics import (
     kron,
     op_exp_unitary,
 )
-from conecalc.positivity import ground_state
+from conecalc.positivity import NodeAnalysis, ground_state
 from conecalc.spin import m_sector
 from conecalc.stability import (
     COMMUTATOR_TOL,
@@ -257,7 +257,8 @@ def link_answers(h1, p1, h2, p2, emb, o):
     """(verdicts, readings) of one link: the arrow's reasons, node 1's
     quantum number and the link's ground overlap, or the exception each
     raised."""
-    verdicts, readings = [check_arrow(h1, p1, h2, p2, emb).reasons], []
+    source, target = NodeAnalysis(h1, p1), NodeAnalysis(h2, p2)
+    verdicts, readings = [check_arrow(source, target, emb).reasons], []
     try:
         gqn = good_quantum_number(h1, o, p1)
         verdicts.append(gqn.ground.strictly_positive)
@@ -265,7 +266,7 @@ def link_answers(h1, p1, h2, p2, emb, o):
     except (NotCommuting, NotInAPlus, NotSimple) as exc:
         verdicts.append(type(exc))
     try:
-        rep = ground_overlap(h1, p1, h2, p2, emb)
+        rep = ground_overlap(source, target, emb)
         verdicts.append(rep.improving_ok)
         readings.append(rep.overlap)
     except ArrowFailed as exc:
