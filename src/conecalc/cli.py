@@ -315,7 +315,7 @@ def _task_weak_equiv(ctx: RunContext, params: dict):
     _require(h2.dim == d1 * d2, "h2 dim must equal dim(h_star) * dim(env_cone)")
     uniform = np.full(d2, 1.0 / np.sqrt(d2))
     emb = append_factor_embedding(h_star.space, h2.space, d1, uniform)
-    equiv = is_decoupled_extension(h2, h_star, emb, env_cone)
+    equiv = is_decoupled_extension(h2, h_star, emb, env_cone, ctx.tol)
     factor = ground_state_factorizes(h2, h_star, env_cone, tol=ctx.tol)
     payload = {"equivalence": equiv.to_payload(), "weak": factor.to_payload()}
     return True, payload

@@ -26,11 +26,12 @@ class Embedding:
     The embeddings built by `identity_embedding`, `append_factor_embedding`
     and `lattice.subset_embedding` are Kronecker products of identities and
     real unit vectors: row r of the isometry is vals[r] e_{cols[r]}^T, one
-    entry at most.  They keep (cols, vals) besides the dense isometry, and
-    `extend` and `projection` gather instead of multiplying.  Every entry of
-    those dense products is a single term, taken in the same order, so the
-    values are the same.  `push`, `pull` and `compress` sum several terms and
-    stay dense on every embedding.
+    entry at most.  They keep (cols, vals) besides the dense isometry.
+    `inherits_positivity` decides on (cols, vals) alone, and `extend` and
+    `projection` gather instead of multiplying: every entry of those dense
+    products is a single term, taken in the same order, so the values are
+    the same.  `push`, `pull` and `compress` sum several terms and stay
+    dense on every embedding, as gathered sums would round differently.
     """
 
     from_space: str
@@ -187,16 +188,18 @@ def inherits_positivity(p1: SelfDualCone, p2: SelfDualCone, emb: Embedding,
     tol.  tol must stay below 1/sqrt(2), so that only a column's dominant
     coordinate can qualify.
 
-    On signed-permutation cones (see `cones`) the pull-back and the
-    coordinates are gathers, and the projection, gathered too on a Kronecker
-    embedding, is classified through the gathered generator-basis matrix.
-    Each is a single term per entry, so the verdict is that of the dense
-    products.
+    Two signed-permutation cones (see `cones`) and a Kronecker embedding
+    between them are decided from (rows, signs) and (cols, vals) alone, in
+    O(dim_to) (`_inherits_by_rows`): no projection or coordinate matrix is
+    formed and the isometry is not read.  Any other operands take the dense
+    products above, which are the oracle of that route.
     """
     if emb.dim_from != p1.dim or emb.dim_to != p2.dim:
         raise DimMismatch("embedding does not match the two cones")
     if not tol < TOL_LIMIT:
         raise ValueError(f"inheritance tolerance {tol!r} must be below 1/sqrt(2)")
+    if p1._perm is not None and p2._perm is not None and emb._cols is not None:
+        return _inherits_by_rows(p1._perm, p2._perm, emb, tol)
     if not classify(emb.projection(), p2, tol).preserving:
         return False
     pulled = p2._pulled_generators(emb.isometry)  # tau^* g_j as columns
@@ -213,6 +216,36 @@ def inherits_positivity(p1: SelfDualCone, p2: SelfDualCone, emb: Embedding,
     covered = np.zeros(p1.dim, dtype=bool)
     covered[ray[on_ray]] = True
     return bool(covered.all())
+
+
+def _inherits_by_rows(small, big, emb: Embedding, tol: float) -> bool:
+    """`inherits_positivity` for two `cones._SignedPermutation` stacks and a
+    Kronecker embedding, with the dense route's verdict, in O(dim_to).
+
+    The big generator at row r pulls back to sigma[r] e_{cols[r]}, where
+    sigma[r] is its sign times vals[r].  Its one small-cone coordinate is
+    c[r] = sign(cols[r]) sigma[r], at the small generator on row cols[r],
+    and its norm is sqrt(vals[r]^2): the dense route's own numbers, as each
+    is a single signed product.  Membership is c[r] >= -tol sqrt(vals[r]^2)
+    for every r.  As c[r] is +-vals[r], at a tol below 1/sqrt(2) it holds
+    exactly when no c[r] is negative, and then the other two conditions
+    hold as well:
+
+    - the projection's generator-basis matrix holds sigma[r] sigma[r'] for
+      rows r, r' of one column and zeros elsewhere.  Every sigma of a column
+      has the sign of that column's small generator or is zero, so no entry
+      is negative and the projection preserves the big cone;
+    - each column of the isometry is a unit vector, so it has a row with
+      vals[r] != 0, whose c[r] > 0 puts that pulled generator on the ray of
+      the column's small generator.
+    """
+    sigma = np.empty(emb.dim_to)
+    sigma[big.rows] = big.signs
+    sigma *= emb._vals
+    small_signs = np.empty(emb.dim_from)
+    small_signs[small.rows] = small.signs
+    coords = small_signs[emb._cols] * sigma
+    return bool((coords >= -(tol * np.sqrt(emb._vals * emb._vals))).all())
 
 
 @dataclass(frozen=True)
@@ -259,7 +292,9 @@ def ground_overlap(source: NodeAnalysis, target: NodeAnalysis, emb: Embedding) -
     target ground state (strictly positive for a genuine pair) and whether
     the compressed ground-state projector improves the small cone.  The
     verdicts and ground states are the records' own, so a caller holding
-    them decomposes nothing again.
+    them decomposes nothing again.  On a signed-permutation source cone and
+    a real pulled vector, the projector is decided in O(dim) without being
+    formed (`_projector_improves`).
     """
     arrow = check_arrow(source, target, emb)
     if not arrow:
@@ -267,11 +302,27 @@ def ground_overlap(source: NodeAnalysis, target: NodeAnalysis, emb: Embedding) -
     tol = source.tol
     pulled = emb.pull(target.ground.vector)
     overlap = complex(np.vdot(source.ground.vector, pulled))
-    compressed = LinearOperator(emb.from_space, np.outer(pulled, pulled.conj()))
-    improving = classify(compressed, source.cone, tol).improving
+    improving = _projector_improves(pulled, source.cone, emb.from_space, tol)
     if abs(overlap.imag) > tol * max(1.0, abs(overlap.real)):
         return OverlapReport(float(overlap.real), False)
     return OverlapReport(float(overlap.real), improving)
+
+
+def _projector_improves(x: np.ndarray, cone: SelfDualCone, space: str, tol: float) -> bool:
+    """Whether |x><x| on ``space`` improves the cone, as `classify` decides it.
+
+    On a signed-permutation cone and a real x, the projector's
+    generator-basis matrix is c c^T for the coordinates c of x.  With
+    hi = max c and lo = min c, its smallest entry is min(hi lo, hi^2, lo^2)
+    and its largest magnitude max(hi^2, lo^2), each an entry of that matrix,
+    so the verdict costs O(dim) and no outer product is formed.
+    """
+    if cone._perm is not None and not np.iscomplexobj(x) and space == cone.space:
+        c = cone._perm.coords(x)
+        hi, lo = float(c.max()), float(c.min())
+        scale = max(hi * hi, lo * lo)
+        return scale != 0.0 and min(hi * lo, hi * hi, lo * lo) >= tol * scale
+    return classify(LinearOperator(space, np.outer(x, x.conj())), cone, tol).improving
 
 
 def _verified_link(index: int, source: NodeAnalysis, target: NodeAnalysis,

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 
 import numpy as np
@@ -167,10 +168,15 @@ def _node_space(spec: LatticeSpec, subset: Subset) -> str:
 
 
 def _node_cone(spec: LatticeSpec, subset: Subset) -> SelfDualCone:
-    cone = spec.cone
-    for mu in subset:
-        cone = tensor_cone(cone, orthant(f"f{mu}", spec.factors[mu - 1][0]))
-    return cone
+    """The base cone times the slot orthants, as one `tensor_cone` with
+    their joint orthant, whose space and label join the slots' own: the
+    cone of tensoring the orthants in one at a time."""
+    if not subset:
+        return spec.cone
+    dims = [spec.factors[mu - 1][0] for mu in subset]
+    slots = orthant(reduce(product_space, [f"f{mu}" for mu in subset]), math.prod(dims),
+                    "(x)".join(f"R+^{n}" for n in dims))
+    return tensor_cone(spec.cone, slots)
 
 
 def _node_hamiltonian(spec: LatticeSpec, subset: Subset) -> LinearOperator:
@@ -290,10 +296,14 @@ def build_lattice(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> HasseDiagram:
     o_spectrum = hermitian_eig(spec.observable)
     subsets = _all_subsets(spec.ell)
     # every node's record stays alive through the edge loop, which reads
-    # the improving verdicts and ground states again
-    built = [_build_node(spec, s, tol, o_spectrum) for s in subsets]
-    nodes = [node for node, _ in built]
-    records = {node.subset: record for node, record in built}
+    # the improving verdicts and ground states again; no eigenbasis does
+    nodes: list[LatticeNode] = []
+    records: dict[Subset, NodeAnalysis] = {}
+    for subset in subsets:
+        node, record = _build_node(spec, subset, tol, o_spectrum)
+        record.drop_eigenbasis()
+        nodes.append(node)
+        records[node.subset] = record
 
     base_mu = nodes[0].mu_snapped  # the unperturbed node, subset ()
     for n in nodes:

@@ -14,7 +14,7 @@ generator decide.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -300,7 +300,8 @@ class NodeAnalysis:
     come from a single eigendecomposition, made the first time one of them
     is asked for, so a link that fails its arrow never decomposes anything.
     A record lives as long as its caller holds it; the ground vector is a
-    view into the full eigenbasis, which stays alive with it.
+    view into the full eigenbasis, which stays alive with it until
+    `drop_eigenbasis`.
     """
 
     hamiltonian: LinearOperator
@@ -331,6 +332,29 @@ class NodeAnalysis:
         other = NodeAnalysis(self.hamiltonian, cone, self.tol)
         other.__dict__["spectrum"] = self.spectrum
         return other
+
+    def drop_eigenbasis(self) -> None:
+        """Forget the eigendecomposition, keeping the improving verdict and
+        the ground state, whose vector is copied out of the eigenbasis.
+
+        The ground vector is often a column of the eigenbasis, a strided
+        view, and OpenBLAS sums a strided vector in another order than a
+        contiguous one.  Such a vector is copied into every other slot of a
+        buffer twice its size.  OpenBLAS 0.3.31 sums every non-unit stride
+        in one order, so there the dot products with the copy have the bytes
+        they had with the view; no BLAS promises that, and
+        `tests/test_lattice.py::TestBuildLattice::test_edges_read_kept_ground_states`
+        fails on a BLAS where it does not hold.
+        """
+        vector = self.ground.vector
+        if vector.flags.c_contiguous:
+            copy = np.empty_like(vector)
+        else:
+            copy = np.empty((vector.size, 2), dtype=vector.dtype)[:, 0]
+        copy[...] = vector
+        copy.setflags(write=False)
+        self.__dict__["ground"] = replace(self.ground, vector=copy)
+        self.__dict__.pop("spectrum", None)
 
     def release(self) -> None:
         """Forget the eigendecomposition and the ground state read from it,

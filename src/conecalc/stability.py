@@ -342,13 +342,15 @@ class DecoupledExtensionReport:
 
 
 def is_decoupled_extension(h2: LinearOperator, h_star: LinearOperator,
-                           emb: Embedding, env_cone: SelfDualCone) -> DecoupledExtensionReport:
+                           emb: Embedding, env_cone: SelfDualCone,
+                           tol: float = DEFAULT_TOL) -> DecoupledExtensionReport:
     """Whether H2 = H*(x)1 + 1(x)L for some improving-class L on the factor.
 
     The candidate L is the least-squares projection of H2 - H*(x)1 onto the
     second-factor operators (the average of the diagonal blocks).  Note L = 0
     is reducible whenever the factor has dimension >= 2, so a bare H*(x)1 is
-    reported as not decoupled in this strict sense.
+    reported as not decoupled in this strict sense.  L's improving class is
+    decided at ``tol``.
     """
     d1 = h_star.dim
     if h2.dim % d1 != 0:
@@ -363,7 +365,7 @@ def is_decoupled_extension(h2: LinearOperator, h_star: LinearOperator,
     if residual > DECOUPLED_TOL_FACTOR * max(h2.norm(), 1e-300):
         return DecoupledExtensionReport(False, residual, None)
     env_op = LinearOperator(env_cone.space, env)
-    ok = generates_improving_semigroup(env_op, env_cone)
+    ok = generates_improving_semigroup(env_op, env_cone, tol)
     return DecoupledExtensionReport(ok, residual, env_op)
 
 

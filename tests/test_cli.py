@@ -164,6 +164,24 @@ class TestRunConfig:
         omega = report["payload"]["weak"]["omega"]
         assert omega[0][0] == pytest.approx(1 / math.sqrt(2), abs=1e-10)
 
+    def test_weak_equiv_reads_the_environment_operator_at_the_config_tolerance(self):
+        # L couples its two levels by 3e-10: reducible at the default 1e-9,
+        # irreducible at 1e-11, where both halves of the report are read
+        config = load("weak_equiv_decoupled.json")
+        h_star = np.array([[0.0, -1.0], [-1.0, 0.0]])
+        env = np.array([[0.5, -3e-10], [-3e-10, 0.0]])
+        h2 = np.kron(h_star, np.eye(2)) + np.kron(np.eye(2), env)
+        config["operators"][1]["entries"] = h2.tolist()
+        config["tolerances"] = {"default": 1e-11}
+        report, _ = run_config(config, "0" * 64)
+        assert report["payload"]["equivalence"]["equivalent"] is True
+        assert report["payload"]["weak"]["weak"] is True
+        # at the default tolerance the weak check refuses the environment
+        # vector first, so the report carries no equivalence verdict
+        del config["tolerances"]
+        report, _ = run_config(config, "0" * 64)
+        assert report["status"] == "fail"
+
     def test_stability_task(self):
         report, _ = run_config(load("stability_demo.json"), "0" * 64)
         assert report["status"] == "pass"

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import combined_factor_operator, expm_oracle, factor_cone, op, rng
+from conftest import combined_factor_operator, expm_oracle, factor_cone, op, rng, same_bits
 
-from conecalc.cones import SelfDualCone, orthant
-from conecalc import inheritance, lattice
+from conecalc.cones import SelfDualCone, _signed_permutation_cone, orthant
+from conecalc import inheritance, lattice, positivity
 from conecalc.errors import DimCap, LinkFailed, SpecFailed
 from conecalc.inheritance import ArrowChain, ChainNode, _kronecker_embedding, verify_chain
 from conecalc.lattice import (
@@ -18,7 +18,7 @@ from conecalc.lattice import (
     verify_spec,
 )
 from conecalc.numerics import DEFAULT_TOL, DIM_CAP, LinearOperator, hermitian_eig
-from conecalc.positivity import generates_improving_semigroup, is_ergodic
+from conecalc.positivity import NodeAnalysis, generates_improving_semigroup, is_ergodic
 from conecalc.stability import PAULI_X, is_decoupled_extension, quantum_number_along_chain
 
 RING3 = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
@@ -51,16 +51,21 @@ def _random_circulant(gen: np.random.Generator, n: int, nonnegative: bool) -> np
     return np.array([np.roll(row, k) for k in range(n)])
 
 
-def random_lattice_spec(gen: np.random.Generator) -> LatticeSpec:
+def random_lattice_spec(gen: np.random.Generator, structured: bool = False) -> LatticeSpec:
     """A spec that meets every standing assumption.  In the generator basis
     of a random unitary base cone, H0 = a - C0, X and O are symmetric
     circulants, so they commute; C0 and X are nonnegative and C0 is
     irreducible.  Each Y_mu is a nonnegative irreducible symmetric circulant
     with its coordinates permuted, so the uniform vector stays an
-    eigenvector."""
+    eigenvector.  A ``structured`` base cone is a random signed permutation,
+    and every operator is real."""
     n = int(gen.integers(2, 4))
-    q, _ = np.linalg.qr(gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n)))
-    cone = SelfDualCone("base", q)
+    if structured:
+        cone = _signed_permutation_cone("base", gen.permutation(n), gen.choice([-1.0, 1.0], n))
+        q = cone.generators
+    else:
+        q, _ = np.linalg.qr(gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n)))
+        cone = SelfDualCone("base", q)
 
     def base_op(coords):
         return op("base", q @ coords @ q.conj().T)
@@ -290,6 +295,27 @@ class TestBuildLattice:
         # one eigh per node and one for the observable
         diagram = build_lattice(demo_spec())
         assert decompositions["eigh"] <= len(diagram.nodes) + 1
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_edges_read_kept_ground_states(self, seed, monkeypatch):
+        # each node is decomposed once and keeps only its verdict and a copy
+        # of its ground vector; the overlaps keep the bytes of records that
+        # hold their whole eigendecomposition
+        spec = random_lattice_spec(rng(400 + seed), structured=seed % 4 != 3)
+        calls = []
+        original = positivity.hermitian_eig
+        monkeypatch.setattr(positivity, "hermitian_eig",
+                            lambda h: calls.append(h.dim) or original(h))
+        diagram = build_lattice(spec)
+        assert len(calls) == len(diagram.nodes)
+        monkeypatch.undo()
+        records = {n.subset: NodeAnalysis(n.hamiltonian, n.cone) for n in diagram.nodes}
+        overlaps = [
+            inheritance._verified_link(j, records[small], records[large],
+                                       subset_embedding(spec, small, large)).overlap
+            for j, (small, large) in enumerate(diagram.covering_edges)
+        ]
+        assert same_bits(np.array(diagram.edge_overlaps), np.array(overlaps))
 
     def test_each_edge_checks_its_arrow_once(self, arrow_calls):
         diagram = build_lattice(demo_spec())

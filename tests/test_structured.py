@@ -7,6 +7,7 @@ equal under `np.array_equal`, verdicts and payloads identical, and a reported
 witness must carry the same sign of zero.
 """
 
+import copy
 import math
 import tracemalloc
 
@@ -15,19 +16,35 @@ import pytest
 
 from conftest import dense_cone, dense_embedding, random_spin_system, rng, same_bits
 
-from conecalc.cones import SelfDualCone, _signed_permutation_cone, orthant, tensor_cone
+from conecalc import inheritance
+from conecalc.cones import (
+    SelfDualCone,
+    _signed_permutation_cone,
+    orthant,
+    tensor_cone,
+)
 from conecalc.errors import NotPreserving
 from conecalc.inheritance import (
+    TOL_LIMIT,
     Embedding,
     _kronecker_embedding,
+    _projector_improves,
     append_factor_embedding,
+    check_arrow,
+    ground_overlap,
     identity_embedding,
     inherits_positivity,
 )
 from conecalc.jsonio import canonical_dumps
-from conecalc.lattice import LatticeSpec, subset_embedding
-from conecalc.numerics import LinearOperator
-from conecalc.positivity import classify, generates_improving_semigroup, is_ergodic
+from conecalc.lattice import (
+    LatticeSpec,
+    _all_subsets,
+    _node_cone,
+    build_lattice,
+    subset_embedding,
+)
+from conecalc.numerics import LinearOperator, kron
+from conecalc.positivity import NodeAnalysis, classify, generates_improving_semigroup, is_ergodic
 from conecalc.spin import m_sector, marshall_cone
 
 SEEDS = range(60)
@@ -236,43 +253,6 @@ class TestEmbeddingOracle:
             assert same_bits(emb.isometry, tau)
 
 
-def inheritance_case(seed: int):
-    """(p1, p2, emb): an append embedding into a tensor cone, the identity
-    between two signed permutations, or a subset embedding."""
-    gen = rng(7000 + seed)
-    kind = seed % 3
-    if kind == 0:
-        p1 = signed_factor(gen, "a", int(gen.integers(1, 5)))
-        q = signed_factor(gen, "b", int(gen.integers(1, 4)))
-        p2 = tensor_cone(p1, q)
-        return p1, p2, append_factor_embedding("a", p2.space, p1.dim,
-                                               random_real_unit(gen, q.dim))
-    if kind == 1:
-        p1 = signed_factor(gen, "a", int(gen.integers(1, 5)))
-        p2 = p1 if gen.uniform() < 0.5 else signed_factor(gen, "a", p1.dim)
-        return p1, p2, identity_embedding("a", p1.dim)
-    h0 = LinearOperator("base", np.eye(2))
-    dims = (2, 3)
-    spec = LatticeSpec(h0, orthant("base", 2), h0, h0,
-                       tuple((n, LinearOperator(f"f{mu}", np.ones((n, n))))
-                             for mu, n in enumerate(dims, start=1)))
-    p1 = tensor_cone(orthant("base", 2), signed_factor(gen, "f1", 2))
-    p2 = tensor_cone(p1, signed_factor(gen, "f2", 3))
-    return p1, p2, subset_embedding(spec, (1,), (1, 2))
-
-
-def test_inheritance_verdicts_equal_the_dense_path():
-    verdicts = set()
-    for seed in SEEDS:
-        p1, p2, emb = inheritance_case(seed)
-        expected = inherits_positivity(dense_cone(p1), dense_cone(p2), dense_embedding(emb))
-        for c1 in (p1, dense_cone(p1)):
-            for c2 in (p2, dense_cone(p2)):
-                assert inherits_positivity(c1, c2, emb) == expected, seed
-        verdicts.add(expected)
-    assert verdicts == {True, False}
-
-
 def test_complex_isometry_into_a_structured_cone():
     # the pulled-back generators carry the conjugate phase of the appended
     # vector, which the phase of the small cone's generators cancels
@@ -284,6 +264,189 @@ def test_complex_isometry_into_a_structured_cone():
     assert inherits_positivity(p1, p2, emb)
     assert inherits_positivity(p1, dense_cone(p2), emb)
     assert not inherits_positivity(SelfDualCone("a", phase * np.eye(2)), p2, emb)
+
+
+TOLS = (1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.5, float(np.nextafter(TOL_LIMIT, 0.0)))
+BROKEN_LINK = np.array([1.0, -1.0]) / math.sqrt(2.0)  # a broken chain-tower link
+
+
+def edge_unit(gen: np.random.Generator, k: int) -> np.ndarray:
+    """A real unit vector: positive, mixed-sign, with a zero entry, or with
+    one entry -eps, eps between 1e-13 and 1e-1."""
+    if gen.uniform() < 0.6 or k == 1:
+        return random_real_unit(gen, k)
+    v = gen.uniform(0.1, 1.0, k)
+    v[int(gen.integers(k))] = -(10.0 ** gen.uniform(-13.0, -1.0))
+    return v / np.linalg.norm(v)
+
+
+def inheritance_case(seed: int):
+    """(p1, p2, emb) of signed-permutation cones and a Kronecker embedding:
+    an append embedding, the identity, a lattice subset embedding (factors
+    inserted between kept ones included) or the broken tower link."""
+    gen = rng(9000 + seed)
+    kind = seed % 4
+    if kind in (0, 3):
+        p1 = signed_factor(gen, "a", int(gen.integers(1, 5)))
+        q = signed_factor(gen, "b", 2 if kind == 3 else int(gen.integers(1, 4)))
+        base = p1 if gen.uniform() < 0.7 else signed_factor(gen, "a", p1.dim)
+        v = BROKEN_LINK * float(gen.choice([-1.0, 1.0])) if kind == 3 else edge_unit(gen, q.dim)
+        return p1, tensor_cone(base, q), append_factor_embedding("a", "a*b", p1.dim, v)
+    if kind == 1:
+        p1 = signed_factor(gen, "a", int(gen.integers(1, 5)))
+        p2 = p1 if gen.uniform() < 0.5 else signed_factor(gen, "a", p1.dim)
+        return p1, p2, identity_embedding("a", p1.dim)
+    h0 = LinearOperator("base", np.eye(int(gen.integers(1, 4))))
+    dims = [int(n) for n in gen.integers(2, 4, size=int(gen.integers(1, 4)))]
+    spec = LatticeSpec(h0, orthant("base", h0.dim), h0, h0,
+                       tuple((n, LinearOperator(f"f{mu}", np.ones((n, n))))
+                             for mu, n in enumerate(dims, start=1)))
+    large = tuple(mu for mu in range(1, len(dims) + 1) if gen.uniform() < 0.8)
+    small = tuple(mu for mu in large if gen.uniform() < 0.5)
+    factors = {mu: signed_factor(gen, f"f{mu}", n) for mu, n in enumerate(dims, start=1)}
+    p1 = p2 = signed_factor(gen, "base", h0.dim)
+    if gen.uniform() < 0.3:
+        p2 = signed_factor(gen, "base", h0.dim)
+    for mu in large:
+        if mu in small:
+            p1 = tensor_cone(p1, factors[mu])
+            same = gen.uniform() < 0.8
+            p2 = tensor_cone(p2, factors[mu] if same else signed_factor(gen, f"f{mu}", dims[mu - 1]))
+        else:
+            p2 = tensor_cone(p2, signed_factor(gen, f"f{mu}", dims[mu - 1]))
+    return p1, p2, subset_embedding(spec, small, large)
+
+
+class ShapeOnly:
+    """Stands in for an isometry of which only the shape may be read."""
+
+    def __init__(self, shape: tuple[int, int]):
+        self.shape = shape
+
+
+def without_isometry(emb: Embedding) -> Embedding:
+    """A copy of a Kronecker embedding whose isometry cannot be read: any
+    product with it raises."""
+    bare = copy.copy(emb)
+    bare.__dict__["isometry"] = ShapeOnly(emb.isometry.shape)
+    return bare
+
+
+def test_inheritance_verdicts_equal_the_dense_path():
+    # every pulled coordinate is +-vals[r] itself, so below 1/sqrt(2) the
+    # tolerance never decides: an entry -eps fails membership at every tol
+    verdicts = set()
+    for seed in range(240):
+        p1, p2, emb = inheritance_case(seed)
+        bare = without_isometry(emb)  # the structured route reads (cols, vals) only
+        got = [inherits_positivity(p1, p2, bare, tol) for tol in TOLS]
+        c1, c2, e = dense_cone(p1), dense_cone(p2), dense_embedding(emb)
+        assert got == [inherits_positivity(c1, c2, e, tol) for tol in TOLS], seed
+        assert len(set(got)) == 1, seed
+        assert inherits_positivity(p1, c2, emb) == inherits_positivity(c1, p2, emb) == got[0]
+        verdicts.update(got)
+    assert verdicts == {True, False}
+
+
+def projector_coordinates(gen: np.random.Generator, n: int) -> list[np.ndarray]:
+    """All positive, all negative, mixed signs, with zeros and -0.0 entries,
+    the zero vector, and one tiny entry of either sign at every tolerance's
+    edge."""
+    pos = gen.uniform(0.1, 1.0, n)
+    zeros = np.where(gen.uniform(size=n) < 0.5, 0.0, pos)
+    tiny = pos.copy()
+    tiny[int(gen.integers(n))] = 10.0 ** gen.uniform(-13.0, -0.5)
+    out = [pos, -pos, gen.normal(size=n), zeros, -zeros, np.zeros(n), -np.zeros(n),
+           tiny, -tiny]
+    if n > 1:
+        flip = tiny.copy()
+        flip[int(np.argmin(flip))] *= -1.0
+        out.append(flip)
+    return out
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_projector_verdict_equals_classify(seed):
+    cone = structured_cone(seed)
+    dense = dense_cone(cone)
+    gen = rng(8000 + seed)
+    for c in projector_coordinates(gen, cone.dim):
+        x = cone.from_coords(c)
+        projector = LinearOperator(cone.space, np.outer(x, x))
+        for tol in TOLS:
+            expected = classify(projector, cone, tol).improving
+            assert classify(projector, dense, tol).improving == expected
+            assert _projector_improves(x, cone, cone.space, tol) == expected
+
+
+def test_projector_verdict_changes_with_the_tolerance():
+    cone = _signed_permutation_cone("s", [2, 0, 1], [-1.0, 1.0, 1.0])
+    x = cone.from_coords(np.array([1.0, 0.5, 1e-4]))  # smallest entry 1e-8
+    assert [_projector_improves(x, cone, "s", tol) for tol in (1e-9, 1e-6)] == [True, False]
+    assert not _projector_improves(-x * [1.0, 1.0, -1.0], cone, "s", 1e-9)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_node_cone_equals_the_stepwise_tensor(seed):
+    # one tensor_cone with the joint slot orthant gives the cone, space and
+    # label of tensoring the slot orthants in one at a time
+    gen = rng(9500 + seed)
+    base = structured_cone(seed)
+    if seed % 4 == 3:
+        base = SelfDualCone(base.space, np.array(base.generators), base.label)  # explicit
+    dims = [int(n) for n in gen.integers(1, 4, size=int(gen.integers(1, 4)))]
+    h0 = LinearOperator(base.space, np.eye(base.dim))
+    spec = LatticeSpec(h0, base, h0, h0, tuple((n, LinearOperator(f"f{mu}", np.ones((n, n))))
+                                               for mu, n in enumerate(dims, start=1)))
+    for subset in _all_subsets(len(dims)):
+        stepwise = base
+        for mu in subset:
+            stepwise = tensor_cone(stepwise, orthant(f"f{mu}", dims[mu - 1]))
+        cone = _node_cone(spec, subset)
+        assert (cone.space, cone.label) == (stepwise.space, stepwise.label)
+        assert (cone._perm is None) == (base._perm is None)
+        if base._perm is None:
+            assert same_bits(cone.generators, stepwise.generators)
+            continue
+        assert same_bits(cone._perm.rows, stepwise._perm.rows)
+        assert same_bits(cone._perm.signs, stepwise._perm.signs)
+        assert (cone._perm.in_order, cone._perm.positive) == (
+            stepwise._perm.in_order, stepwise._perm.positive)
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a dense product was formed")
+
+
+class TestStructuredLinksFormNothingDense:
+    def test_tower_link(self, monkeypatch):
+        # the arrow decides on (rows, signs) and (cols, vals); the overlap
+        # pulls the target's ground state through the dense isometry, which
+        # keeps its BLAS sums, and the projector test is O(dim)
+        flip = np.array([[0.0, 1.0], [1.0, 0.0]])
+        h1 = LinearOperator("a", -flip)
+        h2 = kron(h1, LinearOperator("b", np.eye(2))) - kron(LinearOperator("a", np.eye(2)),
+                                                            LinearOperator("b", flip))
+        p1 = _signed_permutation_cone("a", [1, 0], [1.0, 1.0])
+        p2 = tensor_cone(p1, orthant("b", 2))
+        source, target = NodeAnalysis(h1, p1), NodeAnalysis(h2, p2)
+        emb = append_factor_embedding("a", h2.space, 2, np.array([1.0, 1.0]) / math.sqrt(2.0))
+        monkeypatch.setattr(Embedding, "projection", refuse)
+        monkeypatch.setattr(inheritance, "classify", refuse)
+        assert check_arrow(source, target, without_isometry(emb))
+        assert ground_overlap(source, target, emb).improving_ok
+
+    def test_lattice(self, monkeypatch):
+        h0 = LinearOperator("base", np.array([[0.3, -1.0], [-1.0, 0.0]]))
+        flip = np.array([[0.0, 1.0], [1.0, 0.0]])
+        spec = LatticeSpec(h0, orthant("base", 2), LinearOperator("base", np.eye(2)),
+                           LinearOperator("base", np.eye(2)),
+                           ((2, LinearOperator("f1", flip)),
+                            (3, LinearOperator("f2", np.ones((3, 3)) - np.eye(3)))))
+        monkeypatch.setattr(Embedding, "projection", refuse)
+        monkeypatch.setattr(inheritance, "classify", refuse)
+        diagram = build_lattice(spec)
+        assert len(diagram.covering_edges) == 4
 
 
 class TestConstruction:
