@@ -33,7 +33,13 @@ from .inheritance import (
 )
 from .jsonio import canonical_dumps, matrix_from_json, vector_from_json
 from .lattice import LatticeSpec, build_lattice, hasse_export
-from .numerics import DEFAULT_TOL, LinearOperator, kron, identity
+from .numerics import (
+    DEFAULT_TOL,
+    LinearOperator,
+    _kronecker_slot,
+    _kronecker_sum,
+    product_space,
+)
 from .positivity import classify, is_ergodic
 from .semigroup import trotter_verify
 from .spin import SpinSystem, _check_cap, verify_mlm
@@ -357,7 +363,8 @@ def _stability_member_chain(ctx: RunContext, h_star: LinearOperator,
     if kind == "coupling":
         x = ctx.operator(recipe.get("x"))
         y = ctx.operator(recipe.get("y"))
-        h2 = kron(h_star, identity(y.space, y.dim)) - kron(x, y)
+        h2 = _kronecker_sum(product_space(h_star.space, y.space), h_star, x,
+                            [_kronecker_slot(y.mat)])
         cone2 = tensor_cone(cone, orthant(y.space, y.dim))
         uniform = np.full(y.dim, 1.0 / np.sqrt(y.dim))
         emb = append_factor_embedding(h_star.space, h2.space, h_star.dim, uniform)

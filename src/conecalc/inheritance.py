@@ -26,18 +26,24 @@ class Embedding:
     The embeddings built by `identity_embedding`, `append_factor_embedding`
     and `lattice.subset_embedding` are Kronecker products of identities and
     real unit vectors: row r of the isometry is vals[r] e_{cols[r]}^T, one
-    entry at most.  They keep (cols, vals) besides the dense isometry.
-    `inherits_positivity` decides on (cols, vals) alone, and `extend` and
-    `projection` gather instead of multiplying: every entry of those dense
-    products is a single term, taken in the same order, so the values are
-    the same.  `push`, `pull` and `compress` sum several terms and stay
-    dense on every embedding, as gathered sums would round differently.
+    entry at most.  They keep (cols, vals) and their factors, not the dense
+    isometry.  That is built on its first read, for `compose`, `compress`
+    and the dense route of `inherits_positivity`, by the products of
+    `np.kron`, so it has np.kron's bits, signed zeros included.
+    `inherits_positivity` decides on (cols, vals) alone, and `push` of a
+    vector, `extend` and `projection` gather: every entry of those dense
+    products is a single term, so the values are the same (`push` also
+    turns -0.0 into the +0.0 of a BLAS sum, so its bits are the same).
+    `pull` of a vector sums each column's rows in row order, which rounds
+    apart from a BLAS product by at most 2 m eps sum_r |vals[r] x[r]| per
+    entry, m rows to a column.
     """
 
     from_space: str
     to_space: str
     isometry: np.ndarray  # shape (dim_to, dim_from), columns orthonormal
-    _cols = _vals = None  # not fields: the rows' entries of a Kronecker embedding
+    # not fields: a Kronecker embedding's rows, factors and (dim_to, dim_from)
+    _cols = _vals = _blocks = _shape = None
 
     def __post_init__(self):
         tau = _freeze(self.isometry)
@@ -48,19 +54,43 @@ class Embedding:
             raise ValueError("isometry columns are not orthonormal")
         object.__setattr__(self, "isometry", tau)
 
+    def __getattr__(self, name: str):
+        # reached only for an attribute that is not set: the isometry of a
+        # Kronecker embedding, built on its first read
+        if name != "isometry" or self._blocks is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        tau = np.ones((1, 1))
+        for block in self._blocks:
+            tau = _kron(tau, np.eye(block) if np.ndim(block) == 0 else block.reshape(-1, 1))
+        tau.setflags(write=False)
+        object.__setattr__(self, "isometry", tau)
+        return tau
+
     @property
     def dim_from(self) -> int:
-        return self.isometry.shape[1]
+        return (self._shape or self.isometry.shape)[1]
 
     @property
     def dim_to(self) -> int:
-        return self.isometry.shape[0]
+        return (self._shape or self.isometry.shape)[0]
 
     def push(self, x: np.ndarray) -> np.ndarray:
-        return self.isometry @ x
+        if self._cols is None or x.ndim != 1:
+            return self.isometry @ x
+        out = self._vals * x[self._cols]
+        out += 0.0  # a -0.0 product becomes the +0.0 of a BLAS sum
+        return out
 
     def pull(self, x: np.ndarray) -> np.ndarray:
-        return self.isometry.conj().T @ x
+        if self._cols is None or x.ndim != 1:
+            return self.isometry.conj().T @ x
+        terms = self._vals * x
+        if not np.iscomplexobj(terms):
+            return np.bincount(self._cols, terms, self.dim_from)
+        out = np.empty(self.dim_from, dtype=terms.dtype)
+        out.real = np.bincount(self._cols, terms.real, self.dim_from)
+        out.imag = np.bincount(self._cols, terms.imag, self.dim_from)
+        return out
 
     def projection(self) -> LinearOperator:
         """pi = tau tau^*, the orthogonal projection onto the embedded copy."""
@@ -99,31 +129,38 @@ def _kronecker_embedding(from_space: str, to_space: str, blocks) -> Embedding:
     """The embedding by kron(*blocks), each block an identity, given by its
     size, or a real unit vector, appended as a column.
 
+    Row r's entry vals[r] is the product, in block order, of the entries
+    np.kron multiplies into it, so it has the dense isometry's bits.
     Distinct columns of such an isometry have disjoint supports, and each
     column's squared norm is the product of the vectors' own, so these decide
     orthonormality without the Gram product.
     """
-    tau = np.ones((1, 1))
     cols = np.zeros(1, dtype=np.intp)
+    vals = np.ones(1)
+    dim_from = 1
     square_norm = 1.0
+    kept = []
     for block in blocks:
         if np.ndim(block) == 0:
             block = int(block)
             cols = (cols[:, None] * block + np.arange(block)).ravel()
-            block = np.eye(block)
+            vals = np.repeat(vals, block)  # each times 1.0
+            dim_from *= block
         else:
+            block = np.array(block, dtype=float)
+            block.setflags(write=False)
             cols = np.repeat(cols, block.size)
+            vals = (vals[:, None] * block).ravel()
             square_norm *= float(block @ block)
-            block = block.reshape(-1, 1)
-        tau = _kron(tau, block)
+        kept.append(block)
     if abs(square_norm - 1.0) > ISOMETRY_TOL:
         raise ValueError("isometry columns are not orthonormal")
-    vals = tau[np.arange(cols.size), cols]
-    for array in (tau, cols, vals):
+    for array in (cols, vals):
         array.setflags(write=False)
     emb = object.__new__(Embedding)
-    for name, value in (("from_space", from_space), ("to_space", to_space),
-                        ("isometry", _freeze(tau)), ("_cols", cols), ("_vals", vals)):
+    for name, value in (("from_space", from_space), ("to_space", to_space), ("_cols", cols),
+                        ("_vals", vals), ("_blocks", tuple(kept)),
+                        ("_shape", (cols.size, dim_from))):
         object.__setattr__(emb, name, value)
     return emb
 

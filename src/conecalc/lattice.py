@@ -20,8 +20,9 @@ from .numerics import (
     DIM_CAP,
     LinearOperator,
     Spectrum,
-    _adopt,
-    _kron,
+    _kronecker_slot,
+    _kronecker_sum,
+    _Slot,
     hermitian_eig,
     product_space,
 )
@@ -174,21 +175,24 @@ def _node_cone(spec: LatticeSpec, subset: Subset) -> SelfDualCone:
     if not subset:
         return spec.cone
     dims = [spec.factors[mu - 1][0] for mu in subset]
-    slots = orthant(reduce(product_space, [f"f{mu}" for mu in subset]), math.prod(dims),
+    joint = orthant(reduce(product_space, [f"f{mu}" for mu in subset]), math.prod(dims),
                     "(x)".join(f"R+^{n}" for n in dims))
-    return tensor_cone(spec.cone, slots)
+    return tensor_cone(spec.cone, joint)
 
 
-def _node_hamiltonian(spec: LatticeSpec, subset: Subset) -> LinearOperator:
-    dims = [spec.factors[mu - 1][0] for mu in subset]
-    total = math.prod(dims) if dims else 1
-    mat = _kron(spec.h0.mat, np.eye(total))
-    for k, mu in enumerate(subset):
-        before = math.prod(dims[:k]) if k else 1
-        after = math.prod(dims[k + 1:]) if k + 1 < len(dims) else 1
-        coupling = _kron(_kron(np.eye(before), spec.factors[mu - 1][1].mat), np.eye(after))
-        mat = mat - _kron(spec.x.mat, coupling)
-    return _adopt(_node_space(spec, subset), mat)
+def _slots(spec: LatticeSpec) -> tuple[_Slot, ...]:
+    """Every Y_mu with its eigenpairs, once the top node is known to be
+    within `DIM_CAP`; each lattice decomposes its slots once."""
+    if spec.full_dim() > DIM_CAP:
+        raise DimCap(f"total dimension {spec.full_dim()} exceeds cap {DIM_CAP}")
+    return tuple(_kronecker_slot(y.mat) for _, y in spec.factors)
+
+
+def _node_hamiltonian(spec: LatticeSpec, subset: Subset,
+                      slots: tuple[_Slot, ...]) -> LinearOperator:
+    """H_I = H0 (x) 1 - X (x) K_I, K_I the Kronecker sum of the slots in I."""
+    return _kronecker_sum(_node_space(spec, subset), spec.h0, spec.x,
+                          [slots[mu - 1] for mu in subset])
 
 
 def subset_embedding(spec: LatticeSpec, small: Subset, large: Subset) -> Embedding:
@@ -215,18 +219,18 @@ def build_node(spec: LatticeSpec, subset: Subset, tol: float = DEFAULT_TOL) -> L
     follows from that of every Y_mu (`verify_spec`), and the positivity of a
     sampled exponential from the criterion; both are test oracles only.
     """
-    return _build_node(spec, subset, tol, hermitian_eig(spec.observable))[0]
+    slots = _slots(spec)
+    return _build_node(spec, subset, tol, hermitian_eig(spec.observable), slots)[0]
 
 
-def _build_node(spec: LatticeSpec, subset: Subset, tol: float,
-                o_spectrum: Spectrum) -> tuple[LatticeNode, NodeAnalysis]:
-    """`build_node` given the base observable's spectrum, also returning the
-    node's record.  spec(tau O tau^*) is spec(O) and 0, so the extended
-    observable has the norm of the base one and snaps to those values."""
+def _build_node(spec: LatticeSpec, subset: Subset, tol: float, o_spectrum: Spectrum,
+                slots: tuple[_Slot, ...]) -> tuple[LatticeNode, NodeAnalysis]:
+    """`build_node` given the base observable's spectrum and the slots, also
+    returning the node's record.  spec(tau O tau^*) is spec(O) and 0, so the
+    extended observable has the norm of the base one and snaps to those
+    values."""
     subset = tuple(sorted(subset))
-    if spec.full_dim() > DIM_CAP:
-        raise DimCap(f"total dimension {spec.full_dim()} exceeds cap {DIM_CAP}")
-    h = _node_hamiltonian(spec, subset)
+    h = _node_hamiltonian(spec, subset, slots)
     cone = _node_cone(spec, subset)
     emb = subset_embedding(spec, (), subset)  # the identity for the empty subset
 
@@ -293,15 +297,16 @@ def build_lattice(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> HasseDiagram:
             "quantum numbers would not transfer to the perturbed nodes"
         )
 
+    slots = _slots(spec)
     o_spectrum = hermitian_eig(spec.observable)
     subsets = _all_subsets(spec.ell)
     # every node's record stays alive through the edge loop, which reads
-    # the improving verdicts and ground states again; no eigenbasis does
+    # the improving verdicts and ground states again; a record read from
+    # the blocks of its Kronecker sum holds no eigenbasis
     nodes: list[LatticeNode] = []
     records: dict[Subset, NodeAnalysis] = {}
     for subset in subsets:
-        node, record = _build_node(spec, subset, tol, o_spectrum)
-        record.drop_eigenbasis()
+        node, record = _build_node(spec, subset, tol, o_spectrum, slots)
         nodes.append(node)
         records[node.subset] = record
 

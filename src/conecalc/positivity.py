@@ -14,14 +14,14 @@ generator decide.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .cones import SelfDualCone
 from .errors import InputNotInClass, NotPreserving, NotRealForm
-from .numerics import DEFAULT_TOL, LinearOperator, Spectrum, hermitian_eig
+from .numerics import DEFAULT_TOL, LinearOperator, Spectrum, _block_spectrum, hermitian_eig
 
 Witness = tuple[int, int, complex]
 
@@ -299,9 +299,12 @@ class NodeAnalysis:
     spectrum, its norm max|lambda| and the cone-oriented ground state all
     come from a single eigendecomposition, made the first time one of them
     is asked for, so a link that fails its arrow never decomposes anything.
-    A record lives as long as its caller holds it; the ground vector is a
-    view into the full eigenbasis, which stays alive with it until
-    `drop_eigenbasis`.
+    A Kronecker sum (a lattice node, a tower level, the `stability`
+    coupling recipe) is decomposed by one batched `eigh` of its d0 x d0
+    blocks (`numerics._block_spectrum`), and its record keeps the ground
+    vector and the eigenvalues, no eigenbasis.  Any other Hamiltonian takes
+    `hermitian_eig`, and its ground vector is a view into the full
+    eigenbasis, which stays alive as long as the record holds it.
     """
 
     hamiltonian: LinearOperator
@@ -314,6 +317,8 @@ class NodeAnalysis:
 
     @cached_property
     def spectrum(self) -> Spectrum:
+        if self.hamiltonian._factors is not None:
+            return _block_spectrum(self.hamiltonian)
         return hermitian_eig(self.hamiltonian)
 
     @property
@@ -332,29 +337,6 @@ class NodeAnalysis:
         other = NodeAnalysis(self.hamiltonian, cone, self.tol)
         other.__dict__["spectrum"] = self.spectrum
         return other
-
-    def drop_eigenbasis(self) -> None:
-        """Forget the eigendecomposition, keeping the improving verdict and
-        the ground state, whose vector is copied out of the eigenbasis.
-
-        The ground vector is often a column of the eigenbasis, a strided
-        view, and OpenBLAS sums a strided vector in another order than a
-        contiguous one.  Such a vector is copied into every other slot of a
-        buffer twice its size.  OpenBLAS 0.3.31 sums every non-unit stride
-        in one order, so there the dot products with the copy have the bytes
-        they had with the view; no BLAS promises that, and
-        `tests/test_lattice.py::TestBuildLattice::test_edges_read_kept_ground_states`
-        fails on a BLAS where it does not hold.
-        """
-        vector = self.ground.vector
-        if vector.flags.c_contiguous:
-            copy = np.empty_like(vector)
-        else:
-            copy = np.empty((vector.size, 2), dtype=vector.dtype)[:, 0]
-        copy[...] = vector
-        copy.setflags(write=False)
-        self.__dict__["ground"] = replace(self.ground, vector=copy)
-        self.__dict__.pop("spectrum", None)
 
     def release(self) -> None:
         """Forget the eigendecomposition and the ground state read from it,

@@ -15,6 +15,7 @@ from .cones import SelfDualCone, orthant, tensor_cone
 from .errors import (
     BadFactorization,
     ChainFailed,
+    DimCap,
     Inconsistent,
     LinkFailed,
     MuMismatch,
@@ -37,13 +38,16 @@ from .inheritance import (
 )
 from .numerics import (
     DEFAULT_TOL,
+    DIM_CAP,
     LinearOperator,
     _check_density,
     _kron,
+    _kronecker_sum,
     _reduced,
+    _Slot,
     hermitian_eig,
     identity,
-    kron,
+    product_space,
 )
 from .positivity import GroundState, NodeAnalysis, _toward_cone, generates_improving_semigroup
 
@@ -54,6 +58,9 @@ SUPPORT_TOL = 1e-12  # eigenvalues below this count as zero in the relative entr
 NULL_WEIGHT_TOL = 1e-10  # rho weight on sigma's null space above this makes it +inf
 ENTROPY_TOL = 1e-9  # a reduced ground state matches the base when the entropy is <= this
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+# every tower level's slot: sigma_x with its eigenpairs in closed form
+_FLIP_SLOT = _Slot(PAULI_X, np.array([-1.0, 1.0]),
+                   np.array([[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0))
 _COMMUTATOR_ROWS = 64  # row block of the commutator's Frobenius sum
 
 
@@ -304,23 +311,31 @@ def extension_tower(h: LinearOperator, cone: SelfDualCone, o: LinearOperator,
     Each level appends one spin with a transverse coupling of its own; the
     level's ground state is the previous one tensored with the uniform
     two-component vector, and the embedding appends exactly that vector, so
-    every link verifies with overlap 1.
+    every link verifies with overlap 1.  Level d is the Kronecker sum
+    H (x) 1 - 1 (x) K_d, K_d the sum of sigma_x over the d appended spins
+    (`numerics._kronecker_sum` with X = 1), so its spectrum is read from
+    2^d blocks H - k of the base's size.  A tower whose top dimension
+    h.dim * 2^depth exceeds `DIM_CAP` raises `DimCap` before any level is
+    built.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    # 2^bit_length exceeds the cap already, so no huge power is formed
+    if h.dim * 2 ** min(depth, DIM_CAP.bit_length()) > DIM_CAP:
+        raise DimCap(f"tower dimension {h.dim} * 2^{depth} exceeds cap {DIM_CAP}")
     if not generates_improving_semigroup(h, cone, tol):
         raise PreconditionFailed("seed Hamiltonian is not improving-class on its cone")
     if not commutes_with_observable(h, o):
         raise PreconditionFailed("seed Hamiltonian does not commute with the observable")
     uniform2 = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    one = identity(h.space, h.dim)
     nodes = [ChainNode(h, cone)]
     embeddings = []
     current_h, current_cone = h, cone
     for level in range(1, depth + 1):
         aux = f"q{level}"
-        flip = LinearOperator(aux, PAULI_X)
-        next_h = kron(current_h, identity(aux, 2)) - kron(
-            identity(current_h.space, current_h.dim), flip)
+        next_h = _kronecker_sum(product_space(current_h.space, aux), h, one,
+                                (_FLIP_SLOT,) * level)
         next_cone = tensor_cone(current_cone, orthant(aux, 2))
         embeddings.append(append_factor_embedding(
             current_h.space, next_h.space, current_h.dim, uniform2))

@@ -19,7 +19,7 @@ import pytest
 from scipy.linalg import expm
 
 from conecalc import inheritance, lattice
-from conecalc.cones import SelfDualCone, orthant, tensor_cone
+from conecalc.cones import SelfDualCone, _signed_permutation_cone, orthant, tensor_cone
 from conecalc.errors import (
     ArrowFailed,
     ChainFailed,
@@ -75,6 +75,51 @@ def random_nonneg_irreducible(gen: np.random.Generator, n: int) -> np.ndarray:
     return m
 
 
+def _random_circulant(gen: np.random.Generator, n: int, nonnegative: bool) -> np.ndarray:
+    """Symmetric circulant; with ``nonnegative`` its ring entries are
+    positive, so its digraph is connected."""
+    row = gen.uniform(0.0, 1.0, size=n) if nonnegative else gen.normal(size=n)
+    row = 0.5 * (row + np.roll(row[::-1], 1))
+    if nonnegative and n > 1:
+        row[1] = row[-1] = max(row[1], 0.2)
+    return np.array([np.roll(row, k) for k in range(n)])
+
+
+def random_lattice_spec(gen: np.random.Generator,
+                        structured: bool = False) -> lattice.LatticeSpec:
+    """A spec that meets every standing assumption.  In the generator basis
+    of a random unitary base cone, H0 = a - C0, X and O are symmetric
+    circulants, so they commute; C0 and X are nonnegative and C0 is
+    irreducible.  Each Y_mu is a nonnegative irreducible symmetric circulant
+    with its coordinates permuted, so the uniform vector stays an
+    eigenvector.  A ``structured`` base cone is a random signed permutation,
+    and every operator is real."""
+    n = int(gen.integers(2, 4))
+    if structured:
+        cone = _signed_permutation_cone("base", gen.permutation(n), gen.choice([-1.0, 1.0], n))
+        q = cone.generators
+    else:
+        q, _ = np.linalg.qr(gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n)))
+        cone = SelfDualCone("base", q)
+
+    def base_op(coords):
+        return op("base", q @ coords @ q.conj().T)
+
+    factors = []
+    for mu in range(1, int(gen.integers(1, 4)) + 1):
+        m = int(gen.integers(2, 4))
+        perm = np.eye(m)[gen.permutation(m)]
+        y = perm @ _random_circulant(gen, m, True) @ perm.T
+        factors.append((m, op(f"f{mu}", gen.uniform(0.1, 2.0) * y)))
+    return lattice.LatticeSpec(
+        h0=base_op(gen.normal() * np.eye(n) - _random_circulant(gen, n, True)),
+        cone=cone,
+        observable=base_op(_random_circulant(gen, n, False)),
+        x=base_op(_random_circulant(gen, n, True)),
+        factors=tuple(factors),
+    )
+
+
 def random_density(gen: np.random.Generator, n: int) -> np.ndarray:
     a = gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n))
     rho = a @ a.conj().T
@@ -116,16 +161,19 @@ def _caller_package(frame) -> str:
 @pytest.fixture
 def decompositions(monkeypatch) -> collections.Counter:
     """Counts the `np.linalg` eigh, eigvalsh and svd calls made by conecalc,
-    keyed by name; the svd inside `np.linalg.norm(a, 2)` counts as an svd."""
+    keyed by name; the svd inside `np.linalg.norm(a, 2)` counts as an svd.
+    ``counts.shapes`` lists (name, shape of the decomposed array) per call."""
     counts = collections.Counter()
+    counts.shapes = []
     norm_module = getattr(np.linalg.norm, "__wrapped__", np.linalg.norm).__globals__
     for name in ("eigh", "eigvalsh", "svd"):
         original = getattr(np.linalg, name)
 
-        def counting(*args, _name=name, _original=original, **kwargs):
+        def counting(a, *args, _name=name, _original=original, **kwargs):
             if _caller_package(sys._getframe(1)) == "conecalc":
                 counts[_name] += 1
-            return _original(*args, **kwargs)
+                counts.shapes.append((_name, np.shape(a)))
+            return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
         if norm_module.get(name) is original:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conecalc import cli, lattice
+from conecalc import cli, lattice, stability
 from conecalc.cli import emit, main, run_config
 from conecalc.errors import SchemaError
 from conecalc.jsonio import canonical_dumps, matrix_from_json, matrix_to_json
@@ -397,6 +397,27 @@ def test_spin_sites_past_the_cap_fail_before_any_site_list_is_built():
 TROTTER_TEXT = (CONFIGS / "trotter_pair.json").read_text()
 RICHNESS_TEXT = (CONFIGS / "richness_depth5.json").read_text()
 STABILITY_TEXT = (CONFIGS / "stability_demo.json").read_text()
+
+
+@pytest.mark.parametrize("task, text", [
+    ("richness", RICHNESS_TEXT.replace('"depth": 5', '"depth": 40')),
+    ("stability", STABILITY_TEXT.replace('"depth": 2', '"depth": 40')),
+], ids=["richness", "stability-tower"])
+def test_tower_past_the_cap_fails_before_any_level_is_built(task, text, monkeypatch):
+    def refuse_level(*args, **kwargs):  # a missing cap fails here, not by exhausting memory
+        raise AssertionError("a tower level was built")
+
+    monkeypatch.setattr(stability, "_kronecker_sum", refuse_level)
+    tracemalloc.start()
+    try:
+        report, _ = run_config(json.loads(text), "0" * 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["status"] == "fail"
+    assert report["payload"]["error_type"] == "DimCap"
+    assert report["payload"]["reason"] == "tower dimension 2 * 2^40 exceeds cap 4096"
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("task, text, message", [

@@ -3,10 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from conftest import combined_factor_operator, expm_oracle, factor_cone, op, rng, same_bits
+from conftest import (
+    combined_factor_operator,
+    expm_oracle,
+    factor_cone,
+    op,
+    random_lattice_spec,
+    rng,
+)
 
-from conecalc.cones import SelfDualCone, _signed_permutation_cone, orthant
-from conecalc import inheritance, lattice, positivity
+from conecalc.cones import orthant
+from conecalc import inheritance, lattice
 from conecalc.errors import DimCap, LinkFailed, SpecFailed
 from conecalc.inheritance import ArrowChain, ChainNode, _kronecker_embedding, verify_chain
 from conecalc.lattice import (
@@ -18,7 +25,7 @@ from conecalc.lattice import (
     verify_spec,
 )
 from conecalc.numerics import DEFAULT_TOL, DIM_CAP, LinearOperator, hermitian_eig
-from conecalc.positivity import NodeAnalysis, generates_improving_semigroup, is_ergodic
+from conecalc.positivity import generates_improving_semigroup, is_ergodic
 from conecalc.stability import PAULI_X, is_decoupled_extension, quantum_number_along_chain
 
 RING3 = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
@@ -37,50 +44,6 @@ def demo_spec(ell: int = 3) -> LatticeSpec:
         cone=orthant("base", 2),
         observable=op("base", PAULI_X),
         x=op("base", np.eye(2) + 0.5 * PAULI_X),
-        factors=tuple(factors),
-    )
-
-
-def _random_circulant(gen: np.random.Generator, n: int, nonnegative: bool) -> np.ndarray:
-    """Symmetric circulant; with ``nonnegative`` its ring entries are
-    positive, so its digraph is connected."""
-    row = gen.uniform(0.0, 1.0, size=n) if nonnegative else gen.normal(size=n)
-    row = 0.5 * (row + np.roll(row[::-1], 1))
-    if nonnegative and n > 1:
-        row[1] = row[-1] = max(row[1], 0.2)
-    return np.array([np.roll(row, k) for k in range(n)])
-
-
-def random_lattice_spec(gen: np.random.Generator, structured: bool = False) -> LatticeSpec:
-    """A spec that meets every standing assumption.  In the generator basis
-    of a random unitary base cone, H0 = a - C0, X and O are symmetric
-    circulants, so they commute; C0 and X are nonnegative and C0 is
-    irreducible.  Each Y_mu is a nonnegative irreducible symmetric circulant
-    with its coordinates permuted, so the uniform vector stays an
-    eigenvector.  A ``structured`` base cone is a random signed permutation,
-    and every operator is real."""
-    n = int(gen.integers(2, 4))
-    if structured:
-        cone = _signed_permutation_cone("base", gen.permutation(n), gen.choice([-1.0, 1.0], n))
-        q = cone.generators
-    else:
-        q, _ = np.linalg.qr(gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n)))
-        cone = SelfDualCone("base", q)
-
-    def base_op(coords):
-        return op("base", q @ coords @ q.conj().T)
-
-    factors = []
-    for mu in range(1, int(gen.integers(1, 4)) + 1):
-        m = int(gen.integers(2, 4))
-        perm = np.eye(m)[gen.permutation(m)]
-        y = perm @ _random_circulant(gen, m, True) @ perm.T
-        factors.append((m, op(f"f{mu}", gen.uniform(0.1, 2.0) * y)))
-    return LatticeSpec(
-        h0=base_op(gen.normal() * np.eye(n) - _random_circulant(gen, n, True)),
-        cone=cone,
-        observable=base_op(_random_circulant(gen, n, False)),
-        x=base_op(_random_circulant(gen, n, True)),
         factors=tuple(factors),
     )
 
@@ -292,30 +255,18 @@ class TestBuildLattice:
         assert len(diagram.covering_edges) == 1
 
     def test_decomposition_budget(self, decompositions):
-        # one eigh per node and one for the observable
-        diagram = build_lattice(demo_spec())
-        assert decompositions["eigh"] <= len(diagram.nodes) + 1
-
-    @pytest.mark.parametrize("seed", range(16))
-    def test_edges_read_kept_ground_states(self, seed, monkeypatch):
-        # each node is decomposed once and keeps only its verdict and a copy
-        # of its ground vector; the overlaps keep the bytes of records that
-        # hold their whole eigendecomposition
-        spec = random_lattice_spec(rng(400 + seed), structured=seed % 4 != 3)
-        calls = []
-        original = positivity.hermitian_eig
-        monkeypatch.setattr(positivity, "hermitian_eig",
-                            lambda h: calls.append(h.dim) or original(h))
+        # no node-sized matrix is decomposed: each node's spectrum is one
+        # batched eigh of its d0 x d0 blocks, each slot is decomposed once,
+        # and so is the observable
+        spec = demo_spec()
         diagram = build_lattice(spec)
-        assert len(calls) == len(diagram.nodes)
-        monkeypatch.undo()
-        records = {n.subset: NodeAnalysis(n.hamiltonian, n.cone) for n in diagram.nodes}
-        overlaps = [
-            inheritance._verified_link(j, records[small], records[large],
-                                       subset_embedding(spec, small, large)).overlap
-            for j, (small, large) in enumerate(diagram.covering_edges)
-        ]
-        assert same_bits(np.array(diagram.edge_overlaps), np.array(overlaps))
+        shapes = decompositions.shapes
+        blocks = [s for name, s in shapes if name == "eigh" and len(s) == 3]
+        assert sorted(blocks) == sorted((n.hamiltonian.dim // 2, 2, 2) for n in diagram.nodes)
+        slots = [s for name, s in shapes if name == "eigh" and len(s) == 2]
+        assert sorted(slots) == sorted([(n, n) for n, _ in spec.factors] + [(2, 2)])
+        assert decompositions["eigh"] == len(diagram.nodes) + spec.ell + 1
+        assert max(s[-1] for _, s in shapes) <= max(n for n, _ in spec.factors)
 
     def test_each_edge_checks_its_arrow_once(self, arrow_calls):
         diagram = build_lattice(demo_spec())

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -18,10 +19,12 @@ from conftest import (
     two_pass_quantum_numbers,
 )
 
+from conecalc import stability
 from conecalc.cones import SelfDualCone, orthant, tensor_cone
 from conecalc.errors import (
     ArrowFailed,
     ChainFailed,
+    DimCap,
     MuMismatch,
     NonHermitian,
     NotCommuting,
@@ -302,6 +305,10 @@ def test_a_phase_rotated_link_gives_the_same_answers_in_complex_arithmetic(seed)
     assert np.abs(turned_readings - readings).max(initial=0.0) <= 1e-12 * scale
 
 
+def refuse_level(*args, **kwargs):
+    raise AssertionError("a tower level was built")
+
+
 class TestExtensionTower:
     def test_depth_zero_is_singleton(self):
         h = seed_hamiltonian()
@@ -330,6 +337,28 @@ class TestExtensionTower:
         with pytest.raises(PreconditionFailed):
             extension_tower(op("s", np.diag([0.0, 1.0])), orthant("s", 2),
                             identity("s", 2), 1)
+
+    def test_top_dimension_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(stability, "DIM_CAP", 64)
+        h = seed_hamiltonian()
+        chain = extension_tower(h, orthant("base", 2), h, 5)
+        assert chain.nodes[-1].hamiltonian.dim == 64
+
+    @pytest.mark.parametrize("depth", [6, 40])
+    def test_past_the_cap_builds_no_level(self, depth, monkeypatch):
+        # one level-6 matrix takes 128 * 128 * 8 bytes; nothing that size is
+        # made, and a missing cap fails at the first level, not by exhausting memory
+        monkeypatch.setattr(stability, "DIM_CAP", 64)
+        monkeypatch.setattr(stability, "_kronecker_sum", refuse_level)
+        h = seed_hamiltonian()
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimCap, match=rf"^tower dimension 2 \* 2\^{depth} exceeds cap 64$"):
+                extension_tower(h, orthant("base", 2), h, depth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 128 * 8
 
 
 class TestChainInvariance:

@@ -1,10 +1,13 @@
-"""Signed-permutation cones and Kronecker embeddings against the dense path.
+"""Signed-permutation cones, Kronecker embeddings and Kronecker-sum spectra
+against the dense path.
 
 Each structured cone is compared with the explicit cone of its own generator
 matrix, and each Kronecker embedding with the isometry embedding of its own
 matrix (`conftest.dense_cone`, `conftest.dense_embedding`).  Values must be
 equal under `np.array_equal`, verdicts and payloads identical, and a reported
-witness must carry the same sign of zero.
+witness must carry the same sign of zero; only a gathered `pull` may round
+apart from the dense product, within its stated bound.  A Kronecker sum's
+block spectrum is compared with `hermitian_eig` of the same matrix.
 """
 
 import copy
@@ -14,7 +17,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import dense_cone, dense_embedding, random_spin_system, rng, same_bits
+from conftest import (
+    dense_cone,
+    dense_embedding,
+    random_hermitian,
+    random_lattice_spec,
+    random_metzler_generator,
+    random_nonneg_irreducible,
+    random_real_symmetric,
+    random_spin_system,
+    rng,
+    same_bits,
+)
 
 from conecalc import inheritance
 from conecalc.cones import (
@@ -23,12 +37,15 @@ from conecalc.cones import (
     orthant,
     tensor_cone,
 )
-from conecalc.errors import NotPreserving
+from conecalc.errors import ConecalcError, Inconsistent, NotPreserving, NotSimple
 from conecalc.inheritance import (
     TOL_LIMIT,
+    ArrowChain,
+    ChainNode,
     Embedding,
     _kronecker_embedding,
     _projector_improves,
+    _verified_link,
     append_factor_embedding,
     check_arrow,
     ground_overlap,
@@ -43,9 +60,16 @@ from conecalc.lattice import (
     build_lattice,
     subset_embedding,
 )
-from conecalc.numerics import LinearOperator, kron
+from conecalc.numerics import (
+    LinearOperator,
+    _kronecker_slot,
+    _kronecker_sum,
+    hermitian_eig,
+    kron,
+)
 from conecalc.positivity import NodeAnalysis, classify, generates_improving_semigroup, is_ergodic
 from conecalc.spin import m_sector, marshall_cone
+from conecalc.stability import _quantum_number, extension_tower, quantum_number_along_chain
 
 SEEDS = range(60)
 
@@ -196,6 +220,27 @@ class TestNegativeZero:
         assert report.to_payload() == oracle.to_payload()
 
 
+def product_vector(gen: np.random.Generator, n: int, complex_: bool) -> np.ndarray:
+    """Normal entries, real or complex, some of them 0.0 or -0.0."""
+    x = gen.normal(size=n) + (1j * gen.normal(size=n) if complex_ else 0.0)
+    x[gen.uniform(size=n) < 0.2] = 0.0
+    x[gen.uniform(size=n) < 0.2] = -0.0
+    return x
+
+
+def assert_gathered_products(emb: Embedding, dense: Embedding, gen: np.random.Generator):
+    """`push` has the dense product's bits.  `pull` sums each column's m
+    rows in row order, so it may round apart from the dense product, by at
+    most 2 m eps sum_r |vals[r] x[r]| per entry."""
+    m = emb.dim_to // emb.dim_from
+    for complex_ in (False, True):
+        x = product_vector(gen, emb.dim_from, complex_)
+        assert same_bits(emb.push(x), dense.push(x))
+        y = product_vector(gen, emb.dim_to, complex_)
+        bound = 2 * m * np.finfo(float).eps * (np.abs(dense.isometry).T @ np.abs(y))
+        assert (np.abs(emb.pull(y) - dense.pull(y)) <= bound).all()
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 class TestEmbeddingOracle:
     def test_append_embedding_products(self, seed):
@@ -203,11 +248,14 @@ class TestEmbeddingOracle:
         d, k = int(gen.integers(1, 6)), int(gen.integers(1, 4))
         v = random_real_unit(gen, k)
         emb = append_factor_embedding("s", "s*e", d, v)
-        assert same_bits(emb.isometry, np.kron(np.eye(d), v.reshape(-1, 1)))
-        dense = dense_embedding(emb)
+        tau = np.kron(np.eye(d), v.reshape(-1, 1))
+        dense = Embedding("s", "s*e", tau)
         a = LinearOperator("s", gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d)))
         assert np.array_equal(emb.extend(a).mat, dense.extend(a).mat)
         assert np.array_equal(emb.projection().mat, dense.projection().mat)
+        assert_gathered_products(emb, dense, gen)
+        assert "isometry" not in emb.__dict__  # none of these read it
+        assert same_bits(emb.isometry, tau)
 
     def test_subset_embedding_products(self, seed):
         gen = rng(5000 + seed)
@@ -228,6 +276,7 @@ class TestEmbeddingOracle:
         a = LinearOperator(emb.from_space, gen.normal(size=(emb.dim_from, emb.dim_from)))
         assert np.array_equal(emb.extend(a).mat, dense.extend(a).mat)
         assert np.array_equal(emb.projection().mat, dense.projection().mat)
+        assert_gathered_products(emb, dense, gen)
 
     def test_orthonormality_verdict(self, seed):
         gen = rng(6000 + seed)
@@ -420,9 +469,8 @@ def refuse(*args, **kwargs):
 
 class TestStructuredLinksFormNothingDense:
     def test_tower_link(self, monkeypatch):
-        # the arrow decides on (rows, signs) and (cols, vals); the overlap
-        # pulls the target's ground state through the dense isometry, which
-        # keeps its BLAS sums, and the projector test is O(dim)
+        # the arrow decides on (rows, signs) and (cols, vals), the overlap
+        # gathers the pulled ground state, and the projector test is O(dim)
         flip = np.array([[0.0, 1.0], [1.0, 0.0]])
         h1 = LinearOperator("a", -flip)
         h2 = kron(h1, LinearOperator("b", np.eye(2))) - kron(LinearOperator("a", np.eye(2)),
@@ -434,7 +482,7 @@ class TestStructuredLinksFormNothingDense:
         monkeypatch.setattr(Embedding, "projection", refuse)
         monkeypatch.setattr(inheritance, "classify", refuse)
         assert check_arrow(source, target, without_isometry(emb))
-        assert ground_overlap(source, target, emb).improving_ok
+        assert ground_overlap(source, target, without_isometry(emb)).improving_ok
 
     def test_lattice(self, monkeypatch):
         h0 = LinearOperator("base", np.array([[0.3, -1.0], [-1.0, 0.0]]))
@@ -445,8 +493,161 @@ class TestStructuredLinksFormNothingDense:
                             (3, LinearOperator("f2", np.ones((3, 3)) - np.eye(3)))))
         monkeypatch.setattr(Embedding, "projection", refuse)
         monkeypatch.setattr(inheritance, "classify", refuse)
+        monkeypatch.setattr(inheritance, "_kron", refuse)  # no isometry is built
         diagram = build_lattice(spec)
         assert len(diagram.covering_edges) == 4
+        assert all("isometry" not in node.embedding.__dict__ for node in diagram.nodes)
+
+    def test_tower_quantum_numbers(self, monkeypatch):
+        h = LinearOperator("base", np.diag([0.0, 1.0]) - 0.1 * np.array([[0.0, 1.0], [1.0, 0.0]]))
+        chain = extension_tower(h, orthant("base", 2), h, 4)
+        monkeypatch.setattr(Embedding, "projection", refuse)
+        monkeypatch.setattr(inheritance, "classify", refuse)
+        monkeypatch.setattr(inheritance, "_kron", refuse)
+        report = quantum_number_along_chain(chain, h)
+        assert len(set(report.snapped)) == 1
+        assert all("isometry" not in emb.__dict__ for emb in chain.embeddings)
+
+
+def dense_copy(h: LinearOperator) -> LinearOperator:
+    """The same matrix without its factors, which `NodeAnalysis` decomposes
+    by `hermitian_eig`."""
+    return LinearOperator(h.space, np.array(h.mat))
+
+
+def reading(record: NodeAnalysis, o: LinearOperator, o_norm: float, candidates):
+    """The snapped quantum number of O on the record, or the name of the
+    error that refused it."""
+    try:
+        return _quantum_number(record, o, o_norm, candidates)[1]
+    except ConecalcError as exc:
+        return type(exc).__name__
+
+
+def assert_routes_agree(h: LinearOperator, cone: SelfDualCone, o: LinearOperator | None = None,
+                        o_norm: float = 0.0, candidates=None) -> None:
+    """The block spectrum of a Kronecker sum against `hermitian_eig` of its
+    matrix: eigenvalues within 1e-12 ||H||, ground vectors with overlap
+    1 - 1e-12, and the same simple, improving and snapped-mu verdicts."""
+    block, dense = NodeAnalysis(h, cone), NodeAnalysis(dense_copy(h), cone)
+    assert h._factors is not None and dense.hamiltonian._factors is None
+    got, want = block.spectrum, dense.spectrum
+    assert got.eigenvectors.shape == (h.dim, 1)  # the ground vector alone
+    assert np.abs(got.eigenvalues - want.eigenvalues).max() <= 1e-12 * want.norm
+    assert got.simple == want.simple
+    if want.simple:
+        assert abs(np.vdot(got.ground_vector, want.ground_vector)) >= 1.0 - 1e-12
+    assert block.improving == dense.improving
+    if o is not None:
+        assert reading(block, o, o_norm, candidates) == reading(dense, o, o_norm, candidates)
+
+
+def slot_by_slot(h0: np.ndarray, x: np.ndarray, ys: list[np.ndarray]) -> np.ndarray:
+    """H0 (x) 1 - sum_mu X (x) (1 (x) Y_mu (x) 1) by np.kron, one slot at a time."""
+    dims = [y.shape[0] for y in ys]
+    mat = np.kron(h0, np.eye(math.prod(dims)))
+    for k, y in enumerate(ys):
+        mat = mat - np.kron(x, np.kron(np.kron(np.eye(math.prod(dims[:k])), y),
+                                       np.eye(math.prod(dims[k + 1:]))))
+    return mat
+
+
+def random_kronecker_sum(seed: int) -> LinearOperator:
+    """H0 (x) 1 - X (x) K over 1-4 base dimensions and 0-3 slots of 1-3
+    dimensions.  Even seeds draw an improving-class sum (-H0 Metzler, X and
+    every Y nonnegative and irreducible), odd ones Hermitian H0, X and Y,
+    complex for every other odd seed."""
+    gen = rng(12000 + seed)
+    d0 = int(gen.integers(1, 5))
+    dims = [int(n) for n in gen.integers(1, 4, size=int(gen.integers(0, 4)))]
+    if seed % 2 == 0:
+        h0 = random_metzler_generator(gen, d0)
+        x = gen.uniform(0.1, 1.0) * random_nonneg_irreducible(gen, d0)
+        ys = [random_nonneg_irreducible(gen, n) for n in dims]
+    elif seed % 4 == 1:
+        h0, x = random_real_symmetric(gen, d0), random_real_symmetric(gen, d0)
+        ys = [random_real_symmetric(gen, n) for n in dims]
+    else:
+        h0, x = random_hermitian(gen, d0), random_hermitian(gen, d0)
+        ys = [random_hermitian(gen, n) for n in dims]
+    space = "*".join(["base"] + [f"f{mu}" for mu in range(1, len(dims) + 1)])
+    h = _kronecker_sum(space, LinearOperator("base", h0), LinearOperator("base", x),
+                       [_kronecker_slot(LinearOperator(f"f{mu}", y).mat)
+                        for mu, y in enumerate(ys, start=1)])
+    assert np.array_equal(h.mat, slot_by_slot(h0, x, ys))
+    return h
+
+
+class TestBlockSpectrumOracle:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_kronecker_sums(self, seed):
+        h = random_kronecker_sum(seed)
+        dense = hermitian_eig(dense_copy(h))
+        assert_routes_agree(h, orthant(h.space, h.dim), h, dense.norm, dense.eigenvalues)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_towers(self, seed):
+        gen = rng(13000 + seed)
+        n, depth = int(gen.integers(1, 5)), int(gen.integers(0, 7))
+        h = LinearOperator("base", random_metzler_generator(gen, n))
+        chain = extension_tower(h, orthant("base", n), h, depth)
+        for node in chain.nodes[1:]:
+            assert_routes_agree(node.hamiltonian, node.cone)
+        dense = ArrowChain(
+            tuple(ChainNode(dense_copy(node.hamiltonian) if j else node.hamiltonian, node.cone)
+                  for j, node in enumerate(chain.nodes)),
+            tuple(dense_embedding(emb) for emb in chain.embeddings))
+        got, want = quantum_number_along_chain(chain, h), quantum_number_along_chain(dense, h)
+        assert got.snapped == want.snapped
+        scale = max(h.norm(), 1.0)
+        assert np.abs(np.subtract(got.values, want.values)).max() <= 1e-12 * scale
+        assert np.abs(np.subtract(got.overlaps, want.overlaps)).max(initial=0.0) <= 1e-12
+        assert max(got.telescope_residuals + want.telescope_residuals, default=0.0) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_lattices(self, seed):
+        # every node against its dense route, and every edge overlap against
+        # the one of dense records and a dense embedding
+        spec = random_lattice_spec(rng(400 + seed), structured=seed % 4 != 3)
+        diagram = build_lattice(spec)
+        o_spectrum = hermitian_eig(spec.observable)
+        candidates = np.concatenate([o_spectrum.eigenvalues, [0.0]])
+        records = {}
+        for node in diagram.nodes:
+            observable = node.embedding.extend(spec.observable)
+            assert_routes_agree(node.hamiltonian, node.cone, observable, o_spectrum.norm,
+                                candidates)
+            records[node.subset] = NodeAnalysis(dense_copy(node.hamiltonian), node.cone)
+            assert node.mu_snapped == reading(records[node.subset], observable,
+                                              o_spectrum.norm, candidates)
+        for j, (small, large) in enumerate(diagram.covering_edges):
+            emb = dense_embedding(subset_embedding(spec, small, large))
+            want = _verified_link(j, records[small], records[large], emb).overlap
+            assert abs(diagram.edge_overlaps[j] - want) <= 1e-12
+
+    def test_equal_slot_spectra_are_refused_as_not_simple(self):
+        # H = 1 - eps K, K the Kronecker sum of two copies of sigma_x: k = 0
+        # twice, and the gap 2 eps is below SIMPLE_GAP_FACTOR ||H|| while
+        # every coupling eps clears the improving threshold tol ||H||
+        eps = 3e-9
+        one = LinearOperator("base", np.eye(1))
+        slot = _kronecker_slot(eps * np.array([[0.0, 1.0], [1.0, 0.0]]))
+        h = _kronecker_sum("base*f1*f2", one, one, [slot, slot])
+        dense = hermitian_eig(dense_copy(h))
+        assert NodeAnalysis(h, orthant(h.space, 4)).improving
+        assert not NodeAnalysis(h, orthant(h.space, 4)).spectrum.simple
+        assert_routes_agree(h, orthant(h.space, 4), h, dense.norm, dense.eigenvalues)
+        assert reading(NodeAnalysis(h, orthant(h.space, 4)), h, dense.norm,
+                       dense.eigenvalues) == NotSimple.__name__
+
+    def test_factors_that_disagree_with_the_matrix_raise(self, monkeypatch):
+        h = LinearOperator("base", np.diag([0.0, 1.0]) - 0.1 * np.array([[0.0, 1.0], [1.0, 0.0]]))
+        node = extension_tower(h, orthant("base", 2), h, 2).nodes[2]
+        factors = node.hamiltonian._factors
+        monkeypatch.setitem(node.hamiltonian.__dict__, "_factors",
+                            factors._replace(h0=factors.h0 + np.diag([0.0, 0.5])))
+        with pytest.raises(Inconsistent, match="block ground pair .* has residual"):
+            NodeAnalysis(node.hamiltonian, node.cone).spectrum
 
 
 class TestConstruction:
