@@ -52,7 +52,6 @@ from .semigroup import (
     TrotterReport,
     perturbed_semigroup_improving,
     resolvent,
-    semigroup_positive_all_beta,
     trotter_verify,
 )
 from .spin import (

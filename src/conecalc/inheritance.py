@@ -12,7 +12,7 @@ import numpy as np
 
 from .cones import SelfDualCone
 from .errors import ArrowFailed, DimMismatch, LinkFailed, clears_failure_frames
-from .numerics import DEFAULT_TOL, LinearOperator, _freeze, _kron, _numeric
+from .numerics import DEFAULT_TOL, LinearOperator, _freeze, _kron, _numeric, identity
 from .positivity import NodeAnalysis, classify
 
 TOL_LIMIT = float(np.sqrt(0.5))  # inherits_positivity needs tol below this
@@ -31,9 +31,10 @@ class Embedding:
     and the dense route of `inherits_positivity`, by the products of
     `np.kron`, so it has np.kron's bits, signed zeros included.
     `inherits_positivity` decides on (cols, vals) alone, and `push` of a
-    vector, `extend` and `projection` gather: every entry of those dense
-    products is a single term, so the values are the same (`push` also
-    turns -0.0 into the +0.0 of a BLAS sum, so its bits are the same).
+    vector and `extend` gather: every entry of those dense products is a
+    single term, so the values are the same (`push` also turns -0.0 into
+    the +0.0 of a BLAS sum, so its bits are the same).  `projection` is
+    `extend` of the identity on either route.
     `pull` of a vector sums each column's rows in row order, which rounds
     apart from a BLAS product by at most 2 m eps sum_r |vals[r] x[r]| per
     entry, m rows to a column.
@@ -93,17 +94,9 @@ class Embedding:
         return out
 
     def projection(self) -> LinearOperator:
-        """pi = tau tau^*, the orthogonal projection onto the embedded copy."""
-        if self._cols is None:
-            return LinearOperator(self.to_space, self.isometry @ self.isometry.conj().T)
-        # pi[r, r'] = vals[r] vals[r'] where rows r and r' share their column;
-        # every column of a Kronecker embedding has the same number of rows
-        members = np.argsort(self._cols, kind="stable").reshape(self.dim_from, -1)
-        vals = self._vals[members]
-        out = np.zeros((self.dim_to, self.dim_to), dtype=vals.dtype)
-        out[members[:, :, None], members[:, None, :]] = vals[:, :, None] * vals[:, None, :]
-        out.setflags(write=False)
-        return LinearOperator(self.to_space, out)
+        """pi = tau tau^*, the orthogonal projection onto the embedded copy:
+        `extend` of the identity."""
+        return self.extend(identity(self.from_space, self.dim_from))
 
     def compress(self, a: LinearOperator) -> LinearOperator:
         """tau^* A tau, the block of A seen from the smaller space."""

@@ -13,7 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from .cones import SelfDualCone, orthant, tensor_cone
-from .errors import ClassificationFailed, DimCap, SpecFailed
+from .errors import ClassificationFailed, DimCap, DimMismatch, SpecFailed
 from .inheritance import Embedding, _kronecker_embedding, _verified_link
 from .numerics import (
     DEFAULT_TOL,
@@ -39,7 +39,8 @@ class LatticeSpec:
 
     ``factors[mu-1]`` is the pair (n_mu, Y_mu) for coupling slot mu; slots are
     numbered from 1 and tensor factors always appear in ascending slot order
-    to the right of the base space.
+    to the right of the base space.  Y_mu may act on any space, and n_mu
+    must be its dimension.
     """
 
     h0: LinearOperator
@@ -47,6 +48,12 @@ class LatticeSpec:
     observable: LinearOperator
     x: LinearOperator
     factors: tuple[tuple[int, LinearOperator], ...]
+
+    def __post_init__(self):
+        for mu, (n, y) in enumerate(self.factors, start=1):
+            if n != y.dim:
+                raise DimMismatch(f"factor {mu}: n = {n} but Y_{mu} on {y.space!r} "
+                                  f"has dimension {y.dim}")
 
     @property
     def ell(self) -> int:
@@ -121,8 +128,7 @@ def verify_spec(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> SpecReport:
     y_ergodic = []
     y_uniform = []
     for mu, (n, y) in enumerate(spec.factors, start=1):
-        cone_mu = orthant(f"f{mu}", n)
-        report = is_ergodic(y, cone_mu, tol)
+        report = is_ergodic(y, orthant(y.space, n), tol)
         y_ergodic.append(report.ergodic)
         if not report.ergodic:
             notes.append(f"Y_{mu} is not ergodic: pair {report.failing_pair} unconnected")

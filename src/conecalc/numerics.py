@@ -306,9 +306,14 @@ def op_exp(op: LinearOperator, t: float) -> LinearOperator:
     op.require_hermitian()
     if not np.isfinite(t):
         raise ValueError("time parameter must be finite")
-    vals, vecs = np.linalg.eigh(op.mat)
+    return _eigh_exp(op.space, *np.linalg.eigh(op.mat), t)
+
+
+def _eigh_exp(space: str, vals: np.ndarray, vecs: np.ndarray, t: float) -> LinearOperator:
+    """exp(t*M) on ``space`` from the `eigh` output (vals, vecs) of a
+    Hermitian M, so one decomposition serves every t."""
     out = (vecs * np.exp(float(t) * vals)) @ vecs.conj().T
-    return _adopt(op.space, 0.5 * (out + out.conj().T))
+    return _adopt(space, 0.5 * (out + out.conj().T))
 
 
 def op_exp_unitary(op: LinearOperator, s: float) -> LinearOperator:

@@ -70,10 +70,9 @@ def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return c
 
 
-def _commutes(a: np.ndarray, b: np.ndarray, scale: float,
-              tol: float = COMMUTATOR_TOL) -> bool:
-    """Whether ||ab - ba|| <= tol*scale for Hermitian a and b, where scale
-    is ||a||*||b||.
+def _commutes(a: np.ndarray, b: np.ndarray, scale: float) -> bool:
+    """Whether ||ab - ba|| <= COMMUTATOR_TOL*scale for Hermitian a and b,
+    where scale is ||a||*||b||.
 
     The Frobenius norm bounds the spectral norm from above.  It is summed
     over blocks of rows of the commutator, so no n x n product is formed.
@@ -82,7 +81,7 @@ def _commutes(a: np.ndarray, b: np.ndarray, scale: float,
     |eigenvalue| of the Hermitian i(ab - ba), which is complex even when a
     and b are real.
     """
-    thresh = tol * max(scale, 1e-300)
+    thresh = COMMUTATOR_TOL * max(scale, 1e-300)
     square = 0.0
     for start in range(0, a.shape[0], _COMMUTATOR_ROWS):
         rows = slice(start, start + _COMMUTATOR_ROWS)
@@ -99,21 +98,20 @@ def _hermitian_norm(op: LinearOperator) -> float:
     return float(np.abs(np.linalg.eigvalsh(op.mat)).max())
 
 
-def commutes_with_observable(h: LinearOperator, o: LinearOperator,
-                             tol: float = COMMUTATOR_TOL) -> bool:
+def commutes_with_observable(h: LinearOperator, o: LinearOperator) -> bool:
     """Whether H and O strongly commute, via the commutator norm.
 
-    Decided by ||HO - OH|| <= tol*||H||*||O||, every norm read from a
-    Hermitian spectrum.  Sampled unitary groups add nothing to this verdict:
-    by Duhamel's formula ||[e^{isO}, e^{itH}]|| <= |st|*||[H, O]||, so they
-    could only disagree by rounding.  The tests keep that comparison as a
-    property oracle.
+    Decided by ||HO - OH|| <= COMMUTATOR_TOL*||H||*||O||, every norm read
+    from a Hermitian spectrum.  Sampled unitary groups add nothing to this
+    verdict: by Duhamel's formula ||[e^{isO}, e^{itH}]|| <= |st|*||[H, O]||,
+    so they could only disagree by rounding.  The tests keep that comparison
+    as a property oracle.
     """
     h.require_hermitian()
     o.require_hermitian()
     if h.dim != o.dim:
         raise NotCommuting("operators act on different spaces")
-    return _commutes(h.mat, o.mat, _hermitian_norm(h) * _hermitian_norm(o), tol)
+    return _commutes(h.mat, o.mat, _hermitian_norm(h) * _hermitian_norm(o))
 
 
 @dataclass(frozen=True)

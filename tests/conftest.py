@@ -6,8 +6,9 @@ matrix powers, simplex integrals from composite Simpson quadrature, spin
 operators from dense Kronecker products on the full 2^n space, chain
 quantum numbers from two passes, every link before any node is read, a
 lattice node's coupling from its factor operators summed on the bare factor
-product, and signed-permutation cones and Kronecker embeddings from the same
-generators and isometries taken as dense matrices.
+product, signed-permutation cones and Kronecker embeddings from the same
+generators and isometries taken as dense matrices, and the Metzler criterion
+from exponentials sampled over beta.
 """
 
 import collections
@@ -31,7 +32,12 @@ from conecalc.errors import (
 )
 from conecalc.inheritance import ChainReport, ground_overlap
 from conecalc.numerics import DEFAULT_TOL, LinearOperator, hermitian_eig
-from conecalc.positivity import NodeAnalysis, generates_improving_semigroup
+from conecalc.positivity import (
+    NodeAnalysis,
+    classify,
+    generates_improving_semigroup,
+    generates_positive_semigroup,
+)
 from conecalc.spin import MlmReport, SpinSystem, m_sector, marshall_cone
 from conecalc.stability import ChainMuReport, _quantum_number, good_quantum_number
 
@@ -184,6 +190,40 @@ def decompositions(monkeypatch) -> collections.Counter:
 def expm_oracle(mat: np.ndarray) -> np.ndarray:
     """Independent matrix exponential (scaling-and-squaring, not eigenbasis)."""
     return expm(np.asarray(mat, dtype=complex))
+
+
+BETA_SAMPLES = (0.1, 1.0, 10.0)
+
+
+def semigroup_positive_all_beta(h: LinearOperator, cone: SelfDualCone,
+                                tol: float = DEFAULT_TOL,
+                                betas: tuple[float, ...] = BETA_SAMPLES) -> bool:
+    """`generates_positive_semigroup` cross-checked against exponentials of
+    -beta*H sampled over beta, each classified against the cone.
+
+    A positive verdict must survive every sampled beta.  A negative verdict
+    must be confirmed by some sampled beta; small off-diagonal violations
+    can be masked by second-order terms on the default grid, so an extra
+    beta matched to the worst offending entry (where the linear term
+    dominates) is tried before the two sides are called inconsistent.
+    """
+
+    def preserving(beta: float) -> bool:
+        return classify(LinearOperator(h.space, expm_oracle(-beta * h.mat)), cone, tol).preserving
+
+    metzler = generates_positive_semigroup(h, cone, tol)
+    sampled = all(preserving(b) for b in betas)
+    if not metzler and sampled:
+        m = cone.operator_coords(h)
+        off = m.real.copy()
+        np.fill_diagonal(off, -np.inf)
+        worst = float(off.max())
+        norm_sq = float(np.linalg.norm(m, 2)) ** 2
+        if worst > 0.0 and norm_sq > 0.0:
+            sampled = preserving(worst / norm_sq)
+    assert metzler == sampled, (
+        f"Metzler criterion says {metzler} but the sampled exponentials say {sampled}")
+    return metzler
 
 
 def combined_factor_operator(spec: lattice.LatticeSpec, subset) -> LinearOperator:

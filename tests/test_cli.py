@@ -14,6 +14,7 @@ from conecalc.errors import SchemaError
 from conecalc.jsonio import canonical_dumps, matrix_from_json, matrix_to_json
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def load(name: str) -> dict:
@@ -132,6 +133,24 @@ class TestRunConfig:
         report, _ = run_config(load("lattice_ell3.json"), "0" * 64)
         assert report["status"] == "pass"
         assert len(calls) == 1
+
+    def test_lattice_factor_spaces_need_no_slot_names(self, tmp_path):
+        # Y_1 declared on a space named slotA: the lattice of lattice_ell3,
+        # whose report differs from the golden one by its config digest alone
+        config = load("lattice_ell3.json")
+        config["spaces"]["slotA"] = config["spaces"].pop("f1")
+        for entry in config["operators"]:
+            if entry["space"] == "f1":
+                entry["space"] = "slotA"
+        path = tmp_path / "renamed.json"
+        path.write_text(json.dumps(config))
+        assert main(["lattice", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        golden = GOLDEN / "lattice_ell3"
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        want = json.loads((golden / "report.json").read_text())
+        assert report.pop("config_digest") != want.pop("config_digest")
+        assert report == want
+        assert (tmp_path / "out" / "hasse.dot").read_bytes() == (golden / "hasse.dot").read_bytes()
 
     def test_richness_task(self):
         report, _ = run_config(load("richness_depth5.json"), "0" * 64)

@@ -14,7 +14,7 @@ from conftest import (
 
 from conecalc.cones import orthant
 from conecalc import inheritance, lattice
-from conecalc.errors import DimCap, LinkFailed, SpecFailed
+from conecalc.errors import DimCap, DimMismatch, LinkFailed, SpecFailed
 from conecalc.inheritance import ArrowChain, ChainNode, _kronecker_embedding, verify_chain
 from conecalc.lattice import (
     LatticeSpec,
@@ -101,6 +101,21 @@ class TestVerifySpec:
                                          bad_x, spec.factors))
         assert not report.x_preserving
         assert any("negative" in n for n in report.notes)
+
+    def test_factor_operators_may_live_on_any_space(self):
+        spec = demo_spec()
+        renamed = LatticeSpec(spec.h0, spec.cone, spec.observable, spec.x,
+                              tuple((n, op(f"slot{mu}", y.mat))
+                                    for mu, (n, y) in enumerate(spec.factors, start=1)))
+        assert verify_spec(renamed) == verify_spec(spec)
+        assert build_lattice(renamed).to_payload() == build_lattice(spec).to_payload()
+
+    def test_factor_dimension_must_match_its_operator(self):
+        spec = demo_spec(2)
+        want = r"^factor 2: n = 3 but Y_2 on 'f2' has dimension 2$"
+        with pytest.raises(DimMismatch, match=want):
+            LatticeSpec(spec.h0, spec.cone, spec.observable, spec.x,
+                        (spec.factors[0], (3, op("f2", PAULI_X))))
 
     def test_non_uniform_coupling_spoils_mu_compatibility(self):
         spec = demo_spec(1)

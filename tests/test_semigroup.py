@@ -8,18 +8,14 @@ from conftest import (
     random_metzler_generator,
     random_nonneg_irreducible,
     rng,
+    semigroup_positive_all_beta,
 )
 
 from conecalc.cones import orthant
 from conecalc.errors import InputNotInClass, PreconditionFailed, SpectralBound
 from conecalc.numerics import identity, op_exp
 from conecalc.positivity import classify, generates_positive_semigroup
-from conecalc.semigroup import (
-    perturbed_semigroup_improving,
-    resolvent,
-    semigroup_positive_all_beta,
-    trotter_verify,
-)
+from conecalc.semigroup import perturbed_semigroup_improving, resolvent, trotter_verify
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -136,6 +132,13 @@ class TestTrotter:
         norm = np.linalg.norm(target, 2)
         assert np.linalg.norm(product - target, 2) <= 5e-3 * norm
 
+    def test_one_decomposition_per_generator(self, decompositions):
+        gen = rng(231)
+        h = op("s", random_metzler_generator(gen, 4))
+        hp = op("s", random_metzler_generator(gen, 4))
+        trotter_verify(h, hp, 0.7, 1.1, 1.0, tuple(2 ** k for k in range(9)), orthant("s", 4))
+        assert decompositions["eigh"] == 3
+
     def test_rejects_inputs_outside_class(self):
         with pytest.raises(InputNotInClass):
             trotter_verify(op("s", SIGMA_X), op("s", -SIGMA_X),
@@ -147,7 +150,7 @@ class TestPerturbedImprovement:
         # A = diag(0,1), B = sigma_x: exp(-(A-B)) is entrywise positive
         a = op("s", np.diag([0.0, 1.0]))
         b = op("s", SIGMA_X)
-        assert perturbed_semigroup_improving(a, b, orthant("s", 2), betas=(1.0,))
+        assert perturbed_semigroup_improving(a, b, orthant("s", 2))
         assert (expm_oracle(-(a.mat - b.mat)).real > 0).all()
 
     def test_identity_perturbation_is_rejected_as_not_ergodic(self):
@@ -167,7 +170,17 @@ class TestPerturbedImprovement:
         want = np.eye(3) + (np.exp(3 * beta) - 1.0) / 3.0 * ones
         assert np.allclose(expm_oracle(beta * ones), want, atol=1e-10)
         assert perturbed_semigroup_improving(op("s", np.zeros((3, 3))), op("s", ones),
-                                             orthant("s", 3), betas=(beta,))
+                                             orthant("s", 3))
+
+    def test_weak_coupling_under_a_wide_gap(self):
+        # A = diag(0, 40), B = 1e-6 sigma_x: -(A-B) is Metzler and irreducible,
+        # so every exp(-beta(A-B)) is strictly positive, yet at beta = 1 its
+        # smallest entry sits far below tol * max; a sampled check refuses it
+        a = op("s", np.diag([0.0, 40.0]))
+        b = op("s", 1e-6 * SIGMA_X)
+        assert perturbed_semigroup_improving(a, b, orthant("s", 2))
+        e = expm_oracle(-(a.mat - b.mat)).real
+        assert 0.0 < e.min() < 1e-9 * e.max()
 
     def test_precondition_errors_name_the_hypothesis(self):
         p = orthant("s", 2)
