@@ -39,6 +39,7 @@ from .numerics import (
     _kronecker_slot,
     _kronecker_sum,
     product_space,
+    uniform_vector,
 )
 from .positivity import classify, is_ergodic
 from .semigroup import trotter_verify
@@ -52,6 +53,9 @@ from .stability import (
     is_decoupled_extension,
     quantum_number_along_chain,
 )
+
+TROTTER_ERROR_FLOOR = 1e-12  # the trotter task converges outright when no error exceeds this
+TROTTER_RATIO_BAND = (2.0 / 3.0, 6.0)  # ... and otherwise when every error ratio lies in this band
 
 TASKS = ("classify", "mu", "chain", "lattice", "trotter", "spin-demo",
          "richness", "weak-equiv", "stability")
@@ -266,7 +270,8 @@ def _task_trotter(ctx: RunContext, params: dict):
     s, t, beta = (_finite(params, key, 1.0, "trotter") for key in ("s", "t", "beta"))
     report = trotter_verify(h, h_prime, s, t, beta, tuple(n_values), cone, ctx.tol)
     scale = max(report.errors) if report.errors else 0.0
-    converged = scale <= 1e-12 or all(2.0 / 3.0 <= r <= 6.0 for r in report.ratios())
+    low, high = TROTTER_RATIO_BAND
+    converged = scale <= TROTTER_ERROR_FLOOR or all(low <= r <= high for r in report.ratios())
     ok = converged and all(report.positivity_ok)
     payload = report.to_payload()
     payload["error_ratios"] = list(report.ratios())
@@ -319,8 +324,7 @@ def _task_weak_equiv(ctx: RunContext, params: dict):
     env_cone = ctx.cone(params.get("env_cone"))
     d1, d2 = h_star.dim, env_cone.dim
     _require(h2.dim == d1 * d2, "h2 dim must equal dim(h_star) * dim(env_cone)")
-    uniform = np.full(d2, 1.0 / np.sqrt(d2))
-    emb = append_factor_embedding(h_star.space, h2.space, d1, uniform)
+    emb = append_factor_embedding(h_star.space, h2.space, d1, uniform_vector(d2))
     equiv = is_decoupled_extension(h2, h_star, emb, env_cone, ctx.tol)
     factor = ground_state_factorizes(h2, h_star, env_cone, tol=ctx.tol)
     payload = {"equivalence": equiv.to_payload(), "weak": factor.to_payload()}
@@ -366,8 +370,7 @@ def _stability_member_chain(ctx: RunContext, h_star: LinearOperator,
         h2 = _kronecker_sum(product_space(h_star.space, y.space), h_star, x,
                             [_kronecker_slot(y.mat)])
         cone2 = tensor_cone(cone, orthant(y.space, y.dim))
-        uniform = np.full(y.dim, 1.0 / np.sqrt(y.dim))
-        emb = append_factor_embedding(h_star.space, h2.space, h_star.dim, uniform)
+        emb = append_factor_embedding(h_star.space, h2.space, h_star.dim, uniform_vector(y.dim))
         return ArrowChain((ChainNode(h_star, cone), ChainNode(h2, cone2)), (emb,))
     raise SchemaError(f"unknown stability recipe type {kind!r}")
 

@@ -45,7 +45,9 @@ class SpectralBound(ConecalcError):
 
 
 class Inconsistent(ConecalcError):
-    """Structural criterion and sampled validation disagree (tolerance pathology)."""
+    """A computed fact fails the check that confirms it (tolerance pathology): a
+    block ground pair's residual, a ground state that is not an observable
+    eigenvector, or a factored environment vector that is not strictly positive."""
 
 
 class PreconditionFailed(ConecalcError):

@@ -17,6 +17,7 @@ from .positivity import NodeAnalysis, classify
 
 TOL_LIMIT = float(np.sqrt(0.5))  # inherits_positivity needs tol below this
 ISOMETRY_TOL = 1e-10
+BOUNDARY_RTOL, BOUNDARY_ATOL = 1e-5, 1e-8  # concatenate: the np.allclose test of the shared node
 
 
 @dataclass(frozen=True, eq=False)
@@ -426,7 +427,8 @@ def concatenate(first: ArrowChain, second: ArrowChain) -> ArrowChain:
     tail = first.nodes[-1]
     head = second.nodes[0]
     if tail.hamiltonian.dim != head.hamiltonian.dim or not np.allclose(
-            tail.hamiltonian.mat, head.hamiltonian.mat):
+            tail.hamiltonian.mat, head.hamiltonian.mat,
+            rtol=BOUNDARY_RTOL, atol=BOUNDARY_ATOL):
         raise DimMismatch("chains do not share their boundary Hamiltonian")
     return ArrowChain(first.nodes[:-1] + second.nodes,
                       first.embeddings + second.embeddings)

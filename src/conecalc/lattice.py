@@ -13,7 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from .cones import SelfDualCone, orthant, tensor_cone
-from .errors import ClassificationFailed, DimCap, DimMismatch, SpecFailed
+from .errors import ClassificationFailed, DimCap, DimMismatch, NotPreserving, SpecFailed
 from .inheritance import Embedding, _kronecker_embedding, _verified_link
 from .numerics import (
     DEFAULT_TOL,
@@ -25,6 +25,7 @@ from .numerics import (
     _Slot,
     hermitian_eig,
     product_space,
+    uniform_vector,
 )
 from .positivity import NodeAnalysis, classify, generates_improving_semigroup, is_ergodic
 from .stability import _quantum_number, commutes_with_observable
@@ -61,10 +62,6 @@ class LatticeSpec:
 
     def full_dim(self) -> int:
         return self.h0.dim * math.prod(n for n, _ in self.factors)
-
-
-def _uniform(n: int) -> np.ndarray:
-    return np.full(n, 1.0 / math.sqrt(n))
 
 
 @dataclass(frozen=True)
@@ -128,11 +125,16 @@ def verify_spec(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> SpecReport:
     y_ergodic = []
     y_uniform = []
     for mu, (n, y) in enumerate(spec.factors, start=1):
-        report = is_ergodic(y, orthant(y.space, n), tol)
-        y_ergodic.append(report.ergodic)
-        if not report.ergodic:
-            notes.append(f"Y_{mu} is not ergodic: pair {report.failing_pair} unconnected")
-        w = _uniform(n)
+        try:
+            report = is_ergodic(y, orthant(y.space, n), tol)
+        except NotPreserving:
+            y_ergodic.append(False)
+            notes.append(f"Y_{mu} is not cone-preserving on its orthant")
+        else:
+            y_ergodic.append(report.ergodic)
+            if not report.ergodic:
+                notes.append(f"Y_{mu} is not ergodic: pair {report.failing_pair} unconnected")
+        w = uniform_vector(n)
         image = y.mat @ w
         lam = float(np.vdot(w, image).real)
         y_uniform.append(bool(np.linalg.norm(image - lam * w)
@@ -210,7 +212,7 @@ def subset_embedding(spec: LatticeSpec, small: Subset, large: Subset) -> Embeddi
     blocks = [spec.h0.dim]
     for mu in large:
         n = spec.factors[mu - 1][0]
-        blocks.append(n if mu in small else _uniform(n))
+        blocks.append(n if mu in small else uniform_vector(n))
     return _kronecker_embedding(_node_space(spec, small), _node_space(spec, large), blocks)
 
 

@@ -30,6 +30,7 @@ SIMPLE_GAP_FACTOR = 1e-8  # a ground state is simple when gap01 > this * ||H||
 DIM_CAP = 4096
 DENSITY_TOL = 1e-10  # Hermiticity, unit trace and eigenvalues >= -this of a density matrix
 BLOCK_RESIDUAL_TOL = 1e-10  # a block ground pair is kept when ||H psi - E psi|| <= this * ||H||
+PHASE_PIVOT_FACTOR = 1e-8  # an eigenvector's phase pivot is its first entry above this * its largest
 
 
 def _numeric(a) -> np.ndarray:
@@ -180,11 +181,16 @@ class Spectrum:
         return self.gap01 > SIMPLE_GAP_FACTOR * max(self.norm, 1e-300)
 
 
+def uniform_vector(n: int) -> np.ndarray:
+    """The unit vector whose n entries all equal 1/sqrt(n)."""
+    return np.full(n, 1.0 / math.sqrt(n))
+
+
 def _fix_phases(vecs: np.ndarray) -> None:
     """Rotate every column in place so that its first non-negligible
     component is real positive."""
     mags = np.abs(vecs)
-    rows = np.argmax(mags > 1e-8 * mags.max(axis=0), axis=0)
+    rows = np.argmax(mags > PHASE_PIVOT_FACTOR * mags.max(axis=0), axis=0)
     pivots = vecs[rows, np.arange(vecs.shape[1])]
     vecs *= pivots.conjugate() / np.abs(pivots)
 

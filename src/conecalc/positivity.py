@@ -5,15 +5,13 @@ All tests reduce to the operator's matrix in the cone's generator basis.  A
 map preserves the cone iff that matrix is real with nonnegative entries, and
 improves it iff the entries are strictly positive; both follow from linearity
 over the generators.  Ergodicity and irreducibility are digraph reachability
-on the support pattern of that matrix: ergodicity reports the least walk
-length between every generator pair, while irreducibility only asks for
-strong connectivity, which forward and reverse reachability from a single
-generator decide.
+on the support pattern of that matrix, one frontier sweep per source: one
+from every generator for ergodicity's least walk lengths, and two from
+generator 0 for irreducibility, one along the edges and one against them.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -98,29 +96,30 @@ def dominates(a: LinearOperator, b: LinearOperator, cone: SelfDualCone,
     return classify(a - b, cone, tol).preserving
 
 
-def _reach_table(out_edges: list[list[int]], n: int) -> np.ndarray:
-    """k_table[i, j] = least walk length from j to i, or -1 if unreachable."""
-    table = -np.ones((n, n), dtype=int)
-    for j in range(n):
-        table[j, j] = 0
-        queue = deque([j])
-        while queue:
-            v = queue.popleft()
-            for w in out_edges[v]:
-                if table[w, j] < 0:
-                    table[w, j] = table[v, j] + 1
-                    queue.append(w)
-    return table
+def _walk_lengths(edges: np.ndarray, source: int) -> np.ndarray:
+    """Least walk length from `source` to every vertex along edges[i, j]
+    (an edge j -> i), -1 where no walk exists: a frontier sweep, in which
+    each step adds 1 to every vertex not yet reached, until no vertex is
+    left to reach or no new vertex was reached."""
+    lengths = np.zeros(edges.shape[0], dtype=int)
+    unseen = np.arange(edges.shape[0]) != source
+    frontier = ~unseen
+    while np.count_nonzero(frontier) and np.count_nonzero(unseen):
+        lengths += unseen
+        frontier = edges[:, frontier].any(axis=1) & unseen
+        unseen ^= frontier
+    lengths[unseen] = -1
+    return lengths
 
 
 @dataclass(frozen=True)
 class ErgodicityReport:
     """Reachability structure of a cone-preserving operator.
 
-    ``k_table[i, j]`` is the least k with <u_i|A^k u_j> > 0 (BFS distance in
-    the support digraph, k=0 on the diagonal), or -1 when no power connects
-    the pair.  ``borderline`` lists entries whose magnitude fell inside the
-    edge threshold band and were therefore not counted as edges.
+    ``k_table[i, j]`` is the least k with <u_i|A^k u_j> > 0 (the walk length
+    in the support digraph, k=0 on the diagonal), or -1 when no power
+    connects the pair.  ``borderline`` lists entries whose magnitude fell
+    inside the edge threshold band and were therefore not counted as edges.
     """
 
     ergodic: bool
@@ -151,22 +150,20 @@ def is_ergodic(op: LinearOperator, cone: SelfDualCone, tol: float = DEFAULT_TOL)
     """Ergodicity of a cone-preserving operator.
 
     Builds the digraph with an edge j->i whenever the generator-basis entry
-    M[i, j] clears tol*max|M|, then BFS-checks that every ordered generator
-    pair is connected by some power; walk lengths never need to exceed dim-1.
+    M[i, j] clears tol*max|M|, then one sweep per generator checks that every
+    ordered generator pair is connected by some power (walks of length < dim).
     """
     m = cone.operator_coords(op)
     if not _classify(m, tol).preserving:
         raise NotPreserving("ergodicity is defined for cone-preserving operators only")
     m = m.real
-    n = m.shape[0]
-    scale = float(np.abs(m).max())
-    thresh = tol * scale
-    out_edges = [list(np.nonzero(m[:, j] > thresh)[0]) for j in range(n)]
+    thresh = tol * float(np.abs(m).max())
+    edges = m > thresh
     borderline = tuple(
         (int(i), int(j), complex(m[i, j]))
         for i, j in zip(*np.nonzero((m > 0.0) & (m <= thresh)))
     )
-    table = _reach_table(out_edges, n)
+    table = np.array([_walk_lengths(edges, j) for j in range(m.shape[0])]).T
     missing = np.argwhere(table < 0)
     failing = (int(missing[0][0]), int(missing[0][1])) if missing.size else None
     return ErgodicityReport(failing is None, table, failing, borderline)
@@ -202,17 +199,6 @@ def generates_positive_semigroup(h: LinearOperator, cone: SelfDualCone,
     return _metzler_coords(h, cone, tol) is not None
 
 
-def _reaches_all(edges: np.ndarray) -> bool:
-    """Whether a frontier sweep from vertex 0 along edges[i, j] (j -> i) visits every vertex."""
-    seen = np.zeros(edges.shape[0], dtype=bool)
-    seen[0] = True
-    frontier = seen.copy()
-    while frontier.any():
-        frontier = edges[:, frontier].any(axis=1) & ~seen
-        seen |= frontier
-    return bool(seen.all())
-
-
 def generates_improving_semigroup(h: LinearOperator, cone: SelfDualCone,
                                   tol: float = DEFAULT_TOL) -> bool:
     """Whether (H+s)^{-1} improves the cone for every s above the bound.
@@ -228,12 +214,8 @@ def generates_improving_semigroup(h: LinearOperator, cone: SelfDualCone,
     if m is None:
         return False
     m = m.real
-    n = m.shape[0]
-    if n == 1:
-        return True
-    edges = -m > tol * float(np.abs(m).max())
-    np.fill_diagonal(edges, False)
-    return _reaches_all(edges) and _reaches_all(edges.T)
+    edges = -m > tol * float(np.abs(m).max())  # the diagonal never shortens a walk
+    return bool(_walk_lengths(edges, 0).min() >= 0 and _walk_lengths(edges.T, 0).min() >= 0)
 
 
 def positive_combination(h: LinearOperator, h_prime: LinearOperator,

@@ -19,6 +19,7 @@ from .stability import _quantum_number
 
 SITE_CAP = 12
 TOTAL_SPIN_TOL = 1e-8  # a sector passes when |snapped mu - S(S+1)| <= this
+SECTOR_TOL = 1e-12  # a sector is non-empty when n/2 - M is within this of a whole number
 
 _HALF_PAULI = (
     np.array([[0.0, 0.5], [0.5, 0.0]]),
@@ -157,7 +158,7 @@ def _sector_basis(n: int, m: float) -> np.ndarray:
     """Ascending indices of the Ising configurations with magnetization m."""
     _check_cap(n)
     downs = n / 2.0 - m
-    if abs(downs - round(downs)) > 1e-12 or not 0 <= round(downs) <= n:
+    if abs(downs - round(downs)) > SECTOR_TOL or not 0 <= round(downs) <= n:
         raise PreconditionFailed(f"sector M={m} is empty for {n} sites")
     basis = np.arange(2 ** n)
     return basis[_down_count(n, basis) == round(downs)]

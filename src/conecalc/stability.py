@@ -48,6 +48,7 @@ from .numerics import (
     hermitian_eig,
     identity,
     product_space,
+    uniform_vector,
 )
 from .positivity import GroundState, NodeAnalysis, _toward_cone, generates_improving_semigroup
 
@@ -325,7 +326,6 @@ def extension_tower(h: LinearOperator, cone: SelfDualCone, o: LinearOperator,
         raise PreconditionFailed("seed Hamiltonian is not improving-class on its cone")
     if not commutes_with_observable(h, o):
         raise PreconditionFailed("seed Hamiltonian does not commute with the observable")
-    uniform2 = np.array([1.0, 1.0]) / math.sqrt(2.0)
     one = identity(h.space, h.dim)
     nodes = [ChainNode(h, cone)]
     embeddings = []
@@ -336,7 +336,7 @@ def extension_tower(h: LinearOperator, cone: SelfDualCone, o: LinearOperator,
                                 (_FLIP_SLOT,) * level)
         next_cone = tensor_cone(current_cone, orthant(aux, 2))
         embeddings.append(append_factor_embedding(
-            current_h.space, next_h.space, current_h.dim, uniform2))
+            current_h.space, next_h.space, current_h.dim, uniform_vector(2)))
         nodes.append(ChainNode(next_h, next_cone))
         current_h, current_cone = next_h, next_cone
     return ArrowChain(tuple(nodes), tuple(embeddings))

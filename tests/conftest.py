@@ -2,7 +2,7 @@
 
 Oracles here deliberately avoid the code paths they check: matrix
 exponentials come from scipy's Pade implementation, ergodicity from explicit
-matrix powers, simplex integrals from composite Simpson quadrature, spin
+matrix powers and from a breadth-first search over adjacency lists, simplex integrals from composite Simpson quadrature, spin
 operators from dense Kronecker products on the full 2^n space, chain
 quantum numbers from two passes, every link before any node is read, a
 lattice node's coupling from its factor operators summed on the bare factor
@@ -33,6 +33,7 @@ from conecalc.errors import (
 from conecalc.inheritance import ChainReport, ground_overlap
 from conecalc.numerics import DEFAULT_TOL, LinearOperator, hermitian_eig
 from conecalc.positivity import (
+    ErgodicityReport,
     NodeAnalysis,
     classify,
     generates_improving_semigroup,
@@ -277,6 +278,40 @@ def power_connectivity_oracle(m: np.ndarray, max_k: int) -> np.ndarray:
         table[hit] = k
         power = power @ m
     return table
+
+
+def reach_table_oracle(edges: np.ndarray) -> np.ndarray:
+    """table[i, j] = least walk length from j to i along edges[i, j] (an
+    edge j -> i), or -1 if unreachable: a breadth-first search from every
+    vertex over adjacency lists."""
+    n = edges.shape[0]
+    out_edges = [list(np.nonzero(edges[:, j])[0]) for j in range(n)]
+    table = -np.ones((n, n), dtype=int)
+    for j in range(n):
+        table[j, j] = 0
+        queue = collections.deque([j])
+        while queue:
+            v = queue.popleft()
+            for w in out_edges[v]:
+                if table[w, j] < 0:
+                    table[w, j] = table[v, j] + 1
+                    queue.append(w)
+    return table
+
+
+def ergodicity_oracle(a: LinearOperator, cone: SelfDualCone,
+                      tol: float = DEFAULT_TOL) -> ErgodicityReport:
+    """`is_ergodic`'s report on a cone-preserving A, its table by
+    `reach_table_oracle` and its borderline entries read one by one."""
+    m = cone.operator_coords(a).real
+    n = m.shape[0]
+    thresh = tol * float(np.abs(m).max())
+    table = reach_table_oracle(m > thresh)
+    borderline = tuple((i, j, complex(m[i, j])) for i in range(n) for j in range(n)
+                       if 0.0 < m[i, j] <= thresh)
+    missing = [(i, j) for i in range(n) for j in range(n) if table[i, j] < 0]
+    failing = missing[0] if missing else None
+    return ErgodicityReport(failing is None, table, failing, borderline)
 
 
 def simpson_weights(num_points: int, length: float) -> np.ndarray:

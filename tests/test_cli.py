@@ -152,6 +152,17 @@ class TestRunConfig:
         assert report == want
         assert (tmp_path / "out" / "hasse.dot").read_bytes() == (golden / "hasse.dot").read_bytes()
 
+    def test_lattice_task_names_a_non_preserving_factor(self, tmp_path):
+        config = load("lattice_ell3.json")
+        config["operators"][3]["entries"] = [[0, -1], [-1, 0]]  # y1 negated
+        path = tmp_path / "negated.json"
+        path.write_text(json.dumps(config))
+        assert main(["lattice", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["status"] == "fail"
+        assert report["payload"] == {"error_type": "SpecFailed",
+                                     "reason": "Y_1 is not cone-preserving on its orthant"}
+
     def test_richness_task(self):
         report, _ = run_config(load("richness_depth5.json"), "0" * 64)
         assert report["status"] == "pass"

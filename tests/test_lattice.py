@@ -24,7 +24,7 @@ from conecalc.lattice import (
     subset_embedding,
     verify_spec,
 )
-from conecalc.numerics import DEFAULT_TOL, DIM_CAP, LinearOperator, hermitian_eig
+from conecalc.numerics import DEFAULT_TOL, DIM_CAP, LinearOperator, hermitian_eig, uniform_vector
 from conecalc.positivity import generates_improving_semigroup, is_ergodic
 from conecalc.stability import PAULI_X, is_decoupled_extension, quantum_number_along_chain
 
@@ -101,6 +101,16 @@ class TestVerifySpec:
                                          bad_x, spec.factors))
         assert not report.x_preserving
         assert any("negative" in n for n in report.notes)
+
+    def test_non_preserving_factor_is_named(self):
+        spec = demo_spec()
+        negated = LatticeSpec(spec.h0, spec.cone, spec.observable, spec.x,
+                              ((2, op("f1", -PAULI_X)),) + spec.factors[1:])
+        report = verify_spec(negated)
+        assert report.y_ergodic == (False, True, True)
+        assert report.notes == ("Y_1 is not cone-preserving on its orthant",)
+        with pytest.raises(SpecFailed, match="^Y_1 is not cone-preserving on its orthant$"):
+            build_lattice(negated)
 
     def test_factor_operators_may_live_on_any_space(self):
         spec = demo_spec()
@@ -297,7 +307,7 @@ class TestBuildLattice:
             emb = subset_embedding(spec, small, large)
             if small == large:
                 return emb
-            return _kronecker_embedding(emb.from_space, emb.to_space, [2, -lattice._uniform(2)])
+            return _kronecker_embedding(emb.from_space, emb.to_space, [2, -uniform_vector(2)])
 
         monkeypatch.setattr(inheritance, "inherits_positivity", lambda *args: True)
         monkeypatch.setattr(lattice, "subset_embedding", flipped)

@@ -1,25 +1,30 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import (
     duhamel_term_oracle,
+    ergodicity_oracle,
     expm_oracle,
     op,
     power_connectivity_oracle,
     random_metzler_generator,
     random_nonneg_irreducible,
+    reach_table_oracle,
     rng,
 )
 from test_cones import haar_cone
 
+import conecalc
 from conecalc import positivity
 from conecalc.cones import SelfDualCone, orthant, tensor_cone
 from conecalc.errors import InputNotInClass, NotPreserving, NotRealForm
+from conecalc.jsonio import canonical_dumps
 from conecalc.numerics import DEFAULT_TOL, LinearOperator, identity, kron
 from conecalc.spin import SpinSystem, verify_mlm
 from conecalc.positivity import (
     NodeAnalysis,
-    _reach_table,
     classify,
     dominates,
     generates_improving_semigroup,
@@ -343,12 +348,6 @@ def random_pattern(gen, n: int, family: str) -> np.ndarray:
     return edges
 
 
-def reach_table_oracle(edges: np.ndarray) -> bool:
-    n = edges.shape[0]
-    out_edges = [list(np.nonzero(edges[:, j])[0]) for j in range(n)]
-    return bool((_reach_table(out_edges, n) >= 0).all())
-
-
 FAMILIES = ("random", "path", "cycle", "two-way path", "bridged blocks")
 
 
@@ -365,7 +364,7 @@ def test_irreducibility_agrees_with_the_reach_table_oracle():
         h = metzler_from_pattern(gen, edges, exact=not rotated)
         cone = haar_cone(case, n) if rotated else orthant("s", n)
         g = cone.generators
-        expected = reach_table_oracle(edges)
+        expected = bool((reach_table_oracle(edges) >= 0).all())
         assert generates_improving_semigroup(op("s", g @ h @ g.conj().T), cone) == expected, \
             f"case {case}: {family}, n={n}, rotated={rotated}"
         verdicts.append(expected)
@@ -373,25 +372,70 @@ def test_irreducibility_agrees_with_the_reach_table_oracle():
     assert 0.3 <= share <= 0.7, share
 
 
-class SentinelError(Exception):
-    pass
+def ergodicity_pattern(gen, n: int, family: str) -> np.ndarray:
+    """Nonnegative M with max M = 1 on the digraph of `family`: random
+    self-loops on top, and some non-edges at or below the edge threshold."""
+    if family == "disconnected blocks":
+        k = int(gen.integers(1, n)) if n > 1 else 1
+        edges = np.zeros((n, n), dtype=bool)
+        edges[:k, :k] = gen.random((k, k)) < 0.6
+        edges[k:, k:] = gen.random((n - k, n - k)) < 0.6
+    else:
+        edges = random_pattern(gen, n, family if n > 1 else "random")
+    edges |= np.diag(gen.random(n) < 0.3)
+    m = np.where(edges, gen.uniform(0.1, 1.0, size=(n, n)), 0.0)
+    if not m.any():
+        return m
+    m /= m.max()
+    band = TOL * gen.choice([1.0, 0.5, 1e-6], size=(n, n))
+    return np.where(~edges & (gen.random((n, n)) < 0.15), band, m)
+
+
+def test_ergodicity_report_agrees_with_the_bfs_oracle():
+    gen = rng(173)
+    ergodic = borderline = 0
+    for case in range(640):
+        n = 1 + case % 16
+        family = (FAMILIES + ("disconnected blocks",))[case // 16 % 6]
+        m = ergodicity_pattern(gen, n, family)
+        rotated = case % 3 == 2
+        cone = haar_cone(case, n) if rotated else orthant("s", n)
+        g = cone.generators
+        a = op("s", g @ m @ g.conj().T)
+        report, oracle = is_ergodic(a, cone), ergodicity_oracle(a, cone)
+        where = f"case {case}: {family}, n={n}, rotated={rotated}"
+        assert np.array_equal(report.k_table, oracle.k_table), where
+        assert report.failing_pair == oracle.failing_pair, where
+        assert report.max_k == oracle.max_k, where
+        assert report.borderline == oracle.borderline, where
+        assert canonical_dumps(report.to_payload()) == canonical_dumps(oracle.to_payload()), where
+        ergodic += report.ergodic
+        borderline += bool(report.borderline)
+    assert 100 <= ergodic <= 540 and borderline >= 100, (ergodic, borderline)
 
 
 def three_vertex(gen, family: str) -> LinearOperator:
     return op("s", metzler_from_pattern(gen, random_pattern(gen, 3, family), exact=True))
 
 
-def test_irreducibility_needs_no_reach_table(monkeypatch):
-    def refuse(out_edges, n):
-        raise SentinelError
+def test_irreducibility_runs_two_sweeps(monkeypatch):
+    sources = []
+    sweep = positivity._walk_lengths
 
-    monkeypatch.setattr(positivity, "_reach_table", refuse)
+    def counting(edges, source):
+        sources.append(source)
+        return sweep(edges, source)
+
+    monkeypatch.setattr(positivity, "_walk_lengths", counting)
     gen = rng(167)
     cone = orthant("s", 3)
     assert generates_improving_semigroup(three_vertex(gen, "cycle"), cone)
-    assert not generates_improving_semigroup(three_vertex(gen, "path"), cone)
-    with pytest.raises(SentinelError):  # the reported k_table still comes from it
-        is_ergodic(op("s", np.roll(np.eye(3), 1, axis=0)), cone)
+    assert sources == [0, 0]
+    sources.clear()
+    assert is_ergodic(op("s", np.roll(np.eye(3), 1, axis=0)), cone).ergodic
+    assert sources == [0, 1, 2]  # one sweep per column of the k_table
+    for path in Path(conecalc.__file__).parent.glob("*.py"):  # the BFS is a test oracle only
+        assert "deque" not in path.read_text(), path.name
 
 
 def ergodic(h, cone):
