@@ -251,7 +251,8 @@ def _task_chain(ctx: RunContext, params: dict):
     chain = _build_chain(ctx, params)
     payload: dict = {"nodes": len(chain.nodes)}
     if "observable" in params:
-        # one pass; a failed link stays a LinkFailed, as verify_chain raises it
+        # the links, then the quantum numbers; a failed link stays a LinkFailed, as
+        # verify_chain raises it
         report, mu_report = _chain_pass(chain, ctx.operator(params["observable"]), ctx.tol)
         payload["quantum_numbers"] = mu_report.to_payload()
     else:

@@ -125,26 +125,21 @@ def clears_failure_frames(fn):
 
     A raised failure holds its traceback, and each frame on the traceback
     holds its arguments and locals: for a chain, every node's matrices and
-    any eigenbasis computed so far.  A caller that keeps the failure, in a
-    list of results or in a reference cycle through its own frame, would
-    keep all of that alive until the garbage collector breaks the cycle.
-    The failure's message and index say what failed, so the frames on its
-    tracebacks, and on those of its causes, are cleared as it leaves.
+    records.  A caller that keeps the failure, in a list of results or in a
+    reference cycle through its own frame, would keep all of that alive
+    until the garbage collector breaks the cycle.  The failure's message and
+    index say what failed, so the finished frames on its tracebacks, and on
+    those of its causes, are cleared as it leaves.
     """
     @functools.wraps(fn)
     def verifier(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
         except ConecalcError as exc:
-            clear_frames(exc)
+            cause = exc
+            while cause is not None:
+                traceback.clear_frames(cause.__traceback__)
+                cause = cause.__cause__ or cause.__context__
             del args, kwargs
             raise
     return verifier
-
-
-def clear_frames(exc: BaseException) -> None:
-    """Clear the finished frames on the tracebacks of an exception and of
-    its causes, so that holding the exception keeps none of their locals."""
-    while exc is not None:
-        traceback.clear_frames(exc.__traceback__)
-        exc = exc.__cause__ or exc.__context__

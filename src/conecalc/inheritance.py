@@ -5,7 +5,6 @@ and verification of whole chains of such pairs.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -463,13 +462,10 @@ def verify_chain(chain: ArrowChain, tol: float = DEFAULT_TOL) -> ChainReport:
 
     A link passes when its arrow verifies, the projected ground-state overlap
     is strictly positive, and the compressed ground projector improves the
-    source cone.  The links are checked in order, and each node is
-    decomposed once: its record serves as the target of its incoming link
-    and, handing on its spectrum if its outgoing cone differs, as the source
-    of its outgoing one.
+    source cone.  The links are checked in order by `_verified_links`, which
+    decomposes each node once.
     """
-    return _chain_report([link for _, _, link in _passed_links(chain, tol)
-                          if link is not None])
+    return _chain_report(_verified_links(chain, tol)[1])
 
 
 def _chain_report(links: list[OverlapReport]) -> ChainReport:
@@ -477,32 +473,26 @@ def _chain_report(links: list[OverlapReport]) -> ChainReport:
                        tuple(link.improving_ok for link in links))
 
 
-def _passed_links(chain: ArrowChain, tol: float
-                  ) -> Iterator[tuple[int, NodeAnalysis, OverlapReport | None]]:
-    """The one pass over a chain behind `verify_chain` and the quantum
-    numbers of `stability.quantum_number_along_chain`.
-
-    Yields (j, record, report) for each node j, with its record on
-    ``chain.mu_cone(j)``: once link j has passed, node j's outgoing record
-    and that link's `OverlapReport`, and last the final node's record with
-    None.  A failed link raises `LinkFailed` at once.
+def _verified_links(chain: ArrowChain, tol: float
+                    ) -> tuple[list[NodeAnalysis], list[OverlapReport]]:
+    """Every link of a chain verified in order: node j's record on
+    ``chain.mu_cone(j)`` and link j's `OverlapReport`, for `verify_chain`
+    and for the quantum numbers of `stability.quantum_number_along_chain`.
+    A failed link raises `LinkFailed` at once.
 
     Link j is verified on node j's record on its ``cone`` and node j+1's on
     its ``cone_in``.  A node's two records share one eigendecomposition: the
     incoming record serves again as the outgoing one when the two cones are
-    the same object, and hands its spectrum on otherwise.  Each outgoing
-    record is released when the next node is asked for, so at most two
-    eigenbases are alive at once.
+    the same object, and hands its spectrum on otherwise.  A record holds
+    the eigenvalues and the ground vector, no eigenbasis.
     """
-    target = NodeAnalysis(chain.nodes[0].hamiltonian, chain.nodes[0].cone, tol)
+    records = [NodeAnalysis(chain.nodes[0].hamiltonian, chain.nodes[0].cone, tol)]
+    links = []
     for j, emb in enumerate(chain.embeddings):
-        src = chain.nodes[j]
         dst = chain.nodes[j + 1]
-        if j == 0 or src.cone is src.cone_in:
-            source = target
-        else:
-            source = target.on_cone(src.cone)
         target = NodeAnalysis(dst.hamiltonian, dst.cone_in, tol)
-        yield j, source, _verified_link(j, source, target, emb)
-        source.release()
-    yield len(chain.nodes) - 1, target, None
+        links.append(_verified_link(j, records[j], target, emb))
+        if j + 1 < len(chain.embeddings) and dst.cone is not dst.cone_in:
+            target = target.on_cone(dst.cone)
+        records.append(target)
+    return records, links

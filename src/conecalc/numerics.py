@@ -145,8 +145,10 @@ def identity(space: str, dim: int) -> LinearOperator:
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """Full Hermitian spectrum, ascending, with phase-fixed eigenvectors.
-    A spectrum read from the blocks of a Kronecker sum (`_block_spectrum`)
-    keeps the ground vector alone, as its one eigenvector column."""
+    A spectrum that a `positivity.NodeAnalysis` record keeps, whether read
+    from the blocks of a Kronecker sum (`_block_spectrum`) or from a dense
+    `hermitian_eig`, holds the ground vector alone, as its one eigenvector
+    column."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # column k pairs with eigenvalues[k]
@@ -279,9 +281,11 @@ def _block_spectrum(op: LinearOperator) -> Spectrum:
     *Topics in Matrix Analysis*, 4.4).  One batched `eigh` of the blocks
     gives every eigenvalue.  The ground vector is phi (x) v, phi the lowest
     block eigenvector and v the column of V at its k, built in O(dim), and
-    no dim x dim eigenbasis is formed.  The pair is kept only when one dense
-    product confirms it, ||H psi - E psi|| <= BLOCK_RESIDUAL_TOL * ||H||;
-    factors that disagree with the matrix raise `Inconsistent`.
+    no dim x dim eigenbasis is formed: the spectrum has the shape of a
+    dense record's, every eigenvalue and the ground column.  The pair is
+    kept only when one dense product confirms it, ||H psi - E psi|| <=
+    BLOCK_RESIDUAL_TOL * ||H||; factors that disagree with the matrix raise
+    `Inconsistent`.
     """
     op.require_hermitian()
     f = op._factors

@@ -70,8 +70,9 @@ def _classify(m: np.ndarray, tol: float) -> PositivityReport:
         imax = np.unravel_index(np.argmax(imag), m.shape)
         real_form = bool(imag[imax] <= thresh)
     rmin = np.unravel_index(np.argmin(m.real), m.shape)
-    preserving = real_form and bool(m.real.min() >= -thresh)
-    improving = real_form and bool(m.real.min() >= thresh)
+    least = m.real[rmin]
+    preserving = real_form and bool(least >= -thresh)
+    improving = real_form and bool(least >= thresh)
 
     witness: Witness | None = None
     if not real_form:
@@ -96,17 +97,18 @@ def dominates(a: LinearOperator, b: LinearOperator, cone: SelfDualCone,
     return classify(a - b, cone, tol).preserving
 
 
-def _walk_lengths(edges: np.ndarray, source: int) -> np.ndarray:
-    """Least walk length from `source` to every vertex along edges[i, j]
+def _walk_lengths(out: np.ndarray, source: int) -> np.ndarray:
+    """Least walk length from `source` to every vertex along out[j, i]
     (an edge j -> i), -1 where no walk exists: a frontier sweep, in which
     each step adds 1 to every vertex not yet reached, until no vertex is
-    left to reach or no new vertex was reached."""
-    lengths = np.zeros(edges.shape[0], dtype=int)
-    unseen = np.arange(edges.shape[0]) != source
+    left to reach or no new vertex was reached.  Each step gathers the
+    frontier's rows, so a C-ordered `out` is read row by row."""
+    lengths = np.zeros(out.shape[0], dtype=int)
+    unseen = np.arange(out.shape[0]) != source
     frontier = ~unseen
     while np.count_nonzero(frontier) and np.count_nonzero(unseen):
         lengths += unseen
-        frontier = edges[:, frontier].any(axis=1) & unseen
+        frontier = out[frontier].any(axis=0) & unseen
         unseen ^= frontier
     lengths[unseen] = -1
     return lengths
@@ -163,7 +165,8 @@ def is_ergodic(op: LinearOperator, cone: SelfDualCone, tol: float = DEFAULT_TOL)
         (int(i), int(j), complex(m[i, j]))
         for i, j in zip(*np.nonzero((m > 0.0) & (m <= thresh)))
     )
-    table = np.array([_walk_lengths(edges, j) for j in range(m.shape[0])]).T
+    out = np.ascontiguousarray(edges.T)
+    table = np.array([_walk_lengths(out, j) for j in range(m.shape[0])]).T
     missing = np.argwhere(table < 0)
     failing = (int(missing[0][0]), int(missing[0][1])) if missing.size else None
     return ErgodicityReport(failing is None, table, failing, borderline)
@@ -214,8 +217,9 @@ def generates_improving_semigroup(h: LinearOperator, cone: SelfDualCone,
     if m is None:
         return False
     m = m.real
-    edges = -m > tol * float(np.abs(m).max())  # the diagonal never shortens a walk
-    return bool(_walk_lengths(edges, 0).min() >= 0 and _walk_lengths(edges.T, 0).min() >= 0)
+    edges = m < -tol * float(np.abs(m).max())  # the diagonal never shortens a walk
+    return bool(_walk_lengths(np.ascontiguousarray(edges.T), 0).min() >= 0
+                and _walk_lengths(edges, 0).min() >= 0)
 
 
 def positive_combination(h: LinearOperator, h_prime: LinearOperator,
@@ -255,14 +259,9 @@ def _toward_cone(x: np.ndarray, cone: SelfDualCone) -> np.ndarray:
     return -x if total.real < 0.0 else x
 
 
-def _oriented_ground(spec: Spectrum, cone: SelfDualCone, tol: float) -> GroundState:
-    psi = _toward_cone(spec.ground_vector, cone)
-    strict = cone.strictly_positive(psi, tol)
-    return GroundState(spec.ground_energy, spec.gap01, spec.simple, psi, strict)
-
-
 def ground_state(h: LinearOperator, cone: SelfDualCone, tol: float = DEFAULT_TOL) -> GroundState:
-    """Spectrum-derived ground-state record with cone diagnostics.
+    """Spectrum-derived ground-state record with cone diagnostics:
+    `NodeAnalysis.ground` of a fresh record.
 
     `simple` is `Spectrum.simple`, the relative gap threshold used
     everywhere for refusing degenerate ground states.
@@ -270,7 +269,7 @@ def ground_state(h: LinearOperator, cone: SelfDualCone, tol: float = DEFAULT_TOL
     coordinates sum to a nonnegative real number, so that the representative
     lying in the cone (when one exists) is the one reported.
     """
-    return _oriented_ground(hermitian_eig(h), cone, tol)
+    return NodeAnalysis(h, cone, tol).ground
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,12 +280,12 @@ class NodeAnalysis:
     spectrum, its norm max|lambda| and the cone-oriented ground state all
     come from a single eigendecomposition, made the first time one of them
     is asked for, so a link that fails its arrow never decomposes anything.
-    A Kronecker sum (a lattice node, a tower level, the `stability`
-    coupling recipe) is decomposed by one batched `eigh` of its d0 x d0
-    blocks (`numerics._block_spectrum`), and its record keeps the ground
-    vector and the eigenvalues, no eigenbasis.  Any other Hamiltonian takes
-    `hermitian_eig`, and its ground vector is a view into the full
-    eigenbasis, which stays alive as long as the record holds it.
+    The record keeps facts, not an eigenbasis: its spectrum holds the
+    eigenvalues and the ground vector alone.  A Kronecker sum (a lattice
+    node, a tower level, the `stability` coupling recipe) is decomposed by
+    one batched `eigh` of its d0 x d0 blocks (`numerics._block_spectrum`),
+    which forms no eigenbasis; any other Hamiltonian takes `hermitian_eig`,
+    whose full eigenbasis is dropped once its ground column is copied out.
     """
 
     hamiltonian: LinearOperator
@@ -301,7 +300,8 @@ class NodeAnalysis:
     def spectrum(self) -> Spectrum:
         if self.hamiltonian._factors is not None:
             return _block_spectrum(self.hamiltonian)
-        return hermitian_eig(self.hamiltonian)
+        full = hermitian_eig(self.hamiltonian)
+        return Spectrum(full.eigenvalues, full.eigenvectors[:, :1])
 
     @property
     def norm(self) -> float:
@@ -309,7 +309,10 @@ class NodeAnalysis:
 
     @cached_property
     def ground(self) -> GroundState:
-        return _oriented_ground(self.spectrum, self.cone, self.tol)
+        spec = self.spectrum
+        psi = _toward_cone(spec.ground_vector, self.cone)
+        strict = self.cone.strictly_positive(psi, self.tol)
+        return GroundState(spec.ground_energy, spec.gap01, spec.simple, psi, strict)
 
     def on_cone(self, cone: SelfDualCone) -> "NodeAnalysis":
         """The same Hamiltonian read against another cone at the same
@@ -319,9 +322,3 @@ class NodeAnalysis:
         other = NodeAnalysis(self.hamiltonian, cone, self.tol)
         other.__dict__["spectrum"] = self.spectrum
         return other
-
-    def release(self) -> None:
-        """Forget the eigendecomposition and the ground state read from it,
-        keeping the improving verdict; a later read decomposes again."""
-        self.__dict__.pop("spectrum", None)
-        self.__dict__.pop("ground", None)

@@ -24,7 +24,6 @@ from .errors import (
     NotInAPlus,
     NotSimple,
     PreconditionFailed,
-    clear_frames,
     clears_failure_frames,
 )
 from .inheritance import (
@@ -33,7 +32,7 @@ from .inheritance import (
     ChainReport,
     Embedding,
     _chain_report,
-    _passed_links,
+    _verified_links,
     append_factor_embedding,
 )
 from .numerics import (
@@ -235,17 +234,13 @@ def quantum_number_along_chain(chain: ArrowChain, o: LinearOperator,
     <O psi_j, tau^* psi_{j+1}> with mu_j times the link's overlap, using the
     ground states the quantum numbers were read from.
 
-    One pass does the work, link by link: link j is verified, which
-    decomposes node j+1; node j's quantum number is read from the ground
-    state link j used; link j-1's telescope residual is taken and the
-    observable pushed forward; node j's eigenbasis is then released.  The
-    last node is read once the last link has passed.  Every node is thus
-    decomposed once, and at most two eigenbases are alive at a time.
-
+    Two phases do the work.  First every link is verified, which decomposes
+    each node once and keeps its record.  Then the observable is decomposed
+    and each node's quantum number is read from its kept record, in order.
     Failures carry the index of the offending node or link.  A failed link
-    raises `ChainFailed` at once.  A failure while reading a node is held
-    until every remaining link has passed, so a broken link always wins
-    over a quantum-number failure, wherever the two sit.
+    raises `ChainFailed`; as no node is read before every link has passed,
+    a broken link always wins over a quantum-number failure, wherever the
+    two sit.
     """
     try:
         return _chain_pass(chain, o, tol)[1]
@@ -258,49 +253,35 @@ def _chain_pass(chain: ArrowChain, o: LinearOperator,
     """`quantum_number_along_chain`, also returning the chain's link report;
     a failed link raises `LinkFailed` itself.
 
-    Node j is read as `_passed_links` hands it over.  The observable is
-    pushed forward to node j+1 only then, after link j has decomposed that
-    node, so that its eigh workspace and this n x n matrix are never alive
-    together.  spec(tau O tau^*) is spec(O) and 0, so every pushed-forward
-    observable has the norm of O.  The first reading failure is held, its
-    frames cleared, since they hold node j's eigenbasis; no later node is
-    read, and it is raised only once every link has passed.
+    Once `_verified_links` has passed every link, O is decomposed once and
+    node j is read from its record.  The observable is pushed forward one
+    embedding at a time, after every `eigh` has run; spec(tau O tau^*) is
+    spec(O) and 0, so every pushed-forward observable has the norm of O.
+    The first reading failure is raised with its index.
     """
-    links, values, snapped, crossings = [], [], [], []
-    held = None
-    for j, record, link in _passed_links(chain, tol):
-        if link is not None:
-            links.append(link)
-        if held is not None:
-            continue
-        try:
-            if j == 0:
-                o_spectrum = hermitian_eig(o)
-                extended_candidates = np.concatenate([o_spectrum.eigenvalues, [0.0]])
-            candidates = o_spectrum.eigenvalues if j == 0 else extended_candidates
-            try:
-                mu, mu_snapped, _ = _quantum_number(record, o, o_spectrum.norm, candidates)
-            except (NotCommuting, NotSimple, NotInAPlus) as exc:
-                raise _indexed(type(exc)(f"node {j}: {exc}"), j) from exc
-            values.append(mu)
-            snapped.append(mu_snapped)
-            if mu_snapped != snapped[0]:
-                raise MuMismatch(j, snapped[0], mu_snapped)
-            if j:  # <O psi_{j-1}, tau^* psi_j>, the left side of link j-1's telescope
-                crossings.append(complex(
-                    np.vdot(o_psi, chain.embeddings[j - 1].pull(record.ground.vector))))
-            if link is not None:
-                o_psi = o.mat @ record.ground.vector
-                o = chain.embeddings[j].extend(o)
-        except Exception as exc:  # noqa: BLE001 - raised once every link has passed
-            clear_frames(exc)
-            held = exc
-    if held is not None:
-        raise held
+    records, links = _verified_links(chain, tol)
     report = _chain_report(links)
-    telescopes = tuple(abs(lhs - snapped[j] * report.overlaps[j])
-                       for j, lhs in enumerate(crossings))
-    return report, ChainMuReport(tuple(values), tuple(snapped), report.overlaps, telescopes)
+    o_spectrum = hermitian_eig(o)
+    extended_candidates = np.concatenate([o_spectrum.eigenvalues, [0.0]])
+    values, snapped, telescopes = [], [], []
+    for j, record in enumerate(records):
+        candidates = extended_candidates if j else o_spectrum.eigenvalues
+        try:
+            mu, mu_snapped, _ = _quantum_number(record, o, o_spectrum.norm, candidates)
+        except (NotCommuting, NotSimple, NotInAPlus) as exc:
+            raise _indexed(type(exc)(f"node {j}: {exc}"), j) from exc
+        values.append(mu)
+        snapped.append(mu_snapped)
+        if mu_snapped != snapped[0]:
+            raise MuMismatch(j, snapped[0], mu_snapped)
+        if j:  # <O psi_{j-1}, tau^* psi_j> against mu_{j-1} times link j-1's overlap
+            lhs = complex(np.vdot(o_psi, chain.embeddings[j - 1].pull(record.ground.vector)))
+            telescopes.append(abs(lhs - snapped[j - 1] * report.overlaps[j - 1]))
+        if j < len(chain.embeddings):
+            o_psi = o.mat @ record.ground.vector
+            o = chain.embeddings[j].extend(o)
+    return report, ChainMuReport(tuple(values), tuple(snapped), report.overlaps,
+                                 tuple(telescopes))
 
 
 def extension_tower(h: LinearOperator, cone: SelfDualCone, o: LinearOperator,

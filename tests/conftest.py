@@ -453,7 +453,7 @@ def _failure(exc: Exception, index: int) -> Exception:
 
 def two_pass_links(chain, tol: float = DEFAULT_TOL) -> ChainReport:
     """`verify_chain` link by link, each link on fresh records of its two
-    nodes, so that nothing is shared or released between links."""
+    nodes, so that nothing is shared between links."""
     overlaps, improving = [], []
     for j, emb in enumerate(chain.embeddings):
         src, dst = chain.nodes[j], chain.nodes[j + 1]
@@ -473,10 +473,11 @@ def two_pass_links(chain, tol: float = DEFAULT_TOL) -> ChainReport:
 
 def two_pass_quantum_numbers(chain, o: LinearOperator,
                              tol: float = DEFAULT_TOL) -> ChainMuReport:
-    """`quantum_number_along_chain` in two passes: every link is verified
-    first, then every node is decomposed afresh on `chain.mu_cone(j)` and
-    read against the observable pushed forward to it.  A failure in the
-    second pass can only surface once the first has passed."""
+    """The oracle of `quantum_number_along_chain`: every link is verified
+    first on fresh records (`two_pass_links`), then every node is decomposed
+    afresh on `chain.mu_cone(j)` and read against the observable pushed
+    forward to it, where the library reads the records its links kept.  A
+    failure in the second pass can only surface once the first has passed."""
     try:
         links = two_pass_links(chain, tol)
     except LinkFailed as exc:

@@ -21,7 +21,7 @@ from conecalc import positivity
 from conecalc.cones import SelfDualCone, orthant, tensor_cone
 from conecalc.errors import InputNotInClass, NotPreserving, NotRealForm
 from conecalc.jsonio import canonical_dumps
-from conecalc.numerics import DEFAULT_TOL, LinearOperator, identity, kron
+from conecalc.numerics import DEFAULT_TOL, LinearOperator, hermitian_eig, identity, kron
 from conecalc.spin import SpinSystem, verify_mlm
 from conecalc.positivity import (
     NodeAnalysis,
@@ -483,24 +483,20 @@ class TestNodeAnalysis:
         assert record.improving and calls == []
         assert record.norm == pytest.approx(np.linalg.norm(h.mat, 2), rel=1e-12)
         got = record.ground
+        monkeypatch.setattr(positivity, "generates_improving_semigroup",
+                            lambda *args: calls.append(args))
+        assert record.improving  # the verdict is not recomputed
         assert record.spectrum is record.spectrum and record.ground is got
         assert len(calls) == 1
         assert (got.energy, got.gap01, got.simple, got.strictly_positive) == \
             (want.energy, want.gap01, want.simple, want.strictly_positive)
         assert np.array_equal(got.vector, want.vector)
 
-    def test_release_forgets_the_decomposition_only(self, monkeypatch):
+    def test_a_dense_record_keeps_the_ground_column_only(self):
         h = op("s", random_metzler_generator(rng(5), 4))
         record = NodeAnalysis(h, orthant("s", 4))
-        first = record.ground.vector.copy()
-        assert record.improving
-        calls = []
-        original = positivity.hermitian_eig
-        monkeypatch.setattr(positivity, "hermitian_eig",
-                            lambda op: calls.append(op) or original(op))
-        monkeypatch.setattr(positivity, "generates_improving_semigroup",
-                            lambda *args: calls.append(args))
-        record.release()
-        assert record.improving
-        assert np.array_equal(record.ground.vector, first)
-        assert calls == [h]
+        full = hermitian_eig(h)
+        assert record.spectrum.eigenvectors.shape == (4, 1)
+        assert record.spectrum.eigenvectors.base is None
+        assert np.array_equal(record.spectrum.eigenvalues, full.eigenvalues)
+        assert np.array_equal(record.spectrum.ground_vector, full.ground_vector)

@@ -426,6 +426,21 @@ class TestChainInvariance:
             quantum_number_along_chain(chain, h)
         assert err.value.index == 0
 
+    def test_broken_link_never_decomposes_the_observable(self, monkeypatch):
+        h = seed_hamiltonian()
+        tower = extension_tower(h, orthant("base", 2), h, 3)
+        emb = tower.embeddings[2]
+        flipped = append_factor_embedding(emb.from_space, emb.to_space, emb.dim_from,
+                                          np.array([1.0, -1.0]) / np.sqrt(2.0))
+        chain = ArrowChain(tower.nodes, tower.embeddings[:2] + (flipped,))
+        decomposed = []
+        monkeypatch.setattr(stability, "hermitian_eig",
+                            lambda op: decomposed.append(op) or hermitian_eig(op))
+        with pytest.raises(ChainFailed) as err:
+            quantum_number_along_chain(chain, h)
+        assert err.value.index == 2
+        assert decomposed == []
+
 
 class TestOneSpectrumPerNode:
     def test_depth_six_tower_budget(self, decompositions):
