@@ -33,19 +33,13 @@ from .inheritance import (
 )
 from .jsonio import canonical_dumps, matrix_from_json, vector_from_json
 from .lattice import LatticeSpec, build_lattice, hasse_export
-from .numerics import (
-    DEFAULT_TOL,
-    LinearOperator,
-    _kronecker_slot,
-    _kronecker_sum,
-    product_space,
-    uniform_vector,
-)
+from .numerics import DEFAULT_TOL, LinearOperator, _kronecker_slot, uniform_vector
 from .positivity import classify, is_ergodic
 from .semigroup import trotter_verify
 from .spin import SpinSystem, _check_cap, verify_mlm
 from .stability import (
     StabilityClassRecord,
+    _appended_chain,
     _chain_pass,
     extension_tower,
     good_quantum_number,
@@ -368,11 +362,7 @@ def _stability_member_chain(ctx: RunContext, h_star: LinearOperator,
     if kind == "coupling":
         x = ctx.operator(recipe.get("x"))
         y = ctx.operator(recipe.get("y"))
-        h2 = _kronecker_sum(product_space(h_star.space, y.space), h_star, x,
-                            [_kronecker_slot(y.mat)])
-        cone2 = tensor_cone(cone, orthant(y.space, y.dim))
-        emb = append_factor_embedding(h_star.space, h2.space, h_star.dim, uniform_vector(y.dim))
-        return ArrowChain((ChainNode(h_star, cone), ChainNode(h2, cone2)), (emb,))
+        return _appended_chain(h_star, cone, x, (_kronecker_slot(y.mat),), (y.space,))
     raise SchemaError(f"unknown stability recipe type {kind!r}")
 
 

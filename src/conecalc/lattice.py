@@ -1,18 +1,19 @@
-"""Boolean lattice of perturbed Hamiltonians H_I = H0 - sum_{mu in I} X(x)Y_mu,
-one node per subset of coupling slots, with per-edge inheritance verification
-and deterministic Hasse-diagram export.
+"""Boolean lattice of perturbed Hamiltonians H_I = H0 (x) 1 - X (x) K_I, K_I
+the Kronecker sum of the coupling slots Y_mu, mu in I: one node per subset of
+slots, laid out by `stability._perturbed_node` as tower levels and `stability`
+coupling members are, with per-edge inheritance verification and
+deterministic Hasse-diagram export.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations
 
 import numpy as np
 
-from .cones import SelfDualCone, orthant, tensor_cone
+from .cones import SelfDualCone, orthant
 from .errors import ClassificationFailed, DimCap, DimMismatch, NotPreserving, SpecFailed
 from .inheritance import Embedding, _kronecker_embedding, _verified_link
 from .numerics import (
@@ -21,14 +22,13 @@ from .numerics import (
     LinearOperator,
     Spectrum,
     _kronecker_slot,
-    _kronecker_sum,
     _Slot,
     hermitian_eig,
     product_space,
     uniform_vector,
 )
 from .positivity import NodeAnalysis, classify, generates_improving_semigroup, is_ergodic
-from .stability import _quantum_number, commutes_with_observable
+from .stability import _perturbed_node, _quantum_number, commutes_with_observable
 
 Subset = tuple[int, ...]
 UNIFORM_EIGEN_TOL = 1e-10  # |Y w - lambda w| <= this * max(1, ||Y||) for the uniform w
@@ -176,31 +176,12 @@ def _node_space(spec: LatticeSpec, subset: Subset) -> str:
     return space
 
 
-def _node_cone(spec: LatticeSpec, subset: Subset) -> SelfDualCone:
-    """The base cone times the slot orthants, as one `tensor_cone` with
-    their joint orthant, whose space and label join the slots' own: the
-    cone of tensoring the orthants in one at a time."""
-    if not subset:
-        return spec.cone
-    dims = [spec.factors[mu - 1][0] for mu in subset]
-    joint = orthant(reduce(product_space, [f"f{mu}" for mu in subset]), math.prod(dims),
-                    "(x)".join(f"R+^{n}" for n in dims))
-    return tensor_cone(spec.cone, joint)
-
-
 def _slots(spec: LatticeSpec) -> tuple[_Slot, ...]:
     """Every Y_mu with its eigenpairs, once the top node is known to be
     within `DIM_CAP`; each lattice decomposes its slots once."""
     if spec.full_dim() > DIM_CAP:
         raise DimCap(f"total dimension {spec.full_dim()} exceeds cap {DIM_CAP}")
     return tuple(_kronecker_slot(y.mat) for _, y in spec.factors)
-
-
-def _node_hamiltonian(spec: LatticeSpec, subset: Subset,
-                      slots: tuple[_Slot, ...]) -> LinearOperator:
-    """H_I = H0 (x) 1 - X (x) K_I, K_I the Kronecker sum of the slots in I."""
-    return _kronecker_sum(_node_space(spec, subset), spec.h0, spec.x,
-                          [slots[mu - 1] for mu in subset])
 
 
 def subset_embedding(spec: LatticeSpec, small: Subset, large: Subset) -> Embedding:
@@ -234,12 +215,14 @@ def build_node(spec: LatticeSpec, subset: Subset, tol: float = DEFAULT_TOL) -> L
 def _build_node(spec: LatticeSpec, subset: Subset, tol: float, o_spectrum: Spectrum,
                 slots: tuple[_Slot, ...]) -> tuple[LatticeNode, NodeAnalysis]:
     """`build_node` given the base observable's spectrum and the slots, also
-    returning the node's record.  spec(tau O tau^*) is spec(O) and 0, so the
-    extended observable has the norm of the base one and snaps to those
-    values."""
+    returning the node's record.  The node is the `_perturbed_node` of the
+    lattice's shared slots in I, named f{mu} in ascending order.
+    spec(tau O tau^*) is spec(O) and 0, so the extended observable has the
+    norm of the base one and snaps to those values."""
     subset = tuple(sorted(subset))
-    h = _node_hamiltonian(spec, subset, slots)
-    cone = _node_cone(spec, subset)
+    perturbed = _perturbed_node(spec.h0, spec.cone, spec.x, tuple(slots[mu - 1] for mu in subset),
+                                [f"f{mu}" for mu in subset])
+    h, cone = perturbed.hamiltonian, perturbed.cone
     emb = subset_embedding(spec, (), subset)  # the identity for the empty subset
 
     node = NodeAnalysis(h, cone, tol)
@@ -248,7 +231,7 @@ def _build_node(spec: LatticeSpec, subset: Subset, tol: float, o_spectrum: Spect
 
     observable = emb.extend(spec.observable)
     snap_to = np.concatenate([o_spectrum.eigenvalues, [0.0]])
-    mu, mu_snapped, _ = _quantum_number(node, observable, o_spectrum.norm, snap_to)
+    mu, mu_snapped, _, _ = _quantum_number(node, observable, o_spectrum.norm, snap_to)
     return LatticeNode(subset, h, cone, emb, mu, mu_snapped, node.ground.energy), node
 
 

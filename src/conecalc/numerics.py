@@ -22,7 +22,14 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import BadFactorization, DimMismatch, Inconsistent, NonHermitian, NotDensityMatrix
+from .errors import (
+    BadFactorization,
+    DimCap,
+    DimMismatch,
+    Inconsistent,
+    NonHermitian,
+    NotDensityMatrix,
+)
 
 DEFAULT_TOL = 1e-9
 HERMITIAN_TOL = 1e-12
@@ -254,13 +261,16 @@ def _kronecker_sum(space: str, h0: LinearOperator, x: LinearOperator, slots) -> 
     slot, as when X (x) (1 (x) Y_mu (x) 1) is subtracted from H0 (x) 1 one
     slot at a time.  The terms are written into the positions they fill, so
     no other dim x dim array is formed.  The operator keeps H0, X and the
-    slots, from which `_block_spectrum` reads its spectrum.
+    slots, from which `_block_spectrum` reads its spectrum.  A sum whose
+    dimension exceeds `DIM_CAP` raises `DimCap` before anything is allocated.
     """
     h0._check_same_space(x)
     slots = tuple(slots)
     d0 = h0.dim
     dims = [slot.mat.shape[0] for slot in slots]
     total = math.prod(dims)
+    if d0 * total > DIM_CAP:
+        raise DimCap(f"Kronecker sum dimension {d0 * total} exceeds cap {DIM_CAP}")
     mat = np.zeros((d0 * total, d0 * total),
                    dtype=np.result_type(h0.mat, x.mat, *(slot.mat for slot in slots)))
     _diagonal_blocks(mat, d0, total, 1, 1)[...] = h0.mat[:, :, None, None, None, None]

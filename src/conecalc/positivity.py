@@ -172,23 +172,22 @@ def is_ergodic(op: LinearOperator, cone: SelfDualCone, tol: float = DEFAULT_TOL)
     return ErgodicityReport(failing is None, table, failing, borderline)
 
 
-def _largest_offdiag(m: np.ndarray) -> float:
-    """The largest real part off the diagonal of M, -inf for a 1x1 M."""
-    off = m.real.copy()
-    np.fill_diagonal(off, -np.inf)
-    return float(off.max())
-
-
-def _metzler_coords(h: LinearOperator, cone: SelfDualCone, tol: float) -> np.ndarray | None:
-    """H in the generator basis when -H is Metzler there, else None."""
+def _metzler_coords(h: LinearOperator, cone: SelfDualCone,
+                    tol: float) -> tuple[np.ndarray, float] | None:
+    """Re M and max|Re M|, M the generator-basis matrix of H, when -H is
+    Metzler there (M real, no entry off its diagonal above tol * max|M|), else None."""
     h.require_hermitian()
     m = cone.operator_coords(h)
     scale = float(np.abs(m).max())
-    if scale == 0.0:
-        return m
-    if np.iscomplexobj(m) and np.abs(m.imag).max() > tol * scale:
-        return None
-    return None if _largest_offdiag(m) > tol * scale else m
+    thresh = tol * scale
+    if np.iscomplexobj(m):
+        if np.abs(m.imag).max() > thresh:
+            return None
+        m = m.real
+        scale = float(np.abs(m).max())
+    above = m > thresh
+    np.fill_diagonal(above, False)
+    return None if above.any() else (m, scale)
 
 
 def generates_positive_semigroup(h: LinearOperator, cone: SelfDualCone,
@@ -213,11 +212,10 @@ def generates_improving_semigroup(h: LinearOperator, cone: SelfDualCone,
     generator, so two sweeps from one vertex decide it, one along the edges
     and one against them.  The all-pairs walk lengths stay with `is_ergodic`.
     """
-    m = _metzler_coords(h, cone, tol)
-    if m is None:
+    if (coords := _metzler_coords(h, cone, tol)) is None:
         return False
-    m = m.real
-    edges = m < -tol * float(np.abs(m).max())  # the diagonal never shortens a walk
+    m, scale = coords
+    edges = m < -tol * scale  # the diagonal never shortens a walk
     return bool(_walk_lengths(np.ascontiguousarray(edges.T), 0).min() >= 0
                 and _walk_lengths(edges, 0).min() >= 0)
 

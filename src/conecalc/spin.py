@@ -274,7 +274,7 @@ def verify_mlm(system: SpinSystem, m: float = 0.0, tol: float = DEFAULT_TOL) -> 
         raise SignRuleFailed("restricted Hamiltonian is not improving-class on the sign cone")
     o_r = LinearOperator(cone.space, _total_spin_sq(n, basis))
     o_spectrum = hermitian_eig(o_r)
-    mu, mu_snapped, _ = _quantum_number(node, o_r, o_spectrum.norm, o_spectrum.eigenvalues)
+    mu, mu_snapped, _, _ = _quantum_number(node, o_r, o_spectrum.norm, o_spectrum.eigenvalues)
     s_star = abs(len(system.sublattice_a) - len(system.sublattice_b)) / 2.0
     s = max(s_star, abs(m))
     expected = s * (s + 1.0)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from .numerics import (
     LinearOperator,
     _check_density,
     _kron,
+    _kronecker_slot,
     _kronecker_sum,
     _reduced,
     _Slot,
@@ -58,9 +60,7 @@ SUPPORT_TOL = 1e-12  # eigenvalues below this count as zero in the relative entr
 NULL_WEIGHT_TOL = 1e-10  # rho weight on sigma's null space above this makes it +inf
 ENTROPY_TOL = 1e-9  # a reduced ground state matches the base when the entropy is <= this
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-# every tower level's slot: sigma_x with its eigenpairs in closed form
-_FLIP_SLOT = _Slot(PAULI_X, np.array([-1.0, 1.0]),
-                   np.array([[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0))
+_FLIP_SLOT = _kronecker_slot(PAULI_X)  # every tower level's slot, decomposed once
 _COMMUTATOR_ROWS = 64  # row block of the commutator's Frobenius sum
 
 
@@ -158,15 +158,16 @@ def good_quantum_number(h: LinearOperator, o: LinearOperator, cone: SelfDualCone
     o.require_hermitian()
     node = NodeAnalysis(h, cone, tol)
     o_spectrum = hermitian_eig(o)
-    mu, snapped, residual = _quantum_number(node, o, o_spectrum.norm, o_spectrum.eigenvalues)
+    mu, snapped, residual, _ = _quantum_number(node, o, o_spectrum.norm, o_spectrum.eigenvalues)
     comm = float(np.linalg.norm(_commutator(h.mat, o.mat), 2))
     return GoodQuantumNumber(mu, snapped, residual, comm, node.ground)
 
 
 def _quantum_number(node: NodeAnalysis, o: LinearOperator, o_norm: float,
-                    candidates) -> tuple[float, float, float]:
+                    candidates) -> tuple[float, float, float, np.ndarray]:
     """The quantum number of O on ``node.ground``, given the norm of O and
-    the eigenvalues to snap to: (mu, snapped mu, residual |O psi - mu psi|).
+    the eigenvalues to snap to: (mu, snapped mu, residual |O psi - mu psi|,
+    O psi).
 
     H must commute with O, be improving-class on the node's cone and have a
     simple ground state, which must be an eigenvector of O.
@@ -191,7 +192,7 @@ def _quantum_number(node: NodeAnalysis, o: LinearOperator, o_norm: float,
         raise Inconsistent(
             f"ground state is not an observable eigenvector: residual {residual:.3e}"
         )
-    return mu, snapped, residual
+    return mu, snapped, residual, o_psi
 
 
 @dataclass(frozen=True)
@@ -267,7 +268,7 @@ def _chain_pass(chain: ArrowChain, o: LinearOperator,
     for j, record in enumerate(records):
         candidates = extended_candidates if j else o_spectrum.eigenvalues
         try:
-            mu, mu_snapped, _ = _quantum_number(record, o, o_spectrum.norm, candidates)
+            mu, mu_snapped, _, o_psi = _quantum_number(record, o, o_spectrum.norm, candidates)
         except (NotCommuting, NotSimple, NotInAPlus) as exc:
             raise _indexed(type(exc)(f"node {j}: {exc}"), j) from exc
         values.append(mu)
@@ -275,13 +276,40 @@ def _chain_pass(chain: ArrowChain, o: LinearOperator,
         if mu_snapped != snapped[0]:
             raise MuMismatch(j, snapped[0], mu_snapped)
         if j:  # <O psi_{j-1}, tau^* psi_j> against mu_{j-1} times link j-1's overlap
-            lhs = complex(np.vdot(o_psi, chain.embeddings[j - 1].pull(record.ground.vector)))
+            lhs = complex(np.vdot(last_o_psi, chain.embeddings[j - 1].pull(record.ground.vector)))
             telescopes.append(abs(lhs - snapped[j - 1] * report.overlaps[j - 1]))
+        last_o_psi = o_psi
         if j < len(chain.embeddings):
-            o_psi = o.mat @ record.ground.vector
             o = chain.embeddings[j].extend(o)
     return report, ChainMuReport(tuple(values), tuple(snapped), report.overlaps,
                                  tuple(telescopes))
+
+
+def _perturbed_node(h0: LinearOperator, cone: SelfDualCone, x: LinearOperator,
+                    slots: tuple[_Slot, ...], names) -> ChainNode:
+    """H0 (x) 1 - X (x) K on ``h0.space*name_1*...``, K the Kronecker sum of
+    the slots, on the cone of H0 tensored with the slots' joint orthant:
+    the cone of tensoring their orthants in one at a time."""
+    h = _kronecker_sum(reduce(product_space, names, h0.space), h0, x, slots)
+    if slots:
+        dims = [slot.mat.shape[0] for slot in slots]
+        joint = orthant(reduce(product_space, names), math.prod(dims),
+                        "(x)".join(f"R+^{n}" for n in dims))
+        cone = tensor_cone(cone, joint)
+    return ChainNode(h, cone)
+
+
+def _appended_chain(h0: LinearOperator, cone: SelfDualCone, x: LinearOperator,
+                    slots: tuple[_Slot, ...], names) -> ArrowChain:
+    """H0 itself, then the `_perturbed_node` of every nonempty prefix of the
+    slots, each node embedded in the next by appending the uniform vector
+    of the new slot."""
+    nodes = [ChainNode(h0, cone)]
+    nodes += (_perturbed_node(h0, cone, x, slots[:k], names[:k]) for k in range(1, len(slots) + 1))
+    embeddings = (append_factor_embedding(small.hamiltonian.space, large.hamiltonian.space,
+                                          small.hamiltonian.dim, uniform_vector(slot.mat.shape[0]))
+                  for small, large, slot in zip(nodes, nodes[1:], slots))
+    return ArrowChain(tuple(nodes), tuple(embeddings))
 
 
 def extension_tower(h: LinearOperator, cone: SelfDualCone, o: LinearOperator,
@@ -291,12 +319,11 @@ def extension_tower(h: LinearOperator, cone: SelfDualCone, o: LinearOperator,
     Each level appends one spin with a transverse coupling of its own; the
     level's ground state is the previous one tensored with the uniform
     two-component vector, and the embedding appends exactly that vector, so
-    every link verifies with overlap 1.  Level d is the Kronecker sum
-    H (x) 1 - 1 (x) K_d, K_d the sum of sigma_x over the d appended spins
-    (`numerics._kronecker_sum` with X = 1), so its spectrum is read from
-    2^d blocks H - k of the base's size.  A tower whose top dimension
-    h.dim * 2^depth exceeds `DIM_CAP` raises `DimCap` before any level is
-    built.
+    every link verifies with overlap 1.  Level d is the `_perturbed_node`
+    of the first d spins q1..qd with X = 1, H (x) 1 - 1 (x) K_d, K_d the sum
+    of sigma_x over those spins, so its spectrum is read from 2^d blocks
+    H - k of the base's size.  A tower whose top dimension h.dim * 2^depth
+    exceeds `DIM_CAP` raises `DimCap` before any level is built.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -307,20 +334,8 @@ def extension_tower(h: LinearOperator, cone: SelfDualCone, o: LinearOperator,
         raise PreconditionFailed("seed Hamiltonian is not improving-class on its cone")
     if not commutes_with_observable(h, o):
         raise PreconditionFailed("seed Hamiltonian does not commute with the observable")
-    one = identity(h.space, h.dim)
-    nodes = [ChainNode(h, cone)]
-    embeddings = []
-    current_h, current_cone = h, cone
-    for level in range(1, depth + 1):
-        aux = f"q{level}"
-        next_h = _kronecker_sum(product_space(current_h.space, aux), h, one,
-                                (_FLIP_SLOT,) * level)
-        next_cone = tensor_cone(current_cone, orthant(aux, 2))
-        embeddings.append(append_factor_embedding(
-            current_h.space, next_h.space, current_h.dim, uniform_vector(2)))
-        nodes.append(ChainNode(next_h, next_cone))
-        current_h, current_cone = next_h, next_cone
-    return ArrowChain(tuple(nodes), tuple(embeddings))
+    return _appended_chain(h, cone, identity(h.space, h.dim), (_FLIP_SLOT,) * depth,
+                           [f"q{level}" for level in range(1, depth + 1)])
 
 
 @dataclass(frozen=True)

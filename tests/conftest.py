@@ -494,7 +494,7 @@ def two_pass_quantum_numbers(chain, o: LinearOperator,
             extended = chain.embeddings[j - 1].extend(extended)
         candidates = base_candidates if j == 0 else extended_candidates
         try:
-            mu, mu_snapped, _ = _quantum_number(record, extended, o_spectrum.norm, candidates)
+            mu, mu_snapped = _quantum_number(record, extended, o_spectrum.norm, candidates)[:2]
         except (NotCommuting, NotSimple, NotInAPlus) as exc:
             raise _failure(type(exc)(f"node {j}: {exc}"), j) from exc
         values.append(mu)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conecalc import cli, lattice, stability
+from conecalc import cli, lattice, numerics, stability
 from conecalc.cli import emit, main, run_config
 from conecalc.errors import SchemaError
 from conecalc.jsonio import canonical_dumps, matrix_from_json, matrix_to_json
@@ -448,6 +448,31 @@ def test_tower_past_the_cap_fails_before_any_level_is_built(task, text, monkeypa
     assert report["payload"]["error_type"] == "DimCap"
     assert report["payload"]["reason"] == "tower dimension 2 * 2^40 exceeds cap 4096"
     assert peak < 1_000_000
+
+
+def test_coupling_past_the_cap_fails_before_its_node_is_built(monkeypatch):
+    # a 32-dimensional base coupled to a 32-dimensional factor: the node
+    # would be 1024-dimensional, 8 MB, above a cap lowered to 512
+    config = json.loads(STABILITY_TEXT)
+    config["spaces"] = {"base": 32, "f1": 32}
+    config["operators"] = [
+        {"name": "h_star", "space": "base", "entries": (-np.ones((32, 32))).tolist()},
+        {"name": "obs", "space": "base", "entries": (-np.ones((32, 32))).tolist()},
+        {"name": "one", "space": "base", "kind": "identity"},
+        {"name": "flip_env", "space": "f1", "entries": np.ones((32, 32)).tolist()},
+    ]
+    config["params"]["members"] = config["params"]["members"][1:]  # the coupling alone
+    monkeypatch.setattr(numerics, "DIM_CAP", 512)
+    tracemalloc.start()
+    try:
+        report, _ = run_config(config, "0" * 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["status"] == "fail"
+    assert report["payload"]["error_type"] == "DimCap"
+    assert report["payload"]["reason"] == "Kronecker sum dimension 1024 exceeds cap 512"
+    assert peak < 1024 * 1024 * 8
 
 
 @pytest.mark.parametrize("task, text, message", [

@@ -1,5 +1,7 @@
-"""README "Numerical conventions" against the modules it names."""
+"""README "Numerical conventions" against the modules it names, and the
+one constructor of Kronecker-sum nodes."""
 
+import ast
 import importlib
 import math
 import re
@@ -50,3 +52,18 @@ def test_every_float_constant_is_in_the_table():
                     isinstance(value, tuple) and all(isinstance(v, float) for v in value))):
                 assert name in listed, f"{module}.{name}"
 
+
+
+def test_one_constructor_lays_out_kronecker_sum_nodes():
+    # towers, `coupling` members and lattice nodes are built by
+    # `stability._perturbed_node`; no other function outside `numerics`
+    # names `_kronecker_sum`
+    users = set()
+    for path in Path(conecalc.__file__).parent.glob("*.py"):
+        if path.stem == "numerics":
+            continue
+        for function in ast.parse(path.read_text()).body:
+            for node in ast.walk(function):
+                if "_kronecker_sum" in (getattr(node, "id", None), getattr(node, "attr", None)):
+                    users.add(f"{path.stem}.{getattr(function, 'name', '<module>')}")
+    assert users == {"stability._perturbed_node"}

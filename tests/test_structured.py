@@ -31,6 +31,7 @@ from conftest import (
 )
 
 from conecalc import inheritance
+from conecalc.cli import RunContext, _stability_member_chain
 from conecalc.cones import (
     SelfDualCone,
     _signed_permutation_cone,
@@ -56,8 +57,8 @@ from conecalc.jsonio import canonical_dumps
 from conecalc.lattice import (
     LatticeSpec,
     _all_subsets,
-    _node_cone,
     build_lattice,
+    build_node,
     subset_embedding,
 )
 from conecalc.numerics import (
@@ -65,11 +66,18 @@ from conecalc.numerics import (
     _kronecker_slot,
     _kronecker_sum,
     hermitian_eig,
+    identity,
     kron,
 )
 from conecalc.positivity import NodeAnalysis, classify, generates_improving_semigroup, is_ergodic
 from conecalc.spin import m_sector, marshall_cone
-from conecalc.stability import _quantum_number, extension_tower, quantum_number_along_chain
+from conecalc.stability import (
+    PAULI_X,
+    _perturbed_node,
+    _quantum_number,
+    extension_tower,
+    quantum_number_along_chain,
+)
 
 SEEDS = range(60)
 
@@ -445,13 +453,13 @@ def test_node_cone_equals_the_stepwise_tensor(seed):
         base = SelfDualCone(base.space, np.array(base.generators), base.label)  # explicit
     dims = [int(n) for n in gen.integers(1, 4, size=int(gen.integers(1, 4)))]
     h0 = LinearOperator(base.space, np.eye(base.dim))
-    spec = LatticeSpec(h0, base, h0, h0, tuple((n, LinearOperator(f"f{mu}", np.ones((n, n))))
-                                               for mu, n in enumerate(dims, start=1)))
+    slots = [_kronecker_slot(np.ones((n, n))) for n in dims]
     for subset in _all_subsets(len(dims)):
         stepwise = base
         for mu in subset:
             stepwise = tensor_cone(stepwise, orthant(f"f{mu}", dims[mu - 1]))
-        cone = _node_cone(spec, subset)
+        cone = _perturbed_node(h0, base, h0, [slots[mu - 1] for mu in subset],
+                               [f"f{mu}" for mu in subset]).cone
         assert (cone.space, cone.label) == (stepwise.space, stepwise.label)
         assert (cone._perm is None) == (base._perm is None)
         if base._perm is None:
@@ -461,6 +469,59 @@ def test_node_cone_equals_the_stepwise_tensor(seed):
         assert same_bits(cone._perm.signs, stepwise._perm.signs)
         assert (cone._perm.in_order, cone._perm.positive) == (
             stepwise._perm.in_order, stepwise._perm.positive)
+
+
+def renamed(space: str, names: dict) -> str:
+    return "*".join(names.get(part, part) for part in space.split("*"))
+
+
+def assert_same_node(got, want, names: dict) -> None:
+    """Two nodes with the same matrix and cone bits, ``got``'s slot spaces
+    renamed to ``want``'s by ``names``."""
+    assert renamed(got.hamiltonian.space, names) == want.hamiltonian.space
+    assert same_bits(got.hamiltonian.mat, want.hamiltonian.mat)
+    assert (renamed(got.cone.space, names), got.cone.label) == (want.cone.space, want.cone.label)
+    assert same_bits(got.cone._perm.rows, want.cone._perm.rows)
+    assert same_bits(got.cone._perm.signs, want.cone._perm.signs)
+
+
+def assert_same_embedding(got: Embedding, want: Embedding) -> None:
+    assert (got.dim_to, got.dim_from) == (want.dim_to, want.dim_from)
+    assert same_bits(got._cols, want._cols) and same_bits(got._vals, want._vals)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_tower_levels_are_lattice_nodes(seed):
+    # level j of a tower is the lattice node {1..j} with X = 1 and sigma_x
+    # in every slot, and link j-1 is the lattice's {1..j-1} -> {1..j}
+    gen = rng(9600 + seed)
+    n, depth = int(gen.integers(1, 4)), int(gen.integers(1, 5))
+    h = LinearOperator("base", random_metzler_generator(gen, n))
+    chain = extension_tower(h, orthant("base", n), h, depth)
+    spec = LatticeSpec(h, orthant("base", n), h, identity("base", n),
+                       tuple((2, LinearOperator(f"f{mu}", PAULI_X)) for mu in range(1, depth + 1)))
+    names = {f"q{mu}": f"f{mu}" for mu in range(1, depth + 1)}
+    for j in range(1, depth + 1):
+        subset = tuple(range(1, j + 1))
+        assert_same_node(chain.nodes[j], build_node(spec, subset), names)
+        assert_same_embedding(chain.embeddings[j - 1],
+                              subset_embedding(spec, subset[:-1], subset))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_a_coupling_member_is_a_one_slot_lattice_chain(seed):
+    gen = rng(9700 + seed)
+    n, m = int(gen.integers(1, 4)), int(gen.integers(1, 4))
+    h = LinearOperator("base", random_metzler_generator(gen, n))
+    x = LinearOperator("base", gen.uniform(0.5, 1.5) * np.eye(n))
+    y = LinearOperator("env", gen.uniform(0.5, 1.5) * np.ones((m, m)))
+    ctx = RunContext(operators={"x": x, "y": y})
+    chain = _stability_member_chain(ctx, h, orthant("base", n), h,
+                                    {"type": "coupling", "x": "x", "y": "y"})
+    spec = LatticeSpec(h, orthant("base", n), h, x, ((m, y),))
+    assert chain.nodes[0].hamiltonian is h
+    assert_same_node(chain.nodes[1], build_node(spec, (1,)), {"env": "f1"})
+    assert_same_embedding(chain.embeddings[0], subset_embedding(spec, (), (1,)))
 
 
 def refuse(*args, **kwargs):
