@@ -134,18 +134,42 @@ class SelfDualCone:
     def from_coords(self, c: np.ndarray) -> np.ndarray:
         return self.generators @ _numeric(c)
 
-    def operator_coords(self, op: LinearOperator) -> np.ndarray:
-        """Matrix of an operator expressed in the generator basis.  On an
-        orthant or a tensor product of orthants it is ``op.mat`` itself,
-        which is read-only."""
+    def _check_operator(self, op: LinearOperator) -> None:
         if op.dim != self.dim or op.space != self.space:
             raise DimMismatch(
                 f"operator on {op.space!r} (dim {op.dim}) vs cone on "
                 f"{self.space!r} (dim {self.dim})"
             )
+
+    def operator_coords(self, op: LinearOperator) -> np.ndarray:
+        """Matrix of an operator expressed in the generator basis.  On an
+        orthant or a tensor product of orthants it is ``op.mat`` itself,
+        which is read-only."""
+        self._check_operator(op)
         if self._perm is not None:
             return self._perm.operator_coords(op.mat)
         return self.generators.conj().T @ op.mat @ self.generators
+
+    def _base_signs(self, op: LinearOperator, d0: int) -> np.ndarray | None:
+        """For an operator on this cone's space whose first tensor factor
+        has dimension ``d0``: the sign t[a] of the generator on every row
+        (a, s), when the cone is a signed permutation of the first factor
+        alone tensored with the orthant of the rest, and None for any other
+        cone.  Its generator-basis matrix is then the operator's entries
+        times t[a] t[b], with rows and columns permuted together."""
+        self._check_operator(op)
+        if self._perm is None:
+            return None
+        rows, signs, n = self._perm.rows, self._perm.signs, self.dim // d0
+        if self._perm.in_order and self._perm.positive:
+            return np.ones(d0)
+        base = rows[::n] // n
+        if not (np.array_equal(rows, (base[:, None] * n + np.arange(n)).ravel())
+                and np.array_equal(signs, np.repeat(signs[::n], n))):
+            return None
+        out = np.empty(d0)
+        out[base] = signs[::n]
+        return out
 
     def _column_coords(self, mat: np.ndarray) -> np.ndarray:
         """G^* M: the generator coordinates of every column of M."""

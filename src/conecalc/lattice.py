@@ -218,7 +218,9 @@ def _build_node(spec: LatticeSpec, subset: Subset, tol: float, o_spectrum: Spect
     returning the node's record.  The node is the `_perturbed_node` of the
     lattice's shared slots in I, named f{mu} in ascending order.
     spec(tau O tau^*) is spec(O) and 0, so the extended observable has the
-    norm of the base one and snaps to those values."""
+    norm of the base one and snaps to those values.  It is O (x) |u><u|,
+    u the uniform vector on every slot of I, and its pair (O, slot
+    dimensions) goes beside it to `_quantum_number`."""
     subset = tuple(sorted(subset))
     perturbed = _perturbed_node(spec.h0, spec.cone, spec.x, tuple(slots[mu - 1] for mu in subset),
                                 [f"f{mu}" for mu in subset])
@@ -231,7 +233,8 @@ def _build_node(spec: LatticeSpec, subset: Subset, tol: float, o_spectrum: Spect
 
     observable = emb.extend(spec.observable)
     snap_to = np.concatenate([o_spectrum.eigenvalues, [0.0]])
-    mu, mu_snapped, _, _ = _quantum_number(node, observable, o_spectrum.norm, snap_to)
+    product = spec.observable, tuple(spec.factors[mu - 1][0] for mu in subset)
+    mu, mu_snapped, _, _ = _quantum_number(node, observable, o_spectrum.norm, snap_to, product)
     return LatticeNode(subset, h, cone, emb, mu, mu_snapped, node.ground.energy), node
 
 

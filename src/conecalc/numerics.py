@@ -1,6 +1,8 @@
 """Dense linear-algebra substrate: Hermitian eigendecomposition, operator
-exponentials, tensor products, partial trace, and Kronecker sums
-H0 (x) 1 - X (x) K whose spectra are read from d0 x d0 blocks.
+exponentials, tensor products, partial trace, reachability sweeps, and
+Kronecker sums H0 (x) 1 - X (x) K that keep their factors, not a matrix:
+their spectra are read from d0 x d0 blocks and their entries from a table
+of O(dim d0) values.
 
 Everything here is a pure function of its arguments; operators are immutable
 value objects tagged with a space identifier so that mismatched operands fail
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -85,8 +88,9 @@ def _adopt(space: str, fresh: np.ndarray) -> "LinearOperator":
 @dataclass(frozen=True, eq=False)
 class LinearOperator:
     """Dense square matrix, tagged with its space: float64 when real,
-    complex128 otherwise.  An operator made by `_kronecker_sum` also keeps
-    its factors, from which `NodeAnalysis` reads its spectrum."""
+    complex128 otherwise.  An operator made by `_kronecker_sum` keeps its
+    factors instead, and builds its matrix only when ``.mat`` is first
+    read."""
 
     space: str
     mat: np.ndarray
@@ -98,8 +102,20 @@ class LinearOperator:
             raise DimMismatch(f"operator on {self.space!r} is not square: {mat.shape}")
         object.__setattr__(self, "mat", mat)
 
+    def __getattr__(self, name: str):
+        # reached only for an attribute that is not set: the matrix of a
+        # Kronecker sum, built on its first read
+        if name != "mat" or self._factors is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        mat = self._factors.matrix()
+        mat.setflags(write=False)
+        object.__setattr__(self, "mat", mat)
+        return mat
+
     @property
     def dim(self) -> int:
+        if self._factors is not None:
+            return self._factors.dim
         return self.mat.shape[0]
 
     def norm(self) -> float:
@@ -107,6 +123,10 @@ class LinearOperator:
         return float(np.linalg.norm(self.mat, 2))
 
     def is_hermitian(self) -> bool:
+        """Whether max|H - H^*| <= HERMITIAN_TOL max|H|.  A real Kronecker
+        sum reads both maxima from its entry table, the same floats."""
+        if self._factors is not None and (table := self._factors.table) is not None:
+            return table.skew <= HERMITIAN_TOL * max(table.scale, 1e-300)
         scale = max(np.abs(self.mat).max(), 1e-300)
         return float(np.abs(self.mat - self.mat.conj().T).max()) <= HERMITIAN_TOL * scale
 
@@ -219,27 +239,212 @@ def hermitian_eig(op: LinearOperator) -> Spectrum:
     return Spectrum(vals, vecs)
 
 
+def _walk_lengths(out: np.ndarray, source: int) -> np.ndarray:
+    """Least walk length from `source` to every vertex along out[j, i]
+    (an edge j -> i), -1 where no walk exists: a frontier sweep, in which
+    each step adds 1 to every vertex not yet reached, until no vertex is
+    left to reach or no new vertex was reached.  Each step gathers the
+    frontier's rows, so a C-ordered `out` is read row by row."""
+    lengths = np.zeros(out.shape[0], dtype=int)
+    unseen = np.arange(out.shape[0]) != source
+    frontier = ~unseen
+    while np.count_nonzero(frontier) and np.count_nonzero(unseen):
+        lengths += unseen
+        frontier = out[frontier].any(axis=0) & unseen
+        unseen ^= frontier
+    lengths[unseen] = -1
+    return lengths
+
+
+def _strongly_connected(edges: np.ndarray) -> bool:
+    """Whether every vertex reaches vertex 0 and vertex 0 every vertex:
+    two sweeps, one along the edges and one against them."""
+    return bool(_walk_lengths(np.ascontiguousarray(edges.T), 0).min() >= 0
+                and _walk_lengths(edges, 0).min() >= 0)
+
+
+def _bottleneck(y: np.ndarray, off: np.ndarray) -> float:
+    """The largest off-diagonal entry w of Y (``off`` masks them) for which
+    the digraph p -> q, y[p, q] >= w (p != q), is strongly connected; inf
+    for a 1 x 1 Y, whose one vertex is connected.
+
+    Rounding is monotone, so for c > 0 the digraph p -> q, c y[p, q] > t is
+    strongly connected exactly when t < c w, with c w the rounded product.
+    """
+    if y.shape[0] == 1:
+        return math.inf
+
+    def connected(w: float) -> bool:
+        return _strongly_connected((y >= w) & off)
+
+    # no vertex keeps an out-edge or an in-edge above its largest one, so
+    # w is at most the least of those; it usually is that bound, and at the
+    # least entry every pair is an edge
+    blanked = np.where(off, y, -np.inf)
+    bound = min(blanked.max(axis=1).min(), blanked.max(axis=0).min())
+    if bound == np.where(off, y, np.inf).min() or connected(bound):
+        return float(bound)
+    below = np.sort(y[off & (y < bound)])
+    lo, hi = 0, below.size - 1
+    while lo < hi:  # bisection: connected(below[lo]) holds
+        mid = (lo + hi + 1) // 2
+        if connected(below[mid]):
+            lo = mid
+        else:
+            hi = mid - 1
+    return float(below[lo])
+
+
+class _SlotFacts(NamedTuple):
+    """What the entry table of a Kronecker sum reads from a real, finite
+    slot Y: its off-diagonal extremes and bottleneck (`_bottleneck`), its
+    distinct diagonal entries (none when all are zero), whether it is
+    exactly symmetric, and for the uniform unit vector u the shift
+    <u, Y u> and the residual ||Y u - shift u||."""
+
+    low: float
+    high: float
+    bottleneck: float
+    diagonal: np.ndarray
+    symmetric: bool
+    shift: float
+    residual: float
+
+
 class _Slot(NamedTuple):
-    """One coupling slot of a Kronecker sum: Y and its eigenpairs."""
+    """One coupling slot of a Kronecker sum: Y, its eigenpairs, and its
+    `_SlotFacts` (None when Y is complex or has a non-finite entry)."""
 
     mat: np.ndarray
     values: np.ndarray
     vectors: np.ndarray  # column k pairs with values[k]
+    facts: _SlotFacts | None
+
+
+def _finite_real(a: np.ndarray) -> bool:
+    return not np.iscomplexobj(a) and bool(np.isfinite(a).all())
 
 
 def _kronecker_slot(y: np.ndarray) -> _Slot:
-    """Y with its eigendecomposition, made once and shared by every node
-    that has the slot."""
+    """Y with its eigendecomposition and facts, made once and shared by
+    every node that has the slot."""
     values, vectors = np.linalg.eigh(y)
-    return _Slot(y, values, vectors)
+    return _Slot(y, values, vectors, _slot_facts(y) if _finite_real(y) else None)
 
 
-class _KroneckerFactors(NamedTuple):
-    """H0, X and the slots of H = H0 (x) 1 - X (x) K."""
+def _slot_facts(y: np.ndarray) -> _SlotFacts:
+    n = y.shape[0]
+    off = ~np.eye(n, dtype=bool)
+    low, high = float(np.where(off, y, np.inf).min()), float(np.where(off, y, -np.inf).max())
+    diagonal = np.diagonal(y)
+    u = uniform_vector(n)
+    image = y @ u
+    shift = float(u @ image)
+    residual = image - shift * u
+    return _SlotFacts(low, high, _bottleneck(y, off),
+                      np.array(sorted(set(diagonal.tolist())) if diagonal.any() else []),
+                      bool((y == y.T).all()), shift, math.sqrt(float(residual @ residual)))
+
+
+class _EntryTable(NamedTuple):
+    """The entries of a real Kronecker sum H = H0 (x) 1 - X (x) K, as
+    `_kronecker_sum` writes them, without the dim x dim matrix.
+
+    Entry ((a, s), (b, t)) is ``diagonal[a, b, i]`` when s = t, for the
+    index i of the distinct diagonal entries that s picks in the slots that
+    have nonzero ones (every such s gives one of these values, in the same
+    float order); it is -x[a, b] y_mu[p, q] when s and t differ in slot mu
+    alone, at (p, q); and 0 otherwise.  The off-diagonal slot entries y[p, q],
+    p != q, lie in [low, high] (both None when every slot is 1 x 1), and as
+    rounding is monotone the least and greatest product x[a, b] y over them
+    are x[a, b] low and x[a, b] high, in some order.  ``bottleneck`` is the
+    least `_bottleneck` of those slots (inf when there are none).  ``scale``
+    is max|H| and ``skew`` max|H - H^T|, the floats the dense matrix gives.
+    """
+
+    diagonal: np.ndarray
+    low: float | None
+    high: float | None
+    bottleneck: float
+    scale: float
+    skew: float
+
+
+@dataclass(frozen=True, eq=False)
+class _KroneckerFactors:
+    """H0, X and the slots of H = H0 (x) 1 - X (x) K, from which every
+    reading of a `_kronecker_sum` is taken: its dimension, its entry table,
+    its product with a vector, and, only when something reads it, its
+    matrix."""
 
     h0: np.ndarray
     x: np.ndarray
     slots: tuple[_Slot, ...]
+
+    @cached_property
+    def dim(self) -> int:
+        return self.h0.shape[0] * math.prod(slot.mat.shape[0] for slot in self.slots)
+
+    def matrix(self) -> np.ndarray:
+        """The dense H, a new array.  Each entry is h0[i, j] less the
+        products x[i, j] y_mu[p, q], slot by slot, as when
+        X (x) (1 (x) Y_mu (x) 1) is subtracted from H0 (x) 1 one slot at a
+        time.  The terms are written into the positions they fill, so no
+        other dim x dim array is formed."""
+        d0, dims = self.h0.shape[0], [slot.mat.shape[0] for slot in self.slots]
+        total = math.prod(dims)
+        mat = np.zeros((d0 * total, d0 * total),
+                       dtype=np.result_type(self.h0, self.x, *(slot.mat for slot in self.slots)))
+        _diagonal_blocks(mat, d0, total, 1, 1)[...] = self.h0[:, :, None, None, None, None]
+        for k, slot in enumerate(self.slots):
+            view = _diagonal_blocks(mat, d0, math.prod(dims[:k]), dims[k], math.prod(dims[k + 1:]))
+            view -= self.x[:, :, None, None, None, None] * slot.mat[:, :, None, None]
+        return mat
+
+    def apply(self, psi: np.ndarray) -> np.ndarray:
+        """H psi by reshape: H0 on the base axis, and X times Y_mu on slot
+        axis mu, in O(dim (d0 + sum_mu n_mu))."""
+        d0 = self.h0.shape[0]
+        psi = psi.reshape(d0, -1)
+        k_psi = np.zeros_like(psi, dtype=np.result_type(psi, *(slot.mat for slot in self.slots)))
+        before, after = d0, psi.shape[1]
+        for slot in self.slots:
+            n = slot.mat.shape[0]
+            after //= n
+            axis = k_psi.reshape(before, n, after)
+            axis += slot.mat @ psi.reshape(before, n, after)
+            before *= n
+        return (self.h0 @ psi - self.x @ k_psi).ravel()
+
+    @cached_property
+    def table(self) -> _EntryTable | None:
+        """The `_EntryTable`, or None when a factor is complex or has a
+        non-finite entry."""
+        if not (_finite_real(self.h0) and _finite_real(self.x)
+                and all(slot.facts is not None for slot in self.slots)):
+            return None
+        d0 = self.h0.shape[0]
+        diagonal = self.h0[:, :, None]
+        for slot in self.slots:
+            if slot.facts.diagonal.size:
+                diagonal = (diagonal[:, :, :, None] - self.x[:, :, None, None]
+                            * slot.facts.diagonal).reshape(d0, d0, -1)
+        scale = max(float(diagonal.max()), float(-diagonal.min()))
+        skew = float(np.abs(diagonal - diagonal.transpose(1, 0, 2)).max())
+        coupled = [slot for slot in self.slots if slot.mat.shape[0] > 1]
+        low = high = None
+        if coupled:
+            low = min(slot.facts.low for slot in coupled)
+            high = max(slot.facts.high for slot in coupled)
+            scale = max(scale, float(np.abs(self.x).max()) * max(-low, high))
+            symmetric = bool((self.x == self.x.T).all())
+            for slot in coupled:
+                if not (symmetric and slot.facts.symmetric):
+                    terms = self.x[:, :, None, None] * slot.mat
+                    swapped = np.abs(terms - terms.transpose(1, 0, 3, 2))
+                    skew = max(skew, float(swapped[:, :, ~np.eye(len(slot.mat), dtype=bool)].max()))
+        bottleneck = min((slot.facts.bottleneck for slot in coupled), default=math.inf)
+        return _EntryTable(diagonal, low, high, bottleneck, scale + 0.0, skew)
 
 
 def _diagonal_blocks(mat: np.ndarray, d0: int, before: int, n: int, after: int) -> np.ndarray:
@@ -257,28 +462,22 @@ def _kronecker_sum(space: str, h0: LinearOperator, x: LinearOperator, slots) -> 
     """H = H0 (x) 1 - X (x) K on ``space``, K = sum_mu 1 (x) Y_mu (x) 1 the
     Kronecker sum of the slots (`_kronecker_slot`), in order.
 
-    Each entry is h0[i, j] less the products x[i, j] y_mu[p, q], slot by
-    slot, as when X (x) (1 (x) Y_mu (x) 1) is subtracted from H0 (x) 1 one
-    slot at a time.  The terms are written into the positions they fill, so
-    no other dim x dim array is formed.  The operator keeps H0, X and the
-    slots, from which `_block_spectrum` reads its spectrum.  A sum whose
-    dimension exceeds `DIM_CAP` raises `DimCap` before anything is allocated.
+    The operator keeps H0, X and the slots (`_KroneckerFactors`), not its
+    matrix.  Its Hermitian test reads the entry table, `_block_spectrum`
+    reads its spectrum from the d0 x d0 blocks, and `positivity` and
+    `stability` decide its improving class and its commutation with a
+    pushed observable from the factors as well; the matrix is built the
+    first time ``.mat`` is read, with the entries the table describes.  A
+    sum whose dimension exceeds `DIM_CAP` raises `DimCap` before anything
+    is allocated.
     """
     h0._check_same_space(x)
-    slots = tuple(slots)
-    d0 = h0.dim
-    dims = [slot.mat.shape[0] for slot in slots]
-    total = math.prod(dims)
-    if d0 * total > DIM_CAP:
-        raise DimCap(f"Kronecker sum dimension {d0 * total} exceeds cap {DIM_CAP}")
-    mat = np.zeros((d0 * total, d0 * total),
-                   dtype=np.result_type(h0.mat, x.mat, *(slot.mat for slot in slots)))
-    _diagonal_blocks(mat, d0, total, 1, 1)[...] = h0.mat[:, :, None, None, None, None]
-    for k, slot in enumerate(slots):
-        view = _diagonal_blocks(mat, d0, math.prod(dims[:k]), dims[k], math.prod(dims[k + 1:]))
-        view -= x.mat[:, :, None, None, None, None] * slot.mat[:, :, None, None]
-    op = _adopt(space, mat)
-    object.__setattr__(op, "_factors", _KroneckerFactors(h0.mat, x.mat, slots))
+    factors = _KroneckerFactors(h0.mat, x.mat, tuple(slots))
+    if factors.dim > DIM_CAP:
+        raise DimCap(f"Kronecker sum dimension {factors.dim} exceeds cap {DIM_CAP}")
+    op = object.__new__(LinearOperator)
+    object.__setattr__(op, "space", space)
+    object.__setattr__(op, "_factors", factors)
     return op
 
 
@@ -293,8 +492,9 @@ def _block_spectrum(op: LinearOperator) -> Spectrum:
     block eigenvector and v the column of V at its k, built in O(dim), and
     no dim x dim eigenbasis is formed: the spectrum has the shape of a
     dense record's, every eigenvalue and the ground column.  The pair is
-    kept only when one dense product confirms it, ||H psi - E psi|| <=
-    BLOCK_RESIDUAL_TOL * ||H||; factors that disagree with the matrix raise
+    kept only when H applied by reshape (`_KroneckerFactors.apply`), with
+    no matrix formed, confirms it: ||H psi - E psi|| <= BLOCK_RESIDUAL_TOL
+    * ||H||.  Slot eigenpairs that disagree with the slots raise
     `Inconsistent`.
     """
     op.require_hermitian()
@@ -310,7 +510,7 @@ def _block_spectrum(op: LinearOperator) -> Spectrum:
     _fix_phases(ground[:, None])
     eigenvalues = np.sort(values, axis=None)
     scale = max(-eigenvalues[0], eigenvalues[-1])
-    residual = float(np.linalg.norm(op.mat @ ground - eigenvalues[0] * ground))
+    residual = float(np.linalg.norm(f.apply(ground) - eigenvalues[0] * ground))
     if not residual <= BLOCK_RESIDUAL_TOL * scale:
         raise Inconsistent(f"block ground pair of the operator on {op.space!r} has residual "
                            f"{residual:.3e}, above {BLOCK_RESIDUAL_TOL:g} * ||H||")

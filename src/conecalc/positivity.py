@@ -5,9 +5,12 @@ All tests reduce to the operator's matrix in the cone's generator basis.  A
 map preserves the cone iff that matrix is real with nonnegative entries, and
 improves it iff the entries are strictly positive; both follow from linearity
 over the generators.  Ergodicity and irreducibility are digraph reachability
-on the support pattern of that matrix, one frontier sweep per source: one
-from every generator for ergodicity's least walk lengths, and two from
-generator 0 for irreducibility, one along the edges and one against them.
+on the support pattern of that matrix, one frontier sweep per source
+(`numerics._walk_lengths`): one from every generator for ergodicity's least
+walk lengths, and two from generator 0 for irreducibility, one along the
+edges and one against them.  A real Kronecker sum on a cone whose signs
+depend on its base index alone is decided from its factors instead
+(`_factor_improving`), with the same floats and no matrix.
 """
 
 from __future__ import annotations
@@ -19,7 +22,15 @@ import numpy as np
 
 from .cones import SelfDualCone
 from .errors import InputNotInClass, NotPreserving, NotRealForm
-from .numerics import DEFAULT_TOL, LinearOperator, Spectrum, _block_spectrum, hermitian_eig
+from .numerics import (
+    DEFAULT_TOL,
+    LinearOperator,
+    Spectrum,
+    _block_spectrum,
+    _strongly_connected,
+    _walk_lengths,
+    hermitian_eig,
+)
 
 Witness = tuple[int, int, complex]
 
@@ -97,23 +108,6 @@ def dominates(a: LinearOperator, b: LinearOperator, cone: SelfDualCone,
     return classify(a - b, cone, tol).preserving
 
 
-def _walk_lengths(out: np.ndarray, source: int) -> np.ndarray:
-    """Least walk length from `source` to every vertex along out[j, i]
-    (an edge j -> i), -1 where no walk exists: a frontier sweep, in which
-    each step adds 1 to every vertex not yet reached, until no vertex is
-    left to reach or no new vertex was reached.  Each step gathers the
-    frontier's rows, so a C-ordered `out` is read row by row."""
-    lengths = np.zeros(out.shape[0], dtype=int)
-    unseen = np.arange(out.shape[0]) != source
-    frontier = ~unseen
-    while np.count_nonzero(frontier) and np.count_nonzero(unseen):
-        lengths += unseen
-        frontier = out[frontier].any(axis=0) & unseen
-        unseen ^= frontier
-    lengths[unseen] = -1
-    return lengths
-
-
 @dataclass(frozen=True)
 class ErgodicityReport:
     """Reachability structure of a cone-preserving operator.
@@ -172,22 +166,76 @@ def is_ergodic(op: LinearOperator, cone: SelfDualCone, tol: float = DEFAULT_TOL)
     return ErgodicityReport(failing is None, table, failing, borderline)
 
 
+def _abs_max(m: np.ndarray) -> float:
+    """max|M| of a float64 M, read as max(max M, -min M) without the dim x dim
+    temporary of np.abs: the same float, a -0.0 made +0.0."""
+    return max(float(m.max()), float(-m.min())) + 0.0
+
+
 def _metzler_coords(h: LinearOperator, cone: SelfDualCone,
                     tol: float) -> tuple[np.ndarray, float] | None:
     """Re M and max|Re M|, M the generator-basis matrix of H, when -H is
     Metzler there (M real, no entry off its diagonal above tol * max|M|), else None."""
     h.require_hermitian()
     m = cone.operator_coords(h)
-    scale = float(np.abs(m).max())
-    thresh = tol * scale
     if np.iscomplexobj(m):
+        thresh = tol * float(np.abs(m).max())
         if np.abs(m.imag).max() > thresh:
             return None
         m = m.real
-        scale = float(np.abs(m).max())
+        scale = _abs_max(m)
+    else:
+        scale = _abs_max(m)
+        thresh = tol * scale
     above = m > thresh
     np.fill_diagonal(above, False)
     return None if above.any() else (m, scale)
+
+
+def _factor_improving(h: LinearOperator, cone: SelfDualCone, tol: float) -> bool | None:
+    """`generates_improving_semigroup` of a real Kronecker sum
+    H = H0 (x) 1 - X (x) K on a cone whose signs t[a] depend on the base
+    index alone (`SelfDualCone._base_signs`), read from the entry table of
+    H (`numerics._EntryTable`) with H0 and X flipped to t[a] t[b] h0[a, b]
+    and t[a] t[b] x[a, b]; None where the dense route decides.
+
+    The Metzler test and the edge threshold tol * max|H| compare the same
+    floats as the dense route.  A fiber {a} x S is strongly connected when
+    every coupled slot's digraph p -> q, x[a, a] y[p, q] > thresh, is, that
+    is when x[a, a] > 0 and thresh < x[a, a] times the slots' least
+    bottleneck; a Cartesian product of strongly connected digraphs is
+    strongly connected.  With every fiber strongly connected, -H is
+    irreducible iff the d0-vertex quotient is: a -> b when some entry from
+    fiber a to fiber b is an edge.  When a fiber test fails, tol is
+    negative (the structural zeros would then be edges), or H0, X or a
+    slot is complex or not finite, the dense route decides.
+    """
+    f = h._factors
+    if f is None or (table := f.table) is None or not tol >= 0:
+        return None
+    h.require_hermitian()
+    if (signs := cone._base_signs(h, f.h0.shape[0])) is None:
+        return None
+    thresh = tol * table.scale
+    flip = signs[:, None] * signs
+    diagonal = table.diagonal * flip[:, :, None]
+    above = diagonal > thresh
+    base = np.arange(f.h0.shape[0])
+    above[base, base] = False
+    if above.any():
+        return False
+    quotient = (diagonal < -thresh).any(axis=2)
+    if table.low is not None:
+        x = f.x * flip
+        ends = x * table.low, x * table.high
+        if np.minimum(*ends).min() < -thresh:  # an entry -x[a, b] y[p, q] above thresh
+            return False
+        quotient |= np.maximum(*ends) > thresh
+        weights = np.diagonal(f.x)
+        if not ((weights > 0).all() and (thresh < weights * table.bottleneck).all()):
+            return None
+    quotient[base, base] = True
+    return bool(quotient.all()) or _strongly_connected(quotient)  # a complete digraph is connected
 
 
 def generates_positive_semigroup(h: LinearOperator, cone: SelfDualCone,
@@ -212,12 +260,12 @@ def generates_improving_semigroup(h: LinearOperator, cone: SelfDualCone,
     generator, so two sweeps from one vertex decide it, one along the edges
     and one against them.  The all-pairs walk lengths stay with `is_ergodic`.
     """
+    if (verdict := _factor_improving(h, cone, tol)) is not None:
+        return verdict
     if (coords := _metzler_coords(h, cone, tol)) is None:
         return False
     m, scale = coords
-    edges = m < -tol * scale  # the diagonal never shortens a walk
-    return bool(_walk_lengths(np.ascontiguousarray(edges.T), 0).min() >= 0
-                and _walk_lengths(edges, 0).min() >= 0)
+    return _strongly_connected(m < -tol * scale)  # the diagonal never shortens a walk
 
 
 def positive_combination(h: LinearOperator, h_prime: LinearOperator,
@@ -282,8 +330,10 @@ class NodeAnalysis:
     eigenvalues and the ground vector alone.  A Kronecker sum (a lattice
     node, a tower level, the `stability` coupling recipe) is decomposed by
     one batched `eigh` of its d0 x d0 blocks (`numerics._block_spectrum`),
-    which forms no eigenbasis; any other Hamiltonian takes `hermitian_eig`,
-    whose full eigenbasis is dropped once its ground column is copied out.
+    which forms no eigenbasis, and its improving verdict is read from its
+    factors (`_factor_improving`), so neither builds its matrix; any other
+    Hamiltonian takes `hermitian_eig`, whose full eigenbasis is dropped
+    once its ground column is copied out.
     """
 
     hamiltonian: LinearOperator

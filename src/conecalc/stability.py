@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -60,7 +60,6 @@ SUPPORT_TOL = 1e-12  # eigenvalues below this count as zero in the relative entr
 NULL_WEIGHT_TOL = 1e-10  # rho weight on sigma's null space above this makes it +inf
 ENTROPY_TOL = 1e-9  # a reduced ground state matches the base when the entropy is <= this
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-_FLIP_SLOT = _kronecker_slot(PAULI_X)  # every tower level's slot, decomposed once
 _COMMUTATOR_ROWS = 64  # row block of the commutator's Frobenius sum
 
 
@@ -163,18 +162,63 @@ def good_quantum_number(h: LinearOperator, o: LinearOperator, cone: SelfDualCone
     return GoodQuantumNumber(mu, snapped, residual, comm, node.ground)
 
 
-def _quantum_number(node: NodeAnalysis, o: LinearOperator, o_norm: float,
-                    candidates) -> tuple[float, float, float, np.ndarray]:
+def _product_commutes(h: LinearOperator, base: LinearOperator, dims: tuple[int, ...],
+                      o_norm: float, scale: float) -> bool | None:
+    """`_commutes` of a real Kronecker sum H = H0 (x) 1 - X (x) K and
+    O (x) P, P = |u><u| for u the uniform product vector on slots of the
+    dimensions ``dims``, decided in d0 x d0 when the bounds tell, else None.
+
+    With k = <u, K u> and e = K u - k u, which is orthogonal to u,
+    [H, O (x) P] = [H0 - k X, O] (x) P - (X O (x) e u^T - O X (x) u e^T),
+    so ||[H, O (x) P]|| lies within 2 ||X|| ||O|| ||e|| of
+    ||[H0 - k X, O]||.  Every slot gives its own <u_mu, Y_mu u_mu> and
+    ||Y_mu u_mu - <u_mu, Y_mu u_mu> u_mu||, and these terms of e are
+    orthogonal.  The interval is widened by ||X||_F >= ||X|| and by a
+    rounding slack of dim * eps * scale, and the verdict is read only when
+    it lies wholly on one side of COMMUTATOR_TOL * scale.
+    """
+    f = h._factors
+    if (f is None or f.table is None or base.dim != f.h0.shape[0]
+            or dims != tuple(slot.mat.shape[0] for slot in f.slots)):
+        return None
+    shift = sum(slot.facts.shift for slot in f.slots)
+    residual = math.sqrt(sum(slot.facts.residual ** 2 for slot in f.slots))
+    c = _commutator(f.h0 - shift * f.x, base.mat)
+    spread = (2.0 * float(np.linalg.norm(f.x)) * o_norm * residual
+              + h.dim * np.finfo(float).eps * scale)
+    thresh = COMMUTATOR_TOL * max(scale, 1e-300)
+    if math.sqrt(float(np.vdot(c, c).real)) + spread <= thresh:
+        return True
+    norm = float(np.abs(np.linalg.eigvalsh(1j * c)).max())
+    if norm + spread <= thresh:
+        return True
+    if norm - spread > thresh:
+        return False
+    return None
+
+
+def _quantum_number(node: NodeAnalysis, o: LinearOperator, o_norm: float, candidates,
+                    product: tuple[LinearOperator, tuple[int, ...]] | None = None
+                    ) -> tuple[float, float, float, np.ndarray]:
     """The quantum number of O on ``node.ground``, given the norm of O and
     the eigenvalues to snap to: (mu, snapped mu, residual |O psi - mu psi|,
     O psi).
 
     H must commute with O, be improving-class on the node's cone and have a
-    simple ground state, which must be an eigenvector of O.
+    simple ground state, which must be an eigenvector of O.  A ``product``
+    (base, dims) says that O is base (x) |u><u|, u the uniform product
+    vector on slots of those dimensions; the commutation of a Kronecker sum
+    with it is then decided from the factors where `_product_commutes` can
+    tell, and by the dense `_commutes` otherwise.
     """
-    if node.hamiltonian.dim != o.dim:
+    h = node.hamiltonian
+    if h.dim != o.dim:
         raise NotCommuting("operators act on different spaces")
-    if not _commutes(node.hamiltonian.mat, o.mat, node.norm * o_norm):
+    scale = node.norm * o_norm
+    commutes = None if product is None else _product_commutes(h, *product, o_norm, scale)
+    if commutes is None:
+        commutes = _commutes(h.mat, o.mat, scale)
+    if not commutes:
         raise NotCommuting("Hamiltonian does not commute with the observable")
     if not node.improving:
         raise NotInAPlus("Hamiltonian is not improving-class on the cone")
@@ -258,17 +302,22 @@ def _chain_pass(chain: ArrowChain, o: LinearOperator,
     node j is read from its record.  The observable is pushed forward one
     embedding at a time, after every `eigh` has run; spec(tau O tau^*) is
     spec(O) and 0, so every pushed-forward observable has the norm of O.
-    The first reading failure is raised with its index.
+    While every embedding so far appends a uniform vector, as those of
+    towers and `coupling` members do, the pushed observable is
+    O (x) |u><u| and its pair (O, slot dimensions) goes beside it to
+    `_quantum_number`.  The first reading failure is raised with its index.
     """
     records, links = _verified_links(chain, tol)
     report = _chain_report(links)
     o_spectrum = hermitian_eig(o)
     extended_candidates = np.concatenate([o_spectrum.eigenvalues, [0.0]])
     values, snapped, telescopes = [], [], []
+    product = (o, ())  # O_j = O (x) |u><u| while every embedding appends a uniform vector
     for j, record in enumerate(records):
         candidates = extended_candidates if j else o_spectrum.eigenvalues
         try:
-            mu, mu_snapped, _, o_psi = _quantum_number(record, o, o_spectrum.norm, candidates)
+            mu, mu_snapped, _, o_psi = _quantum_number(record, o, o_spectrum.norm, candidates,
+                                                       product)
         except (NotCommuting, NotSimple, NotInAPlus) as exc:
             raise _indexed(type(exc)(f"node {j}: {exc}"), j) from exc
         values.append(mu)
@@ -280,9 +329,21 @@ def _chain_pass(chain: ArrowChain, o: LinearOperator,
             telescopes.append(abs(lhs - snapped[j - 1] * report.overlaps[j - 1]))
         last_o_psi = o_psi
         if j < len(chain.embeddings):
-            o = chain.embeddings[j].extend(o)
+            emb = chain.embeddings[j]
+            o = emb.extend(o)
+            product = product and _appended_uniform(emb, product)
     return report, ChainMuReport(tuple(values), tuple(snapped), report.overlaps,
                                  tuple(telescopes))
+
+
+def _appended_uniform(emb: Embedding, product: tuple[LinearOperator, tuple[int, ...]]):
+    """``product`` with the dimension of the uniform vector that ``emb``
+    appends, or None when ``emb`` does anything else."""
+    blocks = emb._blocks
+    if (blocks is None or len(blocks) != 2 or np.ndim(blocks[0]) != 0 or np.ndim(blocks[1]) != 1
+            or not np.array_equal(blocks[1], uniform_vector(blocks[1].size))):
+        return None
+    return product[0], product[1] + (blocks[1].size,)
 
 
 def _perturbed_node(h0: LinearOperator, cone: SelfDualCone, x: LinearOperator,
@@ -312,6 +373,13 @@ def _appended_chain(h0: LinearOperator, cone: SelfDualCone, x: LinearOperator,
     return ArrowChain(tuple(nodes), tuple(embeddings))
 
 
+@cache
+def _flip_slot() -> _Slot:
+    """Every tower level's slot, decomposed once, when the first tower is
+    built rather than on import."""
+    return _kronecker_slot(PAULI_X)
+
+
 def extension_tower(h: LinearOperator, cone: SelfDualCone, o: LinearOperator,
                     depth: int, tol: float = DEFAULT_TOL) -> ArrowChain:
     """Chain of trivial two-level extensions H -> H(x)1 - 1(x)sigma_x -> ...
@@ -334,7 +402,7 @@ def extension_tower(h: LinearOperator, cone: SelfDualCone, o: LinearOperator,
         raise PreconditionFailed("seed Hamiltonian is not improving-class on its cone")
     if not commutes_with_observable(h, o):
         raise PreconditionFailed("seed Hamiltonian does not commute with the observable")
-    return _appended_chain(h, cone, identity(h.space, h.dim), (_FLIP_SLOT,) * depth,
+    return _appended_chain(h, cone, identity(h.space, h.dim), (_flip_slot(),) * depth,
                            [f"q{level}" for level in range(1, depth + 1)])
 
 

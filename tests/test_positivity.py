@@ -17,7 +17,7 @@ from conftest import (
 from test_cones import haar_cone
 
 import conecalc
-from conecalc import positivity
+from conecalc import numerics, positivity
 from conecalc.cones import SelfDualCone, orthant, tensor_cone
 from conecalc.errors import InputNotInClass, NotPreserving, NotRealForm
 from conecalc.jsonio import canonical_dumps
@@ -426,7 +426,8 @@ def test_irreducibility_runs_two_sweeps(monkeypatch):
         sources.append(source)
         return sweep(edges, source)
 
-    monkeypatch.setattr(positivity, "_walk_lengths", counting)
+    for module in (numerics, positivity):  # the one sweep, and the name positivity imports
+        monkeypatch.setattr(module, "_walk_lengths", counting)
     gen = rng(167)
     cone = orthant("s", 3)
     assert generates_improving_semigroup(three_vertex(gen, "cycle"), cone)

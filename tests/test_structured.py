@@ -11,8 +11,10 @@ block spectrum is compared with `hermitian_eig` of the same matrix.
 """
 
 import copy
+import dataclasses
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -30,15 +32,15 @@ from conftest import (
     same_bits,
 )
 
-from conecalc import inheritance
-from conecalc.cli import RunContext, _stability_member_chain
+from conecalc import inheritance, stability
+from conecalc.cli import RunContext, _stability_member_chain, run_config
 from conecalc.cones import (
     SelfDualCone,
     _signed_permutation_cone,
     orthant,
     tensor_cone,
 )
-from conecalc.errors import ConecalcError, Inconsistent, NotPreserving, NotSimple
+from conecalc.errors import ConecalcError, Inconsistent, NonHermitian, NotPreserving, NotSimple
 from conecalc.inheritance import (
     TOL_LIMIT,
     ArrowChain,
@@ -55,6 +57,7 @@ from conecalc.inheritance import (
 )
 from conecalc.jsonio import canonical_dumps
 from conecalc.lattice import (
+    UNIFORM_EIGEN_TOL,
     LatticeSpec,
     _all_subsets,
     build_lattice,
@@ -62,18 +65,30 @@ from conecalc.lattice import (
     subset_embedding,
 )
 from conecalc.numerics import (
+    DEFAULT_TOL,
     LinearOperator,
     _kronecker_slot,
     _kronecker_sum,
     hermitian_eig,
     identity,
     kron,
+    uniform_vector,
 )
-from conecalc.positivity import NodeAnalysis, classify, generates_improving_semigroup, is_ergodic
+from conecalc.positivity import (
+    NodeAnalysis,
+    _abs_max,
+    _factor_improving,
+    _metzler_coords,
+    classify,
+    generates_improving_semigroup,
+    is_ergodic,
+)
 from conecalc.spin import m_sector, marshall_cone
 from conecalc.stability import (
     PAULI_X,
+    _commutes,
     _perturbed_node,
+    _product_commutes,
     _quantum_number,
     extension_tower,
     quantum_number_along_chain,
@@ -702,11 +717,14 @@ class TestBlockSpectrumOracle:
                        dense.eigenvalues) == NotSimple.__name__
 
     def test_factors_that_disagree_with_the_matrix_raise(self, monkeypatch):
+        # the blocks read a slot's eigenvalues, the residual applies the slot
+        # matrix itself, so eigenpairs that do not belong to it are caught
         h = LinearOperator("base", np.diag([0.0, 1.0]) - 0.1 * np.array([[0.0, 1.0], [1.0, 0.0]]))
         node = extension_tower(h, orthant("base", 2), h, 2).nodes[2]
         factors = node.hamiltonian._factors
-        monkeypatch.setitem(node.hamiltonian.__dict__, "_factors",
-                            factors._replace(h0=factors.h0 + np.diag([0.0, 0.5])))
+        slot = factors.slots[0]
+        wrong = dataclasses.replace(factors, slots=(slot._replace(values=slot.values + 0.5), slot))
+        monkeypatch.setitem(node.hamiltonian.__dict__, "_factors", wrong)
         with pytest.raises(Inconsistent, match="block ground pair .* has residual"):
             NodeAnalysis(node.hamiltonian, node.cone).spectrum
 
@@ -745,3 +763,274 @@ class TestConstruction:
             tracemalloc.stop()
         assert coords is op.mat
         assert peak < 2 * 2 ** 20
+
+
+def kronecker_case(seed: int):
+    """(H, node cone) of a real Kronecker sum H0 (x) 1 - X (x) K with 1-4
+    base dimensions and 0-3 slots of 1-3 dimensions, read from its factors.
+
+    The kind cycles through: an improving-class sum, Hermitian factors with
+    any signs, a non-symmetric Y or X (at the Hermitian tolerance or far
+    past it), an X with a zero diagonal entry (its fibers fall back to the
+    dense sweeps), and a reducible base.  The base cone is an orthant, a
+    signed permutation of the base index, or an explicit cone, whose sums
+    take the dense route; every fifth node gets a signed permutation of the
+    whole product space, whose signs do not factor."""
+    gen = rng(15000 + seed)
+    d0 = int(gen.integers(1, 5))
+    dims = [int(n) for n in gen.integers(1, 4, size=int(gen.integers(0, 4)))]
+    kind = seed % 5
+    split = int(gen.integers(1, d0)) if kind == 4 and d0 > 1 else None
+    h0 = random_metzler_generator(gen, d0, split)
+    x = gen.uniform(0.1, 1.0) * random_nonneg_irreducible(gen, d0)
+    ys = [random_nonneg_irreducible(gen, n) for n in dims]
+    if kind == 1:
+        h0, x = random_real_symmetric(gen, d0), random_real_symmetric(gen, d0)
+        ys = [random_real_symmetric(gen, n) for n in dims]
+    elif kind == 2:
+        bump = gen.choice([1e-14, 1e-12, 1e-3])
+        if ys and ys[0].shape[0] > 1:
+            ys[0][0, 1] += bump
+        else:
+            x[0, -1] += bump
+    elif kind == 3:
+        x[int(gen.integers(d0)), int(gen.integers(d0))] = 0.0
+        np.fill_diagonal(x, np.where(gen.uniform(size=d0) < 0.5, 0.0, np.diagonal(x)))
+    base = [orthant("base", d0), signed_factor(gen, "base", d0),
+            dense_cone(signed_factor(gen, "base", d0))][seed % 3]
+    names = [f"f{mu}" for mu in range(1, len(dims) + 1)]
+    node = _perturbed_node(LinearOperator("base", h0), base, LinearOperator("base", x),
+                           tuple(_kronecker_slot(y) for y in ys), names)
+    h, cone = node.hamiltonian, node.cone
+    if seed % 5 == 4 and cone._perm is not None:
+        cone = _signed_permutation_cone(cone.space, gen.permutation(cone.dim),
+                                        gen.choice([-1.0, 1.0], cone.dim))
+    return h, cone
+
+
+def near_threshold_tols(gen: np.random.Generator, m: np.ndarray):
+    """DEFAULT_TOL and three tolerances at which tol * max|M| lands on an
+    off-diagonal entry of M, or one float either side of it."""
+    scale = np.abs(m).max()
+    off = np.abs(m[~np.eye(m.shape[0], dtype=bool)])
+    off = off[off > 0.0]
+    if not off.size or scale == 0.0:
+        return [DEFAULT_TOL]
+    tol = float(gen.choice(off)) / scale
+    return [DEFAULT_TOL, tol, np.nextafter(tol, 0.0), np.nextafter(tol, 1.0)]
+
+
+class TestEntryTableOracle:
+    """The verdicts that a real Kronecker sum reads from its factors against
+    the dense route on its own matrix: bit for bit, or the same boolean."""
+
+    @pytest.mark.parametrize("seed", range(150))
+    def test_scale_hermitian_metzler_and_improving(self, seed):
+        h, cone = kronecker_case(seed)
+        table = h._factors.table
+        dense = dense_copy(h)
+        assert same_bits(np.float64(table.scale), np.abs(dense.mat).max())
+        assert same_bits(np.float64(table.skew), np.abs(dense.mat - dense.mat.T).max())
+        assert h.is_hermitian() == dense.is_hermitian()
+        if not dense.is_hermitian():
+            with pytest.raises(NonHermitian):
+                generates_improving_semigroup(h, cone)
+            return
+        for tol in near_threshold_tols(rng(16000 + seed), cone.operator_coords(dense)):
+            verdict = _factor_improving(h, cone, tol)
+            want = generates_improving_semigroup(dense, cone, tol)
+            assert generates_improving_semigroup(h, cone, tol) == want
+            if verdict is None:  # a cone whose signs do not factor, or a fiber fallback
+                factored = cone._base_signs(h, h._factors.h0.shape[0]) is not None
+                assert not factored or _metzler_coords(dense, cone, tol) is not None
+            else:
+                assert verdict == want
+
+    def test_every_route_is_taken(self):
+        # over the seeds above: factor verdicts of both signs, Metzler
+        # failures, and the two fallbacks (cones whose signs do not factor,
+        # fibers that are not connected) all occur
+        counts = Counter()
+        for seed in range(150):
+            h, cone = kronecker_case(seed)
+            if not h.is_hermitian():
+                counts["non-hermitian"] += 1
+                continue
+            dense = dense_copy(h)
+            metzler = _metzler_coords(dense, cone, DEFAULT_TOL) is not None
+            verdict = _factor_improving(h, cone, DEFAULT_TOL)
+            if verdict is None:
+                counts["cone" if cone._base_signs(h, h._factors.h0.shape[0]) is None
+                       else "fiber"] += 1
+            else:
+                counts[(metzler, verdict)] += 1
+        assert all(counts[key] >= 3 for key in ["non-hermitian", "cone", "fiber", (True, True),
+                                                (True, False), (False, False)]), counts
+
+    def test_a_zero_weight_fiber_takes_the_dense_sweeps(self):
+        # x[1, 1] = 0 leaves fiber 1 without edges, yet the sum is irreducible
+        # through fiber 0: the fiber test fails, and the dense sweeps decide
+        h0 = LinearOperator("base", np.array([[0.0, -1.0], [-1.0, 0.0]]))
+        x = LinearOperator("base", np.array([[1.0, 0.0], [0.0, 0.0]]))
+        node = _perturbed_node(h0, orthant("base", 2), x, (_kronecker_slot(PAULI_X),), ["f1"])
+        assert _factor_improving(node.hamiltonian, node.cone, DEFAULT_TOL) is None
+        assert generates_improving_semigroup(node.hamiltonian, node.cone)
+        assert generates_improving_semigroup(dense_copy(node.hamiltonian), node.cone)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_product_with_a_vector(self, seed):
+        h, _ = kronecker_case(seed)
+        psi = rng(17000 + seed).normal(size=h.dim)
+        want = h._factors.matrix() @ psi
+        assert np.abs(h._factors.apply(psi) - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
+
+
+def test_abs_max_is_the_dense_float():
+    gen = rng(18000)
+    cases = [gen.normal(size=(n, n)) for n in (1, 2, 5, 33)]
+    cases += [-np.abs(gen.normal(size=(4, 4))), np.zeros((3, 3)), np.full((3, 3), -0.0),
+              np.array([[-0.0, 0.0], [0.0, -0.0]]), np.array([[-2.0, 1.0], [1.0, 2.0]])]
+    for m in cases:
+        assert same_bits(np.float64(_abs_max(m)), np.abs(m).max())
+
+
+def pushed_pairs(seed: int):
+    """(node, pushed observable O (x) |u><u|, base O, slot dimensions) for
+    every node of a structured lattice spec; on odd seeds the observable
+    does not commute with H0, and on every third seed the first slot's
+    uniform vector is an eigenvector only within 0.9 UNIFORM_EIGEN_TOL."""
+    gen = rng(19000 + seed)
+    spec = random_lattice_spec(gen, structured=True)
+    factors = list(spec.factors)
+    if seed % 3 == 0:
+        n, y = factors[0]
+        bump = np.zeros((n, n))
+        bump[0, 0] = 1.0
+        u = uniform_vector(n)
+        unit = np.linalg.norm(bump @ u - (u @ bump @ u) * u)
+        y = LinearOperator(y.space, y.mat + 0.9 * UNIFORM_EIGEN_TOL * max(1.0, y.norm()) / unit
+                           * bump)
+        factors[0] = (n, y)
+    o = spec.observable
+    if seed % 2:
+        o = LinearOperator("base", random_real_symmetric(gen, spec.h0.dim))
+    spec = LatticeSpec(spec.h0, spec.cone, o, spec.x, tuple(factors))
+    slots = [_kronecker_slot(y.mat) for _, y in spec.factors]
+    for subset in _all_subsets(spec.ell):
+        node = _perturbed_node(spec.h0, spec.cone, spec.x, tuple(slots[mu - 1] for mu in subset),
+                               [f"f{mu}" for mu in subset])
+        pushed = subset_embedding(spec, (), subset).extend(o)
+        yield node.hamiltonian, pushed, o, tuple(spec.factors[mu - 1][0] for mu in subset)
+
+
+@pytest.mark.parametrize("seed", range(48))
+def test_commutation_from_the_factors_agrees_with_the_dense_test(seed):
+    # a verdict read in d0 x d0 is the dense one; where the interval meets
+    # the threshold the factors give none
+    for h, pushed, o, dims in pushed_pairs(seed):
+        o_norm = float(np.abs(np.linalg.eigvalsh(o.mat)).max())
+        scale = float(np.abs(np.linalg.eigvalsh(dense_copy(h).mat)).max()) * o_norm
+        verdict = _product_commutes(h, o, dims, o_norm, scale)
+        if verdict is not None:
+            assert verdict == _commutes(h._factors.matrix(), pushed.mat, scale)
+
+
+def test_commutation_takes_every_route():
+    counts = Counter()
+    for seed in range(48):
+        for h, pushed, o, dims in pushed_pairs(seed):
+            o_norm = float(np.abs(np.linalg.eigvalsh(o.mat)).max())
+            scale = float(np.abs(np.linalg.eigvalsh(dense_copy(h).mat)).max()) * o_norm
+            counts[_product_commutes(h, o, dims, o_norm, scale)] += 1
+    assert min(counts[True], counts[False], counts[None]) >= 3, counts
+
+
+def test_tower_commutation_is_base_commutation():
+    # sigma_x u = u exactly in every slot, so a tower level commutes with
+    # the pushed observable as H0 does with O, for any O
+    gen = rng(19500)
+    h = LinearOperator("base", random_metzler_generator(gen, 3))
+    chain = extension_tower(h, orthant("base", 3), h, 4)
+    for o in (h, LinearOperator("base", random_real_symmetric(gen, 3))):
+        o_norm = float(np.abs(np.linalg.eigvalsh(o.mat)).max())
+        pushed = o
+        for j, node in enumerate(chain.nodes[1:], start=1):
+            pushed = chain.embeddings[j - 1].extend(pushed)
+            h_j = node.hamiltonian
+            scale = NodeAnalysis(h_j, node.cone).norm * o_norm
+            verdict = _product_commutes(h_j, o, (2,) * j, o_norm, scale)
+            assert verdict is (o is h)
+            assert verdict == _commutes(h_j._factors.matrix(), pushed.mat, scale)
+
+
+class TestKroneckerNodesFormNoMatrix:
+    """Along towers, lattices and `coupling` members no Kronecker-sum node's
+    matrix is built, and no dense commutation test runs on one."""
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        nodes, commuted = [], []
+        build, commutes = stability._kronecker_sum, stability._commutes
+
+        def recording_build(*args):
+            nodes.append(build(*args))
+            return nodes[-1]
+
+        def recording_commutes(a, b, scale):
+            commuted.append(a.shape[0])
+            return commutes(a, b, scale)
+
+        monkeypatch.setattr(stability, "_kronecker_sum", recording_build)
+        monkeypatch.setattr(stability, "_commutes", recording_commutes)
+        return nodes, commuted
+
+    @staticmethod
+    def assert_no_matrix(nodes, commuted, base_dim):
+        assert nodes and all("mat" not in h.__dict__ for h in nodes)
+        assert set(commuted) <= {base_dim}
+
+    def test_tower(self, made):
+        h = LinearOperator("base", random_metzler_generator(rng(20000), 3))
+        report = quantum_number_along_chain(extension_tower(h, orthant("base", 3), h, 5), h)
+        assert len(set(report.snapped)) == 1
+        self.assert_no_matrix(*made, 3)
+
+    def test_lattice(self, made):
+        spec = random_lattice_spec(rng(20001), structured=True)
+        spec = LatticeSpec(spec.h0, spec.cone, spec.observable, spec.x,
+                           ((2, LinearOperator("f1", PAULI_X)),
+                            (3, LinearOperator("f2", np.ones((3, 3)) - np.eye(3)))))
+        assert len(build_lattice(spec).nodes) == 4
+        self.assert_no_matrix(*made, spec.h0.dim)
+
+    def test_stability_members(self, made):
+        config = {"version": 1, "spaces": {"base": 2, "env": 3},
+                  "operators": [
+                      {"name": "h", "space": "base", "entries": [[0, -0.5], [-0.5, 1]]},
+                      {"name": "one", "space": "base", "kind": "identity"},
+                      {"name": "y", "space": "env", "entries": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}],
+                  "cones": [{"name": "P", "kind": "orthant", "space": "base"}],
+                  "task": "stability",
+                  "params": {"h_star": "h", "cone": "P", "observable": "h", "members": [
+                      {"id": "tower", "recipe": {"type": "tower", "depth": 3}},
+                      {"id": "coupled", "recipe": {"type": "coupling", "x": "one", "y": "y"}}]}}
+        report, _ = run_config(config, "digest")
+        assert report["status"] == "pass", report
+        self.assert_no_matrix(*made, 2)
+
+    def test_a_lattice_holds_its_nodes_in_linear_memory(self):
+        # 256 nodes of dimension 2 * 2^|I|: their matrices would hold
+        # sum dim^2 = 32 * 5^8 bytes, about 12.5 MB
+        flip = LinearOperator("base", PAULI_X)
+        spec = LatticeSpec(LinearOperator("base", np.array([[0.3, -1.0], [-1.0, 0.3]])),
+                           orthant("base", 2), flip, identity("base", 2),
+                           tuple((2, LinearOperator(f"f{mu}", PAULI_X)) for mu in range(1, 9)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            diagram = build_lattice(spec)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(diagram.nodes) == 256 and len(diagram.covering_edges) == 1024
+        assert held < 2 * 2 ** 20, held
