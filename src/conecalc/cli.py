@@ -16,37 +16,22 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
 from .cones import SelfDualCone, orthant, tensor_cone
 from .errors import ConecalcError, DimMismatch, IoError, SchemaError
-from .inheritance import (
-    ArrowChain,
-    ChainNode,
-    Embedding,
-    TOL_LIMIT,
-    append_factor_embedding,
-    identity_embedding,
-    verify_chain,
-)
 from .jsonio import canonical_dumps, matrix_from_json, vector_from_json
-from .lattice import LatticeSpec, build_lattice, hasse_export
-from .numerics import DEFAULT_TOL, LinearOperator, _kronecker_slot, uniform_vector
-from .positivity import classify, is_ergodic
-from .semigroup import trotter_verify
-from .spin import SpinSystem, _check_cap, verify_mlm
-from .stability import (
-    StabilityClassRecord,
-    _appended_chain,
-    _chain_pass,
-    extension_tower,
-    good_quantum_number,
-    ground_state_factorizes,
-    is_decoupled_extension,
-    quantum_number_along_chain,
-)
+from .numerics import DEFAULT_TOL, TOL_LIMIT, LinearOperator, _kronecker_slot, uniform_vector
+
+if TYPE_CHECKING:
+    from .inheritance import ArrowChain, Embedding
+
+# Only what validation needs is imported above.  Each task imports the
+# modules it calls once its params have been looked up and checked, so a
+# config refused with exit 2 loads no verifier module.
 
 TROTTER_ERROR_FLOOR = 1e-12  # the trotter task converges outright when no error exceeds this
 TROTTER_RATIO_BAND = (2.0 / 3.0, 6.0)  # ... and otherwise when every error ratio lies in this band
@@ -115,6 +100,18 @@ def _finite(params: dict, key: str, default: float, task: str) -> float:
     return float(value)
 
 
+def _registry(config: dict, key: str, entry: str):
+    """The entries of the `key` registry, each checked as it is reached: the
+    registry is a list, and each entry an object with a string name."""
+    specs = config.get(key, [])
+    _require(isinstance(specs, list), f"{key} must be a list of {entry} entries")
+    for spec in specs:
+        _require(isinstance(spec, dict) and "name" in spec, f"{entry} entries need 'name'")
+        _require(isinstance(spec["name"], str),
+                 f"{entry} names must be strings, got {spec['name']!r}")
+        yield spec
+
+
 def _tolerance(value, source: str) -> float:
     _require(_is_number(value) and math.isfinite(value) and value > 0,
              f"{source} must be a finite positive number, got {value!r}")
@@ -130,9 +127,8 @@ def _build_context(config: dict, tol_override: float | None) -> RunContext:
         _require(_is_int(dim) and dim >= 1, f"space {name!r} has bad dimension")
         ctx.spaces[name] = dim
 
-    for spec in config.get("operators", []):
-        _require(isinstance(spec, dict) and "name" in spec and "space" in spec,
-                 "operator entries need 'name' and 'space'")
+    for spec in _registry(config, "operators", "operator"):
+        _require("space" in spec, "operator entries need 'name' and 'space'")
         dim = ctx.space_dim(spec["space"])
         if spec.get("kind") == "identity":
             mat = np.eye(dim)
@@ -143,8 +139,7 @@ def _build_context(config: dict, tol_override: float | None) -> RunContext:
                  f"operator {spec['name']!r} does not match space dim {dim}")
         ctx.operators[spec["name"]] = LinearOperator(spec["space"], mat)
 
-    for spec in config.get("cones", []):
-        _require(isinstance(spec, dict) and "name" in spec, "cone entries need 'name'")
+    for spec in _registry(config, "cones", "cone"):
         kind = spec.get("kind", "orthant")
         if kind == "orthant":
             dim = ctx.space_dim(spec.get("space"))
@@ -170,8 +165,9 @@ def _build_context(config: dict, tol_override: float | None) -> RunContext:
             raise SchemaError(f"unknown cone kind {kind!r}")
         ctx.cones[spec["name"]] = cone
 
-    for spec in config.get("embeddings", []):
-        _require(isinstance(spec, dict) and "name" in spec, "embedding entries need 'name'")
+    for spec in _registry(config, "embeddings", "embedding"):
+        # only a config that declares an embedding loads inheritance
+        from .inheritance import Embedding, append_factor_embedding, identity_embedding
         kind = spec.get("kind", "isometry")
         if kind == "identity":
             dim = ctx.space_dim(spec.get("space"))
@@ -209,6 +205,7 @@ def _build_context(config: dict, tol_override: float | None) -> RunContext:
 def _task_classify(ctx: RunContext, params: dict):
     op = ctx.operator(params.get("operator"))
     cone = ctx.cone(params.get("cone"))
+    from .positivity import classify, is_ergodic
     report = classify(op, cone, ctx.tol)
     payload = report.to_payload()
     if report.preserving:
@@ -220,6 +217,7 @@ def _task_mu(ctx: RunContext, params: dict):
     h = ctx.operator(params.get("hamiltonian"))
     o = ctx.operator(params.get("observable"))
     cone = ctx.cone(params.get("cone"))
+    from .stability import good_quantum_number
     gqn = good_quantum_number(h, o, cone, ctx.tol)
     return True, gqn.to_payload()
 
@@ -227,29 +225,33 @@ def _task_mu(ctx: RunContext, params: dict):
 def _build_chain(ctx: RunContext, params: dict) -> ArrowChain:
     raw_nodes = params.get("nodes")
     _require(isinstance(raw_nodes, list) and raw_nodes, "chain needs a list of nodes")
-    nodes = []
+    nodes = []  # (hamiltonian, cone, cone_in) of each node
     for spec in raw_nodes:
         _require(isinstance(spec, dict) and "hamiltonian" in spec and "cone" in spec,
                  "chain nodes need 'hamiltonian' and 'cone'")
         cone = ctx.cone(spec["cone"])
         cone_in = ctx.cone(spec["cone_in"]) if "cone_in" in spec else cone
-        nodes.append(ChainNode(ctx.operator(spec["hamiltonian"]), cone, cone_in))
+        nodes.append((ctx.operator(spec["hamiltonian"]), cone, cone_in))
     raw_embs = params.get("embeddings", [])
     _require(len(raw_embs) == len(nodes) - 1,
              "need exactly one embedding per consecutive node pair")
     embeddings = tuple(ctx.embedding(name) for name in raw_embs)
-    return ArrowChain(tuple(nodes), embeddings)
+    from .inheritance import ArrowChain, ChainNode
+    return ArrowChain(tuple(ChainNode(*node) for node in nodes), embeddings)
 
 
 def _task_chain(ctx: RunContext, params: dict):
     chain = _build_chain(ctx, params)
     payload: dict = {"nodes": len(chain.nodes)}
     if "observable" in params:
+        o = ctx.operator(params["observable"])
+        from .stability import _chain_pass
         # the links, then the quantum numbers; a failed link stays a LinkFailed, as
         # verify_chain raises it
-        report, mu_report = _chain_pass(chain, ctx.operator(params["observable"]), ctx.tol)
+        report, mu_report = _chain_pass(chain, o, ctx.tol)
         payload["quantum_numbers"] = mu_report.to_payload()
     else:
+        from .inheritance import verify_chain
         report = verify_chain(chain, ctx.tol)
     payload.update(report.to_payload())
     return True, payload
@@ -263,6 +265,7 @@ def _task_trotter(ctx: RunContext, params: dict):
     _require(isinstance(n_values, list) and all(_is_int(n) and n >= 1 for n in n_values),
              "n_values must be positive integers")
     s, t, beta = (_finite(params, key, 1.0, "trotter") for key in ("s", "t", "beta"))
+    from .semigroup import trotter_verify
     report = trotter_verify(h, h_prime, s, t, beta, tuple(n_values), cone, ctx.tol)
     scale = max(report.errors) if report.errors else 0.0
     low, high = TROTTER_RATIO_BAND
@@ -282,13 +285,12 @@ def _task_lattice(ctx: RunContext, params: dict):
         _require(isinstance(f, dict) and "operator" in f, "factors need 'operator'")
         y = ctx.operator(f["operator"])
         pairs.append((y.dim, y))
-    spec = LatticeSpec(
-        h0=ctx.operator(params.get("h0")),
-        cone=ctx.cone(params.get("cone")),
-        observable=ctx.operator(params.get("observable")),
-        x=ctx.operator(params.get("x")),
-        factors=tuple(pairs),
-    )
+    h0 = ctx.operator(params.get("h0"))
+    cone = ctx.cone(params.get("cone"))
+    observable = ctx.operator(params.get("observable"))
+    x = ctx.operator(params.get("x"))
+    from .lattice import LatticeSpec, build_lattice, hasse_export
+    spec = LatticeSpec(h0=h0, cone=cone, observable=observable, x=x, factors=tuple(pairs))
     diagram = build_lattice(spec, ctx.tol)
     payload = {
         "assumptions": diagram.assumptions.to_payload(),
@@ -303,6 +305,7 @@ def _task_richness(ctx: RunContext, params: dict):
     o = ctx.operator(params.get("observable"))
     depth = params.get("depth", 5)
     _require(_is_int(depth) and depth >= 0, "depth must be a nonnegative integer")
+    from .stability import extension_tower, quantum_number_along_chain
     chain = extension_tower(h, cone, o, depth, ctx.tol)
     report = quantum_number_along_chain(chain, o, ctx.tol)
     payload = {
@@ -319,6 +322,8 @@ def _task_weak_equiv(ctx: RunContext, params: dict):
     env_cone = ctx.cone(params.get("env_cone"))
     d1, d2 = h_star.dim, env_cone.dim
     _require(h2.dim == d1 * d2, "h2 dim must equal dim(h_star) * dim(env_cone)")
+    from .inheritance import append_factor_embedding
+    from .stability import ground_state_factorizes, is_decoupled_extension
     emb = append_factor_embedding(h_star.space, h2.space, d1, uniform_vector(d2))
     equiv = is_decoupled_extension(h2, h_star, emb, env_cone, ctx.tol)
     factor = ground_state_factorizes(h2, h_star, env_cone, tol=ctx.tol)
@@ -338,6 +343,7 @@ def _task_spin_demo(ctx: RunContext, params: dict):
     sites = params.get("sites")
     _require(_is_int(sites) and sites >= 2,
              "spin-demo needs sites >= 2")
+    from .spin import SpinSystem, _check_cap, verify_mlm
     _check_cap(sites)  # before any list over the sites is built
     a = params.get("sublattice_a")
     _require(isinstance(a, list) and a, "spin-demo needs sublattice_a")
@@ -354,14 +360,17 @@ def _task_spin_demo(ctx: RunContext, params: dict):
 
 def _stability_member_chain(ctx: RunContext, h_star: LinearOperator,
                             cone: SelfDualCone, o: LinearOperator, recipe: dict):
+    _require(isinstance(recipe, dict), f"stability member recipe must be an object, got {recipe!r}")
     kind = recipe.get("type")
     if kind == "tower":
         depth = recipe.get("depth", 1)
         _require(_is_int(depth) and depth >= 1, "tower depth must be >= 1")
+        from .stability import extension_tower
         return extension_tower(h_star, cone, o, depth, ctx.tol)
     if kind == "coupling":
         x = ctx.operator(recipe.get("x"))
         y = ctx.operator(recipe.get("y"))
+        from .stability import _appended_chain
         return _appended_chain(h_star, cone, x, (_kronecker_slot(y.mat),), (y.space,))
     raise SchemaError(f"unknown stability recipe type {kind!r}")
 
@@ -372,6 +381,7 @@ def _task_stability(ctx: RunContext, params: dict):
     o = ctx.operator(params.get("observable"))
     members = params.get("members", [])
     _require(isinstance(members, list), "members must be a list")
+    from .stability import StabilityClassRecord
     record = StabilityClassRecord.for_base(params.get("h_star"), h_star, cone, o, ctx.tol)
     for member in members:
         _require(isinstance(member, dict) and "id" in member and "recipe" in member,

@@ -11,10 +11,17 @@ import numpy as np
 
 from .cones import SelfDualCone
 from .errors import ArrowFailed, DimMismatch, LinkFailed, clears_failure_frames
-from .numerics import DEFAULT_TOL, LinearOperator, _freeze, _kron, _numeric, identity
+from .numerics import (
+    DEFAULT_TOL,
+    TOL_LIMIT,
+    LinearOperator,
+    _freeze,
+    _kron,
+    _numeric,
+    identity,
+)
 from .positivity import NodeAnalysis, classify
 
-TOL_LIMIT = float(np.sqrt(0.5))  # inherits_positivity needs tol below this
 ISOMETRY_TOL = 1e-10
 BOUNDARY_RTOL, BOUNDARY_ATOL = 1e-5, 1e-8  # concatenate: the np.allclose test of the shared node
 

@@ -35,6 +35,7 @@ from .errors import (
 )
 
 DEFAULT_TOL = 1e-9
+TOL_LIMIT = float(np.sqrt(0.5))  # inheritance.inherits_positivity needs tol below this
 HERMITIAN_TOL = 1e-12
 SIMPLE_GAP_FACTOR = 1e-8  # a ground state is simple when gap01 > this * ||H||
 DIM_CAP = 4096

@@ -70,7 +70,7 @@ def classify(op: LinearOperator, cone: SelfDualCone, tol: float = DEFAULT_TOL) -
 
 def _classify(m: np.ndarray, tol: float) -> PositivityReport:
     """`classify` on the generator-basis matrix M itself."""
-    scale = float(np.abs(m).max())
+    scale = float(np.abs(m).max()) if np.iscomplexobj(m) else _abs_max(m)
     if scale == 0.0:
         return PositivityReport(preserving=True, improving=False, real_form=True)
     thresh = tol * scale
@@ -153,7 +153,7 @@ def is_ergodic(op: LinearOperator, cone: SelfDualCone, tol: float = DEFAULT_TOL)
     if not _classify(m, tol).preserving:
         raise NotPreserving("ergodicity is defined for cone-preserving operators only")
     m = m.real
-    thresh = tol * float(np.abs(m).max())
+    thresh = tol * _abs_max(m)
     edges = m > thresh
     borderline = tuple(
         (int(i), int(j), complex(m[i, j]))

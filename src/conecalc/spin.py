@@ -89,24 +89,26 @@ def _down_count(n: int, basis: np.ndarray) -> np.ndarray:
 
 def _exchange(n: int, basis: np.ndarray, pairs) -> np.ndarray:
     """sum over (x, y) in pairs of S_x . S_y, on the span of the ascending
-    computational-basis states `basis`.
+    computational-basis states `basis`; the pairs are distinct.
 
     S_x . S_y = S_x^z S_y^z + (S_x^+ S_y^- + S_x^- S_y^+) / 2.  The first term
     is +1/4 where bits x and y agree and -1/4 where they differ; the second
     joins two states that differ by swapping those bits, with amplitude 1/2.
-    Every entry is dyadic, so the matrix equals the compression of the
-    kron-built operator exactly.
+    Distinct pairs swap distinct bits, so each entry off the diagonal is
+    written by one pair, in one pass over every (state, pair).  Every entry
+    is dyadic, so the matrix equals the compression of the kron-built
+    operator exactly.
     """
+    pairs = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
     dim = basis.size
+    bits = (basis[:, None] >> (n - np.arange(1, n + 1))) & 1  # column s - 1 is site s
+    differ = (bits[:, pairs[:, 0] - 1] ^ bits[:, pairs[:, 1] - 1]).astype(bool)
+    masks = (1 << (n - pairs[:, 0])) | (1 << (n - pairs[:, 1]))
+    rows, which = np.nonzero(differ)
     mat = np.zeros((dim, dim))
-    diag = np.zeros(dim)
-    rows = np.arange(dim)
-    for x, y in pairs:
-        differ = (_bits(n, basis, x) ^ _bits(n, basis, y)).astype(bool)
-        diag += np.where(differ, -0.25, 0.25)
-        swapped = basis[differ] ^ ((1 << (n - x)) | (1 << (n - y)))
-        mat[rows[differ], np.searchsorted(basis, swapped)] += 0.5
-    mat[rows, rows] = diag
+    mat[rows, np.searchsorted(basis, basis[rows] ^ masks[which])] = 0.5
+    diagonal = np.arange(dim)
+    mat[diagonal, diagonal] = 0.25 * (len(pairs) - 2 * differ.sum(axis=1))
     return mat
 
 

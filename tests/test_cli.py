@@ -533,6 +533,43 @@ def test_malformed_cone_or_embedding_exits_two_and_writes_nothing(text, message,
     assert err.startswith(f"conecalc: schema error: {message}")
 
 
+def edited(name: str, edit) -> str:
+    """The text of a shipped config after `edit` has changed its parsed form."""
+    config = load(name)
+    edit(config)
+    return json.dumps(config)
+
+
+def first_member(config: dict) -> dict:
+    return config["params"]["members"][0]
+
+
+@pytest.mark.parametrize("task, text, message", [
+    pytest.param("chain", edited("chain_two_level.json", lambda c: c.update(operators=5)),
+                 "operators must be a list", id="operators-not-a-list"),
+    pytest.param("chain", edited("chain_two_level.json", lambda c: c.update(cones=7)),
+                 "cones must be a list", id="cones-not-a-list"),
+    pytest.param("chain", edited("chain_two_level.json", lambda c: c.update(embeddings=5)),
+                 "embeddings must be a list", id="embeddings-not-a-list"),
+    pytest.param("chain", edited("chain_two_level.json",
+                                 lambda c: c["operators"][0].update(name=["h0"])),
+                 "operator names must be strings", id="operator-name-a-list"),
+    pytest.param("chain", edited("chain_two_level.json",
+                                 lambda c: c["cones"][0].update(name=["P0"])),
+                 "cone names must be strings", id="cone-name-a-list"),
+    pytest.param("chain", edited("chain_two_level.json",
+                                 lambda c: c["embeddings"][0].update(name=["up"])),
+                 "embedding names must be strings", id="embedding-name-a-list"),
+    pytest.param("stability", edited("stability_demo.json",
+                                     lambda c: first_member(c).update(recipe="tower")),
+                 "stability member recipe must be an object", id="recipe-a-string"),
+])
+def test_malformed_registry_exits_two_without_a_traceback(task, text, message, tmp_path, capsys):
+    err = assert_schema_error_writes_nothing(task, text, [], tmp_path, capsys)
+    assert err.startswith(f"conecalc: schema error: {message}")
+    assert "Traceback" not in err
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m(self, tmp_path):
         result = subprocess.run(

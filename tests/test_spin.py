@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 
@@ -282,24 +283,43 @@ def _sector_cases():
                     SpinSystem(10, (2, 3, 5, 7, 10), (1, 4, 6, 8, 9))]
 
 
+def exchange_oracle(n: int, basis: np.ndarray, pairs) -> np.ndarray:
+    """`spin._exchange` one pair at a time: the diagonal accumulated, and the
+    swap entries of each pair added where its two bits differ."""
+    dim = basis.size
+    mat = np.zeros((dim, dim))
+    diag = np.zeros(dim)
+    rows = np.arange(dim)
+    for x, y in pairs:
+        differ = (spin._bits(n, basis, x) ^ spin._bits(n, basis, y)).astype(bool)
+        diag += np.where(differ, -0.25, 0.25)
+        swapped = basis[differ] ^ ((1 << (n - x)) | (1 << (n - y)))
+        mat[rows[differ], np.searchsorted(basis, swapped)] += 0.5
+    mat[rows, rows] = diag
+    return mat
+
+
 class TestSectorBuilders:
-    """The bit-pattern builders against the kron-built dense operators."""
+    """The bit-pattern builders against the per-pair loop and the kron-built
+    dense operators, on every sector and on the full space."""
 
     @pytest.mark.parametrize("system", _sector_cases(),
                              ids=lambda s: f"n{s.sites}-A{s.sublattice_a}")
     def test_sector_matrices_equal_compressed_dense_operators(self, system):
         n = system.sites
-        h = dense_mlm_hamiltonian(system)
-        s_sq, _ = dense_total_spin(n)
-        sectors = range(n + 1) if n <= 8 else (n // 2, n // 2 - 1)
-        for k in sectors:
-            sector = m_sector(n, n / 2.0 - k)
-            basis = np.asarray(sector.indices)
-            pairs = [(x, y) for x in system.sublattice_a for y in system.sublattice_b]
-            assert np.array_equal(spin._exchange(n, basis, pairs),
-                                  sector.embedding.compress(h).mat)
-            assert np.array_equal(spin._total_spin_sq(n, basis),
-                                  sector.embedding.compress(s_sq).mat)
+        h = dense_mlm_hamiltonian(system).mat
+        s_sq = dense_total_spin(n)[0].mat
+        pairs = [(x, y) for x in system.sublattice_a for y in system.sublattice_b]
+        every_pair = list(itertools.combinations(range(1, n + 1), 2))
+        bases = [np.asarray(m_sector(n, n / 2.0 - k).indices) for k in range(n + 1)]
+        for basis in bases + [np.arange(2 ** n)]:
+            block = np.ix_(basis, basis)
+            exchange = spin._exchange(n, basis, pairs)
+            assert np.array_equal(exchange, exchange_oracle(n, basis, pairs))
+            assert np.array_equal(exchange, h[block])
+            assert np.array_equal(spin._exchange(n, basis, every_pair),
+                                  exchange_oracle(n, basis, every_pair))
+            assert np.array_equal(spin._total_spin_sq(n, basis), s_sq[block])
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_full_space_operators_equal_dense_operators(self, n):

@@ -32,7 +32,7 @@ from conftest import (
     same_bits,
 )
 
-from conecalc import inheritance, stability
+from conecalc import inheritance, positivity, stability
 from conecalc.cli import RunContext, _stability_member_chain, run_config
 from conecalc.cones import (
     SelfDualCone,
@@ -885,13 +885,36 @@ class TestEntryTableOracle:
         assert np.abs(h._factors.apply(psi) - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
 
 
-def test_abs_max_is_the_dense_float():
+def test_abs_max_is_the_dense_float(monkeypatch):
     gen = rng(18000)
     cases = [gen.normal(size=(n, n)) for n in (1, 2, 5, 33)]
     cases += [-np.abs(gen.normal(size=(4, 4))), np.zeros((3, 3)), np.full((3, 3), -0.0),
               np.array([[-0.0, 0.0], [0.0, -0.0]]), np.array([[-2.0, 1.0], [1.0, 2.0]])]
     for m in cases:
         assert same_bits(np.float64(_abs_max(m)), np.abs(m).max())
+
+    # `classify` and `is_ergodic` read max|M| through `_abs_max`: with the
+    # dense float in its place every payload is the same, on matrices that
+    # preserve the orthant with entries inside and around the edge band
+    sparse = np.abs(gen.normal(size=(6, 6))) * (gen.random((6, 6)) < 0.4)
+    sparse[gen.random((6, 6)) < 0.3] = 4e-4
+    cases += [np.abs(gen.normal(size=(5, 5))), sparse, sparse - 2e-4 * np.eye(6),
+              np.array([[2.0, -0.0], [1e-4, -0.0]]), np.array([[0.0, 1.0], [1.0, 0.0]])]
+
+    def payloads() -> list[dict]:
+        out = []
+        for m in cases:
+            a, cone = LinearOperator("v", m), orthant("v", m.shape[0])
+            report = classify(a, cone, 1e-3)
+            out.append(report.to_payload())
+            if report.preserving:
+                out.append(is_ergodic(a, cone, 1e-3).to_payload())
+        return out
+
+    fast = payloads()
+    assert sum("ergodic" in payload for payload in fast) >= 5
+    monkeypatch.setattr(positivity, "_abs_max", lambda m: float(np.abs(m).max()))
+    assert payloads() == fast
 
 
 def pushed_pairs(seed: int):
