@@ -23,11 +23,11 @@ _EXPORTS = {
                  "partial_trace"),
     "positivity": ("ErgodicityReport", "NodeAnalysis", "PositivityReport", "classify",
                    "dominates", "generates_improving_semigroup", "generates_positive_semigroup",
-                   "ground_state", "is_ergodic", "positive_combination"),
+                   "ground_state", "is_ergodic"),
     "semigroup": ("TrotterReport", "perturbed_semigroup_improving", "resolvent",
                   "trotter_verify"),
     "spin": ("MSector", "SpinSystem", "m_sector", "marshall_cone", "mlm_hamiltonian",
-             "spin_operators", "total_spin", "verify_mlm"),
+             "total_spin", "verify_mlm"),
     "stability": ("GoodQuantumNumber", "StabilityClassRecord", "commutes_with_observable",
                   "extension_tower", "good_quantum_number", "ground_state_factorizes",
                   "is_decoupled_extension", "quantum_number_along_chain", "relative_entropy"),

@@ -24,7 +24,14 @@ from . import __version__
 from .cones import SelfDualCone, orthant, tensor_cone
 from .errors import ConecalcError, DimMismatch, IoError, SchemaError
 from .jsonio import canonical_dumps, matrix_from_json, vector_from_json
-from .numerics import DEFAULT_TOL, TOL_LIMIT, LinearOperator, _kronecker_slot, uniform_vector
+from .numerics import (
+    DEFAULT_TOL,
+    DIM_CAP,
+    TOL_LIMIT,
+    LinearOperator,
+    _kronecker_slot,
+    uniform_vector,
+)
 
 if TYPE_CHECKING:
     from .inheritance import ArrowChain, Embedding
@@ -125,6 +132,7 @@ def _build_context(config: dict, tol_override: float | None) -> RunContext:
     _require(isinstance(spaces, dict), "spaces must map names to dimensions")
     for name, dim in spaces.items():
         _require(_is_int(dim) and dim >= 1, f"space {name!r} has bad dimension")
+        _require(dim <= DIM_CAP, f"space {name!r} dimension {dim} exceeds cap {DIM_CAP}")
         ctx.spaces[name] = dim
 
     for spec in _registry(config, "operators", "operator"):
@@ -381,11 +389,14 @@ def _task_stability(ctx: RunContext, params: dict):
     o = ctx.operator(params.get("observable"))
     members = params.get("members", [])
     _require(isinstance(members, list), "members must be a list")
-    from .stability import StabilityClassRecord
-    record = StabilityClassRecord.for_base(params.get("h_star"), h_star, cone, o, ctx.tol)
     for member in members:
         _require(isinstance(member, dict) and "id" in member and "recipe" in member,
                  "stability members need 'id' and 'recipe'")
+        _require(isinstance(member["id"], str),
+                 f"stability member ids must be strings, got {member['id']!r}")
+    from .stability import StabilityClassRecord
+    record = StabilityClassRecord.for_base(params.get("h_star"), h_star, cone, o, ctx.tol)
+    for member in members:
         chain = _stability_member_chain(ctx, h_star, cone, o, member["recipe"])
         record.add_member(member["id"], chain, ctx.tol)
     return True, record.to_payload()

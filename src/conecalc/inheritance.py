@@ -37,11 +37,10 @@ class Embedding:
     isometry.  That is built on its first read, for `compose`, `compress`
     and the dense route of `inherits_positivity`, by the products of
     `np.kron`, so it has np.kron's bits, signed zeros included.
-    `inherits_positivity` decides on (cols, vals) alone, and `push` of a
-    vector and `extend` gather: every entry of those dense products is a
-    single term, so the values are the same (`push` also turns -0.0 into
-    the +0.0 of a BLAS sum, so its bits are the same).  `projection` is
-    `extend` of the identity on either route.
+    `inherits_positivity` decides on (cols, vals) alone, and `extend`
+    gathers: every entry of its dense product is a single term, so the
+    values are the same.  `projection` is `extend` of the identity on
+    either route.
     `pull` of a vector sums each column's rows in row order, which rounds
     apart from a BLAS product by at most 2 m eps sum_r |vals[r] x[r]| per
     entry, m rows to a column.
@@ -81,13 +80,6 @@ class Embedding:
     @property
     def dim_to(self) -> int:
         return (self._shape or self.isometry.shape)[0]
-
-    def push(self, x: np.ndarray) -> np.ndarray:
-        if self._cols is None or x.ndim != 1:
-            return self.isometry @ x
-        out = self._vals * x[self._cols]
-        out += 0.0  # a -0.0 product becomes the +0.0 of a BLAS sum
-        return out
 
     def pull(self, x: np.ndarray) -> np.ndarray:
         if self._cols is None or x.ndim != 1:
@@ -421,12 +413,6 @@ class ArrowChain:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def mu_cone(self, j: int) -> SelfDualCone:
-        """A cone on which node j was (or will be) verified improving-class."""
-        if j == len(self.nodes) - 1 and len(self.nodes) > 1:
-            return self.nodes[j].cone_in
-        return self.nodes[j].cone
-
 
 def concatenate(first: ArrowChain, second: ArrowChain) -> ArrowChain:
     """Join two chains whose boundary Hamiltonians coincide."""
@@ -482,9 +468,10 @@ def _chain_report(links: list[OverlapReport]) -> ChainReport:
 
 def _verified_links(chain: ArrowChain, tol: float
                     ) -> tuple[list[NodeAnalysis], list[OverlapReport]]:
-    """Every link of a chain verified in order: node j's record on
-    ``chain.mu_cone(j)`` and link j's `OverlapReport`, for `verify_chain`
-    and for the quantum numbers of `stability.quantum_number_along_chain`.
+    """Every link of a chain verified in order: node j's record on its
+    ``cone`` (the last node's on its ``cone_in``) and link j's
+    `OverlapReport`, for `verify_chain` and for the quantum numbers of
+    `stability.quantum_number_along_chain`.
     A failed link raises `LinkFailed` at once.
 
     Link j is verified on node j's record on its ``cone`` and node j+1's on

@@ -1,4 +1,4 @@
-"""Canonical JSON emission and matrix/cone (de)serialization.
+"""Canonical JSON emission and matrix/vector parsing.
 
 Reports must be byte-stable across runs, so floats are always rendered with
 the same %.12e format, keys are sorted, and infinities become the string
@@ -14,7 +14,6 @@ import math
 
 import numpy as np
 
-from .cones import SelfDualCone
 from .errors import SchemaError
 
 
@@ -55,14 +54,6 @@ def canonical_dumps(obj) -> str:
     return _canon(obj)
 
 
-def _entry_to_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
-def matrix_to_json(mat: np.ndarray) -> list:
-    return [[_entry_to_pair(z) for z in row] for row in np.asarray(mat, dtype=complex)]
-
-
 def _parse_entry(cell) -> complex:
     if isinstance(cell, (int, float)):
         parts = (cell, 0.0)
@@ -94,26 +85,7 @@ def matrix_from_json(rows, context: str = "matrix") -> np.ndarray:
     return mat
 
 
-def vector_to_json(vec: np.ndarray) -> list:
-    return [_entry_to_pair(z) for z in np.asarray(vec, dtype=complex)]
-
-
 def vector_from_json(cells, context: str = "vector") -> np.ndarray:
     if not isinstance(cells, list) or not cells:
         raise SchemaError(f"{context}: expected a nonempty list")
     return np.array([_parse_entry(c) for c in cells])
-
-
-def cone_to_json(cone: SelfDualCone) -> dict:
-    return {
-        "space": cone.space,
-        "label": cone.label,
-        "generators": [vector_to_json(cone.generator(i)) for i in range(cone.dim)],
-    }
-
-
-def cone_from_json(obj) -> SelfDualCone:
-    gens = np.column_stack([
-        vector_from_json(g, "cone generator") for g in obj["generators"]
-    ])
-    return SelfDualCone(obj["space"], gens, obj.get("label", ""))

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .cones import SelfDualCone
-from .errors import InputNotInClass, NotPreserving, NotRealForm
+from .errors import NotPreserving, NotRealForm
 from .numerics import (
     DEFAULT_TOL,
     LinearOperator,
@@ -266,21 +266,6 @@ def generates_improving_semigroup(h: LinearOperator, cone: SelfDualCone,
         return False
     m, scale = coords
     return _strongly_connected(m < -tol * scale)  # the diagonal never shortens a walk
-
-
-def positive_combination(h: LinearOperator, h_prime: LinearOperator,
-                         s: float, t: float, cone: SelfDualCone,
-                         tol: float = DEFAULT_TOL) -> LinearOperator:
-    """s*H + t*H' for positive weights, staying in the positive-semigroup class."""
-    if s <= 0 or t <= 0:
-        raise ValueError("weights must be positive")
-    for name, op in (("first", h), ("second", h_prime)):
-        if not generates_positive_semigroup(op, cone, tol):
-            raise InputNotInClass(f"{name} operand does not generate a positive semigroup")
-    combo = LinearOperator(h.space, float(s) * h.mat + float(t) * h_prime.mat)
-    if not generates_positive_semigroup(combo, cone, tol):
-        raise InputNotInClass("combination unexpectedly left the class")
-    return combo
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
-"""Spin-1/2 systems on a bipartite site set: spin operators, the
-Marshall-Lieb-Mattis Hamiltonian, magnetization sectors, the Marshall-sign
-cone, and the ground-state total-spin verification.
+"""Spin-1/2 systems on a bipartite site set: the Marshall-Lieb-Mattis
+Hamiltonian, magnetization sectors, the Marshall-sign cone, and the
+ground-state total-spin verification.
 """
 
 from __future__ import annotations
@@ -13,19 +13,13 @@ import numpy as np
 from .cones import SelfDualCone, _signed_permutation_cone
 from .errors import DimCap, PreconditionFailed, SignRuleFailed
 from .inheritance import Embedding
-from .numerics import DEFAULT_TOL, LinearOperator, _kron, hermitian_eig
+from .numerics import DEFAULT_TOL, LinearOperator, hermitian_eig
 from .positivity import NodeAnalysis, generates_positive_semigroup
 from .stability import _quantum_number
 
 SITE_CAP = 12
 TOTAL_SPIN_TOL = 1e-8  # a sector passes when |snapped mu - S(S+1)| <= this
 SECTOR_TOL = 1e-12  # a sector is non-empty when n/2 - M is within this of a whole number
-
-_HALF_PAULI = (
-    np.array([[0.0, 0.5], [0.5, 0.0]]),
-    np.array([[0.0, -0.5j], [0.5j, 0.0]]),
-    np.array([[0.5, 0.0], [0.0, -0.5]]),
-)
 
 
 @dataclass(frozen=True)
@@ -59,23 +53,6 @@ def _check_cap(n: int) -> None:
         raise DimCap(f"{n} sites exceed the {SITE_CAP}-site cap")
     if n < 1:
         raise ValueError("need at least one site")
-
-
-def _site_operator(n: int, site: int, component: int) -> np.ndarray:
-    # site is 1-based; site 1 is the leftmost (most significant) tensor factor
-    before = 2 ** (site - 1)
-    after = 2 ** (n - site)
-    return _kron(_kron(np.eye(before), _HALF_PAULI[component]), np.eye(after))
-
-
-def spin_operators(n: int) -> list[tuple[LinearOperator, LinearOperator, LinearOperator]]:
-    """Per-site spin operators (S^x, S^y, S^z), each half a Pauli matrix."""
-    _check_cap(n)
-    space = f"spins{n}"
-    return [
-        tuple(LinearOperator(space, _site_operator(n, x, j)) for j in range(3))
-        for x in range(1, n + 1)
-    ]
 
 
 def _bits(n: int, basis: np.ndarray, site: int) -> np.ndarray:

@@ -475,9 +475,10 @@ def two_pass_quantum_numbers(chain, o: LinearOperator,
                              tol: float = DEFAULT_TOL) -> ChainMuReport:
     """The oracle of `quantum_number_along_chain`: every link is verified
     first on fresh records (`two_pass_links`), then every node is decomposed
-    afresh on `chain.mu_cone(j)` and read against the observable pushed
-    forward to it, where the library reads the records its links kept.  A
-    failure in the second pass can only surface once the first has passed."""
+    afresh on the cone its link verified it on (its ``cone``, the last
+    node's ``cone_in``) and read against the observable pushed forward to
+    it, where the library reads the records its links kept.  A failure in
+    the second pass can only surface once the first has passed."""
     try:
         links = two_pass_links(chain, tol)
     except LinkFailed as exc:
@@ -488,7 +489,8 @@ def two_pass_quantum_numbers(chain, o: LinearOperator,
     values, snapped, telescopes = [], [], []
     extended = o
     for j, node in enumerate(chain.nodes):
-        record = NodeAnalysis(node.hamiltonian, chain.mu_cone(j), tol)
+        last = j == len(chain.nodes) - 1 and j > 0
+        record = NodeAnalysis(node.hamiltonian, node.cone_in if last else node.cone, tol)
         record.spectrum  # decomposed before the observable is pushed on to it
         if j:
             extended = chain.embeddings[j - 1].extend(extended)

@@ -30,9 +30,9 @@ ALL = [
     "hermitian_eig", "identity", "identity_embedding", "inheritance", "inherits_positivity",
     "is_decoupled_extension", "is_ergodic", "kron", "lattice", "m_sector", "marshall_cone",
     "mlm_hamiltonian", "numerics", "op_exp", "orthant", "partial_trace",
-    "perturbed_semigroup_improving", "positive_combination", "positivity",
+    "perturbed_semigroup_improving", "positivity",
     "quantum_number_along_chain", "relative_entropy", "resolvent", "semigroup", "spin",
-    "spin_operators", "stability", "tensor_cone", "total_spin", "trotter_verify",
+    "stability", "tensor_cone", "total_spin", "trotter_verify",
     "verify_chain", "verify_mlm", "verify_spec",
 ]
 

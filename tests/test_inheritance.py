@@ -65,7 +65,7 @@ class TestEmbedding:
         e2 = append_factor_embedding("ab", "abc", 4, UNIFORM2)
         both = compose(e1, e2)
         x = random_unit(rng(3), 2)
-        assert np.allclose(both.push(x), e2.push(e1.push(x)))
+        assert np.allclose(both.isometry @ x, e2.isometry @ (e1.isometry @ x))
 
 
 class TestConeInheritance:
@@ -215,7 +215,7 @@ class TestConditionalExpectation:
 
     def test_cross_terms_vanish(self):
         emb = append_factor_embedding("a", "ab", 2, np.array([1.0, 0.0]))
-        x = emb.push(random_unit(rng(9), 2))            # inside ran(pi)
+        x = emb.isometry @ random_unit(rng(9), 2)        # inside ran(pi)
         y = np.kron(random_unit(rng(11), 2), [0.0, 1.0])  # inside ran(pi)^perp
         cross = np.outer(x, y.conj())
         assert np.abs(conditional_expectation(emb, op("ab", cross)).mat).max() <= 1e-12

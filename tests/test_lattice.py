@@ -173,8 +173,7 @@ class TestBuildNode:
         assert emb.dim_from == 2 * 2 * 2
         assert emb.dim_to == 2 * 2 * 3 * 2
         x = rng(5).normal(size=8)
-        pushed = emb.push(x)
-        want = np.kron(np.kron(x.reshape(2, 2, 2), np.full(3, 1 / math.sqrt(3))[None, None, :, None]).reshape(-1), [1.0])
+        pushed = emb.isometry @ x
         # reshape oracle: insert axis of size 3 between slots 1 and 3
         tensor = x.reshape(2, 2, 2)
         expanded = np.einsum("abc,m->abmc", tensor, np.full(3, 1 / math.sqrt(3)))

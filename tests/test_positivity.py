@@ -19,7 +19,7 @@ from test_cones import haar_cone
 import conecalc
 from conecalc import numerics, positivity
 from conecalc.cones import SelfDualCone, orthant, tensor_cone
-from conecalc.errors import InputNotInClass, NotPreserving, NotRealForm
+from conecalc.errors import NotPreserving, NotRealForm
 from conecalc.jsonio import canonical_dumps
 from conecalc.numerics import DEFAULT_TOL, LinearOperator, hermitian_eig, identity, kron
 from conecalc.spin import SpinSystem, verify_mlm
@@ -31,7 +31,6 @@ from conecalc.positivity import (
     generates_positive_semigroup,
     ground_state,
     is_ergodic,
-    positive_combination,
 )
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -183,36 +182,6 @@ class TestSemigroupClasses:
         flipped = SelfDualCone("s", -np.eye(2))
         g = ground_state(op("s", -SIGMA_X), flipped)
         assert g.simple and g.strictly_positive
-
-
-class TestPositiveCombination:
-    def test_half_half_is_identity_on_inputs(self):
-        h = op("s", -SIGMA_X)
-        combo = positive_combination(h, h, 0.5, 0.5, orthant("s", 2))
-        assert np.allclose(combo.mat, h.mat)
-
-    def test_random_metzler_pair(self):
-        gen = rng(127)
-        p = orthant("s", 5)
-        for _ in range(20):
-            a = op("s", random_metzler_generator(gen, 5))
-            b = op("s", random_metzler_generator(gen, 5))
-            s, t = gen.uniform(0.1, 3.0, size=2)
-            combo = positive_combination(a, b, s, t, p)
-            off = combo.mat.real.copy()
-            np.fill_diagonal(off, 0.0)
-            assert (off <= 1e-12).all()  # off-diagonal sign oracle
-
-    def test_named_instance(self):
-        p = orthant("s", 2)
-        combo = positive_combination(op("s", -SIGMA_X), op("s", np.diag([0.0, 1.0])),
-                                     1.0, 1.0, p)
-        assert generates_positive_semigroup(combo, p)
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(InputNotInClass):
-            positive_combination(op("s", SIGMA_X), op("s", -SIGMA_X),
-                                 1.0, 1.0, orthant("s", 2))
 
 
 class TestNonvanishingImage:

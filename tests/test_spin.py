@@ -8,6 +8,7 @@ from conftest import (
     all_sector_dims,
     complete_bipartite_edges,
     dense_mlm_hamiltonian,
+    dense_site_spin,
     dense_total_spin,
     dense_verify_mlm,
     heisenberg_hamiltonian,
@@ -25,7 +26,6 @@ from conecalc.spin import (
     m_sector,
     marshall_cone,
     mlm_hamiltonian,
-    spin_operators,
     total_spin,
     verify_mlm,
 )
@@ -37,35 +37,38 @@ for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
 
 
 class TestSpinOperators:
+    """The per-site spin matrices of the dense oracle, and the site cap of
+    the builders that stand in for them."""
+
     def test_single_site_z(self):
-        ops = spin_operators(1)
-        assert np.allclose(ops[0][2].mat, np.diag([0.5, -0.5]))
+        assert np.allclose(dense_site_spin(1, 1, 2), np.diag([0.5, -0.5]))
 
     def test_disjoint_sites_commute(self):
-        ops = spin_operators(2)
-        comm = ops[0][0].mat @ ops[1][1].mat - ops[1][1].mat @ ops[0][0].mat
-        assert np.abs(comm).max() <= 1e-14
+        a, b = dense_site_spin(2, 1, 0), dense_site_spin(2, 2, 1)
+        assert np.abs(a @ b - b @ a).max() <= 1e-14
 
     def test_commutation_relations_three_sites(self):
         # [S_x^j, S_y^k] = i delta_xy sum_l eps_jkl S_x^l, every pair checked
         # against the explicit matrices
         n = 3
-        ops = spin_operators(n)
+        ops = [[dense_site_spin(n, x, j) for j in range(3)] for x in range(1, n + 1)]
         for x in range(n):
             for y in range(n):
                 for j in range(3):
                     for k in range(3):
-                        comm = ops[x][j].mat @ ops[y][k].mat - ops[y][k].mat @ ops[x][j].mat
+                        comm = ops[x][j] @ ops[y][k] - ops[y][k] @ ops[x][j]
                         want = np.zeros_like(comm)
                         if x == y:
                             for l in range(3):
                                 if EPSILON[j, k, l]:
-                                    want = want + 1j * EPSILON[j, k, l] * ops[x][l].mat
+                                    want = want + 1j * EPSILON[j, k, l] * ops[x][l]
                         assert np.abs(comm - want).max() <= 1e-12
 
     def test_site_cap(self):
         with pytest.raises(DimCap):
-            spin_operators(13)
+            total_spin(13)
+        with pytest.raises(DimCap):
+            mlm_hamiltonian(SpinSystem(13, tuple(range(1, 8)), tuple(range(8, 14))))
 
 
 class TestMlmHamiltonian:
@@ -80,12 +83,11 @@ class TestMlmHamiltonian:
         system = SpinSystem(4, (1, 2), (3, 4))
         h = mlm_hamiltonian(system)
         n = system.sites
-        ops = spin_operators(n)
 
         def collective_sq(sites):
             total = np.zeros((2 ** n, 2 ** n), dtype=complex)
             for j in range(3):
-                s = sum(ops[x - 1][j].mat for x in sites)
+                s = sum(dense_site_spin(n, x, j) for x in sites)
                 total += s @ s
             return total
 
@@ -344,7 +346,7 @@ class TestVerifyMlmInSector:
             h = dense_mlm_hamiltonian(system)
             for m in (3.0 - k for k in range(7)):
                 dense[system, m] = dense_verify_mlm(system, m, hamiltonian=h, s_sq=s_sq)
-        for name in ("mlm_hamiltonian", "total_spin", "_site_operator", "m_sector"):
+        for name in ("mlm_hamiltonian", "total_spin", "m_sector"):
             monkeypatch.setattr(spin, name, _refuse)
         monkeypatch.setattr(Embedding, "compress", _refuse)
         for (system, m), want in dense.items():
