@@ -109,13 +109,17 @@ def _finite(params: dict, key: str, default: float, task: str) -> float:
 
 def _registry(config: dict, key: str, entry: str):
     """The entries of the `key` registry, each checked as it is reached: the
-    registry is a list, and each entry an object with a string name."""
+    registry is a list, and each entry an object with a string name that no
+    earlier entry has."""
     specs = config.get(key, [])
     _require(isinstance(specs, list), f"{key} must be a list of {entry} entries")
+    names = set()
     for spec in specs:
         _require(isinstance(spec, dict) and "name" in spec, f"{entry} entries need 'name'")
         _require(isinstance(spec["name"], str),
                  f"{entry} names must be strings, got {spec['name']!r}")
+        _require(spec["name"] not in names, f"duplicate {entry} name {spec['name']!r}")
+        names.add(spec["name"])
         yield spec
 
 
@@ -389,11 +393,14 @@ def _task_stability(ctx: RunContext, params: dict):
     o = ctx.operator(params.get("observable"))
     members = params.get("members", [])
     _require(isinstance(members, list), "members must be a list")
+    ids = set()
     for member in members:
         _require(isinstance(member, dict) and "id" in member and "recipe" in member,
                  "stability members need 'id' and 'recipe'")
         _require(isinstance(member["id"], str),
                  f"stability member ids must be strings, got {member['id']!r}")
+        _require(member["id"] not in ids, f"duplicate stability member id {member['id']!r}")
+        ids.add(member["id"])
     from .stability import StabilityClassRecord
     record = StabilityClassRecord.for_base(params.get("h_star"), h_star, cone, o, ctx.tol)
     for member in members:

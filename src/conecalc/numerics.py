@@ -175,8 +175,8 @@ class Spectrum:
     """Full Hermitian spectrum, ascending, with phase-fixed eigenvectors.
     A spectrum that a `positivity.NodeAnalysis` record keeps, whether read
     from the blocks of a Kronecker sum (`_block_spectrum`) or from a dense
-    `hermitian_eig`, holds the ground vector alone, as its one eigenvector
-    column."""
+    `hermitian_eig(..., ground_only=True)`, holds the ground vector alone,
+    as its one eigenvector column."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # column k pairs with eigenvalues[k]
@@ -225,16 +225,21 @@ def _fix_phases(vecs: np.ndarray) -> None:
     vecs *= pivots.conjugate() / np.abs(pivots)
 
 
-def hermitian_eig(op: LinearOperator) -> Spectrum:
+def hermitian_eig(op: LinearOperator, ground_only: bool = False) -> Spectrum:
     """Full eigendecomposition of a Hermitian operator.
 
     Eigenvalues come out ascending and every eigenvector has its first
     non-negligible component rotated to the positive real axis, so repeated
     runs on the same matrix produce identical output.  The phases are fixed
     in the array `eigh` returned, which the spectrum then keeps uncopied.
+    With `ground_only`, a copy of the ground column alone is kept and
+    phase-fixed; `_fix_phases` treats each column on its own, so that
+    column has the bits it has among all the columns.
     """
     op.require_hermitian()
     vals, vecs = np.linalg.eigh(op.mat)
+    if ground_only:
+        vecs = vecs[:, :1].copy()
     _fix_phases(vecs)
     vecs.setflags(write=False)
     return Spectrum(vals, vecs)

@@ -13,12 +13,11 @@ import numpy as np
 from .cones import SelfDualCone, _signed_permutation_cone
 from .errors import DimCap, PreconditionFailed, SignRuleFailed
 from .inheritance import Embedding
-from .numerics import DEFAULT_TOL, LinearOperator, hermitian_eig
+from .numerics import DEFAULT_TOL, LinearOperator
 from .positivity import NodeAnalysis, generates_positive_semigroup
 from .stability import _quantum_number
 
 SITE_CAP = 12
-TOTAL_SPIN_TOL = 1e-8  # a sector passes when |snapped mu - S(S+1)| <= this
 SECTOR_TOL = 1e-12  # a sector is non-empty when n/2 - M is within this of a whole number
 
 
@@ -236,12 +235,24 @@ class MlmReport:
         }
 
 
+def _total_spin_values(n: int, m: float) -> np.ndarray:
+    """The eigenvalues S(S+1) of S_tot^2 on the sector M of n sites, for
+    S = |M|, |M|+1, ..., n/2 (Lieb and Mattis, J. Math. Phys. 3:749, 1962),
+    each the float S * (S + 1.0) that `verify_mlm` expects.  The S = n/2
+    multiplet has a state in every sector, so the last value is the norm."""
+    s = np.arange(round(2 * abs(m)), n + 1, 2) / 2.0
+    return s * (s + 1.0)
+
+
 def verify_mlm(system: SpinSystem, m: float = 0.0, tol: float = DEFAULT_TOL) -> MlmReport:
     """Check that the sector ground state carries total spin S = max(S*, |M|),
     with S* = ||A|-|B||/2 the spin of the absolute ground state.
 
     The quantum number of the restricted Hamiltonian with respect to the
-    restricted S_tot^2 must equal S(S+1) after snapping.
+    restricted S_tot^2 must equal S(S+1) after snapping.  Only H is
+    decomposed: the snap candidates and the norm of S_tot^2 are its
+    closed-form sector spectrum, against which the residual and
+    snap-distance tests then certify the ground state.
     """
     n = system.sites
     basis = _sector_basis(n, m)
@@ -252,13 +263,12 @@ def verify_mlm(system: SpinSystem, m: float = 0.0, tol: float = DEFAULT_TOL) -> 
         _require_metzler(h_r, cone, tol)
         raise SignRuleFailed("restricted Hamiltonian is not improving-class on the sign cone")
     o_r = LinearOperator(cone.space, _total_spin_sq(n, basis))
-    o_spectrum = hermitian_eig(o_r)
-    mu, mu_snapped, _, _ = _quantum_number(node, o_r, o_spectrum.norm, o_spectrum.eigenvalues)
+    o_r.require_hermitian()
+    values = _total_spin_values(n, m)  # ascending, so the last is the norm
+    mu, mu_snapped, _, _ = _quantum_number(node, o_r, float(values[-1]), values)
     s_star = abs(len(system.sublattice_a) - len(system.sublattice_b)) / 2.0
-    s = max(s_star, abs(m))
+    s = max(s_star, round(2 * abs(m)) / 2.0)  # the |M| of the sector built
     expected = s * (s + 1.0)
-    ok = abs(mu_snapped - expected) <= TOTAL_SPIN_TOL
     return MlmReport(system.sites, system.sublattice_a, system.sublattice_b,
-                     m, basis.size, s_star, mu, mu_snapped, expected, ok,
+                     m, basis.size, s_star, mu, mu_snapped, expected, mu_snapped == expected,
                      node.ground.energy, node.ground.gap01)
-

@@ -554,11 +554,36 @@ def first_member(config: dict) -> dict:
     pytest.param("stability", edited("stability_demo.json",
                                      lambda c: first_member(c).update(id=["x"])),
                  "stability member ids must be strings", id="member-id-a-list"),
+    pytest.param("classify", edited("classify_flip.json", lambda c: c["operators"].append(
+                     {"name": "flip", "space": "base", "kind": "identity"})),
+                 "duplicate operator name 'flip'", id="operator-name-repeated"),
+    pytest.param("chain", edited("chain_two_level.json",
+                                 lambda c: c["cones"].append(dict(c["cones"][0]))),
+                 "duplicate cone name 'P0'", id="cone-name-repeated"),
+    pytest.param("chain", edited("chain_two_level.json",
+                                 lambda c: c["embeddings"].append(dict(c["embeddings"][0]))),
+                 "duplicate embedding name 'up'", id="embedding-name-repeated"),
+    pytest.param("stability", edited("stability_demo.json", lambda c: c["params"]["members"][1]
+                                     .update(id=first_member(c)["id"])),
+                 "duplicate stability member id 'tower-depth-2'", id="member-id-repeated"),
 ])
 def test_malformed_registry_exits_two_without_a_traceback(task, text, message, tmp_path, capsys):
     err = assert_schema_error_writes_nothing(task, text, [], tmp_path, capsys)
     assert err.startswith(f"conecalc: schema error: {message}")
     assert "Traceback" not in err
+
+
+def test_repeated_member_id_is_refused_before_the_base_record_is_built(monkeypatch, tmp_path,
+                                                                      capsys):
+    from conecalc import stability
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("base record built")
+
+    monkeypatch.setattr(stability.StabilityClassRecord, "for_base", refuse)
+    text = edited("stability_demo.json",
+                  lambda c: c["params"]["members"][1].update(id=first_member(c)["id"]))
+    assert_schema_error_writes_nothing("stability", text, [], tmp_path, capsys)
 
 
 def resized_classify(dim: int, operator: dict) -> str:

@@ -441,14 +441,15 @@ def test_improving_check_reads_the_generator_basis_once(monkeypatch, check, verd
 
 
 class TestNodeAnalysis:
-    def test_one_decomposition_serves_every_reading(self, monkeypatch):
+    def test_one_decomposition_serves_every_reading(self, monkeypatch, decompositions):
         h = op("s", random_metzler_generator(rng(4), 6))
         cone = orthant("s", 6)
         want = ground_state(h, cone)
+        decompositions.clear()
         calls = []
         original = positivity.hermitian_eig
         monkeypatch.setattr(positivity, "hermitian_eig",
-                            lambda op: calls.append(op) or original(op))
+                            lambda op, **kwargs: calls.append(op) or original(op, **kwargs))
         record = NodeAnalysis(h, cone)
         assert record.improving and calls == []
         assert record.norm == pytest.approx(np.linalg.norm(h.mat, 2), rel=1e-12)
@@ -457,7 +458,7 @@ class TestNodeAnalysis:
                             lambda *args: calls.append(args))
         assert record.improving  # the verdict is not recomputed
         assert record.spectrum is record.spectrum and record.ground is got
-        assert len(calls) == 1
+        assert len(calls) == 1 and decompositions == {"eigh": 1}
         assert (got.energy, got.gap01, got.simple, got.strictly_positive) == \
             (want.energy, want.gap01, want.simple, want.strictly_positive)
         assert np.array_equal(got.vector, want.vector)
@@ -468,5 +469,21 @@ class TestNodeAnalysis:
         full = hermitian_eig(h)
         assert record.spectrum.eigenvectors.shape == (4, 1)
         assert record.spectrum.eigenvectors.base is None
+        assert np.array_equal(record.spectrum.eigenvalues, full.eigenvalues)
+        assert np.array_equal(record.spectrum.ground_vector, full.ground_vector)
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_the_ground_column_is_phase_fixed_as_in_the_full_eigenbasis(self, seed, complex_):
+        # `_fix_phases` treats each column on its own, so fixing column 0
+        # alone gives the bits `hermitian_eig` gives it among all columns
+        gen = rng(600 + seed)
+        n = int(gen.integers(1, 81))
+        a = gen.standard_normal((n, n))
+        if complex_:
+            a = a + 1j * gen.standard_normal((n, n))
+        h = op("s", (a + a.conj().T) / 2)
+        record = NodeAnalysis(h, orthant("s", n))
+        full = hermitian_eig(h)
         assert np.array_equal(record.spectrum.eigenvalues, full.eigenvalues)
         assert np.array_equal(record.spectrum.ground_vector, full.ground_vector)

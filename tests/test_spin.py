@@ -29,6 +29,7 @@ from conecalc.spin import (
     total_spin,
     verify_mlm,
 )
+from conecalc.stability import SNAP_TOL_FACTOR
 
 EPSILON = np.zeros((3, 3, 3))
 for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
@@ -335,6 +336,41 @@ def _refuse(*args, **kwargs):
     raise AssertionError("dense spin operator built")
 
 
+def assert_matches_dense_route(got, want):
+    """`verify_mlm`'s payload against the dense oracle's: every field equal
+    except `mu_snapped`, which is exactly `expected`, and within the snap
+    tolerance of the oracle's value, which snaps to eigvalsh of S_tot^2."""
+    got, want = got.to_payload(), want.to_payload()
+    half = got["sites"] / 2.0
+    assert got["mu_snapped"] == got["expected"]
+    assert abs(got["mu_snapped"] - want["mu_snapped"]) <= SNAP_TOL_FACTOR * half * (half + 1.0)
+    del got["mu_snapped"], want["mu_snapped"]
+    assert got == want
+
+
+class TestTotalSpinSectorSpectrum:
+    """The closed-form snap candidates and norm of `verify_mlm` against the
+    spectrum of the dense oracle's S_tot^2, compressed into each sector."""
+
+    @pytest.mark.parametrize("system", [s for s in _sector_cases() if s.sites <= 8],
+                             ids=lambda s: f"n{s.sites}-A{s.sublattice_a}")
+    def test_closed_form_matches_the_compressed_dense_spectrum(self, system):
+        n = system.sites
+        s_sq = dense_total_spin(n)[0].mat
+        half = n / 2.0
+        norm = half * (half + 1.0)
+        for m in all_sector_dims(n):
+            basis = np.asarray(m_sector(n, m).indices)
+            dense = np.linalg.eigvalsh(s_sq[np.ix_(basis, basis)])
+            values = spin._total_spin_values(n, m)
+            gaps = np.abs(dense[:, None] - values[None, :])
+            assert gaps.min(axis=1).max() <= 1e-10 * norm  # every eigenvalue is a candidate
+            assert gaps.min(axis=0).max() <= 1e-10 * norm  # every candidate is an eigenvalue
+            assert values[-1] == norm and abs(dense.max() - norm) <= 1e-10 * norm
+            report = verify_mlm(system, m)
+            assert report.ok and report.mu_snapped in values.tolist()
+
+
 class TestVerifyMlmInSector:
     def test_builds_no_dense_operator(self, monkeypatch):
         gen = rng(530)
@@ -350,19 +386,27 @@ class TestVerifyMlmInSector:
             monkeypatch.setattr(spin, name, _refuse)
         monkeypatch.setattr(Embedding, "compress", _refuse)
         for (system, m), want in dense.items():
-            assert verify_mlm(system, m).to_payload() == want.to_payload()
+            assert_matches_dense_route(verify_mlm(system, m), want)
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_payload_equals_dense_route(self, n):
         gen = rng(540 + n)
         system = random_spin_system(gen, n)
         m = n / 2.0 - int(gen.integers(0, n + 1))
-        assert verify_mlm(system, m).to_payload() == dense_verify_mlm(system, m).to_payload()
+        assert_matches_dense_route(verify_mlm(system, m), dense_verify_mlm(system, m))
 
-    def test_two_eigendecompositions_and_no_svd(self, decompositions):
+    def test_one_eigendecomposition_and_no_svd(self, decompositions):
+        # only H is decomposed; the S_tot^2 candidates and norm are closed-form
         report = verify_mlm(SpinSystem(8, (1, 3, 5, 7), (2, 4, 6, 8)), 0.0)
         assert report.ok and report.sector_dim == 70
-        assert decompositions["eigh"] == 2 and decompositions["svd"] == 0
+        assert decompositions["eigh"] == 1 and decompositions["svd"] == 0
+        assert decompositions.shapes == [("eigh", (70, 70))]
+
+    def test_a_sector_given_within_sector_tol_expects_its_exact_spin(self):
+        # the sector built is M = 0, so the expected S(S+1) is that of M = 0
+        report = verify_mlm(SpinSystem(6, (1, 3, 5), (2, 4, 6)), 1e-13)
+        assert report.m == 1e-13 and report.expected == 0.0
+        assert report.ok and report.mu_snapped == 0.0
 
     def test_empty_sector_raises_before_any_build(self, monkeypatch):
         monkeypatch.setattr(spin, "_exchange", _refuse)
