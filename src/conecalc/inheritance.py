@@ -37,10 +37,13 @@ class Embedding:
     isometry.  That is built on its first read, for `compose`, `compress`
     and the dense route of `inherits_positivity`, by the products of
     `np.kron`, so it has np.kron's bits, signed zeros included.
-    `inherits_positivity` decides on (cols, vals) alone, and `extend`
-    gathers: every entry of its dense product is a single term, so the
-    values are the same.  `projection` is `extend` of the identity on
-    either route.
+    `inherits_positivity` decides on (cols, vals) alone, and `extend` and
+    `push` gather: every entry of their dense products is a single term,
+    so the values are the same.  `projection` is `extend` of the identity
+    on either route.  `push` maps a vector, or the columns of a block, into
+    the larger space; pushing the identity through the embeddings of a
+    chain gives the frame that carries an observable along it
+    (`stability._frame_commutes`).
     `pull` of a vector sums each column's rows in row order, which rounds
     apart from a BLAS product by at most 2 m eps sum_r |vals[r] x[r]| per
     entry, m rows to a column.
@@ -91,6 +94,12 @@ class Embedding:
         out.real = np.bincount(self._cols, terms.real, self.dim_from)
         out.imag = np.bincount(self._cols, terms.imag, self.dim_from)
         return out
+
+    def push(self, x: np.ndarray) -> np.ndarray:
+        """tau x, for a vector or for a block of columns."""
+        if self._cols is None:
+            return self.isometry @ x
+        return self._vals.reshape((-1,) + (1,) * (x.ndim - 1)) * x[self._cols]
 
     def projection(self) -> LinearOperator:
         """pi = tau tau^*, the orthogonal projection onto the embedded copy:

@@ -203,7 +203,7 @@ def build_node(spec: LatticeSpec, subset: Subset, tol: float = DEFAULT_TOL) -> L
     Validation: the Hamiltonian is improving-class on the tensor cone, decided
     by the structural criterion (-H_I Metzler and irreducible), which by
     Perron-Frobenius makes every e^{-beta H_I}, beta > 0, strictly positive;
-    it commutes with the extended observable, and its ground state is simple
+    it commutes with the pushed observable, and its ground state is simple
     and an eigenvector of it.  The ergodicity of the combined factor operator
     follows from that of every Y_mu (`verify_spec`), and the positivity of a
     sampled exponential from the criterion; both are test oracles only.
@@ -217,10 +217,9 @@ def _build_node(spec: LatticeSpec, subset: Subset, tol: float, o_spectrum: Spect
     """`build_node` given the base observable's spectrum and the slots, also
     returning the node's record.  The node is the `_perturbed_node` of the
     lattice's shared slots in I, named f{mu} in ascending order.
-    spec(tau O tau^*) is spec(O) and 0, so the extended observable has the
-    norm of the base one and snaps to those values.  It is O (x) |u><u|,
-    u the uniform vector on every slot of I, and its pair (O, slot
-    dimensions) goes beside it to `_quantum_number`."""
+    spec(tau O tau^*) is spec(O) and 0, so the pushed observable has the
+    norm of the base one and snaps to those values.  It is read through
+    its frame, tau applied to the identity of the base space."""
     subset = tuple(sorted(subset))
     perturbed = _perturbed_node(spec.h0, spec.cone, spec.x, tuple(slots[mu - 1] for mu in subset),
                                 [f"f{mu}" for mu in subset])
@@ -231,10 +230,9 @@ def _build_node(spec: LatticeSpec, subset: Subset, tol: float, o_spectrum: Spect
     if not node.improving:
         raise ClassificationFailed(f"H_{set(subset) or '{}'} is not improving-class")
 
-    observable = emb.extend(spec.observable)
     snap_to = np.concatenate([o_spectrum.eigenvalues, [0.0]])
-    product = spec.observable, tuple(spec.factors[mu - 1][0] for mu in subset)
-    mu, mu_snapped, _, _ = _quantum_number(node, observable, o_spectrum.norm, snap_to, product)
+    mu, mu_snapped, _, _ = _quantum_number(node, spec.observable, o_spectrum.norm, snap_to,
+                                           emb.push(np.eye(spec.h0.dim)))
     return LatticeNode(subset, h, cone, emb, mu, mu_snapped, node.ground.energy), node
 
 

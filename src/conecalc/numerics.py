@@ -304,17 +304,14 @@ def _bottleneck(y: np.ndarray, off: np.ndarray) -> float:
 class _SlotFacts(NamedTuple):
     """What the entry table of a Kronecker sum reads from a real, finite
     slot Y: its off-diagonal extremes and bottleneck (`_bottleneck`), its
-    distinct diagonal entries (none when all are zero), whether it is
-    exactly symmetric, and for the uniform unit vector u the shift
-    <u, Y u> and the residual ||Y u - shift u||."""
+    distinct diagonal entries (none when all are zero), and whether it is
+    exactly symmetric."""
 
     low: float
     high: float
     bottleneck: float
     diagonal: np.ndarray
     symmetric: bool
-    shift: float
-    residual: float
 
 
 class _Slot(NamedTuple):
@@ -343,13 +340,9 @@ def _slot_facts(y: np.ndarray) -> _SlotFacts:
     off = ~np.eye(n, dtype=bool)
     low, high = float(np.where(off, y, np.inf).min()), float(np.where(off, y, -np.inf).max())
     diagonal = np.diagonal(y)
-    u = uniform_vector(n)
-    image = y @ u
-    shift = float(u @ image)
-    residual = image - shift * u
     return _SlotFacts(low, high, _bottleneck(y, off),
                       np.array(sorted(set(diagonal.tolist())) if diagonal.any() else []),
-                      bool((y == y.T).all()), shift, math.sqrt(float(residual @ residual)))
+                      bool((y == y.T).all()))
 
 
 class _EntryTable(NamedTuple):
@@ -380,8 +373,8 @@ class _EntryTable(NamedTuple):
 class _KroneckerFactors:
     """H0, X and the slots of H = H0 (x) 1 - X (x) K, from which every
     reading of a `_kronecker_sum` is taken: its dimension, its entry table,
-    its product with a vector, and, only when something reads it, its
-    matrix."""
+    its product with a vector or a block, and, only when something reads
+    it, its matrix."""
 
     h0: np.ndarray
     x: np.ndarray
@@ -408,9 +401,10 @@ class _KroneckerFactors:
         return mat
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
-        """H psi by reshape: H0 on the base axis, and X times Y_mu on slot
-        axis mu, in O(dim (d0 + sum_mu n_mu))."""
-        d0 = self.h0.shape[0]
+        """H psi by reshape, for a vector or a dim x k block: H0 on the base
+        axis, and X times Y_mu on slot axis mu, in O(dim k (d0 + sum_mu
+        n_mu)).  A block's columns ride along as one more trailing axis."""
+        d0, shape = self.h0.shape[0], psi.shape
         psi = psi.reshape(d0, -1)
         k_psi = np.zeros_like(psi, dtype=np.result_type(psi, *(slot.mat for slot in self.slots)))
         before, after = d0, psi.shape[1]
@@ -420,7 +414,7 @@ class _KroneckerFactors:
             axis = k_psi.reshape(before, n, after)
             axis += slot.mat @ psi.reshape(before, n, after)
             before *= n
-        return (self.h0 @ psi - self.x @ k_psi).ravel()
+        return (self.h0 @ psi - self.x @ k_psi).reshape(shape)
 
     @cached_property
     def table(self) -> _EntryTable | None:
@@ -470,12 +464,12 @@ def _kronecker_sum(space: str, h0: LinearOperator, x: LinearOperator, slots) -> 
 
     The operator keeps H0, X and the slots (`_KroneckerFactors`), not its
     matrix.  Its Hermitian test reads the entry table, `_block_spectrum`
-    reads its spectrum from the d0 x d0 blocks, and `positivity` and
-    `stability` decide its improving class and its commutation with a
-    pushed observable from the factors as well; the matrix is built the
-    first time ``.mat`` is read, with the entries the table describes.  A
-    sum whose dimension exceeds `DIM_CAP` raises `DimCap` before anything
-    is allocated.
+    reads its spectrum from the d0 x d0 blocks, `positivity` decides its
+    improving class from the factors, and `stability` its commutation with
+    a pushed observable from its product with the observable's frame; the
+    matrix is built the first time ``.mat`` is read, with the entries the
+    table describes.  A sum whose dimension exceeds `DIM_CAP` raises
+    `DimCap` before anything is allocated.
     """
     h0._check_same_space(x)
     factors = _KroneckerFactors(h0.mat, x.mat, tuple(slots))

@@ -162,62 +162,53 @@ def good_quantum_number(h: LinearOperator, o: LinearOperator, cone: SelfDualCone
     return GoodQuantumNumber(mu, snapped, residual, comm, node.ground)
 
 
-def _product_commutes(h: LinearOperator, base: LinearOperator, dims: tuple[int, ...],
-                      o_norm: float, scale: float) -> bool | None:
-    """`_commutes` of a real Kronecker sum H = H0 (x) 1 - X (x) K and
-    O (x) P, P = |u><u| for u the uniform product vector on slots of the
-    dimensions ``dims``, decided in d0 x d0 when the bounds tell, else None.
+def _frame_commutes(h: LinearOperator, frame: np.ndarray, o: np.ndarray, scale: float) -> bool:
+    """`_commutes` of H and the pushed observable T O T^*, for a frame T
+    with orthonormal columns (n x d0), in n x d0 and 2 d0 x 2 d0 arrays.
 
-    With k = <u, K u> and e = K u - k u, which is orthogonal to u,
-    [H, O (x) P] = [H0 - k X, O] (x) P - (X O (x) e u^T - O X (x) u e^T),
-    so ||[H, O (x) P]|| lies within 2 ||X|| ||O|| ||e|| of
-    ||[H0 - k X, O]||.  Every slot gives its own <u_mu, Y_mu u_mu> and
-    ||Y_mu u_mu - <u_mu, Y_mu u_mu> u_mu||, and these terms of e are
-    orthogonal.  The interval is widened by ||X||_F >= ||X|| and by a
-    rounding slack of dim * eps * scale, and the verdict is read only when
-    it lies wholly on one side of COMMUTATOR_TOL * scale.
+    With A = H T, read from the factors of a Kronecker sum, G = T^* A and
+    L = A - T G, which is orthogonal to the range of T,
+    [H, T O T^*] = T [G, O] T^* + L O T^* - T O L^*.  The three terms fill
+    orthogonal blocks, so the Frobenius norm squared is
+    ||[G, O]||_F^2 + 2 ||L O||_F^2, and it decides when it lies within the
+    threshold.  Otherwise L = Q R with Q orthogonal to the frame, and the
+    commutator on the range of [T, Q] is the anti-Hermitian
+    [[G O - O G, -(R O)^*], [R O, 0]], whose largest |eigenvalue| is the
+    spectral norm.
     """
-    f = h._factors
-    if (f is None or f.table is None or base.dim != f.h0.shape[0]
-            or dims != tuple(slot.mat.shape[0] for slot in f.slots)):
-        return None
-    shift = sum(slot.facts.shift for slot in f.slots)
-    residual = math.sqrt(sum(slot.facts.residual ** 2 for slot in f.slots))
-    c = _commutator(f.h0 - shift * f.x, base.mat)
-    spread = (2.0 * float(np.linalg.norm(f.x)) * o_norm * residual
-              + h.dim * np.finfo(float).eps * scale)
+    a = h._factors.apply(frame) if h._factors is not None else h.mat @ frame
+    g = frame.conj().T @ a
+    beyond = a - frame @ g
+    lo = beyond @ o
+    c = _commutator(g, o)
     thresh = COMMUTATOR_TOL * max(scale, 1e-300)
-    if math.sqrt(float(np.vdot(c, c).real)) + spread <= thresh:
+    if math.sqrt(float(np.vdot(c, c).real) + 2.0 * float(np.vdot(lo, lo).real)) <= thresh:
         return True
-    norm = float(np.abs(np.linalg.eigvalsh(1j * c)).max())
-    if norm + spread <= thresh:
-        return True
-    if norm - spread > thresh:
-        return False
-    return None
+    ro = np.linalg.qr(beyond, mode="r") @ o
+    block = np.block([[c, -ro.conj().T], [ro, np.zeros_like(ro)]])
+    return float(np.abs(np.linalg.eigvalsh(1j * block)).max()) <= thresh
 
 
 def _quantum_number(node: NodeAnalysis, o: LinearOperator, o_norm: float, candidates,
-                    product: tuple[LinearOperator, tuple[int, ...]] | None = None
-                    ) -> tuple[float, float, float, np.ndarray]:
+                    frame: np.ndarray | None = None) -> tuple[float, float, float, np.ndarray]:
     """The quantum number of O on ``node.ground``, given the norm of O and
     the eigenvalues to snap to: (mu, snapped mu, residual |O psi - mu psi|,
     O psi).
 
     H must commute with O, be improving-class on the node's cone and have a
-    simple ground state, which must be an eigenvector of O.  A ``product``
-    (base, dims) says that O is base (x) |u><u|, u the uniform product
-    vector on slots of those dimensions; the commutation of a Kronecker sum
-    with it is then decided from the factors where `_product_commutes` can
-    tell, and by the dense `_commutes` otherwise.
+    simple ground state, which must be an eigenvector of O.  Given a
+    ``frame`` T, the observable is T O T^*, pushed from the base space,
+    and is never formed: commutation is `_frame_commutes`, and with
+    phi = T^* psi, mu = <phi, O phi> and O psi is T (O phi).
     """
     h = node.hamiltonian
-    if h.dim != o.dim:
+    if h.dim != (o.dim if frame is None else frame.shape[0]):
         raise NotCommuting("operators act on different spaces")
     scale = node.norm * o_norm
-    commutes = None if product is None else _product_commutes(h, *product, o_norm, scale)
-    if commutes is None:
+    if frame is None:
         commutes = _commutes(h.mat, o.mat, scale)
+    else:
+        commutes = _frame_commutes(h, frame, o.mat, scale)
     if not commutes:
         raise NotCommuting("Hamiltonian does not commute with the observable")
     if not node.improving:
@@ -226,8 +217,10 @@ def _quantum_number(node: NodeAnalysis, o: LinearOperator, o_norm: float, candid
     if not g.simple:
         raise NotSimple(f"ground gap {g.gap01:.3e} is below the simplicity threshold")
     psi = g.vector
-    o_psi = o.mat @ psi
-    mu = float(np.vdot(psi, o_psi).real)
+    phi = psi if frame is None else frame.conj().T @ psi
+    o_phi = o.mat @ phi
+    mu = float(np.vdot(phi, o_phi).real)
+    o_psi = o_phi if frame is None else frame @ o_phi
     o_scale = max(o_norm, 1e-300)
     candidates = np.asarray(candidates, dtype=float)
     snapped = float(candidates[np.argmin(np.abs(candidates - mu))])
@@ -299,25 +292,24 @@ def _chain_pass(chain: ArrowChain, o: LinearOperator,
     a failed link raises `LinkFailed` itself.
 
     Once `_verified_links` has passed every link, O is decomposed once and
-    node j is read from its record.  The observable is pushed forward one
-    embedding at a time, after every `eigh` has run; spec(tau O tau^*) is
-    spec(O) and 0, so every pushed-forward observable has the norm of O.
-    While every embedding so far appends a uniform vector, as those of
-    towers and `coupling` members do, the pushed observable is
-    O (x) |u><u| and its pair (O, slot dimensions) goes beside it to
-    `_quantum_number`.  The first reading failure is raised with its index.
+    node j is read from its record.  Node 0 reads O itself; node j > 0
+    reads tau O tau^* through its frame T_j = tau_{j-1} ... tau_0, the
+    identity pushed one embedding at a time (`Embedding.push`), an
+    n_j x d0 array.  spec(T O T^*) is spec(O) and 0, so every pushed
+    observable has the norm of O.  The first reading failure is raised
+    with its index.
     """
     records, links = _verified_links(chain, tol)
     report = _chain_report(links)
     o_spectrum = hermitian_eig(o)
     extended_candidates = np.concatenate([o_spectrum.eigenvalues, [0.0]])
     values, snapped, telescopes = [], [], []
-    product = (o, ())  # O_j = O (x) |u><u| while every embedding appends a uniform vector
+    frame = None  # the base reads O itself
     for j, record in enumerate(records):
         candidates = extended_candidates if j else o_spectrum.eigenvalues
         try:
             mu, mu_snapped, _, o_psi = _quantum_number(record, o, o_spectrum.norm, candidates,
-                                                       product)
+                                                       frame)
         except (NotCommuting, NotSimple, NotInAPlus) as exc:
             raise _indexed(type(exc)(f"node {j}: {exc}"), j) from exc
         values.append(mu)
@@ -329,21 +321,9 @@ def _chain_pass(chain: ArrowChain, o: LinearOperator,
             telescopes.append(abs(lhs - snapped[j - 1] * report.overlaps[j - 1]))
         last_o_psi = o_psi
         if j < len(chain.embeddings):
-            emb = chain.embeddings[j]
-            o = emb.extend(o)
-            product = product and _appended_uniform(emb, product)
+            frame = chain.embeddings[j].push(np.eye(o.dim) if frame is None else frame)
     return report, ChainMuReport(tuple(values), tuple(snapped), report.overlaps,
                                  tuple(telescopes))
-
-
-def _appended_uniform(emb: Embedding, product: tuple[LinearOperator, tuple[int, ...]]):
-    """``product`` with the dimension of the uniform vector that ``emb``
-    appends, or None when ``emb`` does anything else."""
-    blocks = emb._blocks
-    if (blocks is None or len(blocks) != 2 or np.ndim(blocks[0]) != 0 or np.ndim(blocks[1]) != 1
-            or not np.array_equal(blocks[1], uniform_vector(blocks[1].size))):
-        return None
-    return product[0], product[1] + (blocks[1].size,)
 
 
 def _perturbed_node(h0: LinearOperator, cone: SelfDualCone, x: LinearOperator,

@@ -40,7 +40,7 @@ from conecalc.positivity import (
     generates_positive_semigroup,
 )
 from conecalc.spin import MlmReport, SpinSystem, m_sector, marshall_cone
-from conecalc.stability import ChainMuReport, _quantum_number, good_quantum_number
+from conecalc.stability import ChainMuReport, _flip_slot, _quantum_number, good_quantum_number
 
 
 def rng(seed: int) -> np.random.Generator:
@@ -169,7 +169,11 @@ def _caller_package(frame) -> str:
 def decompositions(monkeypatch) -> collections.Counter:
     """Counts the `np.linalg` eigh, eigvalsh and svd calls made by conecalc,
     keyed by name; the svd inside `np.linalg.norm(a, 2)` counts as an svd.
-    ``counts.shapes`` lists (name, shape of the decomposed array) per call."""
+    ``counts.shapes`` lists (name, shape of the decomposed array) per call.
+    The tower slot that `stability._flip_slot` decomposes once per process
+    is made before counting starts, so a count does not depend on whether
+    an earlier test built a tower."""
+    _flip_slot()
     counts = collections.Counter()
     counts.shapes = []
     norm_module = getattr(np.linalg.norm, "__wrapped__", np.linalg.norm).__globals__
@@ -477,8 +481,9 @@ def two_pass_quantum_numbers(chain, o: LinearOperator,
     first on fresh records (`two_pass_links`), then every node is decomposed
     afresh on the cone its link verified it on (its ``cone``, the last
     node's ``cone_in``) and read against the observable pushed forward to
-    it, where the library reads the records its links kept.  A failure in
-    the second pass can only surface once the first has passed."""
+    it, where the library reads the records its links kept and reads the
+    pushed observable through its frame.  A failure in the second pass can
+    only surface once the first has passed."""
     try:
         links = two_pass_links(chain, tol)
     except LinkFailed as exc:
@@ -509,3 +514,18 @@ def two_pass_quantum_numbers(chain, o: LinearOperator,
             telescopes.append(abs(lhs - snapped[j - 1] * links.overlaps[j - 1]))
         o_psi = extended.mat @ psi
     return ChainMuReport(tuple(values), tuple(snapped), links.overlaps, tuple(telescopes))
+
+
+def assert_same_readings(got, want) -> None:
+    """Two outcomes of reading a chain's quantum numbers: equal failures,
+    or reports with equal snapped values and overlaps whose raw values and
+    telescope residuals agree to rounding.  The library reads a pushed
+    observable through its frame, in the base space, where the oracle reads
+    the dense tau O tau^*, so the two round apart at the 1e-15 scale."""
+    if not (isinstance(got, ChainMuReport) and isinstance(want, ChainMuReport)):
+        assert got == want
+        return
+    assert (got.snapped, got.overlaps) == (want.snapped, want.overlaps)
+    assert got.values == pytest.approx(want.values, rel=1e-12, abs=1e-15)
+    assert got.telescope_residuals == pytest.approx(want.telescope_residuals,
+                                                    rel=1e-12, abs=1e-15)

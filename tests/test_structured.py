@@ -85,10 +85,12 @@ from conecalc.positivity import (
 )
 from conecalc.spin import m_sector, marshall_cone
 from conecalc.stability import (
+    COMMUTATOR_TOL,
     PAULI_X,
+    _commutator,
     _commutes,
     _perturbed_node,
-    _product_commutes,
+    _frame_commutes,
     _quantum_number,
     extension_tower,
     quantum_number_along_chain,
@@ -252,11 +254,15 @@ def product_vector(gen: np.random.Generator, n: int, complex_: bool) -> np.ndarr
 
 
 def assert_gathered_products(emb: Embedding, dense: Embedding, gen: np.random.Generator):
-    """`pull` sums each column's m rows in row order, so it may round apart
-    from the dense product, by at most 2 m eps sum_r |vals[r] x[r]| per
-    entry."""
+    """`push` of a vector or a block has the dense product's values, as
+    each entry is a single product.  `pull` sums each column's m rows in
+    row order, so it may round apart from the dense product, by at most
+    2 m eps sum_r |vals[r] x[r]| per entry."""
     m = emb.dim_to // emb.dim_from
     for complex_ in (False, True):
+        x = product_vector(gen, emb.dim_from * 3, complex_).reshape(emb.dim_from, 3)
+        assert np.array_equal(emb.push(x), dense.push(x))
+        assert np.array_equal(emb.push(x[:, 0]), dense.push(x[:, 0]))
         y = product_vector(gen, emb.dim_to, complex_)
         bound = 2 * m * np.finfo(float).eps * (np.abs(dense.isometry).T @ np.abs(y))
         assert (np.abs(emb.pull(y) - dense.pull(y)) <= bound).all()
@@ -876,11 +882,14 @@ class TestEntryTableOracle:
         assert generates_improving_semigroup(dense_copy(node.hamiltonian), node.cone)
 
     @pytest.mark.parametrize("seed", range(40))
-    def test_product_with_a_vector(self, seed):
+    def test_product_with_a_vector_and_a_block(self, seed):
         h, _ = kronecker_case(seed)
-        psi = rng(17000 + seed).normal(size=h.dim)
-        want = h._factors.matrix() @ psi
-        assert np.abs(h._factors.apply(psi) - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
+        for shape in ((h.dim,), (h.dim, 3)):
+            psi = rng(17000 + seed).normal(size=shape)
+            want = h._factors.matrix() @ psi
+            got = h._factors.apply(psi)
+            assert got.shape == shape
+            assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
 
 
 def test_abs_max_is_the_dense_float(monkeypatch):
@@ -916,10 +925,10 @@ def test_abs_max_is_the_dense_float(monkeypatch):
 
 
 def pushed_pairs(seed: int):
-    """(node, pushed observable O (x) |u><u|, base O, slot dimensions) for
-    every node of a structured lattice spec; on odd seeds the observable
-    does not commute with H0, and on every third seed the first slot's
-    uniform vector is an eigenvector only within 0.9 UNIFORM_EIGEN_TOL."""
+    """(node, embedding from the base, base observable O) for every node of
+    a structured lattice spec; on odd seeds the observable does not commute
+    with H0, and on every third seed the first slot's uniform vector is an
+    eigenvector only within 0.9 UNIFORM_EIGEN_TOL."""
     gen = rng(19000 + seed)
     spec = random_lattice_spec(gen, structured=True)
     factors = list(spec.factors)
@@ -940,48 +949,79 @@ def pushed_pairs(seed: int):
     for subset in _all_subsets(spec.ell):
         node = _perturbed_node(spec.h0, spec.cone, spec.x, tuple(slots[mu - 1] for mu in subset),
                                [f"f{mu}" for mu in subset])
-        pushed = subset_embedding(spec, (), subset).extend(o)
-        yield node.hamiltonian, pushed, o, tuple(spec.factors[mu - 1][0] for mu in subset)
+        yield node.hamiltonian, subset_embedding(spec, (), subset), o
+
+
+def complex_chain(h: LinearOperator) -> list[tuple[LinearOperator, Embedding]]:
+    """(node, embedding from the previous node) of an explicit two-link
+    chain of dense nodes from H, each link appending v = (1, i)/sqrt(2):
+    the first node adds -1 (x) sigma_y, of which v is an eigenvector, and
+    the second -1 (x) sigma_x, of which it is not."""
+    v = np.array([1.0, 1.0j]) / math.sqrt(2.0)
+    out = []
+    for level, y in enumerate((np.array([[0.0, -1.0j], [1.0j, 0.0]]), PAULI_X), start=1):
+        space = f"{h.space}*c{level}"
+        emb = append_factor_embedding(h.space, space, h.dim, v)
+        h = LinearOperator(space, np.kron(h.mat, np.eye(2)) - np.kron(np.eye(h.dim), y))
+        out.append((h, emb))
+    return out
+
+
+def frame_verdict(h: LinearOperator, frame: np.ndarray, o: LinearOperator,
+                  pushed: LinearOperator) -> bool:
+    """`_frame_commutes` of H and the frame of O, asserted equal to the
+    dense `_commutes` of H's matrix and the pushed observable T O T^*."""
+    o_norm = float(np.abs(np.linalg.eigvalsh(o.mat)).max())
+    dense = h._factors.matrix() if h._factors is not None else h.mat
+    scale = float(np.abs(np.linalg.eigvalsh(dense)).max()) * o_norm
+    verdict = _frame_commutes(h, frame, o.mat, scale)
+    assert verdict == _commutes(dense, pushed.mat, scale)
+    return verdict
 
 
 @pytest.mark.parametrize("seed", range(48))
-def test_commutation_from_the_factors_agrees_with_the_dense_test(seed):
-    # a verdict read in d0 x d0 is the dense one; where the interval meets
-    # the threshold the factors give none
-    for h, pushed, o, dims in pushed_pairs(seed):
-        o_norm = float(np.abs(np.linalg.eigvalsh(o.mat)).max())
-        scale = float(np.abs(np.linalg.eigvalsh(dense_copy(h).mat)).max()) * o_norm
-        verdict = _product_commutes(h, o, dims, o_norm, scale)
-        if verdict is not None:
-            assert verdict == _commutes(h._factors.matrix(), pushed.mat, scale)
-
-
-def test_commutation_takes_every_route():
-    counts = Counter()
-    for seed in range(48):
-        for h, pushed, o, dims in pushed_pairs(seed):
-            o_norm = float(np.abs(np.linalg.eigvalsh(o.mat)).max())
-            scale = float(np.abs(np.linalg.eigvalsh(dense_copy(h).mat)).max()) * o_norm
-            counts[_product_commutes(h, o, dims, o_norm, scale)] += 1
-    assert min(counts[True], counts[False], counts[None]) >= 3, counts
-
-
-def test_tower_commutation_is_base_commutation():
-    # sigma_x u = u exactly in every slot, so a tower level commutes with
-    # the pushed observable as H0 does with O, for any O
-    gen = rng(19500)
+def test_commutation_through_the_frame_is_the_dense_test(seed):
+    # every pushed node of a lattice; tower levels, where sigma_x u = u in
+    # every slot, so a level commutes as H0 does with O; and an explicit
+    # chain whose complex embeddings give a complex frame
+    for h, emb, o in pushed_pairs(seed):
+        frame_verdict(h, emb.push(np.eye(o.dim)), o, emb.extend(o))
+    gen = rng(19500 + seed)
     h = LinearOperator("base", random_metzler_generator(gen, 3))
-    chain = extension_tower(h, orthant("base", 3), h, 4)
-    for o in (h, LinearOperator("base", random_real_symmetric(gen, 3))):
-        o_norm = float(np.abs(np.linalg.eigvalsh(o.mat)).max())
-        pushed = o
-        for j, node in enumerate(chain.nodes[1:], start=1):
-            pushed = chain.embeddings[j - 1].extend(pushed)
-            h_j = node.hamiltonian
-            scale = NodeAnalysis(h_j, node.cone).norm * o_norm
-            verdict = _product_commutes(h_j, o, (2,) * j, o_norm, scale)
-            assert verdict is (o is h)
-            assert verdict == _commutes(h_j._factors.matrix(), pushed.mat, scale)
+    tower = extension_tower(h, orthant("base", 3), h, 4)
+    links = [(node.hamiltonian, emb) for node, emb in zip(tower.nodes[1:], tower.embeddings)]
+    for kind, chain in (("tower", links), ("complex", complex_chain(h))):
+        for o in (h, LinearOperator("base", random_real_symmetric(gen, 3))):
+            frame, pushed = np.eye(3), o
+            for level, (h_j, emb) in enumerate(chain, start=1):
+                frame, pushed = emb.push(frame), emb.extend(pushed)
+                verdict = frame_verdict(h_j, frame, o, pushed)
+                assert verdict is (o is h and (kind == "tower" or level == 1))
+    assert np.iscomplexobj(frame)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_the_spectral_norm_decides_past_the_frobenius_bound(seed):
+    # a threshold between the commutator's spectral and Frobenius norms is
+    # decided by the 2 d0 x 2 d0 route alone, and one just below the
+    # spectral norm refuses, on a Kronecker sum and on a dense node
+    gen = rng(19600 + seed)
+    d0 = 2 + seed % 3
+    o = LinearOperator("base", random_hermitian(gen, d0))
+    parts = [LinearOperator("base", random_hermitian(gen, d0)) for _ in range(2)]
+    slot = _kronecker_slot(random_hermitian(gen, 3))
+    for h in (_kronecker_sum("base*f1", *parts, [slot]),
+              LinearOperator("v", random_hermitian(gen, 4 * d0))):
+        frame = np.linalg.qr(gen.standard_normal((h.dim, d0))
+                             + 1j * gen.standard_normal((h.dim, d0)))[0]
+        dense = h._factors.matrix() if h._factors is not None else h.mat
+        c = _commutator(dense, frame @ o.mat @ frame.conj().T)
+        spectral = float(np.linalg.norm(c, 2))
+        frobenius = float(np.linalg.norm(c))
+        assert spectral < 0.9 * frobenius
+        between = 0.5 * (spectral + frobenius) / COMMUTATOR_TOL
+        assert _frame_commutes(h, frame, o.mat, between)
+        assert not _frame_commutes(h, frame, o.mat, 0.999 * spectral / COMMUTATOR_TOL)
 
 
 class TestKroneckerNodesFormNoMatrix:
@@ -1055,3 +1095,39 @@ class TestKroneckerNodesFormNoMatrix:
             tracemalloc.stop()
         assert len(diagram.nodes) == 256 and len(diagram.covering_edges) == 1024
         assert held < 2 * 2 ** 20, held
+
+
+def test_a_tower_reads_its_quantum_numbers_in_less_than_dim_squared_bytes():
+    # depth 10 from a 2-dimensional base: one 2048 x 2048 float matrix
+    # holds 8 times the bound
+    h = LinearOperator("base", np.diag([0.0, 1.0]) - 0.1 * PAULI_X)
+    stability._flip_slot()  # the slot every level shares, made once per process
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        chain = extension_tower(h, orthant("base", 2), h, 10)
+        report = quantum_number_along_chain(chain, h)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    dim = chain.nodes[-1].hamiltonian.dim
+    assert dim == 2048 and len(set(report.snapped)) == 1
+    assert peak < dim * dim, peak
+
+
+def test_a_lattice_reads_its_nodes_without_a_top_dimension_square():
+    # 8 binary slots: what build_lattice allocates beyond what it keeps
+    # stays below half of one 512 x 512 float matrix
+    flip = LinearOperator("base", PAULI_X)
+    spec = LatticeSpec(LinearOperator("base", np.array([[0.3, -1.0], [-1.0, 0.3]])),
+                       orthant("base", 2), flip, identity("base", 2),
+                       tuple((2, LinearOperator(f"f{mu}", PAULI_X)) for mu in range(1, 9)))
+    tracemalloc.start()
+    try:
+        diagram = build_lattice(spec)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    dim = diagram.nodes[-1].hamiltonian.dim
+    assert dim == 512
+    assert peak - held < dim * dim * 8 // 2, peak - held
