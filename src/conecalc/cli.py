@@ -245,6 +245,8 @@ def _build_chain(ctx: RunContext, params: dict) -> ArrowChain:
         cone_in = ctx.cone(spec["cone_in"]) if "cone_in" in spec else cone
         nodes.append((ctx.operator(spec["hamiltonian"]), cone, cone_in))
     raw_embs = params.get("embeddings", [])
+    _require(isinstance(raw_embs, list),
+             f"chain embeddings must be a list of embedding ids, got {raw_embs!r}")
     _require(len(raw_embs) == len(nodes) - 1,
              "need exactly one embedding per consecutive node pair")
     embeddings = tuple(ctx.embedding(name) for name in raw_embs)

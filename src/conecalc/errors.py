@@ -47,7 +47,8 @@ class SpectralBound(ConecalcError):
 class Inconsistent(ConecalcError):
     """A computed fact fails the check that confirms it (tolerance pathology): a
     block ground pair's residual, a ground state that is not an observable
-    eigenvector, or a factored environment vector that is not strictly positive."""
+    eigenvector, a factored environment vector that is not strictly positive,
+    or a Trotter approximant that is not finite."""
 
 
 class PreconditionFailed(ConecalcError):

@@ -42,8 +42,8 @@ class Embedding:
     so the values are the same.  `projection` is `extend` of the identity
     on either route.  `push` maps a vector, or the columns of a block, into
     the larger space; pushing the identity through the embeddings of a
-    chain gives the frame that carries an observable along it
-    (`stability._frame_commutes`).
+    chain gives the frame that carries an observable along it, through
+    which `stability._commutes` tests the pushed observable.
     `pull` of a vector sums each column's rows in row order, which rounds
     apart from a BLAS product by at most 2 m eps sum_r |vals[r] x[r]| per
     entry, m rows to a column.

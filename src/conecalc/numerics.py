@@ -172,31 +172,26 @@ def identity(space: str, dim: int) -> LinearOperator:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Full Hermitian spectrum, ascending, with phase-fixed eigenvectors.
-    A spectrum that a `positivity.NodeAnalysis` record keeps, whether read
-    from the blocks of a Kronecker sum (`_block_spectrum`) or from a dense
-    `hermitian_eig(..., ground_only=True)`, holds the ground vector alone,
-    as its one eigenvector column."""
+    """Hermitian spectrum, ascending, with its phase-fixed ground vector:
+    every eigenvalue and one eigenvector, never an eigenbasis, whether read
+    from a dense `hermitian_eig` or from the blocks of a Kronecker sum
+    (`_block_spectrum`)."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # column k pairs with eigenvalues[k]
+    ground_vector: np.ndarray  # pairs with eigenvalues[0]
     gap01: float = field(init=False)
 
     def __post_init__(self):
         vals = np.array(self.eigenvalues, dtype=float, copy=True)
         vals.setflags(write=False)
         object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "eigenvectors", _freeze(self.eigenvectors))
+        object.__setattr__(self, "ground_vector", _freeze(self.ground_vector))
         gap = float(vals[1] - vals[0]) if vals.size > 1 else float("inf")
         object.__setattr__(self, "gap01", gap)
 
     @property
     def ground_energy(self) -> float:
         return float(self.eigenvalues[0])
-
-    @property
-    def ground_vector(self) -> np.ndarray:
-        return self.eigenvectors[:, 0]
 
     @property
     def norm(self) -> float:
@@ -216,33 +211,28 @@ def uniform_vector(n: int) -> np.ndarray:
     return np.full(n, 1.0 / math.sqrt(n))
 
 
-def _fix_phases(vecs: np.ndarray) -> None:
-    """Rotate every column in place so that its first non-negligible
-    component is real positive."""
-    mags = np.abs(vecs)
-    rows = np.argmax(mags > PHASE_PIVOT_FACTOR * mags.max(axis=0), axis=0)
-    pivots = vecs[rows, np.arange(vecs.shape[1])]
-    vecs *= pivots.conjugate() / np.abs(pivots)
+def _fix_phase(vec: np.ndarray) -> None:
+    """Rotate ``vec`` in place so that its first non-negligible component
+    is real positive."""
+    mags = np.abs(vec)
+    pivot = vec[np.argmax(mags > PHASE_PIVOT_FACTOR * mags.max())]
+    vec *= pivot.conjugate() / np.abs(pivot)
 
 
-def hermitian_eig(op: LinearOperator, ground_only: bool = False) -> Spectrum:
-    """Full eigendecomposition of a Hermitian operator.
+def hermitian_eig(op: LinearOperator) -> Spectrum:
+    """Eigenvalues and ground vector of a Hermitian operator.
 
-    Eigenvalues come out ascending and every eigenvector has its first
-    non-negligible component rotated to the positive real axis, so repeated
-    runs on the same matrix produce identical output.  The phases are fixed
-    in the array `eigh` returned, which the spectrum then keeps uncopied.
-    With `ground_only`, a copy of the ground column alone is kept and
-    phase-fixed; `_fix_phases` treats each column on its own, so that
-    column has the bits it has among all the columns.
+    Eigenvalues come out ascending.  The ground vector is a copy of the
+    first `eigh` column, rotated so that its first non-negligible component
+    is real positive, so repeated runs on the same matrix produce identical
+    output.  The rest of the eigenbasis is dropped.
     """
     op.require_hermitian()
     vals, vecs = np.linalg.eigh(op.mat)
-    if ground_only:
-        vecs = vecs[:, :1].copy()
-    _fix_phases(vecs)
-    vecs.setflags(write=False)
-    return Spectrum(vals, vecs)
+    ground = vecs[:, 0].copy()
+    _fix_phase(ground)
+    ground.setflags(write=False)
+    return Spectrum(vals, ground)
 
 
 def _walk_lengths(out: np.ndarray, source: int) -> np.ndarray:
@@ -465,11 +455,11 @@ def _kronecker_sum(space: str, h0: LinearOperator, x: LinearOperator, slots) -> 
     The operator keeps H0, X and the slots (`_KroneckerFactors`), not its
     matrix.  Its Hermitian test reads the entry table, `_block_spectrum`
     reads its spectrum from the d0 x d0 blocks, `positivity` decides its
-    improving class from the factors, and `stability` its commutation with
-    a pushed observable from its product with the observable's frame; the
-    matrix is built the first time ``.mat`` is read, with the entries the
-    table describes.  A sum whose dimension exceeds `DIM_CAP` raises
-    `DimCap` before anything is allocated.
+    improving class from the factors, and `stability._commutes` its
+    commutation with a pushed observable from its product with the
+    observable's frame; the matrix is built the first time ``.mat`` is
+    read, with the entries the table describes.  A sum whose dimension
+    exceeds `DIM_CAP` raises `DimCap` before anything is allocated.
     """
     h0._check_same_space(x)
     factors = _KroneckerFactors(h0.mat, x.mat, tuple(slots))
@@ -491,7 +481,7 @@ def _block_spectrum(op: LinearOperator) -> Spectrum:
     gives every eigenvalue.  The ground vector is phi (x) v, phi the lowest
     block eigenvector and v the column of V at its k, built in O(dim), and
     no dim x dim eigenbasis is formed: the spectrum has the shape of a
-    dense record's, every eigenvalue and the ground column.  The pair is
+    dense record's, every eigenvalue and the ground vector.  The pair is
     kept only when H applied by reshape (`_KroneckerFactors.apply`), with
     no matrix formed, confirms it: ||H psi - E psi|| <= BLOCK_RESIDUAL_TOL
     * ||H||.  Slot eigenpairs that disagree with the slots raise
@@ -507,14 +497,14 @@ def _block_spectrum(op: LinearOperator) -> Spectrum:
     ground = vectors[block, :, level]
     for slot, column in zip(f.slots, np.unravel_index(block, [s.values.size for s in f.slots])):
         ground = np.multiply.outer(ground, slot.vectors[:, column]).ravel()
-    _fix_phases(ground[:, None])
+    _fix_phase(ground)
     eigenvalues = np.sort(values, axis=None)
     scale = max(-eigenvalues[0], eigenvalues[-1])
     residual = float(np.linalg.norm(f.apply(ground) - eigenvalues[0] * ground))
     if not residual <= BLOCK_RESIDUAL_TOL * scale:
         raise Inconsistent(f"block ground pair of the operator on {op.space!r} has residual "
                            f"{residual:.3e}, above {BLOCK_RESIDUAL_TOL:g} * ||H||")
-    return Spectrum(eigenvalues, ground[:, None])
+    return Spectrum(eigenvalues, ground)
 
 
 def op_exp(op: LinearOperator, t: float) -> LinearOperator:

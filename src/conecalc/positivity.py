@@ -317,8 +317,8 @@ class NodeAnalysis:
     one batched `eigh` of its d0 x d0 blocks (`numerics._block_spectrum`),
     which forms no eigenbasis, and its improving verdict is read from its
     factors (`_factor_improving`), so neither builds its matrix; any other
-    Hamiltonian takes `hermitian_eig` with `ground_only`, which copies out
-    and phase-fixes the ground column alone.
+    Hamiltonian takes `hermitian_eig`, which copies out and phase-fixes the
+    ground column alone.
     """
 
     hamiltonian: LinearOperator
@@ -333,7 +333,7 @@ class NodeAnalysis:
     def spectrum(self) -> Spectrum:
         if self.hamiltonian._factors is not None:
             return _block_spectrum(self.hamiltonian)
-        return hermitian_eig(self.hamiltonian, ground_only=True)
+        return hermitian_eig(self.hamiltonian)
 
     @property
     def norm(self) -> float:

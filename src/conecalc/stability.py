@@ -69,28 +69,49 @@ def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return c
 
 
-def _commutes(a: np.ndarray, b: np.ndarray, scale: float) -> bool:
-    """Whether ||ab - ba|| <= COMMUTATOR_TOL*scale for Hermitian a and b,
-    where scale is ||a||*||b||.
+def _commutes(h: LinearOperator, o: np.ndarray, scale: float,
+              frame: np.ndarray | None = None) -> bool:
+    """Whether ||[H, T O T^*]|| <= COMMUTATOR_TOL*scale for Hermitian H and
+    O, where scale is ||H||*||O|| and T is the ``frame``, an n x d0 array
+    with orthonormal columns that pushes O from its base space; without a
+    frame T is the identity and the test is of [H, O] itself.
 
-    The Frobenius norm bounds the spectral norm from above.  It is summed
-    over blocks of rows of the commutator, so no n x n product is formed.
-    Only when that bound exceeds the threshold is the spectral norm itself
-    computed: the commutator is anti-Hermitian, so its norm is the largest
-    |eigenvalue| of the Hermitian i(ab - ba), which is complex even when a
-    and b are real.
+    With A = H T, read from the factors of a Kronecker sum, G = T^* A and
+    L = A - T G, which is orthogonal to the range of T,
+    [H, T O T^*] = T [G, O] T^* + L O T^* - T O L^*.  The three terms fill
+    orthogonal blocks, so the Frobenius norm squared, which bounds the
+    spectral norm from above, is ||[G, O]||_F^2 + 2 ||L O||_F^2.  The first
+    term is summed over blocks of rows of [G, O], so no n x n product is
+    formed.  Only when that bound exceeds the threshold is the spectral
+    norm itself computed: with L = Q R, Q orthogonal to the frame, the
+    commutator on the range of [T, Q] is the anti-Hermitian
+    [[G O - O G, -(R O)^*], [R O, 0]], whose norm is the largest |eigenvalue|
+    of i times it, complex even when H and O are real.  Without a frame
+    G = H and L = 0, and that matrix is [H, O] alone.
     """
+    if frame is None:
+        g, beyond = h.mat, None
+    else:
+        a = h._factors.apply(frame) if h._factors is not None else h.mat @ frame
+        g = frame.conj().T @ a
+        beyond = a - frame @ g
     thresh = COMMUTATOR_TOL * max(scale, 1e-300)
     square = 0.0
-    for start in range(0, a.shape[0], _COMMUTATOR_ROWS):
+    for start in range(0, g.shape[0], _COMMUTATOR_ROWS):
         rows = slice(start, start + _COMMUTATOR_ROWS)
-        block = a[rows] @ b
-        block -= b[rows] @ a
+        block = g[rows] @ o
+        block -= o[rows] @ g
         square += float(np.vdot(block, block).real)
+    if beyond is not None:
+        lo = beyond @ o
+        square += 2.0 * float(np.vdot(lo, lo).real)
     if math.sqrt(square) <= thresh:
         return True
-    c = 1j * _commutator(a, b)
-    return float(np.abs(np.linalg.eigvalsh(c)).max()) <= thresh
+    c = _commutator(g, o)
+    if beyond is not None:
+        ro = np.linalg.qr(beyond, mode="r") @ o
+        c = np.block([[c, -ro.conj().T], [ro, np.zeros_like(ro)]])
+    return float(np.abs(np.linalg.eigvalsh(1j * c)).max()) <= thresh
 
 
 def _hermitian_norm(op: LinearOperator) -> float:
@@ -110,7 +131,7 @@ def commutes_with_observable(h: LinearOperator, o: LinearOperator) -> bool:
     o.require_hermitian()
     if h.dim != o.dim:
         raise NotCommuting("operators act on different spaces")
-    return _commutes(h.mat, o.mat, _hermitian_norm(h) * _hermitian_norm(o))
+    return _commutes(h, o.mat, _hermitian_norm(h) * _hermitian_norm(o))
 
 
 @dataclass(frozen=True)
@@ -162,33 +183,6 @@ def good_quantum_number(h: LinearOperator, o: LinearOperator, cone: SelfDualCone
     return GoodQuantumNumber(mu, snapped, residual, comm, node.ground)
 
 
-def _frame_commutes(h: LinearOperator, frame: np.ndarray, o: np.ndarray, scale: float) -> bool:
-    """`_commutes` of H and the pushed observable T O T^*, for a frame T
-    with orthonormal columns (n x d0), in n x d0 and 2 d0 x 2 d0 arrays.
-
-    With A = H T, read from the factors of a Kronecker sum, G = T^* A and
-    L = A - T G, which is orthogonal to the range of T,
-    [H, T O T^*] = T [G, O] T^* + L O T^* - T O L^*.  The three terms fill
-    orthogonal blocks, so the Frobenius norm squared is
-    ||[G, O]||_F^2 + 2 ||L O||_F^2, and it decides when it lies within the
-    threshold.  Otherwise L = Q R with Q orthogonal to the frame, and the
-    commutator on the range of [T, Q] is the anti-Hermitian
-    [[G O - O G, -(R O)^*], [R O, 0]], whose largest |eigenvalue| is the
-    spectral norm.
-    """
-    a = h._factors.apply(frame) if h._factors is not None else h.mat @ frame
-    g = frame.conj().T @ a
-    beyond = a - frame @ g
-    lo = beyond @ o
-    c = _commutator(g, o)
-    thresh = COMMUTATOR_TOL * max(scale, 1e-300)
-    if math.sqrt(float(np.vdot(c, c).real) + 2.0 * float(np.vdot(lo, lo).real)) <= thresh:
-        return True
-    ro = np.linalg.qr(beyond, mode="r") @ o
-    block = np.block([[c, -ro.conj().T], [ro, np.zeros_like(ro)]])
-    return float(np.abs(np.linalg.eigvalsh(1j * block)).max()) <= thresh
-
-
 def _quantum_number(node: NodeAnalysis, o: LinearOperator, o_norm: float, candidates,
                     frame: np.ndarray | None = None) -> tuple[float, float, float, np.ndarray]:
     """The quantum number of O on ``node.ground``, given the norm of O and
@@ -198,18 +192,13 @@ def _quantum_number(node: NodeAnalysis, o: LinearOperator, o_norm: float, candid
     H must commute with O, be improving-class on the node's cone and have a
     simple ground state, which must be an eigenvector of O.  Given a
     ``frame`` T, the observable is T O T^*, pushed from the base space,
-    and is never formed: commutation is `_frame_commutes`, and with
-    phi = T^* psi, mu = <phi, O phi> and O psi is T (O phi).
+    and is never formed: commutation is `_commutes` through the frame, and
+    with phi = T^* psi, mu = <phi, O phi> and O psi is T (O phi).
     """
     h = node.hamiltonian
     if h.dim != (o.dim if frame is None else frame.shape[0]):
         raise NotCommuting("operators act on different spaces")
-    scale = node.norm * o_norm
-    if frame is None:
-        commutes = _commutes(h.mat, o.mat, scale)
-    else:
-        commutes = _frame_commutes(h, frame, o.mat, scale)
-    if not commutes:
+    if not _commutes(h, o.mat, node.norm * o_norm, frame):
         raise NotCommuting("Hamiltonian does not commute with the observable")
     if not node.improving:
         raise NotInAPlus("Hamiltonian is not improving-class on the cone")

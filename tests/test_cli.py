@@ -548,6 +548,15 @@ def first_member(config: dict) -> dict:
     pytest.param("chain", edited("chain_two_level.json",
                                  lambda c: c["embeddings"][0].update(name=["up"])),
                  "embedding names must be strings", id="embedding-name-a-list"),
+    pytest.param("chain", edited("chain_two_level.json",
+                                 lambda c: c["params"].update(embeddings=5)),
+                 "chain embeddings must be a list", id="chain-embeddings-an-int"),
+    pytest.param("chain", edited("chain_two_level.json",
+                                 lambda c: c["params"].update(embeddings=None)),
+                 "chain embeddings must be a list", id="chain-embeddings-null"),
+    pytest.param("chain", edited("chain_two_level.json", lambda c: (
+                     c["embeddings"][0].update(name="u"), c["params"].update(embeddings="u"))),
+                 "chain embeddings must be a list", id="chain-embeddings-a-one-letter-string"),
     pytest.param("stability", edited("stability_demo.json",
                                      lambda c: first_member(c).update(recipe="tower")),
                  "stability member recipe must be an object", id="recipe-a-string"),
@@ -617,6 +626,28 @@ def test_declared_space_past_the_cap_exits_two_before_any_allocation(dim, operat
 def test_declared_space_at_the_cap_is_accepted():
     ctx = cli._build_context({"spaces": {"base": numerics.DIM_CAP}}, None)
     assert ctx.space_dim("base") == numerics.DIM_CAP
+
+
+def test_trotter_past_the_floating_range_fails_without_a_traceback(tmp_path):
+    # at n = 2^62 the split product's power overflows: the run says fail,
+    # naming n, with no traceback and no LAPACK complaint about a NaN input
+    config = load("trotter_pair.json")
+    config["params"]["n_values"] = [1, 2 ** 62]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(config))
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "conecalc", "trotter", "--config", str(path),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 1, result.stderr
+    assert result.stdout == f"fail: trotter -> {tmp_path / 'out' / 'report.json'}\n"
+    assert result.stderr == ""
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["status"] == "fail"
+    assert report["payload"] == {
+        "error_type": "Inconsistent",
+        "reason": f"the Trotter approximant at n = {2 ** 62} is not finite"}
 
 
 class TestModuleEntryPoint:

@@ -12,7 +12,7 @@ from conftest import (
 )
 
 from conecalc.cones import orthant
-from conecalc.errors import InputNotInClass, PreconditionFailed, SpectralBound
+from conecalc.errors import Inconsistent, InputNotInClass, PreconditionFailed, SpectralBound
 from conecalc.numerics import identity, op_exp
 from conecalc.positivity import classify, generates_positive_semigroup
 from conecalc.semigroup import perturbed_semigroup_improving, resolvent, trotter_verify
@@ -102,6 +102,21 @@ class TestSemigroupPositiveAllBeta:
 
 
 class TestTrotter:
+    def test_a_non_finite_approximant_is_refused_naming_its_n(self, monkeypatch):
+        # exp(-beta (sH + tH')) = e^700 is finite, but at n = 2^62 the step
+        # exp(700 / n) rounds up to 1 + eps, whose 2^62-th power overflows;
+        # the refusal comes before any norm or cone test
+        from conecalc import semigroup
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a non-finite approximant reached a later test")
+
+        monkeypatch.setattr(semigroup, "classify", refuse)
+        h = op("s", -700.0 * np.eye(4))
+        with pytest.raises(Inconsistent, match=f"n = {2 ** 62} is not finite"):
+            trotter_verify(h, op("s", np.zeros((4, 4))), 1.0, 1.0, 1.0, (2 ** 62,),
+                           orthant("s", 4))
+
     def test_commuting_pair_has_zero_error(self):
         h = op("s", np.diag([0.0, 1.0, 2.0]))
         hp = op("s", np.diag([1.0, 0.5, 0.25]))

@@ -90,7 +90,6 @@ from conecalc.stability import (
     _commutator,
     _commutes,
     _perturbed_node,
-    _frame_commutes,
     _quantum_number,
     extension_tower,
     quantum_number_along_chain,
@@ -612,7 +611,7 @@ def assert_routes_agree(h: LinearOperator, cone: SelfDualCone, o: LinearOperator
     block, dense = NodeAnalysis(h, cone), NodeAnalysis(dense_copy(h), cone)
     assert h._factors is not None and dense.hamiltonian._factors is None
     got, want = block.spectrum, dense.spectrum
-    assert got.eigenvectors.shape == (h.dim, 1)  # the ground vector alone
+    assert got.ground_vector.shape == (h.dim,)
     assert np.abs(got.eigenvalues - want.eigenvalues).max() <= 1e-12 * want.norm
     assert got.simple == want.simple
     if want.simple:
@@ -969,12 +968,13 @@ def complex_chain(h: LinearOperator) -> list[tuple[LinearOperator, Embedding]]:
 
 def frame_verdict(h: LinearOperator, frame: np.ndarray, o: LinearOperator,
                   pushed: LinearOperator) -> bool:
-    """`_frame_commutes` of H and the frame of O, asserted equal to the
-    dense `_commutes` of H's matrix and the pushed observable T O T^*."""
+    """`_commutes` of H and O through the frame, asserted equal to the
+    frame-free `_commutes` of H's dense matrix and the pushed observable
+    T O T^*."""
     o_norm = float(np.abs(np.linalg.eigvalsh(o.mat)).max())
-    dense = h._factors.matrix() if h._factors is not None else h.mat
-    scale = float(np.abs(np.linalg.eigvalsh(dense)).max()) * o_norm
-    verdict = _frame_commutes(h, frame, o.mat, scale)
+    dense = LinearOperator(h.space, h._factors.matrix() if h._factors is not None else h.mat)
+    scale = float(np.abs(np.linalg.eigvalsh(dense.mat)).max()) * o_norm
+    verdict = _commutes(h, o.mat, scale, frame)
     assert verdict == _commutes(dense, pushed.mat, scale)
     return verdict
 
@@ -1020,8 +1020,31 @@ def test_the_spectral_norm_decides_past_the_frobenius_bound(seed):
         frobenius = float(np.linalg.norm(c))
         assert spectral < 0.9 * frobenius
         between = 0.5 * (spectral + frobenius) / COMMUTATOR_TOL
-        assert _frame_commutes(h, frame, o.mat, between)
-        assert not _frame_commutes(h, frame, o.mat, 0.999 * spectral / COMMUTATOR_TOL)
+        assert _commutes(h, o.mat, between, frame)
+        assert not _commutes(h, o.mat, 0.999 * spectral / COMMUTATOR_TOL, frame)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_the_identity_frame_is_no_frame(seed):
+    # on seeded Hermitian pairs, real and complex, the test through the
+    # identity frame gives the frame-free verdict: by the Frobenius bound
+    # on the exactly commuting pair (H, p(H)), and by the spectral fallback
+    # at thresholds between the spectral and Frobenius norms, where it
+    # passes, and just below the spectral norm, where it refuses
+    gen = rng(19700 + seed)
+    n = 2 + seed % 5
+    draw = random_hermitian if seed % 2 else random_real_symmetric
+    h = LinearOperator("s", draw(gen, n))
+    o = draw(gen, n)
+    c = _commutator(h.mat, o)
+    spectral, frobenius = float(np.linalg.norm(c, 2)), float(np.linalg.norm(c))
+    assert spectral < frobenius
+    cases = [(h.mat @ h.mat - 2.0 * h.mat, 1.0, True),
+             (o, 0.5 * (spectral + frobenius) / COMMUTATOR_TOL, True),
+             (o, 0.999 * spectral / COMMUTATOR_TOL, False)]
+    for obs, scale, want in cases:
+        assert _commutes(h, obs, scale) is want
+        assert _commutes(h, obs, scale, np.eye(n)) is want
 
 
 class TestKroneckerNodesFormNoMatrix:
@@ -1037,9 +1060,9 @@ class TestKroneckerNodesFormNoMatrix:
             nodes.append(build(*args))
             return nodes[-1]
 
-        def recording_commutes(a, b, scale):
-            commuted.append(a.shape[0])
-            return commutes(a, b, scale)
+        def recording_commutes(h, o, scale, frame=None):
+            commuted.append((h, frame))
+            return commutes(h, o, scale, frame)
 
         monkeypatch.setattr(stability, "_kronecker_sum", recording_build)
         monkeypatch.setattr(stability, "_commutes", recording_commutes)
@@ -1047,8 +1070,11 @@ class TestKroneckerNodesFormNoMatrix:
 
     @staticmethod
     def assert_no_matrix(nodes, commuted, base_dim):
+        # every test without a frame is of a dense node on the base space
         assert nodes and all("mat" not in h.__dict__ for h in nodes)
-        assert set(commuted) <= {base_dim}
+        assert any(frame is not None for _, frame in commuted)
+        assert all(h._factors is None and h.dim == base_dim
+                   for h, frame in commuted if frame is None)
 
     def test_tower(self, made):
         h = LinearOperator("base", random_metzler_generator(rng(20000), 3))
