@@ -30,7 +30,6 @@ from .numerics import (
     TOL_LIMIT,
     LinearOperator,
     _kronecker_slot,
-    uniform_vector,
 )
 
 if TYPE_CHECKING:
@@ -278,6 +277,8 @@ def _task_trotter(ctx: RunContext, params: dict):
     n_values = params.get("n_values", [1, 2, 4, 8, 16, 32, 64, 128, 256])
     _require(isinstance(n_values, list) and all(_is_int(n) and n >= 1 for n in n_values),
              "n_values must be positive integers")
+    _require(all(n <= sys.float_info.max for n in n_values),
+             "n_values must not exceed the largest float")
     s, t, beta = (_finite(params, key, 1.0, "trotter") for key in ("s", "t", "beta"))
     from .semigroup import trotter_verify
     report = trotter_verify(h, h_prime, s, t, beta, tuple(n_values), cone, ctx.tol)
@@ -336,10 +337,8 @@ def _task_weak_equiv(ctx: RunContext, params: dict):
     env_cone = ctx.cone(params.get("env_cone"))
     d1, d2 = h_star.dim, env_cone.dim
     _require(h2.dim == d1 * d2, "h2 dim must equal dim(h_star) * dim(env_cone)")
-    from .inheritance import append_factor_embedding
     from .stability import ground_state_factorizes, is_decoupled_extension
-    emb = append_factor_embedding(h_star.space, h2.space, d1, uniform_vector(d2))
-    equiv = is_decoupled_extension(h2, h_star, emb, env_cone, ctx.tol)
+    equiv = is_decoupled_extension(h2, h_star, env_cone, ctx.tol)
     factor = ground_state_factorizes(h2, h_star, env_cone, tol=ctx.tol)
     payload = {"equivalence": equiv.to_payload(), "weak": factor.to_payload()}
     return True, payload

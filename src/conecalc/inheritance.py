@@ -31,12 +31,13 @@ class Embedding:
     """Isometry between two spaces, with its induced orthogonal projection.
 
     The embeddings built by `identity_embedding`, `append_factor_embedding`
-    and `lattice.subset_embedding` are Kronecker products of identities and
-    real unit vectors: row r of the isometry is vals[r] e_{cols[r]}^T, one
-    entry at most.  They keep (cols, vals) and their factors, not the dense
-    isometry.  That is built on its first read, for `compose`, `compress`
-    and the dense route of `inherits_positivity`, by the products of
-    `np.kron`, so it has np.kron's bits, signed zeros included.
+    and the covering edges of `lattice.build_lattice` are Kronecker products
+    of identities and real unit vectors: row r of the isometry is
+    vals[r] e_{cols[r]}^T, one entry at most.  They keep (cols, vals), not
+    the dense isometry.  That is built on its first read, for `compose`,
+    `compress` and the dense route of `inherits_positivity`, as `push` of
+    the identity: each entry is vals[r] times 1.0 or +0.0, so it has the
+    bits of the np.kron product of the factors, signed zeros included.
     `inherits_positivity` decides on (cols, vals) alone, and `extend` and
     `push` gather: every entry of their dense products is a single term,
     so the values are the same.  `projection` is `extend` of the identity
@@ -52,8 +53,8 @@ class Embedding:
     from_space: str
     to_space: str
     isometry: np.ndarray  # shape (dim_to, dim_from), columns orthonormal
-    # not fields: a Kronecker embedding's rows, factors and (dim_to, dim_from)
-    _cols = _vals = _blocks = _shape = None
+    # not fields: a Kronecker embedding's rows and (dim_to, dim_from)
+    _cols = _vals = _shape = None
 
     def __post_init__(self):
         tau = _freeze(self.isometry)
@@ -67,11 +68,9 @@ class Embedding:
     def __getattr__(self, name: str):
         # reached only for an attribute that is not set: the isometry of a
         # Kronecker embedding, built on its first read
-        if name != "isometry" or self._blocks is None:
+        if name != "isometry" or self._cols is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        tau = np.ones((1, 1))
-        for block in self._blocks:
-            tau = _kron(tau, np.eye(block) if np.ndim(block) == 0 else block.reshape(-1, 1))
+        tau = self.push(np.eye(self.dim_from))
         tau.setflags(write=False)
         object.__setattr__(self, "isometry", tau)
         return tau
@@ -131,7 +130,7 @@ def _kronecker_embedding(from_space: str, to_space: str, blocks) -> Embedding:
     size, or a real unit vector, appended as a column.
 
     Row r's entry vals[r] is the product, in block order, of the entries
-    np.kron multiplies into it, so it has the dense isometry's bits.
+    np.kron multiplies into it, so it has the bits of np.kron(*blocks).
     Distinct columns of such an isometry have disjoint supports, and each
     column's squared norm is the product of the vectors' own, so these decide
     orthonormality without the Gram product.
@@ -140,7 +139,6 @@ def _kronecker_embedding(from_space: str, to_space: str, blocks) -> Embedding:
     vals = np.ones(1)
     dim_from = 1
     square_norm = 1.0
-    kept = []
     for block in blocks:
         if np.ndim(block) == 0:
             block = int(block)
@@ -148,20 +146,17 @@ def _kronecker_embedding(from_space: str, to_space: str, blocks) -> Embedding:
             vals = np.repeat(vals, block)  # each times 1.0
             dim_from *= block
         else:
-            block = np.array(block, dtype=float)
-            block.setflags(write=False)
+            block = np.asarray(block, dtype=float)
             cols = np.repeat(cols, block.size)
             vals = (vals[:, None] * block).ravel()
             square_norm *= float(block @ block)
-        kept.append(block)
     if abs(square_norm - 1.0) > ISOMETRY_TOL:
         raise ValueError("isometry columns are not orthonormal")
     for array in (cols, vals):
         array.setflags(write=False)
     emb = object.__new__(Embedding)
     for name, value in (("from_space", from_space), ("to_space", to_space), ("_cols", cols),
-                        ("_vals", vals), ("_blocks", tuple(kept)),
-                        ("_shape", (cols.size, dim_from))):
+                        ("_vals", vals), ("_shape", (cols.size, dim_from))):
         object.__setattr__(emb, name, value)
     return emb
 

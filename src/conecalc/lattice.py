@@ -15,16 +15,16 @@ import numpy as np
 
 from .cones import SelfDualCone, orthant
 from .errors import ClassificationFailed, DimCap, DimMismatch, NotPreserving, SpecFailed
-from .inheritance import Embedding, _kronecker_embedding, _verified_link
+from .inheritance import _kronecker_embedding, _verified_link
 from .numerics import (
     DEFAULT_TOL,
     DIM_CAP,
     LinearOperator,
     Spectrum,
+    _kron,
     _kronecker_slot,
     _Slot,
     hermitian_eig,
-    product_space,
     uniform_vector,
 )
 from .positivity import NodeAnalysis, classify, generates_improving_semigroup, is_ergodic
@@ -149,12 +149,11 @@ def verify_spec(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> SpecReport:
 
 @dataclass(frozen=True, eq=False)
 class LatticeNode:
-    """One subset's Hamiltonian with its cone, base embedding and quantum number."""
+    """One subset's Hamiltonian with its cone and quantum number."""
 
     subset: Subset
     hamiltonian: LinearOperator
     cone: SelfDualCone
-    embedding: Embedding  # from the base space
     mu: float
     mu_snapped: float
     ground_energy: float
@@ -169,32 +168,12 @@ class LatticeNode:
         }
 
 
-def _node_space(spec: LatticeSpec, subset: Subset) -> str:
-    space = spec.h0.space
-    for mu in subset:
-        space = product_space(space, f"f{mu}")
-    return space
-
-
 def _slots(spec: LatticeSpec) -> tuple[_Slot, ...]:
     """Every Y_mu with its eigenpairs, once the top node is known to be
     within `DIM_CAP`; each lattice decomposes its slots once."""
     if spec.full_dim() > DIM_CAP:
         raise DimCap(f"total dimension {spec.full_dim()} exceeds cap {DIM_CAP}")
     return tuple(_kronecker_slot(y.mat) for _, y in spec.factors)
-
-
-def subset_embedding(spec: LatticeSpec, small: Subset, large: Subset) -> Embedding:
-    """Isometry between two subset spaces: pass factors of the smaller subset
-    through, and insert the uniform vector at every new slot (slot order stays
-    ascending, so new factors are inserted, not appended, when needed)."""
-    if not set(small) <= set(large):
-        raise SpecFailed(f"{small} is not a subset of {large}")
-    blocks = [spec.h0.dim]
-    for mu in large:
-        n = spec.factors[mu - 1][0]
-        blocks.append(n if mu in small else uniform_vector(n))
-    return _kronecker_embedding(_node_space(spec, small), _node_space(spec, large), blocks)
 
 
 def build_node(spec: LatticeSpec, subset: Subset, tol: float = DEFAULT_TOL) -> LatticeNode:
@@ -217,23 +196,25 @@ def _build_node(spec: LatticeSpec, subset: Subset, tol: float, o_spectrum: Spect
     """`build_node` given the base observable's spectrum and the slots, also
     returning the node's record.  The node is the `_perturbed_node` of the
     lattice's shared slots in I, named f{mu} in ascending order.
-    spec(tau O tau^*) is spec(O) and 0, so the pushed observable has the
+    spec(T O T^*) is spec(O) and 0, so the pushed observable has the
     norm of the base one and snaps to those values.  It is read through
-    its frame, tau applied to the identity of the base space."""
+    its frame T, the base identity with the uniform vector of every slot
+    in I appended in ascending order."""
     subset = tuple(sorted(subset))
     perturbed = _perturbed_node(spec.h0, spec.cone, spec.x, tuple(slots[mu - 1] for mu in subset),
                                 [f"f{mu}" for mu in subset])
     h, cone = perturbed.hamiltonian, perturbed.cone
-    emb = subset_embedding(spec, (), subset)  # the identity for the empty subset
+    frame = np.eye(spec.h0.dim)
+    for mu in subset:
+        frame = _kron(frame, uniform_vector(spec.factors[mu - 1][0])[:, None])
 
     node = NodeAnalysis(h, cone, tol)
     if not node.improving:
         raise ClassificationFailed(f"H_{set(subset) or '{}'} is not improving-class")
 
     snap_to = np.concatenate([o_spectrum.eigenvalues, [0.0]])
-    mu, mu_snapped, _, _ = _quantum_number(node, spec.observable, o_spectrum.norm, snap_to,
-                                           emb.push(np.eye(spec.h0.dim)))
-    return LatticeNode(subset, h, cone, emb, mu, mu_snapped, node.ground.energy), node
+    mu, mu_snapped, _, _ = _quantum_number(node, spec.observable, o_spectrum.norm, snap_to, frame)
+    return LatticeNode(subset, h, cone, mu, mu_snapped, node.ground.energy), node
 
 
 @dataclass(frozen=True)
@@ -279,6 +260,8 @@ def build_lattice(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> HasseDiagram:
     lexicographic) order, then each covering pair (I, I u {mu}) is decided
     by the link verdict of chains: a full arrow, a strictly positive ground
     overlap and a compressed ground projector that improves the small cone.
+    Its embedding inserts mu's uniform vector between the slots of I below
+    mu, kept with the base, and those above it.
     """
     report = verify_spec(spec, tol)
     if not report.ok:
@@ -316,8 +299,12 @@ def build_lattice(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> HasseDiagram:
             if mu in small:
                 continue
             large = tuple(sorted(small + (mu,)))
-            rep = _verified_link(len(edges), records[small], records[large],
-                                 subset_embedding(spec, small, large), f"{small} -> {large}: ")
+            source, target = records[small], records[large]
+            above = math.prod(spec.factors[nu - 1][0] for nu in small if nu > mu)
+            emb = _kronecker_embedding(source.hamiltonian.space, target.hamiltonian.space,
+                                       [source.hamiltonian.dim // above,
+                                        uniform_vector(spec.factors[mu - 1][0]), above])
+            rep = _verified_link(len(edges), source, target, emb, f"{small} -> {large}: ")
             edges.append((small, large))
             overlaps.append(rep.overlap)
     return HasseDiagram(tuple(nodes), tuple(edges), tuple(overlaps), report)

@@ -384,9 +384,9 @@ class _KroneckerFactors:
         total = math.prod(dims)
         mat = np.zeros((d0 * total, d0 * total),
                        dtype=np.result_type(self.h0, self.x, *(slot.mat for slot in self.slots)))
-        _diagonal_blocks(mat, d0, total, 1, 1)[...] = self.h0[:, :, None, None, None, None]
+        _slot_view(mat, d0, total, 1, 1)[...] = self.h0[:, :, None, None, None, None]
         for k, slot in enumerate(self.slots):
-            view = _diagonal_blocks(mat, d0, math.prod(dims[:k]), dims[k], math.prod(dims[k + 1:]))
+            view = _slot_view(mat, d0, math.prod(dims[:k]), dims[k], math.prod(dims[k + 1:]))
             view -= self.x[:, :, None, None, None, None] * slot.mat[:, :, None, None]
         return mat
 
@@ -437,7 +437,7 @@ class _KroneckerFactors:
         return _EntryTable(diagonal, low, high, bottleneck, scale + 0.0, skew)
 
 
-def _diagonal_blocks(mat: np.ndarray, d0: int, before: int, n: int, after: int) -> np.ndarray:
+def _slot_view(mat: np.ndarray, d0: int, before: int, n: int, after: int) -> np.ndarray:
     """The entries ((i, b, p, a), (j, b, q, a)) of a square ``mat`` on
     C^d0 (x) C^before (x) C^n (x) C^after, as a writable view indexed
     [i, j, p, q, b, a]: where X (x) 1 (x) Y (x) 1 can be nonzero."""

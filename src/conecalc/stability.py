@@ -31,7 +31,6 @@ from .inheritance import (
     ArrowChain,
     ChainNode,
     ChainReport,
-    Embedding,
     _chain_report,
     _verified_links,
     append_factor_embedding,
@@ -388,7 +387,7 @@ class DecoupledExtensionReport:
 
 
 def is_decoupled_extension(h2: LinearOperator, h_star: LinearOperator,
-                           emb: Embedding, env_cone: SelfDualCone,
+                           env_cone: SelfDualCone,
                            tol: float = DEFAULT_TOL) -> DecoupledExtensionReport:
     """Whether H2 = H*(x)1 + 1(x)L for some improving-class L on the factor.
 
@@ -402,8 +401,8 @@ def is_decoupled_extension(h2: LinearOperator, h_star: LinearOperator,
     if h2.dim % d1 != 0:
         raise BadFactorization(f"dim {h2.dim} does not factor over dim {d1}")
     d2 = h2.dim // d1
-    if env_cone.dim != d2 or emb.dim_from != d1 or emb.dim_to != h2.dim:
-        raise BadFactorization("embedding or factor cone does not match the split")
+    if env_cone.dim != d2:
+        raise BadFactorization("factor cone does not match the split")
     diff = h2.mat - _kron(h_star.mat, np.eye(d2))
     blocks = diff.reshape(d1, d2, d1, d2)
     env = np.einsum("ijik->jk", blocks) / d1

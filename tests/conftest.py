@@ -6,12 +6,14 @@ matrix powers and from a breadth-first search over adjacency lists, simplex inte
 operators from dense Kronecker products on the full 2^n space, chain
 quantum numbers from two passes, every link before any node is read, a
 lattice node's coupling from its factor operators summed on the bare factor
-product, signed-permutation cones and Kronecker embeddings from the same
-generators and isometries taken as dense matrices, and the Metzler criterion
-from exponentials sampled over beta.
+product, a lattice embedding from one block per slot of the larger subset,
+signed-permutation cones and Kronecker embeddings from the same generators
+and isometries taken as dense matrices, and the Metzler criterion from
+exponentials sampled over beta.
 """
 
 import collections
+import functools
 import math
 import sys
 
@@ -31,7 +33,13 @@ from conecalc.errors import (
     NotSimple,
 )
 from conecalc.inheritance import ChainReport, ground_overlap
-from conecalc.numerics import DEFAULT_TOL, LinearOperator, hermitian_eig
+from conecalc.numerics import (
+    DEFAULT_TOL,
+    LinearOperator,
+    hermitian_eig,
+    product_space,
+    uniform_vector,
+)
 from conecalc.positivity import (
     ErgodicityReport,
     NodeAnalysis,
@@ -158,6 +166,36 @@ def arrow_calls(monkeypatch) -> list:
     return calls
 
 
+@pytest.fixture
+def edge_embeddings(monkeypatch) -> list:
+    """Keeps the embedding of every covering edge `lattice.build_lattice`
+    verifies, in edge order."""
+    embeddings = []
+    original = lattice._verified_link
+
+    def keeping(index, source, target, emb, *args):
+        embeddings.append(emb)
+        return original(index, source, target, emb, *args)
+
+    monkeypatch.setattr(lattice, "_verified_link", keeping)
+    return embeddings
+
+
+@pytest.fixture
+def node_frames(monkeypatch) -> list:
+    """Keeps the frame through which each lattice node reads the pushed
+    observable, in node order."""
+    frames = []
+    original = lattice._quantum_number
+
+    def keeping(*args):
+        frames.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(lattice, "_quantum_number", keeping)
+    return frames
+
+
 def _caller_package(frame) -> str:
     """Top-level package of the nearest caller outside numpy."""
     while frame is not None and frame.f_globals.get("__name__", "").split(".")[0] == "numpy":
@@ -242,6 +280,23 @@ def combined_factor_operator(spec: lattice.LatticeSpec, subset) -> LinearOperato
         after = math.prod(dims[k + 1:])
         mat += np.kron(np.kron(np.eye(before), spec.factors[mu - 1][1].mat), np.eye(after))
     return LinearOperator("*".join(f"f{mu}" for mu in subset), mat)
+
+
+def subset_embedding(spec: lattice.LatticeSpec, small, large) -> inheritance.Embedding:
+    """The isometry between two subset spaces, one block per slot of the
+    larger subset: the identity on a slot of the smaller one and the
+    uniform vector on a new one, so a new slot is inserted among the kept
+    ones in ascending order."""
+    assert set(small) <= set(large), (small, large)
+    blocks = [spec.h0.dim]
+    for mu in large:
+        n = spec.factors[mu - 1][0]
+        blocks.append(n if mu in small else uniform_vector(n))
+
+    def space(subset):
+        return functools.reduce(product_space, (f"f{mu}" for mu in subset), spec.h0.space)
+
+    return inheritance._kronecker_embedding(space(small), space(large), blocks)
 
 
 def factor_cone(spec: lattice.LatticeSpec, subset) -> SelfDualCone:

@@ -195,8 +195,7 @@ def test_criterion_07_inequivalence_fixtures():
 
         h2_dec = kron(h_star, identity("env", 2)) - kron(identity("base", 2),
                                                          op("env", PAULI_X))
-        emb = append_factor_embedding("base", h2_dec.space, 2, UNIFORM2)
-        equiv = is_decoupled_extension(h2_dec, h_star, emb, env_cone)
+        equiv = is_decoupled_extension(h2_dec, h_star, env_cone)
         assert equiv.decoupled
         weak_dec = ground_state_factorizes(h2_dec, h_star, env_cone)
         assert weak_dec.weak

@@ -650,6 +650,14 @@ def test_trotter_past_the_floating_range_fails_without_a_traceback(tmp_path):
         "reason": f"the Trotter approximant at n = {2 ** 62} is not finite"}
 
 
+def test_trotter_n_past_the_largest_float_is_refused(tmp_path, capsys):
+    # 2^1100 has no float, so n is refused before any step is exponentiated
+    config = load("trotter_pair.json")
+    config["params"]["n_values"] = [1, 2 ** 1100]
+    err = assert_schema_error_writes_nothing("trotter", json.dumps(config), [], tmp_path, capsys)
+    assert err == "conecalc: schema error: n_values must not exceed the largest float\n"
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m(self, tmp_path):
         result = subprocess.run(

@@ -10,6 +10,8 @@ from conftest import (
     op,
     random_lattice_spec,
     rng,
+    same_bits,
+    subset_embedding,
 )
 
 from conecalc.cones import orthant
@@ -21,10 +23,9 @@ from conecalc.lattice import (
     build_lattice,
     build_node,
     hasse_export,
-    subset_embedding,
     verify_spec,
 )
-from conecalc.numerics import DEFAULT_TOL, DIM_CAP, LinearOperator, hermitian_eig, uniform_vector
+from conecalc.numerics import DEFAULT_TOL, DIM_CAP, LinearOperator, hermitian_eig
 from conecalc.positivity import generates_improving_semigroup, is_ergodic
 from conecalc.stability import PAULI_X, is_decoupled_extension, quantum_number_along_chain
 
@@ -144,7 +145,7 @@ class TestBuildNode:
         spec = demo_spec()
         node = build_node(spec, ())
         assert np.array_equal(node.hamiltonian.mat, spec.h0.mat)
-        assert node.embedding.dim_from == node.embedding.dim_to == 2
+        assert node.hamiltonian.space == spec.h0.space
         assert node.mu_snapped == 1.0
 
     def test_singleton_matches_explicit_formula(self):
@@ -166,10 +167,11 @@ class TestBuildNode:
         assert abs(np.vdot(psi, want)) == pytest.approx(1.0, abs=1e-10)
         assert node.mu_snapped == 1.0
 
-    def test_middle_insertion_embedding(self):
+    def test_middle_insertion_embedding(self, edge_embeddings):
         # {1,3} -> {1,2,3} inserts the uniform vector at the middle slot
         spec = demo_spec()
-        emb = subset_embedding(spec, (1, 3), (1, 2, 3))
+        diagram = build_lattice(spec)
+        emb = edge_embeddings[diagram.covering_edges.index(((1, 3), (1, 2, 3)))]
         assert emb.dim_from == 2 * 2 * 2
         assert emb.dim_to == 2 * 2 * 3 * 2
         x = rng(5).normal(size=8)
@@ -235,10 +237,12 @@ class TestBuildLattice:
                 psi = node.cone.from_coords(gen.uniform(0.0, 1.0, size=node.cone.dim))
                 assert np.vdot(phi, e @ psi).real > 0
 
-    def test_order_preservation_along_saturated_paths(self, diagram):
-        # every containment, not only coverings: the chain walking one slot at
-        # a time verifies end to end
+    def test_order_preservation_along_saturated_paths(self, edge_embeddings):
+        # every containment, not only coverings: the chain of the lattice's
+        # own edges walking one slot at a time verifies end to end
         spec = demo_spec()
+        diagram = build_lattice(spec)
+        edges = dict(zip(diagram.covering_edges, edge_embeddings))
         by_subset = {n.subset: n for n in diagram.nodes}
         subsets = list(by_subset)
         for small in subsets:
@@ -252,11 +256,10 @@ class TestBuildLattice:
                     path.append(current)
                 nodes = tuple(ChainNode(by_subset[s].hamiltonian, by_subset[s].cone)
                               for s in path)
-                embeddings = tuple(subset_embedding(spec, path[j], path[j + 1])
-                                   for j in range(len(path) - 1))
+                embeddings = tuple(edges[path[j], path[j + 1]] for j in range(len(path) - 1))
                 chain = ArrowChain(nodes, embeddings)
                 verify_chain(chain)
-                observable = by_subset[small].embedding.extend(spec.observable)
+                observable = subset_embedding(spec, (), small).extend(spec.observable)
                 report = quantum_number_along_chain(chain, observable)
                 assert len(set(report.snapped)) == 1
                 assert report.mu_star == pytest.approx(1.0, abs=1e-8)
@@ -269,8 +272,7 @@ class TestBuildLattice:
                 continue
             env_dim = node.hamiltonian.dim // spec.h0.dim
             env_cone = orthant("env", env_dim)
-            rep = is_decoupled_extension(node.hamiltonian, spec.h0,
-                                         node.embedding, env_cone)
+            rep = is_decoupled_extension(node.hamiltonian, spec.h0, env_cone)
             assert not rep.decoupled
 
     def test_single_slot_lattice(self):
@@ -298,23 +300,47 @@ class TestBuildLattice:
         assert len(arrow_calls) == 12
 
     def test_a_failed_edge_is_named_in_the_chain_wording(self, monkeypatch):
-        # the first edge appends -uniform: only the cone test would refuse
+        # the first edge inserts -uniform: only the cone test would refuse
         # that sign, so with it passed, the edge fails on its ground overlap
         spec = demo_spec(1)
 
-        def flipped(spec, small, large):
-            emb = subset_embedding(spec, small, large)
-            if small == large:
-                return emb
-            return _kronecker_embedding(emb.from_space, emb.to_space, [2, -uniform_vector(2)])
+        def flipped(from_space, to_space, blocks):
+            return _kronecker_embedding(from_space, to_space,
+                                        [-block if np.ndim(block) else block for block in blocks])
 
         monkeypatch.setattr(inheritance, "inherits_positivity", lambda *args: True)
-        monkeypatch.setattr(lattice, "subset_embedding", flipped)
+        monkeypatch.setattr(lattice, "_kronecker_embedding", flipped)
         with pytest.raises(LinkFailed) as info:
             build_lattice(spec)
         assert info.value.index == 0
         assert info.value.reason.startswith("() -> (1,): ground overlap -")
         assert info.value.reason.endswith(" is not strictly positive")
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_edges_and_frames_have_the_bits_of_the_subset_oracle(seed, edge_embeddings, node_frames):
+    # each covering edge is one slot insertion and each node frame one
+    # _kron per slot; both keep the bits of one block per slot, among
+    # slots of dimension 1, 2 and 3
+    gen = rng(1900 + seed)
+    spec = random_lattice_spec(gen, structured=seed % 2 == 0)
+    factors = list(spec.factors)
+    for _ in range(int(gen.integers(0, 3))):
+        unit = op("unit", np.array([[gen.uniform(0.1, 2.0)]]))
+        factors.insert(int(gen.integers(len(factors) + 1)), (1, unit))
+    spec = LatticeSpec(spec.h0, spec.cone, spec.observable, spec.x, tuple(factors))
+    diagram = build_lattice(spec)
+    assert len(edge_embeddings) == len(diagram.covering_edges)
+    for (small, large), emb in zip(diagram.covering_edges, edge_embeddings):
+        want = subset_embedding(spec, small, large)
+        assert (emb.from_space, emb.to_space) == (want.from_space, want.to_space)
+        assert (emb.dim_to, emb.dim_from) == (want.dim_to, want.dim_from)
+        assert same_bits(emb._cols, want._cols) and same_bits(emb._vals, want._vals)
+        assert same_bits(emb.isometry, want.isometry)
+    assert len(node_frames) == len(diagram.nodes)
+    eye = np.eye(spec.h0.dim)
+    for node, frame in zip(diagram.nodes, node_frames):
+        assert same_bits(frame, subset_embedding(spec, (), node.subset).push(eye))
 
 
 class TestStructuralCriterionDecides:

@@ -24,6 +24,7 @@ from conecalc import stability
 from conecalc.cones import SelfDualCone, orthant, tensor_cone
 from conecalc.errors import (
     ArrowFailed,
+    BadFactorization,
     ChainFailed,
     DimCap,
     MuMismatch,
@@ -631,8 +632,7 @@ class TestDecoupledExtension:
     def test_pure_transverse_extension(self):
         h_star = self.base()
         h2 = kron(h_star, identity("env", 2)) - kron(identity("base", 2), op("env", PAULI_X))
-        emb = append_factor_embedding("base", h2.space, 2, UNIFORM2)
-        rep = is_decoupled_extension(h2, h_star, emb, orthant("env", 2))
+        rep = is_decoupled_extension(h2, h_star, orthant("env", 2))
         assert rep.decoupled
         assert np.allclose(rep.env_operator.mat, -PAULI_X, atol=1e-12)
 
@@ -641,8 +641,7 @@ class TestDecoupledExtension:
         h_star = self.base()
         x = op("base", np.diag([1.0, 0.2]))
         h2 = kron(h_star, identity("env", 2)) - kron(x, op("env", PAULI_X))
-        emb = append_factor_embedding("base", h2.space, 2, UNIFORM2)
-        rep = is_decoupled_extension(h2, h_star, emb, orthant("env", 2))
+        rep = is_decoupled_extension(h2, h_star, orthant("env", 2))
         assert not rep.decoupled
         assert rep.residual == pytest.approx(0.4, abs=1e-10)
 
@@ -650,8 +649,7 @@ class TestDecoupledExtension:
         # the zero environment term is reducible for dim >= 2
         h_star = self.base()
         h2 = kron(h_star, identity("env", 2))
-        emb = append_factor_embedding("base", h2.space, 2, UNIFORM2)
-        rep = is_decoupled_extension(h2, h_star, emb, orthant("env", 2))
+        rep = is_decoupled_extension(h2, h_star, orthant("env", 2))
         assert not rep.decoupled
         assert rep.residual <= 1e-12
 
@@ -661,9 +659,16 @@ class TestDecoupledExtension:
         for j in range(len(chain.nodes) - 1):
             prev = chain.nodes[j].hamiltonian
             nxt = chain.nodes[j + 1].hamiltonian
-            rep = is_decoupled_extension(nxt, prev, chain.embeddings[j],
-                                         orthant(f"q{j + 1}", 2))
+            rep = is_decoupled_extension(nxt, prev, orthant(f"q{j + 1}", 2))
             assert rep.decoupled
+
+    def test_a_factor_cone_off_the_split_is_refused(self):
+        h_star = self.base()
+        h2 = kron(h_star, identity("env", 3))
+        with pytest.raises(BadFactorization, match="factor cone does not match the split"):
+            is_decoupled_extension(h2, h_star, orthant("env", 2))
+        with pytest.raises(BadFactorization, match="does not factor"):
+            is_decoupled_extension(h2, op("base", np.eye(4)), orthant("env", 2))
 
 
 class TestRelativeEntropy:

@@ -30,6 +30,7 @@ from conftest import (
     random_spin_system,
     rng,
     same_bits,
+    subset_embedding,
 )
 
 from conecalc import inheritance, positivity, stability
@@ -62,7 +63,6 @@ from conecalc.lattice import (
     _all_subsets,
     build_lattice,
     build_node,
-    subset_embedding,
 )
 from conecalc.numerics import (
     DEFAULT_TOL,
@@ -244,6 +244,24 @@ class TestNegativeZero:
         assert report.to_payload() == oracle.to_payload()
 
 
+def signed_unit(gen: np.random.Generator, k: int) -> np.ndarray:
+    """A real unit vector with entries of both signs and, past its first
+    entry, some of them 0.0 or -0.0."""
+    v = gen.uniform(0.1, 1.0, k) * gen.choice([-1.0, 1.0], k)
+    zeros = gen.uniform(size=k) < 0.3
+    zeros[0] = False
+    v[zeros] = gen.choice([0.0, -0.0], int(zeros.sum()))
+    return v / np.linalg.norm(v)
+
+
+def assert_kron_bits(emb: Embedding, tau: np.ndarray) -> None:
+    """The isometry, built on this first read, is np.kron's, the sign of
+    every zero included."""
+    assert "isometry" not in emb.__dict__
+    assert same_bits(emb.isometry, tau)
+    assert np.array_equal(np.signbit(emb.isometry), np.signbit(tau))
+
+
 def product_vector(gen: np.random.Generator, n: int, complex_: bool) -> np.ndarray:
     """Normal entries, real or complex, some of them 0.0 or -0.0."""
     x = gen.normal(size=n) + (1j * gen.normal(size=n) if complex_ else 0.0)
@@ -272,7 +290,7 @@ class TestEmbeddingOracle:
     def test_append_embedding_products(self, seed):
         gen = rng(4000 + seed)
         d, k = int(gen.integers(1, 6)), int(gen.integers(1, 4))
-        v = random_real_unit(gen, k)
+        v = signed_unit(gen, k)
         emb = append_factor_embedding("s", "s*e", d, v)
         tau = np.kron(np.eye(d), v.reshape(-1, 1))
         dense = Embedding("s", "s*e", tau)
@@ -280,24 +298,20 @@ class TestEmbeddingOracle:
         assert np.array_equal(emb.extend(a).mat, dense.extend(a).mat)
         assert np.array_equal(emb.projection().mat, dense.projection().mat)
         assert_gathered_products(emb, dense, gen)
-        assert "isometry" not in emb.__dict__  # none of these read it
-        assert same_bits(emb.isometry, tau)
+        assert_kron_bits(emb, tau)  # none of the products above read it
 
-    def test_subset_embedding_products(self, seed):
+    def test_block_list_products(self, seed):
+        # identities and signed vectors in any order, as a lattice edge
+        # inserts its vector between kept slots
         gen = rng(5000 + seed)
-        h0 = LinearOperator("base", np.eye(int(gen.integers(1, 4))))
-        dims = [int(n) for n in gen.integers(2, 4, size=int(gen.integers(1, 4)))]
-        spec = LatticeSpec(h0, orthant("base", h0.dim), h0, h0,
-                           tuple((n, LinearOperator(f"f{mu}", np.ones((n, n))))
-                                 for mu, n in enumerate(dims, start=1)))
-        large = tuple(mu for mu in range(1, len(dims) + 1) if gen.uniform() < 0.7)
-        small = tuple(mu for mu in large if gen.uniform() < 0.5)
-        emb = subset_embedding(spec, small, large)
-        tau = np.eye(h0.dim)  # the dense construction
-        for mu in large:
-            n = dims[mu - 1]
-            tau = np.kron(tau, np.eye(n) if mu in small else np.full((n, 1), 1 / math.sqrt(n)))
-        assert same_bits(emb.isometry, tau)
+        blocks = [int(gen.integers(1, 4)) if gen.uniform() < 0.5
+                  else signed_unit(gen, int(gen.integers(1, 4)))
+                  for _ in range(int(gen.integers(1, 6)))]
+        emb = _kronecker_embedding("s", "t", blocks)
+        tau = np.ones((1, 1))  # the dense construction
+        for block in blocks:
+            tau = np.kron(tau, np.eye(block) if np.ndim(block) == 0 else block.reshape(-1, 1))
+        assert_kron_bits(emb, tau)
         dense = dense_embedding(emb)
         a = LinearOperator(emb.from_space, gen.normal(size=(emb.dim_from, emb.dim_from)))
         assert np.array_equal(emb.extend(a).mat, dense.extend(a).mat)
@@ -307,7 +321,7 @@ class TestEmbeddingOracle:
     def test_orthonormality_verdict(self, seed):
         gen = rng(6000 + seed)
         d = int(gen.integers(1, 4))
-        vectors = [random_real_unit(gen, int(gen.integers(1, 4)))
+        vectors = [signed_unit(gen, int(gen.integers(1, 4)))
                    * (1.0 + float(gen.choice([0.0, 1e-12, 3e-11, -3e-11, 2e-10, 1e-6])))
                    for _ in range(int(gen.integers(1, 3)))]
         tau = np.eye(d)
@@ -325,7 +339,7 @@ class TestEmbeddingOracle:
             got = str(exc)
         assert got == expected
         if got is None:
-            assert same_bits(emb.isometry, tau)
+            assert_kron_bits(emb, tau)
 
 
 def test_complex_isometry_into_a_structured_cone():
@@ -563,7 +577,7 @@ class TestStructuredLinksFormNothingDense:
         assert check_arrow(source, target, without_isometry(emb))
         assert ground_overlap(source, target, without_isometry(emb)).improving_ok
 
-    def test_lattice(self, monkeypatch):
+    def test_lattice(self, monkeypatch, edge_embeddings):
         h0 = LinearOperator("base", np.array([[0.3, -1.0], [-1.0, 0.0]]))
         flip = np.array([[0.0, 1.0], [1.0, 0.0]])
         spec = LatticeSpec(h0, orthant("base", 2), LinearOperator("base", np.eye(2)),
@@ -572,10 +586,9 @@ class TestStructuredLinksFormNothingDense:
                             (3, LinearOperator("f2", np.ones((3, 3)) - np.eye(3)))))
         monkeypatch.setattr(Embedding, "projection", refuse)
         monkeypatch.setattr(inheritance, "classify", refuse)
-        monkeypatch.setattr(inheritance, "_kron", refuse)  # no isometry is built
         diagram = build_lattice(spec)
-        assert len(diagram.covering_edges) == 4
-        assert all("isometry" not in node.embedding.__dict__ for node in diagram.nodes)
+        assert len(diagram.covering_edges) == len(edge_embeddings) == 4
+        assert all("isometry" not in emb.__dict__ for emb in edge_embeddings)
 
     def test_tower_quantum_numbers(self, monkeypatch):
         h = LinearOperator("base", np.diag([0.0, 1.0]) - 0.1 * np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -693,7 +706,7 @@ class TestBlockSpectrumOracle:
         candidates = np.concatenate([o_spectrum.eigenvalues, [0.0]])
         records = {}
         for node in diagram.nodes:
-            observable = node.embedding.extend(spec.observable)
+            observable = subset_embedding(spec, (), node.subset).extend(spec.observable)
             assert_routes_agree(node.hamiltonian, node.cone, observable, o_spectrum.norm,
                                 candidates)
             records[node.subset] = NodeAnalysis(dense_copy(node.hamiltonian), node.cone)
