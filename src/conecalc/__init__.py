@@ -12,10 +12,10 @@ __version__ = "0.1.0"
 
 # submodule -> the names the package exports from it
 _EXPORTS = {
-    "cones": ("JordanParts", "SelfDualCone", "orthant", "tensor_cone"),
+    "cones": ("SelfDualCone", "orthant", "tensor_cone"),
     "errors": (),
     "inheritance": ("ArrowChain", "ChainNode", "Embedding", "append_factor_embedding",
-                    "check_arrow", "concatenate", "conditional_expectation", "ground_overlap",
+                    "check_arrow", "conditional_expectation", "ground_overlap",
                     "identity_embedding", "inherits_positivity", "verify_chain"),
     "lattice": ("HasseDiagram", "LatticeNode", "LatticeSpec", "build_lattice", "build_node",
                 "hasse_export", "verify_spec"),

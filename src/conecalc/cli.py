@@ -474,7 +474,10 @@ def emit(report: dict, out_dir: str | Path, extra_files: dict[str, str] | None =
     try:
         out.mkdir(parents=True, exist_ok=True)
         report_path = out / "report.json"
-        report_path.write_text(canonical_dumps(report) + "\n", encoding="utf-8")
+        # a lone surrogate is the one string UTF-8 cannot encode; it is
+        # written as its JSON escape \udXXX
+        report_path.write_text(canonical_dumps(report) + "\n", encoding="utf-8",
+                               errors="backslashreplace")
         written.append(report_path)
         for name, text in (extra_files or {}).items():
             path = out / name

@@ -1,10 +1,10 @@
-"""Simplicial self-dual cones: membership, strict positivity, the natural
-antilinear involution, and Jordan-type decompositions.
+"""Simplicial self-dual cones, read through generator coordinates.
 
 A cone here is given by an orthonormal generator basis {u_i}; its members are
 exactly the nonnegative real combinations of the generators.  For this class
-membership and duality are coordinate tests, and tensor products stay in the
-class, which is all the constructions downstream ever need.
+membership, strict positivity and duality are coordinate tests, and tensor
+products stay in the class, which is all the constructions downstream ever
+need.
 
 Orthants, their tensor products and the Marshall sign cones of `spin` have
 signed-permutation generators, u_i = s_i e_{r_i} with s_i = +-1.  Such a cone
@@ -19,11 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, NotReal
+from .errors import DimMismatch
 from .numerics import DEFAULT_TOL, LinearOperator, _freeze, _kron, _numeric, product_space
 
 GENERATOR_ORTHO_TOL = 1e-10
-JORDAN_TOL = 1e-10  # a vector is involution-fixed when |Im c| <= this * |x|
 
 
 class _SignedPermutation:
@@ -119,9 +118,6 @@ class SelfDualCone:
             return self._perm.rows.size
         return self.generators.shape[0]
 
-    def generator(self, i: int) -> np.ndarray:
-        return self.generators[:, i]
-
     def coords(self, x: np.ndarray) -> np.ndarray:
         """Coordinates <u_i|x> of a vector in the generator basis."""
         x = _numeric(x)
@@ -130,9 +126,6 @@ class SelfDualCone:
         if self._perm is not None:
             return self._perm.coords(x)
         return self.generators.conj().T @ x
-
-    def from_coords(self, c: np.ndarray) -> np.ndarray:
-        return self.generators @ _numeric(c)
 
     def _check_operator(self, op: LinearOperator) -> None:
         if op.dim != self.dim or op.space != self.space:
@@ -186,16 +179,6 @@ class SelfDualCone:
         np.conjugate(pulled, out=pulled)
         return pulled.T
 
-    def contains(self, x: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-        """Membership: all generator coordinates real and >= -tol*|x|."""
-        c = self.coords(x)
-        scale = float(np.linalg.norm(x))
-        if scale == 0.0:
-            return True
-        return bool(
-            (c.real >= -tol * scale).all() and (np.abs(c.imag) <= tol * scale).all()
-        )
-
     def strictly_positive(self, x: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
         """Strict positivity: every generator coordinate >= +tol*|x|.
 
@@ -211,51 +194,6 @@ class SelfDualCone:
         return bool(
             (c.real >= tol * scale).all() and (np.abs(c.imag) <= tol * scale).all()
         )
-
-    def involution(self, x: np.ndarray) -> np.ndarray:
-        """The unique antilinear involution fixing the cone pointwise.
-
-        Conjugates coordinates in the generator basis; fixes every generator
-        and squares to the identity.
-        """
-        return self.from_coords(self.coords(x).conjugate())
-
-    def jordan_decompose(self, x: np.ndarray) -> "JordanParts":
-        """Split an involution-fixed vector as plus - minus with both parts in
-        the cone and orthogonal to each other."""
-        c = self.coords(x)
-        scale = max(float(np.linalg.norm(x)), 1e-300)
-        if np.abs(c.imag).max() > JORDAN_TOL * scale:
-            raise NotReal("vector is not fixed by the cone involution")
-        pos = np.clip(c.real, 0.0, None)
-        neg = np.clip(-c.real, 0.0, None)
-        return JordanParts(self.from_coords(pos), self.from_coords(neg))
-
-    def span_decompose(self, u: np.ndarray):
-        """Write any vector as v1 - v2 + i(w1 - w2) with all four parts in the
-        cone and <v1|v2> = <w1|w2> = 0."""
-        c = self.coords(u)
-        v1 = self.from_coords(np.clip(c.real, 0.0, None))
-        v2 = self.from_coords(np.clip(-c.real, 0.0, None))
-        w1 = self.from_coords(np.clip(c.imag, 0.0, None))
-        w2 = self.from_coords(np.clip(-c.imag, 0.0, None))
-        return v1, v2, w1, w2
-
-
-@dataclass(frozen=True, eq=False)
-class JordanParts:
-    plus: np.ndarray
-    minus: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "plus", _freeze(self.plus))
-        object.__setattr__(self, "minus", _freeze(self.minus))
-
-    def recompose(self) -> np.ndarray:
-        return self.plus - self.minus
-
-    def absolute(self) -> np.ndarray:
-        return self.plus + self.minus
 
 
 def _signed_permutation_cone(space: str, rows, signs, label: str = "") -> SelfDualCone:

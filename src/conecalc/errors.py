@@ -24,10 +24,6 @@ class NotDensityMatrix(ConecalcError):
     """Expected a positive semidefinite, trace-one operator."""
 
 
-class NotReal(ConecalcError):
-    """Vector is not fixed by the cone's antilinear involution."""
-
-
 class NotRealForm(ConecalcError):
     """Operator does not map the involution-fixed real subspace to itself."""
 

@@ -23,7 +23,6 @@ from .numerics import (
 from .positivity import NodeAnalysis, classify
 
 ISOMETRY_TOL = 1e-10
-BOUNDARY_RTOL, BOUNDARY_ATOL = 1e-5, 1e-8  # concatenate: the np.allclose test of the shared node
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,8 +33,8 @@ class Embedding:
     and the covering edges of `lattice.build_lattice` are Kronecker products
     of identities and real unit vectors: row r of the isometry is
     vals[r] e_{cols[r]}^T, one entry at most.  They keep (cols, vals), not
-    the dense isometry.  That is built on its first read, for `compose`,
-    `compress` and the dense route of `inherits_positivity`, as `push` of
+    the dense isometry.  That is built on its first read, for `compress`
+    and the dense route of `inherits_positivity`, as `push` of
     the identity: each entry is vals[r] times 1.0 or +0.0, so it has the
     bits of the np.kron product of the factors, signed zeros included.
     `inherits_positivity` decides on (cols, vals) alone, and `extend` and
@@ -180,14 +179,6 @@ def append_factor_embedding(from_space: str, to_space: str, dim: int,
     return _kronecker_embedding(from_space, to_space, [dim, v.ravel()])
 
 
-def compose(first: Embedding, second: Embedding) -> Embedding:
-    """second after first, as a single embedding."""
-    if first.to_space != second.from_space or first.dim_to != second.dim_from:
-        raise DimMismatch("embeddings do not compose")
-    return Embedding(first.from_space, second.to_space,
-                     second.isometry @ first.isometry)
-
-
 def conditional_expectation(emb: Embedding, a: LinearOperator) -> LinearOperator:
     """pi A pi + (1-pi) A (1-pi): the block-diagonal part of A w.r.t. ran(pi)."""
     if a.dim != emb.dim_to:
@@ -207,8 +198,9 @@ def inherits_positivity(p1: SelfDualCone, p2: SelfDualCone, emb: Embedding,
     pulled-back generators.
 
     The last two are read off one matrix, the small-cone coordinates of all
-    pulled-back generators.  Membership is the coordinate test of
-    ``SelfDualCone.contains``, column by column.  Given membership, the third
+    pulled-back generators.  Membership is a coordinate test, column by
+    column: every coordinate of a column c is real and at least -tol |c|,
+    imaginary parts at most tol |c|.  Given membership, the third
     condition has an exact answer: u_i spans an extreme ray of the simplicial
     small cone, so a nonnegative combination equal to u_i can only use
     generators that lie on that ray.  It therefore holds iff some column c
@@ -413,21 +405,6 @@ class ArrowChain:
                 raise DimMismatch(f"embedding {j} does not end at node {j + 1}")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "embeddings", embs)
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-
-def concatenate(first: ArrowChain, second: ArrowChain) -> ArrowChain:
-    """Join two chains whose boundary Hamiltonians coincide."""
-    tail = first.nodes[-1]
-    head = second.nodes[0]
-    if tail.hamiltonian.dim != head.hamiltonian.dim or not np.allclose(
-            tail.hamiltonian.mat, head.hamiltonian.mat,
-            rtol=BOUNDARY_RTOL, atol=BOUNDARY_ATOL):
-        raise DimMismatch("chains do not share their boundary Hamiltonian")
-    return ArrowChain(first.nodes[:-1] + second.nodes,
-                      first.embeddings + second.embeddings)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -41,9 +42,7 @@ def _canon(obj) -> str:
     if isinstance(obj, (float, np.floating)):
         return _canon_float(float(obj))
     if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"')
-        out = out.replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t")
-        return f'"{out}"'
+        return encode_basestring(obj)
     if obj is None:
         return "null"
     raise TypeError(f"cannot canonicalize {type(obj).__name__}")

@@ -228,13 +228,6 @@ class HasseDiagram:
     edge_overlaps: tuple[float, ...]
     assumptions: SpecReport
 
-    def node(self, subset: Subset) -> LatticeNode:
-        subset = tuple(sorted(subset))
-        for n in self.nodes:
-            if n.subset == subset:
-                return n
-        raise KeyError(subset)
-
     def to_payload(self) -> dict:
         return {
             "nodes": [n.to_payload() for n in self.nodes],
@@ -262,7 +255,14 @@ def build_lattice(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> HasseDiagram:
     overlap and a compressed ground projector that improves the small cone.
     Its embedding inserts mu's uniform vector between the slots of I below
     mu, kept with the base, and those above it.
+
+    A lattice of more than `DIM_CAP` nodes raises `DimCap` before anything
+    is checked or built.  Slots of dimension >= 2 already keep 2^ell within
+    the cap through the top node's dimension; one-dimensional slots do not.
     """
+    # 2^ell > DIM_CAP exactly when ell > DIM_CAP.bit_length() - 1; no power is formed
+    if spec.ell > DIM_CAP.bit_length() - 1:
+        raise DimCap(f"lattice of {spec.ell} slots has 2^{spec.ell} nodes, over cap {DIM_CAP}")
     report = verify_spec(spec, tol)
     if not report.ok:
         raise SpecFailed("; ".join(report.notes))

@@ -148,16 +148,6 @@ class LinearOperator:
         self._check_same_space(other)
         return _adopt(self.space, self.mat - other.mat)
 
-    def __matmul__(self, other: "LinearOperator") -> "LinearOperator":
-        self._check_same_space(other)
-        return _adopt(self.space, self.mat @ other.mat)
-
-    def __rmul__(self, scalar) -> "LinearOperator":
-        return LinearOperator(self.space, scalar * self.mat)
-
-    def adjoint(self) -> "LinearOperator":
-        return LinearOperator(self.space, self.mat.conj().T)
-
     def _check_same_space(self, other: "LinearOperator") -> None:
         if self.space != other.space or self.dim != other.dim:
             raise DimMismatch(

@@ -321,6 +321,16 @@ def dense_cone(cone: SelfDualCone) -> SelfDualCone:
     return SelfDualCone(cone.space, np.array(cone.generators), cone.label)
 
 
+def cone_contains(cone: SelfDualCone, x: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+    """Membership: every generator coordinate real and >= -tol*|x|.  The
+    zero vector is a member."""
+    c = cone.coords(x)
+    scale = float(np.linalg.norm(x))
+    if scale == 0.0:
+        return True
+    return bool((c.real >= -tol * scale).all() and (np.abs(c.imag) <= tol * scale).all())
+
+
 def dense_embedding(emb: inheritance.Embedding) -> inheritance.Embedding:
     """The same embedding given by its isometry: dense products and the Gram
     check, whatever structure the embedding keeps."""

@@ -160,7 +160,7 @@ def test_criterion_06_lattice_demo_ell3(tmp_path):
         diagram = build_lattice(spec)
         assert len(diagram.nodes) == 8
         assert len(diagram.covering_edges) == 12
-        base_mu = diagram.node(()).mu_snapped
+        base_mu = next(n for n in diagram.nodes if n.subset == ()).mu_snapped
         for node in diagram.nodes:
             assert generates_improving_semigroup(node.hamiltonian, node.cone)
             assert node.mu_snapped == base_mu  # exact equality after snapping

@@ -36,6 +36,11 @@ class TestCanonicalJson:
         with pytest.raises(ValueError):
             canonical_dumps(float("nan"))
 
+    def test_strings_escape_control_characters_and_keep_non_ascii_raw(self):
+        text = "".join(map(chr, range(0x20))) + '"\\\x7f\u00e9\u2028'
+        assert json.loads(canonical_dumps(text)) == text
+        assert canonical_dumps("\u00e9\n") == '"\u00e9\\n"'
+
     def test_matrix_round_trip(self):
         mat = matrix_from_json([[0, [1, -2]], [[1, 2], 0.5]])
         assert mat[0, 1] == 1 - 2j and mat[1, 1] == 0.5
@@ -593,6 +598,45 @@ def test_repeated_member_id_is_refused_before_the_base_record_is_built(monkeypat
     text = edited("stability_demo.json",
                   lambda c: c["params"]["members"][1].update(id=first_member(c)["id"]))
     assert_schema_error_writes_nothing("stability", text, [], tmp_path, capsys)
+
+
+@pytest.mark.parametrize("member_id", ["a" + "".join(map(chr, range(0x20))) + "b", "a\ud800b"],
+                         ids=["control-characters", "lone-surrogate"])
+def test_an_echoed_id_reads_back_from_a_valid_report(member_id, tmp_path):
+    config = load("stability_demo.json")
+    first_member(config)["id"] = member_id
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))  # ASCII: the surrogate travels as \ud800
+    assert main(["stability", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "report.json", encoding="utf-8") as fh:
+        report = json.load(fh)
+    assert report["payload"]["members"][0]["id"] == member_id
+
+
+def one_dimensional_lattice(ell: int) -> dict:
+    """lattice_ell3 with its slots replaced by `ell` copies of one 1x1 operator."""
+    config = load("lattice_ell3.json")
+    config["spaces"]["e"] = 1
+    config["operators"].append({"name": "zero", "space": "e", "entries": [[0]]})
+    config["params"]["factors"] = [{"operator": "zero"}] * ell
+    return config
+
+
+@pytest.mark.parametrize("ell, error_type", [(13, "DimCap"), (12, "AssertionError")])
+def test_lattice_past_the_node_cap_fails_before_the_spec_is_checked(ell, error_type,
+                                                                    monkeypatch):
+    # every node has the base's dimension 2, so only the 2^ell node count
+    # can pass the cap; at 12 slots the cap lets the spec check run
+    def refuse(*args, **kwargs):
+        raise AssertionError("the spec was checked or a node was built")
+
+    monkeypatch.setattr(lattice, "verify_spec", refuse)
+    monkeypatch.setattr(lattice, "_build_node", refuse)
+    report, _ = run_config(one_dimensional_lattice(ell), "0" * 64)
+    assert report["payload"]["error_type"] == error_type
+    if ell == 13:
+        assert report["status"] == "fail"
+        assert report["payload"]["reason"] == "lattice of 13 slots has 2^13 nodes, over cap 4096"
 
 
 def resized_classify(dim: int, operator: dict) -> str:

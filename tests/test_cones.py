@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_unit, rng
+from conftest import cone_contains, dense_cone, random_unit, rng
 
-from conecalc.cones import SelfDualCone, orthant, tensor_cone
-from conecalc.errors import DimMismatch, NotReal
+from conecalc.cones import SelfDualCone, _signed_permutation_cone, orthant, tensor_cone
+from conecalc.errors import DimMismatch
 
 
 def haar_cone(seed: int, n: int, space: str = "s") -> SelfDualCone:
@@ -32,25 +32,59 @@ class TestConstruction:
         assert pq.dim == 6
         assert np.array_equal(pq.generators, np.eye(6))
 
+    def test_coords_dim_mismatch(self):
+        with pytest.raises(DimMismatch):
+            orthant("s", 3).coords(np.ones(4))
+
 
 class TestContains:
+    # the membership oracle of the NNLS and positivity checks: every
+    # generator coordinate real and nonnegative
     def test_orthant_membership(self):
         p = orthant("s", 3)
-        assert p.contains(np.array([1.0, 2.0, 0.0]))
-        assert p.contains(np.zeros(3))
-        assert not p.contains(np.array([1.0, -1e-6, 0.0]), tol=1e-9)
+        assert cone_contains(p, np.array([1.0, 2.0, 0.0]))
+        assert cone_contains(p, np.zeros(3))
+        assert not cone_contains(p, np.array([1.0, -1e-6, 0.0]), tol=1e-9)
 
     def test_generator_sum_is_member(self):
         p = haar_cone(5, 4)
-        assert p.contains(p.generator(0) + p.generator(1))
+        assert cone_contains(p, p.generators[:, 0] + p.generators[:, 1])
 
     def test_imaginary_multiple_is_not(self):
         p = haar_cone(7, 3)
-        assert not p.contains(1j * p.generator(0))
+        assert not cone_contains(p, 1j * p.generators[:, 0])
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
-            orthant("s", 3).contains(np.ones(4))
+            orthant("s", 3).strictly_positive(np.ones(4))
+
+
+class TestCoords:
+    def test_generators_read_as_unit_vectors(self):
+        p = haar_cone(17, 4)
+        for i in range(4):
+            assert np.allclose(p.coords(p.generators[:, i]), np.eye(4)[i], atol=1e-12)
+
+    def test_complex_linear(self):
+        gen = rng(19)
+        p = haar_cone(19, 3)
+        x, y = random_unit(gen, 3), random_unit(gen, 3)
+        a, b = 0.3 - 2j, -1.1 + 0.5j
+        assert np.allclose(p.coords(a * x + b * y), a * p.coords(x) + b * p.coords(y),
+                           atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_generators_rebuild_every_vector(self, n, seed):
+        # the generators are a basis: x = sum_i <u_i|x> u_i
+        p = haar_cone(seed % 1000, n)
+        x = random_unit(rng(seed), n)
+        assert np.linalg.norm(p.generators @ p.coords(x) - x) <= 1e-10
+
+    def test_signed_permutation_matches_its_dense_generators(self):
+        p = _signed_permutation_cone("s", [2, 0, 3, 1], [1, -1, -1, 1])
+        x = random_unit(rng(23), 4)
+        assert np.allclose(p.coords(x), dense_cone(p).coords(x), atol=1e-15)
 
 
 class TestStrictlyPositive:
@@ -61,8 +95,8 @@ class TestStrictlyPositive:
 
     def test_single_generator_is_not_strict(self):
         p = haar_cone(9, 3)
-        assert p.contains(p.generator(0))
-        assert not p.strictly_positive(p.generator(0))
+        assert cone_contains(p, p.generators[:, 0])
+        assert not p.strictly_positive(p.generators[:, 0])
 
     def test_all_ones_in_orthant(self):
         n = 5
@@ -71,95 +105,34 @@ class TestStrictlyPositive:
     def test_zero_vector_never_strict(self):
         assert not orthant("s", 3).strictly_positive(np.zeros(3))
 
+    def test_difference_of_generators_is_not_strict(self):
+        p = haar_cone(29, 3)
+        assert not p.strictly_positive(p.generators[:, 0] - p.generators[:, 1])
+
+    def test_imaginary_interior_is_not_strict(self):
+        p = haar_cone(31, 3)
+        x = p.generators @ np.ones(3)
+        assert p.strictly_positive(x)
+        assert not p.strictly_positive(1j * x)
+
+    def test_tolerance_is_relative_to_the_norm(self):
+        p = orthant("s", 2)
+        x = np.array([1.0, 1e-6])
+        assert p.strictly_positive(x, tol=1e-9) and not p.strictly_positive(x, tol=1e-3)
+        assert p.strictly_positive(1e6 * x, tol=1e-9)
+        assert not p.strictly_positive(1e-6 * x, tol=1e-3)
+
     def test_strict_pairs_positively_with_random_combinations(self):
         gen = rng(13)
         p = haar_cone(15, 4)
-        x = p.from_coords(np.array([0.5, 1.0, 0.2, 0.9]))
+        x = p.generators @ np.array([0.5, 1.0, 0.2, 0.9])
         assert p.strictly_positive(x)
         for _ in range(50):
             coeffs = gen.uniform(0.0, 1.0, size=4)
             if coeffs.max() < 1e-3:
                 continue
-            g = p.from_coords(coeffs)
+            g = p.generators @ coeffs
             assert np.vdot(g, x).real > 0
-
-
-class TestInvolution:
-    def test_fixes_generators(self):
-        p = haar_cone(17, 4)
-        for i in range(4):
-            assert np.allclose(p.involution(p.generator(i)), p.generator(i), atol=1e-12)
-
-    def test_antilinear_on_imaginary_multiples(self):
-        p = haar_cone(19, 3)
-        u = p.generator(1)
-        assert np.allclose(p.involution(1j * u), -1j * u, atol=1e-12)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
-    def test_is_involution(self, n, seed):
-        p = haar_cone(seed % 1000, n)
-        x = random_unit(rng(seed), n)
-        assert np.allclose(p.involution(p.involution(x)), x, atol=1e-10)
-
-
-class TestJordanDecompose:
-    def test_difference_of_generators(self):
-        p = orthant("s", 2)
-        parts = p.jordan_decompose(np.array([1.0, -1.0]))
-        assert np.allclose(parts.plus, [1.0, 0.0])
-        assert np.allclose(parts.minus, [0.0, 1.0])
-
-    def test_member_has_zero_minus(self):
-        p = haar_cone(23, 4)
-        x = p.from_coords(np.array([0.3, 0.0, 2.0, 1.0]))
-        parts = p.jordan_decompose(x)
-        assert np.linalg.norm(parts.minus) <= 1e-12
-
-    def test_random_real_coordinates_reconstruct(self):
-        gen = rng(29)
-        p = haar_cone(31, 5)
-        for _ in range(50):
-            x = p.from_coords(gen.normal(size=5))
-            parts = p.jordan_decompose(x)
-            assert np.linalg.norm(parts.recompose() - x) <= 1e-12 * max(np.linalg.norm(x), 1)
-            assert abs(np.vdot(parts.plus, parts.minus)) <= 1e-12 * np.linalg.norm(x) ** 2
-            assert p.contains(parts.plus) and p.contains(parts.minus)
-
-    def test_rejects_non_real(self):
-        p = haar_cone(37, 3)
-        with pytest.raises(NotReal):
-            p.jordan_decompose(1j * p.generator(0))
-
-
-class TestSpanDecompose:
-    def test_positive_vector(self):
-        p = haar_cone(41, 3)
-        u = p.from_coords(np.array([1.0, 2.0, 0.5]))
-        v1, v2, w1, w2 = p.span_decompose(u)
-        assert np.allclose(v1, u, atol=1e-12)
-        for part in (v2, w1, w2):
-            assert np.linalg.norm(part) <= 1e-12
-
-    def test_imaginary_generator(self):
-        p = haar_cone(43, 3)
-        u = p.generator(0)
-        v1, v2, w1, w2 = p.span_decompose(1j * u)
-        assert np.allclose(w1, u, atol=1e-12)
-        for part in (v1, v2, w2):
-            assert np.linalg.norm(part) <= 1e-12
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
-    def test_recomposition(self, n, seed):
-        # the cone linearly spans the space: four parts always rebuild the vector
-        p = haar_cone(seed % 997, n)
-        u = random_unit(rng(seed), n)
-        v1, v2, w1, w2 = p.span_decompose(u)
-        rebuilt = v1 - v2 + 1j * (w1 - w2)
-        assert np.linalg.norm(rebuilt - u) <= 1e-10
-        for part in (v1, v2, w1, w2):
-            assert p.contains(part, tol=1e-9)
 
 
 class TestSelfDuality:
@@ -168,13 +141,13 @@ class TestSelfDuality:
         for trial in range(200):
             n = int(gen.integers(2, 7))
             p = haar_cone(trial, n)
-            x = p.from_coords(gen.normal(size=n) + 0.0j)
-            member = p.contains(x, tol=1e-9)
+            x = p.generators @ (gen.normal(size=n) + 0.0j)
+            member = cone_contains(p, x, tol=1e-9)
             # sample the cone densely and test the dual inequality directly
             pairings = [
-                np.vdot(p.from_coords(gen.uniform(0.0, 1.0, size=n)), x).real
+                np.vdot(p.generators @ gen.uniform(0.0, 1.0, size=n), x).real
                 for _ in range(64)
-            ] + [np.vdot(p.generator(i), x).real for i in range(n)]
+            ] + [np.vdot(p.generators[:, i], x).real for i in range(n)]
             dual_ok = all(val >= -1e-9 * max(np.linalg.norm(x), 1) for val in pairings)
             assert member == dual_ok
 
@@ -183,8 +156,8 @@ class TestSelfDuality:
         gen = rng(53)
         p = haar_cone(59, 4)
         for _ in range(100):
-            x = p.from_coords(gen.normal(size=4))
-            if p.contains(x, 1e-12) and p.contains(-x, 1e-12):
+            x = p.generators @ gen.normal(size=4)
+            if cone_contains(p, x, 1e-12) and cone_contains(p, -x, 1e-12):
                 assert np.linalg.norm(x) <= 1e-9
 
 
@@ -193,8 +166,8 @@ class TestTensorCone:
         p = haar_cone(61, 2, "a")
         q = haar_cone(67, 3, "b")
         pq = tensor_cone(p, q)
-        g = np.kron(p.generator(0), q.generator(1))
-        assert pq.contains(g)
+        g = np.kron(p.generators[:, 0], q.generators[:, 1])
+        assert cone_contains(pq, g)
         assert not pq.strictly_positive(g)
 
     def test_coefficient_solve(self):
@@ -202,6 +175,16 @@ class TestTensorCone:
         p = haar_cone(71, 2, "a")
         q = haar_cone(73, 2, "b")
         pq = tensor_cone(p, q)
-        x = np.kron(p.generator(0) + p.generator(1), q.generator(0) + q.generator(1))
+        x = np.kron(p.generators[:, 0] + p.generators[:, 1],
+                    q.generators[:, 0] + q.generators[:, 1])
         coeffs = pq.coords(x)
         assert np.allclose(coeffs, np.ones(4), atol=1e-12)
+
+    def test_product_of_strictly_positive_vectors_is_strict(self):
+        p = haar_cone(79, 2, "a")
+        q = haar_cone(83, 3, "b")
+        x = p.generators @ np.array([0.4, 1.0])
+        y = q.generators @ np.array([1.0, 0.2, 0.7])
+        pq = tensor_cone(p, q)
+        assert pq.strictly_positive(np.kron(x, y))
+        assert not pq.strictly_positive(np.kron(x, q.generators[:, 0]))

@@ -20,10 +20,10 @@ TASK_MODULES = {"inheritance", "lattice", "positivity", "semigroup", "spin", "st
 
 ALL = [
     "ArrowChain", "ChainNode", "Embedding", "ErgodicityReport", "GoodQuantumNumber",
-    "HasseDiagram", "JordanParts", "LatticeNode", "LatticeSpec", "LinearOperator", "MSector",
+    "HasseDiagram", "LatticeNode", "LatticeSpec", "LinearOperator", "MSector",
     "NodeAnalysis", "PositivityReport", "SelfDualCone", "Spectrum", "SpinSystem",
     "StabilityClassRecord", "TrotterReport", "append_factor_embedding", "build_lattice",
-    "build_node", "check_arrow", "classify", "commutes_with_observable", "concatenate",
+    "build_node", "check_arrow", "classify", "commutes_with_observable",
     "conditional_expectation", "cones", "dominates", "errors", "extension_tower",
     "generates_improving_semigroup", "generates_positive_semigroup", "good_quantum_number",
     "ground_overlap", "ground_state", "ground_state_factorizes", "hasse_export",

@@ -233,8 +233,8 @@ class TestBuildLattice:
         for node in diagram.nodes:
             e = expm_oracle(-node.hamiltonian.mat)
             for _ in range(5):
-                phi = node.cone.from_coords(gen.uniform(0.0, 1.0, size=node.cone.dim))
-                psi = node.cone.from_coords(gen.uniform(0.0, 1.0, size=node.cone.dim))
+                phi = node.cone.generators @ gen.uniform(0.0, 1.0, size=node.cone.dim)
+                psi = node.cone.generators @ gen.uniform(0.0, 1.0, size=node.cone.dim)
                 assert np.vdot(phi, e @ psi).real > 0
 
     def test_order_preservation_along_saturated_paths(self, edge_embeddings):
@@ -358,7 +358,8 @@ class TestStructuralCriterionDecides:
         diagram = build_lattice(spec)
         assert [node.mu_snapped for node in diagram.nodes] == [1.0, 1.0]
         assert diagram.assumptions == verify_spec(spec)
-        e = expm_oracle(-diagram.node((1,)).hamiltonian.mat).real
+        top = next(n for n in diagram.nodes if n.subset == (1,))
+        e = expm_oracle(-top.hamiltonian.mat).real
         assert 0.0 < e.min() < DEFAULT_TOL * e.max()
 
     @pytest.mark.parametrize("seed", range(24))

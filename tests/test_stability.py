@@ -42,7 +42,6 @@ from conecalc.inheritance import (
     Embedding,
     append_factor_embedding,
     check_arrow,
-    concatenate,
     ground_overlap,
     identity_embedding,
     verify_chain,
@@ -222,8 +221,8 @@ class TestGoodQuantumNumber:
     def test_swap_symmetric_ground_state(self):
         # H = -sx(x)1 - 1(x)sx has ground state uniform(x)uniform; the swap
         # observable fixes it, so mu = 1 (checked against a direct 4x4 eig)
-        h = -1.0 * kron(op("a", PAULI_X), identity("b", 2)) \
-            - 1.0 * kron(identity("a", 2), op("b", PAULI_X))
+        h = kron(op("a", -PAULI_X), identity("b", 2)) \
+            - kron(identity("a", 2), op("b", PAULI_X))
         swap = np.array([
             [1, 0, 0, 0],
             [0, 0, 1, 0],
@@ -587,7 +586,7 @@ class TestOnePassMatchesTwoPasses:
         n = 2 + seed % 2
         h = op("base", random_metzler_generator(
             gen, n, block_split=1 if case.get("reducible") else None))
-        o = {"h": lambda: h, "square": lambda: h @ h,
+        o = {"h": lambda: h, "square": lambda: op("base", h.mat @ h.mat),
              "random": lambda: op("base", random_hermitian(gen, n)),
              "nonhermitian": lambda: op("base", gen.normal(size=(n, n))),
              "wide": lambda: identity("wide", n + 1)}[case.get("observable", "h")]()
@@ -790,7 +789,7 @@ class TestStabilityClassStructure:
         h2 = c12.nodes[1].hamiltonian
         p2 = c12.nodes[1].cone
         c23 = extension_tower(h2, p2, kron(h, identity("q1", 2)), 1)
-        joined = concatenate(c12, c23)
+        joined = ArrowChain(c12.nodes[:-1] + c23.nodes, c12.embeddings + c23.embeddings)
         verify_chain(joined)
         report = quantum_number_along_chain(joined, h)
         assert len(set(report.snapped)) == 1
@@ -801,5 +800,6 @@ class TestStabilityClassStructure:
         refl = ArrowChain((ChainNode(h, p), ChainNode(h, p)),
                           (identity_embedding("s", 2),))
         verify_chain(refl)  # H -> H
-        both_ways = concatenate(refl, refl)  # symmetric closure on this pair
+        both_ways = ArrowChain(refl.nodes[:-1] + refl.nodes,  # symmetric closure on this pair
+                               refl.embeddings + refl.embeddings)
         verify_chain(both_ways)
