@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .cones import SelfDualCone, orthant, tensor_cone
 from .errors import ConecalcError, DimMismatch, IoError, SchemaError
-from .jsonio import canonical_dumps, matrix_from_json, vector_from_json
+from .jsonio import _is_number, canonical_dumps, matrix_from_json, vector_from_json
 from .numerics import (
     DEFAULT_TOL,
     DIM_CAP,
@@ -91,10 +91,6 @@ class RunContext:
         return self.embeddings[name]
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -154,7 +150,7 @@ def _build_context(config: dict, tol_override: float | None) -> RunContext:
         kind = spec.get("kind", "orthant")
         if kind == "orthant":
             dim = ctx.space_dim(spec.get("space"))
-            cone = orthant(spec["space"], dim, spec.get("label", ""))
+            cone = orthant(spec["space"], dim)
         elif kind == "tensor":
             parts = spec.get("parts", [])
             _require(isinstance(parts, list) and len(parts) >= 2,
@@ -170,8 +166,7 @@ def _build_context(config: dict, tol_override: float | None) -> RunContext:
                      f"cone {spec['name']!r}: needs {dim} generators, one per dimension")
             vectors = [vector_from_json(g, f"cone {spec['name']!r}") for g in spec["generators"]]
             with _constructing(f"cone {spec['name']!r}"):
-                cone = SelfDualCone(spec["space"], np.column_stack(vectors),
-                                    spec.get("label", ""))
+                cone = SelfDualCone(spec["space"], np.column_stack(vectors))
         else:
             raise SchemaError(f"unknown cone kind {kind!r}")
         ctx.cones[spec["name"]] = cone
@@ -430,7 +425,8 @@ def run_config(config: dict, digest: str, tol_override: float | None = None) -> 
     other failure is folded into the report's status.
     """
     _require(isinstance(config, dict), "config must be a JSON object")
-    _require(config.get("version") == 1, "config version must be 1")
+    _require(_is_number(config.get("version")) and config["version"] == 1,
+             "config version must be 1")
     task = config.get("task")
     _require(task in TASKS, f"unknown task {task!r}; expected one of {', '.join(TASKS)}")
     params = config.get("params", {})
@@ -513,6 +509,16 @@ def _reject_constant(token: str):
     raise SchemaError(f"config contains the non-finite number {token}")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object, refusing a repeated key where json would keep the last."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise SchemaError(f"config repeats the key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="conecalc",
@@ -532,7 +538,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.config is not None:
             raw = Path(args.config).read_bytes()
             try:
-                config = json.loads(raw, parse_constant=_reject_constant)
+                config = json.loads(raw, parse_constant=_reject_constant,
+                                    object_pairs_hook=_unique_keys)
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"config is not valid JSON: {exc}") from exc
         elif args.task == "spin-demo":

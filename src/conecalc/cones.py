@@ -7,8 +7,8 @@ products stay in the class, which is all the constructions downstream ever
 need.
 
 Orthants, their tensor products and the Marshall sign cones of `spin` have
-signed-permutation generators, u_i = s_i e_{r_i} with s_i = +-1.  Such a cone
-keeps (r, s) and reads every coordinate by gather: each entry of the dense
+generators u_i = s_i e_i with s_i = +-1.  Such a cone keeps its sign vector s
+and reads every coordinate as one product with s_i: each entry of the dense
 product is a single term times +-1, so the values are the same, and no
 generator matrix or matrix product is formed.
 """
@@ -25,58 +25,40 @@ from .numerics import DEFAULT_TOL, LinearOperator, _freeze, _kron, _numeric, pro
 GENERATOR_ORTHO_TOL = 1e-10
 
 
-class _SignedPermutation:
-    """The generator stack whose column i is signs[i] * e_{rows[i]}.
+class _SignBasis:
+    """The generator stack diag(signs), orthonormal as every sign is +-1."""
 
-    It is orthonormal exactly when ``rows`` is a permutation of 0..n-1 and
-    every sign is +1 or -1, which is checked in O(n) when rows are in order.
-    """
+    __slots__ = ("signs", "positive")
 
-    __slots__ = ("rows", "signs", "in_order", "positive")
-
-    def __init__(self, rows, signs):
-        rows = np.array(rows, dtype=np.intp)
+    def __init__(self, signs):
         signs = np.array(signs, dtype=float)
-        n = rows.size
-        if n < 1 or rows.shape != (n,) or signs.shape != (n,):
-            raise DimMismatch(f"signed permutation needs n >= 1 rows and signs, got "
-                              f"{rows.shape} and {signs.shape}")
-        in_order = bool((rows == np.arange(n)).all())
-        permutes = in_order or bool((np.sort(rows) == np.arange(n)).all())
-        if not permutes or not (np.abs(signs) == 1.0).all():
+        if signs.ndim != 1 or signs.size < 1:
+            raise DimMismatch(f"sign basis needs n >= 1 signs, got {signs.shape}")
+        if not (np.abs(signs) == 1.0).all():
             raise ValueError("generators are not orthonormal")
-        rows.setflags(write=False)
         signs.setflags(write=False)
-        self.rows = rows
         self.signs = signs
-        self.in_order = in_order  # rows is 0..n-1
         self.positive = bool((signs > 0).all())  # every sign is +1
 
     def matrix(self) -> np.ndarray:
         """The dense generator stack, read-only."""
-        gen = np.zeros((self.rows.size, self.rows.size))
-        gen[self.rows, np.arange(self.rows.size)] = self.signs
+        gen = np.diag(self.signs)
         gen.setflags(write=False)
         return gen
 
     def coords(self, x: np.ndarray) -> np.ndarray:
         """G^* x for a vector, or for a matrix column by column: row i of the
-        result is signs[i] times row rows[i] of x, in a new array."""
-        out = x[self.rows]
-        if not self.positive:
-            out *= self.signs.reshape((-1,) + (1,) * (out.ndim - 1))
-        return out
+        result is signs[i] times row i of x, in a new array."""
+        if self.positive:
+            return x.copy()
+        return x * self.signs.reshape((-1,) + (1,) * (x.ndim - 1))
 
     def operator_coords(self, mat: np.ndarray) -> np.ndarray:
-        """G^* A G: entry (i, j) is signs[i] * A[rows[i], rows[j]] * signs[j].
-        For the standard basis it is ``mat`` itself, uncopied."""
-        if self.positive and self.in_order:
+        """G^* A G: entry (i, j) is signs[i] * A[i, j] * signs[j].  For the
+        standard basis it is ``mat`` itself, uncopied."""
+        if self.positive:
             return mat
-        out = mat.copy() if self.in_order else mat[np.ix_(self.rows, self.rows)]
-        if not self.positive:
-            out *= self.signs[:, None]
-            out *= self.signs
-        return out
+        return mat * self.signs[:, None] * self.signs
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,14 +67,13 @@ class SelfDualCone:
 
     ``generators`` stacks the generators as columns; the stack must be unitary,
     which is what makes the cone self-dual and the coordinate tests exact.
-    A signed-permutation cone (see the module docstring) builds that matrix
-    only when it is read, and answers every coordinate query without it.
+    A sign cone (see the module docstring) builds that matrix only when it
+    is read, and answers every coordinate query without it.
     """
 
     space: str
     generators: np.ndarray
-    label: str = ""
-    _perm = None  # not a field: the _SignedPermutation of a signed-permutation cone
+    _sign_basis = None  # not a field: the _SignBasis of a sign cone
 
     def __post_init__(self):
         gen = _freeze(self.generators)
@@ -105,17 +86,17 @@ class SelfDualCone:
 
     def __getattr__(self, name: str):
         # reached only for an attribute that is not set: the generator
-        # matrix of a signed-permutation cone, built on its first read
-        if name != "generators" or self._perm is None:
+        # matrix of a sign cone, built on its first read
+        if name != "generators" or self._sign_basis is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        gen = self._perm.matrix()
+        gen = self._sign_basis.matrix()
         object.__setattr__(self, "generators", gen)
         return gen
 
     @property
     def dim(self) -> int:
-        if self._perm is not None:
-            return self._perm.rows.size
+        if self._sign_basis is not None:
+            return self._sign_basis.signs.size
         return self.generators.shape[0]
 
     def coords(self, x: np.ndarray) -> np.ndarray:
@@ -123,8 +104,8 @@ class SelfDualCone:
         x = _numeric(x)
         if x.shape != (self.dim,):
             raise DimMismatch(f"vector shape {x.shape} on cone of dim {self.dim}")
-        if self._perm is not None:
-            return self._perm.coords(x)
+        if self._sign_basis is not None:
+            return self._sign_basis.coords(x)
         return self.generators.conj().T @ x
 
     def _check_operator(self, op: LinearOperator) -> None:
@@ -139,43 +120,34 @@ class SelfDualCone:
         orthant or a tensor product of orthants it is ``op.mat`` itself,
         which is read-only."""
         self._check_operator(op)
-        if self._perm is not None:
-            return self._perm.operator_coords(op.mat)
+        if self._sign_basis is not None:
+            return self._sign_basis.operator_coords(op.mat)
         return self.generators.conj().T @ op.mat @ self.generators
 
     def _base_signs(self, op: LinearOperator, d0: int) -> np.ndarray | None:
         """For an operator on this cone's space whose first tensor factor
         has dimension ``d0``: the sign t[a] of the generator on every row
-        (a, s), when the cone is a signed permutation of the first factor
-        alone tensored with the orthant of the rest, and None for any other
-        cone.  Its generator-basis matrix is then the operator's entries
-        times t[a] t[b], with rows and columns permuted together."""
+        (a, s), when the cone is a sign cone whose signs are constant on each
+        fiber {a} x S, and None for any other cone.  Its generator-basis
+        matrix is then the operator's entries times t[a] t[b]."""
         self._check_operator(op)
-        if self._perm is None:
+        if self._sign_basis is None:
             return None
-        rows, signs, n = self._perm.rows, self._perm.signs, self.dim // d0
-        if self._perm.in_order and self._perm.positive:
-            return np.ones(d0)
-        base = rows[::n] // n
-        if not (np.array_equal(rows, (base[:, None] * n + np.arange(n)).ravel())
-                and np.array_equal(signs, np.repeat(signs[::n], n))):
-            return None
-        out = np.empty(d0)
-        out[base] = signs[::n]
-        return out
+        signs = self._sign_basis.signs.reshape(d0, -1)
+        return signs[:, 0] if (signs == signs[:, :1]).all() else None
 
     def _column_coords(self, mat: np.ndarray) -> np.ndarray:
         """G^* M: the generator coordinates of every column of M."""
-        if self._perm is not None:
-            return self._perm.coords(mat)
+        if self._sign_basis is not None:
+            return self._sign_basis.coords(mat)
         return self.generators.conj().T @ mat
 
     def _pulled_generators(self, tau: np.ndarray) -> np.ndarray:
         """tau^* G: every generator pulled back through the isometry tau, as
-        columns.  For a signed permutation, column j is s_j conj(tau[r_j])."""
-        if self._perm is None:
+        columns.  For a sign cone, column j is s_j conj(tau[j])."""
+        if self._sign_basis is None:
             return tau.conj().T @ self.generators
-        pulled = self._perm.coords(tau)
+        pulled = self._sign_basis.coords(tau)
         np.conjugate(pulled, out=pulled)
         return pulled.T
 
@@ -196,33 +168,28 @@ class SelfDualCone:
         )
 
 
-def _signed_permutation_cone(space: str, rows, signs, label: str = "") -> SelfDualCone:
-    """The cone with generators signs[i] * e_{rows[i]}, kept in that form."""
-    perm = _SignedPermutation(rows, signs)
+def _signed_cone(space: str, signs) -> SelfDualCone:
+    """The cone with generators signs[i] * e_i, kept as its sign vector."""
     cone = object.__new__(SelfDualCone)
-    for name, value in (("space", space), ("label", label), ("_perm", perm)):
-        object.__setattr__(cone, name, value)
+    object.__setattr__(cone, "space", space)
+    object.__setattr__(cone, "_sign_basis", _SignBasis(signs))
     return cone
 
 
-def orthant(space: str, n: int, label: str = "") -> SelfDualCone:
+def orthant(space: str, n: int) -> SelfDualCone:
     """The nonnegative orthant: standard-basis generators e_1..e_n."""
     if n < 1:
         raise ValueError("orthant dimension must be >= 1")
-    return _signed_permutation_cone(space, np.arange(n), np.ones(n), label or f"R+^{n}")
+    return _signed_cone(space, np.ones(n))
 
 
-def tensor_cone(p: SelfDualCone, q: SelfDualCone, label: str = "") -> SelfDualCone:
+def tensor_cone(p: SelfDualCone, q: SelfDualCone) -> SelfDualCone:
     """Conical hull of {u_i (x) v_j}: the self-dual cone of the product space.
 
     Generator order follows the Kronecker convention, (i, j) -> i*dim(q)+j.
-    The product of two signed-permutation cones is one again: generator
-    (i, j) is s_i t_j e_{r_i * dim(q) + r'_j}.
+    The product of two sign cones is one again, with signs s_i t_j.
     """
     space = product_space(p.space, q.space)
-    label = label or f"{p.label or p.space}(x){q.label or q.space}"
-    if p._perm is not None and q._perm is not None:
-        rows = (p._perm.rows[:, None] * q.dim + q._perm.rows).ravel()
-        signs = np.outer(p._perm.signs, q._perm.signs).ravel()
-        return _signed_permutation_cone(space, rows, signs, label)
-    return SelfDualCone(space, _kron(p.generators, q.generators), label)
+    if p._sign_basis is not None and q._sign_basis is not None:
+        return _signed_cone(space, np.outer(p._sign_basis.signs, q._sign_basis.signs).ravel())
+    return SelfDualCone(space, _kron(p.generators, q.generators))

@@ -213,9 +213,9 @@ def inherits_positivity(p1: SelfDualCone, p2: SelfDualCone, emb: Embedding,
     tol.  tol must stay below 1/sqrt(2), so that only a column's dominant
     coordinate can qualify.
 
-    Two signed-permutation cones (see `cones`) and a Kronecker embedding
-    between them are decided from (rows, signs) and (cols, vals) alone, in
-    O(dim_to) (`_inherits_by_rows`): no projection or coordinate matrix is
+    Two sign cones (see `cones`) and a Kronecker embedding between them are
+    decided from their signs and (cols, vals) alone, in O(dim_to)
+    (`_inherits_by_signs`): no projection or coordinate matrix is
     formed and the isometry is not read.  Any other operands take the dense
     products above, which are the oracle of that route.
     """
@@ -223,8 +223,8 @@ def inherits_positivity(p1: SelfDualCone, p2: SelfDualCone, emb: Embedding,
         raise DimMismatch("embedding does not match the two cones")
     if not tol < TOL_LIMIT:
         raise ValueError(f"inheritance tolerance {tol!r} must be below 1/sqrt(2)")
-    if p1._perm is not None and p2._perm is not None and emb._cols is not None:
-        return _inherits_by_rows(p1._perm, p2._perm, emb, tol)
+    if p1._sign_basis is not None and p2._sign_basis is not None and emb._cols is not None:
+        return _inherits_by_signs(p1._sign_basis, p2._sign_basis, emb, tol)
     if not classify(emb.projection(), p2, tol).preserving:
         return False
     pulled = p2._pulled_generators(emb.isometry)  # tau^* g_j as columns
@@ -243,13 +243,13 @@ def inherits_positivity(p1: SelfDualCone, p2: SelfDualCone, emb: Embedding,
     return bool(covered.all())
 
 
-def _inherits_by_rows(small, big, emb: Embedding, tol: float) -> bool:
-    """`inherits_positivity` for two `cones._SignedPermutation` stacks and a
+def _inherits_by_signs(small, big, emb: Embedding, tol: float) -> bool:
+    """`inherits_positivity` for two `cones._SignBasis` stacks and a
     Kronecker embedding, with the dense route's verdict, in O(dim_to).
 
-    The big generator at row r pulls back to sigma[r] e_{cols[r]}, where
-    sigma[r] is its sign times vals[r].  Its one small-cone coordinate is
-    c[r] = sign(cols[r]) sigma[r], at the small generator on row cols[r],
+    Big generator r pulls back to sigma[r] e_{cols[r]}, where sigma[r] is
+    its sign times vals[r].  Its one small-cone coordinate is
+    c[r] = small.signs[cols[r]] sigma[r], at small generator cols[r],
     and its norm is sqrt(vals[r]^2): the dense route's own numbers, as each
     is a single signed product.  Membership is c[r] >= -tol sqrt(vals[r]^2)
     for every r.  As c[r] is +-vals[r], at a tol below 1/sqrt(2) it holds
@@ -264,12 +264,7 @@ def _inherits_by_rows(small, big, emb: Embedding, tol: float) -> bool:
       vals[r] != 0, whose c[r] > 0 puts that pulled generator on the ray of
       the column's small generator.
     """
-    sigma = np.empty(emb.dim_to)
-    sigma[big.rows] = big.signs
-    sigma *= emb._vals
-    small_signs = np.empty(emb.dim_from)
-    small_signs[small.rows] = small.signs
-    coords = small_signs[emb._cols] * sigma
+    coords = small.signs[emb._cols] * (big.signs * emb._vals)
     return bool((coords >= -(tol * np.sqrt(emb._vals * emb._vals))).all())
 
 
@@ -317,7 +312,7 @@ def ground_overlap(source: NodeAnalysis, target: NodeAnalysis, emb: Embedding) -
     target ground state (strictly positive for a genuine pair) and whether
     the compressed ground-state projector improves the small cone.  The
     verdicts and ground states are the records' own, so a caller holding
-    them decomposes nothing again.  On a signed-permutation source cone and
+    them decomposes nothing again.  On a sign source cone and
     a real pulled vector, the projector is decided in O(dim) without being
     formed (`_projector_improves`).
     """
@@ -336,14 +331,14 @@ def ground_overlap(source: NodeAnalysis, target: NodeAnalysis, emb: Embedding) -
 def _projector_improves(x: np.ndarray, cone: SelfDualCone, space: str, tol: float) -> bool:
     """Whether |x><x| on ``space`` improves the cone, as `classify` decides it.
 
-    On a signed-permutation cone and a real x, the projector's
+    On a sign cone and a real x, the projector's
     generator-basis matrix is c c^T for the coordinates c of x.  With
     hi = max c and lo = min c, its smallest entry is min(hi lo, hi^2, lo^2)
     and its largest magnitude max(hi^2, lo^2), each an entry of that matrix,
     so the verdict costs O(dim) and no outer product is formed.
     """
-    if cone._perm is not None and not np.iscomplexobj(x) and space == cone.space:
-        c = cone._perm.coords(x)
+    if cone._sign_basis is not None and not np.iscomplexobj(x) and space == cone.space:
+        c = cone._sign_basis.coords(x)
         hi, lo = float(c.max()), float(c.min())
         scale = max(hi * hi, lo * lo)
         return scale != 0.0 and min(hi * lo, hi * hi, lo * lo) >= tol * scale

@@ -53,11 +53,15 @@ def canonical_dumps(obj) -> str:
     return _canon(obj)
 
 
+def _is_number(value) -> bool:
+    """A JSON number: true and false are no numbers, though bool is an int."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _parse_entry(cell) -> complex:
-    if isinstance(cell, (int, float)):
+    if _is_number(cell):
         parts = (cell, 0.0)
-    elif isinstance(cell, list) and len(cell) == 2 and all(
-            isinstance(c, (int, float)) for c in cell):
+    elif isinstance(cell, list) and len(cell) == 2 and all(_is_number(c) for c in cell):
         parts = cell
     else:
         raise SchemaError(f"matrix entry must be a number or [re, im] pair, got {cell!r}")

@@ -194,8 +194,8 @@ def _metzler_coords(h: LinearOperator, cone: SelfDualCone,
 
 def _factor_improving(h: LinearOperator, cone: SelfDualCone, tol: float) -> bool | None:
     """`generates_improving_semigroup` of a real Kronecker sum
-    H = H0 (x) 1 - X (x) K on a cone whose signs t[a] depend on the base
-    index alone (`SelfDualCone._base_signs`), read from the entry table of
+    H = H0 (x) 1 - X (x) K on a sign cone whose signs t[a] depend on the
+    base index alone (`SelfDualCone._base_signs`), read from the entry table of
     H (`numerics._EntryTable`) with H0 and X flipped to t[a] t[b] h0[a, b]
     and t[a] t[b] x[a, b]; None where the dense route decides.
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import SelfDualCone, _signed_permutation_cone
+from .cones import SelfDualCone, _signed_cone
 from .errors import DimCap, PreconditionFailed, SignRuleFailed
 from .inheritance import Embedding
 from .numerics import DEFAULT_TOL, LinearOperator
@@ -170,9 +170,7 @@ def _sign_cone(system: SpinSystem, m: float, basis: np.ndarray) -> SelfDualCone:
     sector has the same number of down spins, so they are the signs of
     sublattice A times one global sign, and both give the same matrix."""
     n = system.sites
-    return _signed_permutation_cone(_sector_space(n, m), np.arange(basis.size),
-                                    _marshall_signs(n, system.sublattice_a, basis),
-                                    label=f"marshall_M{m:g}")
+    return _signed_cone(_sector_space(n, m), _marshall_signs(n, system.sublattice_a, basis))
 
 
 def _require_metzler(h: LinearOperator, cone: SelfDualCone, tol: float) -> None:

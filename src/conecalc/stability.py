@@ -321,9 +321,7 @@ def _perturbed_node(h0: LinearOperator, cone: SelfDualCone, x: LinearOperator,
     the cone of tensoring their orthants in one at a time."""
     h = _kronecker_sum(reduce(product_space, names, h0.space), h0, x, slots)
     if slots:
-        dims = [slot.mat.shape[0] for slot in slots]
-        joint = orthant(reduce(product_space, names), math.prod(dims),
-                        "(x)".join(f"R+^{n}" for n in dims))
+        joint = orthant(reduce(product_space, names), math.prod(s.mat.shape[0] for s in slots))
         cone = tensor_cone(cone, joint)
     return ChainNode(h, cone)
 

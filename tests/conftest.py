@@ -7,7 +7,7 @@ operators from dense Kronecker products on the full 2^n space, chain
 quantum numbers from two passes, every link before any node is read, a
 lattice node's coupling from its factor operators summed on the bare factor
 product, a lattice embedding from one block per slot of the larger subset,
-signed-permutation cones and Kronecker embeddings from the same generators
+sign cones and Kronecker embeddings from the same generators
 and isometries taken as dense matrices, and the Metzler criterion from
 exponentials sampled over beta.
 """
@@ -22,7 +22,7 @@ import pytest
 from scipy.linalg import expm
 
 from conecalc import inheritance, lattice
-from conecalc.cones import SelfDualCone, _signed_permutation_cone, orthant, tensor_cone
+from conecalc.cones import SelfDualCone, _signed_cone, orthant, tensor_cone
 from conecalc.errors import (
     ArrowFailed,
     ChainFailed,
@@ -107,11 +107,11 @@ def random_lattice_spec(gen: np.random.Generator,
     circulants, so they commute; C0 and X are nonnegative and C0 is
     irreducible.  Each Y_mu is a nonnegative irreducible symmetric circulant
     with its coordinates permuted, so the uniform vector stays an
-    eigenvector.  A ``structured`` base cone is a random signed permutation,
-    and every operator is real."""
+    eigenvector.  A ``structured`` base cone has random signs, generator i
+    being +-e_i, and every operator is real."""
     n = int(gen.integers(2, 4))
     if structured:
-        cone = _signed_permutation_cone("base", gen.permutation(n), gen.choice([-1.0, 1.0], n))
+        cone = _signed_cone("base", gen.choice([-1.0, 1.0], n))
         q = cone.generators
     else:
         q, _ = np.linalg.qr(gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n)))
@@ -315,10 +315,17 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def permuted_cone(gen: np.random.Generator, space: str, n: int) -> SelfDualCone:
+    """An explicit cone whose generator i is +-e_{p(i)}, for a random
+    permutation p and random signs, a stack no sign cone keeps unless p is
+    the identity."""
+    return SelfDualCone(space, np.eye(n)[:, gen.permutation(n)] * gen.choice([-1.0, 1.0], n))
+
+
 def dense_cone(cone: SelfDualCone) -> SelfDualCone:
     """The same cone given by its generator matrix, as an explicit cone: the
     dense products and the Gram check, whatever structure the cone keeps."""
-    return SelfDualCone(cone.space, np.array(cone.generators), cone.label)
+    return SelfDualCone(cone.space, np.array(cone.generators))
 
 
 def cone_contains(cone: SelfDualCone, x: np.ndarray, tol: float = DEFAULT_TOL) -> bool:

@@ -11,7 +11,7 @@ import pytest
 from conecalc import cli, lattice, numerics, stability
 from conecalc.cli import emit, main, run_config
 from conecalc.errors import SchemaError
-from conecalc.jsonio import canonical_dumps, matrix_from_json
+from conecalc.jsonio import canonical_dumps, matrix_from_json, vector_from_json
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -50,6 +50,14 @@ class TestCanonicalJson:
     def test_plain_numbers_are_real_entries(self):
         mat = matrix_from_json([[0, 1], [1, 0]])
         assert (mat.imag == 0).all()
+
+    @pytest.mark.parametrize("cell", [True, False, [True, 0.0], [1.0, False]])
+    def test_booleans_are_no_entries(self, cell):
+        # bool is an int in Python, but true and false are no JSON numbers
+        with pytest.raises(SchemaError, match="matrix entry must be a number"):
+            matrix_from_json([[cell]])
+        with pytest.raises(SchemaError, match="matrix entry must be a number"):
+            vector_from_json([1.0, cell])
 
 
 class TestRunConfig:
@@ -585,6 +593,30 @@ def test_malformed_registry_exits_two_without_a_traceback(task, text, message, t
     err = assert_schema_error_writes_nothing(task, text, [], tmp_path, capsys)
     assert err.startswith(f"conecalc: schema error: {message}")
     assert "Traceback" not in err
+
+
+SHIPPED = sorted(path.name for path in CONFIGS.glob("*.json"))
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_a_boolean_for_a_number_exits_two_and_writes_nothing(name, tmp_path, capsys):
+    task = load(name)["task"]
+    text = edited(name, lambda c: c.update(version=True))
+    err = assert_schema_error_writes_nothing(task, text, [], tmp_path, capsys)
+    assert err == "conecalc: schema error: config version must be 1\n"
+    if "operators" not in load(name):
+        return
+    text = edited(name, lambda c: c["operators"][0]["entries"][0].__setitem__(0, True))
+    err = assert_schema_error_writes_nothing(task, text, [], tmp_path, capsys)
+    assert "matrix entry must be a number or [re, im] pair, got True" in err
+
+
+def test_a_repeated_key_exits_two_and_writes_nothing(tmp_path, capsys):
+    # json keeps the last of a repeated key: this config would run depth 1
+    text = (CONFIGS / "richness_depth5.json").read_text()
+    text = text.replace('"depth": 5', '"depth": 5, "depth": 1')
+    err = assert_schema_error_writes_nothing("richness", text, [], tmp_path, capsys)
+    assert err == "conecalc: schema error: config repeats the key 'depth'\n"
 
 
 def test_repeated_member_id_is_refused_before_the_base_record_is_built(monkeypatch, tmp_path,

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import cone_contains, dense_cone, random_unit, rng
 
-from conecalc.cones import SelfDualCone, _signed_permutation_cone, orthant, tensor_cone
+from conecalc.cones import SelfDualCone, _signed_cone, orthant, tensor_cone
 from conecalc.errors import DimMismatch
 
 
@@ -82,9 +82,15 @@ class TestCoords:
         assert np.linalg.norm(p.generators @ p.coords(x) - x) <= 1e-10
 
     def test_signed_permutation_matches_its_dense_generators(self):
-        p = _signed_permutation_cone("s", [2, 0, 3, 1], [1, -1, -1, 1])
+        # a sign cone against its dense generators, and an explicit signed
+        # permutation against the signed gather of the vector
+        rows, signs = [2, 0, 3, 1], np.array([1.0, -1.0, -1.0, 1.0])
         x = random_unit(rng(23), 4)
+        p = _signed_cone("s", signs)
         assert np.allclose(p.coords(x), dense_cone(p).coords(x), atol=1e-15)
+        stack = np.zeros((4, 4))
+        stack[rows, np.arange(4)] = signs
+        assert np.allclose(SelfDualCone("s", stack).coords(x), signs * x[rows], atol=1e-15)
 
 
 class TestStrictlyPositive:

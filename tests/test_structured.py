@@ -1,4 +1,4 @@
-"""Signed-permutation cones, Kronecker embeddings and Kronecker-sum spectra
+"""Sign cones, Kronecker embeddings and Kronecker-sum spectra
 against the dense path.
 
 Each structured cone is compared with the explicit cone of its own generator
@@ -22,6 +22,7 @@ import pytest
 from conftest import (
     dense_cone,
     dense_embedding,
+    permuted_cone,
     random_hermitian,
     random_lattice_spec,
     random_metzler_generator,
@@ -37,7 +38,7 @@ from conecalc import inheritance, positivity, stability
 from conecalc.cli import RunContext, _stability_member_chain, run_config
 from conecalc.cones import (
     SelfDualCone,
-    _signed_permutation_cone,
+    _signed_cone,
     orthant,
     tensor_cone,
 )
@@ -99,14 +100,11 @@ SEEDS = range(60)
 
 
 def signed_factor(gen: np.random.Generator, space: str, n: int) -> SelfDualCone:
-    """An orthant, a negated orthant, a permuted orthant or a random signed
-    permutation."""
-    kind = int(gen.integers(4))
+    """An orthant, a negated orthant or random signs."""
+    kind = int(gen.integers(3))
     if kind == 0:
         return orthant(space, n)
-    rows = np.arange(n) if kind == 1 else gen.permutation(n)
-    signs = {1: -np.ones(n), 2: np.ones(n), 3: gen.choice([-1.0, 1.0], n)}[kind]
-    return _signed_permutation_cone(space, rows, signs)
+    return _signed_cone(space, -np.ones(n) if kind == 1 else gen.choice([-1.0, 1.0], n))
 
 
 def sector_cone(gen: np.random.Generator) -> SelfDualCone:
@@ -117,8 +115,8 @@ def sector_cone(gen: np.random.Generator) -> SelfDualCone:
 
 
 def structured_cone(seed: int) -> SelfDualCone:
-    """A signed permutation, a tensor product of two or three of them, or a
-    Marshall sector cone."""
+    """A sign cone, a tensor product of two or three of them, or a Marshall
+    sector cone."""
     gen = rng(seed)
     if seed % 5 == 4:
         return sector_cone(gen)
@@ -231,9 +229,9 @@ class TestConeOracle:
 
 class TestNegativeZero:
     def test_zero_witness_on_a_negated_orthant(self):
-        # the gather and the dense product may give a zero entry different
-        # signs; the report carries +0.0 either way
-        cone = _signed_permutation_cone("s", [0, 1], [-1.0, -1.0])
+        # the signed product and the dense product may give a zero entry
+        # different signs; the report carries +0.0 either way
+        cone = _signed_cone("s", [-1.0, -1.0])
         a = LinearOperator("s", np.array([[1.0, -0.0], [-0.0, 1.0]]))
         report, oracle = classify(a, cone), classify(a, dense_cone(cone))
         assert report.preserving and not report.improving
@@ -368,7 +366,7 @@ def edge_unit(gen: np.random.Generator, k: int) -> np.ndarray:
 
 
 def inheritance_case(seed: int):
-    """(p1, p2, emb) of signed-permutation cones and a Kronecker embedding:
+    """(p1, p2, emb) of sign cones and a Kronecker embedding:
     an append embedding, the identity, a lattice subset embedding (factors
     inserted between kept ones included) or the broken tower link."""
     gen = rng(9000 + seed)
@@ -467,7 +465,7 @@ def test_projector_verdict_equals_classify(seed):
 
 
 def test_projector_verdict_changes_with_the_tolerance():
-    cone = _signed_permutation_cone("s", [2, 0, 1], [-1.0, 1.0, 1.0])
+    cone = _signed_cone("s", [-1.0, 1.0, 1.0])
     x = cone.generators @ np.array([1.0, 0.5, 1e-4])  # smallest entry 1e-8
     assert [_projector_improves(x, cone, "s", tol) for tol in (1e-9, 1e-6)] == [True, False]
     assert not _projector_improves(-x * [1.0, 1.0, -1.0], cone, "s", 1e-9)
@@ -475,12 +473,12 @@ def test_projector_verdict_changes_with_the_tolerance():
 
 @pytest.mark.parametrize("seed", range(20))
 def test_node_cone_equals_the_stepwise_tensor(seed):
-    # one tensor_cone with the joint slot orthant gives the cone, space and
-    # label of tensoring the slot orthants in one at a time
+    # one tensor_cone with the joint slot orthant gives the cone and space of
+    # tensoring the slot orthants in one at a time
     gen = rng(9500 + seed)
     base = structured_cone(seed)
     if seed % 4 == 3:
-        base = SelfDualCone(base.space, np.array(base.generators), base.label)  # explicit
+        base = dense_cone(base)
     dims = [int(n) for n in gen.integers(1, 4, size=int(gen.integers(1, 4)))]
     h0 = LinearOperator(base.space, np.eye(base.dim))
     slots = [_kronecker_slot(np.ones((n, n))) for n in dims]
@@ -490,15 +488,12 @@ def test_node_cone_equals_the_stepwise_tensor(seed):
             stepwise = tensor_cone(stepwise, orthant(f"f{mu}", dims[mu - 1]))
         cone = _perturbed_node(h0, base, h0, [slots[mu - 1] for mu in subset],
                                [f"f{mu}" for mu in subset]).cone
-        assert (cone.space, cone.label) == (stepwise.space, stepwise.label)
-        assert (cone._perm is None) == (base._perm is None)
-        if base._perm is None:
+        assert cone.space == stepwise.space
+        assert (cone._sign_basis is None) == (base._sign_basis is None)
+        if base._sign_basis is None:
             assert same_bits(cone.generators, stepwise.generators)
             continue
-        assert same_bits(cone._perm.rows, stepwise._perm.rows)
-        assert same_bits(cone._perm.signs, stepwise._perm.signs)
-        assert (cone._perm.in_order, cone._perm.positive) == (
-            stepwise._perm.in_order, stepwise._perm.positive)
+        assert same_bits(cone._sign_basis.signs, stepwise._sign_basis.signs)
 
 
 def renamed(space: str, names: dict) -> str:
@@ -510,9 +505,8 @@ def assert_same_node(got, want, names: dict) -> None:
     renamed to ``want``'s by ``names``."""
     assert renamed(got.hamiltonian.space, names) == want.hamiltonian.space
     assert same_bits(got.hamiltonian.mat, want.hamiltonian.mat)
-    assert (renamed(got.cone.space, names), got.cone.label) == (want.cone.space, want.cone.label)
-    assert same_bits(got.cone._perm.rows, want.cone._perm.rows)
-    assert same_bits(got.cone._perm.signs, want.cone._perm.signs)
+    assert renamed(got.cone.space, names) == want.cone.space
+    assert same_bits(got.cone._sign_basis.signs, want.cone._sign_basis.signs)
 
 
 def assert_same_embedding(got: Embedding, want: Embedding) -> None:
@@ -560,13 +554,13 @@ def refuse(*args, **kwargs):
 
 class TestStructuredLinksFormNothingDense:
     def test_tower_link(self, monkeypatch):
-        # the arrow decides on (rows, signs) and (cols, vals), the overlap
+        # the arrow decides on the signs and (cols, vals), the overlap
         # gathers the pulled ground state, and the projector test is O(dim)
         flip = np.array([[0.0, 1.0], [1.0, 0.0]])
         h1 = LinearOperator("a", -flip)
         h2 = kron(h1, LinearOperator("b", np.eye(2))) - kron(LinearOperator("a", np.eye(2)),
                                                             LinearOperator("b", flip))
-        p1 = _signed_permutation_cone("a", [1, 0], [1.0, 1.0])
+        p1 = _signed_cone("a", [-1.0, -1.0])
         p2 = tensor_cone(p1, orthant("b", 2))
         source, target = NodeAnalysis(h1, p1), NodeAnalysis(h2, p2)
         emb = append_factor_embedding("a", h2.space, 2, np.array([1.0, 1.0]) / math.sqrt(2.0))
@@ -744,18 +738,14 @@ class TestBlockSpectrumOracle:
 
 
 class TestConstruction:
-    def test_rows_must_be_a_permutation(self):
-        with pytest.raises(ValueError, match="orthonormal"):
-            _signed_permutation_cone("s", [0, 0], [1.0, 1.0])
-
     def test_signs_must_be_units(self):
         with pytest.raises(ValueError, match="orthonormal"):
-            _signed_permutation_cone("s", [1, 0], [1.0, 0.5])
+            _signed_cone("s", [1.0, 0.5])
 
     def test_tensor_with_an_explicit_cone_is_dense(self):
         explicit = dense_cone(orthant("b", 2))
         cone = tensor_cone(orthant("a", 2), explicit)
-        assert cone._perm is None
+        assert cone._sign_basis is None
         assert np.array_equal(cone.generators, np.eye(4))
 
     def test_complex_appended_vector_takes_the_dense_path(self):
@@ -787,9 +777,9 @@ def kronecker_case(seed: int):
     any signs, a non-symmetric Y or X (at the Hermitian tolerance or far
     past it), an X with a zero diagonal entry (its fibers fall back to the
     dense sweeps), and a reducible base.  The base cone is an orthant, a
-    signed permutation of the base index, or an explicit cone, whose sums
-    take the dense route; every fifth node gets a signed permutation of the
-    whole product space, whose signs do not factor."""
+    sign cone of the base index, or an explicit signed permutation of it,
+    whose sums take the dense route; every fifth node gets random signs
+    over the whole product space, which need not factor."""
     gen = rng(15000 + seed)
     d0 = int(gen.integers(1, 5))
     dims = [int(n) for n in gen.integers(1, 4, size=int(gen.integers(0, 4)))]
@@ -811,14 +801,13 @@ def kronecker_case(seed: int):
         x[int(gen.integers(d0)), int(gen.integers(d0))] = 0.0
         np.fill_diagonal(x, np.where(gen.uniform(size=d0) < 0.5, 0.0, np.diagonal(x)))
     base = [orthant("base", d0), signed_factor(gen, "base", d0),
-            dense_cone(signed_factor(gen, "base", d0))][seed % 3]
+            permuted_cone(gen, "base", d0)][seed % 3]
     names = [f"f{mu}" for mu in range(1, len(dims) + 1)]
     node = _perturbed_node(LinearOperator("base", h0), base, LinearOperator("base", x),
                            tuple(_kronecker_slot(y) for y in ys), names)
     h, cone = node.hamiltonian, node.cone
-    if seed % 5 == 4 and cone._perm is not None:
-        cone = _signed_permutation_cone(cone.space, gen.permutation(cone.dim),
-                                        gen.choice([-1.0, 1.0], cone.dim))
+    if seed % 5 == 4 and cone._sign_basis is not None:
+        cone = _signed_cone(cone.space, gen.choice([-1.0, 1.0], cone.dim))
     return h, cone
 
 
@@ -862,8 +851,8 @@ class TestEntryTableOracle:
 
     def test_every_route_is_taken(self):
         # over the seeds above: factor verdicts of both signs, Metzler
-        # failures, and the two fallbacks (cones whose signs do not factor,
-        # fibers that are not connected) all occur
+        # failures, and the three fallbacks (explicit cones, sign cones whose
+        # signs do not factor, fibers that are not connected) all occur
         counts = Counter()
         for seed in range(150):
             h, cone = kronecker_case(seed)
@@ -874,12 +863,13 @@ class TestEntryTableOracle:
             metzler = _metzler_coords(dense, cone, DEFAULT_TOL) is not None
             verdict = _factor_improving(h, cone, DEFAULT_TOL)
             if verdict is None:
-                counts["cone" if cone._base_signs(h, h._factors.h0.shape[0]) is None
+                counts["explicit" if cone._sign_basis is None
+                       else "cone" if cone._base_signs(h, h._factors.h0.shape[0]) is None
                        else "fiber"] += 1
             else:
                 counts[(metzler, verdict)] += 1
-        assert all(counts[key] >= 3 for key in ["non-hermitian", "cone", "fiber", (True, True),
-                                                (True, False), (False, False)]), counts
+        assert all(counts[key] >= 3 for key in ["non-hermitian", "explicit", "cone", "fiber",
+                                                (True, True), (True, False), (False, False)]), counts
 
     def test_a_zero_weight_fiber_takes_the_dense_sweeps(self):
         # x[1, 1] = 0 leaves fiber 1 without edges, yet the sum is irreducible
