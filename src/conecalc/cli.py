@@ -118,14 +118,14 @@ def _registry(config: dict, key: str, entry: str):
         yield spec
 
 
-def _tolerance(value, source: str) -> float:
+def _tolerance(value) -> float:
     _require(_is_number(value) and math.isfinite(value) and value > 0,
-             f"{source} must be a finite positive number, got {value!r}")
-    _require(value < TOL_LIMIT, f"{source} must be below 1/sqrt(2), got {value!r}")
+             f"tolerances.default must be a finite positive number, got {value!r}")
+    _require(value < TOL_LIMIT, f"tolerances.default must be below 1/sqrt(2), got {value!r}")
     return float(value)
 
 
-def _build_context(config: dict, tol_override: float | None) -> RunContext:
+def _build_context(config: dict) -> RunContext:
     ctx = RunContext()
     spaces = config.get("spaces", {})
     _require(isinstance(spaces, dict), "spaces must map names to dimensions")
@@ -202,9 +202,7 @@ def _build_context(config: dict, tol_override: float | None) -> RunContext:
 
     tolerances = config.get("tolerances", {})
     _require(isinstance(tolerances, dict), "tolerances must be a mapping")
-    ctx.tol = _tolerance(tolerances.get("default", DEFAULT_TOL), "tolerances.default")
-    if tol_override is not None:
-        ctx.tol = _tolerance(tol_override, "--tol")
+    ctx.tol = _tolerance(tolerances.get("default", DEFAULT_TOL))
     return ctx
 
 
@@ -418,7 +416,7 @@ _RUNNERS = {
 }
 
 
-def run_config(config: dict, digest: str, tol_override: float | None = None) -> tuple[dict, dict]:
+def run_config(config: dict, digest: str) -> tuple[dict, dict]:
     """Validate, dispatch, and wrap the outcome as a report object.
 
     Returns (report, extra_files).  Schema problems raise SchemaError; every
@@ -431,7 +429,7 @@ def run_config(config: dict, digest: str, tol_override: float | None = None) -> 
     _require(task in TASKS, f"unknown task {task!r}; expected one of {', '.join(TASKS)}")
     params = config.get("params", {})
     _require(isinstance(params, dict), "params must be a JSON object")
-    ctx = _build_context(config, tol_override)
+    ctx = _build_context(config)
 
     extra_files: dict[str, str] = {}
     try:
@@ -466,14 +464,15 @@ def run_config(config: dict, digest: str, tol_override: float | None = None) -> 
 def emit(report: dict, out_dir: str | Path, extra_files: dict[str, str] | None = None) -> list[Path]:
     """Write report.json (and any diagram files) with canonical bytes."""
     out = Path(out_dir)
+    # rendered first, so a report that cannot be leaves no directory
+    rendered = canonical_dumps(report) + "\n"
     written = []
     try:
         out.mkdir(parents=True, exist_ok=True)
         report_path = out / "report.json"
         # a lone surrogate is the one string UTF-8 cannot encode; it is
         # written as its JSON escape \udXXX
-        report_path.write_text(canonical_dumps(report) + "\n", encoding="utf-8",
-                               errors="backslashreplace")
+        report_path.write_text(rendered, encoding="utf-8", errors="backslashreplace")
         written.append(report_path)
         for name, text in (extra_files or {}).items():
             path = out / name
@@ -482,27 +481,6 @@ def emit(report: dict, out_dir: str | Path, extra_files: dict[str, str] | None =
     except OSError as exc:
         raise IoError(f"cannot write outputs to {out}: {exc}") from exc
     return written
-
-
-def _spin_demo_config(args) -> dict:
-    config: dict = {"version": 1, "task": "spin-demo", "params": {}}
-    if args.sites is not None:
-        config["params"]["sites"] = args.sites
-    if args.partition:
-        halves = args.partition.split("/")
-        _require(len(halves) == 2, "--partition must look like 1,2/3,4")
-        try:
-            a = [int(s) for s in halves[0].split(",") if s]
-            b = [int(s) for s in halves[1].split(",") if s]
-        except ValueError as exc:
-            raise SchemaError(f"bad --partition: {exc}") from exc
-        config["params"]["sublattice_a"] = a
-        config["params"]["sublattice_b"] = b
-        config["params"].setdefault("sites", len(a) + len(b))
-    if args.sector is not None:
-        _require(math.isfinite(args.sector), f"--sector must be finite, got {args.sector!r}")
-        config["params"]["sector_m"] = args.sector
-    return config
 
 
 def _reject_constant(token: str):
@@ -528,31 +506,22 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("task", choices=TASKS)
     parser.add_argument("--config", help="path to the run configuration JSON")
     parser.add_argument("--out", default="out", help="output directory (default: ./out)")
-    parser.add_argument("--tol", type=float, default=None, help="override default tolerance")
-    parser.add_argument("--sites", type=int, default=None, help="spin-demo: number of sites")
-    parser.add_argument("--partition", default=None, help="spin-demo: sublattices, e.g. 1,2/3,4")
-    parser.add_argument("--sector", type=float, default=None, help="spin-demo: magnetization M")
     args = parser.parse_args(argv)
 
     try:
-        if args.config is not None:
-            raw = Path(args.config).read_bytes()
-            try:
-                config = json.loads(raw, parse_constant=_reject_constant,
-                                    object_pairs_hook=_unique_keys)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"config is not valid JSON: {exc}") from exc
-        elif args.task == "spin-demo":
-            config = _spin_demo_config(args)
-            raw = canonical_dumps(config).encode("utf-8")
-        else:
-            raise SchemaError("--config is required for this task")
+        _require(args.config is not None, "--config is required")
+        raw = Path(args.config).read_bytes()
+        try:
+            config = json.loads(raw, parse_constant=_reject_constant,
+                                object_pairs_hook=_unique_keys)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"config is not valid JSON: {exc}") from exc
         if isinstance(config, dict) and args.task != config.get("task", args.task):
             raise SchemaError(
                 f"config task {config.get('task')!r} does not match CLI task {args.task!r}"
             )
         digest = hashlib.sha256(raw).hexdigest()
-        report, extra = run_config(config, digest, args.tol)
+        report, extra = run_config(config, digest)
     except SchemaError as exc:
         print(f"conecalc: schema error: {exc}", file=sys.stderr)
         return 2

@@ -79,8 +79,9 @@ class SelfDualCone:
         gen = _freeze(self.generators)
         if gen.ndim != 2 or gen.shape[0] != gen.shape[1]:
             raise DimMismatch(f"generator stack must be square, got {gen.shape}")
-        gram = gen.conj().T @ gen
-        if np.abs(gram - np.eye(gen.shape[0])).max() > GENERATOR_ORTHO_TOL:
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite Gram is a refusal
+            err = np.abs(gen.conj().T @ gen - np.eye(gen.shape[0])).max()
+        if not err <= GENERATOR_ORTHO_TOL:
             raise ValueError("generators are not orthonormal")
         object.__setattr__(self, "generators", gen)
 

@@ -59,8 +59,9 @@ class Embedding:
         tau = _freeze(self.isometry)
         if tau.ndim != 2 or tau.shape[0] < tau.shape[1]:
             raise DimMismatch(f"isometry shape {tau.shape} cannot embed")
-        gram = tau.conj().T @ tau
-        if np.abs(gram - np.eye(tau.shape[1])).max() > ISOMETRY_TOL:
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite Gram is a refusal
+            err = np.abs(tau.conj().T @ tau - np.eye(tau.shape[1])).max()
+        if not err <= ISOMETRY_TOL:
             raise ValueError("isometry columns are not orthonormal")
         object.__setattr__(self, "isometry", tau)
 
@@ -147,9 +148,10 @@ def _kronecker_embedding(from_space: str, to_space: str, blocks) -> Embedding:
         else:
             block = np.asarray(block, dtype=float)
             cols = np.repeat(cols, block.size)
-            vals = (vals[:, None] * block).ravel()
-            square_norm *= float(block @ block)
-    if abs(square_norm - 1.0) > ISOMETRY_TOL:
+            with np.errstate(over="ignore"):  # an infinite norm is a refusal
+                vals = (vals[:, None] * block).ravel()
+                square_norm *= float(block @ block)
+    if not abs(square_norm - 1.0) <= ISOMETRY_TOL:
         raise ValueError("isometry columns are not orthonormal")
     for array in (cols, vals):
         array.setflags(write=False)
@@ -171,8 +173,9 @@ def append_factor_embedding(from_space: str, to_space: str, dim: int,
     A complex v gets a dense isometry: its gathered products would round
     differently from the dense ones."""
     v = _numeric(vec).reshape(-1, 1)
-    n = float(np.linalg.norm(v))
-    if abs(n - 1.0) > ISOMETRY_TOL:
+    with np.errstate(over="ignore"):  # an infinite norm is a refusal
+        n = float(np.linalg.norm(v))
+    if not abs(n - 1.0) <= ISOMETRY_TOL:
         raise ValueError("appended vector must be normalized")
     if np.iscomplexobj(v):
         return Embedding(from_space, to_space, _kron(np.eye(dim), v))

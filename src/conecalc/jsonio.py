@@ -79,9 +79,7 @@ def matrix_from_json(rows, context: str = "matrix") -> np.ndarray:
         raise SchemaError(f"{context}: expected a nonempty list of rows")
     try:
         mat = np.array([[_parse_entry(cell) for cell in row] for row in rows])
-    except SchemaError:
-        raise
-    except (TypeError, ValueError) as exc:
+    except (SchemaError, TypeError, ValueError) as exc:
         raise SchemaError(f"{context}: {exc}") from exc
     if mat.ndim != 2:
         raise SchemaError(f"{context}: ragged rows")
@@ -91,4 +89,7 @@ def matrix_from_json(rows, context: str = "matrix") -> np.ndarray:
 def vector_from_json(cells, context: str = "vector") -> np.ndarray:
     if not isinstance(cells, list) or not cells:
         raise SchemaError(f"{context}: expected a nonempty list")
-    return np.array([_parse_entry(c) for c in cells])
+    try:
+        return np.array([_parse_entry(c) for c in cells])
+    except SchemaError as exc:
+        raise SchemaError(f"{context}: {exc}") from exc

@@ -65,22 +65,27 @@ def trotter_verify(h: LinearOperator, h_prime: LinearOperator,
     spectral norm against the direct exponential and classified against the
     cone; products of cone-preserving factors must stay cone-preserving at
     every n.  H, H' and sH + tH' are decomposed once each, and every factor
-    is exponentiated from the kept eigenpairs as `op_exp` does.  An
-    approximant with a non-finite entry, which rounding reaches at a huge
-    n, raises `Inconsistent` naming that n before any norm is taken.
+    is exponentiated from the kept eigenpairs as `op_exp` does.  The direct
+    exponential, or an approximant, with a non-finite entry raises
+    `Inconsistent` before any norm is taken: rounding reaches one at a huge
+    n, and a huge entry of H or H' leaves eigenvalues whose rounding error
+    overflows the exponential.
     """
     for name, op in (("first", h), ("second", h_prime)):
         if not generates_positive_semigroup(op, cone, tol):
             raise InputNotInClass(f"{name} operand does not generate a positive semigroup")
-    target = op_exp(LinearOperator(h.space, s * h.mat + t * h_prime.mat), -beta)
+    with np.errstate(over="ignore", invalid="ignore"):  # judged by the finite test
+        target = op_exp(LinearOperator(h.space, s * h.mat + t * h_prime.mat), -beta)
+    if not np.isfinite(target.mat).all():
+        raise Inconsistent("the exponential exp(-beta*(sH + tH')) is not finite")
     first = np.linalg.eigh(h.mat)
     second = np.linalg.eigh(h_prime.mat)
     errors = []
     positivity = []
     for n in n_values:
-        step = (_eigh_exp(h.space, *first, -beta * s / n).mat
-                @ _eigh_exp(h.space, *second, -beta * t / n).mat)
         with np.errstate(over="ignore", invalid="ignore"):  # judged by the finite test
+            step = (_eigh_exp(h.space, *first, -beta * s / n).mat
+                    @ _eigh_exp(h.space, *second, -beta * t / n).mat)
             power = np.linalg.matrix_power(step, n)
         if not np.isfinite(power).all():
             raise Inconsistent(f"the Trotter approximant at n = {n} is not finite")

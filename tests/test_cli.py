@@ -297,6 +297,7 @@ class TestMainExitCodes:
 
     def test_missing_config_is_schema_error(self, tmp_path, capsys):
         assert main(["classify", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "conecalc: schema error: --config is required\n"
 
     def test_unwritable_out_dir_is_one(self, tmp_path, capsys):
         blocker = tmp_path / "not_a_dir"
@@ -305,56 +306,64 @@ class TestMainExitCodes:
                      "--out", str(blocker / "sub")])
         assert code == 1
 
-    def test_spin_demo_via_flags(self, tmp_path, capsys):
-        code = main(["spin-demo", "--sites", "4", "--partition", "1,2/3,4",
-                     "--sector", "0", "--out", str(tmp_path)])
-        assert code == 0
-        report = json.loads((tmp_path / "report.json").read_text())
-        assert report["payload"]["s_star"] == 0.0
-
-
-class TestInterfaceKnobs:
-    def test_tolerance_override_flag(self, tmp_path):
-        code = main(["classify", "--config", str(CONFIGS / "classify_flip.json"),
-                     "--out", str(tmp_path), "--tol", "1e-6"])
-        assert code == 0
-
 
 CLASSIFY_TEXT = (CONFIGS / "classify_flip.json").read_text()
 WITH_TOLERANCE = CLASSIFY_TEXT.replace('"task"', '"tolerances": {"default": TOL},\n  "task"')
 
 
-@pytest.mark.parametrize("text, extra_args", [
-    pytest.param(CLASSIFY_TEXT.replace("[[0, 1]", "[[NaN, 1]"), [], id="nan-token"),
-    pytest.param(CLASSIFY_TEXT.replace("[[0, 1]", "[[Infinity, 1]"), [], id="infinity-token"),
-    pytest.param(CLASSIFY_TEXT.replace("[[0, 1]", "[[-Infinity, 1]"), [], id="minus-infinity-token"),
-    pytest.param(CLASSIFY_TEXT.replace("[[0, 1]", "[[1e400, 1]"), [], id="overflowing-entry"),
-    pytest.param(CLASSIFY_TEXT.replace("[[0, 1]", "[[[0, -1e400], 1]"), [],
+def test_the_tolerance_is_read_from_the_config_bytes(tmp_path, capsys):
+    # off-diagonal entries of 1e-7 beside a unit diagonal are positive at the
+    # default tolerance and not at 1e-6; the config sets which, and the
+    # digest of its bytes tells the two reports apart
+    weak = WITH_TOLERANCE.replace("[[0, 1], [1, 0]]", "[[1, 1e-7], [1e-7, 1]]")
+    assert weak != WITH_TOLERANCE
+    loose = tmp_path / "loose.json"
+    loose.write_text(weak.replace('"tolerances": {"default": TOL},\n  ', ""))
+    with pytest.raises(SystemExit) as refused:
+        main(["classify", "--config", str(loose), "--out", str(tmp_path / "flag"),
+              "--tol", "1e-6"])
+    assert refused.value.code == 2
+    assert not (tmp_path / "flag").exists()
+    reports = []
+    for name, text in (("default", loose.read_text()), ("strict", weak.replace("TOL", "1e-6"))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        assert main(["classify", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+        reports.append(json.loads((tmp_path / name / "report.json").read_text()))
+    default, strict = reports
+    assert default["payload"]["improving"] is True
+    assert default["payload"]["ergodicity"]["ergodic"] is True
+    assert strict["payload"]["improving"] is False
+    assert strict["payload"]["ergodicity"]["ergodic"] is False
+    assert default["config_digest"] != strict["config_digest"]
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(CLASSIFY_TEXT.replace("[[0, 1]", "[[NaN, 1]"), id="nan-token"),
+    pytest.param(CLASSIFY_TEXT.replace("[[0, 1]", "[[Infinity, 1]"), id="infinity-token"),
+    pytest.param(CLASSIFY_TEXT.replace("[[0, 1]", "[[-Infinity, 1]"), id="minus-infinity-token"),
+    pytest.param(CLASSIFY_TEXT.replace("[[0, 1]", "[[1e400, 1]"), id="overflowing-entry"),
+    pytest.param(CLASSIFY_TEXT.replace("[[0, 1]", "[[[0, -1e400], 1]"),
                  id="overflowing-imaginary-part"),
-    pytest.param(CLASSIFY_TEXT.replace("[[0, 1]", "[[" + "9" * 400 + ", 1]"), [],
+    pytest.param(CLASSIFY_TEXT.replace("[[0, 1]", "[[" + "9" * 400 + ", 1]"),
                  id="overflowing-integer"),
-    pytest.param(WITH_TOLERANCE.replace("TOL", '"abc"'), [], id="tolerance-abc"),
-    pytest.param(WITH_TOLERANCE.replace("TOL", "true"), [], id="tolerance-bool"),
-    pytest.param(WITH_TOLERANCE.replace("TOL", "-1"), [], id="tolerance-negative"),
-    pytest.param(WITH_TOLERANCE.replace("TOL", "0"), [], id="tolerance-zero"),
-    pytest.param(WITH_TOLERANCE.replace("TOL", "1e400"), [], id="tolerance-overflow"),
-    pytest.param(CLASSIFY_TEXT, ["--tol", "-1"], id="tol-flag-negative"),
-    pytest.param(CLASSIFY_TEXT, ["--tol", "0"], id="tol-flag-zero"),
-    pytest.param(CLASSIFY_TEXT, ["--tol", "nan"], id="tol-flag-nan"),
-    pytest.param(CLASSIFY_TEXT, ["--tol", "inf"], id="tol-flag-inf"),
-    pytest.param(CLASSIFY_TEXT, ["--tol", "0.8"], id="tol-flag-past-inheritance-limit"),
-    pytest.param(WITH_TOLERANCE.replace("TOL", "0.7071067811865476"), [],
+    pytest.param(WITH_TOLERANCE.replace("TOL", '"abc"'), id="tolerance-abc"),
+    pytest.param(WITH_TOLERANCE.replace("TOL", "true"), id="tolerance-bool"),
+    pytest.param(WITH_TOLERANCE.replace("TOL", "-1"), id="tolerance-negative"),
+    pytest.param(WITH_TOLERANCE.replace("TOL", "0"), id="tolerance-zero"),
+    pytest.param(WITH_TOLERANCE.replace("TOL", "1e400"), id="tolerance-overflow"),
+    pytest.param(WITH_TOLERANCE.replace("TOL", "0.7071067811865476"),
                  id="tolerance-at-inheritance-limit"),
 ])
-def test_bad_numeric_input_exits_two_and_writes_nothing(text, extra_args, tmp_path, capsys):
-    assert_schema_error_writes_nothing("classify", text, extra_args, tmp_path, capsys)
+def test_bad_numeric_input_exits_two_and_writes_nothing(text, tmp_path, capsys):
+    assert_schema_error_writes_nothing("classify", text, tmp_path, capsys)
 
 
-def assert_schema_error_writes_nothing(task, text, extra_args, tmp_path, capsys):
+def assert_schema_error_writes_nothing(task, text, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(text)
     out = tmp_path / "out"
-    code = main([task, "--config", str(config), "--out", str(out), *extra_args])
+    code = main([task, "--config", str(config), "--out", str(out)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("conecalc: schema error: ")
@@ -389,16 +398,8 @@ SPIN_A = '"sublattice_a": [1, 2]'
 ])
 def test_malformed_spin_demo_exits_two_and_writes_nothing(text, tmp_path, capsys):
     assert text != SPIN_TEXT
-    err = assert_schema_error_writes_nothing("spin-demo", text, [], tmp_path, capsys)
+    err = assert_schema_error_writes_nothing("spin-demo", text, tmp_path, capsys)
     assert err.startswith("conecalc: schema error: spin-demo ")
-
-
-def test_spin_demo_sector_flag_must_be_finite(tmp_path, capsys):
-    out = tmp_path / "out"
-    code = main(["spin-demo", "--sites", "4", "--partition", "1,2/3,4", "--sector", "nan",
-                 "--out", str(out)])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.err.count("\n") == 1 and not out.exists()
 
 
 def test_empty_spin_sector_stays_a_failed_verification(tmp_path, capsys):
@@ -497,7 +498,7 @@ def test_coupling_past_the_cap_fails_before_its_node_is_built(monkeypatch):
                  "tower depth", id="tower-depth-bool"),
 ])
 def test_malformed_number_exits_two_and_writes_nothing(task, text, message, tmp_path, capsys):
-    err = assert_schema_error_writes_nothing(task, text, [], tmp_path, capsys)
+    err = assert_schema_error_writes_nothing(task, text, tmp_path, capsys)
     assert err.startswith(f"conecalc: schema error: {message}")
 
 
@@ -530,8 +531,42 @@ def explicit_p0(generators: str) -> str:
 ])
 def test_malformed_cone_or_embedding_exits_two_and_writes_nothing(text, message, tmp_path, capsys):
     assert text != CHAIN_TEXT
-    err = assert_schema_error_writes_nothing("chain", text, [], tmp_path, capsys)
+    err = assert_schema_error_writes_nothing("chain", text, tmp_path, capsys)
     assert err.startswith(f"conecalc: schema error: {message}")
+
+
+EXPLICIT_TEXT = (CONFIGS / "lattice_explicit.json").read_text()
+ROOT_HALF = "0.7071067811865476"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("task, text, message", [
+    pytest.param("chain", CHAIN_TEXT.replace(UP_VECTOR, f'"vector": [1e200, {ROOT_HALF}]'),
+                 "embedding 'up': appended vector must be normalized", id="append-vector"),
+    pytest.param("chain", CHAIN_TEXT.replace('"append_vector"', '"isometry"').replace(
+        UP_VECTOR, f'"matrix": [[1e200, 0], [{ROOT_HALF}, 0], [0, {ROOT_HALF}], [0, {ROOT_HALF}]]'),
+        "embedding 'up': isometry columns are not orthonormal", id="isometry"),
+    pytest.param("lattice", EXPLICIT_TEXT.replace(f"[[{ROOT_HALF}, ", "[[1e200, ", 1),
+                 "cone 'Q': generators are not orthonormal", id="explicit-generators"),
+])
+def test_an_overflowing_unit_check_is_a_refusal(task, text, message, tmp_path, capsys):
+    # the norm or Gram product overflows; that is read as a refusal, with no
+    # numpy warning on the way
+    err = assert_schema_error_writes_nothing(task, text, tmp_path, capsys)
+    assert err == f"conecalc: schema error: {message}\n"
+
+
+@pytest.mark.parametrize("task, text, context", [
+    pytest.param("classify", CLASSIFY_TEXT.replace("[[0, 1]", "[[true, 1]"), "operator 'flip'",
+                 id="operator-entry"),
+    pytest.param("chain", CHAIN_TEXT.replace(UP_VECTOR, f'"vector": [true, {ROOT_HALF}]'),
+                 "embedding 'up'", id="append-vector-cell"),
+    pytest.param("lattice", EXPLICIT_TEXT.replace(f"[[{ROOT_HALF}, ", "[[true, ", 1), "cone 'Q'",
+                 id="explicit-generator-cell"),
+])
+def test_a_bad_entry_names_its_operator_embedding_or_cone(task, text, context, tmp_path, capsys):
+    err = assert_schema_error_writes_nothing(task, text, tmp_path, capsys)
+    assert err.startswith(f"conecalc: schema error: {context}: matrix entry must be")
 
 
 def edited(name: str, edit) -> str:
@@ -590,7 +625,7 @@ def first_member(config: dict) -> dict:
                  "duplicate stability member id 'tower-depth-2'", id="member-id-repeated"),
 ])
 def test_malformed_registry_exits_two_without_a_traceback(task, text, message, tmp_path, capsys):
-    err = assert_schema_error_writes_nothing(task, text, [], tmp_path, capsys)
+    err = assert_schema_error_writes_nothing(task, text, tmp_path, capsys)
     assert err.startswith(f"conecalc: schema error: {message}")
     assert "Traceback" not in err
 
@@ -602,12 +637,12 @@ SHIPPED = sorted(path.name for path in CONFIGS.glob("*.json"))
 def test_a_boolean_for_a_number_exits_two_and_writes_nothing(name, tmp_path, capsys):
     task = load(name)["task"]
     text = edited(name, lambda c: c.update(version=True))
-    err = assert_schema_error_writes_nothing(task, text, [], tmp_path, capsys)
+    err = assert_schema_error_writes_nothing(task, text, tmp_path, capsys)
     assert err == "conecalc: schema error: config version must be 1\n"
     if "operators" not in load(name):
         return
     text = edited(name, lambda c: c["operators"][0]["entries"][0].__setitem__(0, True))
-    err = assert_schema_error_writes_nothing(task, text, [], tmp_path, capsys)
+    err = assert_schema_error_writes_nothing(task, text, tmp_path, capsys)
     assert "matrix entry must be a number or [re, im] pair, got True" in err
 
 
@@ -615,7 +650,7 @@ def test_a_repeated_key_exits_two_and_writes_nothing(tmp_path, capsys):
     # json keeps the last of a repeated key: this config would run depth 1
     text = (CONFIGS / "richness_depth5.json").read_text()
     text = text.replace('"depth": 5', '"depth": 5, "depth": 1')
-    err = assert_schema_error_writes_nothing("richness", text, [], tmp_path, capsys)
+    err = assert_schema_error_writes_nothing("richness", text, tmp_path, capsys)
     assert err == "conecalc: schema error: config repeats the key 'depth'\n"
 
 
@@ -629,7 +664,7 @@ def test_repeated_member_id_is_refused_before_the_base_record_is_built(monkeypat
     monkeypatch.setattr(stability.StabilityClassRecord, "for_base", refuse)
     text = edited("stability_demo.json",
                   lambda c: c["params"]["members"][1].update(id=first_member(c)["id"]))
-    assert_schema_error_writes_nothing("stability", text, [], tmp_path, capsys)
+    assert_schema_error_writes_nothing("stability", text, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("member_id", ["a" + "".join(map(chr, range(0x20))) + "b", "a\ud800b"],
@@ -690,7 +725,7 @@ def test_declared_space_past_the_cap_exits_two_before_any_allocation(dim, operat
     tracemalloc.start()
     try:
         err = assert_schema_error_writes_nothing(
-            "classify", resized_classify(dim, operator), [], tmp_path, capsys)
+            "classify", resized_classify(dim, operator), tmp_path, capsys)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -700,7 +735,7 @@ def test_declared_space_past_the_cap_exits_two_before_any_allocation(dim, operat
 
 
 def test_declared_space_at_the_cap_is_accepted():
-    ctx = cli._build_context({"spaces": {"base": numerics.DIM_CAP}}, None)
+    ctx = cli._build_context({"spaces": {"base": numerics.DIM_CAP}})
     assert ctx.space_dim("base") == numerics.DIM_CAP
 
 
@@ -730,8 +765,49 @@ def test_trotter_n_past_the_largest_float_is_refused(tmp_path, capsys):
     # 2^1100 has no float, so n is refused before any step is exponentiated
     config = load("trotter_pair.json")
     config["params"]["n_values"] = [1, 2 ** 1100]
-    err = assert_schema_error_writes_nothing("trotter", json.dumps(config), [], tmp_path, capsys)
+    err = assert_schema_error_writes_nothing("trotter", json.dumps(config), tmp_path, capsys)
     assert err == "conecalc: schema error: n_values must not exceed the largest float\n"
+
+
+EXACT_NOT_FINITE = "the exponential exp(-beta*(sH + tH')) is not finite"
+
+
+@pytest.mark.parametrize("entries, params, reason", [
+    pytest.param({1: 2 ** 63}, {}, EXACT_NOT_FINITE, id="hp-entry-2^63"),
+    pytest.param({0: 1e200}, {}, EXACT_NOT_FINITE, id="h-entry-1e200"),
+    pytest.param({0: 1e200, 1: -1e200}, {"s": 1.0, "t": 1.0},
+                 "the Trotter approximant at n = 1 is not finite",
+                 id="entries-that-cancel-in-sH+tH'"),
+])
+def test_trotter_with_a_non_finite_exponential_fails_with_a_report(entries, params, reason,
+                                                                   tmp_path):
+    # a huge entry leaves eigenvalues whose rounding error overflows the
+    # exponential of sH + tH', or, where the entries cancel there (s = t = 1),
+    # of one split-product factor; the run says fail, with no NaN in the
+    # report, no traceback and no LAPACK complaint
+    config = load("trotter_pair.json")
+    for operator, entry in entries.items():
+        config["operators"][operator]["entries"][1][1] = entry
+    config["params"].update(params)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(config))
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "conecalc", "trotter", "--config", str(path),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 1, result.stderr
+    assert result.stdout == f"fail: trotter -> {tmp_path / 'out' / 'report.json'}\n"
+    assert result.stderr == ""
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["payload"] == {"error_type": "Inconsistent", "reason": reason}
+
+
+def test_a_report_that_cannot_be_rendered_leaves_no_directory(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="NaN"):
+        emit({"status": "pass", "payload": {"error": math.nan}}, out)
+    assert not out.exists()
 
 
 class TestModuleEntryPoint:

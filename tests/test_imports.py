@@ -118,6 +118,8 @@ def _rejects(tmp_path: Path) -> list[list[str]]:
         "tolerance-abc": config("mu_flip.json", lambda c: c.update(tolerances={"default": "abc"})),
         "tolerance-negative": config("classify_flip.json",
                                      lambda c: c.update(tolerances={"default": -1})),
+        "tolerance-past-inheritance-limit": config(
+            "classify_flip.json", lambda c: c.update(tolerances={"default": 0.8})),
         "operators-not-a-list": config("chain_two_level.json", lambda c: c.update(operators=5)),
         "cones-not-a-list": config("chain_two_level.json", lambda c: c.update(cones=7)),
         "embeddings-not-a-list": config("chain_two_level.json",
@@ -139,8 +141,6 @@ def _rejects(tmp_path: Path) -> list[list[str]]:
     (tmp_path / "nan-entry.json").write_text(nan_entry)
     argvs.append(["classify", "--config", str(tmp_path / "nan-entry.json"),
                   "--out", str(tmp_path / "nan-entry")])
-    argvs.append(["classify", "--config", str(CONFIGS / "classify_flip.json"),
-                  "--out", str(tmp_path / "tol-flag"), "--tol", "0.8"])
     return argvs
 
 
