@@ -171,15 +171,16 @@ def append_factor_embedding(from_space: str, to_space: str, dim: int,
     """phi -> phi (x) v for a fixed unit vector v on the appended factor.
 
     A complex v gets a dense isometry: its gathered products would round
-    differently from the dense ones."""
-    v = _numeric(vec).reshape(-1, 1)
-    with np.errstate(over="ignore"):  # an infinite norm is a refusal
-        n = float(np.linalg.norm(v))
-    if not abs(n - 1.0) <= ISOMETRY_TOL:
+    differently from the dense ones.  v is judged on v^* v, the squared
+    norm that the isometry's own orthonormality check reads."""
+    v = _numeric(vec).ravel()
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is a refusal
+        square_norm = complex(v.conj() @ v)
+    if not abs(square_norm - 1.0) <= ISOMETRY_TOL:
         raise ValueError("appended vector must be normalized")
     if np.iscomplexobj(v):
-        return Embedding(from_space, to_space, _kron(np.eye(dim), v))
-    return _kronecker_embedding(from_space, to_space, [dim, v.ravel()])
+        return Embedding(from_space, to_space, _kron(np.eye(dim), v.reshape(-1, 1)))
+    return _kronecker_embedding(from_space, to_space, [dim, v])
 
 
 def conditional_expectation(emb: Embedding, a: LinearOperator) -> LinearOperator:
@@ -367,19 +368,11 @@ def _verified_link(index: int, source: NodeAnalysis, target: NodeAnalysis,
 
 @dataclass(frozen=True, eq=False)
 class ChainNode:
-    """One Hamiltonian in a chain with its outgoing and incoming cones.
-
-    ``cone`` is used when this node is the source of the next link; ``cone_in``
-    (defaulting to ``cone``) when it is the target of the previous one.
-    """
+    """One Hamiltonian in a chain with its cone: the pair (H, P) that both
+    of the node's links read."""
 
     hamiltonian: LinearOperator
     cone: SelfDualCone
-    cone_in: SelfDualCone = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.cone_in is None:
-            object.__setattr__(self, "cone_in", self.cone)
 
 
 @dataclass(frozen=True, eq=False)
@@ -447,25 +440,15 @@ def _chain_report(links: list[OverlapReport]) -> ChainReport:
 
 def _verified_links(chain: ArrowChain, tol: float
                     ) -> tuple[list[NodeAnalysis], list[OverlapReport]]:
-    """Every link of a chain verified in order: node j's record on its
-    ``cone`` (the last node's on its ``cone_in``) and link j's
+    """Every link of a chain verified in order: node j's record and link j's
     `OverlapReport`, for `verify_chain` and for the quantum numbers of
-    `stability.quantum_number_along_chain`.
-    A failed link raises `LinkFailed` at once.
-
-    Link j is verified on node j's record on its ``cone`` and node j+1's on
-    its ``cone_in``.  A node's two records share one eigendecomposition: the
-    incoming record serves again as the outgoing one when the two cones are
-    the same object, and hands its spectrum on otherwise.  A record holds
-    the eigenvalues and the ground vector, no eigenbasis.
+    `stability.quantum_number_along_chain`.  Link j is decided on records
+    j and j+1, and a failed link raises `LinkFailed` at once.  A record is
+    lazy and holds the eigenvalues and the ground vector, no eigenbasis, so
+    no node past a failed link is decomposed.
     """
-    records = [NodeAnalysis(chain.nodes[0].hamiltonian, chain.nodes[0].cone, tol)]
+    records = [NodeAnalysis(node.hamiltonian, node.cone, tol) for node in chain.nodes]
     links = []
     for j, emb in enumerate(chain.embeddings):
-        dst = chain.nodes[j + 1]
-        target = NodeAnalysis(dst.hamiltonian, dst.cone_in, tol)
-        links.append(_verified_link(j, records[j], target, emb))
-        if j + 1 < len(chain.embeddings) and dst.cone is not dst.cone_in:
-            target = target.on_cone(dst.cone)
-        records.append(target)
+        links.append(_verified_link(j, records[j], records[j + 1], emb))
     return records, links

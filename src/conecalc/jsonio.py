@@ -77,13 +77,16 @@ def _parse_entry(cell) -> complex:
 def matrix_from_json(rows, context: str = "matrix") -> np.ndarray:
     if not isinstance(rows, list) or not rows:
         raise SchemaError(f"{context}: expected a nonempty list of rows")
+    for i, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise SchemaError(f"{context}: row {i} must be a list of entries, got {row!r}")
+        if len(row) != len(rows[0]):
+            raise SchemaError(f"{context}: ragged rows: row {i} has length {len(row)}, "
+                              f"row 0 has length {len(rows[0])}")
     try:
-        mat = np.array([[_parse_entry(cell) for cell in row] for row in rows])
-    except (SchemaError, TypeError, ValueError) as exc:
+        return np.array([[_parse_entry(cell) for cell in row] for row in rows])
+    except SchemaError as exc:
         raise SchemaError(f"{context}: {exc}") from exc
-    if mat.ndim != 2:
-        raise SchemaError(f"{context}: ragged rows")
-    return mat
 
 
 def vector_from_json(cells, context: str = "vector") -> np.ndarray:

@@ -276,7 +276,6 @@ class GroundState:
     gap01: float
     simple: bool
     vector: np.ndarray
-    strictly_positive: bool
 
 
 def _toward_cone(x: np.ndarray, cone: SelfDualCone) -> np.ndarray:
@@ -291,7 +290,7 @@ def _toward_cone(x: np.ndarray, cone: SelfDualCone) -> np.ndarray:
 
 
 def ground_state(h: LinearOperator, cone: SelfDualCone, tol: float = DEFAULT_TOL) -> GroundState:
-    """Spectrum-derived ground-state record with cone diagnostics:
+    """Spectrum-derived ground-state record oriented toward the cone:
     `NodeAnalysis.ground` of a fresh record.
 
     `simple` is `Spectrum.simple`, the relative gap threshold used
@@ -343,14 +342,4 @@ class NodeAnalysis:
     def ground(self) -> GroundState:
         spec = self.spectrum
         psi = _toward_cone(spec.ground_vector, self.cone)
-        strict = self.cone.strictly_positive(psi, self.tol)
-        return GroundState(spec.ground_energy, spec.gap01, spec.simple, psi, strict)
-
-    def on_cone(self, cone: SelfDualCone) -> "NodeAnalysis":
-        """The same Hamiltonian read against another cone at the same
-        tolerance.  The spectrum does not depend on the cone, so the new
-        record shares this one's; its improving verdict and the orientation
-        of its ground state are its own."""
-        other = NodeAnalysis(self.hamiltonian, cone, self.tol)
-        other.__dict__["spectrum"] = self.spectrum
-        return other
+        return GroundState(spec.ground_energy, spec.gap01, spec.simple, psi)

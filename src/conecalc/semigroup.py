@@ -19,6 +19,8 @@ from .positivity import (
 )
 
 RESOLVENT_MARGIN = 1e-10  # s must exceed the spectral bound -E(H) by more than this
+TROTTER_ERROR_FLOOR = 1e-12  # a Trotter run converges outright when no error exceeds this
+TROTTER_RATIO_BAND = (2.0 / 3.0, 6.0)  # ... and otherwise when every error ratio lies in this band
 
 
 def resolvent(h: LinearOperator, s: float) -> LinearOperator:
@@ -47,11 +49,24 @@ class TrotterReport:
             if self.errors[k + 1] > 0
         )
 
+    @property
+    def converges(self) -> bool:
+        """No error above `TROTTER_ERROR_FLOOR`, or every ratio in `TROTTER_RATIO_BAND`."""
+        low, high = TROTTER_RATIO_BAND
+        return (max(self.errors, default=0.0) <= TROTTER_ERROR_FLOOR
+                or all(low <= r <= high for r in self.ratios()))
+
+    @property
+    def ok(self) -> bool:
+        return self.converges and all(self.positivity_ok)
+
     def to_payload(self) -> dict:
         return {
             "n_values": list(self.n_values),
             "errors": list(self.errors),
             "positivity_ok": list(self.positivity_ok),
+            "error_ratios": list(self.ratios()),
+            "converges": self.converges,
         }
 
 
@@ -69,7 +84,9 @@ def trotter_verify(h: LinearOperator, h_prime: LinearOperator,
     exponential, or an approximant, with a non-finite entry raises
     `Inconsistent` before any norm is taken: rounding reaches one at a huge
     n, and a huge entry of H or H' leaves eigenvalues whose rounding error
-    overflows the exponential.
+    overflows the exponential.  So does a direct exponential with no
+    nonzero entry, which a huge beta or s underflows to: every approximant
+    would then be zero too, and errors of 0 would compare nothing.
     """
     for name, op in (("first", h), ("second", h_prime)):
         if not generates_positive_semigroup(op, cone, tol):
@@ -78,6 +95,8 @@ def trotter_verify(h: LinearOperator, h_prime: LinearOperator,
         target = op_exp(LinearOperator(h.space, s * h.mat + t * h_prime.mat), -beta)
     if not np.isfinite(target.mat).all():
         raise Inconsistent("the exponential exp(-beta*(sH + tH')) is not finite")
+    if not target.mat.any():
+        raise Inconsistent("the exponential exp(-beta*(sH + tH')) underflows to zero")
     first = np.linalg.eigh(h.mat)
     second = np.linalg.eigh(h_prime.mat)
     errors = []

@@ -535,7 +535,7 @@ def two_pass_links(chain, tol: float = DEFAULT_TOL) -> ChainReport:
         src, dst = chain.nodes[j], chain.nodes[j + 1]
         try:
             rep = ground_overlap(NodeAnalysis(src.hamiltonian, src.cone, tol),
-                                 NodeAnalysis(dst.hamiltonian, dst.cone_in, tol), emb)
+                                 NodeAnalysis(dst.hamiltonian, dst.cone, tol), emb)
         except ArrowFailed as exc:
             raise LinkFailed(j, str(exc)) from exc
         if rep.overlap <= tol:
@@ -551,8 +551,7 @@ def two_pass_quantum_numbers(chain, o: LinearOperator,
                              tol: float = DEFAULT_TOL) -> ChainMuReport:
     """The oracle of `quantum_number_along_chain`: every link is verified
     first on fresh records (`two_pass_links`), then every node is decomposed
-    afresh on the cone its link verified it on (its ``cone``, the last
-    node's ``cone_in``) and read against the observable pushed forward to
+    afresh on its cone and read against the observable pushed forward to
     it, where the library reads the records its links kept and reads the
     pushed observable through its frame.  A failure in the second pass can
     only surface once the first has passed."""
@@ -566,8 +565,7 @@ def two_pass_quantum_numbers(chain, o: LinearOperator,
     values, snapped, telescopes = [], [], []
     extended = o
     for j, node in enumerate(chain.nodes):
-        last = j == len(chain.nodes) - 1 and j > 0
-        record = NodeAnalysis(node.hamiltonian, node.cone_in if last else node.cone, tol)
+        record = NodeAnalysis(node.hamiltonian, node.cone, tol)
         record.spectrum  # decomposed before the observable is pushed on to it
         if j:
             extended = chain.embeddings[j - 1].extend(extended)

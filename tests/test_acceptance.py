@@ -69,7 +69,7 @@ def test_criterion_01_perron_frobenius_equivalence():
             cone = orthant("s", n)
             lhs = generates_improving_semigroup(h, cone)
             g = ground_state(h, cone)
-            rhs = g.simple and g.strictly_positive
+            rhs = g.simple and cone.strictly_positive(g.vector)
             if lhs != rhs:
                 disagreements += 1
         elapsed = time.monotonic() - start

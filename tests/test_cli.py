@@ -525,6 +525,14 @@ def explicit_p0(generators: str) -> str:
         id="explicit-unknown-space"),
     pytest.param(CHAIN_TEXT.replace(UP_VECTOR, '"vector": [1, 1]'), "embedding 'up'",
                  id="append-vector-not-normalized"),
+    # v^* v - 1 = 1.6e-10 is past ISOMETRY_TOL, though |v| - 1 = 8e-11 is not:
+    # the line is about the vector, not about an isometry the config never gave
+    pytest.param(CHAIN_TEXT.replace(UP_VECTOR, '"vector": [1.00000000008, 0]'),
+                 "embedding 'up': appended vector must be normalized\n",
+                 id="append-vector-square-norm"),
+    pytest.param(CHAIN_TEXT.replace(UP_VECTOR, '"vector": [[0, 1.00000000008], 0]'),
+                 "embedding 'up': appended vector must be normalized\n",
+                 id="append-vector-square-norm-imaginary"),
     pytest.param(CHAIN_TEXT.replace('"append_vector"', '"isometry"').replace(
         UP_VECTOR, '"matrix": [[1, 0], [1, 0], [0, 1], [0, 0]]'), "embedding 'up'",
         id="isometry-not-orthonormal"),
@@ -574,6 +582,48 @@ def edited(name: str, edit) -> str:
     config = load(name)
     edit(config)
     return json.dumps(config)
+
+
+@pytest.mark.parametrize("entries, message", [
+    pytest.param([5, 6], "row 0 must be a list of entries, got 5", id="number-as-row"),
+    pytest.param([[1, 2], [3]], "ragged rows: row 1 has length 1, row 0 has length 2",
+                 id="ragged-rows"),
+    pytest.param([[1, 2], 5], "row 1 must be a list of entries, got 5", id="number-after-a-row"),
+])
+def test_a_malformed_matrix_row_is_named(entries, message, tmp_path, capsys):
+    text = edited("classify_flip.json", lambda c: c["operators"][0].update(entries=entries))
+    err = assert_schema_error_writes_nothing("classify", text, tmp_path, capsys)
+    assert err == f"conecalc: schema error: operator 'flip': {message}\n"
+
+
+def sign_flip_chain(config: dict, cone_in: bool) -> None:
+    """chain_two_level.json with a third node: h1 again, on the negated lvl1
+    orthant N1, reached through the identity embedding of lvl1.  With
+    ``cone_in``, the interior node enters on P1 and leaves on N1."""
+    config["cones"].append({"name": "N1", "kind": "explicit", "space": "lvl1",
+                            "generators": (-np.eye(4)).tolist()})
+    config["embeddings"].append({"name": "same", "kind": "identity", "space": "lvl1"})
+    interior = {"hamiltonian": "h1", "cone": "N1", "cone_in": "P1"} if cone_in else \
+        {"hamiltonian": "h1", "cone": "P1"}
+    config["params"]["nodes"][1] = interior
+    config["params"]["nodes"].append({"hamiltonian": "h1", "cone": "N1"})
+    config["params"]["embeddings"].append("same")
+
+
+def test_a_chain_node_has_one_cone(tmp_path, capsys):
+    # entering a node on P1 and leaving it on -P1 joined two pairs that no
+    # link verified; such a config once passed with a telescope residual of 2
+    text = edited("chain_two_level.json", lambda c: sign_flip_chain(c, cone_in=True))
+    err = assert_schema_error_writes_nothing("chain", text, tmp_path, capsys)
+    assert err == ("conecalc: schema error: chain nodes have one cone and take only "
+                   "'hamiltonian' and 'cone', got 'cone_in'\n")
+    # written with one cone per node, the chain fails where the sign changes
+    report, _ = run_config(json.loads(edited("chain_two_level.json",
+                                             lambda c: sign_flip_chain(c, cone_in=False))),
+                           "0" * 64)
+    assert report["status"] == "fail"
+    assert report["payload"] == {"error_type": "LinkFailed", "index": 1,
+                                 "reason": "link 1: cone inheritance failed"}
 
 
 def first_member(config: dict) -> dict:
@@ -770,6 +820,7 @@ def test_trotter_n_past_the_largest_float_is_refused(tmp_path, capsys):
 
 
 EXACT_NOT_FINITE = "the exponential exp(-beta*(sH + tH')) is not finite"
+EXACT_UNDERFLOWS = "the exponential exp(-beta*(sH + tH')) underflows to zero"
 
 
 @pytest.mark.parametrize("entries, params, reason", [
@@ -778,13 +829,17 @@ EXACT_NOT_FINITE = "the exponential exp(-beta*(sH + tH')) is not finite"
     pytest.param({0: 1e200, 1: -1e200}, {"s": 1.0, "t": 1.0},
                  "the Trotter approximant at n = 1 is not finite",
                  id="entries-that-cancel-in-sH+tH'"),
+    pytest.param({}, {"beta": 1e300}, EXACT_UNDERFLOWS, id="beta-1e300"),
+    pytest.param({}, {"s": 1e300}, EXACT_UNDERFLOWS, id="s-1e300"),
 ])
-def test_trotter_with_a_non_finite_exponential_fails_with_a_report(entries, params, reason,
-                                                                   tmp_path):
+def test_trotter_with_an_exponential_out_of_range_fails_with_a_report(entries, params, reason,
+                                                                      tmp_path):
     # a huge entry leaves eigenvalues whose rounding error overflows the
     # exponential of sH + tH', or, where the entries cancel there (s = t = 1),
-    # of one split-product factor; the run says fail, with no NaN in the
-    # report, no traceback and no LAPACK complaint
+    # of one split-product factor; a huge beta or s underflows it and every
+    # approximant to zero, so every error would be 0 and compare nothing.
+    # The run says fail, with no NaN in the report, no traceback and no
+    # LAPACK complaint
     config = load("trotter_pair.json")
     for operator, entry in entries.items():
         config["operators"][operator]["entries"][1][1] = entry

@@ -67,6 +67,16 @@ class TestEmbedding:
         assert np.allclose(both.isometry @ x, e2.isometry @ (e1.isometry @ x))
 
 
+    def test_an_appended_vector_is_judged_once_on_its_squared_norm(self):
+        # |v| - 1 = 8e-11 is within ISOMETRY_TOL but v^* v - 1 = 1.6e-10 is
+        # not: the refusal is the vector's own, not the isometry's it builds
+        for vec in ([1 + 8e-11, 0.0], [1j * (1 + 8e-11), 0.0]):
+            with pytest.raises(ValueError, match="^appended vector must be normalized$"):
+                append_factor_embedding("a", "ab", 2, np.array(vec))
+        for vec in ([1 + 4e-11, 0.0], [1j * (1 + 4e-11), 0.0]):
+            assert append_factor_embedding("a", "ab", 2, np.array(vec)).dim_to == 4
+
+
 class TestConeInheritance:
     def test_uniform_append_inherits(self):
         p1 = orthant("a", 2)

@@ -189,7 +189,7 @@ class TestSemigroupClasses:
 
         flipped = SelfDualCone("s", -np.eye(2))
         g = ground_state(op("s", -SIGMA_X), flipped)
-        assert g.simple and g.strictly_positive
+        assert g.simple and flipped.strictly_positive(g.vector)
 
 
 class TestNonvanishingImage:
@@ -250,7 +250,7 @@ class TestPerronFrobeniusEquivalence:
             cone = orthant("s", n)
             lhs = generates_improving_semigroup(h, cone)
             g = ground_state(h, cone)
-            rhs = g.simple and g.strictly_positive
+            rhs = g.simple and cone.strictly_positive(g.vector)
             assert lhs == rhs, f"trial {trial}: {lhs} vs {rhs}"
 
     def test_positive_class_admits_cone_ground_vector(self):
@@ -466,8 +466,8 @@ class TestNodeAnalysis:
         assert record.improving  # the verdict is not recomputed
         assert record.spectrum is record.spectrum and record.ground is got
         assert len(calls) == 1 and decompositions == {"eigh": 1}
-        assert (got.energy, got.gap01, got.simple, got.strictly_positive) == \
-            (want.energy, want.gap01, want.simple, want.strictly_positive)
+        assert (got.energy, got.gap01, got.simple, cone.strictly_positive(got.vector)) == \
+            (want.energy, want.gap01, want.simple, cone.strictly_positive(want.vector))
         assert np.array_equal(got.vector, want.vector)
 
     def test_a_dense_record_keeps_the_ground_column_only(self):

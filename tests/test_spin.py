@@ -253,7 +253,7 @@ class TestVerifyMlm:
             h_r = sector.embedding.compress(h)
             assert generates_improving_semigroup(h_r, cone)
             g = ground_state(h_r, cone)
-            assert g.simple and g.strictly_positive
+            assert g.simple and cone.strictly_positive(g.vector)
 
 
 class TestHeisenbergVariant:
@@ -267,7 +267,7 @@ class TestHeisenbergVariant:
         h_r = sector.embedding.compress(h)
         assert generates_improving_semigroup(h_r, cone)
         g = ground_state(h_r, cone)
-        assert g.simple and g.strictly_positive
+        assert g.simple and cone.strictly_positive(g.vector)
 
     def test_complete_bipartite_case_matches_mlm_spin(self):
         system = SpinSystem(4, (1, 3), (2, 4))

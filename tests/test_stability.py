@@ -265,7 +265,7 @@ def link_answers(h1, p1, h2, p2, emb, o):
     verdicts, readings = [check_arrow(source, target, emb).reasons], []
     try:
         gqn = good_quantum_number(h1, o, p1)
-        verdicts.append(gqn.ground.strictly_positive)
+        verdicts.append(p1.strictly_positive(gqn.ground.vector))
         readings += [gqn.ground.energy, gqn.value, gqn.snapped]
     except (NotCommuting, NotInAPlus, NotSimple) as exc:
         verdicts.append(type(exc))
@@ -397,25 +397,20 @@ class TestChainInvariance:
             quantum_number_along_chain(chain, o)
         assert err.value.index == 2
 
-    def test_interior_node_with_its_own_incoming_cone(self, decompositions):
-        # node 1 is entered on the orthant but left on the negated orthant, so
-        # the ground state its quantum number is read from has the opposite
-        # sign to the one its incoming overlap uses; both records of node 1
-        # read one eigendecomposition
+    def test_a_sign_flip_between_two_nodes_fails_at_that_link(self, decompositions):
+        # node 2 sits on the negated orthant, which node 1's orthant does not
+        # inherit through the appended uniform vector: link 1 fails, as in the
+        # oracle, and neither node 2 nor the observable is decomposed
         h0 = op("base", -PAULI_X)
         o = op("base", PAULI_X)
         tower = extension_tower(h0, orthant("base", 2), o, 2)
-        n1, n2 = tower.nodes[1], tower.nodes[2]
-        chain = ArrowChain(
-            (tower.nodes[0], ChainNode(n1.hamiltonian, negated(n1.cone), n1.cone),
-             ChainNode(n2.hamiltonian, negated(n2.cone))),
-            tower.embeddings)
-        report = quantum_number_along_chain(chain, o)
-        assert decompositions["eigh"] == len(chain.nodes) + 1
-        assert report.snapped == (1.0, 1.0, 1.0)
-        assert report.overlaps == pytest.approx((1.0, 1.0), abs=1e-10)
-        assert report.telescope_residuals == pytest.approx((2.0, 0.0), abs=1e-10)
-        assert_same_readings(report, two_pass_quantum_numbers(chain, o))
+        n2 = tower.nodes[2]
+        chain = ArrowChain(tower.nodes[:2] + (ChainNode(n2.hamiltonian, negated(n2.cone)),),
+                           tower.embeddings)
+        got = outcome(quantum_number_along_chain, chain, o)
+        assert decompositions["eigh"] == 2
+        assert got == (ChainFailed, "link 1: cone inheritance failed", 1)
+        assert outcome(two_pass_quantum_numbers, chain, o) == got
 
     def test_broken_link_raises_chain_failed(self):
         h = op("s", -PAULI_X)
@@ -505,9 +500,9 @@ def level_chain(h: LinearOperator, levels, signs=(), broken=None) -> ArrowChain:
     vector is not, so it stops; and a sigma_x coupling of WEAK times the
     node below for "weak", which leaves the ground state not simple.
 
-    Link j runs between cones of sign signs[j] (default +1), so a node
-    whose two links differ in sign has its own incoming cone.  Link
-    ``broken`` appends a sign-alternating vector, which no orthant inherits.
+    Node j sits on its product cone times signs[j] (default +1), so a
+    chain fails at a link whose two nodes differ in sign.  Link ``broken``
+    appends a sign-alternating vector, which no orthant inherits.
     """
     hams, cones, embeddings = [h], [orthant(h.space, h.dim)], []
     for level, kind in enumerate(levels, start=1):
@@ -521,14 +516,10 @@ def level_chain(h: LinearOperator, levels, signs=(), broken=None) -> ArrowChain:
         vec = np.ones(d) if level - 1 != broken else (-1.0) ** np.arange(d)
         embeddings.append(append_factor_embedding(prev.space, hams[-1].space, prev.dim,
                                                   vec / np.sqrt(d)))
-    signs = tuple(signs) or (1,) * len(levels)
-    out_signs = signs + signs[-1:] if signs else (1,)
-    nodes = []
-    for j, (ham, cone) in enumerate(zip(hams, cones)):
-        cone_out = cone if out_signs[j] > 0 else negated(cone)
-        cone_in = cone_out if j == 0 or signs[j - 1] == out_signs[j] else negated(cone_out)
-        nodes.append(ChainNode(ham, cone_out, cone_in))
-    return ArrowChain(tuple(nodes), tuple(embeddings))
+    signs = tuple(signs) or (1,) * len(hams)
+    nodes = tuple(ChainNode(ham, cone if sign > 0 else negated(cone))
+                  for ham, cone, sign in zip(hams, cones, signs))
+    return ArrowChain(nodes, tuple(embeddings))
 
 
 def outcome(fn, *args):
@@ -564,10 +555,14 @@ SINGLE_NODES = [
     ({"observable": "wide"}, (NotCommuting, 0)),
     ({"observable": "nonhermitian"}, (NonHermitian, None)),
 ]
-INCOMING_CONES = [({"levels": ("flip",) * 3, "signs": signs}, None)
-                  for signs in ((1, -1, 1), (-1, -1, 1), (1, 1, -1), (-1, 1, -1))]
+SIGN_FLIPS = [({"levels": ("flip",) * 3, "signs": signs}, expected) for signs, expected in (
+    ((-1, -1, -1, -1), None),
+    ((1, -1, -1, -1), (ChainFailed, 0)),
+    ((-1, -1, 1, 1), (ChainFailed, 1)),
+    ((1, 1, 1, -1), (ChainFailed, 2)),
+)]
 ORACLE_CASES = TOWERS + QUANTUM_NUMBER_FAILURES + LINK_AFTER_READING_FAILURE \
-    + SINGLE_NODES + INCOMING_CONES
+    + SINGLE_NODES + SIGN_FLIPS
 
 
 def case_id(case: dict) -> str:
