@@ -9,7 +9,9 @@ functions of the config bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
+import inspect
 import json
 import math
 import sys
@@ -33,14 +35,12 @@ from .numerics import (
 )
 
 if TYPE_CHECKING:
-    from .inheritance import ArrowChain, Embedding
+    from .inheritance import Embedding
 
 # Only what validation needs is imported above.  Each task imports the
 # modules it calls once its params have been looked up and checked, so a
 # config refused with exit 2 loads no verifier module.
 
-TASKS = ("classify", "mu", "chain", "lattice", "trotter", "spin-demo",
-         "richness", "weak-equiv", "stability")
 
 def _require(cond: bool, message: str) -> None:
     if not cond:
@@ -92,120 +92,137 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _finite(params: dict, key: str, default: float, task: str) -> float:
-    value = params.get(key, default)
+def _finite(value, what: str) -> float:
     _require(_is_number(value) and math.isfinite(value),
-             f"{task} {key} must be a finite number, got {value!r}")
+             f"{what} must be a finite number, got {value!r}")
     return float(value)
 
 
-def _registry(config: dict, key: str, entry: str):
-    """The entries of the `key` registry, each checked as it is reached: the
-    registry is a list, and each entry an object with a string name that no
-    earlier entry has."""
-    specs = config.get(key, [])
-    _require(isinstance(specs, list), f"{key} must be a list of {entry} entries")
-    names = set()
-    for spec in specs:
-        _require(isinstance(spec, dict) and "name" in spec, f"{entry} entries need 'name'")
-        _require(isinstance(spec["name"], str),
-                 f"{entry} names must be strings, got {spec['name']!r}")
-        _require(spec["name"] not in names, f"duplicate {entry} name {spec['name']!r}")
-        names.add(spec["name"])
-        yield spec
+def _read(what: str, obj, reader, *leading):
+    """`reader(*leading, **obj)` for the config object `obj`, whose keys are
+    exactly the reader's parameters after `leading`: one with a default is an
+    optional key.  A missing or unknown key is refused with a line naming
+    `what` and the key, before the reader runs."""
+    _require(isinstance(obj, dict), f"{what} must be an object, got {obj!r}")
+    signature = inspect.signature(reader)
+    try:
+        signature.bind(*leading, **obj)
+    except TypeError:
+        keys = list(signature.parameters.values())[len(leading):]
+        names = [p.name for p in keys]
+        unknown = [key for key in obj if key not in names]
+        if unknown:
+            raise SchemaError(f"{what}: unknown key {unknown[0]!r}; "
+                              f"it takes {', '.join(map(repr, names))}") from None
+        missing = [p.name for p in keys if p.default is p.empty and p.name not in obj]
+        raise SchemaError(f"{what}: missing key {missing[0]!r}") from None
+    return reader(*leading, **obj)
 
 
-def _tolerance(value) -> float:
-    _require(_is_number(value) and math.isfinite(value) and value > 0,
-             f"tolerances.default must be a finite positive number, got {value!r}")
-    _require(value < TOL_LIMIT, f"tolerances.default must be below 1/sqrt(2), got {value!r}")
-    return float(value)
+# The readers of registry entries by kind; the first reads an entry that
+# gives no kind.  A reader that a `kind` value chooses takes `kind` as a key.
+def _matrix_operator(ctx: RunContext, name, space, entries) -> LinearOperator:
+    dim = ctx.space_dim(space)
+    mat = matrix_from_json(entries, f"operator {name!r}")
+    _require(mat.shape == (dim, dim), f"operator {name!r} does not match space dim {dim}")
+    return LinearOperator(space, mat)
 
 
-def _build_context(config: dict) -> RunContext:
+def _identity_operator(ctx: RunContext, name, kind, space) -> LinearOperator:
+    return LinearOperator(space, np.eye(ctx.space_dim(space)))
+
+
+def _orthant_cone(ctx: RunContext, name, space, kind="orthant") -> SelfDualCone:
+    return orthant(space, ctx.space_dim(space))
+
+
+def _tensor_cone(ctx: RunContext, name, kind, parts) -> SelfDualCone:
+    _require(isinstance(parts, list) and len(parts) >= 2,
+             f"tensor cone {name!r} needs >= 2 parts")
+    return functools.reduce(tensor_cone, [ctx.cone(part) for part in parts])
+
+
+def _explicit_cone(ctx: RunContext, name, kind, space, generators) -> SelfDualCone:
+    dim = ctx.space_dim(space)
+    _require(isinstance(generators, list) and len(generators) == dim,
+             f"cone {name!r}: needs {dim} generators, one per dimension")
+    vectors = [vector_from_json(g, f"cone {name!r}") for g in generators]
+    with _constructing(f"cone {name!r}"):
+        return SelfDualCone(space, np.column_stack(vectors))
+
+
+# only a config that declares an embedding loads inheritance
+def _isometry_embedding(ctx: RunContext, name, from_space, to_space, matrix,
+                        kind="isometry") -> Embedding:
+    mat = matrix_from_json(matrix, f"embedding {name!r}")
+    _require(mat.shape == (ctx.space_dim(to_space), ctx.space_dim(from_space)),
+             f"embedding {name!r} has mismatched shape")
+    from .inheritance import Embedding
+    with _constructing(f"embedding {name!r}"):
+        return Embedding(from_space, to_space, mat)
+
+
+def _identity_embedding(ctx: RunContext, name, kind, space) -> Embedding:
+    dim = ctx.space_dim(space)
+    from .inheritance import identity_embedding
+    return identity_embedding(space, dim)
+
+
+def _append_vector_embedding(ctx: RunContext, name, kind, from_space, to_space,
+                             vector) -> Embedding:
+    vec = vector_from_json(vector, f"embedding {name!r}")
+    dim = ctx.space_dim(from_space)
+    _require(ctx.space_dim(to_space) == dim * vec.size,
+             f"embedding {name!r}: to_space dim must be {dim * vec.size}")
+    from .inheritance import append_factor_embedding
+    with _constructing(f"embedding {name!r}"):
+        return append_factor_embedding(from_space, to_space, dim, vec)
+
+
+_OPERATORS = {None: _matrix_operator, "identity": _identity_operator}
+_CONES = {"orthant": _orthant_cone, "tensor": _tensor_cone, "explicit": _explicit_cone}
+_EMBEDDINGS = {"isometry": _isometry_embedding, "identity": _identity_embedding,
+               "append_vector": _append_vector_embedding}
+
+
+def _tolerances(default=DEFAULT_TOL) -> float:
+    tol = _finite(default, "tolerances.default")
+    _require(0 < tol < TOL_LIMIT, f"tolerances.default must be above 0 and below 1/sqrt(2), "
+                                  f"got {default!r}")
+    return tol
+
+
+def _build_context(version, task, params={}, spaces={}, operators=[], cones=[], embeddings=[],
+                   tolerances={}) -> tuple[RunContext, str, dict]:
+    """The top level of a config: the run context its registries resolve to,
+    its task and the task's params, read next by the task's runner."""
+    _require(_is_number(version) and version == 1, "config version must be 1")
+    _require(task in TASKS, f"unknown task {task!r}; expected one of {', '.join(TASKS)}")
     ctx = RunContext()
-    spaces = config.get("spaces", {})
     _require(isinstance(spaces, dict), "spaces must map names to dimensions")
     for name, dim in spaces.items():
         _require(_is_int(dim) and dim >= 1, f"space {name!r} has bad dimension")
         _require(dim <= DIM_CAP, f"space {name!r} dimension {dim} exceeds cap {DIM_CAP}")
         ctx.spaces[name] = dim
-
-    for spec in _registry(config, "operators", "operator"):
-        _require("space" in spec, "operator entries need 'name' and 'space'")
-        dim = ctx.space_dim(spec["space"])
-        if spec.get("kind") == "identity":
-            mat = np.eye(dim)
-        else:
-            _require("entries" in spec, f"operator {spec['name']!r} has no entries")
-            mat = matrix_from_json(spec["entries"], f"operator {spec['name']!r}")
-        _require(mat.shape == (dim, dim),
-                 f"operator {spec['name']!r} does not match space dim {dim}")
-        ctx.operators[spec["name"]] = LinearOperator(spec["space"], mat)
-
-    for spec in _registry(config, "cones", "cone"):
-        kind = spec.get("kind", "orthant")
-        if kind == "orthant":
-            dim = ctx.space_dim(spec.get("space"))
-            cone = orthant(spec["space"], dim)
-        elif kind == "tensor":
-            parts = spec.get("parts", [])
-            _require(isinstance(parts, list) and len(parts) >= 2,
-                     f"tensor cone {spec['name']!r} needs >= 2 parts")
-            cone = ctx.cone(parts[0])
-            for part in parts[1:]:
-                cone = tensor_cone(cone, ctx.cone(part))
-        elif kind == "explicit":
-            _require("space" in spec and "generators" in spec,
-                     f"explicit cone {spec['name']!r} needs space and generators")
-            dim = ctx.space_dim(spec["space"])
-            _require(isinstance(spec["generators"], list) and len(spec["generators"]) == dim,
-                     f"cone {spec['name']!r}: needs {dim} generators, one per dimension")
-            vectors = [vector_from_json(g, f"cone {spec['name']!r}") for g in spec["generators"]]
-            with _constructing(f"cone {spec['name']!r}"):
-                cone = SelfDualCone(spec["space"], np.column_stack(vectors))
-        else:
-            raise SchemaError(f"unknown cone kind {kind!r}")
-        ctx.cones[spec["name"]] = cone
-
-    for spec in _registry(config, "embeddings", "embedding"):
-        # only a config that declares an embedding loads inheritance
-        from .inheritance import Embedding, append_factor_embedding, identity_embedding
-        kind = spec.get("kind", "isometry")
-        if kind == "identity":
-            dim = ctx.space_dim(spec.get("space"))
-            emb = identity_embedding(spec["space"], dim)
-        elif kind == "append_vector":
-            _require(all(k in spec for k in ("from_space", "to_space", "vector")),
-                     f"embedding {spec['name']!r} needs from_space, to_space, vector")
-            vec = vector_from_json(spec["vector"], f"embedding {spec['name']!r}")
-            dim = ctx.space_dim(spec["from_space"])
-            _require(ctx.space_dim(spec["to_space"]) == dim * vec.size,
-                     f"embedding {spec['name']!r}: to_space dim must be {dim * vec.size}")
-            with _constructing(f"embedding {spec['name']!r}"):
-                emb = append_factor_embedding(spec["from_space"], spec["to_space"], dim, vec)
-        elif kind == "isometry":
-            _require(all(k in spec for k in ("from_space", "to_space", "matrix")),
-                     f"embedding {spec['name']!r} needs from_space, to_space, matrix")
-            mat = matrix_from_json(spec["matrix"], f"embedding {spec['name']!r}")
-            _require(mat.shape == (ctx.space_dim(spec["to_space"]),
-                                   ctx.space_dim(spec["from_space"])),
-                     f"embedding {spec['name']!r} has mismatched shape")
-            with _constructing(f"embedding {spec['name']!r}"):
-                emb = Embedding(spec["from_space"], spec["to_space"], mat)
-        else:
-            raise SchemaError(f"unknown embedding kind {kind!r}")
-        ctx.embeddings[spec["name"]] = emb
-
-    tolerances = config.get("tolerances", {})
-    _require(isinstance(tolerances, dict), "tolerances must be a mapping")
-    ctx.tol = _tolerance(tolerances.get("default", DEFAULT_TOL))
-    return ctx
+    for entry, specs, readers in (("operator", operators, _OPERATORS), ("cone", cones, _CONES),
+                                  ("embedding", embeddings, _EMBEDDINGS)):
+        _require(isinstance(specs, list), f"{entry}s must be a list of {entry} entries")
+        resolved = getattr(ctx, f"{entry}s")
+        for spec in specs:
+            _require(isinstance(spec, dict) and "name" in spec, f"{entry} entries need 'name'")
+            name = spec["name"]
+            _require(isinstance(name, str), f"{entry} names must be strings, got {name!r}")
+            _require(name not in resolved, f"duplicate {entry} name {name!r}")
+            kind = spec.get("kind", next(iter(readers)))
+            _require(kind in tuple(readers), f"unknown {entry} kind {kind!r}")  # any JSON value
+            resolved[name] = _read(f"{entry} {name!r}", spec, readers[kind], ctx)
+    ctx.tol = _read("tolerances", tolerances, _tolerances)
+    return ctx, task, params
 
 
-def _task_classify(ctx: RunContext, params: dict):
-    op = ctx.operator(params.get("operator"))
-    cone = ctx.cone(params.get("cone"))
+def _task_classify(ctx: RunContext, operator, cone):
+    op = ctx.operator(operator)
+    cone = ctx.cone(cone)
     from .positivity import classify, is_ergodic
     report = classify(op, cone, ctx.tol)
     payload = report.to_payload()
@@ -214,84 +231,74 @@ def _task_classify(ctx: RunContext, params: dict):
     return True, payload
 
 
-def _task_mu(ctx: RunContext, params: dict):
-    h = ctx.operator(params.get("hamiltonian"))
-    o = ctx.operator(params.get("observable"))
-    cone = ctx.cone(params.get("cone"))
+def _task_mu(ctx: RunContext, hamiltonian, observable, cone):
+    h = ctx.operator(hamiltonian)
+    o = ctx.operator(observable)
+    cone = ctx.cone(cone)
     from .stability import good_quantum_number
     gqn = good_quantum_number(h, o, cone, ctx.tol)
     return True, gqn.to_payload()
 
 
-def _build_chain(ctx: RunContext, params: dict) -> ArrowChain:
-    raw_nodes = params.get("nodes")
-    _require(isinstance(raw_nodes, list) and raw_nodes, "chain needs a list of nodes")
-    nodes = []  # (hamiltonian, cone) of each node
-    for spec in raw_nodes:
-        _require(isinstance(spec, dict) and "hamiltonian" in spec and "cone" in spec,
-                 "chain nodes need 'hamiltonian' and 'cone'")
-        # refused, not ignored: a node read on one cone where its config names a
-        # second would change its verdict without a word
-        extra = ", ".join(repr(key) for key in spec if key not in ("hamiltonian", "cone"))
-        _require(not extra, f"chain nodes have one cone and take only 'hamiltonian' and "
-                            f"'cone', got {extra}")
-        nodes.append((ctx.operator(spec["hamiltonian"]), ctx.cone(spec["cone"])))
-    raw_embs = params.get("embeddings", [])
-    _require(isinstance(raw_embs, list),
-             f"chain embeddings must be a list of embedding ids, got {raw_embs!r}")
-    _require(len(raw_embs) == len(nodes) - 1,
+def _chain_node(ctx: RunContext, hamiltonian, cone):
+    return ctx.operator(hamiltonian), ctx.cone(cone)
+
+
+def _task_chain(ctx: RunContext, nodes, embeddings=[], observable=None):
+    _require(isinstance(nodes, list) and nodes, "chain needs a list of nodes")
+    pairs = [_read(f"chain node {j}", node, _chain_node, ctx) for j, node in enumerate(nodes)]
+    _require(isinstance(embeddings, list),
+             f"chain embeddings must be a list of embedding ids, got {embeddings!r}")
+    _require(len(embeddings) == len(pairs) - 1,
              "need exactly one embedding per consecutive node pair")
-    embeddings = tuple(ctx.embedding(name) for name in raw_embs)
+    links = tuple(ctx.embedding(name) for name in embeddings)
+    o = None if observable is None else ctx.operator(observable)
     from .inheritance import ArrowChain, ChainNode
-    return ArrowChain(tuple(ChainNode(*node) for node in nodes), embeddings)
-
-
-def _task_chain(ctx: RunContext, params: dict):
-    chain = _build_chain(ctx, params)
+    chain = ArrowChain(tuple(ChainNode(*pair) for pair in pairs), links)
     payload: dict = {"nodes": len(chain.nodes)}
-    if "observable" in params:
-        o = ctx.operator(params["observable"])
+    if o is None:
+        from .inheritance import verify_chain
+        report = verify_chain(chain, ctx.tol)
+    else:
         from .stability import _chain_pass
         # the links, then the quantum numbers; a failed link stays a LinkFailed, as
         # verify_chain raises it
         report, mu_report = _chain_pass(chain, o, ctx.tol)
         payload["quantum_numbers"] = mu_report.to_payload()
-    else:
-        from .inheritance import verify_chain
-        report = verify_chain(chain, ctx.tol)
     payload.update(report.to_payload())
     return True, payload
 
 
-def _task_trotter(ctx: RunContext, params: dict):
-    h = ctx.operator(params.get("h"))
-    h_prime = ctx.operator(params.get("h_prime"))
-    cone = ctx.cone(params.get("cone"))
-    n_values = params.get("n_values", [1, 2, 4, 8, 16, 32, 64, 128, 256])
+def _task_trotter(ctx: RunContext, h, h_prime, cone, s=1.0, t=1.0, beta=1.0,
+                  n_values=[1, 2, 4, 8, 16, 32, 64, 128, 256]):
+    h = ctx.operator(h)
+    h_prime = ctx.operator(h_prime)
+    cone = ctx.cone(cone)
     _require(isinstance(n_values, list) and all(_is_int(n) and n >= 1 for n in n_values),
              "n_values must be positive integers")
     _require(all(n <= sys.float_info.max for n in n_values),
              "n_values must not exceed the largest float")
-    s, t, beta = (_finite(params, key, 1.0, "trotter") for key in ("s", "t", "beta"))
+    s, t, beta = _finite(s, "trotter s"), _finite(t, "trotter t"), _finite(beta, "trotter beta")
     from .semigroup import trotter_verify
     report = trotter_verify(h, h_prime, s, t, beta, tuple(n_values), cone, ctx.tol)
     return report.ok, report.to_payload()
 
 
-def _task_lattice(ctx: RunContext, params: dict):
-    factors = params.get("factors")
+def _lattice_factor(ctx: RunContext, operator):
+    y = ctx.operator(operator)
+    return y.dim, y
+
+
+def _task_lattice(ctx: RunContext, h0, cone, observable, x, factors):
     _require(isinstance(factors, list) and factors, "lattice needs a factors list")
-    pairs = []
-    for f in factors:
-        _require(isinstance(f, dict) and "operator" in f, "factors need 'operator'")
-        y = ctx.operator(f["operator"])
-        pairs.append((y.dim, y))
-    h0 = ctx.operator(params.get("h0"))
-    cone = ctx.cone(params.get("cone"))
-    observable = ctx.operator(params.get("observable"))
-    x = ctx.operator(params.get("x"))
+    pairs = tuple(_read(f"lattice factor {mu}", factor, _lattice_factor, ctx)
+                  for mu, factor in enumerate(factors, start=1))
+    h0 = ctx.operator(h0)
+    cone = ctx.cone(cone)
+    observable = ctx.operator(observable)
+    x = ctx.operator(x)
     from .lattice import LatticeSpec, build_lattice, hasse_export
-    spec = LatticeSpec(h0=h0, cone=cone, observable=observable, x=x, factors=tuple(pairs))
+    spec = LatticeSpec(h0=h0, cone=cone, observable=observable, x=x, factors=pairs)
     diagram = build_lattice(spec, ctx.tol)
     payload = {
         "assumptions": diagram.assumptions.to_payload(),
@@ -300,11 +307,10 @@ def _task_lattice(ctx: RunContext, params: dict):
     return True, payload, {"hasse.dot": hasse_export(diagram)}
 
 
-def _task_richness(ctx: RunContext, params: dict):
-    h = ctx.operator(params.get("hamiltonian"))
-    cone = ctx.cone(params.get("cone"))
-    o = ctx.operator(params.get("observable"))
-    depth = params.get("depth", 5)
+def _task_richness(ctx: RunContext, hamiltonian, cone, observable, depth=5):
+    h = ctx.operator(hamiltonian)
+    cone = ctx.cone(cone)
+    o = ctx.operator(observable)
     _require(_is_int(depth) and depth >= 0, "depth must be a nonnegative integer")
     from .stability import extension_tower, quantum_number_along_chain
     chain = extension_tower(h, cone, o, depth, ctx.tol)
@@ -317,12 +323,11 @@ def _task_richness(ctx: RunContext, params: dict):
     return True, payload
 
 
-def _task_weak_equiv(ctx: RunContext, params: dict):
-    h2 = ctx.operator(params.get("h2"))
-    h_star = ctx.operator(params.get("h_star"))
-    env_cone = ctx.cone(params.get("env_cone"))
-    d1, d2 = h_star.dim, env_cone.dim
-    _require(h2.dim == d1 * d2, "h2 dim must equal dim(h_star) * dim(env_cone)")
+def _task_weak_equiv(ctx: RunContext, h2, h_star, env_cone):
+    h2 = ctx.operator(h2)
+    h_star = ctx.operator(h_star)
+    env_cone = ctx.cone(env_cone)
+    _require(h2.dim == h_star.dim * env_cone.dim, "h2 dim must equal dim(h_star) * dim(env_cone)")
     from .stability import ground_state_factorizes, is_decoupled_extension
     equiv = is_decoupled_extension(h2, h_star, env_cone, ctx.tol)
     factor = ground_state_factorizes(h2, h_star, env_cone, tol=ctx.tol)
@@ -330,69 +335,66 @@ def _task_weak_equiv(ctx: RunContext, params: dict):
     return True, payload
 
 
-def _site_list(value, sites: int, name: str) -> list[int]:
-    _require(isinstance(value, list) and all(
-        _is_int(s) and 1 <= s <= sites for s in value),
-        f"spin-demo {name} must be a list of sites 1..{sites}, got {value!r}")
-    _require(len(set(value)) == len(value), f"spin-demo {name} repeats a site: {value!r}")
-    return value
-
-
-def _task_spin_demo(ctx: RunContext, params: dict):
-    sites = params.get("sites")
-    _require(_is_int(sites) and sites >= 2,
-             "spin-demo needs sites >= 2")
+def _task_spin_demo(ctx: RunContext, sites, sublattice_a, sector_m=0.0):
+    _require(_is_int(sites) and sites >= 2, "spin-demo needs sites >= 2")
+    a = sublattice_a
+    _require(isinstance(a, list) and a and all(_is_int(s) and 1 <= s <= sites for s in a),
+             f"spin-demo sublattice_a must be a non-empty list of sites 1..{sites}, got {a!r}")
+    _require(len(set(a)) == len(a), f"spin-demo sublattice_a repeats a site: {a!r}")
+    m = _finite(sector_m, "spin-demo sector_m")
     from .spin import SpinSystem, _check_cap, verify_mlm
-    _check_cap(sites)  # before any list over the sites is built
-    a = params.get("sublattice_a")
-    _require(isinstance(a, list) and a, "spin-demo needs sublattice_a")
-    a = _site_list(a, sites, "sublattice_a")
-    b = _site_list(params.get("sublattice_b", [s for s in range(1, sites + 1) if s not in a]),
-                   sites, "sublattice_b")
-    _require(not set(a) & set(b), f"spin-demo sublattices overlap: {sorted(set(a) & set(b))}")
-    _require(len(a) + len(b) == sites, f"spin-demo sublattices must cover sites 1..{sites}")
-    m = _finite(params, "sector_m", 0.0, "spin-demo")
-    system = SpinSystem(sites, tuple(a), tuple(b))
-    report = verify_mlm(system, m, ctx.tol)
+    _check_cap(sites)  # before sublattice b, a list over the sites, is built
+    b = tuple(s for s in range(1, sites + 1) if s not in a)
+    report = verify_mlm(SpinSystem(sites, tuple(a), b), m, ctx.tol)
     return report.ok, report.to_payload()
 
 
-def _stability_member_chain(ctx: RunContext, h_star: LinearOperator,
-                            cone: SelfDualCone, o: LinearOperator, recipe: dict):
-    _require(isinstance(recipe, dict), f"stability member recipe must be an object, got {recipe!r}")
-    kind = recipe.get("type")
-    if kind == "tower":
-        depth = recipe.get("depth", 1)
-        _require(_is_int(depth) and depth >= 1, "tower depth must be >= 1")
+# A stability member's recipe reads to the build of its chain, which
+# `_task_stability` runs once every member is read.
+def _tower_recipe(ctx: RunContext, type, depth=1):
+    _require(_is_int(depth) and depth >= 1, "tower depth must be >= 1")
+
+    def build(h_star, cone, o):
         from .stability import extension_tower
         return extension_tower(h_star, cone, o, depth, ctx.tol)
-    if kind == "coupling":
-        x = ctx.operator(recipe.get("x"))
-        y = ctx.operator(recipe.get("y"))
+    return build
+
+
+def _coupling_recipe(ctx: RunContext, type, x, y):
+    x, y = ctx.operator(x), ctx.operator(y)
+
+    def build(h_star, cone, o):
         from .stability import _appended_chain
         return _appended_chain(h_star, cone, x, (_kronecker_slot(y.mat),), (y.space,))
-    raise SchemaError(f"unknown stability recipe type {kind!r}")
+    return build
 
 
-def _task_stability(ctx: RunContext, params: dict):
-    h_star = ctx.operator(params.get("h_star"))
-    cone = ctx.cone(params.get("cone"))
-    o = ctx.operator(params.get("observable"))
-    members = params.get("members", [])
+_RECIPES = {"tower": _tower_recipe, "coupling": _coupling_recipe}
+
+
+def _stability_member(ctx: RunContext, id, recipe):
+    _require(isinstance(id, str), f"stability member ids must be strings, got {id!r}")
+    _require(isinstance(recipe, dict),
+             f"stability member recipe must be an object, got {recipe!r}")
+    kind = recipe.get("type")
+    _require(kind in tuple(_RECIPES), f"unknown stability recipe type {kind!r}")
+    return id, _read(f"stability member {id!r} recipe", recipe, _RECIPES[kind], ctx)
+
+
+def _task_stability(ctx: RunContext, h_star, cone, observable, members=[]):
+    h = ctx.operator(h_star)
+    cone = ctx.cone(cone)
+    o = ctx.operator(observable)
     _require(isinstance(members, list), "members must be a list")
-    ids = set()
-    for member in members:
-        _require(isinstance(member, dict) and "id" in member and "recipe" in member,
-                 "stability members need 'id' and 'recipe'")
-        _require(isinstance(member["id"], str),
-                 f"stability member ids must be strings, got {member['id']!r}")
-        _require(member["id"] not in ids, f"duplicate stability member id {member['id']!r}")
-        ids.add(member["id"])
+    builds = {}
+    for j, member in enumerate(members):
+        member_id, build = _read(f"stability member {j}", member, _stability_member, ctx)
+        _require(member_id not in builds, f"duplicate stability member id {member_id!r}")
+        builds[member_id] = build
     from .stability import StabilityClassRecord
-    record = StabilityClassRecord.for_base(params.get("h_star"), h_star, cone, o, ctx.tol)
-    for member in members:
-        chain = _stability_member_chain(ctx, h_star, cone, o, member["recipe"])
-        record.add_member(member["id"], chain, ctx.tol)
+    record = StabilityClassRecord.for_base(h_star, h, cone, o, ctx.tol)
+    for member_id, build in builds.items():
+        record.add_member(member_id, build(h, cone, o), ctx.tol)
     return True, record.to_payload()
 
 
@@ -400,13 +402,14 @@ _RUNNERS = {
     "classify": _task_classify,
     "mu": _task_mu,
     "chain": _task_chain,
-    "trotter": _task_trotter,
     "lattice": _task_lattice,
+    "trotter": _task_trotter,
+    "spin-demo": _task_spin_demo,
     "richness": _task_richness,
     "weak-equiv": _task_weak_equiv,
-    "spin-demo": _task_spin_demo,
     "stability": _task_stability,
 }
+TASKS = tuple(_RUNNERS)
 
 
 def run_config(config: dict, digest: str) -> tuple[dict, dict]:
@@ -416,17 +419,11 @@ def run_config(config: dict, digest: str) -> tuple[dict, dict]:
     other failure is folded into the report's status.
     """
     _require(isinstance(config, dict), "config must be a JSON object")
-    _require(_is_number(config.get("version")) and config["version"] == 1,
-             "config version must be 1")
-    task = config.get("task")
-    _require(task in TASKS, f"unknown task {task!r}; expected one of {', '.join(TASKS)}")
-    params = config.get("params", {})
-    _require(isinstance(params, dict), "params must be a JSON object")
-    ctx = _build_context(config)
+    ctx, task, params = _read("config", config, _build_context)
 
     extra_files: dict[str, str] = {}
     try:
-        result = _RUNNERS[task](ctx, params)
+        result = _read(f"{task} params", params, _RUNNERS[task], ctx)
         if len(result) == 3:
             ok, payload, extra_files = result
         else:

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import subprocess
@@ -394,6 +395,9 @@ SPIN_A = '"sublattice_a": [1, 2]'
                  id="sublattice-b-not-list"),
     pytest.param(SPIN_TEXT.replace(SPIN_A, SPIN_A + ', "sublattice_b": [3]'),
                  id="sublattices-miss-a-site"),
+    # b is the complement of a: a config that names it says nothing more
+    pytest.param(SPIN_TEXT.replace(SPIN_A, SPIN_A + ', "sublattice_b": [3, 4]'),
+                 id="sublattice-b-the-complement"),
     pytest.param(SPIN_TEXT.replace('"sites": 4', '"sites": 4.0'), id="sites-float"),
 ])
 def test_malformed_spin_demo_exits_two_and_writes_nothing(text, tmp_path, capsys):
@@ -615,8 +619,8 @@ def test_a_chain_node_has_one_cone(tmp_path, capsys):
     # link verified; such a config once passed with a telescope residual of 2
     text = edited("chain_two_level.json", lambda c: sign_flip_chain(c, cone_in=True))
     err = assert_schema_error_writes_nothing("chain", text, tmp_path, capsys)
-    assert err == ("conecalc: schema error: chain nodes have one cone and take only "
-                   "'hamiltonian' and 'cone', got 'cone_in'\n")
+    assert err == ("conecalc: schema error: chain node 1: unknown key 'cone_in'; "
+                   "it takes 'hamiltonian', 'cone'\n")
     # written with one cone per node, the chain fails where the sign changes
     report, _ = run_config(json.loads(edited("chain_two_level.json",
                                              lambda c: sign_flip_chain(c, cone_in=False))),
@@ -673,11 +677,81 @@ def first_member(config: dict) -> dict:
     pytest.param("stability", edited("stability_demo.json", lambda c: c["params"]["members"][1]
                                      .update(id=first_member(c)["id"])),
                  "duplicate stability member id 'tower-depth-2'", id="member-id-repeated"),
+    # each of these six once ran as if the key were absent, and passed
+    pytest.param("classify", edited("classify_flip.json", lambda c: c.update(cones=[
+                     {"name": "P", "space": "base", "generators": [[-1, 0], [0, -1]]}])),
+                 "cone 'P': unknown key 'generators'; it takes 'name', 'space', 'kind'\n",
+                 id="cone-generators-without-kind"),
+    pytest.param("richness", RICHNESS_TEXT.replace('"depth": 5', '"depht": 1'),
+                 "richness params: unknown key 'depht'", id="richness-depht"),
+    pytest.param("classify", edited("classify_flip.json", lambda c: c.update(tolerance=1e-6)),
+                 "config: unknown key 'tolerance'", id="config-tolerance"),
+    pytest.param("trotter", TROTTER_TEXT.replace('"beta": 1.0', '"bta": 2.0'),
+                 "trotter params: unknown key 'bta'", id="trotter-bta"),
+    pytest.param("spin-demo", SPIN_TEXT.replace('"sector_m": 0', '"sector": 1'),
+                 "spin-demo params: unknown key 'sector'", id="spin-demo-sector"),
+    pytest.param("stability", edited("stability_demo.json", lambda c: c["operators"][2].update(
+                     entries=[[2, 0], [0, 2]])),
+                 "operator 'one': unknown key 'entries'; it takes 'name', 'kind', 'space'\n",
+                 id="identity-operator-with-entries"),
+    # a missing key is named, not looked up as the id None
+    pytest.param("mu", edited("mu_flip.json", lambda c: c["params"].pop("cone")),
+                 "mu params: missing key 'cone'\n", id="mu-without-cone"),
+    pytest.param("chain", edited("chain_two_level.json", lambda c: c["params"].update(
+                     nodes=[{"hamiltonian": "h0"}, {"hamiltonian": "h1", "cone": "P1"}])),
+                 "chain node 0: missing key 'cone'\n", id="chain-node-without-cone"),
+    pytest.param("lattice", edited("lattice_ell3.json",
+                                   lambda c: c["params"]["factors"][1].update(slot=2)),
+                 "lattice factor 2: unknown key 'slot'", id="lattice-factor-slot"),
+    pytest.param("stability", edited("stability_demo.json",
+                                     lambda c: first_member(c)["recipe"].update(dpth=3)),
+                 "stability member 'tower-depth-2' recipe: unknown key 'dpth'",
+                 id="tower-recipe-dpth"),
+    pytest.param("stability", edited("stability_demo.json",
+                                     lambda c: first_member(c).update(label="x")),
+                 "stability member 0: unknown key 'label'", id="member-label"),
+    # a kind or type that cannot be hashed is still one line
+    pytest.param("classify", edited("classify_flip.json",
+                                    lambda c: c["cones"][0].update(kind=["orthant"])),
+                 "unknown cone kind ['orthant']", id="cone-kind-a-list"),
+    pytest.param("stability", edited("stability_demo.json",
+                                     lambda c: first_member(c)["recipe"].update(type=["tower"])),
+                 "unknown stability recipe type ['tower']", id="recipe-type-a-list"),
 ])
 def test_malformed_registry_exits_two_without_a_traceback(task, text, message, tmp_path, capsys):
     err = assert_schema_error_writes_nothing(task, text, tmp_path, capsys)
     assert err.startswith(f"conecalc: schema error: {message}")
     assert "Traceback" not in err
+
+
+def reader_rows() -> dict[str, tuple[str, str]]:
+    """Object -> (required keys, optional keys) as the signatures of the
+    readers in `cli` give them, written as README "Config format" rows."""
+    readers = {"top level": cli._build_context, "tolerances": cli._tolerances}
+    for entry, kinds in (("operator", cli._OPERATORS), ("cone", cli._CONES),
+                         ("embedding", cli._EMBEDDINGS)):
+        readers.update({f"{entry}, kind `{kind}`" if kind else entry: reader
+                        for kind, reader in kinds.items()})
+    readers.update({f"params, task `{task}`": reader for task, reader in cli._RUNNERS.items()})
+    readers.update({"chain node": cli._chain_node, "lattice factor": cli._lattice_factor,
+                    "stability member": cli._stability_member})
+    readers.update({f"recipe, type `{kind}`": reader for kind, reader in cli._RECIPES.items()})
+    rows = {}
+    for label, reader in readers.items():
+        keys = [p for p in inspect.signature(reader).parameters.values() if p.name != "ctx"]
+        required = [f"`{p.name}`" for p in keys if p.default is p.empty]
+        optional = [f"`{p.name}`" if p.default is None else f"`{p.name}` = `{json.dumps(p.default)}`"
+                    for p in keys if p.default is not p.empty]
+        rows[label] = (", ".join(required), ", ".join(optional))
+    return rows
+
+
+def test_the_readme_lists_every_config_object_with_its_readers_keys():
+    section = (CONFIGS.parent / "README.md").read_text().split("### Config format")[1]
+    table = [line.split("|")[1:4] for line in section.split("\n## ")[0].splitlines()
+             if line.startswith("|")][2:]
+    assert {label.strip(): (required.strip(), optional.strip())
+            for label, required, optional in table} == reader_rows()
 
 
 SHIPPED = sorted(path.name for path in CONFIGS.glob("*.json"))
@@ -785,7 +859,7 @@ def test_declared_space_past_the_cap_exits_two_before_any_allocation(dim, operat
 
 
 def test_declared_space_at_the_cap_is_accepted():
-    ctx = cli._build_context({"spaces": {"base": numerics.DIM_CAP}})
+    ctx, _, _ = cli._build_context(1, "classify", spaces={"base": numerics.DIM_CAP})
     assert ctx.space_dim("base") == numerics.DIM_CAP
 
 

@@ -131,6 +131,18 @@ def _rejects(tmp_path: Path) -> list[list[str]]:
         "trotter-s-string": config("trotter_pair.json", params(s="abc")),
         "spin-sites-float": config("spin_demo_n4.json", params(sites=4.0)),
         "lattice-no-factors": config("lattice_ell3.json", params(factors=[])),
+        "richness-depht": config("richness_depth5.json",
+                                 lambda c: c["params"].update(depht=c["params"].pop("depth"))),
+        "config-tolerance": config("classify_flip.json", lambda c: c.update(tolerance=1e-6)),
+        "cone-generators-without-kind": config("classify_flip.json", lambda c: c.update(
+            cones=[{"name": "P", "space": "base", "generators": [[-1, 0], [0, -1]]}])),
+        "spin-sector": config("spin_demo_n4.json",
+                              lambda c: c["params"].update(sector=c["params"].pop("sector_m"))),
+        # every member is read before the base record is decomposed
+        "recipe-type-towr": config("stability_demo.json", lambda c: c["params"]["members"][0][
+            "recipe"].update(type="towr")),
+        "tower-depth-0-second-member": config("stability_demo.json", lambda c: c["params"][
+            "members"][1].update(recipe={"type": "tower", "depth": 0})),
     }
     argvs = []
     for name, parsed in cases.items():

@@ -35,7 +35,7 @@ from conftest import (
 )
 
 from conecalc import inheritance, positivity, stability
-from conecalc.cli import RunContext, _stability_member_chain, run_config
+from conecalc.cli import RunContext, _coupling_recipe, run_config
 from conecalc.cones import (
     SelfDualCone,
     _signed_cone,
@@ -540,8 +540,8 @@ def test_a_coupling_member_is_a_one_slot_lattice_chain(seed):
     x = LinearOperator("base", gen.uniform(0.5, 1.5) * np.eye(n))
     y = LinearOperator("env", gen.uniform(0.5, 1.5) * np.ones((m, m)))
     ctx = RunContext(operators={"x": x, "y": y})
-    chain = _stability_member_chain(ctx, h, orthant("base", n), h,
-                                    {"type": "coupling", "x": "x", "y": "y"})
+    build = _coupling_recipe(ctx, type="coupling", x="x", y="y")
+    chain = build(h, orthant("base", n), h)
     spec = LatticeSpec(h, orthant("base", n), h, x, ((m, y),))
     assert chain.nodes[0].hamiltonian is h
     assert_same_node(chain.nodes[1], build_node(spec, (1,)), {"env": "f1"})
