@@ -26,13 +26,7 @@ from . import __version__
 from .cones import SelfDualCone, orthant, tensor_cone
 from .errors import ConecalcError, DimMismatch, IoError, SchemaError
 from .jsonio import _is_number, canonical_dumps, matrix_from_json, vector_from_json
-from .numerics import (
-    DEFAULT_TOL,
-    DIM_CAP,
-    TOL_LIMIT,
-    LinearOperator,
-    _kronecker_slot,
-)
+from .numerics import DEFAULT_TOL, DIM_CAP, TOL_LIMIT, LinearOperator
 
 if TYPE_CHECKING:
     from .inheritance import Embedding
@@ -364,8 +358,8 @@ def _coupling_recipe(ctx: RunContext, type, x, y):
     x, y = ctx.operator(x), ctx.operator(y)
 
     def build(h_star, cone, o):
-        from .stability import _appended_chain
-        return _appended_chain(h_star, cone, x, (_kronecker_slot(y.mat),), (y.space,))
+        from .stability import _KroneckerFamily
+        return _KroneckerFamily(h_star, cone, x, (y.mat,), (y.space,)).chain()
     return build
 
 

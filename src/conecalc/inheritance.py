@@ -29,24 +29,24 @@ ISOMETRY_TOL = 1e-10
 class Embedding:
     """Isometry between two spaces, with its induced orthogonal projection.
 
-    The embeddings built by `identity_embedding`, `append_factor_embedding`
-    and the covering edges of `lattice.build_lattice` are Kronecker products
-    of identities and real unit vectors: row r of the isometry is
-    vals[r] e_{cols[r]}^T, one entry at most.  They keep (cols, vals), not
-    the dense isometry.  That is built on its first read, for `compress`
-    and the dense route of `inherits_positivity`, as `push` of
-    the identity: each entry is vals[r] times 1.0 or +0.0, so it has the
-    bits of the np.kron product of the factors, signed zeros included.
-    `inherits_positivity` decides on (cols, vals) alone, and `extend` and
-    `push` gather: every entry of their dense products is a single term,
-    so the values are the same.  `projection` is `extend` of the identity
-    on either route.  `push` maps a vector, or the columns of a block, into
-    the larger space; pushing the identity through the embeddings of a
-    chain gives the frame that carries an observable along it, through
-    which `stability._commutes` tests the pushed observable.
-    `pull` of a vector sums each column's rows in row order, which rounds
-    apart from a BLAS product by at most 2 m eps sum_r |vals[r] x[r]| per
-    entry, m rows to a column.
+    The embeddings of `identity_embedding`, `append_factor_embedding` and
+    `stability._KroneckerFamily.embedding` (the links of towers, `coupling`
+    members and lattices) are Kronecker products of identities and real unit
+    vectors: row r of the isometry is vals[r] e_{cols[r]}^T, one entry at
+    most.  They keep (cols, vals), not the dense isometry.  That is built on
+    its first read, for `compress` and the dense route of
+    `inherits_positivity`, as `push` of the identity: each entry is vals[r]
+    times 1.0 or +0.0, so it has the bits of the np.kron product of the
+    factors, signed zeros included.  `inherits_positivity` decides on
+    (cols, vals) alone, and `extend` and `push` gather: every entry of their
+    dense products is a single term, so the values are the same.
+    `projection` is `extend` of the identity on either route.  `push` maps a
+    vector, or the columns of a block, into the larger space; pushing the
+    identity through the embeddings of a chain gives the frame that carries
+    an observable along it, through which `stability._commutes` tests the
+    pushed observable.  `pull` of a vector sums each column's rows in row
+    order, which rounds apart from a BLAS product by at most
+    2 m eps sum_r |vals[r] x[r]| per entry, m rows to a column.
     """
 
     from_space: str

@@ -1,8 +1,8 @@
 """Boolean lattice of perturbed Hamiltonians H_I = H0 (x) 1 - X (x) K_I, K_I
-the Kronecker sum of the coupling slots Y_mu, mu in I: one node per subset of
-slots, laid out by `stability._perturbed_node` as tower levels and `stability`
-coupling members are, with per-edge inheritance verification and
-deterministic Hasse-diagram export.
+the Kronecker sum of the coupling slots Y_mu, mu in I: one node per subset,
+whose nodes, embeddings and frames a `stability._KroneckerFamily` lays out as
+it does tower levels and `coupling` members, with per-edge inheritance
+verification and deterministic Hasse-diagram export.
 """
 
 from __future__ import annotations
@@ -15,20 +15,10 @@ import numpy as np
 
 from .cones import SelfDualCone, orthant
 from .errors import ClassificationFailed, DimCap, DimMismatch, NotPreserving, SpecFailed
-from .inheritance import _kronecker_embedding, _verified_link
-from .numerics import (
-    DEFAULT_TOL,
-    DIM_CAP,
-    LinearOperator,
-    Spectrum,
-    _kron,
-    _kronecker_slot,
-    _Slot,
-    hermitian_eig,
-    uniform_vector,
-)
+from .inheritance import _verified_link
+from .numerics import DEFAULT_TOL, DIM_CAP, LinearOperator, Spectrum, hermitian_eig, uniform_vector
 from .positivity import NodeAnalysis, classify, generates_improving_semigroup, is_ergodic
-from .stability import _perturbed_node, _quantum_number, commutes_with_observable
+from .stability import _KroneckerFamily, _quantum_number, commutes_with_observable
 
 Subset = tuple[int, ...]
 UNIFORM_EIGEN_TOL = 1e-10  # |Y w - lambda w| <= this * max(1, ||Y||) for the uniform w
@@ -168,12 +158,12 @@ class LatticeNode:
         }
 
 
-def _slots(spec: LatticeSpec) -> tuple[_Slot, ...]:
-    """Every Y_mu with its eigenpairs, once the top node is known to be
-    within `DIM_CAP`; each lattice decomposes its slots once."""
+def _family(spec: LatticeSpec) -> _KroneckerFamily:
+    """The spec's family, slot mu named f{mu}, once its top node is within `DIM_CAP`."""
     if spec.full_dim() > DIM_CAP:
         raise DimCap(f"total dimension {spec.full_dim()} exceeds cap {DIM_CAP}")
-    return tuple(_kronecker_slot(y.mat) for _, y in spec.factors)
+    return _KroneckerFamily(spec.h0, spec.cone, spec.x, [y.mat for _, y in spec.factors],
+                            [f"f{mu}" for mu in range(1, spec.ell + 1)])
 
 
 def build_node(spec: LatticeSpec, subset: Subset, tol: float = DEFAULT_TOL) -> LatticeNode:
@@ -187,34 +177,26 @@ def build_node(spec: LatticeSpec, subset: Subset, tol: float = DEFAULT_TOL) -> L
     follows from that of every Y_mu (`verify_spec`), and the positivity of a
     sampled exponential from the criterion; both are test oracles only.
     """
-    slots = _slots(spec)
-    return _build_node(spec, subset, tol, hermitian_eig(spec.observable), slots)[0]
+    return _build_node(spec, _family(spec), subset, tol, hermitian_eig(spec.observable))[0]
 
 
-def _build_node(spec: LatticeSpec, subset: Subset, tol: float, o_spectrum: Spectrum,
-                slots: tuple[_Slot, ...]) -> tuple[LatticeNode, NodeAnalysis]:
-    """`build_node` given the base observable's spectrum and the slots, also
-    returning the node's record.  The node is the `_perturbed_node` of the
-    lattice's shared slots in I, named f{mu} in ascending order.
-    spec(T O T^*) is spec(O) and 0, so the pushed observable has the
-    norm of the base one and snaps to those values.  It is read through
-    its frame T, the base identity with the uniform vector of every slot
-    in I appended in ascending order."""
+def _build_node(spec: LatticeSpec, family: _KroneckerFamily, subset: Subset, tol: float,
+                o_spectrum: Spectrum) -> tuple[LatticeNode, NodeAnalysis]:
+    """`build_node` given the spec's family and the base observable's
+    spectrum, also returning the node's record.  spec(T O T^*) is spec(O)
+    and 0, so the pushed observable has the norm of the base one and snaps
+    to those values.  It is read through the family's frame T of I."""
     subset = tuple(sorted(subset))
-    perturbed = _perturbed_node(spec.h0, spec.cone, spec.x, tuple(slots[mu - 1] for mu in subset),
-                                [f"f{mu}" for mu in subset])
-    h, cone = perturbed.hamiltonian, perturbed.cone
-    frame = np.eye(spec.h0.dim)
-    for mu in subset:
-        frame = _kron(frame, uniform_vector(spec.factors[mu - 1][0])[:, None])
-
-    node = NodeAnalysis(h, cone, tol)
+    perturbed = family.node(subset)
+    node = NodeAnalysis(perturbed.hamiltonian, perturbed.cone, tol)
     if not node.improving:
         raise ClassificationFailed(f"H_{set(subset) or '{}'} is not improving-class")
 
     snap_to = np.concatenate([o_spectrum.eigenvalues, [0.0]])
-    mu, mu_snapped, _, _ = _quantum_number(node, spec.observable, o_spectrum.norm, snap_to, frame)
-    return LatticeNode(subset, h, cone, mu, mu_snapped, node.ground.energy), node
+    mu, mu_snapped, _, _ = _quantum_number(node, spec.observable, o_spectrum.norm, snap_to,
+                                           family.frame(subset))
+    return LatticeNode(subset, node.hamiltonian, node.cone, mu, mu_snapped,
+                       node.ground.energy), node
 
 
 @dataclass(frozen=True)
@@ -253,16 +235,16 @@ def build_lattice(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> HasseDiagram:
     lexicographic) order, then each covering pair (I, I u {mu}) is decided
     by the link verdict of chains: a full arrow, a strictly positive ground
     overlap and a compressed ground projector that improves the small cone.
-    Its embedding inserts mu's uniform vector between the slots of I below
-    mu, kept with the base, and those above it.
+    Its embedding is the family's insertion of mu's uniform vector.
 
-    A lattice of more than `DIM_CAP` nodes raises `DimCap` before anything
-    is checked or built.  Slots of dimension >= 2 already keep 2^ell within
-    the cap through the top node's dimension; one-dimensional slots do not.
+    A lattice of more than `DIM_CAP` nodes or a top node over `DIM_CAP`
+    raises `DimCap` before anything is checked or built; one-dimensional
+    slots alone can pass the second and not the first.
     """
     # 2^ell > DIM_CAP exactly when ell > DIM_CAP.bit_length() - 1; no power is formed
     if spec.ell > DIM_CAP.bit_length() - 1:
         raise DimCap(f"lattice of {spec.ell} slots has 2^{spec.ell} nodes, over cap {DIM_CAP}")
+    family = _family(spec)
     report = verify_spec(spec, tol)
     if not report.ok:
         raise SpecFailed("; ".join(report.notes))
@@ -272,7 +254,6 @@ def build_lattice(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> HasseDiagram:
             "quantum numbers would not transfer to the perturbed nodes"
         )
 
-    slots = _slots(spec)
     o_spectrum = hermitian_eig(spec.observable)
     subsets = _all_subsets(spec.ell)
     # every node's record stays alive through the edge loop, which reads
@@ -281,7 +262,7 @@ def build_lattice(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> HasseDiagram:
     nodes: list[LatticeNode] = []
     records: dict[Subset, NodeAnalysis] = {}
     for subset in subsets:
-        node, record = _build_node(spec, subset, tol, o_spectrum, slots)
+        node, record = _build_node(spec, family, subset, tol, o_spectrum)
         nodes.append(node)
         records[node.subset] = record
 
@@ -299,12 +280,8 @@ def build_lattice(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> HasseDiagram:
             if mu in small:
                 continue
             large = tuple(sorted(small + (mu,)))
-            source, target = records[small], records[large]
-            above = math.prod(spec.factors[nu - 1][0] for nu in small if nu > mu)
-            emb = _kronecker_embedding(source.hamiltonian.space, target.hamiltonian.space,
-                                       [source.hamiltonian.dim // above,
-                                        uniform_vector(spec.factors[mu - 1][0]), above])
-            rep = _verified_link(len(edges), source, target, emb, f"{small} -> {large}: ")
+            rep = _verified_link(len(edges), records[small], records[large],
+                                 family.embedding(small, mu), f"{small} -> {large}: ")
             edges.append((small, large))
             overlaps.append(rep.overlap)
     return HasseDiagram(tuple(nodes), tuple(edges), tuple(overlaps), report)

@@ -27,7 +27,6 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     BadFactorization,
-    DimCap,
     DimMismatch,
     Inconsistent,
     NonHermitian,
@@ -448,13 +447,11 @@ def _kronecker_sum(space: str, h0: LinearOperator, x: LinearOperator, slots) -> 
     improving class from the factors, and `stability._commutes` its
     commutation with a pushed observable from its product with the
     observable's frame; the matrix is built the first time ``.mat`` is
-    read, with the entries the table describes.  A sum whose dimension
-    exceeds `DIM_CAP` raises `DimCap` before anything is allocated.
+    read, with the entries the table describes.  `stability._KroneckerFamily`,
+    which lays out every such sum, keeps its dimension within `DIM_CAP`.
     """
     h0._check_same_space(x)
     factors = _KroneckerFactors(h0.mat, x.mat, tuple(slots))
-    if factors.dim > DIM_CAP:
-        raise DimCap(f"Kronecker sum dimension {factors.dim} exceeds cap {DIM_CAP}")
     op = object.__new__(LinearOperator)
     object.__setattr__(op, "space", space)
     object.__setattr__(op, "_factors", factors)

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
+from . import numerics
 from .cones import SelfDualCone, orthant, tensor_cone
 from .errors import (
     BadFactorization,
@@ -31,9 +32,10 @@ from .inheritance import (
     ArrowChain,
     ChainNode,
     ChainReport,
+    Embedding,
     _chain_report,
+    _kronecker_embedding,
     _verified_links,
-    append_factor_embedding,
 )
 from .numerics import (
     DEFAULT_TOL,
@@ -314,36 +316,66 @@ def _chain_pass(chain: ArrowChain, o: LinearOperator,
                                  tuple(telescopes))
 
 
-def _perturbed_node(h0: LinearOperator, cone: SelfDualCone, x: LinearOperator,
-                    slots: tuple[_Slot, ...], names) -> ChainNode:
-    """H0 (x) 1 - X (x) K on ``h0.space*name_1*...``, K the Kronecker sum of
-    the slots, on the cone of H0 tensored with the slots' joint orthant:
-    the cone of tensoring their orthants in one at a time."""
-    h = _kronecker_sum(reduce(product_space, names, h0.space), h0, x, slots)
-    if slots:
-        joint = orthant(reduce(product_space, names), math.prod(s.mat.shape[0] for s in slots))
-        cone = tensor_cone(cone, joint)
-    return ChainNode(h, cone)
+class _KroneckerFamily:
+    """The one layout of lattice nodes, tower levels and `coupling` members:
+    H_I = H0 (x) 1 - X (x) K_I on ``h0.space*name_mu*...``, K_I the Kronecker
+    sum of the slots Y_mu, mu in I (an ascending tuple from 1), on the cone
+    of H0 tensored with their joint orthant.  The top node's dimension is
+    checked against `numerics.DIM_CAP`, read when the family is made, before
+    any slot is decomposed; each slot is decomposed once, at the first node
+    (the tower's sigma_x once per process)."""
 
+    def __init__(self, h0: LinearOperator, cone: SelfDualCone, x: LinearOperator, ys, names):
+        self.h0, self.cone, self.x, self.ys, self.names = h0, cone, x, tuple(ys), tuple(names)
+        self.dims, self._spaces = [y.shape[0] for y in self.ys], {(): h0.space}
+        dim = h0.dim * math.prod(self.dims)
+        if dim > numerics.DIM_CAP:
+            raise DimCap(f"Kronecker sum dimension {dim} exceeds cap {numerics.DIM_CAP}")
 
-def _appended_chain(h0: LinearOperator, cone: SelfDualCone, x: LinearOperator,
-                    slots: tuple[_Slot, ...], names) -> ArrowChain:
-    """H0 itself, then the `_perturbed_node` of every nonempty prefix of the
-    slots, each node embedded in the next by appending the uniform vector
-    of the new slot."""
-    nodes = [ChainNode(h0, cone)]
-    nodes += (_perturbed_node(h0, cone, x, slots[:k], names[:k]) for k in range(1, len(slots) + 1))
-    embeddings = (append_factor_embedding(small.hamiltonian.space, large.hamiltonian.space,
-                                          small.hamiltonian.dim, uniform_vector(slot.mat.shape[0]))
-                  for small, large, slot in zip(nodes, nodes[1:], slots))
-    return ArrowChain(tuple(nodes), tuple(embeddings))
+    # sigma_x, every tower level's slot, decomposed at the first tower
+    _flip_slot = staticmethod(cache(lambda: _kronecker_slot(PAULI_X)))
 
+    @cached_property
+    def slots(self) -> tuple[_Slot, ...]:
+        return tuple(self._flip_slot() if y is PAULI_X else _kronecker_slot(y) for y in self.ys)
 
-@cache
-def _flip_slot() -> _Slot:
-    """Every tower level's slot, decomposed once, when the first tower is
-    built rather than on import."""
-    return _kronecker_slot(PAULI_X)
+    def _space(self, subset) -> str:
+        subset = tuple(subset)  # each made once, from the space of the subset less its last slot
+        if subset not in self._spaces:
+            head, last = subset[:-1], subset[-1]
+            self._spaces[subset] = product_space(self._space(head), self.names[last - 1])
+        return self._spaces[subset]
+
+    def node(self, subset) -> ChainNode:
+        h = _kronecker_sum(self._space(subset), self.h0, self.x,
+                           tuple(self.slots[mu - 1] for mu in subset))
+        if not subset:
+            return ChainNode(h, self.cone)
+        joint = orthant(reduce(product_space, (self.names[mu - 1] for mu in subset)),
+                        math.prod(self.dims[mu - 1] for mu in subset))
+        return ChainNode(h, tensor_cone(self.cone, joint))
+
+    def embedding(self, subset, mu: int) -> Embedding:
+        """Node I into node I u {mu}: mu's uniform vector inserted between
+        the slots of I below mu, kept with the base, and those above it, if any."""
+        above = math.prod(self.dims[nu - 1] for nu in subset if nu > mu)
+        below = self.h0.dim * math.prod(self.dims[nu - 1] for nu in subset if nu < mu)
+        blocks = [below, uniform_vector(self.dims[mu - 1])] + [above] * (above > 1)
+        large = self._space(sorted(subset + (mu,)))
+        return _kronecker_embedding(self._space(subset), large, blocks)
+
+    def frame(self, subset) -> np.ndarray:
+        """The isometry from node () into node I, one uniform vector per slot."""
+        frame = np.eye(self.h0.dim)
+        for mu in subset:
+            frame = _kron(frame, uniform_vector(self.dims[mu - 1])[:, None])
+        return frame
+
+    def chain(self) -> ArrowChain:
+        """H0 itself, then the node of each nonempty prefix, each embedded in the next."""
+        prefixes = [tuple(range(1, k + 1)) for k in range(len(self.ys) + 1)]
+        nodes = (ChainNode(self.h0, self.cone), *map(self.node, prefixes[1:]))
+        return ArrowChain(nodes, tuple(self.embedding(p, len(p) + 1) for p in prefixes[:-1]))
 
 
 def extension_tower(h: LinearOperator, cone: SelfDualCone, o: LinearOperator,
@@ -353,9 +385,9 @@ def extension_tower(h: LinearOperator, cone: SelfDualCone, o: LinearOperator,
     Each level appends one spin with a transverse coupling of its own; the
     level's ground state is the previous one tensored with the uniform
     two-component vector, and the embedding appends exactly that vector, so
-    every link verifies with overlap 1.  Level d is the `_perturbed_node`
-    of the first d spins q1..qd with X = 1, H (x) 1 - 1 (x) K_d, K_d the sum
-    of sigma_x over those spins, so its spectrum is read from 2^d blocks
+    every link verifies with overlap 1.  Level d is the `_KroneckerFamily`
+    node of spins q1..qd with X = 1, H (x) 1 - 1 (x) K_d, K_d the sum of
+    sigma_x over those spins, so its spectrum is read from 2^d blocks
     H - k of the base's size.  A tower whose top dimension h.dim * 2^depth
     exceeds `DIM_CAP` raises `DimCap` before any level is built.
     """
@@ -368,8 +400,8 @@ def extension_tower(h: LinearOperator, cone: SelfDualCone, o: LinearOperator,
         raise PreconditionFailed("seed Hamiltonian is not improving-class on its cone")
     if not commutes_with_observable(h, o):
         raise PreconditionFailed("seed Hamiltonian does not commute with the observable")
-    return _appended_chain(h, cone, identity(h.space, h.dim), (_flip_slot(),) * depth,
-                           [f"q{level}" for level in range(1, depth + 1)])
+    return _KroneckerFamily(h, cone, identity(h.space, h.dim), (PAULI_X,) * depth,
+                            [f"q{level}" for level in range(1, depth + 1)]).chain()
 
 
 @dataclass(frozen=True)

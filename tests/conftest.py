@@ -48,7 +48,12 @@ from conecalc.positivity import (
     generates_positive_semigroup,
 )
 from conecalc.spin import MlmReport, SpinSystem, m_sector, marshall_cone
-from conecalc.stability import ChainMuReport, _flip_slot, _quantum_number, good_quantum_number
+from conecalc.stability import (
+    ChainMuReport,
+    _KroneckerFamily,
+    _quantum_number,
+    good_quantum_number,
+)
 
 
 def rng(seed: int) -> np.random.Generator:
@@ -208,10 +213,10 @@ def decompositions(monkeypatch) -> collections.Counter:
     """Counts the `np.linalg` eigh, eigvalsh and svd calls made by conecalc,
     keyed by name; the svd inside `np.linalg.norm(a, 2)` counts as an svd.
     ``counts.shapes`` lists (name, shape of the decomposed array) per call.
-    The tower slot that `stability._flip_slot` decomposes once per process
-    is made before counting starts, so a count does not depend on whether
-    an earlier test built a tower."""
-    _flip_slot()
+    The tower slot that `stability._KroneckerFamily._flip_slot` decomposes
+    once per process is made before counting starts, so a count does not
+    depend on whether an earlier test built a tower."""
+    _KroneckerFamily._flip_slot()
     counts = collections.Counter()
     counts.shapes = []
     norm_module = getattr(np.linalg.norm, "__wrapped__", np.linalg.norm).__globals__

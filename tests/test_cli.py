@@ -456,16 +456,17 @@ def test_tower_past_the_cap_fails_before_any_level_is_built(task, text, monkeypa
     assert peak < 1_000_000
 
 
-def test_coupling_past_the_cap_fails_before_its_node_is_built(monkeypatch):
-    # a 32-dimensional base coupled to a 32-dimensional factor: the node
-    # would be 1024-dimensional, 8 MB, above a cap lowered to 512
+def test_coupling_past_the_cap_fails_before_its_node_is_built(monkeypatch, decompositions):
+    # a 16-dimensional base coupled to a 64-dimensional factor: the node
+    # would be 1024-dimensional, 8 MB, above a cap lowered to 512, and the
+    # factor, the one 64 x 64 operator, is refused before it is decomposed
     config = json.loads(STABILITY_TEXT)
-    config["spaces"] = {"base": 32, "f1": 32}
+    config["spaces"] = {"base": 16, "f1": 64}
     config["operators"] = [
-        {"name": "h_star", "space": "base", "entries": (-np.ones((32, 32))).tolist()},
-        {"name": "obs", "space": "base", "entries": (-np.ones((32, 32))).tolist()},
+        {"name": "h_star", "space": "base", "entries": (-np.ones((16, 16))).tolist()},
+        {"name": "obs", "space": "base", "entries": (-np.ones((16, 16))).tolist()},
         {"name": "one", "space": "base", "kind": "identity"},
-        {"name": "flip_env", "space": "f1", "entries": np.ones((32, 32)).tolist()},
+        {"name": "flip_env", "space": "f1", "entries": np.ones((64, 64)).tolist()},
     ]
     config["params"]["members"] = config["params"]["members"][1:]  # the coupling alone
     monkeypatch.setattr(numerics, "DIM_CAP", 512)
@@ -479,6 +480,7 @@ def test_coupling_past_the_cap_fails_before_its_node_is_built(monkeypatch):
     assert report["payload"]["error_type"] == "DimCap"
     assert report["payload"]["reason"] == "Kronecker sum dimension 1024 exceeds cap 512"
     assert peak < 1024 * 1024 * 8
+    assert decompositions.shapes and all(shape == (16, 16) for _, shape in decompositions.shapes)
 
 
 @pytest.mark.parametrize("task, text, message", [
@@ -813,21 +815,40 @@ def one_dimensional_lattice(ell: int) -> dict:
     return config
 
 
-@pytest.mark.parametrize("ell, error_type", [(13, "DimCap"), (12, "AssertionError")])
-def test_lattice_past_the_node_cap_fails_before_the_spec_is_checked(ell, error_type,
-                                                                    monkeypatch):
-    # every node has the base's dimension 2, so only the 2^ell node count
-    # can pass the cap; at 12 slots the cap lets the spec check run
-    def refuse(*args, **kwargs):
-        raise AssertionError("the spec was checked or a node was built")
+def identity_factor_lattice(n: int) -> dict:
+    """lattice_ell3 with its slots replaced by one n x n identity."""
+    config = load("lattice_ell3.json")
+    config["spaces"]["e"] = n
+    config["operators"].append({"name": "one", "space": "e", "kind": "identity"})
+    config["params"]["factors"] = [{"operator": "one"}]
+    return config
 
+
+@pytest.mark.parametrize("config, cap, error_type, reason", [
+    (one_dimensional_lattice(13), 4096, "DimCap",
+     "lattice of 13 slots has 2^13 nodes, over cap 4096"),
+    (one_dimensional_lattice(12), 4096, "AssertionError", None),
+    (identity_factor_lattice(64), 64, "DimCap", "total dimension 128 exceeds cap 64"),
+], ids=["13-DimCap", "12-AssertionError", "top-dimension-DimCap"])
+def test_lattice_past_the_node_cap_fails_before_the_spec_is_checked(config, cap, error_type,
+                                                                    reason, monkeypatch):
+    # every node of the one-dimensional lattices has the base's dimension
+    # 2, so only the 2^ell node count can pass the cap; at 12 slots the cap
+    # lets the spec check run.  The identity slot makes a top node of twice
+    # the lowered cap and is not ergodic, so a spec checked first would
+    # report SpecFailed instead of the cap
+    def refuse(*args, **kwargs):
+        raise AssertionError("the spec was checked, a slot decomposed or a node built")
+
+    monkeypatch.setattr(lattice, "DIM_CAP", cap)
     monkeypatch.setattr(lattice, "verify_spec", refuse)
     monkeypatch.setattr(lattice, "_build_node", refuse)
-    report, _ = run_config(one_dimensional_lattice(ell), "0" * 64)
+    monkeypatch.setattr(stability, "_kronecker_slot", refuse)
+    report, _ = run_config(config, "0" * 64)
     assert report["payload"]["error_type"] == error_type
-    if ell == 13:
+    if reason is not None:
         assert report["status"] == "fail"
-        assert report["payload"]["reason"] == "lattice of 13 slots has 2^13 nodes, over cap 4096"
+        assert report["payload"]["reason"] == reason
 
 
 def resized_classify(dim: int, operator: dict) -> str:

@@ -55,15 +55,16 @@ def test_every_float_constant_is_in_the_table():
 
 
 def test_one_constructor_lays_out_kronecker_sum_nodes():
-    # towers, `coupling` members and lattice nodes are built by
-    # `stability._perturbed_node`; no other function outside `numerics`
-    # names `_kronecker_sum`
+    # towers, `coupling` members and lattice nodes are laid out by
+    # `stability._KroneckerFamily`; no other function or class outside
+    # `numerics` names `_kronecker_sum` or `_kronecker_slot`
     users = set()
     for path in Path(conecalc.__file__).parent.glob("*.py"):
         if path.stem == "numerics":
             continue
         for function in ast.parse(path.read_text()).body:
             for node in ast.walk(function):
-                if "_kronecker_sum" in (getattr(node, "id", None), getattr(node, "attr", None)):
+                if {getattr(node, "id", None), getattr(node, "attr", None)} & {
+                        "_kronecker_sum", "_kronecker_slot"}:
                     users.add(f"{path.stem}.{getattr(function, 'name', '<module>')}")
-    assert users == {"stability._perturbed_node"}
+    assert users == {"stability._KroneckerFamily"}

@@ -15,7 +15,7 @@ from conftest import (
 )
 
 from conecalc.cones import orthant
-from conecalc import inheritance, lattice
+from conecalc import inheritance, lattice, stability
 from conecalc.errors import DimCap, DimMismatch, LinkFailed, SpecFailed
 from conecalc.inheritance import ArrowChain, ChainNode, _kronecker_embedding, verify_chain
 from conecalc.lattice import (
@@ -309,7 +309,7 @@ class TestBuildLattice:
                                         [-block if np.ndim(block) else block for block in blocks])
 
         monkeypatch.setattr(inheritance, "inherits_positivity", lambda *args: True)
-        monkeypatch.setattr(lattice, "_kronecker_embedding", flipped)
+        monkeypatch.setattr(stability, "_kronecker_embedding", flipped)
         with pytest.raises(LinkFailed) as info:
             build_lattice(spec)
         assert info.value.index == 0

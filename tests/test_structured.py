@@ -90,7 +90,7 @@ from conecalc.stability import (
     PAULI_X,
     _commutator,
     _commutes,
-    _perturbed_node,
+    _KroneckerFamily,
     _quantum_number,
     extension_tower,
     quantum_number_along_chain,
@@ -481,13 +481,13 @@ def test_node_cone_equals_the_stepwise_tensor(seed):
         base = dense_cone(base)
     dims = [int(n) for n in gen.integers(1, 4, size=int(gen.integers(1, 4)))]
     h0 = LinearOperator(base.space, np.eye(base.dim))
-    slots = [_kronecker_slot(np.ones((n, n))) for n in dims]
+    family = _KroneckerFamily(h0, base, h0, [np.ones((n, n)) for n in dims],
+                              [f"f{mu}" for mu in range(1, len(dims) + 1)])
     for subset in _all_subsets(len(dims)):
         stepwise = base
         for mu in subset:
             stepwise = tensor_cone(stepwise, orthant(f"f{mu}", dims[mu - 1]))
-        cone = _perturbed_node(h0, base, h0, [slots[mu - 1] for mu in subset],
-                               [f"f{mu}" for mu in subset]).cone
+        cone = family.node(subset).cone
         assert cone.space == stepwise.space
         assert (cone._sign_basis is None) == (base._sign_basis is None)
         if base._sign_basis is None:
@@ -803,8 +803,8 @@ def kronecker_case(seed: int):
     base = [orthant("base", d0), signed_factor(gen, "base", d0),
             permuted_cone(gen, "base", d0)][seed % 3]
     names = [f"f{mu}" for mu in range(1, len(dims) + 1)]
-    node = _perturbed_node(LinearOperator("base", h0), base, LinearOperator("base", x),
-                           tuple(_kronecker_slot(y) for y in ys), names)
+    node = _KroneckerFamily(LinearOperator("base", h0), base, LinearOperator("base", x),
+                            ys, names).node(tuple(range(1, len(ys) + 1)))
     h, cone = node.hamiltonian, node.cone
     if seed % 5 == 4 and cone._sign_basis is not None:
         cone = _signed_cone(cone.space, gen.choice([-1.0, 1.0], cone.dim))
@@ -876,7 +876,7 @@ class TestEntryTableOracle:
         # through fiber 0: the fiber test fails, and the dense sweeps decide
         h0 = LinearOperator("base", np.array([[0.0, -1.0], [-1.0, 0.0]]))
         x = LinearOperator("base", np.array([[1.0, 0.0], [0.0, 0.0]]))
-        node = _perturbed_node(h0, orthant("base", 2), x, (_kronecker_slot(PAULI_X),), ["f1"])
+        node = _KroneckerFamily(h0, orthant("base", 2), x, (PAULI_X,), ["f1"]).node((1,))
         assert _factor_improving(node.hamiltonian, node.cone, DEFAULT_TOL) is None
         assert generates_improving_semigroup(node.hamiltonian, node.cone)
         assert generates_improving_semigroup(dense_copy(node.hamiltonian), node.cone)
@@ -945,10 +945,10 @@ def pushed_pairs(seed: int):
     if seed % 2:
         o = LinearOperator("base", random_real_symmetric(gen, spec.h0.dim))
     spec = LatticeSpec(spec.h0, spec.cone, o, spec.x, tuple(factors))
-    slots = [_kronecker_slot(y.mat) for _, y in spec.factors]
+    family = _KroneckerFamily(spec.h0, spec.cone, spec.x, [y.mat for _, y in spec.factors],
+                              [f"f{mu}" for mu in range(1, spec.ell + 1)])
     for subset in _all_subsets(spec.ell):
-        node = _perturbed_node(spec.h0, spec.cone, spec.x, tuple(slots[mu - 1] for mu in subset),
-                               [f"f{mu}" for mu in subset])
+        node = family.node(subset)
         yield node.hamiltonian, subset_embedding(spec, (), subset), o
 
 
@@ -1128,7 +1128,7 @@ def test_a_tower_reads_its_quantum_numbers_in_less_than_dim_squared_bytes():
     # depth 10 from a 2-dimensional base: one 2048 x 2048 float matrix
     # holds 8 times the bound
     h = LinearOperator("base", np.diag([0.0, 1.0]) - 0.1 * PAULI_X)
-    stability._flip_slot()  # the slot every level shares, made once per process
+    _KroneckerFamily._flip_slot()  # the slot every level shares, made once per process
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
