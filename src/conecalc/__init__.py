@@ -7,8 +7,13 @@ program pays only for the modules it uses.
 """
 
 import importlib
+import math
 
 __version__ = "0.1.0"
+# the limits a config is read against and the modules apply
+DEFAULT_TOL = 1e-9
+TOL_LIMIT = math.sqrt(0.5)  # inheritance.inherits_positivity needs tol below this
+DIM_CAP = 4096
 
 # submodule -> the names the package exports from it
 _EXPORTS = {

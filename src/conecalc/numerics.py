@@ -32,12 +32,10 @@ from .errors import (
     NonHermitian,
     NotDensityMatrix,
 )
+from . import DEFAULT_TOL, DIM_CAP, TOL_LIMIT  # noqa: F401 - read here by the other modules
 
-DEFAULT_TOL = 1e-9
-TOL_LIMIT = float(np.sqrt(0.5))  # inheritance.inherits_positivity needs tol below this
 HERMITIAN_TOL = 1e-12
 SIMPLE_GAP_FACTOR = 1e-8  # a ground state is simple when gap01 > this * ||H||
-DIM_CAP = 4096
 DENSITY_TOL = 1e-10  # Hermiticity, unit trace and eigenvalues >= -this of a density matrix
 BLOCK_RESIDUAL_TOL = 1e-10  # a block ground pair is kept when ||H psi - E psi|| <= this * ||H||
 PHASE_PIVOT_FACTOR = 1e-8  # an eigenvector's phase pivot is its first entry above this * its largest
@@ -156,7 +154,9 @@ class LinearOperator:
 
 
 def identity(space: str, dim: int) -> LinearOperator:
-    return LinearOperator(space, np.eye(dim))
+    eye = np.eye(dim)
+    eye.setflags(write=False)  # so the operator keeps it, uncopied
+    return LinearOperator(space, eye)
 
 
 @dataclass(frozen=True, eq=False)

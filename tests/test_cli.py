@@ -9,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conecalc import cli, lattice, numerics, stability
+from conecalc import lattice, numerics, spec, stability
 from conecalc.cli import emit, main, run_config
 from conecalc.errors import SchemaError
-from conecalc.jsonio import canonical_dumps, matrix_from_json, vector_from_json
+from conecalc.jsonio import canonical_dumps, matrix_from_json
+from conecalc.spec import read_vector
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -58,7 +59,7 @@ class TestCanonicalJson:
         with pytest.raises(SchemaError, match="matrix entry must be a number"):
             matrix_from_json([[cell]])
         with pytest.raises(SchemaError, match="matrix entry must be a number"):
-            vector_from_json([1.0, cell])
+            read_vector([1.0, cell])
 
 
 class TestRunConfig:
@@ -141,7 +142,7 @@ class TestRunConfig:
             calls.append(args)
             return original(*args, **kwargs)
 
-        for module in (cli, lattice):
+        for module in (spec, lattice):
             if getattr(module, "verify_spec", None) is original:
                 monkeypatch.setattr(module, "verify_spec", counting)
         report, _ = run_config(load("lattice_ell3.json"), "0" * 64)
@@ -520,11 +521,14 @@ def explicit_p0(generators: str) -> str:
 
 
 @pytest.mark.parametrize("text, message", [
-    pytest.param(explicit_p0("[[1, 0], [1, 1]]"), "cone 'P0'", id="explicit-not-orthonormal"),
+    pytest.param(explicit_p0("[[1, 0], [1, 1]]"), "cone 'P0': generators are not orthonormal\n",
+                 id="explicit-not-orthonormal"),
     pytest.param(explicit_p0("[[1, 0]]"), "cone 'P0'", id="explicit-too-few-generators"),
-    pytest.param(explicit_p0("[[1, 0, 0], [0, 1, 0]]"), "cone 'P0'",
-                 id="explicit-generators-too-long"),
-    pytest.param(explicit_p0("[[1, 0], [0, 1, 0]]"), "cone 'P0'", id="explicit-ragged-generators"),
+    pytest.param(explicit_p0("[[1, 0, 0], [0, 1, 0]]"),
+                 "cone 'P0': each generator needs 2 entries\n", id="explicit-generators-too-long"),
+    pytest.param(explicit_p0("[[1, 0], [0, 1, 0]]"),
+                 "cone 'P0': ragged rows: row 1 has length 3, row 0 has length 2\n",
+                 id="explicit-ragged-generators"),
     pytest.param(explicit_p0("5"), "cone 'P0'", id="explicit-generators-not-a-list"),
     pytest.param(explicit_p0("[[1, 0], [0, 1]]").replace(
         '"explicit", "space": "base"', '"explicit", "space": "nowhere"'), "unknown space id",
@@ -540,13 +544,30 @@ def explicit_p0(generators: str) -> str:
                  "embedding 'up': appended vector must be normalized\n",
                  id="append-vector-square-norm-imaginary"),
     pytest.param(CHAIN_TEXT.replace('"append_vector"', '"isometry"').replace(
-        UP_VECTOR, '"matrix": [[1, 0], [1, 0], [0, 1], [0, 0]]'), "embedding 'up'",
-        id="isometry-not-orthonormal"),
+        UP_VECTOR, '"matrix": [[1, 0], [1, 0], [0, 1], [0, 0]]'),
+        "embedding 'up': isometry columns are not orthonormal\n", id="isometry-not-orthonormal"),
 ])
 def test_malformed_cone_or_embedding_exits_two_and_writes_nothing(text, message, tmp_path, capsys):
     assert text != CHAIN_TEXT
     err = assert_schema_error_writes_nothing("chain", text, tmp_path, capsys)
     assert err.startswith(f"conecalc: schema error: {message}")
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda c: c["params"].update(nodez=c["params"].pop("nodes")),
+                 "chain params: unknown key 'nodez'; it takes 'nodes', 'embeddings', 'observable'",
+                 id="unknown-params-key"),
+    pytest.param(lambda c: c.update(tolerances={"default": 2}),
+                 "tolerances.default must be above 0 and below 1/sqrt(2), got 2", id="tolerance"),
+])
+def test_a_config_is_read_whole_before_its_cones_are_built(edit, message, tmp_path, capsys):
+    # the orthonormality of explicit generators needs floats, so it is
+    # checked when the cone is built, after every check that needs none;
+    # alone, the cone is refused as explicit-not-orthonormal above
+    config = json.loads(explicit_p0("[[1, 0], [1, 1]]"))
+    edit(config)
+    err = assert_schema_error_writes_nothing("chain", json.dumps(config), tmp_path, capsys)
+    assert err == f"conecalc: schema error: {message}\n"
 
 
 EXPLICIT_TEXT = (CONFIGS / "lattice_explicit.json").read_text()
@@ -728,16 +749,16 @@ def test_malformed_registry_exits_two_without_a_traceback(task, text, message, t
 
 def reader_rows() -> dict[str, tuple[str, str]]:
     """Object -> (required keys, optional keys) as the signatures of the
-    readers in `cli` give them, written as README "Config format" rows."""
-    readers = {"top level": cli._build_context, "tolerances": cli._tolerances}
-    for entry, kinds in (("operator", cli._OPERATORS), ("cone", cli._CONES),
-                         ("embedding", cli._EMBEDDINGS)):
+    readers in `spec` give them, written as README "Config format" rows."""
+    readers = {"top level": spec._top_level, "tolerances": spec._tolerances}
+    for entry, kinds in (("operator", spec._OPERATORS), ("cone", spec._CONES),
+                         ("embedding", spec._EMBEDDINGS)):
         readers.update({f"{entry}, kind `{kind}`" if kind else entry: reader
                         for kind, reader in kinds.items()})
-    readers.update({f"params, task `{task}`": reader for task, reader in cli._RUNNERS.items()})
-    readers.update({"chain node": cli._chain_node, "lattice factor": cli._lattice_factor,
-                    "stability member": cli._stability_member})
-    readers.update({f"recipe, type `{kind}`": reader for kind, reader in cli._RECIPES.items()})
+    readers.update({f"params, task `{task}`": reader for task, reader in spec._RUNNERS.items()})
+    readers.update({"chain node": spec._chain_node, "lattice factor": spec._lattice_factor,
+                    "stability member": spec._stability_member})
+    readers.update({f"recipe, type `{kind}`": reader for kind, reader in spec._RECIPES.items()})
     rows = {}
     for label, reader in readers.items():
         keys = [p for p in inspect.signature(reader).parameters.values() if p.name != "ctx"]
@@ -851,6 +872,17 @@ def test_lattice_past_the_node_cap_fails_before_the_spec_is_checked(config, cap,
         assert report["payload"]["reason"] == reason
 
 
+def test_an_identity_operator_keeps_the_array_it_is_built_from(monkeypatch):
+    # the identity is made read-only, so the operator does not copy it: a
+    # 4096-dimensional identity holds one 128 MB array, not two
+    made, eye = [], np.eye
+    monkeypatch.setattr(np, "eye", lambda *args, **kwargs: made.append(eye(*args, **kwargs))
+                        or made[-1])
+    op = spec._identity_operator(spec.RunContext(spaces={"e": 3}), "one", "identity", "e").build()
+    assert len(made) == 1 and op.mat is made[0]
+    assert not op.mat.flags.writeable and (op.mat == eye(3)).all()
+
+
 def resized_classify(dim: int, operator: dict) -> str:
     """classify_flip with its space declared `dim`-dimensional and its
     operator replaced by `operator`."""
@@ -880,7 +912,7 @@ def test_declared_space_past_the_cap_exits_two_before_any_allocation(dim, operat
 
 
 def test_declared_space_at_the_cap_is_accepted():
-    ctx, _, _ = cli._build_context(1, "classify", spaces={"base": numerics.DIM_CAP})
+    ctx, _, _ = spec._top_level(1, "classify", spaces={"base": numerics.DIM_CAP})
     assert ctx.space_dim("base") == numerics.DIM_CAP
 
 

@@ -1,6 +1,8 @@
 """The import graph: `import conecalc` loads none of the package's modules,
-the CLI loads only what validating a config needs, and each task adds the
-modules README "CLI" lists for it.  Each case runs in a fresh interpreter."""
+the CLI loads only the standard-library reader of a config, with no numpy,
+building a config that has been read adds numpy and the numeric core, and
+each task adds the modules README "CLI" lists for it.  Each case runs in a
+fresh interpreter."""
 
 import importlib
 import json
@@ -15,7 +17,8 @@ import conecalc
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
-VALIDATION = {"cli", "cones", "errors", "jsonio", "numerics"}
+VALIDATION = {"cli", "errors", "spec"}
+BUILD = {"cones", "jsonio", "numerics", "numpy"}
 TASK_MODULES = {"inheritance", "lattice", "positivity", "semigroup", "spin", "stability"}
 
 ALL = [
@@ -38,14 +41,15 @@ ALL = [
 
 
 def run_probe(code: str, *args: str) -> tuple[list[str], set[str]]:
-    """(lines printed, package modules loaded) of `code` in a fresh interpreter."""
+    """(lines printed, package modules loaded) of `code` in a fresh
+    interpreter; `numpy` is among the modules if it was loaded."""
     script = ("import json, sys\n" + code + "\nprint(json.dumps(sorted("
-              "m for m in sys.modules if m.startswith('conecalc.'))))")
+              "m for m in sys.modules if m.startswith('conecalc.') or m == 'numpy')))")
     result = subprocess.run([sys.executable, "-c", script, *args],
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     *lines, last = result.stdout.splitlines()
-    return lines, {name.split(".", 1)[1] for name in json.loads(last)}
+    return lines, {name.split(".", 1)[-1] for name in json.loads(last)}
 
 
 def cli_run(argvs: list[list[str]]) -> tuple[list[int], set[str]]:
@@ -58,7 +62,7 @@ def cli_run(argvs: list[list[str]]) -> tuple[list[int], set[str]]:
 
 
 def documented_modules() -> dict[str, set[str]]:
-    """Task -> the modules README "CLI" says it adds to validation's."""
+    """Task -> the modules README "CLI" says it adds to the build's."""
     section = (ROOT / "README.md").read_text().split("## CLI")[1].split("\n## ")[0]
     table = {}
     for line in (line for line in section.splitlines() if line.startswith("| `")):
@@ -75,11 +79,12 @@ def test_importing_the_package_loads_no_module():
 def test_importing_the_cli_loads_what_validation_needs():
     _, modules = run_probe("import conecalc.cli")
     assert modules == VALIDATION
+    assert "numpy" not in modules
 
 
 def test_an_export_loads_only_the_modules_it_needs():
     _, modules = run_probe("import conecalc\nconecalc.trotter_verify")
-    assert modules == {"cones", "errors", "numerics", "positivity", "semigroup"}
+    assert modules == {"cones", "errors", "numerics", "numpy", "positivity", "semigroup"}
 
 
 def test_every_task_has_a_documented_module_set():
@@ -94,12 +99,12 @@ def test_each_shipped_config_loads_its_documented_modules(config, tmp_path):
     task = json.loads(config.read_text())["task"]
     codes, modules = cli_run([[task, "--config", str(config), "--out", str(tmp_path)]])
     assert codes == [0]
-    assert modules == VALIDATION | documented_modules()[task]
+    assert modules == VALIDATION | BUILD | documented_modules()[task]
 
 
 def _rejects(tmp_path: Path) -> list[list[str]]:
     """CLI argument lists of configs refused with exit 2, one per way of
-    being malformed that validation catches."""
+    being malformed that reading a config catches."""
     def config(name: str, edit=None, version=1) -> dict:
         parsed = json.loads((CONFIGS / name).read_text())
         parsed["version"] = version
@@ -157,12 +162,33 @@ def _rejects(tmp_path: Path) -> list[list[str]]:
 
 
 def test_a_refused_config_loads_no_task_module(tmp_path):
-    # one interpreter refuses them all: no task module is loaded by any
+    # one interpreter refuses them all: neither numpy nor a task module is
+    # loaded by any
     argvs = _rejects(tmp_path)
     codes, modules = cli_run(argvs)
     assert codes == [2] * len(argvs)
     assert modules == VALIDATION
+    assert "numpy" not in modules
     assert not any(path.is_dir() for path in tmp_path.iterdir())
+
+
+def test_a_config_refused_for_its_params_builds_none_of_its_embeddings(tmp_path):
+    # the embedding of chain_two_level is read before its params are, and
+    # built only after: the refusal loads neither inheritance nor numpy
+    config = json.loads((CONFIGS / "chain_two_level.json").read_text())
+    config["params"]["nodez"] = config["params"].pop("nodes")
+    path = tmp_path / "nodez.json"
+    path.write_text(json.dumps(config))
+    lines, modules = run_probe(
+        "import contextlib, io\nfrom conecalc.cli import main\nerr = io.StringIO()\n"
+        "with contextlib.redirect_stderr(err):\n    code = main(sys.argv[1:])\n"
+        "print(json.dumps([code, err.getvalue()]))",
+        "chain", "--config", str(path), "--out", str(tmp_path / "out"))
+    code, err = json.loads(lines[-1])
+    assert code == 2
+    assert err.startswith("conecalc: schema error: chain params: unknown key 'nodez'; ")
+    assert not {"numpy", "inheritance", "positivity"} & modules
+    assert modules == VALIDATION
 
 
 def test_the_exports_are_pinned_and_resolve():

@@ -35,7 +35,7 @@ from conftest import (
 )
 
 from conecalc import inheritance, positivity, stability
-from conecalc.cli import RunContext, _coupling_recipe, run_config
+from conecalc.cli import run_config
 from conecalc.cones import (
     SelfDualCone,
     _signed_cone,
@@ -84,6 +84,7 @@ from conecalc.positivity import (
     generates_improving_semigroup,
     is_ergodic,
 )
+from conecalc.spec import Entry, RunContext, _coupling_recipe
 from conecalc.spin import m_sector, marshall_cone
 from conecalc.stability import (
     COMMUTATOR_TOL,
@@ -539,7 +540,7 @@ def test_a_coupling_member_is_a_one_slot_lattice_chain(seed):
     h = LinearOperator("base", random_metzler_generator(gen, n))
     x = LinearOperator("base", gen.uniform(0.5, 1.5) * np.eye(n))
     y = LinearOperator("env", gen.uniform(0.5, 1.5) * np.ones((m, m)))
-    ctx = RunContext(operators={"x": x, "y": y})
+    ctx = RunContext(operators={"x": Entry(n, None, x), "y": Entry(m, None, y)})
     build = _coupling_recipe(ctx, type="coupling", x="x", y="y")
     chain = build(h, orthant("base", n), h)
     spec = LatticeSpec(h, orthant("base", n), h, x, ((m, y),))
