@@ -159,9 +159,7 @@ class LatticeNode:
 
 
 def _family(spec: LatticeSpec) -> _KroneckerFamily:
-    """The spec's family, slot mu named f{mu}, once its top node is within `DIM_CAP`."""
-    if spec.full_dim() > DIM_CAP:
-        raise DimCap(f"total dimension {spec.full_dim()} exceeds cap {DIM_CAP}")
+    """The spec's family, slot mu named f{mu}; it refuses a top node over `DIM_CAP`."""
     return _KroneckerFamily(spec.h0, spec.cone, spec.x, [y.mat for _, y in spec.factors],
                             [f"f{mu}" for mu in range(1, spec.ell + 1)])
 

@@ -165,7 +165,9 @@ def _tensor_cone(ctx: RunContext, name, kind, parts) -> Entry:
     _require(isinstance(parts, list) and len(parts) >= 2,
              f"tensor cone {name!r} needs >= 2 parts")
     cones = [ctx.cone(part) for part in parts]
-    return Entry(math.prod(cone.dim for cone in cones),
+    dim = math.prod(cone.dim for cone in cones)
+    _require(dim <= DIM_CAP, f"cone {name!r}: tensor dimension {dim} exceeds cap {DIM_CAP}")
+    return Entry(dim,
                  lambda: functools.reduce(conecalc.tensor_cone, [cone.value for cone in cones]))
 
 
@@ -297,6 +299,8 @@ def _task_trotter(ctx: RunContext, h, h_prime, cone, s=1.0, t=1.0, beta=1.0,
     h, h_prime, cone = ctx.operator(h), ctx.operator(h_prime), ctx.cone(cone)
     _require(isinstance(n_values, list) and all(_is_int(n) and n >= 1 for n in n_values),
              "n_values must be positive integers")
+    _require(len(n_values) >= 2 and all(a < b for a, b in zip(n_values, n_values[1:])),
+             "n_values must be at least two strictly increasing integers")
     _require(all(n <= sys.float_info.max for n in n_values),
              "n_values must not exceed the largest float")
     s, t, beta = _finite(s, "trotter s"), _finite(t, "trotter t"), _finite(beta, "trotter beta")

@@ -2,7 +2,7 @@
 the CLI loads only the standard-library reader of a config, with no numpy,
 building a config that has been read adds numpy and the numeric core, and
 each task adds the modules README "CLI" lists for it.  Each case runs in a
-fresh interpreter."""
+fresh interpreter; the cases of `bad_configs.py` run in one."""
 
 import importlib
 import json
@@ -102,93 +102,13 @@ def test_each_shipped_config_loads_its_documented_modules(config, tmp_path):
     assert modules == VALIDATION | BUILD | documented_modules()[task]
 
 
-def _rejects(tmp_path: Path) -> list[list[str]]:
-    """CLI argument lists of configs refused with exit 2, one per way of
-    being malformed that reading a config catches."""
-    def config(name: str, edit=None, version=1) -> dict:
-        parsed = json.loads((CONFIGS / name).read_text())
-        parsed["version"] = version
-        if edit is not None:
-            edit(parsed)
-        return parsed
-
-    def params(**changes):
-        return lambda c: c["params"].update(changes)
-
-    cases = {
-        "unknown-operator": config("mu_flip.json", params(observable="nope")),
-        "unknown-cone": config("classify_flip.json", params(cone="nope")),
-        "bad-version": config("chain_two_level.json", version=2),
-        "negative-depth": config("richness_depth5.json", params(depth=-1)),
-        "tolerance-abc": config("mu_flip.json", lambda c: c.update(tolerances={"default": "abc"})),
-        "tolerance-negative": config("classify_flip.json",
-                                     lambda c: c.update(tolerances={"default": -1})),
-        "tolerance-past-inheritance-limit": config(
-            "classify_flip.json", lambda c: c.update(tolerances={"default": 0.8})),
-        "operators-not-a-list": config("chain_two_level.json", lambda c: c.update(operators=5)),
-        "cones-not-a-list": config("chain_two_level.json", lambda c: c.update(cones=7)),
-        "embeddings-not-a-list": config("chain_two_level.json",
-                                        lambda c: c.update(embeddings=5)),
-        "cone-name-a-list": config("chain_two_level.json",
-                                   lambda c: c["cones"][0].update(name=["P0"])),
-        "embedding-name-a-list": config("chain_two_level.json",
-                                        lambda c: c["embeddings"][0].update(name=["up"])),
-        "trotter-s-string": config("trotter_pair.json", params(s="abc")),
-        "spin-sites-float": config("spin_demo_n4.json", params(sites=4.0)),
-        "lattice-no-factors": config("lattice_ell3.json", params(factors=[])),
-        "richness-depht": config("richness_depth5.json",
-                                 lambda c: c["params"].update(depht=c["params"].pop("depth"))),
-        "config-tolerance": config("classify_flip.json", lambda c: c.update(tolerance=1e-6)),
-        "cone-generators-without-kind": config("classify_flip.json", lambda c: c.update(
-            cones=[{"name": "P", "space": "base", "generators": [[-1, 0], [0, -1]]}])),
-        "spin-sector": config("spin_demo_n4.json",
-                              lambda c: c["params"].update(sector=c["params"].pop("sector_m"))),
-        # every member is read before the base record is decomposed
-        "recipe-type-towr": config("stability_demo.json", lambda c: c["params"]["members"][0][
-            "recipe"].update(type="towr")),
-        "tower-depth-0-second-member": config("stability_demo.json", lambda c: c["params"][
-            "members"][1].update(recipe={"type": "tower", "depth": 0})),
-    }
-    argvs = []
-    for name, parsed in cases.items():
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(parsed))
-        argvs.append([parsed["task"], "--config", str(path), "--out", str(tmp_path / name)])
-    nan_entry = (CONFIGS / "classify_flip.json").read_text().replace("[[0, 1]", "[[NaN, 1]")
-    (tmp_path / "nan-entry.json").write_text(nan_entry)
-    argvs.append(["classify", "--config", str(tmp_path / "nan-entry.json"),
-                  "--out", str(tmp_path / "nan-entry")])
-    return argvs
-
-
-def test_a_refused_config_loads_no_task_module(tmp_path):
-    # one interpreter refuses them all: neither numpy nor a task module is
-    # loaded by any
-    argvs = _rejects(tmp_path)
-    codes, modules = cli_run(argvs)
-    assert codes == [2] * len(argvs)
-    assert modules == VALIDATION
-    assert "numpy" not in modules
-    assert not any(path.is_dir() for path in tmp_path.iterdir())
-
-
-def test_a_config_refused_for_its_params_builds_none_of_its_embeddings(tmp_path):
-    # the embedding of chain_two_level is read before its params are, and
-    # built only after: the refusal loads neither inheritance nor numpy
-    config = json.loads((CONFIGS / "chain_two_level.json").read_text())
-    config["params"]["nodez"] = config["params"].pop("nodes")
-    path = tmp_path / "nodez.json"
-    path.write_text(json.dumps(config))
-    lines, modules = run_probe(
-        "import contextlib, io\nfrom conecalc.cli import main\nerr = io.StringIO()\n"
-        "with contextlib.redirect_stderr(err):\n    code = main(sys.argv[1:])\n"
-        "print(json.dumps([code, err.getvalue()]))",
-        "chain", "--config", str(path), "--out", str(tmp_path / "out"))
-    code, err = json.loads(lines[-1])
-    assert code == 2
-    assert err.startswith("conecalc: schema error: chain params: unknown key 'nodez'; ")
-    assert not {"numpy", "inheritance", "positivity"} & modules
-    assert modules == VALIDATION
+def test_the_bad_config_runner_passes_and_its_read_cases_load_no_numpy():
+    # one interpreter runs every case of the corpus; after its read cases it
+    # checks that neither numpy nor a verifier module was loaded
+    result = subprocess.run([sys.executable, "-W", "error", str(ROOT / "tests" / "bad_configs.py")],
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.endswith(" cases, 0 failed\n")
 
 
 def test_the_exports_are_pinned_and_resolve():

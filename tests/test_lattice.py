@@ -186,7 +186,7 @@ class TestBuildNode:
         spec = demo_spec()
         wide = LatticeSpec(spec.h0, spec.cone, spec.observable, spec.x,
                            tuple((2, op(f"f{mu}", PAULI_X)) for mu in range(1, 13)))
-        with pytest.raises(DimCap, match=f"total dimension 8192 exceeds cap {DIM_CAP}"):
+        with pytest.raises(DimCap, match=f"Kronecker sum dimension 8192 exceeds cap {DIM_CAP}"):
             build_node(wide, ())
         with pytest.raises(DimCap):
             build_lattice(wide)
