@@ -31,12 +31,11 @@ class _SignBasis:
     __slots__ = ("signs", "positive")
 
     def __init__(self, signs):
-        signs = np.array(signs, dtype=float)
+        signs = _freeze(np.asarray(signs, dtype=float))  # a frozen array is kept, uncopied
         if signs.ndim != 1 or signs.size < 1:
             raise DimMismatch(f"sign basis needs n >= 1 signs, got {signs.shape}")
         if not (np.abs(signs) == 1.0).all():
             raise ValueError("generators are not orthonormal")
-        signs.setflags(write=False)
         self.signs = signs
         self.positive = bool((signs > 0).all())  # every sign is +1
 

@@ -153,6 +153,24 @@ def _kronecker_embedding(from_space: str, to_space: str, blocks) -> Embedding:
                 square_norm *= float(block @ block)
     if not abs(square_norm - 1.0) <= ISOMETRY_TOL:
         raise ValueError("isometry columns are not orthonormal")
+    return _row_embedding(from_space, to_space, cols, vals, dim_from)
+
+
+def _insertion_embedding(from_space: str, to_space: str, below: int, vec: np.ndarray,
+                         above: int) -> Embedding:
+    """`_kronecker_embedding` of the blocks (below, vec, above), a real unit
+    vector inserted between two identities, by index arithmetic: row
+    (b, j, a) has its one entry vec[j] in column b * above + a.  The
+    product loop gives that row 1.0 times vec[j], which is vec[j], so the
+    two have the same bits."""
+    cols = np.arange(below * above, dtype=np.intp).reshape(below, above).repeat(vec.size, axis=0)
+    vals = np.repeat(vec[None, :], below, axis=0).repeat(above)
+    return _row_embedding(from_space, to_space, cols.ravel(), vals, below * above)
+
+
+def _row_embedding(from_space: str, to_space: str, cols: np.ndarray, vals: np.ndarray,
+                   dim_from: int) -> Embedding:
+    """The Kronecker embedding whose row r is vals[r] e_{cols[r]}^T."""
     for array in (cols, vals):
         array.setflags(write=False)
     emb = object.__new__(Embedding)

@@ -13,10 +13,11 @@ from itertools import combinations
 
 import numpy as np
 
+from . import numerics
 from .cones import SelfDualCone, orthant
 from .errors import ClassificationFailed, DimCap, DimMismatch, NotPreserving, SpecFailed
 from .inheritance import _verified_link
-from .numerics import DEFAULT_TOL, DIM_CAP, LinearOperator, Spectrum, hermitian_eig, uniform_vector
+from .numerics import DEFAULT_TOL, LinearOperator, hermitian_eig, uniform_vector
 from .positivity import NodeAnalysis, classify, generates_improving_semigroup, is_ergodic
 from .stability import _KroneckerFamily, _quantum_number, commutes_with_observable
 
@@ -175,23 +176,29 @@ def build_node(spec: LatticeSpec, subset: Subset, tol: float = DEFAULT_TOL) -> L
     follows from that of every Y_mu (`verify_spec`), and the positivity of a
     sampled exponential from the criterion; both are test oracles only.
     """
-    return _build_node(spec, _family(spec), subset, tol, hermitian_eig(spec.observable))[0]
+    o_spectrum = hermitian_eig(spec.observable)
+    return _build_node(spec, _family(spec), subset, tol, o_spectrum.norm,
+                       _snap_values(o_spectrum.eigenvalues))[0]
+
+
+def _snap_values(eigenvalues: np.ndarray) -> np.ndarray:
+    """spec(T O T^*) is spec(O) and 0: what a node's quantum number snaps to."""
+    return np.concatenate([eigenvalues, [0.0]])
 
 
 def _build_node(spec: LatticeSpec, family: _KroneckerFamily, subset: Subset, tol: float,
-                o_spectrum: Spectrum) -> tuple[LatticeNode, NodeAnalysis]:
-    """`build_node` given the spec's family and the base observable's
-    spectrum, also returning the node's record.  spec(T O T^*) is spec(O)
-    and 0, so the pushed observable has the norm of the base one and snaps
-    to those values.  It is read through the family's frame T of I."""
+                o_norm: float, snap_to: np.ndarray) -> tuple[LatticeNode, NodeAnalysis]:
+    """`build_node` given the spec's family, the base observable's norm and
+    the values to snap to, also returning the node's record.  The pushed
+    observable T O T^* has the norm of the base one.  It is read through
+    the family's frame T of I."""
     subset = tuple(sorted(subset))
     perturbed = family.node(subset)
     node = NodeAnalysis(perturbed.hamiltonian, perturbed.cone, tol)
     if not node.improving:
         raise ClassificationFailed(f"H_{set(subset) or '{}'} is not improving-class")
 
-    snap_to = np.concatenate([o_spectrum.eigenvalues, [0.0]])
-    mu, mu_snapped, _, _ = _quantum_number(node, spec.observable, o_spectrum.norm, snap_to,
+    mu, mu_snapped, _, _ = _quantum_number(node, spec.observable, o_norm, snap_to,
                                            family.frame(subset))
     return LatticeNode(subset, node.hamiltonian, node.cone, mu, mu_snapped,
                        node.ground.energy), node
@@ -229,7 +236,9 @@ def build_lattice(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> HasseDiagram:
     """Build every subset node and verify every covering-relation arrow.
 
     The standing assumptions are checked first (`verify_spec`), and the
-    diagram carries that report.  Nodes are constructed in (size,
+    diagram carries that report.  Then the blocks of every node are
+    decomposed in one batched `eigh`, one block per distinct shift
+    (`stability._KroneckerFamily.fill`).  Nodes are constructed in (size,
     lexicographic) order, then each covering pair (I, I u {mu}) is decided
     by the link verdict of chains: a full arrow, a strictly positive ground
     overlap and a compressed ground projector that improves the small cone.
@@ -237,11 +246,13 @@ def build_lattice(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> HasseDiagram:
 
     A lattice of more than `DIM_CAP` nodes or a top node over `DIM_CAP`
     raises `DimCap` before anything is checked or built; one-dimensional
-    slots alone can pass the second and not the first.
+    slots alone can pass the second and not the first.  Both read
+    `numerics.DIM_CAP` when the lattice is built.
     """
     # 2^ell > DIM_CAP exactly when ell > DIM_CAP.bit_length() - 1; no power is formed
-    if spec.ell > DIM_CAP.bit_length() - 1:
-        raise DimCap(f"lattice of {spec.ell} slots has 2^{spec.ell} nodes, over cap {DIM_CAP}")
+    cap = numerics.DIM_CAP
+    if spec.ell > cap.bit_length() - 1:
+        raise DimCap(f"lattice of {spec.ell} slots has 2^{spec.ell} nodes, over cap {cap}")
     family = _family(spec)
     report = verify_spec(spec, tol)
     if not report.ok:
@@ -252,15 +263,17 @@ def build_lattice(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> HasseDiagram:
             "quantum numbers would not transfer to the perturbed nodes"
         )
 
-    o_spectrum = hermitian_eig(spec.observable)
     subsets = _all_subsets(spec.ell)
+    family.fill(subsets)
+    o_spectrum = hermitian_eig(spec.observable)
+    snap_to = _snap_values(o_spectrum.eigenvalues)
     # every node's record stays alive through the edge loop, which reads
     # the improving verdicts and ground states again; a record read from
     # the blocks of its Kronecker sum holds no eigenbasis
     nodes: list[LatticeNode] = []
     records: dict[Subset, NodeAnalysis] = {}
     for subset in subsets:
-        node, record = _build_node(spec, family, subset, tol, o_spectrum)
+        node, record = _build_node(spec, family, subset, tol, o_spectrum.norm, snap_to)
         nodes.append(node)
         records[node.subset] = record
 

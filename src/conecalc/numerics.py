@@ -326,7 +326,7 @@ def _slot_facts(y: np.ndarray) -> _SlotFacts:
 
 class _EntryTable(NamedTuple):
     """The entries of a real Kronecker sum H = H0 (x) 1 - X (x) K, as
-    `_kronecker_sum` writes them, without the dim x dim matrix.
+    `_KroneckerFactors.matrix` writes them, without the dim x dim matrix.
 
     Entry ((a, s), (b, t)) is ``diagonal[a, b, i]`` when s = t, for the
     index i of the distinct diagonal entries that s picks in the slots that
@@ -337,7 +337,16 @@ class _EntryTable(NamedTuple):
     rounding is monotone the least and greatest product x[a, b] y over them
     are x[a, b] low and x[a, b] high, in some order.  ``bottleneck`` is the
     least `_bottleneck` of those slots (inf when there are none).  ``scale``
-    is max|H| and ``skew`` max|H - H^T|, the floats the dense matrix gives.
+    is max|H| and ``skew`` max|H - H^T|, the floats the dense matrix gives;
+    ``coupled_skew`` is the part of ``skew`` that the off-diagonal slot
+    entries give (0.0 when X and every slot are symmetric).
+
+    A table is made for H0 alone (`_base_table`) and then one slot at a
+    time (`_table_with_slot`), so a family of sums that share their leading
+    slots, as `stability._KroneckerFamily` does, extends each prefix's
+    table by one slot.  Every entry is the float the loop over all slots
+    gives, min and max are taken in slot order, and max|H| and the skew are
+    read again at every step.
     """
 
     diagonal: np.ndarray
@@ -346,18 +355,111 @@ class _EntryTable(NamedTuple):
     bottleneck: float
     scale: float
     skew: float
+    coupled_skew: float
+
+
+def _table_of(diagonal: np.ndarray, low, high, bottleneck: float, coupled_skew: float,
+              x: np.ndarray) -> _EntryTable:
+    scale = max(float(diagonal.max()), float(-diagonal.min()))
+    skew = float(np.abs(diagonal - diagonal.transpose(1, 0, 2)).max())
+    if low is not None:
+        scale = max(scale, float(np.abs(x).max()) * max(-low, high))
+    return _EntryTable(diagonal, low, high, bottleneck, scale + 0.0, max(skew, coupled_skew),
+                       coupled_skew)
+
+
+def _base_table(h0: np.ndarray, x: np.ndarray) -> _EntryTable | None:
+    """The `_EntryTable` of H0 (x) 1 - X (x) K with no slot yet, or None
+    when H0 or X is complex or has a non-finite entry."""
+    if not (_finite_real(h0) and _finite_real(x)):
+        return None
+    return _table_of(h0[:, :, None], None, None, math.inf, 0.0, x)
+
+
+def _table_with_slot(table: _EntryTable | None, x: np.ndarray,
+                     slot: _Slot) -> _EntryTable | None:
+    """``table`` with one more slot to the right, or None when there is no
+    table or the slot is complex or has a non-finite entry."""
+    if table is None or slot.facts is None:
+        return None
+    facts, diagonal = slot.facts, table.diagonal
+    if facts.diagonal.size:
+        d0 = x.shape[0]
+        diagonal = (diagonal[:, :, :, None] - x[:, :, None, None] * facts.diagonal).reshape(
+            d0, d0, -1)
+    low, high, bottleneck, coupled_skew = (table.low, table.high, table.bottleneck,
+                                           table.coupled_skew)
+    if slot.mat.shape[0] > 1:
+        low = facts.low if low is None else min(low, facts.low)
+        high = facts.high if high is None else max(high, facts.high)
+        bottleneck = min(bottleneck, facts.bottleneck)
+        if not (facts.symmetric and bool((x == x.T).all())):
+            terms = x[:, :, None, None] * slot.mat
+            swapped = np.abs(terms - terms.transpose(1, 0, 3, 2))
+            coupled_skew = max(coupled_skew,
+                               float(swapped[:, :, ~np.eye(len(slot.mat), dtype=bool)].max()))
+    return _table_of(diagonal, low, high, bottleneck, coupled_skew, x)
+
+
+class _BlockCache:
+    """The eigenpairs of the d0 x d0 blocks H0 - k X that the Kronecker
+    sums of one family share, each block decomposed once.
+
+    A block is keyed by the bits of its shift k, not by float equality:
+    -0.0 and 0.0 can give blocks whose zeros differ in sign.  Each fill is
+    one batched `eigh` of the blocks at the shifts not yet held, appended
+    as rows of the read-only ``values`` and ``vectors``.  LAPACK runs once
+    per matrix of a batch, so a block has the same eigenpairs alone, in
+    any batch and at any place in one.
+    """
+
+    def __init__(self, h0: np.ndarray, x: np.ndarray):
+        d0 = h0.shape[0]
+        self.h0, self.x = h0, x
+        self.row_of = {}  # the bits of a shift -> its row
+        self.values = np.empty((0, d0))
+        self.vectors = np.empty((0, d0, d0), dtype=np.result_type(h0, x))
+
+    def fill(self, k: np.ndarray) -> None:
+        """Decompose the blocks at the shifts of ``k`` not yet held, in one
+        batched `eigh`."""
+        new = [bits for bits in dict.fromkeys(k.view(np.int64).tolist())
+               if bits not in self.row_of]
+        if not new:
+            return
+        shifts = np.array(new, dtype=np.int64).view(np.float64)
+        values, vectors = np.linalg.eigh(self.h0 - shifts[:, None, None] * self.x)
+        self.row_of.update(zip(new, range(len(self.row_of), len(self.row_of) + len(new))))
+        self.values = np.concatenate([self.values, values])
+        self.vectors = np.concatenate([self.vectors, vectors])
+        self.values.setflags(write=False)
+        self.vectors.setflags(write=False)
+
+    def rows(self, k: np.ndarray) -> np.ndarray:
+        """The row of every shift of ``k``, its blocks decomposed first if
+        some are not held yet."""
+        bits = k.view(np.int64).tolist()
+        if not all(map(self.row_of.__contains__, bits)):
+            self.fill(k)
+        return np.fromiter(map(self.row_of.__getitem__, bits), dtype=np.intp, count=len(bits))
 
 
 @dataclass(frozen=True, eq=False)
 class _KroneckerFactors:
     """H0, X and the slots of H = H0 (x) 1 - X (x) K, from which every
-    reading of a `_kronecker_sum` is taken: its dimension, its entry table,
-    its product with a vector or a block, and, only when something reads
-    it, its matrix."""
+    reading of a `_kronecker_sum` is taken: its dimension, its product with
+    a vector or a block, and, only when something reads it, its matrix.
+    It also keeps what its family read for it: the shifts k, the
+    eigenvalues of K in slot order, with the `_BlockCache` that holds the
+    blocks H0 - k X, and the `_EntryTable` (None when a factor is complex
+    or has a non-finite entry)."""
 
     h0: np.ndarray
     x: np.ndarray
     slots: tuple[_Slot, ...]
+    k: np.ndarray
+    table: _EntryTable | None
+    blocks: _BlockCache
 
     @cached_property
     def dim(self) -> int:
@@ -395,36 +497,6 @@ class _KroneckerFactors:
             before *= n
         return (self.h0 @ psi - self.x @ k_psi).reshape(shape)
 
-    @cached_property
-    def table(self) -> _EntryTable | None:
-        """The `_EntryTable`, or None when a factor is complex or has a
-        non-finite entry."""
-        if not (_finite_real(self.h0) and _finite_real(self.x)
-                and all(slot.facts is not None for slot in self.slots)):
-            return None
-        d0 = self.h0.shape[0]
-        diagonal = self.h0[:, :, None]
-        for slot in self.slots:
-            if slot.facts.diagonal.size:
-                diagonal = (diagonal[:, :, :, None] - self.x[:, :, None, None]
-                            * slot.facts.diagonal).reshape(d0, d0, -1)
-        scale = max(float(diagonal.max()), float(-diagonal.min()))
-        skew = float(np.abs(diagonal - diagonal.transpose(1, 0, 2)).max())
-        coupled = [slot for slot in self.slots if slot.mat.shape[0] > 1]
-        low = high = None
-        if coupled:
-            low = min(slot.facts.low for slot in coupled)
-            high = max(slot.facts.high for slot in coupled)
-            scale = max(scale, float(np.abs(self.x).max()) * max(-low, high))
-            symmetric = bool((self.x == self.x.T).all())
-            for slot in coupled:
-                if not (symmetric and slot.facts.symmetric):
-                    terms = self.x[:, :, None, None] * slot.mat
-                    swapped = np.abs(terms - terms.transpose(1, 0, 3, 2))
-                    skew = max(skew, float(swapped[:, :, ~np.eye(len(slot.mat), dtype=bool)].max()))
-        bottleneck = min((slot.facts.bottleneck for slot in coupled), default=math.inf)
-        return _EntryTable(diagonal, low, high, bottleneck, scale + 0.0, skew)
-
 
 def _slot_view(mat: np.ndarray, d0: int, before: int, n: int, after: int) -> np.ndarray:
     """The entries ((i, b, p, a), (j, b, q, a)) of a square ``mat`` on
@@ -437,21 +509,24 @@ def _slot_view(mat: np.ndarray, d0: int, before: int, n: int, after: int) -> np.
                                (row + col) * n * after, row + col))
 
 
-def _kronecker_sum(space: str, h0: LinearOperator, x: LinearOperator, slots) -> LinearOperator:
+def _kronecker_sum(space: str, h0: LinearOperator, x: LinearOperator, slots, k: np.ndarray,
+                   table: _EntryTable | None, blocks: _BlockCache) -> LinearOperator:
     """H = H0 (x) 1 - X (x) K on ``space``, K = sum_mu 1 (x) Y_mu (x) 1 the
-    Kronecker sum of the slots (`_kronecker_slot`), in order.
+    Kronecker sum of the slots (`_kronecker_slot`), in order, given what
+    `stability._KroneckerFamily`, which lays out every such sum, read for
+    it: the eigenvalues k of K, its entry table and its family's block cache.
 
-    The operator keeps H0, X and the slots (`_KroneckerFactors`), not its
-    matrix.  Its Hermitian test reads the entry table, `_block_spectrum`
-    reads its spectrum from the d0 x d0 blocks, `positivity` decides its
+    The operator keeps these (`_KroneckerFactors`), not its matrix.  Its
+    Hermitian test reads the entry table, `_block_spectrum` reads its
+    spectrum from the cached d0 x d0 blocks, `positivity` decides its
     improving class from the factors, and `stability._commutes` its
     commutation with a pushed observable from its product with the
     observable's frame; the matrix is built the first time ``.mat`` is
-    read, with the entries the table describes.  `stability._KroneckerFamily`,
-    which lays out every such sum, keeps its dimension within `DIM_CAP`.
+    read, with the entries the table describes.  The family keeps its
+    dimension within `DIM_CAP`.
     """
     h0._check_same_space(x)
-    factors = _KroneckerFactors(h0.mat, x.mat, tuple(slots))
+    factors = _KroneckerFactors(h0.mat, x.mat, tuple(slots), k, table, blocks)
     op = object.__new__(LinearOperator)
     object.__setattr__(op, "space", space)
     object.__setattr__(op, "_factors", factors)
@@ -464,24 +539,24 @@ def _block_spectrum(op: LinearOperator) -> Spectrum:
     The product V of the slots' eigenbases diagonalises K, so H is unitarily
     equivalent to the direct sum of the blocks H0 - k X, k running over the
     eigenvalues of K, each a sum of one eigenvalue per slot (Horn & Johnson,
-    *Topics in Matrix Analysis*, 4.4).  One batched `eigh` of the blocks
-    gives every eigenvalue.  The ground vector is phi (x) v, phi the lowest
-    block eigenvector and v the column of V at its k, built in O(dim), and
-    no dim x dim eigenbasis is formed: the spectrum has the shape of a
-    dense record's, every eigenvalue and the ground vector.  The pair is
-    kept only when H applied by reshape (`_KroneckerFactors.apply`), with
-    no matrix formed, confirms it: ||H psi - E psi|| <= BLOCK_RESIDUAL_TOL
-    * ||H||.  Slot eigenpairs that disagree with the slots raise
-    `Inconsistent`.
+    *Topics in Matrix Analysis*, 4.4).  The blocks' eigenpairs are read from
+    the family's `_BlockCache`, which decomposes any block it does not yet
+    hold, in one batched `eigh`, so a node alone is a batch of one and a
+    block that many nodes share is decomposed once.  The ground vector is
+    phi (x) v, phi the lowest block eigenvector and v the column of V at its
+    k, built in O(dim), and no dim x dim eigenbasis is formed: the spectrum
+    has the shape of a dense record's, every eigenvalue and the ground
+    vector.  The pair is kept only when H applied by reshape
+    (`_KroneckerFactors.apply`), with no matrix formed, confirms it:
+    ||H psi - E psi|| <= BLOCK_RESIDUAL_TOL * ||H||.  Slot eigenpairs that
+    disagree with the slots raise `Inconsistent`.
     """
     op.require_hermitian()
     f = op._factors
-    k = np.zeros(1)
-    for slot in f.slots:
-        k = (k[:, None] + slot.values).ravel()
-    values, vectors = np.linalg.eigh(f.h0 - k[:, None, None] * f.x)
+    rows = f.blocks.rows(f.k)
+    values = f.blocks.values[rows]
     block, level = divmod(int(values.argmin()), f.h0.shape[0])
-    ground = vectors[block, :, level]
+    ground = f.blocks.vectors[rows[block], :, level].copy()  # _fix_phase rotates it in place
     for slot, column in zip(f.slots, np.unravel_index(block, [s.values.size for s in f.slots])):
         ground = np.multiply.outer(ground, slot.vectors[:, column]).ravel()
     _fix_phase(ground)

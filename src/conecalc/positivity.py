@@ -312,10 +312,12 @@ class NodeAnalysis:
     is asked for, so a link that fails its arrow never decomposes anything.
     The record keeps facts, not an eigenbasis: its spectrum holds the
     eigenvalues and the ground vector alone.  A Kronecker sum (a lattice
-    node, a tower level, the `stability` coupling recipe) is decomposed by
-    one batched `eigh` of its d0 x d0 blocks (`numerics._block_spectrum`),
-    which forms no eigenbasis, and its improving verdict is read from its
-    factors (`_factor_improving`), so neither builds its matrix; any other
+    node, a tower level, the `stability` coupling recipe) reads its
+    eigenpairs from the d0 x d0 blocks that its family's block cache
+    (`numerics._BlockCache`) decomposed once for all of the family's nodes
+    (`numerics._block_spectrum`), which forms no eigenbasis, and its
+    improving verdict is read from its factors and the entry table its
+    family built (`_factor_improving`), so neither builds its matrix; any other
     Hamiltonian takes `hermitian_eig`, which copies out and phase-fixes the
     ground column alone.
     """

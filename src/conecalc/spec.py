@@ -244,23 +244,36 @@ def _top_level(version, task, params={}, spaces={}, operators=[], cones=[], embe
     return ctx, task, params
 
 
+def _one_dimension(*entries) -> None:
+    """Refuse (role, id, Entry) triples, the objects a task pairs, whose
+    dimensions differ: the line names the first and the first that differs
+    from it."""
+    (role, name, first), *rest = entries
+    for other, other_name, entry in rest:
+        _require(entry.dim == first.dim, f"{role} {name!r} (dim {first.dim}) and {other} "
+                                         f"{other_name!r} (dim {entry.dim}) differ in dimension")
+
+
 # Each task's reader returns its run, which reads the objects of the entries
 # it looked up once `RunContext.build` has made them.
 def _task_classify(ctx: RunContext, operator, cone):
-    op, cone = ctx.operator(operator), ctx.cone(cone)
+    op, p = ctx.operator(operator), ctx.cone(cone)
+    _one_dimension(("operator", operator, op), ("cone", cone, p))
 
     def run():
-        report = conecalc.classify(op.value, cone.value, ctx.tol)
+        report = conecalc.classify(op.value, p.value, ctx.tol)
         payload = report.to_payload()
         if report.preserving:
-            payload["ergodicity"] = conecalc.is_ergodic(op.value, cone.value, ctx.tol).to_payload()
+            payload["ergodicity"] = conecalc.is_ergodic(op.value, p.value, ctx.tol).to_payload()
         return True, payload
     return run
 
 
 def _task_mu(ctx: RunContext, hamiltonian, observable, cone):
-    h, o, cone = ctx.operator(hamiltonian), ctx.operator(observable), ctx.cone(cone)
-    return lambda: (True, conecalc.good_quantum_number(h.value, o.value, cone.value,
+    h, o, p = ctx.operator(hamiltonian), ctx.operator(observable), ctx.cone(cone)
+    _one_dimension(("hamiltonian", hamiltonian, h), ("observable", observable, o),
+                   ("cone", cone, p))
+    return lambda: (True, conecalc.good_quantum_number(h.value, o.value, p.value,
                                                        ctx.tol).to_payload())
 
 
@@ -320,12 +333,12 @@ def _task_lattice(ctx: RunContext, h0, cone, observable, x, factors):
     _require(isinstance(factors, list) and factors, "lattice needs a factors list")
     ys = [_read(f"lattice factor {mu}", factor, _lattice_factor, ctx)
           for mu, factor in enumerate(factors, start=1)]
-    h0, cone = ctx.operator(h0), ctx.cone(cone)
-    observable, x = ctx.operator(observable), ctx.operator(x)
+    h, p, o, c = ctx.operator(h0), ctx.cone(cone), ctx.operator(observable), ctx.operator(x)
+    _one_dimension(("h0", h0, h), ("cone", cone, p), ("observable", observable, o), ("x", x, c))
 
     def run():
-        spec = conecalc.LatticeSpec(h0=h0.value, cone=cone.value, observable=observable.value,
-                                    x=x.value, factors=tuple((y.dim, y.value) for y in ys))
+        spec = conecalc.LatticeSpec(h0=h.value, cone=p.value, observable=o.value, x=c.value,
+                                    factors=tuple((y.dim, y.value) for y in ys))
         diagram = conecalc.build_lattice(spec, ctx.tol)
         payload = {"assumptions": diagram.assumptions.to_payload(), "diagram": diagram.to_payload()}
         return True, payload, {"hasse.dot": conecalc.hasse_export(diagram)}
@@ -333,11 +346,13 @@ def _task_lattice(ctx: RunContext, h0, cone, observable, x, factors):
 
 
 def _task_richness(ctx: RunContext, hamiltonian, cone, observable, depth=5):
-    h, cone, o = ctx.operator(hamiltonian), ctx.cone(cone), ctx.operator(observable)
+    h, p, o = ctx.operator(hamiltonian), ctx.cone(cone), ctx.operator(observable)
+    _one_dimension(("hamiltonian", hamiltonian, h), ("cone", cone, p),
+                   ("observable", observable, o))
     _require(_is_int(depth) and depth >= 0, "depth must be a nonnegative integer")
 
     def run():
-        chain = conecalc.extension_tower(h.value, cone.value, o.value, depth, ctx.tol)
+        chain = conecalc.extension_tower(h.value, p.value, o.value, depth, ctx.tol)
         report = conecalc.quantum_number_along_chain(chain, o.value, ctx.tol)
         return True, {"depth": depth, "dims": [node.hamiltonian.dim for node in chain.nodes],
                       "quantum_numbers": report.to_payload()}
@@ -373,13 +388,15 @@ def _task_spin_demo(ctx: RunContext, sites, sublattice_a, sector_m=0.0):
 
 
 # A stability member's recipe reads to the build of its chain, which
-# `_task_stability` runs once every member is read.
-def _tower_recipe(ctx: RunContext, type, depth=1):
+# `_task_stability` runs once every member is read; ``star`` is the
+# (role, id, Entry) of the class's h_star.
+def _tower_recipe(ctx: RunContext, star, type, depth=1):
     _require(_is_int(depth) and depth >= 1, "tower depth must be >= 1")
     return lambda h_star, cone, o: conecalc.extension_tower(h_star, cone, o, depth, ctx.tol)
 
 
-def _coupling_recipe(ctx: RunContext, type, x, y):
+def _coupling_recipe(ctx: RunContext, star, type, x, y):
+    _one_dimension(star, ("x", x, ctx.operator(x)))
     x, y = ctx.operator(x), ctx.operator(y)
     return lambda h_star, cone, o: conecalc.stability._KroneckerFamily(
         h_star, cone, x.value, (y.value.mat,), (y.value.space,)).chain()
@@ -388,26 +405,28 @@ def _coupling_recipe(ctx: RunContext, type, x, y):
 _RECIPES = {"tower": _tower_recipe, "coupling": _coupling_recipe}
 
 
-def _stability_member(ctx: RunContext, id, recipe):
+def _stability_member(ctx: RunContext, star, id, recipe):
     _require(isinstance(id, str), f"stability member ids must be strings, got {id!r}")
     _require(isinstance(recipe, dict),
              f"stability member recipe must be an object, got {recipe!r}")
     kind = recipe.get("type")
     _require(kind in tuple(_RECIPES), f"unknown stability recipe type {kind!r}")
-    return id, _read(f"stability member {id!r} recipe", recipe, _RECIPES[kind], ctx)
+    return id, _read(f"stability member {id!r} recipe", recipe, _RECIPES[kind], ctx, star)
 
 
 def _task_stability(ctx: RunContext, h_star, cone, observable, members=[]):
-    h, cone, o = ctx.operator(h_star), ctx.cone(cone), ctx.operator(observable)
+    h, p, o = ctx.operator(h_star), ctx.cone(cone), ctx.operator(observable)
+    star = ("h_star", h_star, h)
+    _one_dimension(star, ("cone", cone, p), ("observable", observable, o))
     _require(isinstance(members, list), "members must be a list")
     builds = {}
     for j, member in enumerate(members):
-        member_id, build = _read(f"stability member {j}", member, _stability_member, ctx)
+        member_id, build = _read(f"stability member {j}", member, _stability_member, ctx, star)
         _require(member_id not in builds, f"duplicate stability member id {member_id!r}")
         builds[member_id] = build
 
     def run():
-        base = h.value, cone.value, o.value
+        base = h.value, p.value, o.value
         record = conecalc.StabilityClassRecord.for_base(h_star, *base, ctx.tol)
         for member_id, build in builds.items():
             record.add_member(member_id, build(*base), ctx.tol)

@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from . import numerics
-from .cones import SelfDualCone, orthant, tensor_cone
+from .cones import SelfDualCone, _signed_cone
 from .errors import (
     BadFactorization,
     ChainFailed,
@@ -34,19 +35,22 @@ from .inheritance import (
     ChainReport,
     Embedding,
     _chain_report,
-    _kronecker_embedding,
+    _insertion_embedding,
     _verified_links,
 )
 from .numerics import (
     DEFAULT_TOL,
-    DIM_CAP,
     LinearOperator,
+    _base_table,
+    _BlockCache,
     _check_density,
+    _EntryTable,
     _kron,
     _kronecker_slot,
     _kronecker_sum,
     _reduced,
     _Slot,
+    _table_with_slot,
     hermitian_eig,
     identity,
     product_space,
@@ -316,21 +320,46 @@ def _chain_pass(chain: ArrowChain, o: LinearOperator,
                                  tuple(telescopes))
 
 
+class _SubsetFacts(NamedTuple):
+    """What a `_KroneckerFamily` reads for one subset I of its slots, each
+    from the facts of I less its last slot: the node's space and its cone's,
+    the eigenvalues k of K_I in slot order, the node's `_EntryTable`, and
+    the one nonzero entry of its frame, the product of the slots' uniform
+    entries in slot order."""
+
+    space: str
+    cone_space: str
+    k: np.ndarray
+    table: _EntryTable | None
+    weight: float
+
+
 class _KroneckerFamily:
-    """The one layout of lattice nodes, tower levels and `coupling` members:
-    H_I = H0 (x) 1 - X (x) K_I on ``h0.space*name_mu*...``, K_I the Kronecker
-    sum of the slots Y_mu, mu in I (an ascending tuple from 1), on the cone
-    of H0 tensored with their joint orthant.  The top node's dimension is
-    checked against `numerics.DIM_CAP`, read when the family is made, before
-    any slot is decomposed; each slot is decomposed once, at the first node
-    (the tower's sigma_x once per process)."""
+    """The one layout of lattice nodes, tower levels and `coupling` members,
+    and the one reader of the facts they share: H_I = H0 (x) 1 - X (x) K_I
+    on ``h0.space*name_mu*...``, K_I the Kronecker sum of the slots Y_mu,
+    mu in I (an ascending tuple from 1), on the cone of H0 tensored with
+    their joint orthant.
+
+    The top node's dimension is checked against `numerics.DIM_CAP`, read
+    when the family is made, before any slot is decomposed; each slot is
+    decomposed once, at the first node (the tower's sigma_x once per
+    process).  The facts of a subset (`_SubsetFacts`) are made once, from
+    those of the subset less its last slot, with the float operations of a
+    loop over its slots, in the same order.  The blocks H0 - k X of every
+    node are held by one `numerics._BlockCache`: `fill` decomposes those of
+    many subsets in one batched `eigh`, and a node whose blocks are not all
+    there yet decomposes the rest when its spectrum is first read.
+    """
 
     def __init__(self, h0: LinearOperator, cone: SelfDualCone, x: LinearOperator, ys, names):
         self.h0, self.cone, self.x, self.ys, self.names = h0, cone, x, tuple(ys), tuple(names)
-        self.dims, self._spaces = [y.shape[0] for y in self.ys], {(): h0.space}
+        self.dims = [y.shape[0] for y in self.ys]
         dim = h0.dim * math.prod(self.dims)
         if dim > numerics.DIM_CAP:
             raise DimCap(f"Kronecker sum dimension {dim} exceeds cap {numerics.DIM_CAP}")
+        self._facts = {}  # subset -> its _SubsetFacts
+        self._signs = {}  # n -> the base signs, each repeated n times, which nodes share
 
     # sigma_x, every tower level's slot, decomposed at the first tower
     _flip_slot = staticmethod(cache(lambda: _kronecker_slot(PAULI_X)))
@@ -339,37 +368,69 @@ class _KroneckerFamily:
     def slots(self) -> tuple[_Slot, ...]:
         return tuple(self._flip_slot() if y is PAULI_X else _kronecker_slot(y) for y in self.ys)
 
-    def _space(self, subset) -> str:
-        subset = tuple(subset)  # each made once, from the space of the subset less its last slot
-        if subset not in self._spaces:
-            head, last = subset[:-1], subset[-1]
-            self._spaces[subset] = product_space(self._space(head), self.names[last - 1])
-        return self._spaces[subset]
+    @cached_property
+    def blocks(self) -> _BlockCache:
+        return _BlockCache(self.h0.mat, self.x.mat)
+
+    def facts(self, subset: tuple[int, ...]) -> _SubsetFacts:
+        """The `_SubsetFacts` of an ascending tuple of slots."""
+        facts = self._facts.get(subset)
+        if facts is not None:
+            return facts
+        if not subset:
+            facts = _SubsetFacts(self.h0.space, self.cone.space, np.zeros(1),
+                                 _base_table(self.h0.mat, self.x.mat), 1.0)
+        else:
+            head, mu = self.facts(subset[:-1]), subset[-1]
+            slot, name = self.slots[mu - 1], self.names[mu - 1]
+            facts = _SubsetFacts(product_space(head.space, name),
+                                 product_space(head.cone_space, name),
+                                 (head.k[:, None] + slot.values).ravel(),
+                                 _table_with_slot(head.table, self.x.mat, slot),
+                                 head.weight * (1.0 / math.sqrt(self.dims[mu - 1])))
+        self._facts[subset] = facts
+        return facts
+
+    def fill(self, subsets) -> None:
+        """Decompose the blocks of every node of ``subsets`` that the cache
+        does not hold yet, in one batched `eigh`."""
+        self.blocks.fill(np.concatenate([self.facts(subset).k for subset in subsets]))
 
     def node(self, subset) -> ChainNode:
-        h = _kronecker_sum(self._space(subset), self.h0, self.x,
-                           tuple(self.slots[mu - 1] for mu in subset))
+        subset = tuple(subset)
+        facts = self.facts(subset)
+        h = _kronecker_sum(facts.space, self.h0, self.x,
+                           tuple(self.slots[mu - 1] for mu in subset), facts.k, facts.table,
+                           self.blocks)
         if not subset:
             return ChainNode(h, self.cone)
-        joint = orthant(reduce(product_space, (self.names[mu - 1] for mu in subset)),
-                        math.prod(self.dims[mu - 1] for mu in subset))
-        return ChainNode(h, tensor_cone(self.cone, joint))
+        n = facts.k.size
+        if self.cone._sign_basis is not None:  # s_a times the joint orthant's 1.0
+            signs = self._signs.get(n)
+            if signs is None:
+                signs = self._signs[n] = np.repeat(self.cone._sign_basis.signs, n)
+                signs.setflags(write=False)
+            cone = _signed_cone(facts.cone_space, signs)
+        else:
+            cone = SelfDualCone(facts.cone_space, _kron(self.cone.generators, np.eye(n)))
+        return ChainNode(h, cone)
 
     def embedding(self, subset, mu: int) -> Embedding:
         """Node I into node I u {mu}: mu's uniform vector inserted between
-        the slots of I below mu, kept with the base, and those above it, if any."""
+        the slots of I below mu, kept with the base, and those above it."""
+        subset = tuple(subset)
         above = math.prod(self.dims[nu - 1] for nu in subset if nu > mu)
         below = self.h0.dim * math.prod(self.dims[nu - 1] for nu in subset if nu < mu)
-        blocks = [below, uniform_vector(self.dims[mu - 1])] + [above] * (above > 1)
-        large = self._space(sorted(subset + (mu,)))
-        return _kronecker_embedding(self._space(subset), large, blocks)
+        return _insertion_embedding(self.facts(subset).space,
+                                    self.facts(tuple(sorted(subset + (mu,)))).space,
+                                    below, uniform_vector(self.dims[mu - 1]), above)
 
     def frame(self, subset) -> np.ndarray:
-        """The isometry from node () into node I, one uniform vector per slot."""
-        frame = np.eye(self.h0.dim)
-        for mu in subset:
-            frame = _kron(frame, uniform_vector(self.dims[mu - 1])[:, None])
-        return frame
+        """The isometry from node () into node I, one uniform vector per
+        slot: the base identity times the subset's weight, whose entries
+        are those of appending the uniform vectors one slot at a time."""
+        facts = self.facts(tuple(subset))
+        return _kron(np.eye(self.h0.dim), np.full((facts.k.size, 1), facts.weight))
 
     def chain(self) -> ArrowChain:
         """H0 itself, then the node of each nonempty prefix, each embedded in the next."""
@@ -394,8 +455,9 @@ def extension_tower(h: LinearOperator, cone: SelfDualCone, o: LinearOperator,
     if depth < 0:
         raise ValueError("depth must be >= 0")
     # 2^bit_length exceeds the cap already, so no huge power is formed
-    if h.dim * 2 ** min(depth, DIM_CAP.bit_length()) > DIM_CAP:
-        raise DimCap(f"tower dimension {h.dim} * 2^{depth} exceeds cap {DIM_CAP}")
+    cap = numerics.DIM_CAP
+    if h.dim * 2 ** min(depth, cap.bit_length()) > cap:
+        raise DimCap(f"tower dimension {h.dim} * 2^{depth} exceeds cap {cap}")
     if not generates_improving_semigroup(h, cone, tol):
         raise PreconditionFailed("seed Hamiltonian is not improving-class on its cone")
     if not commutes_with_observable(h, o):

@@ -202,6 +202,25 @@ CASES = [
            ("set", "params.cone", "T"),
            line=f"cone 'T': tensor dimension {2048 ** len(parts)} exceeds cap 4096")
       for parts in (["A", "A"], ["A", "A", "A"])),
+    # objects a task pairs, on spaces of different dimensions, refused before numpy loads
+    case("classify-cone-of-another-dimension", "classify_flip",
+         ("append", "cones", {"name": "T", "kind": "tensor", "parts": ["P", "P"]}),
+         ("set", "params.cone", "T"),
+         line="operator 'flip' (dim 2) and cone 'T' (dim 4) differ in dimension"),
+    case("mu-observable-of-another-dimension", "mu_flip", ("set", "spaces.big", 3),
+         ("set", "operators.1", {"name": "obs", "space": "big",
+                                 "entries": [[0, 1, 0], [1, 0, 0], [0, 0, 1]]}),
+         line="hamiltonian 'h' (dim 2) and observable 'obs' (dim 3) differ in dimension"),
+    case("lattice-x-of-another-dimension", "lattice_ell3", ("set", "params.x", "y2"),
+         line="h0 'h0' (dim 2) and x 'y2' (dim 3) differ in dimension"),
+    case("richness-cone-of-another-dimension", "richness_depth5", ("set", "spaces.big", 3),
+         ("append", "cones", {"name": "Q", "kind": "orthant", "space": "big"}),
+         ("set", "params.cone", "Q"),
+         line="hamiltonian 'h' (dim 2) and cone 'Q' (dim 3) differ in dimension"),
+    case("stability-coupling-x-of-another-dimension", "stability_demo", ("set", "spaces.big", 3),
+         ("append", "operators", {"name": "three", "space": "big", "kind": "identity"}),
+         ("set", "params.members.1.recipe.x", "three"),
+         line="h_star 'h_star' (dim 2) and x 'three' (dim 3) differ in dimension"),
     case("space-one-past-the-cap", "classify_flip", ("set", "spaces.base", 4097),
          line="space 'base' dimension 4097 exceeds cap 4096"),
     case("space-identity-of-a-billion", "classify_flip", ("set", "spaces.base", 10 ** 9),

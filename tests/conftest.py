@@ -7,13 +7,15 @@ operators from dense Kronecker products on the full 2^n space, chain
 quantum numbers from two passes, every link before any node is read, a
 lattice node's coupling from its factor operators summed on the bare factor
 product, a lattice embedding from one block per slot of the larger subset,
-sign cones and Kronecker embeddings from the same generators
+a Kronecker-sum node's shifts, entry table, spectrum and frame from loops
+over its own slots, with nothing shared between nodes, sign cones and Kronecker embeddings from the same generators
 and isometries taken as dense matrices, and the Metzler criterion from
 exponentials sampled over beta.
 """
 
 import collections
 import functools
+import json
 import math
 import sys
 
@@ -36,6 +38,14 @@ from conecalc.inheritance import ChainReport, ground_overlap
 from conecalc.numerics import (
     DEFAULT_TOL,
     LinearOperator,
+    Spectrum,
+    _BlockCache,
+    _EntryTable,
+    _finite_real,
+    _fix_phase,
+    _kron,
+    _kronecker_slot,
+    _kronecker_sum,
     hermitian_eig,
     product_space,
     uniform_vector,
@@ -313,6 +323,87 @@ def factor_cone(spec: lattice.LatticeSpec, subset) -> SelfDualCone:
     return cone
 
 
+def shifts_oracle(slot_values) -> np.ndarray:
+    """The eigenvalues k of a node's K, summed slot by slot from the
+    eigenvalues of each slot."""
+    k = np.zeros(1)
+    for values in slot_values:
+        k = (k[:, None] + values).ravel()
+    return k
+
+
+def entry_table_oracle(h0: np.ndarray, x: np.ndarray, slots) -> _EntryTable | None:
+    """A node's `_EntryTable` by one loop over its slots."""
+    if not (_finite_real(h0) and _finite_real(x) and all(slot.facts is not None for slot in slots)):
+        return None
+    d0 = h0.shape[0]
+    diagonal = h0[:, :, None]
+    for slot in slots:
+        if slot.facts.diagonal.size:
+            diagonal = (diagonal[:, :, :, None] - x[:, :, None, None]
+                        * slot.facts.diagonal).reshape(d0, d0, -1)
+    scale = max(float(diagonal.max()), float(-diagonal.min()))
+    skew = float(np.abs(diagonal - diagonal.transpose(1, 0, 2)).max())
+    coupled_skew = 0.0
+    coupled = [slot for slot in slots if slot.mat.shape[0] > 1]
+    low = high = None
+    if coupled:
+        low = min(slot.facts.low for slot in coupled)
+        high = max(slot.facts.high for slot in coupled)
+        scale = max(scale, float(np.abs(x).max()) * max(-low, high))
+        symmetric = bool((x == x.T).all())
+        for slot in coupled:
+            if not (symmetric and slot.facts.symmetric):
+                terms = x[:, :, None, None] * slot.mat
+                swapped = np.abs(terms - terms.transpose(1, 0, 3, 2))
+                part = float(swapped[:, :, ~np.eye(len(slot.mat), dtype=bool)].max())
+                skew, coupled_skew = max(skew, part), max(coupled_skew, part)
+    bottleneck = min((slot.facts.bottleneck for slot in coupled), default=math.inf)
+    return _EntryTable(diagonal, low, high, bottleneck, scale + 0.0, skew, coupled_skew)
+
+
+def block_spectrum_oracle(h: LinearOperator) -> Spectrum:
+    """The spectrum of a Kronecker-sum node from one `eigh` of all its
+    blocks H0 - k X, k summed slot by slot, with nothing shared."""
+    f = h._factors
+    k = shifts_oracle([slot.values for slot in f.slots])
+    values, vectors = np.linalg.eigh(f.h0 - k[:, None, None] * f.x)
+    block, level = divmod(int(values.argmin()), f.h0.shape[0])
+    ground = vectors[block, :, level]
+    for slot, column in zip(f.slots, np.unravel_index(block, [s.values.size for s in f.slots])):
+        ground = np.multiply.outer(ground, slot.vectors[:, column]).ravel()
+    _fix_phase(ground)
+    return Spectrum(np.sort(values, axis=None), ground)
+
+
+def frame_oracle(d0: int, dims) -> np.ndarray:
+    """The isometry from the base into a node: the base identity with the
+    uniform vector of each slot appended by `_kron`, one slot at a time."""
+    frame = np.eye(d0)
+    for n in dims:
+        frame = _kron(frame, uniform_vector(n)[:, None])
+    return frame
+
+
+def oracle_record(spec: lattice.LatticeSpec, subset, tol: float = DEFAULT_TOL) -> NodeAnalysis:
+    """A lattice node's record as the per-node loops read it: its slots
+    decomposed afresh, its shifts, entry table and spectrum from the
+    oracles above, and its cone the base cone tensored with one slot
+    orthant at a time."""
+    slots = [_kronecker_slot(spec.factors[mu - 1][1].mat) for mu in subset]
+    space, cone = spec.h0.space, spec.cone
+    for mu in subset:
+        space = product_space(space, f"f{mu}")
+        cone = tensor_cone(cone, orthant(f"f{mu}", spec.factors[mu - 1][0]))
+    h = _kronecker_sum(space, spec.h0, spec.x, slots,
+                       shifts_oracle([slot.values for slot in slots]),
+                       entry_table_oracle(spec.h0.mat, spec.x.mat, slots),
+                       _BlockCache(spec.h0.mat, spec.x.mat))
+    record = NodeAnalysis(h, cone, tol)
+    record.__dict__["spectrum"] = block_spectrum_oracle(h)  # no block cache is read
+    return record
+
+
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Equal entry for entry in the same dtype, the sign of every zero
     included."""
@@ -525,6 +616,32 @@ def dense_verify_mlm(system: SpinSystem, m: float, tol: float = DEFAULT_TOL,
     return MlmReport(system.sites, system.sublattice_a, system.sublattice_b, m, sector.dim,
                      s_star, gqn.value, gqn.snapped, expected,
                      abs(gqn.snapped - expected) <= 1e-8, gqn.ground.energy, gqn.gap01)
+
+
+def canonical_oracle(obj) -> str:
+    """`jsonio.canonical_dumps` by recursion, each container's text joined
+    from its children's."""
+    if isinstance(obj, dict):
+        return "{" + ",".join(f"{canonical_oracle(str(k))}:{canonical_oracle(v)}"
+                              for k, v in sorted(obj.items())) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(canonical_oracle(v) for v in obj) + "]"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if math.isnan(x):
+            raise ValueError("NaN has no canonical representation")
+        if math.isinf(x):
+            return '"inf"' if x > 0 else '"-inf"'
+        return "%.12e" % (x if x != 0.0 else 0.0)
+    if isinstance(obj, str):
+        return json.dumps(obj, ensure_ascii=False)
+    if obj is None:
+        return "null"
+    raise TypeError(f"cannot canonicalize {type(obj).__name__}")
 
 
 def _failure(exc: Exception, index: int) -> Exception:

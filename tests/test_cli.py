@@ -16,6 +16,8 @@ from conecalc.jsonio import canonical_dumps, matrix_from_json
 from conecalc.spec import read_vector
 
 import bad_configs
+import caps
+from conftest import canonical_oracle
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -44,6 +46,41 @@ class TestCanonicalJson:
         text = "".join(map(chr, range(0x20))) + '"\\\x7f\u00e9\u2028'
         assert json.loads(canonical_dumps(text)) == text
         assert canonical_dumps("\u00e9\n") == '"\u00e9\\n"'
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_the_flat_writer_writes_the_recursive_text(self, seed):
+        # nested dicts, lists and tuples of Python and numpy scalars, signed
+        # zeros and infinities among them, and nestings far deeper than
+        # Python's recursion limit
+        gen = np.random.default_rng(700 + seed)
+        leaves = [lambda: float(gen.normal()), lambda: int(gen.integers(-9, 9)), lambda: -0.0,
+                  lambda: math.inf, lambda: -math.inf, lambda: None, lambda: bool(gen.random() < 0.5),
+                  lambda: "k\u00e9\n" + str(gen.integers(9)), lambda: np.float64(gen.normal()),
+                  lambda: np.float32(gen.normal()), lambda: np.int32(gen.integers(9)),
+                  lambda: np.bool_(gen.random() < 0.5), lambda: np.float64(-0.0)]
+
+        def draw(depth):
+            kind = int(gen.integers(4 if depth < 5 else 1))
+            if kind == 0:
+                return leaves[int(gen.integers(len(leaves)))]()
+            items = [draw(depth + 1) for _ in range(int(gen.integers(0, 5)))]
+            if kind == 1:
+                return items
+            if kind == 2:
+                return tuple(items)
+            return {f"k{int(gen.integers(99))}": item for item in items}
+
+        obj = draw(0)
+        assert canonical_dumps(obj) == canonical_oracle(obj)
+        deep, text = obj, canonical_oracle(obj)
+        for level in range(5000):
+            deep = [deep, level] if level % 2 else {"x": deep}
+            text = f"[{text},{level}]" if level % 2 else f'{{"x":{text}}}'
+        assert canonical_dumps(deep) == text
+        with pytest.raises(ValueError, match="NaN"):
+            canonical_dumps([obj, {"a": [np.float64("nan")]}])
+        with pytest.raises(TypeError, match="cannot canonicalize set"):
+            canonical_dumps({"a": [obj, {1, 2}]})
 
     def test_matrix_round_trip(self):
         mat = matrix_from_json([[0, [1, -2]], [[1, 2], 0.5]])
@@ -417,7 +454,8 @@ def reader_rows() -> dict[str, tuple[str, str]]:
     readers.update({f"recipe, type `{kind}`": reader for kind, reader in spec._RECIPES.items()})
     rows = {}
     for label, reader in readers.items():
-        keys = [p for p in inspect.signature(reader).parameters.values() if p.name != "ctx"]
+        keys = [p for p in inspect.signature(reader).parameters.values()
+                if p.name not in ("ctx", "star")]  # what the reader is handed, not config keys
         required = [f"`{p.name}`" for p in keys if p.default is p.empty]
         optional = [f"`{p.name}`" if p.default is None else f"`{p.name}` = `{json.dumps(p.default)}`"
                     for p in keys if p.default is not p.empty]
@@ -467,8 +505,7 @@ def test_lattice_past_the_node_cap_fails_before_the_spec_is_checked(config, cap,
     def refuse(*args, **kwargs):
         raise AssertionError("the spec was checked, a slot decomposed or a node built")
 
-    monkeypatch.setattr(lattice, "DIM_CAP", cap)  # the node count's cap
-    monkeypatch.setattr(numerics, "DIM_CAP", cap)  # the top node's, read by its family
+    monkeypatch.setattr(numerics, "DIM_CAP", cap)  # the node count's and the top node's
     monkeypatch.setattr(lattice, "verify_spec", refuse)
     monkeypatch.setattr(lattice, "_build_node", refuse)
     monkeypatch.setattr(stability, "_kronecker_slot", refuse)
@@ -477,6 +514,17 @@ def test_lattice_past_the_node_cap_fails_before_the_spec_is_checked(config, cap,
     if reason is not None:
         assert report["status"] == "fail"
         assert report["payload"]["reason"] == reason
+
+
+def test_the_cap_script_passes_a_run_at_its_cap():
+    # tests/caps.py, which CI runs, as its own process: the richness tower
+    # at depth 11 passes below its bound, with its time and peak on one line
+    script = Path(caps.__file__)
+    done = subprocess.run([sys.executable, "-W", "error", str(script), "richness-depth-11"],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    line = done.stdout.splitlines()[-1]
+    assert line.startswith("richness-depth-11: pass, ") and line.endswith(" MB (bound 80 MB)")
 
 
 def test_an_identity_operator_keeps_the_array_it_is_built_from(monkeypatch):

@@ -7,17 +7,26 @@ from conftest import (
     combined_factor_operator,
     expm_oracle,
     factor_cone,
+    frame_oracle,
     op,
+    oracle_record,
     random_lattice_spec,
     rng,
     same_bits,
+    shifts_oracle,
     subset_embedding,
 )
 
 from conecalc.cones import orthant
 from conecalc import inheritance, lattice, stability
 from conecalc.errors import DimCap, DimMismatch, LinkFailed, SpecFailed
-from conecalc.inheritance import ArrowChain, ChainNode, _kronecker_embedding, verify_chain
+from conecalc.inheritance import (
+    ArrowChain,
+    ChainNode,
+    _insertion_embedding,
+    _verified_link,
+    verify_chain,
+)
 from conecalc.lattice import (
     LatticeSpec,
     build_lattice,
@@ -26,8 +35,13 @@ from conecalc.lattice import (
     verify_spec,
 )
 from conecalc.numerics import DEFAULT_TOL, DIM_CAP, LinearOperator, hermitian_eig
-from conecalc.positivity import generates_improving_semigroup, is_ergodic
-from conecalc.stability import PAULI_X, is_decoupled_extension, quantum_number_along_chain
+from conecalc.positivity import NodeAnalysis, generates_improving_semigroup, is_ergodic
+from conecalc.stability import (
+    PAULI_X,
+    _quantum_number,
+    is_decoupled_extension,
+    quantum_number_along_chain,
+)
 
 RING3 = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
 
@@ -281,17 +295,22 @@ class TestBuildLattice:
         assert len(diagram.covering_edges) == 1
 
     def test_decomposition_budget(self, decompositions):
-        # no node-sized matrix is decomposed: each node's spectrum is one
-        # batched eigh of its d0 x d0 blocks, each slot is decomposed once,
-        # and so is the observable
+        # no node-sized matrix is decomposed: the blocks of every node come
+        # from one batched eigh, one block per distinct shift bit pattern
+        # over the lattice; each slot is decomposed once, and so is the
+        # observable
         spec = demo_spec()
         diagram = build_lattice(spec)
+        values = {mu: np.linalg.eigh(y.mat)[0] for mu, (_, y) in enumerate(spec.factors, start=1)}
+        patterns = {bits for node in diagram.nodes
+                    for bits in shifts_oracle([values[mu] for mu in node.subset]).view(np.int64)}
+        assert len(patterns) < sum(n.hamiltonian.dim // 2 for n in diagram.nodes)
         shapes = decompositions.shapes
         blocks = [s for name, s in shapes if name == "eigh" and len(s) == 3]
-        assert sorted(blocks) == sorted((n.hamiltonian.dim // 2, 2, 2) for n in diagram.nodes)
-        slots = [s for name, s in shapes if name == "eigh" and len(s) == 2]
-        assert sorted(slots) == sorted([(n, n) for n, _ in spec.factors] + [(2, 2)])
-        assert decompositions["eigh"] == len(diagram.nodes) + spec.ell + 1
+        assert blocks == [(len(patterns), 2, 2)]
+        matrices = [s for name, s in shapes if name == "eigh" and len(s) == 2]
+        assert sorted(matrices) == sorted([(n, n) for n, _ in spec.factors] + [(2, 2)])
+        assert decompositions["eigh"] == 1 + spec.ell + 1
         assert max(s[-1] for _, s in shapes) <= max(n for n, _ in spec.factors)
 
     def test_each_edge_checks_its_arrow_once(self, arrow_calls):
@@ -304,12 +323,11 @@ class TestBuildLattice:
         # that sign, so with it passed, the edge fails on its ground overlap
         spec = demo_spec(1)
 
-        def flipped(from_space, to_space, blocks):
-            return _kronecker_embedding(from_space, to_space,
-                                        [-block if np.ndim(block) else block for block in blocks])
+        def flipped(from_space, to_space, below, vec, above):
+            return _insertion_embedding(from_space, to_space, below, -vec, above)
 
         monkeypatch.setattr(inheritance, "inherits_positivity", lambda *args: True)
-        monkeypatch.setattr(stability, "_kronecker_embedding", flipped)
+        monkeypatch.setattr(stability, "_insertion_embedding", flipped)
         with pytest.raises(LinkFailed) as info:
             build_lattice(spec)
         assert info.value.index == 0
@@ -341,6 +359,73 @@ def test_edges_and_frames_have_the_bits_of_the_subset_oracle(seed, edge_embeddin
     eye = np.eye(spec.h0.dim)
     for node, frame in zip(diagram.nodes, node_frames):
         assert same_bits(frame, subset_embedding(spec, (), node.subset).push(eye))
+
+
+def shared_read_spec(seed: int) -> LatticeSpec:
+    """A seeded lattice of one of three kinds: distinct random slots
+    (`random_lattice_spec`), the same with 1 x 1 slots inserted among
+    them, or the base of `demo_spec` with two to four sigma_x slots and
+    RING3 inserted among them, so that many subsets share their shifts."""
+    gen = rng(2100 + seed)
+    if seed % 3 == 2:
+        ys = [PAULI_X] * int(gen.integers(2, 5))
+        ys.insert(int(gen.integers(len(ys) + 1)), RING3)
+        base = demo_spec(1)
+        return LatticeSpec(base.h0, base.cone, base.observable, base.x,
+                           tuple((len(y), op(f"f{mu}", y)) for mu, y in enumerate(ys, start=1)))
+    spec = random_lattice_spec(gen, structured=seed % 2 == 0)
+    factors = list(spec.factors)
+    if seed % 3 == 1:
+        for _ in range(int(gen.integers(1, 3))):
+            unit = op("unit", np.array([[gen.uniform(0.1, 2.0)]]))
+            factors.insert(int(gen.integers(len(factors) + 1)), (1, unit))
+    return LatticeSpec(spec.h0, spec.cone, spec.observable, spec.x, tuple(factors))
+
+
+def float_bits(value) -> str:
+    return float(value).hex()
+
+
+def same_table(got, want) -> bool:
+    """Two `_EntryTable`s, or None, with the same bits."""
+    if got is None or want is None:
+        return got is want
+    return same_bits(got.diagonal, want.diagonal) and all(
+        (a is None and b is None) or float_bits(a) == float_bits(b)
+        for a, b in zip(got[1:], want[1:]))
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_every_node_and_edge_has_the_bits_of_the_per_node_loops(seed):
+    # the family reads each node's shifts, table and frame from its prefix
+    # and its blocks from one cache; the per-node loops read each node on
+    # its own.  Eigenvalues, ground vector, improving verdict, mu and every
+    # edge overlap keep their bits
+    spec = shared_read_spec(seed)
+    diagram = build_lattice(spec)
+    o_spectrum = hermitian_eig(spec.observable)
+    snap_to = np.concatenate([o_spectrum.eigenvalues, [0.0]])
+    records = {}
+    for node in diagram.nodes:
+        want = oracle_record(spec, node.subset)
+        got = NodeAnalysis(node.hamiltonian, node.cone)
+        factors = node.hamiltonian._factors
+        assert same_bits(factors.k, want.hamiltonian._factors.k)
+        assert same_table(factors.table, want.hamiltonian._factors.table)
+        assert same_bits(got.spectrum.eigenvalues, want.spectrum.eigenvalues)
+        assert same_bits(got.spectrum.ground_vector, want.spectrum.ground_vector)
+        assert got.improving is want.improving is True
+        frame = frame_oracle(spec.h0.dim, [spec.factors[mu - 1][0] for mu in node.subset])
+        mu, mu_snapped = _quantum_number(want, spec.observable, o_spectrum.norm, snap_to,
+                                         frame)[:2]
+        assert float_bits(node.mu) == float_bits(mu)
+        assert float_bits(node.mu_snapped) == float_bits(mu_snapped)
+        assert float_bits(node.ground_energy) == float_bits(want.ground.energy)
+        records[node.subset] = want
+    for j, (small, large) in enumerate(diagram.covering_edges):
+        link = _verified_link(j, records[small], records[large],
+                              subset_embedding(spec, small, large))
+        assert float_bits(diagram.edge_overlaps[j]) == float_bits(link.overlap)
 
 
 class TestStructuralCriterionDecides:

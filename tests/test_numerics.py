@@ -18,6 +18,7 @@ from conecalc.errors import BadFactorization, NonHermitian, NotDensityMatrix
 from conecalc.numerics import (
     LinearOperator,
     Spectrum,
+    _BlockCache,
     _kron,
     hermitian_eig,
     identity,
@@ -247,3 +248,50 @@ def test_eigh_ascends_with_a_unit_ground_vector(n, seed):
     spec = hermitian_eig(op("s", random_hermitian(rng(seed), n)))
     assert abs(np.linalg.norm(spec.ground_vector) - 1.0) <= 1e-10
     assert (np.diff(spec.eigenvalues) >= -1e-12).all()
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_a_block_has_the_same_eigenpairs_alone_and_in_any_batch(seed):
+    # a family's block cache decomposes a block once, in whichever batch
+    # first holds it, and every node reads those bits: numpy's batched eigh
+    # runs LAPACK once per matrix, so a block's eigenpairs are the same alone,
+    # in a batch, and in any slice or reordering of one
+    gen = rng(23000 + seed)
+    d0 = int(gen.integers(1, 6))
+    draw = random_hermitian if seed % 2 else random_real_symmetric
+    h0, x = draw(gen, d0), draw(gen, d0)
+    k = gen.normal(size=int(gen.integers(2, 40)))
+    blocks = h0 - k[:, None, None] * x
+    values, vectors = np.linalg.eigh(blocks)
+    order = gen.permutation(k.size)
+    shuffled = np.linalg.eigh(blocks[order])
+    start = int(gen.integers(k.size))
+    part = np.linalg.eigh(blocks[start:])
+    for i in range(k.size):
+        alone = np.linalg.eigh(h0 - k[i] * x)
+        assert same_bits(alone[0], values[i]) and same_bits(alone[1], vectors[i])
+        j = int(np.argmax(order == i))
+        assert same_bits(shuffled[0][j], values[i]) and same_bits(shuffled[1][j], vectors[i])
+        if i >= start:
+            assert same_bits(part[0][i - start], values[i])
+            assert same_bits(part[1][i - start], vectors[i])
+
+
+def test_the_block_cache_keys_a_shift_by_its_bits():
+    # -0.0 and 0.0 are equal floats, yet H0 - k X at the two can differ in
+    # the sign of a zero: each is its own block, decomposed once, and a row
+    # holds the eigenpairs of its own block
+    h0 = np.array([[-0.0, -1.0], [-1.0, 0.5]])
+    x = np.array([[1.0, 0.25], [0.25, 2.0]])
+    cache = _BlockCache(h0, x)
+    k = np.array([0.0, -0.0, 1.5, 0.0])
+    rows = cache.rows(k)
+    assert len(cache.row_of) == 3 and rows[0] == rows[3] != rows[1]
+    for shift, row in zip(k, rows):
+        values, vectors = np.linalg.eigh(h0 - shift * x)
+        assert same_bits(cache.values[row], values) and same_bits(cache.vectors[row], vectors)
+    assert not (h0 - k[0] * x).tobytes() == (h0 - k[1] * x).tobytes()
+    values = cache.values
+    assert same_bits(cache.rows(k[::-1]), rows[::-1]) and cache.values is values  # nothing new
+    cache.fill(np.array([2.5, 1.5]))
+    assert len(cache.row_of) == 4 and not cache.vectors.flags.writeable

@@ -20,7 +20,7 @@ from conftest import (
     two_pass_quantum_numbers,
 )
 
-from conecalc import stability
+from conecalc import numerics, stability
 from conecalc.cones import SelfDualCone, orthant, tensor_cone
 from conecalc.errors import (
     ArrowFailed,
@@ -340,7 +340,7 @@ class TestExtensionTower:
                             identity("s", 2), 1)
 
     def test_top_dimension_at_the_cap(self, monkeypatch):
-        monkeypatch.setattr(stability, "DIM_CAP", 64)
+        monkeypatch.setattr(numerics, "DIM_CAP", 64)
         h = seed_hamiltonian()
         chain = extension_tower(h, orthant("base", 2), h, 5)
         assert chain.nodes[-1].hamiltonian.dim == 64
@@ -349,7 +349,7 @@ class TestExtensionTower:
     def test_past_the_cap_builds_no_level(self, depth, monkeypatch):
         # one level-6 matrix takes 128 * 128 * 8 bytes; nothing that size is
         # made, and a missing cap fails at the first level, not by exhausting memory
-        monkeypatch.setattr(stability, "DIM_CAP", 64)
+        monkeypatch.setattr(numerics, "DIM_CAP", 64)
         monkeypatch.setattr(stability, "_kronecker_sum", refuse_level)
         h = seed_hamiltonian()
         tracemalloc.start()

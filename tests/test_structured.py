@@ -11,7 +11,6 @@ block spectrum is compared with `hermitian_eig` of the same matrix.
 """
 
 import copy
-import dataclasses
 import math
 import tracemalloc
 from collections import Counter
@@ -20,8 +19,11 @@ import numpy as np
 import pytest
 
 from conftest import (
+    block_spectrum_oracle,
     dense_cone,
     dense_embedding,
+    entry_table_oracle,
+    frame_oracle,
     permuted_cone,
     random_hermitian,
     random_lattice_spec,
@@ -31,6 +33,7 @@ from conftest import (
     random_spin_system,
     rng,
     same_bits,
+    shifts_oracle,
     subset_embedding,
 )
 
@@ -48,6 +51,7 @@ from conecalc.inheritance import (
     ArrowChain,
     ChainNode,
     Embedding,
+    _insertion_embedding,
     _kronecker_embedding,
     _projector_improves,
     _verified_link,
@@ -68,8 +72,6 @@ from conecalc.lattice import (
 from conecalc.numerics import (
     DEFAULT_TOL,
     LinearOperator,
-    _kronecker_slot,
-    _kronecker_sum,
     hermitian_eig,
     identity,
     kron,
@@ -315,6 +317,18 @@ class TestEmbeddingOracle:
         assert np.array_equal(emb.projection().mat, dense.projection().mat)
         assert_gathered_products(emb, dense, gen)
 
+    def test_an_insertion_has_the_bits_of_its_block_list(self, seed):
+        # a lattice edge's embedding, a signed unit vector between two
+        # identities, by index arithmetic against the product loop
+        gen = rng(5500 + seed)
+        below, above = int(gen.integers(1, 5)), int(gen.integers(1, 5))
+        vec = signed_unit(gen, int(gen.integers(1, 4)))
+        got = _insertion_embedding("s", "t", below, vec, above)
+        want = _kronecker_embedding("s", "t", [below, vec, above])
+        assert (got.dim_to, got.dim_from) == (want.dim_to, want.dim_from)
+        assert same_bits(got._cols, want._cols) and same_bits(got._vals, want._vals)
+        assert not (got._cols.flags.writeable or got._vals.flags.writeable)
+
     def test_orthonormality_verdict(self, seed):
         gen = rng(6000 + seed)
         d = int(gen.integers(1, 4))
@@ -541,7 +555,8 @@ def test_a_coupling_member_is_a_one_slot_lattice_chain(seed):
     x = LinearOperator("base", gen.uniform(0.5, 1.5) * np.eye(n))
     y = LinearOperator("env", gen.uniform(0.5, 1.5) * np.ones((m, m)))
     ctx = RunContext(operators={"x": Entry(n, None, x), "y": Entry(m, None, y)})
-    build = _coupling_recipe(ctx, type="coupling", x="x", y="y")
+    build = _coupling_recipe(ctx, ("h_star", "h", Entry(n, None, h)), type="coupling", x="x",
+                             y="y")
     chain = build(h, orthant("base", n), h)
     spec = LatticeSpec(h, orthant("base", n), h, x, ((m, y),))
     assert chain.nodes[0].hamiltonian is h
@@ -655,12 +670,54 @@ def random_kronecker_sum(seed: int) -> LinearOperator:
     else:
         h0, x = random_hermitian(gen, d0), random_hermitian(gen, d0)
         ys = [random_hermitian(gen, n) for n in dims]
-    space = "*".join(["base"] + [f"f{mu}" for mu in range(1, len(dims) + 1)])
-    h = _kronecker_sum(space, LinearOperator("base", h0), LinearOperator("base", x),
-                       [_kronecker_slot(LinearOperator(f"f{mu}", y).mat)
-                        for mu, y in enumerate(ys, start=1)])
+    family = _KroneckerFamily(LinearOperator("base", h0), orthant("base", d0),
+                              LinearOperator("base", x),
+                              [LinearOperator(f"f{mu}", y).mat for mu, y in enumerate(ys, start=1)],
+                              [f"f{mu}" for mu in range(1, len(dims) + 1)])
+    h = family.node(tuple(range(1, len(dims) + 1))).hamiltonian
+    assert h.space == "*".join(["base"] + [f"f{mu}" for mu in range(1, len(dims) + 1)])
     assert np.array_equal(h.mat, slot_by_slot(h0, x, ys))
     return h
+
+
+@pytest.mark.parametrize("seed", range(32))
+def test_a_family_reads_its_nodes_as_the_per_node_loops_do(seed):
+    # families of 1-3 slots of 1-3 dimensions, complex in three seeds out of
+    # four, over a real or complex H0 and X: every node's shifts, entry
+    # table (None when a factor is complex), spectrum and frame have the
+    # bits of the loops over its own slots, whether the family fills its
+    # cache for every node first or each node fills it alone, in order
+    gen = rng(22000 + seed)
+    d0 = int(gen.integers(1, 4))
+    dims = [int(n) for n in gen.integers(1, 4, size=int(gen.integers(1, 4)))]
+    draw = random_real_symmetric if seed % 8 < 4 else random_hermitian
+    h0, x = LinearOperator("base", draw(gen, d0)), LinearOperator("base", draw(gen, d0))
+    ys = [LinearOperator(f"f{mu}", (random_real_symmetric if seed % 4 == 0 or gen.random() < 0.3
+                                    else random_hermitian)(gen, n)).mat
+          for mu, n in enumerate(dims, start=1)]
+    family = _KroneckerFamily(h0, orthant("base", d0), x, ys,
+                              [f"f{mu}" for mu in range(1, len(dims) + 1)])
+    subsets = _all_subsets(len(dims))
+    if seed % 2:
+        family.fill(subsets)
+    for subset in subsets:
+        h = family.node(subset).hamiltonian
+        slots = h._factors.slots
+        assert same_bits(h._factors.k, shifts_oracle([slot.values for slot in slots]))
+        want = entry_table_oracle(h0.mat, x.mat, slots)
+        got = h._factors.table
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert same_bits(got.diagonal, want.diagonal)
+            assert [float(v).hex() if v is not None else v for v in got[1:]] \
+                == [float(v).hex() if v is not None else v for v in want[1:]]
+        spectrum, oracle = NodeAnalysis(h, orthant(h.space, h.dim)).spectrum, \
+            block_spectrum_oracle(h)
+        assert same_bits(spectrum.eigenvalues, oracle.eigenvalues)
+        assert same_bits(spectrum.ground_vector, oracle.ground_vector)
+        assert same_bits(family.frame(subset), frame_oracle(d0, [dims[mu - 1] for mu in subset]))
+    assert len(family.blocks.row_of) == len({bits for subset in subsets
+                                             for bits in family.facts(subset).k.view(np.int64)})
 
 
 class TestBlockSpectrumOracle:
@@ -716,8 +773,9 @@ class TestBlockSpectrumOracle:
         # every coupling eps clears the improving threshold tol ||H||
         eps = 3e-9
         one = LinearOperator("base", np.eye(1))
-        slot = _kronecker_slot(eps * np.array([[0.0, 1.0], [1.0, 0.0]]))
-        h = _kronecker_sum("base*f1*f2", one, one, [slot, slot])
+        flip = eps * np.array([[0.0, 1.0], [1.0, 0.0]])
+        h = _KroneckerFamily(one, orthant("base", 1), one, [flip, flip],
+                             ["f1", "f2"]).node((1, 2)).hamiltonian
         dense = hermitian_eig(dense_copy(h))
         assert NodeAnalysis(h, orthant(h.space, 4)).improving
         assert not NodeAnalysis(h, orthant(h.space, 4)).spectrum.simple
@@ -726,14 +784,16 @@ class TestBlockSpectrumOracle:
                        dense.eigenvalues) == NotSimple.__name__
 
     def test_factors_that_disagree_with_the_matrix_raise(self, monkeypatch):
-        # the blocks read a slot's eigenvalues, the residual applies the slot
-        # matrix itself, so eigenpairs that do not belong to it are caught
+        # the blocks are read at shifts summed from a slot's eigenvalues, the
+        # residual applies the slot matrix itself, so eigenpairs that do not
+        # belong to it are caught
         h = LinearOperator("base", np.diag([0.0, 1.0]) - 0.1 * np.array([[0.0, 1.0], [1.0, 0.0]]))
-        node = extension_tower(h, orthant("base", 2), h, 2).nodes[2]
-        factors = node.hamiltonian._factors
-        slot = factors.slots[0]
-        wrong = dataclasses.replace(factors, slots=(slot._replace(values=slot.values + 0.5), slot))
-        monkeypatch.setitem(node.hamiltonian.__dict__, "_factors", wrong)
+        family = _KroneckerFamily(h, orthant("base", 2), identity("base", 2), (PAULI_X,) * 2,
+                                  ["q1", "q2"])
+        slot = family.slots[0]
+        monkeypatch.setitem(family.__dict__, "slots",
+                            (slot._replace(values=slot.values + 0.5), slot))
+        node = family.node((1, 2))
         with pytest.raises(Inconsistent, match="block ground pair .* has residual"):
             NodeAnalysis(node.hamiltonian, node.cone).spectrum
 
@@ -1011,8 +1071,9 @@ def test_the_spectral_norm_decides_past_the_frobenius_bound(seed):
     d0 = 2 + seed % 3
     o = LinearOperator("base", random_hermitian(gen, d0))
     parts = [LinearOperator("base", random_hermitian(gen, d0)) for _ in range(2)]
-    slot = _kronecker_slot(random_hermitian(gen, 3))
-    for h in (_kronecker_sum("base*f1", *parts, [slot]),
+    y = random_hermitian(gen, 3)
+    for h in (_KroneckerFamily(parts[0], orthant("base", d0), parts[1], [y],
+                               ["f1"]).node((1,)).hamiltonian,
               LinearOperator("v", random_hermitian(gen, 4 * d0))):
         frame = np.linalg.qr(gen.standard_normal((h.dim, d0))
                              + 1j * gen.standard_normal((h.dim, d0)))[0]
