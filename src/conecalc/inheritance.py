@@ -125,63 +125,29 @@ class Embedding:
         return LinearOperator(self.to_space, out)
 
 
-def _kronecker_embedding(from_space: str, to_space: str, blocks) -> Embedding:
-    """The embedding by kron(*blocks), each block an identity, given by its
-    size, or a real unit vector, appended as a column.
-
-    Row r's entry vals[r] is the product, in block order, of the entries
-    np.kron multiplies into it, so it has the bits of np.kron(*blocks).
-    Distinct columns of such an isometry have disjoint supports, and each
-    column's squared norm is the product of the vectors' own, so these decide
-    orthonormality without the Gram product.
-    """
-    cols = np.zeros(1, dtype=np.intp)
-    vals = np.ones(1)
-    dim_from = 1
-    square_norm = 1.0
-    for block in blocks:
-        if np.ndim(block) == 0:
-            block = int(block)
-            cols = (cols[:, None] * block + np.arange(block)).ravel()
-            vals = np.repeat(vals, block)  # each times 1.0
-            dim_from *= block
-        else:
-            block = np.asarray(block, dtype=float)
-            cols = np.repeat(cols, block.size)
-            with np.errstate(over="ignore"):  # an infinite norm is a refusal
-                vals = (vals[:, None] * block).ravel()
-                square_norm *= float(block @ block)
-    if not abs(square_norm - 1.0) <= ISOMETRY_TOL:
-        raise ValueError("isometry columns are not orthonormal")
-    return _row_embedding(from_space, to_space, cols, vals, dim_from)
-
-
 def _insertion_embedding(from_space: str, to_space: str, below: int, vec: np.ndarray,
                          above: int) -> Embedding:
-    """`_kronecker_embedding` of the blocks (below, vec, above), a real unit
-    vector inserted between two identities, by index arithmetic: row
-    (b, j, a) has its one entry vec[j] in column b * above + a.  The
-    product loop gives that row 1.0 times vec[j], which is vec[j], so the
-    two have the same bits."""
+    """The embedding by kron(1_below, vec, 1_above), a real unit vector
+    appended as a column between two identities, by index arithmetic: row
+    (b, j, a) has its one entry vec[j] in column b * above + a.  np.kron
+    gives that entry as 1.0 times vec[j], which is vec[j], so the two have
+    the same bits.  Distinct columns have disjoint supports and each has
+    the norm of vec, so the isometry is one exactly when vec is a unit
+    vector, which the callers see to."""
     cols = np.arange(below * above, dtype=np.intp).reshape(below, above).repeat(vec.size, axis=0)
     vals = np.repeat(vec[None, :], below, axis=0).repeat(above)
-    return _row_embedding(from_space, to_space, cols.ravel(), vals, below * above)
-
-
-def _row_embedding(from_space: str, to_space: str, cols: np.ndarray, vals: np.ndarray,
-                   dim_from: int) -> Embedding:
-    """The Kronecker embedding whose row r is vals[r] e_{cols[r]}^T."""
+    cols = cols.ravel()
     for array in (cols, vals):
         array.setflags(write=False)
     emb = object.__new__(Embedding)
     for name, value in (("from_space", from_space), ("to_space", to_space), ("_cols", cols),
-                        ("_vals", vals), ("_shape", (cols.size, dim_from))):
+                        ("_vals", vals), ("_shape", (cols.size, below * above))):
         object.__setattr__(emb, name, value)
     return emb
 
 
 def identity_embedding(space: str, dim: int) -> Embedding:
-    return _kronecker_embedding(space, space, [dim])
+    return _insertion_embedding(space, space, dim, np.ones(1), 1)
 
 
 def append_factor_embedding(from_space: str, to_space: str, dim: int,
@@ -198,7 +164,7 @@ def append_factor_embedding(from_space: str, to_space: str, dim: int,
         raise ValueError("appended vector must be normalized")
     if np.iscomplexobj(v):
         return Embedding(from_space, to_space, _kron(np.eye(dim), v.reshape(-1, 1)))
-    return _kronecker_embedding(from_space, to_space, [dim, v])
+    return _insertion_embedding(from_space, to_space, dim, v, 1)
 
 
 def conditional_expectation(emb: Embedding, a: LinearOperator) -> LinearOperator:

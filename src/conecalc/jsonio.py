@@ -25,25 +25,14 @@ def _canon_float(x: float) -> str:
     return "%.12e" % x
 
 
-# the writer of a scalar of one of these exact types; `_scalar` reads the rest
-_SCALARS = {
-    float: _canon_float,
-    int: str,
-    bool: lambda b: "true" if b else "false",
-    str: encode_basestring,
-    type(None): lambda _: "null",
-    np.float64: lambda x: _canon_float(float(x)),
-}
-
-
-def _scalar(obj) -> str | None:
-    """The text of anything but a dict, list or tuple, for which it is None."""
-    write = _SCALARS.get(type(obj))
-    if write is not None:
-        return write(obj)
-    if isinstance(obj, (dict, list, tuple)):
-        return None
-    if isinstance(obj, (bool, np.bool_)):
+def _canon(obj) -> str:
+    if isinstance(obj, dict):
+        items = sorted(obj.items())
+        inner = ",".join(f"{_canon(str(k))}:{_canon(v)}" for k, v in items)
+        return "{" + inner + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(_canon(v) for v in obj) + "]"
+    if isinstance(obj, bool) or isinstance(obj, np.bool_):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
@@ -57,50 +46,8 @@ def _scalar(obj) -> str | None:
 
 
 def canonical_dumps(obj) -> str:
-    """Deterministic JSON text: sorted keys, %.12e floats, LF-free one-liner.
-
-    One pass over an explicit stack, with no recursion.  A container is
-    written at once when it holds scalars alone; otherwise its text runs
-    (brackets, separators, keys and scalars) are pushed with its child
-    containers between them, each written when it is reached.
-    """
-    text = _scalar(obj)
-    if text is not None:
-        return text
-    out = []
-    stack = [obj]
-    while stack:
-        item = stack.pop()
-        if type(item) is str:  # text already written
-            out.append(item)
-            continue
-        if isinstance(item, dict):
-            entries = sorted(item.items())
-            opening, closing = "{", "}"
-            keys = [encode_basestring(str(key)) + ":" for key, _ in entries]
-            item = [value for _, value in entries]
-        else:
-            opening, closing, keys = "[", "]", None
-        texts = list(map(_scalar, item))
-        if None not in texts:
-            joined = ",".join(texts if keys is None else map(str.__add__, keys, texts))
-            out.append(opening + joined + closing)
-            continue
-        tokens, pending = [], [opening]
-        for i, (value, text) in enumerate(zip(item, texts)):
-            if i:
-                pending.append(",")
-            if keys is not None:
-                pending.append(keys[i])
-            if text is None:
-                tokens += ("".join(pending), value)
-                pending = []
-            else:
-                pending.append(text)
-        pending.append(closing)
-        tokens.append("".join(pending))
-        stack.extend(reversed(tokens))
-    return "".join(out)
+    """Deterministic JSON text: sorted keys, %.12e floats, LF-free one-liner."""
+    return _canon(obj)
 
 
 def matrix_from_json(rows, context: str = "matrix") -> np.ndarray:

@@ -176,9 +176,12 @@ def build_node(spec: LatticeSpec, subset: Subset, tol: float = DEFAULT_TOL) -> L
     follows from that of every Y_mu (`verify_spec`), and the positivity of a
     sampled exponential from the criterion; both are test oracles only.
     """
+    subset, family = tuple(sorted(subset)), _family(spec)
+    perturbed = family.node(subset)
+    record = NodeAnalysis(perturbed.hamiltonian, perturbed.cone, tol)
     o_spectrum = hermitian_eig(spec.observable)
-    return _build_node(spec, _family(spec), subset, tol, o_spectrum.norm,
-                       _snap_values(o_spectrum.eigenvalues))[0]
+    return _build_node(spec, family, subset, record, o_spectrum.norm,
+                       _snap_values(o_spectrum.eigenvalues))
 
 
 def _snap_values(eigenvalues: np.ndarray) -> np.ndarray:
@@ -186,22 +189,18 @@ def _snap_values(eigenvalues: np.ndarray) -> np.ndarray:
     return np.concatenate([eigenvalues, [0.0]])
 
 
-def _build_node(spec: LatticeSpec, family: _KroneckerFamily, subset: Subset, tol: float,
-                o_norm: float, snap_to: np.ndarray) -> tuple[LatticeNode, NodeAnalysis]:
-    """`build_node` given the spec's family, the base observable's norm and
-    the values to snap to, also returning the node's record.  The pushed
-    observable T O T^* has the norm of the base one.  It is read through
-    the family's frame T of I."""
-    subset = tuple(sorted(subset))
-    perturbed = family.node(subset)
-    node = NodeAnalysis(perturbed.hamiltonian, perturbed.cone, tol)
+def _build_node(spec: LatticeSpec, family: _KroneckerFamily, subset: Subset, node: NodeAnalysis,
+                o_norm: float, snap_to: np.ndarray) -> LatticeNode:
+    """`build_node` given the spec's family, the record of the node of an
+    ascending ``subset``, the base observable's norm and the values to snap
+    to.  The pushed observable T O T^* has the norm of the base one.  It is
+    read through the family's frame T of I."""
     if not node.improving:
         raise ClassificationFailed(f"H_{set(subset) or '{}'} is not improving-class")
 
     mu, mu_snapped, _, _ = _quantum_number(node, spec.observable, o_norm, snap_to,
                                            family.frame(subset))
-    return LatticeNode(subset, node.hamiltonian, node.cone, mu, mu_snapped,
-                       node.ground.energy), node
+    return LatticeNode(subset, node.hamiltonian, node.cone, mu, mu_snapped, node.ground.energy)
 
 
 @dataclass(frozen=True)
@@ -236,13 +235,15 @@ def build_lattice(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> HasseDiagram:
     """Build every subset node and verify every covering-relation arrow.
 
     The standing assumptions are checked first (`verify_spec`), and the
-    diagram carries that report.  Then the blocks of every node are
-    decomposed in one batched `eigh`, one block per distinct shift
-    (`stability._KroneckerFamily.fill`).  Nodes are constructed in (size,
-    lexicographic) order, then each covering pair (I, I u {mu}) is decided
-    by the link verdict of chains: a full arrow, a strictly positive ground
-    overlap and a compressed ground projector that improves the small cone.
-    Its embedding is the family's insertion of mu's uniform vector.
+    diagram carries that report.  Nodes are constructed in (size,
+    lexicographic) order, their spectra read in runs of consecutive nodes,
+    one batched `eigh` and one block per distinct shift each, no run
+    holding more blocks than the top node has, and no block held once a
+    run's spectra are read (`stability._KroneckerFamily.records`).  Then
+    each covering pair (I, I u {mu}) is decided by the link verdict of
+    chains: a full arrow, a strictly positive ground overlap and a
+    compressed ground projector that improves the small cone.  Its
+    embedding is the family's insertion of mu's uniform vector.
 
     A lattice of more than `DIM_CAP` nodes or a top node over `DIM_CAP`
     raises `DimCap` before anything is checked or built; one-dimensional
@@ -264,7 +265,6 @@ def build_lattice(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> HasseDiagram:
         )
 
     subsets = _all_subsets(spec.ell)
-    family.fill(subsets)
     o_spectrum = hermitian_eig(spec.observable)
     snap_to = _snap_values(o_spectrum.eigenvalues)
     # every node's record stays alive through the edge loop, which reads
@@ -272,10 +272,9 @@ def build_lattice(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> HasseDiagram:
     # the blocks of its Kronecker sum holds no eigenbasis
     nodes: list[LatticeNode] = []
     records: dict[Subset, NodeAnalysis] = {}
-    for subset in subsets:
-        node, record = _build_node(spec, family, subset, tol, o_spectrum.norm, snap_to)
-        nodes.append(node)
-        records[node.subset] = record
+    for subset, record in family.records(subsets, tol):
+        nodes.append(_build_node(spec, family, subset, record, o_spectrum.norm, snap_to))
+        records[subset] = record
 
     base_mu = nodes[0].mu_snapped  # the unperturbed node, subset ()
     for n in nodes:

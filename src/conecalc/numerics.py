@@ -402,45 +402,43 @@ def _table_with_slot(table: _EntryTable | None, x: np.ndarray,
 
 
 class _BlockCache:
-    """The eigenpairs of the d0 x d0 blocks H0 - k X that the Kronecker
-    sums of one family share, each block decomposed once.
+    """The eigenpairs of the d0 x d0 blocks H0 - k X of the Kronecker sums
+    of one family, for one run of its nodes at a time.
 
     A block is keyed by the bits of its shift k, not by float equality:
-    -0.0 and 0.0 can give blocks whose zeros differ in sign.  Each fill is
-    one batched `eigh` of the blocks at the shifts not yet held, appended
-    as rows of the read-only ``values`` and ``vectors``.  LAPACK runs once
-    per matrix of a batch, so a block has the same eigenpairs alone, in
-    any batch and at any place in one.
+    -0.0 and 0.0 can give blocks whose zeros differ in sign.  A load is one
+    batched `eigh` of the blocks at the distinct shifts of a run of nodes,
+    held as the rows of the read-only ``values`` and ``vectors`` until the
+    run's spectra are read and the cache is cleared.  LAPACK runs once per
+    matrix of a batch, so a block has the same eigenpairs alone, in any
+    batch and at any place in one.
     """
 
     def __init__(self, h0: np.ndarray, x: np.ndarray):
-        d0 = h0.shape[0]
         self.h0, self.x = h0, x
+        self.clear()
+
+    def clear(self) -> None:
         self.row_of = {}  # the bits of a shift -> its row
-        self.values = np.empty((0, d0))
-        self.vectors = np.empty((0, d0, d0), dtype=np.result_type(h0, x))
+        self.values = self.vectors = None
 
-    def fill(self, k: np.ndarray) -> None:
-        """Decompose the blocks at the shifts of ``k`` not yet held, in one
-        batched `eigh`."""
-        new = [bits for bits in dict.fromkeys(k.view(np.int64).tolist())
-               if bits not in self.row_of]
-        if not new:
-            return
-        shifts = np.array(new, dtype=np.int64).view(np.float64)
+    def load(self, k: np.ndarray) -> None:
+        """Hold the blocks at the distinct shifts of ``k`` alone, decomposed
+        in one batched `eigh` once the blocks held before are let go."""
+        self.clear()
+        bits = list(dict.fromkeys(k.view(np.int64).tolist()))
+        shifts = np.array(bits, dtype=np.int64).view(np.float64)
         values, vectors = np.linalg.eigh(self.h0 - shifts[:, None, None] * self.x)
-        self.row_of.update(zip(new, range(len(self.row_of), len(self.row_of) + len(new))))
-        self.values = np.concatenate([self.values, values])
-        self.vectors = np.concatenate([self.vectors, vectors])
-        self.values.setflags(write=False)
-        self.vectors.setflags(write=False)
+        values.setflags(write=False)
+        vectors.setflags(write=False)
+        self.row_of = dict(zip(bits, range(len(bits))))
+        self.values, self.vectors = values, vectors
 
-    def rows(self, k: np.ndarray) -> np.ndarray:
-        """The row of every shift of ``k``, its blocks decomposed first if
-        some are not held yet."""
+    def rows(self, k: np.ndarray) -> np.ndarray | None:
+        """The row of every shift of ``k``, or None when some are not held."""
         bits = k.view(np.int64).tolist()
         if not all(map(self.row_of.__contains__, bits)):
-            self.fill(k)
+            return None
         return np.fromiter(map(self.row_of.__getitem__, bits), dtype=np.intp, count=len(bits))
 
 
@@ -540,9 +538,10 @@ def _block_spectrum(op: LinearOperator) -> Spectrum:
     equivalent to the direct sum of the blocks H0 - k X, k running over the
     eigenvalues of K, each a sum of one eigenvalue per slot (Horn & Johnson,
     *Topics in Matrix Analysis*, 4.4).  The blocks' eigenpairs are read from
-    the family's `_BlockCache`, which decomposes any block it does not yet
-    hold, in one batched `eigh`, so a node alone is a batch of one and a
-    block that many nodes share is decomposed once.  The ground vector is
+    the family's `_BlockCache`: a node of a run that its family loaded reads
+    the blocks of the whole run, decomposed in one batched `eigh`, each
+    block its nodes share once, and a node read alone is a run of one,
+    whose blocks are let go once read.  The ground vector is
     phi (x) v, phi the lowest block eigenvector and v the column of V at its
     k, built in O(dim), and no dim x dim eigenbasis is formed: the spectrum
     has the shape of a dense record's, every eigenvalue and the ground
@@ -554,9 +553,15 @@ def _block_spectrum(op: LinearOperator) -> Spectrum:
     op.require_hermitian()
     f = op._factors
     rows = f.blocks.rows(f.k)
+    alone = rows is None  # not of a loaded run
+    if alone:
+        f.blocks.load(f.k)
+        rows = f.blocks.rows(f.k)
     values = f.blocks.values[rows]
     block, level = divmod(int(values.argmin()), f.h0.shape[0])
     ground = f.blocks.vectors[rows[block], :, level].copy()  # _fix_phase rotates it in place
+    if alone:
+        f.blocks.clear()
     for slot, column in zip(f.slots, np.unravel_index(block, [s.values.size for s in f.slots])):
         ground = np.multiply.outer(ground, slot.vectors[:, column]).ravel()
     _fix_phase(ground)

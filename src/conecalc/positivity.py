@@ -314,7 +314,7 @@ class NodeAnalysis:
     eigenvalues and the ground vector alone.  A Kronecker sum (a lattice
     node, a tower level, the `stability` coupling recipe) reads its
     eigenpairs from the d0 x d0 blocks that its family's block cache
-    (`numerics._BlockCache`) decomposed once for all of the family's nodes
+    (`numerics._BlockCache`) decomposed for a run of the family's nodes
     (`numerics._block_spectrum`), which forms no eigenbasis, and its
     improving verdict is read from its factors and the entry table its
     family built (`_factor_improving`), so neither builds its matrix; any other

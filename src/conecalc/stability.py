@@ -45,6 +45,7 @@ from .numerics import (
     _BlockCache,
     _check_density,
     _EntryTable,
+    _freeze,
     _kron,
     _kronecker_slot,
     _kronecker_sum,
@@ -346,10 +347,11 @@ class _KroneckerFamily:
     decomposed once, at the first node (the tower's sigma_x once per
     process).  The facts of a subset (`_SubsetFacts`) are made once, from
     those of the subset less its last slot, with the float operations of a
-    loop over its slots, in the same order.  The blocks H0 - k X of every
-    node are held by one `numerics._BlockCache`: `fill` decomposes those of
-    many subsets in one batched `eigh`, and a node whose blocks are not all
-    there yet decomposes the rest when its spectrum is first read.
+    loop over its slots, in the same order.  The blocks H0 - k X of its
+    nodes are read through one `numerics._BlockCache`: `records` decomposes
+    those of a run of subsets in one batched `eigh`, and a node read alone,
+    as a tower level is, decomposes its own when its spectrum is first
+    read.  Neither keeps a block once the spectra are read.
     """
 
     def __init__(self, h0: LinearOperator, cone: SelfDualCone, x: LinearOperator, ys, names):
@@ -391,10 +393,36 @@ class _KroneckerFamily:
         self._facts[subset] = facts
         return facts
 
-    def fill(self, subsets) -> None:
-        """Decompose the blocks of every node of ``subsets`` that the cache
-        does not hold yet, in one batched `eigh`."""
-        self.blocks.fill(np.concatenate([self.facts(subset).k for subset in subsets]))
+    def records(self, subsets, tol: float = DEFAULT_TOL):
+        """Yield each of ``subsets`` with the `NodeAnalysis` of its node,
+        its spectrum read.
+
+        Consecutive subsets form one run, whose blocks are decomposed in one
+        batched `eigh`, while the run's distinct shifts number no more than
+        the largest node's shifts, which is as many blocks as that node
+        alone decomposes.  Every spectrum of a run is read before any of its
+        subsets is yielded, and the run's blocks are then let go, so no
+        block is held while a node is read further.
+        """
+        budget = max(self.facts(subset).k.size for subset in subsets)
+        run, held = [], set()
+        for subset in subsets:
+            bits = set(self.facts(subset).k.view(np.int64).tolist())
+            if len(held) + len(bits - held) > budget:
+                yield from self._read(run, tol)
+                run, held = [], set()
+            run.append(subset)
+            held |= bits
+        yield from self._read(run, tol)
+
+    def _read(self, run, tol: float):
+        nodes = [self.node(subset) for subset in run]
+        records = [NodeAnalysis(node.hamiltonian, node.cone, tol) for node in nodes]
+        self.blocks.load(np.concatenate([self.facts(subset).k for subset in run]))
+        for record in records:
+            record.spectrum  # read while the run's blocks are held
+        self.blocks.clear()
+        yield from zip(run, records)
 
     def node(self, subset) -> ChainNode:
         subset = tuple(subset)
@@ -408,8 +436,7 @@ class _KroneckerFamily:
         if self.cone._sign_basis is not None:  # s_a times the joint orthant's 1.0
             signs = self._signs.get(n)
             if signs is None:
-                signs = self._signs[n] = np.repeat(self.cone._sign_basis.signs, n)
-                signs.setflags(write=False)
+                signs = self._signs[n] = _freeze(np.repeat(self.cone._sign_basis.signs, n))
             cone = _signed_cone(facts.cone_space, signs)
         else:
             cone = SelfDualCone(facts.cone_space, _kron(self.cone.generators, np.eye(n)))

@@ -11,19 +11,17 @@ resident memory.
 Run it against the installed package, or a source checkout with
 `PYTHONPATH=src`:
 
-    python -W error tests/caps.py [--keep DIR] [NAME ...]
+    python -W error tests/caps.py
 
-It prints one line per run, its status, wall seconds and peak MB, and exits
-1 when a run fails its bound.  NAMEs pick runs; all run by default.
-`--keep DIR` leaves each run's output in DIR/<name>, for comparing the
-reports of two checkouts.  It uses the standard library alone.  Run it as
-its own process: a child's `ru_maxrss` is at least what its parent held
-when it was spawned, so the script's own footprint must stay small.
+It makes both runs in a temporary directory, prints one line per run, its
+status, wall seconds and peak MB, and exits 1 when a run fails its bound.
+It uses the standard library alone.  Run it as its own process: a child's
+`ru_maxrss` is at least what its parent held when it was spawned, so the
+script's own footprint must stay small.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import subprocess
@@ -63,7 +61,7 @@ def measure(name: str, work: Path) -> tuple[str, float, float]:
     cmd = [sys.executable, "-W", "error", "-m", "conecalc", config["task"],
            "--config", str(path), "--out", str(out)]
     start = time.perf_counter()
-    proc = subprocess.Popen(cmd)
+    proc = subprocess.Popen(cmd, stdout=subprocess.DEVNULL)  # the report is read below
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)
@@ -73,22 +71,11 @@ def measure(name: str, work: Path) -> tuple[str, float, float]:
     return report["status"], wall, usage.ru_maxrss / 1024  # kB on Linux
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--keep", type=Path, help="leave each run's output in this directory")
-    parser.add_argument("names", nargs="*", metavar="NAME",
-                        help=f"the runs to make, of {', '.join(RUNS)}; all by default")
-    args = parser.parse_args(argv)
-    unknown = [name for name in args.names if name not in RUNS]
-    if unknown:
-        parser.error(f"unknown run {unknown[0]!r}; the runs are {', '.join(RUNS)}")
-    with tempfile.TemporaryDirectory() as scratch:
-        work = args.keep or Path(scratch)
-        work.mkdir(parents=True, exist_ok=True)
-        failed = []
-        for name in args.names or RUNS:
-            status, wall, peak = measure(name, work)
-            bound = RUNS[name][2]
+def main() -> int:
+    failed = []
+    with tempfile.TemporaryDirectory() as work:
+        for name, (_, _, bound) in RUNS.items():
+            status, wall, peak = measure(name, Path(work))
             print(f"{name}: {status}, {wall:.2f} s, peak {peak:.1f} MB (bound {bound:g} MB)")
             if not (status == "pass" and peak < bound):
                 failed.append(name)

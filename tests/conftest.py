@@ -8,14 +8,14 @@ quantum numbers from two passes, every link before any node is read, a
 lattice node's coupling from its factor operators summed on the bare factor
 product, a lattice embedding from one block per slot of the larger subset,
 a Kronecker-sum node's shifts, entry table, spectrum and frame from loops
-over its own slots, with nothing shared between nodes, sign cones and Kronecker embeddings from the same generators
-and isometries taken as dense matrices, and the Metzler criterion from
-exponentials sampled over beta.
+over its own slots, with nothing shared between nodes, a Kronecker
+embedding from a loop over its blocks, sign cones and Kronecker embeddings
+from the same generators and isometries taken as dense matrices, and the
+Metzler criterion from exponentials sampled over beta.
 """
 
 import collections
 import functools
-import json
 import math
 import sys
 
@@ -297,6 +297,42 @@ def combined_factor_operator(spec: lattice.LatticeSpec, subset) -> LinearOperato
     return LinearOperator("*".join(f"f{mu}" for mu in subset), mat)
 
 
+def kronecker_embedding_oracle(from_space: str, to_space: str, blocks) -> inheritance.Embedding:
+    """The embedding by kron(*blocks), each block an identity, given by its
+    size, or a real unit vector, appended as a column, by a loop over the
+    blocks.
+
+    Row r's entry vals[r] is the product, in block order, of the entries
+    np.kron multiplies into it, so it has the bits of np.kron(*blocks).
+    Distinct columns of such an isometry have disjoint supports, and each
+    column's squared norm is the product of the vectors' own, so these decide
+    orthonormality without the Gram product.
+    """
+    cols = np.zeros(1, dtype=np.intp)
+    vals = np.ones(1)
+    dim_from = 1
+    square_norm = 1.0
+    for block in blocks:
+        if np.ndim(block) == 0:
+            block = int(block)
+            cols = (cols[:, None] * block + np.arange(block)).ravel()
+            vals = np.repeat(vals, block)  # each times 1.0
+            dim_from *= block
+        else:
+            block = np.asarray(block, dtype=float)
+            cols = np.repeat(cols, block.size)
+            with np.errstate(over="ignore"):  # an infinite norm is a refusal
+                vals = (vals[:, None] * block).ravel()
+                square_norm *= float(block @ block)
+    if not abs(square_norm - 1.0) <= inheritance.ISOMETRY_TOL:
+        raise ValueError("isometry columns are not orthonormal")
+    emb = object.__new__(inheritance.Embedding)
+    for name, value in (("from_space", from_space), ("to_space", to_space), ("_cols", cols),
+                        ("_vals", vals), ("_shape", (cols.size, dim_from))):
+        object.__setattr__(emb, name, value)
+    return emb
+
+
 def subset_embedding(spec: lattice.LatticeSpec, small, large) -> inheritance.Embedding:
     """The isometry between two subset spaces, one block per slot of the
     larger subset: the identity on a slot of the smaller one and the
@@ -311,7 +347,7 @@ def subset_embedding(spec: lattice.LatticeSpec, small, large) -> inheritance.Emb
     def space(subset):
         return functools.reduce(product_space, (f"f{mu}" for mu in subset), spec.h0.space)
 
-    return inheritance._kronecker_embedding(space(small), space(large), blocks)
+    return kronecker_embedding_oracle(space(small), space(large), blocks)
 
 
 def factor_cone(spec: lattice.LatticeSpec, subset) -> SelfDualCone:
@@ -616,32 +652,6 @@ def dense_verify_mlm(system: SpinSystem, m: float, tol: float = DEFAULT_TOL,
     return MlmReport(system.sites, system.sublattice_a, system.sublattice_b, m, sector.dim,
                      s_star, gqn.value, gqn.snapped, expected,
                      abs(gqn.snapped - expected) <= 1e-8, gqn.ground.energy, gqn.gap01)
-
-
-def canonical_oracle(obj) -> str:
-    """`jsonio.canonical_dumps` by recursion, each container's text joined
-    from its children's."""
-    if isinstance(obj, dict):
-        return "{" + ",".join(f"{canonical_oracle(str(k))}:{canonical_oracle(v)}"
-                              for k, v in sorted(obj.items())) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(canonical_oracle(v) for v in obj) + "]"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if math.isnan(x):
-            raise ValueError("NaN has no canonical representation")
-        if math.isinf(x):
-            return '"inf"' if x > 0 else '"-inf"'
-        return "%.12e" % (x if x != 0.0 else 0.0)
-    if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=False)
-    if obj is None:
-        return "null"
-    raise TypeError(f"cannot canonicalize {type(obj).__name__}")
 
 
 def _failure(exc: Exception, index: int) -> Exception:

@@ -63,6 +63,22 @@ def demo_spec(ell: int = 3) -> LatticeSpec:
     )
 
 
+def expected_runs(spec: LatticeSpec, subsets) -> list[int]:
+    """The distinct shift bit patterns of each run of consecutive subsets
+    that `build_lattice` decomposes together: a run takes the next subset
+    while its patterns stay no more than the top node's shifts."""
+    values = {mu: np.linalg.eigh(y.mat)[0] for mu, (_, y) in enumerate(spec.factors, start=1)}
+    patterns = [set(shifts_oracle([values[mu] for mu in subset]).view(np.int64).tolist())
+                for subset in subsets]
+    budget = max(map(len, (shifts_oracle([values[mu] for mu in s]) for s in subsets)))
+    runs = [set()]
+    for bits in patterns:
+        if len(runs[-1] | bits) > budget:
+            runs.append(set())
+        runs[-1] |= bits
+    return [len(run) for run in runs]
+
+
 class TestVerifySpec:
     def test_demo_passes_everything(self):
         report = verify_spec(demo_spec())
@@ -295,23 +311,50 @@ class TestBuildLattice:
         assert len(diagram.covering_edges) == 1
 
     def test_decomposition_budget(self, decompositions):
-        # no node-sized matrix is decomposed: the blocks of every node come
-        # from one batched eigh, one block per distinct shift bit pattern
-        # over the lattice; each slot is decomposed once, and so is the
-        # observable
+        # no node-sized matrix is decomposed: the blocks of the nodes come
+        # from one batched eigh per run of consecutive nodes, one block per
+        # distinct shift bit pattern of the run, and a run grows while its
+        # patterns number no more than the top node's 12 shifts; each slot
+        # is decomposed once, and so is the observable
         spec = demo_spec()
         diagram = build_lattice(spec)
-        values = {mu: np.linalg.eigh(y.mat)[0] for mu, (_, y) in enumerate(spec.factors, start=1)}
-        patterns = {bits for node in diagram.nodes
-                    for bits in shifts_oracle([values[mu] for mu in node.subset]).view(np.int64)}
-        assert len(patterns) < sum(n.hamiltonian.dim // 2 for n in diagram.nodes)
+        want = expected_runs(spec, [node.subset for node in diagram.nodes])
+        assert len(want) > 1 and max(want) <= 12
+        assert sum(want) < sum(n.hamiltonian.dim // 2 for n in diagram.nodes)
         shapes = decompositions.shapes
         blocks = [s for name, s in shapes if name == "eigh" and len(s) == 3]
-        assert blocks == [(len(patterns), 2, 2)]
+        assert blocks == [(n, 2, 2) for n in want]
         matrices = [s for name, s in shapes if name == "eigh" and len(s) == 2]
         assert sorted(matrices) == sorted([(n, n) for n, _ in spec.factors] + [(2, 2)])
-        assert decompositions["eigh"] == 1 + spec.ell + 1
+        assert decompositions["eigh"] == len(want) + spec.ell + 1
         assert max(s[-1] for _, s in shapes) <= max(n for n, _ in spec.factors)
+
+    def test_repeated_slots_share_one_batch(self, decompositions):
+        # six sigma_x slots, as `lattice_ell3` grown to its cap repeats y1:
+        # the 64 nodes' shifts are the 13 integers -6..6, one run of 13
+        # blocks, each decomposed once
+        spec = LatticeSpec(demo_spec().h0, orthant("base", 2), op("base", PAULI_X),
+                           demo_spec().x, tuple((2, op(f"f{mu}", PAULI_X)) for mu in range(1, 7)))
+        build_lattice(spec)
+        blocks = [s for name, s in decompositions.shapes if name == "eigh" and len(s) == 3]
+        assert blocks == [(13, 2, 2)]
+
+    def test_distinct_slots_hold_no_more_blocks_than_the_top_node(self, decompositions):
+        # generic slots share no shift, so 3^4 = 81 blocks over the lattice
+        # against the top node's 16: each run holds at most 16, and none is
+        # held once the lattice is built
+        base = demo_spec()
+        ys = [np.array([[a, b], [b, a]]) for a, b in [(0.1, 1.2), (0.3, 0.7), (0.2, 1.9),
+                                                      (0.05, 0.45)]]
+        spec = LatticeSpec(base.h0, base.cone, base.observable, base.x,
+                           tuple((2, op(f"f{mu}", y)) for mu, y in enumerate(ys, start=1)))
+        diagram = build_lattice(spec)
+        want = expected_runs(spec, [node.subset for node in diagram.nodes])
+        assert sum(want) == 81 and max(want) <= 16
+        blocks = [s for name, s in decompositions.shapes if name == "eigh" and len(s) == 3]
+        assert blocks == [(n, 2, 2) for n in want]
+        cache = diagram.nodes[-1].hamiltonian._factors.blocks
+        assert cache.row_of == {} and cache.vectors is None
 
     def test_each_edge_checks_its_arrow_once(self, arrow_calls):
         diagram = build_lattice(demo_spec())

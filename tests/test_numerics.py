@@ -285,13 +285,20 @@ def test_the_block_cache_keys_a_shift_by_its_bits():
     x = np.array([[1.0, 0.25], [0.25, 2.0]])
     cache = _BlockCache(h0, x)
     k = np.array([0.0, -0.0, 1.5, 0.0])
+    assert cache.rows(k) is None  # nothing is held until a load
+    cache.load(k)
     rows = cache.rows(k)
     assert len(cache.row_of) == 3 and rows[0] == rows[3] != rows[1]
     for shift, row in zip(k, rows):
         values, vectors = np.linalg.eigh(h0 - shift * x)
         assert same_bits(cache.values[row], values) and same_bits(cache.vectors[row], vectors)
     assert not (h0 - k[0] * x).tobytes() == (h0 - k[1] * x).tobytes()
-    values = cache.values
-    assert same_bits(cache.rows(k[::-1]), rows[::-1]) and cache.values is values  # nothing new
-    cache.fill(np.array([2.5, 1.5]))
-    assert len(cache.row_of) == 4 and not cache.vectors.flags.writeable
+    assert same_bits(cache.rows(k[::-1]), rows[::-1])
+    assert cache.rows(np.array([1.5, 2.5])) is None
+    # a load holds the blocks of its own k in place of the others
+    cache.load(np.array([2.5, 1.5, 2.5]))
+    assert cache.row_of.keys() == set(np.array([2.5, 1.5]).view(np.int64).tolist())
+    assert not (cache.values.flags.writeable or cache.vectors.flags.writeable)
+    assert same_bits(cache.values[cache.rows(np.array([1.5]))[0]], np.linalg.eigh(h0 - 1.5 * x)[0])
+    cache.clear()
+    assert cache.row_of == {} and cache.values is None and cache.vectors is None

@@ -24,6 +24,7 @@ from conftest import (
     dense_embedding,
     entry_table_oracle,
     frame_oracle,
+    kronecker_embedding_oracle,
     permuted_cone,
     random_hermitian,
     random_lattice_spec,
@@ -52,7 +53,6 @@ from conecalc.inheritance import (
     ChainNode,
     Embedding,
     _insertion_embedding,
-    _kronecker_embedding,
     _projector_improves,
     _verified_link,
     append_factor_embedding,
@@ -300,13 +300,14 @@ class TestEmbeddingOracle:
         assert_kron_bits(emb, tau)  # none of the products above read it
 
     def test_block_list_products(self, seed):
-        # identities and signed vectors in any order, as a lattice edge
-        # inserts its vector between kept slots
+        # the block-list oracle of lattice edges and subset embeddings:
+        # identities and signed vectors in any order, against the dense
+        # construction
         gen = rng(5000 + seed)
         blocks = [int(gen.integers(1, 4)) if gen.uniform() < 0.5
                   else signed_unit(gen, int(gen.integers(1, 4)))
                   for _ in range(int(gen.integers(1, 6)))]
-        emb = _kronecker_embedding("s", "t", blocks)
+        emb = kronecker_embedding_oracle("s", "t", blocks)
         tau = np.ones((1, 1))  # the dense construction
         for block in blocks:
             tau = np.kron(tau, np.eye(block) if np.ndim(block) == 0 else block.reshape(-1, 1))
@@ -319,12 +320,12 @@ class TestEmbeddingOracle:
 
     def test_an_insertion_has_the_bits_of_its_block_list(self, seed):
         # a lattice edge's embedding, a signed unit vector between two
-        # identities, by index arithmetic against the product loop
+        # identities, by index arithmetic against the block-list oracle
         gen = rng(5500 + seed)
         below, above = int(gen.integers(1, 5)), int(gen.integers(1, 5))
         vec = signed_unit(gen, int(gen.integers(1, 4)))
         got = _insertion_embedding("s", "t", below, vec, above)
-        want = _kronecker_embedding("s", "t", [below, vec, above])
+        want = kronecker_embedding_oracle("s", "t", [below, vec, above])
         assert (got.dim_to, got.dim_from) == (want.dim_to, want.dim_from)
         assert same_bits(got._cols, want._cols) and same_bits(got._vals, want._vals)
         assert not (got._cols.flags.writeable or got._vals.flags.writeable)
@@ -344,13 +345,21 @@ class TestEmbeddingOracle:
         except ValueError as exc:
             expected = str(exc)
         try:
-            emb = _kronecker_embedding("s", "t", [d, *vectors])
+            emb = kronecker_embedding_oracle("s", "t", [d, *vectors])
             got = None
         except ValueError as exc:
             got = str(exc)
         assert got == expected
         if got is None:
             assert_kron_bits(emb, tau)
+        if len(vectors) == 1:  # the one append of `append_factor_embedding` agrees
+            try:
+                emb = append_factor_embedding("s", "t", d, vectors[0])
+            except ValueError:
+                assert expected is not None
+            else:
+                assert expected is None
+                assert_kron_bits(emb, tau)
 
 
 def test_complex_isometry_into_a_structured_cone():
@@ -685,8 +694,8 @@ def test_a_family_reads_its_nodes_as_the_per_node_loops_do(seed):
     # families of 1-3 slots of 1-3 dimensions, complex in three seeds out of
     # four, over a real or complex H0 and X: every node's shifts, entry
     # table (None when a factor is complex), spectrum and frame have the
-    # bits of the loops over its own slots, whether the family fills its
-    # cache for every node first or each node fills it alone, in order
+    # bits of the loops over its own slots, whether the family loads its
+    # cache in runs of nodes or each node loads its own, in order
     gen = rng(22000 + seed)
     d0 = int(gen.integers(1, 4))
     dims = [int(n) for n in gen.integers(1, 4, size=int(gen.integers(1, 4)))]
@@ -698,10 +707,11 @@ def test_a_family_reads_its_nodes_as_the_per_node_loops_do(seed):
     family = _KroneckerFamily(h0, orthant("base", d0), x, ys,
                               [f"f{mu}" for mu in range(1, len(dims) + 1)])
     subsets = _all_subsets(len(dims))
-    if seed % 2:
-        family.fill(subsets)
+    # a record of a run, read with its run, or of a node read alone
+    records = dict(family.records(subsets)) if seed % 2 else {}
     for subset in subsets:
         h = family.node(subset).hamiltonian
+        assert family.blocks.row_of == {}  # no block is held between reads
         slots = h._factors.slots
         assert same_bits(h._factors.k, shifts_oracle([slot.values for slot in slots]))
         want = entry_table_oracle(h0.mat, x.mat, slots)
@@ -711,13 +721,13 @@ def test_a_family_reads_its_nodes_as_the_per_node_loops_do(seed):
             assert same_bits(got.diagonal, want.diagonal)
             assert [float(v).hex() if v is not None else v for v in got[1:]] \
                 == [float(v).hex() if v is not None else v for v in want[1:]]
-        spectrum, oracle = NodeAnalysis(h, orthant(h.space, h.dim)).spectrum, \
-            block_spectrum_oracle(h)
+        spectrum = (records[subset] if seed % 2 else NodeAnalysis(h, orthant(h.space, h.dim))
+                    ).spectrum
+        oracle = block_spectrum_oracle(h)
         assert same_bits(spectrum.eigenvalues, oracle.eigenvalues)
         assert same_bits(spectrum.ground_vector, oracle.ground_vector)
         assert same_bits(family.frame(subset), frame_oracle(d0, [dims[mu - 1] for mu in subset]))
-    assert len(family.blocks.row_of) == len({bits for subset in subsets
-                                             for bits in family.facts(subset).k.view(np.int64)})
+    assert family.blocks.row_of == {}
 
 
 class TestBlockSpectrumOracle:
