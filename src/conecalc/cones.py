@@ -16,6 +16,7 @@ generator matrix or matrix product is formed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,12 +26,26 @@ from .numerics import DEFAULT_TOL, LinearOperator, _freeze, _kron, _numeric, pro
 GENERATOR_ORTHO_TOL = 1e-10
 
 
+class _Fibers(NamedTuple):
+    """The signs t[a] of a sign cone on C^d0 (x) C^N whose signs are
+    constant on every fiber {a} x S, with their products t[a] t[b]."""
+
+    signs: np.ndarray
+    flip: np.ndarray
+
+
+def _fibers_of(signs: np.ndarray) -> _Fibers:
+    return _Fibers(signs, signs[:, None] * signs)
+
+
 class _SignBasis:
-    """The generator stack diag(signs), orthonormal as every sign is +-1."""
+    """The generator stack diag(signs), orthonormal as every sign is +-1.
+    ``fibers`` is the `_Fibers` of the signs, when whoever made them knows
+    that they are constant on the fibers of its base, and None otherwise."""
 
-    __slots__ = ("signs", "positive")
+    __slots__ = ("signs", "positive", "fibers")
 
-    def __init__(self, signs):
+    def __init__(self, signs, fibers: _Fibers | None = None):
         signs = _freeze(np.asarray(signs, dtype=float))  # a frozen array is kept, uncopied
         if signs.ndim != 1 or signs.size < 1:
             raise DimMismatch(f"sign basis needs n >= 1 signs, got {signs.shape}")
@@ -38,6 +53,7 @@ class _SignBasis:
             raise ValueError("generators are not orthonormal")
         self.signs = signs
         self.positive = bool((signs > 0).all())  # every sign is +1
+        self.fibers = fibers
 
     def matrix(self) -> np.ndarray:
         """The dense generator stack, read-only."""
@@ -124,17 +140,21 @@ class SelfDualCone:
             return self._sign_basis.operator_coords(op.mat)
         return self.generators.conj().T @ op.mat @ self.generators
 
-    def _base_signs(self, op: LinearOperator, d0: int) -> np.ndarray | None:
+    def _fibers(self, op: LinearOperator, d0: int) -> _Fibers | None:
         """For an operator on this cone's space whose first tensor factor
-        has dimension ``d0``: the sign t[a] of the generator on every row
-        (a, s), when the cone is a sign cone whose signs are constant on each
-        fiber {a} x S, and None for any other cone.  Its generator-basis
-        matrix is then the operator's entries times t[a] t[b]."""
+        has dimension ``d0``: the `_Fibers` of the sign t[a] of the generator
+        on every row (a, s), when the cone is a sign cone whose signs are
+        constant on each fiber {a} x S, and None for any other cone.  Its
+        generator-basis matrix is then the operator's entries times
+        t[a] t[b].  The fibers that the basis keeps are read as they are."""
         self._check_operator(op)
-        if self._sign_basis is None:
+        basis = self._sign_basis
+        if basis is None:
             return None
-        signs = self._sign_basis.signs.reshape(d0, -1)
-        return signs[:, 0] if (signs == signs[:, :1]).all() else None
+        if basis.fibers is not None and basis.fibers.signs.size == d0:
+            return basis.fibers
+        signs = basis.signs.reshape(d0, -1)
+        return _fibers_of(signs[:, 0]) if (signs == signs[:, :1]).all() else None
 
     def _column_coords(self, mat: np.ndarray) -> np.ndarray:
         """G^* M: the generator coordinates of every column of M."""
@@ -169,10 +189,12 @@ class SelfDualCone:
 
 
 def _signed_cone(space: str, signs) -> SelfDualCone:
-    """The cone with generators signs[i] * e_i, kept as its sign vector."""
+    """The cone with generators signs[i] * e_i, kept as its sign vector;
+    ``signs`` may be a `_SignBasis`, which the cone then shares."""
     cone = object.__new__(SelfDualCone)
     object.__setattr__(cone, "space", space)
-    object.__setattr__(cone, "_sign_basis", _SignBasis(signs))
+    object.__setattr__(cone, "_sign_basis",
+                       signs if isinstance(signs, _SignBasis) else _SignBasis(signs))
     return cone
 
 

@@ -5,6 +5,7 @@ and verification of whole chains of such pairs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,13 +87,7 @@ class Embedding:
     def pull(self, x: np.ndarray) -> np.ndarray:
         if self._cols is None or x.ndim != 1:
             return self.isometry.conj().T @ x
-        terms = self._vals * x
-        if not np.iscomplexobj(terms):
-            return np.bincount(self._cols, terms, self.dim_from)
-        out = np.empty(self.dim_from, dtype=terms.dtype)
-        out.real = np.bincount(self._cols, terms.real, self.dim_from)
-        out.imag = np.bincount(self._cols, terms.imag, self.dim_from)
-        return out
+        return _pulled(self._cols, self._vals, x, self.dim_from)
 
     def push(self, x: np.ndarray) -> np.ndarray:
         """tau x, for a vector or for a block of columns."""
@@ -123,6 +118,18 @@ class Embedding:
         out *= self._vals
         out.setflags(write=False)
         return LinearOperator(self.to_space, out)
+
+
+def _pulled(cols: np.ndarray, vals: np.ndarray, x: np.ndarray, size: int) -> np.ndarray:
+    """tau^* x for the Kronecker rows (cols, vals) of tau: entry c sums
+    vals[r] x[r] over the rows r of column c, in row order."""
+    terms = vals * x
+    if not np.iscomplexobj(terms):
+        return np.bincount(cols, terms, size)
+    out = np.empty(size, dtype=terms.dtype)
+    out.real = np.bincount(cols, terms.real, size)
+    out.imag = np.bincount(cols, terms.imag, size)
+    return out
 
 
 def _insertion_embedding(from_space: str, to_space: str, below: int, vec: np.ndarray,
@@ -209,8 +216,7 @@ def inherits_positivity(p1: SelfDualCone, p2: SelfDualCone, emb: Embedding,
     """
     if emb.dim_from != p1.dim or emb.dim_to != p2.dim:
         raise DimMismatch("embedding does not match the two cones")
-    if not tol < TOL_LIMIT:
-        raise ValueError(f"inheritance tolerance {tol!r} must be below 1/sqrt(2)")
+    _check_inheritance_tol(tol)
     if p1._sign_basis is not None and p2._sign_basis is not None and emb._cols is not None:
         return _inherits_by_signs(p1._sign_basis, p2._sign_basis, emb, tol)
     if not classify(emb.projection(), p2, tol).preserving:
@@ -229,6 +235,11 @@ def inherits_positivity(p1: SelfDualCone, p2: SelfDualCone, emb: Embedding,
     covered = np.zeros(p1.dim, dtype=bool)
     covered[ray[on_ray]] = True
     return bool(covered.all())
+
+
+def _check_inheritance_tol(tol: float) -> None:
+    if not tol < TOL_LIMIT:
+        raise ValueError(f"inheritance tolerance {tol!r} must be below 1/sqrt(2)")
 
 
 def _inherits_by_signs(small, big, emb: Embedding, tol: float) -> bool:
@@ -252,8 +263,22 @@ def _inherits_by_signs(small, big, emb: Embedding, tol: float) -> bool:
       vals[r] != 0, whose c[r] > 0 puts that pulled generator on the ray of
       the column's small generator.
     """
-    coords = small.signs[emb._cols] * (big.signs * emb._vals)
-    return bool((coords >= -(tol * np.sqrt(emb._vals * emb._vals))).all())
+    return bool(_inherited_rows(small.signs[emb._cols], big.signs, emb._vals, tol).all())
+
+
+def _inherited_rows(small_signs: np.ndarray, big_signs: np.ndarray, vals: np.ndarray,
+                    tol: float) -> np.ndarray:
+    """Row by row, the membership test of `_inherits_by_signs`:
+    c[r] >= -tol sqrt(vals[r]^2), c[r] = small_signs[r] (big_signs[r] vals[r])
+    with ``small_signs`` read at each row's column.  A run of lattice edges
+    tests all its rows in one call."""
+    coords = big_signs * vals
+    coords *= small_signs
+    bound = vals * vals
+    np.sqrt(bound, out=bound)
+    bound *= tol
+    np.negative(bound, out=bound)
+    return coords >= bound
 
 
 @dataclass(frozen=True)
@@ -267,11 +292,21 @@ class ArrowResult:
         return self.ok
 
 
+_VERIFIED = ArrowResult(True)  # every arrow that verifies, shared as it is frozen
+
+
 def check_arrow(source: NodeAnalysis, target: NodeAnalysis, emb: Embedding) -> ArrowResult:
     """Verify the ordered pair (H1, P1) -> (H2, P2) of two records: both
     Hamiltonians improving-class on their cones, and the small cone inherited
     through the embedding.  Every test runs at the records' one tolerance.
     """
+    inherits = functools.partial(inherits_positivity, source.cone, target.cone, emb, source.tol)
+    return _arrow(source, target, inherits)
+
+
+def _arrow(source: NodeAnalysis, target: NodeAnalysis, inherits) -> ArrowResult:
+    """`check_arrow` with the small cone's inheritance read as ``inherits()``,
+    after both improving verdicts."""
     if source.tol != target.tol:
         raise ValueError(f"records at tolerances {source.tol!r} and {target.tol!r}")
     reasons = []
@@ -280,11 +315,11 @@ def check_arrow(source: NodeAnalysis, target: NodeAnalysis, emb: Embedding) -> A
             reasons.append("source Hamiltonian is not improving-class on its cone")
         if not target.improving:
             reasons.append("target Hamiltonian is not improving-class on its cone")
-        if not inherits_positivity(source.cone, target.cone, emb, source.tol):
+        if not inherits():
             reasons.append("cone inheritance failed")
     except DimMismatch as exc:
         reasons.append(f"dimension mismatch: {exc}")
-    return ArrowResult(not reasons, tuple(reasons))
+    return ArrowResult(False, tuple(reasons)) if reasons else _VERIFIED
 
 
 @dataclass(frozen=True)
@@ -304,13 +339,28 @@ def ground_overlap(source: NodeAnalysis, target: NodeAnalysis, emb: Embedding) -
     a real pulled vector, the projector is decided in O(dim) without being
     formed (`_projector_improves`).
     """
-    arrow = check_arrow(source, target, emb)
+    return _overlap_report(check_arrow(source, target, emb),
+                           functools.partial(_pulled_overlap, source, target, emb), source.tol)
+
+
+def _pulled_overlap(source: NodeAnalysis, target: NodeAnalysis,
+                    emb: Embedding) -> tuple[complex, bool]:
+    """The overlap <psi_s, tau^* psi_t> of a link and whether the compressed
+    ground projector improves the source cone, through its embedding."""
+    pulled = emb.pull(target.ground.vector)
+    return (complex(np.vdot(source.ground.vector, pulled)),
+            _projector_improves(pulled, source.cone, emb.from_space, source.tol))
+
+
+def _overlap_report(arrow: ArrowResult, read, tol: float) -> OverlapReport:
+    """`ground_overlap` given the link's arrow and ``read()``, called only
+    once the arrow verifies: the overlap <psi_s, tau^* psi_t>, complex, and
+    whether the compressed ground projector improves the source cone.  An
+    arrow that does not verify raises `ArrowFailed`, and an overlap whose
+    imaginary part exceeds tol max(1, |Re|) does not improve."""
     if not arrow:
         raise ArrowFailed("; ".join(arrow.reasons))
-    tol = source.tol
-    pulled = emb.pull(target.ground.vector)
-    overlap = complex(np.vdot(source.ground.vector, pulled))
-    improving = _projector_improves(pulled, source.cone, emb.from_space, tol)
+    overlap, improving = read()
     if abs(overlap.imag) > tol * max(1.0, abs(overlap.real)):
         return OverlapReport(float(overlap.real), False)
     return OverlapReport(float(overlap.real), improving)
@@ -333,17 +383,39 @@ def _projector_improves(x: np.ndarray, cone: SelfDualCone, space: str, tol: floa
     return classify(LinearOperator(space, np.outer(x, x.conj())), cone, tol).improving
 
 
+def _projectors_improve(coords: np.ndarray, starts: np.ndarray, tol: float) -> np.ndarray:
+    """`_projector_improves` on a sign cone for every segment of ``coords``
+    that begins at one of ``starts``, each the generator coordinates c of
+    one real x, in one pass over all of them, as a run of lattice edges
+    reads its pulled ground vectors: the same products and comparisons of
+    hi = max c and lo = min c, elementwise.  A single link keeps the scalar
+    form, which a one-segment pass would slow by a few microseconds."""
+    hi, lo = np.maximum.reduceat(coords, starts), np.minimum.reduceat(coords, starts)
+    scale = np.maximum(hi * hi, lo * lo)
+    return (scale != 0.0) & (np.minimum(np.minimum(hi * lo, hi * hi), lo * lo) >= tol * scale)
+
+
 def _verified_link(index: int, source: NodeAnalysis, target: NodeAnalysis,
                    emb: Embedding, label: str = "") -> OverlapReport:
+    """The `_link_verdict` of a link through its embedding, read by
+    `ground_overlap`."""
+    return _link_verdict(index, functools.partial(ground_overlap, source, target, emb),
+                         source.tol, label)
+
+
+def _link_verdict(index: int, read, tol: float, label: str = "") -> OverlapReport:
     """The link verdict of chains and lattice edges alike: the arrow
     verifies, the ground overlap is strictly positive, and the compressed
-    ground projector improves the source cone.  Any other outcome raises
-    `LinkFailed` at ``index``, its reason prefixed by ``label``."""
+    ground projector improves the source cone.  ``read()`` gives the link's
+    `OverlapReport`, or raises `ArrowFailed` (`_overlap_report`).  Any other
+    outcome raises `LinkFailed` at ``index``, its reason prefixed by
+    ``label``.  ``read`` is no closure, so a kept failure, its frames
+    cleared (`errors.clears_failure_frames`), holds no record."""
     try:
-        rep = ground_overlap(source, target, emb)
+        rep = read()
     except ArrowFailed as exc:
         raise LinkFailed(index, f"{label}{exc}") from exc
-    if rep.overlap <= source.tol:
+    if rep.overlap <= tol:
         raise LinkFailed(index, f"{label}ground overlap {rep.overlap!r} is not strictly positive")
     if not rep.improving_ok:
         raise LinkFailed(index, f"{label}compressed ground projector does not improve the cone")

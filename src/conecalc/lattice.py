@@ -1,12 +1,13 @@
 """Boolean lattice of perturbed Hamiltonians H_I = H0 (x) 1 - X (x) K_I, K_I
 the Kronecker sum of the coupling slots Y_mu, mu in I: one node per subset,
-whose nodes, embeddings and frames a `stability._KroneckerFamily` lays out as
-it does tower levels and `coupling` members, with per-edge inheritance
-verification and deterministic Hasse-diagram export.
+whose nodes and frames a `stability._KroneckerFamily` lays out as it does
+tower levels and `coupling` members, with the covering edges verified in
+runs of array passes and deterministic Hasse-diagram export.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -16,7 +17,17 @@ import numpy as np
 from . import numerics
 from .cones import SelfDualCone, orthant
 from .errors import ClassificationFailed, DimCap, DimMismatch, NotPreserving, SpecFailed
-from .inheritance import _verified_link
+from .inheritance import (
+    _arrow,
+    _check_inheritance_tol,
+    _inherited_rows,
+    _link_verdict,
+    _overlap_report,
+    _projector_improves,
+    _projectors_improve,
+    _pulled,
+    inherits_positivity,
+)
 from .numerics import DEFAULT_TOL, LinearOperator, hermitian_eig, uniform_vector
 from .positivity import NodeAnalysis, classify, generates_improving_semigroup, is_ergodic
 from .stability import _KroneckerFamily, _quantum_number, commutes_with_observable
@@ -243,7 +254,9 @@ def build_lattice(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> HasseDiagram:
     each covering pair (I, I u {mu}) is decided by the link verdict of
     chains: a full arrow, a strictly positive ground overlap and a
     compressed ground projector that improves the small cone.  Its
-    embedding is the family's insertion of mu's uniform vector.
+    embedding inserts mu's uniform vector; the edges are read in runs,
+    one array pass each, with no embedding formed per edge
+    (`_covering_edges`), and the first that fails raises `LinkFailed`.
 
     A lattice of more than `DIM_CAP` nodes or a top node over `DIM_CAP`
     raises `DimCap` before anything is checked or built; one-dimensional
@@ -267,9 +280,9 @@ def build_lattice(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> HasseDiagram:
     subsets = _all_subsets(spec.ell)
     o_spectrum = hermitian_eig(spec.observable)
     snap_to = _snap_values(o_spectrum.eigenvalues)
-    # every node's record stays alive through the edge loop, which reads
-    # the improving verdicts and ground states again; a record read from
-    # the blocks of its Kronecker sum holds no eigenbasis
+    # every node's record stays alive through the edges, which read the
+    # improving verdicts and ground states again; a record read from the
+    # blocks of its Kronecker sum holds no eigenbasis
     nodes: list[LatticeNode] = []
     records: dict[Subset, NodeAnalysis] = {}
     for subset, record in family.records(subsets, tol):
@@ -283,18 +296,128 @@ def build_lattice(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> HasseDiagram:
                 f"snapped quantum number moved at {n.subset}: {n.mu_snapped} != {base_mu}"
             )
 
-    edges: list[tuple[Subset, Subset]] = []
-    overlaps: list[float] = []
-    for small in subsets:
-        for mu in range(1, spec.ell + 1):
-            if mu in small:
-                continue
-            large = tuple(sorted(small + (mu,)))
-            rep = _verified_link(len(edges), records[small], records[large],
-                                 family.embedding(small, mu), f"{small} -> {large}: ")
-            edges.append((small, large))
-            overlaps.append(rep.overlap)
+    edges, overlaps = _covering_edges(family, records, subsets, tol)
     return HasseDiagram(tuple(nodes), tuple(edges), tuple(overlaps), report)
+
+
+def _covering_edges(family: _KroneckerFamily, records: dict[Subset, NodeAnalysis], subsets,
+                    tol: float) -> tuple[list[tuple[Subset, Subset]], list[float]]:
+    """Every covering pair (I, I u {mu}) of ``subsets``, I in their order
+    and then mu ascending, with its ground overlap, each decided by the
+    link verdict of chains (`inheritance._link_verdict`) on the records of
+    its two nodes.  The first edge that fails raises `LinkFailed` at its
+    index, its reason prefixed by its two subsets.
+
+    The edges are read in runs of consecutive edges (`_verified_run`), one
+    array pass each.  A run grows while its rows, the dimensions of its
+    larger nodes, number no more than `DIM_CAP`, the largest dimension a
+    top node may have, so that a run holds a few vectors of that size at
+    once (one edge into a top node at the cap is a run of its own), and
+    while its target ground vectors share one dtype.
+    """
+    ell = len(family.dims)
+    edges = [(small, tuple(sorted(small + (mu,))), mu)
+             for small in subsets for mu in range(1, ell + 1) if mu not in small]
+    budget = numerics.DIM_CAP
+    overlaps: list[float] = []
+    run, rows = [], 0
+    for edge in edges:
+        target = records[edge[1]]
+        size, dtype = target.hamiltonian.dim, target.ground.vector.dtype
+        if run and (rows + size > budget or dtype != records[run[0][1]].ground.vector.dtype):
+            overlaps += _verified_run(family, records, run, len(overlaps), tol)
+            run, rows = [], 0
+        run.append(edge)
+        rows += size
+    overlaps += _verified_run(family, records, run, len(overlaps), tol)
+    return [(small, large) for small, large, _ in edges], overlaps
+
+
+def _insertion_rows(below: np.ndarray, n: np.ndarray,
+                    above: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows (cols, vals) of the insertions kron(1_below, u, 1_above) of
+    a run of edges, edge after edge, u the uniform vector of n entries.
+    Row (b, j, a) of an edge has its one entry u[j] = 1/sqrt(n) in column
+    b * above + a of the edge, whose columns follow those of the edges
+    before it.  Each edge's rows are those of
+    `inheritance._insertion_embedding`, with the same bits: a square root
+    and a quotient are correctly rounded, in numpy as in `math`."""
+    size = below * n * above
+    cols = np.arange(size.sum())
+    cols -= np.repeat(np.cumsum(size) - size, size)  # (b, j, a), counted within the edge
+    step = np.repeat(above, size)
+    tail = cols % step
+    cols //= np.repeat(n * above, size)
+    cols *= step
+    cols += tail
+    del step, tail  # before the next repeat: a run holds few arrays of its rows at once
+    cols += np.repeat(np.cumsum(below * above) - below * above, size)
+    return cols, np.repeat(1.0 / np.sqrt(n), size)
+
+
+def _verified_run(family: _KroneckerFamily, records: dict[Subset, NodeAnalysis], run,
+                  first: int, tol: float) -> list[float]:
+    """The overlaps of a run of edges (I, I u {mu}, mu), the first at index
+    ``first``, each decided by `_link_verdict`.
+
+    The run's insertions are one block-diagonal Kronecker embedding
+    (`_insertion_rows`), so one bincount (`inheritance._pulled`) pulls
+    every target ground vector, each column summing its rows in row order,
+    as the edge's own embedding would.  On the lattice's sign cones the
+    inheritance test reads all the run's rows at once
+    (`inheritance._inherited_rows`), and, for real ground vectors, the
+    projector test the extremes of every pulled vector
+    (`inheritance._projectors_improve`).  The overlap is one `np.vdot` per
+    edge.  An explicit base cone keeps the dense per-edge tests, through
+    each edge's `_KroneckerFamily.embedding`, and complex ground vectors the
+    dense projector test.  Every node of a lattice is on the space of its
+    cone (`verify_spec` refuses any other H0 or X), so the projector test
+    reads every sign cone's coordinates.
+    """
+    sources = [records[small] for small, _, _ in run]
+    targets = [records[large] for _, large, _ in run]
+    above = np.array([math.prod(family.dims[nu - 1] for nu in small if nu > mu)
+                      for small, _, mu in run], dtype=np.intp)
+    below = np.array([source.hamiltonian.dim for source in sources], dtype=np.intp) // above
+    n = np.array([family.dims[mu - 1] for *_, mu in run], dtype=np.intp)
+    cols, vals = _insertion_rows(below, n, above)
+    ends = np.cumsum(below * above)
+    starts = ends - below * above
+    pulled = _pulled(cols, vals, np.concatenate([target.ground.vector for target in targets]),
+                     int(ends[-1]))
+    signed, real = family.cone._sign_basis is not None, not np.iscomplexobj(pulled)
+    if signed:
+        _check_inheritance_tol(tol)
+        small_signs = np.concatenate([source.cone._sign_basis.signs for source in sources])
+        big_signs = np.concatenate([target.cone._sign_basis.signs for target in targets])
+        rows = below * n * above
+        inherited = np.logical_and.reduceat(
+            _inherited_rows(small_signs[cols], big_signs, vals, tol), np.cumsum(rows) - rows)
+        inherited = inherited.tolist()
+        if real:
+            improving = _projectors_improve(pulled * small_signs, starts, tol).tolist()
+    overlaps = []
+    for e, (start, end) in enumerate(zip(starts.tolist(), ends.tolist())):
+        (small, large, mu), source, target = run[e], sources[e], targets[e]
+        x = pulled[start:end]
+
+        def inherits():
+            if signed:
+                return inherited[e]
+            return inherits_positivity(source.cone, target.cone, family.embedding(small, mu),
+                                       tol)
+
+        def read():
+            overlap = complex(np.vdot(source.ground.vector, x))
+            if signed and real:
+                return overlap, improving[e]
+            return overlap, _projector_improves(x, source.cone, source.hamiltonian.space, tol)
+
+        arrow = _arrow(source, target, inherits)
+        rep = _link_verdict(first + e, functools.partial(_overlap_report, arrow, read, tol), tol,
+                            f"{small} -> {large}: ")
+        overlaps.append(rep.overlap)
+    return overlaps
 
 
 def _node_id(subset: Subset) -> str:

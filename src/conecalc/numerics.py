@@ -339,14 +339,17 @@ class _EntryTable(NamedTuple):
     least `_bottleneck` of those slots (inf when there are none).  ``scale``
     is max|H| and ``skew`` max|H - H^T|, the floats the dense matrix gives;
     ``coupled_skew`` is the part of ``skew`` that the off-diagonal slot
-    entries give (0.0 when X and every slot are symmetric).
+    entries give (0.0 when X and every slot are symmetric).  ``x_max`` is
+    max|X|, ``x_symmetric`` whether X = X^T exactly, and
+    ``x_positive_weights`` whether every diagonal entry of X is positive.
 
     A table is made for H0 alone (`_base_table`) and then one slot at a
     time (`_table_with_slot`), so a family of sums that share their leading
     slots, as `stability._KroneckerFamily` does, extends each prefix's
     table by one slot.  Every entry is the float the loop over all slots
     gives, min and max are taken in slot order, and max|H| and the skew are
-    read again at every step.
+    read again at every step.  The facts of X alone are read once, by
+    `_base_table`, and carried from each table to the next.
     """
 
     diagonal: np.ndarray
@@ -356,16 +359,19 @@ class _EntryTable(NamedTuple):
     scale: float
     skew: float
     coupled_skew: float
+    x_max: float
+    x_symmetric: bool
+    x_positive_weights: bool
 
 
 def _table_of(diagonal: np.ndarray, low, high, bottleneck: float, coupled_skew: float,
-              x: np.ndarray) -> _EntryTable:
+              x_facts: tuple[float, bool, bool]) -> _EntryTable:
     scale = max(float(diagonal.max()), float(-diagonal.min()))
     skew = float(np.abs(diagonal - diagonal.transpose(1, 0, 2)).max())
     if low is not None:
-        scale = max(scale, float(np.abs(x).max()) * max(-low, high))
+        scale = max(scale, x_facts[0] * max(-low, high))
     return _EntryTable(diagonal, low, high, bottleneck, scale + 0.0, max(skew, coupled_skew),
-                       coupled_skew)
+                       coupled_skew, *x_facts)
 
 
 def _base_table(h0: np.ndarray, x: np.ndarray) -> _EntryTable | None:
@@ -373,7 +379,8 @@ def _base_table(h0: np.ndarray, x: np.ndarray) -> _EntryTable | None:
     when H0 or X is complex or has a non-finite entry."""
     if not (_finite_real(h0) and _finite_real(x)):
         return None
-    return _table_of(h0[:, :, None], None, None, math.inf, 0.0, x)
+    x_facts = (float(np.abs(x).max()), bool((x == x.T).all()), bool((np.diagonal(x) > 0).all()))
+    return _table_of(h0[:, :, None], None, None, math.inf, 0.0, x_facts)
 
 
 def _table_with_slot(table: _EntryTable | None, x: np.ndarray,
@@ -393,12 +400,13 @@ def _table_with_slot(table: _EntryTable | None, x: np.ndarray,
         low = facts.low if low is None else min(low, facts.low)
         high = facts.high if high is None else max(high, facts.high)
         bottleneck = min(bottleneck, facts.bottleneck)
-        if not (facts.symmetric and bool((x == x.T).all())):
+        if not (facts.symmetric and table.x_symmetric):
             terms = x[:, :, None, None] * slot.mat
             swapped = np.abs(terms - terms.transpose(1, 0, 3, 2))
             coupled_skew = max(coupled_skew,
                                float(swapped[:, :, ~np.eye(len(slot.mat), dtype=bool)].max()))
-    return _table_of(diagonal, low, high, bottleneck, coupled_skew, x)
+    return _table_of(diagonal, low, high, bottleneck, coupled_skew,
+                     (table.x_max, table.x_symmetric, table.x_positive_weights))
 
 
 class _BlockCache:
@@ -447,17 +455,27 @@ class _KroneckerFactors:
     """H0, X and the slots of H = H0 (x) 1 - X (x) K, from which every
     reading of a `_kronecker_sum` is taken: its dimension, its product with
     a vector or a block, and, only when something reads it, its matrix.
-    It also keeps what its family read for it: the shifts k, the
-    eigenvalues of K in slot order, with the `_BlockCache` that holds the
-    blocks H0 - k X, and the `_EntryTable` (None when a factor is complex
-    or has a non-finite entry)."""
+    It also keeps what its family read for it: the `_BlockCache` that holds
+    the blocks H0 - k X, the `_EntryTable` (None when a factor is complex
+    or has a non-finite entry) and the shifts k, the eigenvalues of K in
+    slot order, until its family has read its spectrum and lets them go
+    (`release_shifts`)."""
 
     h0: np.ndarray
     x: np.ndarray
     slots: tuple[_Slot, ...]
-    k: np.ndarray
+    shifts: np.ndarray | None
     table: _EntryTable | None
     blocks: _BlockCache
+
+    @property
+    def k(self) -> np.ndarray:
+        """The shifts held, or, once they are let go, summed again
+        (`_shifts`), with the same bits."""
+        return self.shifts if self.shifts is not None else _shifts(self.slots)
+
+    def release_shifts(self) -> None:
+        object.__setattr__(self, "shifts", None)
 
     @cached_property
     def dim(self) -> int:
@@ -494,6 +512,16 @@ class _KroneckerFactors:
             axis += slot.mat @ psi.reshape(before, n, after)
             before *= n
         return (self.h0 @ psi - self.x @ k_psi).reshape(shape)
+
+
+def _shifts(slots) -> np.ndarray:
+    """The eigenvalues of the Kronecker sum of ``slots``, summed slot by
+    slot in slot order, as `stability._KroneckerFamily.facts` sums them
+    from a prefix's: the same float operations, so the same bits."""
+    k = np.zeros(1)
+    for slot in slots:
+        k = (k[:, None] + slot.values).ravel()
+    return k
 
 
 def _slot_view(mat: np.ndarray, d0: int, before: int, n: int, after: int) -> np.ndarray:
@@ -552,11 +580,12 @@ def _block_spectrum(op: LinearOperator) -> Spectrum:
     """
     op.require_hermitian()
     f = op._factors
-    rows = f.blocks.rows(f.k)
+    k = f.k
+    rows = f.blocks.rows(k)
     alone = rows is None  # not of a loaded run
     if alone:
-        f.blocks.load(f.k)
-        rows = f.blocks.rows(f.k)
+        f.blocks.load(k)
+        rows = f.blocks.rows(k)
     values = f.blocks.values[rows]
     block, level = divmod(int(values.argmin()), f.h0.shape[0])
     ground = f.blocks.vectors[rows[block], :, level].copy()  # _fix_phase rotates it in place

@@ -195,9 +195,11 @@ def _metzler_coords(h: LinearOperator, cone: SelfDualCone,
 def _factor_improving(h: LinearOperator, cone: SelfDualCone, tol: float) -> bool | None:
     """`generates_improving_semigroup` of a real Kronecker sum
     H = H0 (x) 1 - X (x) K on a sign cone whose signs t[a] depend on the
-    base index alone (`SelfDualCone._base_signs`), read from the entry table of
+    base index alone (`SelfDualCone._fibers`), read from the entry table of
     H (`numerics._EntryTable`) with H0 and X flipped to t[a] t[b] h0[a, b]
-    and t[a] t[b] x[a, b]; None where the dense route decides.
+    and t[a] t[b] x[a, b]; None where the dense route decides.  The nodes
+    of one `stability._KroneckerFamily` share their cone's fibers, with
+    t[a] t[b], and their tables carry the facts of X alone.
 
     The Metzler test and the edge threshold tol * max|H| compare the same
     floats as the dense route.  A fiber {a} x S is strongly connected when
@@ -214,10 +216,10 @@ def _factor_improving(h: LinearOperator, cone: SelfDualCone, tol: float) -> bool
     if f is None or (table := f.table) is None or not tol >= 0:
         return None
     h.require_hermitian()
-    if (signs := cone._base_signs(h, f.h0.shape[0])) is None:
+    if (fibers := cone._fibers(h, f.h0.shape[0])) is None:
         return None
     thresh = tol * table.scale
-    flip = signs[:, None] * signs
+    flip = fibers.flip
     diagonal = table.diagonal * flip[:, :, None]
     above = diagonal > thresh
     base = np.arange(f.h0.shape[0])
@@ -231,8 +233,8 @@ def _factor_improving(h: LinearOperator, cone: SelfDualCone, tol: float) -> bool
         if np.minimum(*ends).min() < -thresh:  # an entry -x[a, b] y[p, q] above thresh
             return False
         quotient |= np.maximum(*ends) > thresh
-        weights = np.diagonal(f.x)
-        if not ((weights > 0).all() and (thresh < weights * table.bottleneck).all()):
+        if not (table.x_positive_weights
+                and (thresh < np.diagonal(f.x) * table.bottleneck).all()):
             return None
     quotient[base, base] = True
     return bool(quotient.all()) or _strongly_connected(quotient)  # a complete digraph is connected

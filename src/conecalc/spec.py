@@ -101,10 +101,12 @@ def _read(what: str, obj, reader, *leading):
 
 @dataclass(eq=False)
 class Entry:
-    """A registry entry as read: the dimension of its space (an embedding's
-    target) and the build of its object, kept as `value` once built."""
+    """A registry entry as read: the dimension and the name of its space
+    (an embedding's target) and the build of its object, kept as `value`
+    once built."""
 
     dim: int
+    space: str
     build: object
     value: object = None
 
@@ -148,17 +150,17 @@ def _matrix_operator(ctx: RunContext, name, space, entries) -> Entry:
     dim = ctx.space_dim(space)
     rows = read_rows(entries, f"operator {name!r}")
     _require(len(rows) == len(rows[0]) == dim, f"operator {name!r} does not match space dim {dim}")
-    return Entry(dim, lambda: conecalc.LinearOperator(space, rows))
+    return Entry(dim, space, lambda: conecalc.LinearOperator(space, rows))
 
 
 def _identity_operator(ctx: RunContext, name, kind, space) -> Entry:
     dim = ctx.space_dim(space)
-    return Entry(dim, lambda: conecalc.identity(space, dim))
+    return Entry(dim, space, lambda: conecalc.identity(space, dim))
 
 
 def _orthant_cone(ctx: RunContext, name, space, kind="orthant") -> Entry:
     dim = ctx.space_dim(space)
-    return Entry(dim, lambda: conecalc.orthant(space, dim))
+    return Entry(dim, space, lambda: conecalc.orthant(space, dim))
 
 
 def _tensor_cone(ctx: RunContext, name, kind, parts) -> Entry:
@@ -167,7 +169,7 @@ def _tensor_cone(ctx: RunContext, name, kind, parts) -> Entry:
     cones = [ctx.cone(part) for part in parts]
     dim = math.prod(cone.dim for cone in cones)
     _require(dim <= DIM_CAP, f"cone {name!r}: tensor dimension {dim} exceeds cap {DIM_CAP}")
-    return Entry(dim,
+    return Entry(dim, "*".join(cone.space for cone in cones),  # as `numerics.product_space`
                  lambda: functools.reduce(conecalc.tensor_cone, [cone.value for cone in cones]))
 
 
@@ -177,7 +179,7 @@ def _explicit_cone(ctx: RunContext, name, kind, space, generators) -> Entry:
              f"cone {name!r}: needs {dim} generators, one per dimension")
     rows = read_rows(generators, f"cone {name!r}")
     _require(len(rows[0]) == dim, f"cone {name!r}: each generator needs {dim} entries")
-    return Entry(dim, lambda: conecalc.SelfDualCone(space, tuple(zip(*rows))))  # as columns
+    return Entry(dim, space, lambda: conecalc.SelfDualCone(space, tuple(zip(*rows))))  # columns
 
 
 def _isometry_embedding(ctx: RunContext, name, from_space, to_space, matrix,
@@ -185,12 +187,12 @@ def _isometry_embedding(ctx: RunContext, name, from_space, to_space, matrix,
     rows = read_rows(matrix, f"embedding {name!r}")
     _require((len(rows), len(rows[0])) == (ctx.space_dim(to_space), ctx.space_dim(from_space)),
              f"embedding {name!r} has mismatched shape")
-    return Entry(len(rows), lambda: conecalc.Embedding(from_space, to_space, rows))
+    return Entry(len(rows), to_space, lambda: conecalc.Embedding(from_space, to_space, rows))
 
 
 def _identity_embedding(ctx: RunContext, name, kind, space) -> Entry:
     dim = ctx.space_dim(space)
-    return Entry(dim, lambda: conecalc.identity_embedding(space, dim))
+    return Entry(dim, space, lambda: conecalc.identity_embedding(space, dim))
 
 
 def _append_vector_embedding(ctx: RunContext, name, kind, from_space, to_space,
@@ -199,7 +201,7 @@ def _append_vector_embedding(ctx: RunContext, name, kind, from_space, to_space,
     dim = ctx.space_dim(from_space)
     _require(ctx.space_dim(to_space) == dim * len(vec),
              f"embedding {name!r}: to_space dim must be {dim * len(vec)}")
-    return Entry(dim * len(vec),
+    return Entry(dim * len(vec), to_space,
                  lambda: conecalc.append_factor_embedding(from_space, to_space, dim, vec))
 
 
@@ -254,11 +256,24 @@ def _one_dimension(*entries) -> None:
                                          f"{other_name!r} (dim {entry.dim}) differ in dimension")
 
 
+def _one_space(*entries) -> None:
+    """Refuse (role, id, Entry) triples whose spaces differ in name, where
+    the library pairs the objects by that name: an operator and its cone
+    (`SelfDualCone._check_operator`), and H0 and X
+    (`LinearOperator._check_same_space`).  The line names the first and the
+    first on another space."""
+    (role, name, first), *rest = entries
+    for other, other_name, entry in rest:
+        _require(entry.space == first.space, f"{role} {name!r} on {first.space!r} and {other} "
+                                             f"{other_name!r} on {entry.space!r} differ in space")
+
+
 # Each task's reader returns its run, which reads the objects of the entries
 # it looked up once `RunContext.build` has made them.
 def _task_classify(ctx: RunContext, operator, cone):
     op, p = ctx.operator(operator), ctx.cone(cone)
     _one_dimension(("operator", operator, op), ("cone", cone, p))
+    _one_space(("operator", operator, op), ("cone", cone, p))
 
     def run():
         report = conecalc.classify(op.value, p.value, ctx.tol)
@@ -273,6 +288,7 @@ def _task_mu(ctx: RunContext, hamiltonian, observable, cone):
     h, o, p = ctx.operator(hamiltonian), ctx.operator(observable), ctx.cone(cone)
     _one_dimension(("hamiltonian", hamiltonian, h), ("observable", observable, o),
                    ("cone", cone, p))
+    _one_space(("hamiltonian", hamiltonian, h), ("cone", cone, p))
     return lambda: (True, conecalc.good_quantum_number(h.value, o.value, p.value,
                                                        ctx.tol).to_payload())
 
@@ -309,7 +325,11 @@ def _task_chain(ctx: RunContext, nodes, embeddings=[], observable=None):
 
 def _task_trotter(ctx: RunContext, h, h_prime, cone, s=1.0, t=1.0, beta=1.0,
                   n_values=[1, 2, 4, 8, 16, 32, 64, 128, 256]):
-    h, h_prime, cone = ctx.operator(h), ctx.operator(h_prime), ctx.cone(cone)
+    named = [("h", h, ctx.operator(h)), ("h_prime", h_prime, ctx.operator(h_prime)),
+             ("cone", cone, ctx.cone(cone))]
+    for check in (_one_dimension, _one_space):  # each operator against the cone
+        check(named[2], *named[:2])
+    h, h_prime, cone = (entry for *_, entry in named)
     _require(isinstance(n_values, list) and all(_is_int(n) and n >= 1 for n in n_values),
              "n_values must be positive integers")
     _require(len(n_values) >= 2 and all(a < b for a, b in zip(n_values, n_values[1:])),
@@ -335,6 +355,7 @@ def _task_lattice(ctx: RunContext, h0, cone, observable, x, factors):
           for mu, factor in enumerate(factors, start=1)]
     h, p, o, c = ctx.operator(h0), ctx.cone(cone), ctx.operator(observable), ctx.operator(x)
     _one_dimension(("h0", h0, h), ("cone", cone, p), ("observable", observable, o), ("x", x, c))
+    _one_space(("h0", h0, h), ("cone", cone, p), ("x", x, c))
 
     def run():
         spec = conecalc.LatticeSpec(h0=h.value, cone=p.value, observable=o.value, x=c.value,
@@ -349,6 +370,7 @@ def _task_richness(ctx: RunContext, hamiltonian, cone, observable, depth=5):
     h, p, o = ctx.operator(hamiltonian), ctx.cone(cone), ctx.operator(observable)
     _one_dimension(("hamiltonian", hamiltonian, h), ("cone", cone, p),
                    ("observable", observable, o))
+    _one_space(("hamiltonian", hamiltonian, h), ("cone", cone, p))
     _require(_is_int(depth) and depth >= 0, "depth must be a nonnegative integer")
 
     def run():
@@ -397,6 +419,7 @@ def _tower_recipe(ctx: RunContext, star, type, depth=1):
 
 def _coupling_recipe(ctx: RunContext, star, type, x, y):
     _one_dimension(star, ("x", x, ctx.operator(x)))
+    _one_space(star, ("x", x, ctx.operator(x)))
     x, y = ctx.operator(x), ctx.operator(y)
     return lambda h_star, cone, o: conecalc.stability._KroneckerFamily(
         h_star, cone, x.value, (y.value.mat,), (y.value.space,)).chain()
@@ -418,6 +441,7 @@ def _task_stability(ctx: RunContext, h_star, cone, observable, members=[]):
     h, p, o = ctx.operator(h_star), ctx.cone(cone), ctx.operator(observable)
     star = ("h_star", h_star, h)
     _one_dimension(star, ("cone", cone, p), ("observable", observable, o))
+    _one_space(star, ("cone", cone, p))
     _require(isinstance(members, list), "members must be a list")
     builds = {}
     for j, member in enumerate(members):

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import numerics
-from .cones import SelfDualCone, _signed_cone
+from .cones import SelfDualCone, _fibers_of, _SignBasis, _signed_cone
 from .errors import (
     BadFactorization,
     ChainFailed,
@@ -45,11 +45,11 @@ from .numerics import (
     _BlockCache,
     _check_density,
     _EntryTable,
-    _freeze,
     _kron,
     _kronecker_slot,
     _kronecker_sum,
     _reduced,
+    _shifts,
     _Slot,
     _table_with_slot,
     hermitian_eig,
@@ -324,13 +324,13 @@ def _chain_pass(chain: ArrowChain, o: LinearOperator,
 class _SubsetFacts(NamedTuple):
     """What a `_KroneckerFamily` reads for one subset I of its slots, each
     from the facts of I less its last slot: the node's space and its cone's,
-    the eigenvalues k of K_I in slot order, the node's `_EntryTable`, and
-    the one nonzero entry of its frame, the product of the slots' uniform
-    entries in slot order."""
+    the number N of its slot states, the node's `_EntryTable`, and the one
+    nonzero entry of its frame, the product of the slots' uniform entries
+    in slot order."""
 
     space: str
     cone_space: str
-    k: np.ndarray
+    size: int
     table: _EntryTable | None
     weight: float
 
@@ -351,7 +351,10 @@ class _KroneckerFamily:
     nodes are read through one `numerics._BlockCache`: `records` decomposes
     those of a run of subsets in one batched `eigh`, and a node read alone,
     as a tower level is, decomposes its own when its spectrum is first
-    read.  Neither keeps a block once the spectra are read.
+    read.  Neither keeps a block once the spectra are read, and a node read
+    in a run keeps no shifts: a lone re-read sums them again.  The nodes of
+    one dimension share one sign basis, which carries the base cone's
+    fibers.
     """
 
     def __init__(self, h0: LinearOperator, cone: SelfDualCone, x: LinearOperator, ys, names):
@@ -361,7 +364,8 @@ class _KroneckerFamily:
         if dim > numerics.DIM_CAP:
             raise DimCap(f"Kronecker sum dimension {dim} exceeds cap {numerics.DIM_CAP}")
         self._facts = {}  # subset -> its _SubsetFacts
-        self._signs = {}  # n -> the base signs, each repeated n times, which nodes share
+        self._shifts = {}  # subset -> its shifts k, until its spectrum is read in a run
+        self._bases = {}  # n -> the sign basis that the nodes of dimension d0 * n share
 
     # sigma_x, every tower level's slot, decomposed at the first tower
     _flip_slot = staticmethod(cache(lambda: _kronecker_slot(PAULI_X)))
@@ -374,24 +378,41 @@ class _KroneckerFamily:
     def blocks(self) -> _BlockCache:
         return _BlockCache(self.h0.mat, self.x.mat)
 
+    @cached_property
+    def _fibers(self):
+        """The base cone's signs, which every node's sign cone repeats over
+        its fibers, with their products: read by `_factor_improving`."""
+        return _fibers_of(self.cone._sign_basis.signs)
+
     def facts(self, subset: tuple[int, ...]) -> _SubsetFacts:
         """The `_SubsetFacts` of an ascending tuple of slots."""
         facts = self._facts.get(subset)
         if facts is not None:
             return facts
         if not subset:
-            facts = _SubsetFacts(self.h0.space, self.cone.space, np.zeros(1),
+            facts = _SubsetFacts(self.h0.space, self.cone.space, 1,
                                  _base_table(self.h0.mat, self.x.mat), 1.0)
+            self._shifts[subset] = np.zeros(1)
         else:
             head, mu = self.facts(subset[:-1]), subset[-1]
             slot, name = self.slots[mu - 1], self.names[mu - 1]
             facts = _SubsetFacts(product_space(head.space, name),
                                  product_space(head.cone_space, name),
-                                 (head.k[:, None] + slot.values).ravel(),
+                                 head.size * self.dims[mu - 1],
                                  _table_with_slot(head.table, self.x.mat, slot),
                                  head.weight * (1.0 / math.sqrt(self.dims[mu - 1])))
+            self._shifts[subset] = (self.shifts(subset[:-1])[:, None] + slot.values).ravel()
         self._facts[subset] = facts
         return facts
+
+    def shifts(self, subset: tuple[int, ...]) -> np.ndarray:
+        """The eigenvalues k of K_I, I an ascending tuple of slots, in slot
+        order: made with its facts, from those of I less its last slot, or,
+        once its spectrum is read in a run and they are let go, summed again
+        (`numerics._shifts`), with the same bits."""
+        self.facts(subset)
+        k = self._shifts.get(subset)
+        return k if k is not None else _shifts(self.slots[mu - 1] for mu in subset)
 
     def records(self, subsets, tol: float = DEFAULT_TOL):
         """Yield each of ``subsets`` with the `NodeAnalysis` of its node,
@@ -404,10 +425,10 @@ class _KroneckerFamily:
         subsets is yielded, and the run's blocks are then let go, so no
         block is held while a node is read further.
         """
-        budget = max(self.facts(subset).k.size for subset in subsets)
+        budget = max(self.facts(subset).size for subset in subsets)
         run, held = [], set()
         for subset in subsets:
-            bits = set(self.facts(subset).k.view(np.int64).tolist())
+            bits = set(self.shifts(subset).view(np.int64).tolist())
             if len(held) + len(bits - held) > budget:
                 yield from self._read(run, tol)
                 run, held = [], set()
@@ -418,9 +439,12 @@ class _KroneckerFamily:
     def _read(self, run, tol: float):
         nodes = [self.node(subset) for subset in run]
         records = [NodeAnalysis(node.hamiltonian, node.cone, tol) for node in nodes]
-        self.blocks.load(np.concatenate([self.facts(subset).k for subset in run]))
-        for record in records:
+        self.blocks.load(np.concatenate([self.shifts(subset) for subset in run]))
+        for subset, record in zip(run, records):
             record.spectrum  # read while the run's blocks are held
+            # and then its shifts are let go; a lone re-read sums them again
+            record.hamiltonian._factors.release_shifts()
+            self._shifts.pop(subset, None)
         self.blocks.clear()
         yield from zip(run, records)
 
@@ -428,16 +452,18 @@ class _KroneckerFamily:
         subset = tuple(subset)
         facts = self.facts(subset)
         h = _kronecker_sum(facts.space, self.h0, self.x,
-                           tuple(self.slots[mu - 1] for mu in subset), facts.k, facts.table,
-                           self.blocks)
+                           tuple(self.slots[mu - 1] for mu in subset), self.shifts(subset),
+                           facts.table, self.blocks)
         if not subset:
             return ChainNode(h, self.cone)
-        n = facts.k.size
-        if self.cone._sign_basis is not None:  # s_a times the joint orthant's 1.0
-            signs = self._signs.get(n)
-            if signs is None:
-                signs = self._signs[n] = _freeze(np.repeat(self.cone._sign_basis.signs, n))
-            cone = _signed_cone(facts.cone_space, signs)
+        n = facts.size
+        if (base := self.cone._sign_basis) is not None:  # s_a times the joint orthant's 1.0
+            basis = self._bases.get(n)
+            if basis is None:
+                signs = np.repeat(base.signs, n)
+                signs.setflags(write=False)  # so the basis keeps it, uncopied
+                basis = self._bases[n] = _SignBasis(signs, self._fibers)
+            cone = _signed_cone(facts.cone_space, basis)
         else:
             cone = SelfDualCone(facts.cone_space, _kron(self.cone.generators, np.eye(n)))
         return ChainNode(h, cone)
@@ -457,7 +483,7 @@ class _KroneckerFamily:
         slot: the base identity times the subset's weight, whose entries
         are those of appending the uniform vectors one slot at a time."""
         facts = self.facts(tuple(subset))
-        return _kron(np.eye(self.h0.dim), np.full((facts.k.size, 1), facts.weight))
+        return _kron(np.eye(self.h0.dim), np.full((facts.size, 1), facts.weight))
 
     def chain(self) -> ArrowChain:
         """H0 itself, then the node of each nonempty prefix, each embedded in the next."""

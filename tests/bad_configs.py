@@ -221,6 +221,19 @@ CASES = [
          ("append", "operators", {"name": "three", "space": "big", "kind": "identity"}),
          ("set", "params.members.1.recipe.x", "three"),
          line="h_star 'h_star' (dim 2) and x 'three' (dim 3) differ in dimension"),
+    # an operator and its cone, or H0 and X, on spaces of one dimension and two names
+    case("classify-cone-on-another-space", "classify_flip", ("set", "spaces.other", 2),
+         ("append", "cones", {"name": "Q", "kind": "orthant", "space": "other"}),
+         ("set", "params.cone", "Q"),
+         line="operator 'flip' on 'base' and cone 'Q' on 'other' differ in space"),
+    case("lattice-x-on-another-space", "lattice_ell3", ("set", "spaces.other", 2),
+         ("append", "operators", {"name": "x2", "space": "other", "kind": "identity"}),
+         ("set", "params.x", "x2"),
+         line="h0 'h0' on 'base' and x 'x2' on 'other' differ in space"),
+    case("trotter-cone-on-another-space", "trotter_pair", ("set", "spaces.other", 4),
+         ("append", "cones", {"name": "Q", "kind": "orthant", "space": "other"}),
+         ("set", "params.cone", "Q"),
+         line="cone 'Q' on 'other' and h 'h' on 'base' differ in space"),
     case("space-one-past-the-cap", "classify_flip", ("set", "spaces.base", 4097),
          line="space 'base' dimension 4097 exceeds cap 4096"),
     case("space-identity-of-a-billion", "classify_flip", ("set", "spaces.base", 10 ** 9),

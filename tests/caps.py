@@ -6,14 +6,16 @@ resident memory.
   `richness_depth5` (top dimension 4096) passes below 80 MB, where one
   4096 x 4096 float matrix is 134 MB;
 - `lattice` with eleven `y1` slots over the 2-dimensional base of
-  `lattice_ell3` (top dimension 4096, 2048 nodes) passes below 100 MB.
+  `lattice_ell3` (top dimension 4096, 2048 nodes) passes below 100 MB;
+- `lattice` with twelve one-dimensional slots over that base (4096 nodes,
+  the node cap, and 24576 edges) passes below 100 MB.
 
 Run it against the installed package, or a source checkout with
 `PYTHONPATH=src`:
 
     python -W error tests/caps.py
 
-It makes both runs in a temporary directory, prints one line per run, its
+It makes every run in a temporary directory, prints one line per run, its
 status, wall seconds and peak MB, and exits 1 when a run fails its bound.
 It uses the standard library alone.  Run it as its own process: a child's
 `ru_maxrss` is at least what its parent held when it was spawned, so the
@@ -43,10 +45,18 @@ def _lattice(config: dict) -> dict:
     return config
 
 
+def _lattice_one_dimensional(config: dict) -> dict:
+    config["spaces"]["e"] = 1
+    config["operators"].append({"name": "zero", "space": "e", "entries": [[0]]})
+    config["params"]["factors"] = [{"operator": "zero"}] * 12
+    return config
+
+
 # name -> (shipped config, its edit, the peak bound in MB)
 RUNS = {
     "richness-depth-11": ("richness_depth5", _richness, 80.0),
     "lattice-11-slots": ("lattice_ell3", _lattice, 100.0),
+    "lattice-12-one-dimensional-slots": ("lattice_ell3", _lattice_one_dimensional, 100.0),
 }
 
 

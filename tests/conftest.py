@@ -10,8 +10,10 @@ product, a lattice embedding from one block per slot of the larger subset,
 a Kronecker-sum node's shifts, entry table, spectrum and frame from loops
 over its own slots, with nothing shared between nodes, a Kronecker
 embedding from a loop over its blocks, sign cones and Kronecker embeddings
-from the same generators and isometries taken as dense matrices, and the
-Metzler criterion from exponentials sampled over beta.
+from the same generators and isometries taken as dense matrices, the
+Metzler criterion from exponentials sampled over beta, and a lattice's
+covering edges from a loop that builds each edge's embedding and decides
+it as a chain link.
 """
 
 import collections
@@ -182,18 +184,64 @@ def arrow_calls(monkeypatch) -> list:
 
 
 @pytest.fixture
-def edge_embeddings(monkeypatch) -> list:
-    """Keeps the embedding of every covering edge `lattice.build_lattice`
-    verifies, in edge order."""
-    embeddings = []
-    original = lattice._verified_link
+def edge_embeddings(monkeypatch):
+    """Keeps the rows that `lattice.build_lattice` lays out for its runs of
+    covering edges (`lattice._insertion_rows`); called with the diagram it
+    built, it gives the embedding of every edge, in edge order: the edge's
+    own rows, cut from its run, between the spaces of its two nodes."""
+    runs = []
+    original = lattice._insertion_rows
 
-    def keeping(index, source, target, emb, *args):
-        embeddings.append(emb)
-        return original(index, source, target, emb, *args)
+    def keeping(below, n, above):
+        cols, vals = original(below, n, above)
+        runs.append((below * above, below * n * above, cols, vals))
+        return cols, vals
 
-    monkeypatch.setattr(lattice, "_verified_link", keeping)
+    monkeypatch.setattr(lattice, "_insertion_rows", keeping)
+
+    def embeddings(diagram) -> list:
+        space = {node.subset: node.hamiltonian.space for node in diagram.nodes}
+        out = []
+        for dims_from, dims_to, cols, vals in runs:
+            col, row = 0, 0
+            for dim_from, dim_to in zip(dims_from.tolist(), dims_to.tolist()):
+                small, large = diagram.covering_edges[len(out)]
+                out.append(rows_embedding(space[small], space[large],
+                                          cols[row:row + dim_to] - col,
+                                          vals[row:row + dim_to].copy(), dim_from))
+                col, row = col + dim_from, row + dim_to
+        assert len(out) == len(diagram.covering_edges)
+        return out
     return embeddings
+
+
+def rows_embedding(from_space: str, to_space: str, cols: np.ndarray, vals: np.ndarray,
+                   dim_from: int) -> inheritance.Embedding:
+    """The Kronecker embedding whose row r is vals[r] e_{cols[r]}^T."""
+    emb = object.__new__(inheritance.Embedding)
+    for name, value in (("from_space", from_space), ("to_space", to_space), ("_cols", cols),
+                        ("_vals", vals), ("_shape", (cols.size, dim_from))):
+        object.__setattr__(emb, name, value)
+    return emb
+
+
+def edge_loop_oracle(family, records, subsets) -> tuple[list, list]:
+    """A lattice's covering edges and their overlaps as a loop over the
+    edges verifies them, one link at a time: each edge's embedding built on
+    its own (`_KroneckerFamily.embedding`) and decided by
+    `inheritance._verified_link`, the verdict of chain links, on the
+    records of its two nodes."""
+    edges, overlaps = [], []
+    for small in subsets:
+        for mu in range(1, len(family.dims) + 1):
+            if mu in small:
+                continue
+            large = tuple(sorted(small + (mu,)))
+            rep = inheritance._verified_link(len(edges), records[small], records[large],
+                                             family.embedding(small, mu), f"{small} -> {large}: ")
+            edges.append((small, large))
+            overlaps.append(rep.overlap)
+    return edges, overlaps
 
 
 @pytest.fixture
@@ -326,11 +374,7 @@ def kronecker_embedding_oracle(from_space: str, to_space: str, blocks) -> inheri
                 square_norm *= float(block @ block)
     if not abs(square_norm - 1.0) <= inheritance.ISOMETRY_TOL:
         raise ValueError("isometry columns are not orthonormal")
-    emb = object.__new__(inheritance.Embedding)
-    for name, value in (("from_space", from_space), ("to_space", to_space), ("_cols", cols),
-                        ("_vals", vals), ("_shape", (cols.size, dim_from))):
-        object.__setattr__(emb, name, value)
-    return emb
+    return rows_embedding(from_space, to_space, cols, vals, dim_from)
 
 
 def subset_embedding(spec: lattice.LatticeSpec, small, large) -> inheritance.Embedding:
@@ -395,7 +439,9 @@ def entry_table_oracle(h0: np.ndarray, x: np.ndarray, slots) -> _EntryTable | No
                 part = float(swapped[:, :, ~np.eye(len(slot.mat), dtype=bool)].max())
                 skew, coupled_skew = max(skew, part), max(coupled_skew, part)
     bottleneck = min((slot.facts.bottleneck for slot in coupled), default=math.inf)
-    return _EntryTable(diagonal, low, high, bottleneck, scale + 0.0, skew, coupled_skew)
+    return _EntryTable(diagonal, low, high, bottleneck, scale + 0.0, skew, coupled_skew,
+                       float(np.abs(x).max()), bool((x == x.T).all()),
+                       bool((np.diagonal(x) > 0).all()))
 
 
 def block_spectrum_oracle(h: LinearOperator) -> Spectrum:

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import (
     combined_factor_operator,
+    edge_loop_oracle,
     expm_oracle,
     factor_cone,
     frame_oracle,
@@ -17,13 +20,12 @@ from conftest import (
     subset_embedding,
 )
 
-from conecalc.cones import orthant
-from conecalc import inheritance, lattice, stability
+from conecalc.cones import SelfDualCone, _signed_cone, orthant
+from conecalc import inheritance, lattice, numerics, stability
 from conecalc.errors import DimCap, DimMismatch, LinkFailed, SpecFailed
 from conecalc.inheritance import (
     ArrowChain,
     ChainNode,
-    _insertion_embedding,
     _verified_link,
     verify_chain,
 )
@@ -35,7 +37,12 @@ from conecalc.lattice import (
     verify_spec,
 )
 from conecalc.numerics import DEFAULT_TOL, DIM_CAP, LinearOperator, hermitian_eig
-from conecalc.positivity import NodeAnalysis, generates_improving_semigroup, is_ergodic
+from conecalc.positivity import (
+    GroundState,
+    NodeAnalysis,
+    generates_improving_semigroup,
+    is_ergodic,
+)
 from conecalc.stability import (
     PAULI_X,
     _quantum_number,
@@ -44,6 +51,10 @@ from conecalc.stability import (
 )
 
 RING3 = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("an edge built an embedding of its own")
 
 
 def demo_spec(ell: int = 3) -> LatticeSpec:
@@ -201,7 +212,7 @@ class TestBuildNode:
         # {1,3} -> {1,2,3} inserts the uniform vector at the middle slot
         spec = demo_spec()
         diagram = build_lattice(spec)
-        emb = edge_embeddings[diagram.covering_edges.index(((1, 3), (1, 2, 3)))]
+        emb = edge_embeddings(diagram)[diagram.covering_edges.index(((1, 3), (1, 2, 3)))]
         assert emb.dim_from == 2 * 2 * 2
         assert emb.dim_to == 2 * 2 * 3 * 2
         x = rng(5).normal(size=8)
@@ -272,7 +283,7 @@ class TestBuildLattice:
         # own edges walking one slot at a time verifies end to end
         spec = demo_spec()
         diagram = build_lattice(spec)
-        edges = dict(zip(diagram.covering_edges, edge_embeddings))
+        edges = dict(zip(diagram.covering_edges, edge_embeddings(diagram)))
         by_subset = {n.subset: n for n in diagram.nodes}
         subsets = list(by_subset)
         for small in subsets:
@@ -356,21 +367,33 @@ class TestBuildLattice:
         cache = diagram.nodes[-1].hamiltonian._factors.blocks
         assert cache.row_of == {} and cache.vectors is None
 
-    def test_each_edge_checks_its_arrow_once(self, arrow_calls):
+    def test_each_edge_checks_its_arrow_once(self, monkeypatch):
+        # the arrow of every link, a chain's (`check_arrow`) or an edge's,
+        # is decided by `inheritance._arrow`: once per edge, on the records
+        # of its two nodes, and no edge builds an embedding of its own
+        calls, original = [], inheritance._arrow
+        monkeypatch.setattr(lattice, "_arrow",
+                            lambda *args: calls.append(args[:2]) or original(*args))
+        monkeypatch.setattr(stability, "_insertion_embedding", refuse)
         diagram = build_lattice(demo_spec())
         assert len(diagram.covering_edges) == 12
-        assert len(arrow_calls) == 12
+        space = {node.subset: node.hamiltonian.space for node in diagram.nodes}
+        assert [(source.hamiltonian.space, target.hamiltonian.space) for source, target in calls] \
+            == [(space[small], space[large]) for small, large in diagram.covering_edges]
 
     def test_a_failed_edge_is_named_in_the_chain_wording(self, monkeypatch):
         # the first edge inserts -uniform: only the cone test would refuse
         # that sign, so with it passed, the edge fails on its ground overlap
         spec = demo_spec(1)
+        original = lattice._insertion_rows
 
-        def flipped(from_space, to_space, below, vec, above):
-            return _insertion_embedding(from_space, to_space, below, -vec, above)
+        def flipped(below, n, above):
+            cols, vals = original(below, n, above)
+            return cols, -vals
 
-        monkeypatch.setattr(inheritance, "inherits_positivity", lambda *args: True)
-        monkeypatch.setattr(stability, "_insertion_embedding", flipped)
+        monkeypatch.setattr(lattice, "_inherited_rows",
+                            lambda small, big, vals, tol: np.ones(vals.shape, dtype=bool))
+        monkeypatch.setattr(lattice, "_insertion_rows", flipped)
         with pytest.raises(LinkFailed) as info:
             build_lattice(spec)
         assert info.value.index == 0
@@ -391,8 +414,7 @@ def test_edges_and_frames_have_the_bits_of_the_subset_oracle(seed, edge_embeddin
         factors.insert(int(gen.integers(len(factors) + 1)), (1, unit))
     spec = LatticeSpec(spec.h0, spec.cone, spec.observable, spec.x, tuple(factors))
     diagram = build_lattice(spec)
-    assert len(edge_embeddings) == len(diagram.covering_edges)
-    for (small, large), emb in zip(diagram.covering_edges, edge_embeddings):
+    for (small, large), emb in zip(diagram.covering_edges, edge_embeddings(diagram)):
         want = subset_embedding(spec, small, large)
         assert (emb.from_space, emb.to_space) == (want.from_space, want.to_space)
         assert (emb.dim_to, emb.dim_from) == (want.dim_to, want.dim_from)
@@ -469,6 +491,169 @@ def test_every_node_and_edge_has_the_bits_of_the_per_node_loops(seed):
         link = _verified_link(j, records[small], records[large],
                               subset_embedding(spec, small, large))
         assert float_bits(diagram.edge_overlaps[j]) == float_bits(link.overlap)
+
+
+
+def explicit_spec() -> LatticeSpec:
+    """The spec of `configs/lattice_explicit.json`: a real explicit base
+    cone, the rotation by 45 degrees of the orthant."""
+    half = math.sqrt(0.5)
+    return LatticeSpec(
+        h0=op("base", np.diag([-1.0, 1.0])), cone=SelfDualCone("base", [[half, half],
+                                                                        [half, -half]]),
+        observable=op("base", np.diag([1.0, -1.0])), x=op("base", np.diag([1.5, 0.5])),
+        factors=((2, op("f1", [[0.0, 1.0], [1.0, 1.8e-10]])), (3, op("f2", RING3))))
+
+
+def edge_spec(seed: int) -> LatticeSpec:
+    """`shared_read_spec`, or on every fourth seed `explicit_spec`."""
+    return explicit_spec() if seed % 4 == 3 else shared_read_spec(seed)
+
+
+def lattice_records(spec: LatticeSpec, tol: float = DEFAULT_TOL):
+    """The spec's family, its subsets and their records, read as
+    `build_lattice` reads them."""
+    family, subsets = lattice._family(spec), lattice._all_subsets(spec.ell)
+    return family, subsets, dict(family.records(subsets, tol))
+
+
+def edge_outcome(verify):
+    """The edges and the overlap bits that ``verify()`` gives, or the type,
+    index and words of what it raises."""
+    try:
+        edges, overlaps = verify()
+    except (LinkFailed, ValueError) as exc:
+        return type(exc).__name__, getattr(exc, "index", None), str(exc)
+    return edges, [float_bits(overlap) for overlap in overlaps]
+
+
+@pytest.mark.parametrize("cap", [DIM_CAP, 12])
+@pytest.mark.parametrize("seed", range(24))
+def test_batched_edges_have_the_bits_of_the_per_edge_loop(seed, cap, monkeypatch):
+    # a run of edges pulls every target ground vector by one bincount and
+    # tests all its edges in one array pass; the loop builds each edge's
+    # embedding and decides it as a chain link.  Over sign cones with
+    # negative base signs, explicit cones, real and complex, one-dimensional
+    # slots and slots that share their shifts, in one run or, under a cap of
+    # 12 rows, in many, the edges come in the same order and every overlap
+    # has the same bits
+    family, subsets, records = lattice_records(edge_spec(seed))
+    monkeypatch.setattr(numerics, "DIM_CAP", cap)
+    got = edge_outcome(lambda: lattice._covering_edges(family, records, subsets, DEFAULT_TOL))
+    assert got == edge_outcome(lambda: edge_loop_oracle(family, records, subsets))
+    assert len(got[0]) == len(family.dims) * 2 ** (len(family.dims) - 1)
+
+
+def test_the_edge_specs_take_every_route(monkeypatch):
+    # over the seeds above: a sign cone with a negative base sign, explicit
+    # cones with real and with complex ground vectors, a one-dimensional
+    # slot, and, under the cap of 12 rows, lattices read in more than one
+    # run of edges
+    seen, runs = Counter(), []
+    original = lattice._verified_run
+    monkeypatch.setattr(lattice, "_verified_run",
+                        lambda *args: runs.append(args) or original(*args))
+    for seed in range(24):
+        family, subsets, records = lattice_records(edge_spec(seed))
+        signs = family.cone._sign_basis
+        seen["negative sign" if signs is not None and (signs.signs < 0).any() else
+             "orthant" if signs is not None else "explicit"] += 1
+        seen["complex"] += np.iscomplexobj(records[subsets[-1]].ground.vector)
+        seen["one-dimensional slot"] += 1 in family.dims
+        runs.clear()
+        with monkeypatch.context() as capped:
+            capped.setattr(numerics, "DIM_CAP", 12)
+            lattice._covering_edges(family, records, subsets, DEFAULT_TOL)
+        seen["runs > 1"] += len(runs) > 1
+    assert all(seen[key] >= 2 for key in ("negative sign", "orthant", "explicit", "complex",
+                                          "one-dimensional slot", "runs > 1")), seen
+
+
+def injured(record: NodeAnalysis, injury: str, gen) -> NodeAnalysis:
+    """A copy of a node's record with its ground vector negated, or one
+    entry of it negated, or one generator of its cone negated."""
+    out = NodeAnalysis(record.hamiltonian, record.cone, record.tol)
+    ground = record.ground
+    if injury == "cone":
+        cone = record.cone
+        if cone._sign_basis is not None:
+            signs = cone._sign_basis.signs.copy()
+            signs[int(gen.integers(signs.size))] *= -1.0
+            cone = _signed_cone(cone.space, signs)
+        else:
+            generators = cone.generators.copy()
+            generators[:, int(gen.integers(cone.dim))] *= -1.0
+            cone = SelfDualCone(cone.space, generators)
+        out = NodeAnalysis(record.hamiltonian, cone, record.tol)
+        out.__dict__["spectrum"] = record.spectrum
+        return out
+    vector = -ground.vector if injury == "negated" else ground.vector.copy()
+    if injury == "one entry":
+        vector[int(np.abs(vector).argmax())] *= -1.0
+    out.__dict__["improving"] = record.improving
+    out.__dict__["ground"] = GroundState(ground.energy, ground.gap01, ground.simple, vector)
+    return out
+
+
+@pytest.mark.parametrize("cap", [DIM_CAP, 12])
+@pytest.mark.parametrize("injury", ["negated", "one entry", "cone"])
+def test_an_injured_node_fails_its_edges_as_the_per_edge_loop_does(injury, cap, monkeypatch):
+    # one node's record injured, on each seed: the first edge that fails,
+    # in one run or, under a cap of 12 rows, in a later one, raises
+    # LinkFailed at the same index with the same words, and the injury
+    # makes some edge fail on most seeds
+    failed = 0
+    for seed in range(24):
+        gen = rng(2700 + seed)
+        family, subsets, records = lattice_records(edge_spec(seed))
+        subset = subsets[int(gen.integers(1, len(subsets)))]
+        records[subset] = injured(records[subset], injury, gen)
+        with monkeypatch.context() as capped:
+            capped.setattr(numerics, "DIM_CAP", cap)
+            got = edge_outcome(lambda: lattice._covering_edges(family, records, subsets,
+                                                               DEFAULT_TOL))
+        assert got == edge_outcome(lambda: edge_loop_oracle(family, records, subsets))
+        failed += got[0] == "LinkFailed"
+    assert failed >= 16
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_an_inheritance_tolerance_past_the_limit_raises_as_the_per_edge_loop_does(seed):
+    family, subsets, records = lattice_records(edge_spec(seed), 0.75)
+    got = edge_outcome(lambda: lattice._covering_edges(family, records, subsets, 0.75))
+    assert got == edge_outcome(lambda: edge_loop_oracle(family, records, subsets))
+    assert got == ("ValueError", None, "inheritance tolerance 0.75 must be below 1/sqrt(2)")
+
+
+def test_a_read_node_lets_its_shifts_go(monkeypatch):
+    # once a run's spectra are read, its nodes hold no shifts, and the
+    # memory held after the build falls by at least their bytes; a lone
+    # re-read sums them again, slot by slot, with the same bits
+    base = demo_spec()
+    ys = [np.array([[a, 1.0 + a], [1.0 + a, a]]) for a in np.linspace(0.05, 0.9, 9)]
+    spec = LatticeSpec(base.h0, base.cone, base.observable, base.x,
+                       tuple((2, op(f"f{mu}", y)) for mu, y in enumerate(ys, start=1)))
+
+    def held():
+        tracemalloc.start()
+        try:
+            diagram = build_lattice(spec)
+            return diagram, tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    held()  # whatever a first build makes once is made before anything is measured
+    diagram, released = held()
+    monkeypatch.setattr(numerics._KroneckerFactors, "release_shifts", lambda self: None)
+    kept_diagram, kept = held()
+    shifts = sum(node.hamiltonian._factors.shifts.nbytes for node in kept_diagram.nodes)
+    assert shifts == 8 * 3 ** 9
+    assert kept - released >= shifts
+    values = {mu: np.linalg.eigh(y.mat)[0] for mu, (_, y) in enumerate(spec.factors, start=1)}
+    for node in diagram.nodes:
+        factors = node.hamiltonian._factors
+        assert factors.shifts is None
+        assert same_bits(factors.k, shifts_oracle([values[mu] for mu in node.subset]))
 
 
 class TestStructuralCriterionDecides:
