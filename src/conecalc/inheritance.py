@@ -31,10 +31,11 @@ class Embedding:
     """Isometry between two spaces, with its induced orthogonal projection.
 
     The embeddings of `identity_embedding`, `append_factor_embedding` and
-    `stability._KroneckerFamily.embedding` (the links of towers, `coupling`
-    members and lattices) are Kronecker products of identities and real unit
-    vectors: row r of the isometry is vals[r] e_{cols[r]}^T, one entry at
-    most.  They keep (cols, vals), not the dense isometry.  That is built on
+    `stability._KroneckerFamily.embedding` (the links of towers and
+    `coupling` members), and those cut from the rows of a lattice's edges,
+    are Kronecker products of identities and real unit vectors
+    (`_row_embedding`): row r of the isometry is vals[r] e_{cols[r]}^T, one
+    entry at most.  They keep (cols, vals), not the dense isometry.  That is built on
     its first read, for `compress` and the dense route of
     `inherits_positivity`, as `push` of the identity: each entry is vals[r]
     times 1.0 or +0.0, so it has the bits of the np.kron product of the
@@ -132,29 +133,35 @@ def _pulled(cols: np.ndarray, vals: np.ndarray, x: np.ndarray, size: int) -> np.
     return out
 
 
-def _insertion_embedding(from_space: str, to_space: str, below: int, vec: np.ndarray,
-                         above: int) -> Embedding:
-    """The embedding by kron(1_below, vec, 1_above), a real unit vector
-    appended as a column between two identities, by index arithmetic: row
-    (b, j, a) has its one entry vec[j] in column b * above + a.  np.kron
-    gives that entry as 1.0 times vec[j], which is vec[j], so the two have
-    the same bits.  Distinct columns have disjoint supports and each has
-    the norm of vec, so the isometry is one exactly when vec is a unit
-    vector, which the callers see to."""
-    cols = np.arange(below * above, dtype=np.intp).reshape(below, above).repeat(vec.size, axis=0)
-    vals = np.repeat(vec[None, :], below, axis=0).repeat(above)
-    cols = cols.ravel()
+def _row_embedding(from_space: str, to_space: str, cols: np.ndarray, vals: np.ndarray,
+                   dim_from: int) -> Embedding:
+    """The Kronecker embedding whose row r is vals[r] e_{cols[r]}^T, its
+    rows kept read-only and uncopied."""
     for array in (cols, vals):
         array.setflags(write=False)
     emb = object.__new__(Embedding)
     for name, value in (("from_space", from_space), ("to_space", to_space), ("_cols", cols),
-                        ("_vals", vals), ("_shape", (cols.size, below * above))):
+                        ("_vals", vals), ("_shape", (cols.size, dim_from))):
         object.__setattr__(emb, name, value)
     return emb
 
 
+def _appended_embedding(from_space: str, to_space: str, dim: int,
+                        vec: np.ndarray) -> Embedding:
+    """The embedding by kron(1_dim, vec), a real unit vector appended as a
+    column after an identity: row (b, j) has its one entry vec[j] in
+    column b.  np.kron gives that entry as 1.0 times vec[j], which is
+    vec[j], so the two have the same bits.  Distinct columns have disjoint
+    supports and each has the norm of vec, so the isometry is one exactly
+    when vec is a unit vector, which the callers see to.  A vector inserted
+    between two identities, as on a lattice's covering edges, is laid out
+    by `lattice._insertion_rows`."""
+    return _row_embedding(from_space, to_space, np.arange(dim).repeat(vec.size),
+                          np.tile(vec, dim), dim)
+
+
 def identity_embedding(space: str, dim: int) -> Embedding:
-    return _insertion_embedding(space, space, dim, np.ones(1), 1)
+    return _appended_embedding(space, space, dim, np.ones(1))
 
 
 def append_factor_embedding(from_space: str, to_space: str, dim: int,
@@ -171,7 +178,7 @@ def append_factor_embedding(from_space: str, to_space: str, dim: int,
         raise ValueError("appended vector must be normalized")
     if np.iscomplexobj(v):
         return Embedding(from_space, to_space, _kron(np.eye(dim), v.reshape(-1, 1)))
-    return _insertion_embedding(from_space, to_space, dim, v, 1)
+    return _appended_embedding(from_space, to_space, dim, v)
 
 
 def conditional_expectation(emb: Embedding, a: LinearOperator) -> LinearOperator:
@@ -369,27 +376,25 @@ def _overlap_report(arrow: ArrowResult, read, tol: float) -> OverlapReport:
 def _projector_improves(x: np.ndarray, cone: SelfDualCone, space: str, tol: float) -> bool:
     """Whether |x><x| on ``space`` improves the cone, as `classify` decides it.
 
-    On a sign cone and a real x, the projector's
-    generator-basis matrix is c c^T for the coordinates c of x.  With
-    hi = max c and lo = min c, its smallest entry is min(hi lo, hi^2, lo^2)
-    and its largest magnitude max(hi^2, lo^2), each an entry of that matrix,
-    so the verdict costs O(dim) and no outer product is formed.
+    On a sign cone and a real x, the verdict is read from the coordinates
+    of x alone (`_projectors_improve`, one segment), and no outer product
+    is formed.
     """
     if cone._sign_basis is not None and not np.iscomplexobj(x) and space == cone.space:
-        c = cone._sign_basis.coords(x)
-        hi, lo = float(c.max()), float(c.min())
-        scale = max(hi * hi, lo * lo)
-        return scale != 0.0 and min(hi * lo, hi * hi, lo * lo) >= tol * scale
+        return bool(_projectors_improve(cone._sign_basis.coords(x), [0], tol)[0])
     return classify(LinearOperator(space, np.outer(x, x.conj())), cone, tol).improving
 
 
 def _projectors_improve(coords: np.ndarray, starts: np.ndarray, tol: float) -> np.ndarray:
-    """`_projector_improves` on a sign cone for every segment of ``coords``
+    """Whether |x><x| improves a sign cone, for every segment of ``coords``
     that begins at one of ``starts``, each the generator coordinates c of
-    one real x, in one pass over all of them, as a run of lattice edges
-    reads its pulled ground vectors: the same products and comparisons of
-    hi = max c and lo = min c, elementwise.  A single link keeps the scalar
-    form, which a one-segment pass would slow by a few microseconds."""
+    one real x, in one pass over all of them: a chain link reads one
+    segment, a run of lattice edges all its pulled ground vectors.
+
+    The projector's generator-basis matrix is c c^T.  With hi = max c and
+    lo = min c, its smallest entry is min(hi lo, hi^2, lo^2) and its
+    largest magnitude max(hi^2, lo^2), each an entry of that matrix, so the
+    verdict costs O(dim)."""
     hi, lo = np.maximum.reduceat(coords, starts), np.minimum.reduceat(coords, starts)
     scale = np.maximum(hi * hi, lo * lo)
     return (scale != 0.0) & (np.minimum(np.minimum(hi * lo, hi * hi), lo * lo) >= tol * scale)

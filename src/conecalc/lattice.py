@@ -26,6 +26,7 @@ from .inheritance import (
     _projector_improves,
     _projectors_improve,
     _pulled,
+    _row_embedding,
     inherits_positivity,
 )
 from .numerics import DEFAULT_TOL, LinearOperator, hermitian_eig, uniform_vector
@@ -329,7 +330,8 @@ def _covering_edges(family: _KroneckerFamily, records: dict[Subset, NodeAnalysis
             run, rows = [], 0
         run.append(edge)
         rows += size
-    overlaps += _verified_run(family, records, run, len(overlaps), tol)
+    if run:  # none when the lattice has no slots
+        overlaps += _verified_run(family, records, run, len(overlaps), tol)
     return [(small, large) for small, large, _ in edges], overlaps
 
 
@@ -339,9 +341,10 @@ def _insertion_rows(below: np.ndarray, n: np.ndarray,
     a run of edges, edge after edge, u the uniform vector of n entries.
     Row (b, j, a) of an edge has its one entry u[j] = 1/sqrt(n) in column
     b * above + a of the edge, whose columns follow those of the edges
-    before it.  Each edge's rows are those of
-    `inheritance._insertion_embedding`, with the same bits: a square root
-    and a quotient are correctly rounded, in numpy as in `math`."""
+    before it.  np.kron gives that entry as 1.0 times u[j] times 1.0, and
+    `numerics.uniform_vector` as 1.0 / math.sqrt(n): the same bits, as a
+    square root and a quotient are correctly rounded, in numpy as in
+    `math`."""
     size = below * n * above
     cols = np.arange(size.sum())
     cols -= np.repeat(np.cumsum(size) - size, size)  # (b, j, a), counted within the edge
@@ -368,11 +371,11 @@ def _verified_run(family: _KroneckerFamily, records: dict[Subset, NodeAnalysis],
     (`inheritance._inherited_rows`), and, for real ground vectors, the
     projector test the extremes of every pulled vector
     (`inheritance._projectors_improve`).  The overlap is one `np.vdot` per
-    edge.  An explicit base cone keeps the dense per-edge tests, through
-    each edge's `_KroneckerFamily.embedding`, and complex ground vectors the
-    dense projector test.  Every node of a lattice is on the space of its
-    cone (`verify_spec` refuses any other H0 or X), so the projector test
-    reads every sign cone's coordinates.
+    edge.  An explicit base cone keeps the dense per-edge tests, through an
+    embedding cut from the edge's rows (`inheritance._row_embedding`), and
+    complex ground vectors the dense projector test.  Every node of a
+    lattice is on the space of its cone (`verify_spec` refuses any other H0
+    or X), so the projector test reads every sign cone's coordinates.
     """
     sources = [records[small] for small, _, _ in run]
     targets = [records[large] for _, large, _ in run]
@@ -383,6 +386,8 @@ def _verified_run(family: _KroneckerFamily, records: dict[Subset, NodeAnalysis],
     cols, vals = _insertion_rows(below, n, above)
     ends = np.cumsum(below * above)
     starts = ends - below * above
+    row_ends = np.cumsum(below * n * above)
+    row_starts = row_ends - below * n * above
     pulled = _pulled(cols, vals, np.concatenate([target.ground.vector for target in targets]),
                      int(ends[-1]))
     signed, real = family.cone._sign_basis is not None, not np.iscomplexobj(pulled)
@@ -390,22 +395,23 @@ def _verified_run(family: _KroneckerFamily, records: dict[Subset, NodeAnalysis],
         _check_inheritance_tol(tol)
         small_signs = np.concatenate([source.cone._sign_basis.signs for source in sources])
         big_signs = np.concatenate([target.cone._sign_basis.signs for target in targets])
-        rows = below * n * above
         inherited = np.logical_and.reduceat(
-            _inherited_rows(small_signs[cols], big_signs, vals, tol), np.cumsum(rows) - rows)
-        inherited = inherited.tolist()
+            _inherited_rows(small_signs[cols], big_signs, vals, tol), row_starts).tolist()
         if real:
             improving = _projectors_improve(pulled * small_signs, starts, tol).tolist()
     overlaps = []
-    for e, (start, end) in enumerate(zip(starts.tolist(), ends.tolist())):
-        (small, large, mu), source, target = run[e], sources[e], targets[e]
+    for e, (start, end, row_start, row_end) in enumerate(
+            zip(starts.tolist(), ends.tolist(), row_starts.tolist(), row_ends.tolist())):
+        (small, large, _), source, target = run[e], sources[e], targets[e]
         x = pulled[start:end]
 
         def inherits():
             if signed:
                 return inherited[e]
-            return inherits_positivity(source.cone, target.cone, family.embedding(small, mu),
-                                       tol)
+            emb = _row_embedding(source.hamiltonian.space, target.hamiltonian.space,
+                                 cols[row_start:row_end] - start,
+                                 vals[row_start:row_end], end - start)
+            return inherits_positivity(source.cone, target.cone, emb, tol)
 
         def read():
             overlap = complex(np.vdot(source.ground.vector, x))

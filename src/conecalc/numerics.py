@@ -514,11 +514,12 @@ class _KroneckerFactors:
         return (self.h0 @ psi - self.x @ k_psi).reshape(shape)
 
 
-def _shifts(slots) -> np.ndarray:
+def _shifts(slots, k: np.ndarray | None = None) -> np.ndarray:
     """The eigenvalues of the Kronecker sum of ``slots``, summed slot by
-    slot in slot order, as `stability._KroneckerFamily.facts` sums them
-    from a prefix's: the same float operations, so the same bits."""
-    k = np.zeros(1)
+    slot in slot order, onto the shifts ``k`` of the slots before them
+    when given: a node's shifts, summed from none or from its prefix's,
+    have the same bits."""
+    k = np.zeros(1) if k is None else k
     for slot in slots:
         k = (k[:, None] + slot.values).ravel()
     return k

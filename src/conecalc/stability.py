@@ -34,8 +34,8 @@ from .inheritance import (
     ChainNode,
     ChainReport,
     Embedding,
+    _appended_embedding,
     _chain_report,
-    _insertion_embedding,
     _verified_links,
 )
 from .numerics import (
@@ -351,8 +351,10 @@ class _KroneckerFamily:
     nodes are read through one `numerics._BlockCache`: `records` decomposes
     those of a run of subsets in one batched `eigh`, and a node read alone,
     as a tower level is, decomposes its own when its spectrum is first
-    read.  Neither keeps a block once the spectra are read, and a node read
-    in a run keeps no shifts: a lone re-read sums them again.  The nodes of
+    read.  Neither keeps a block once the spectra are read.  The shifts of
+    a subset are summed when `records` forms its run and let go once its
+    spectrum is read, so only a run's shifts are held at once; a lone
+    re-read of its node sums them again.  The nodes of
     one dimension share one sign basis, which carries the base cone's
     fibers.
     """
@@ -364,7 +366,7 @@ class _KroneckerFamily:
         if dim > numerics.DIM_CAP:
             raise DimCap(f"Kronecker sum dimension {dim} exceeds cap {numerics.DIM_CAP}")
         self._facts = {}  # subset -> its _SubsetFacts
-        self._shifts = {}  # subset -> its shifts k, until its spectrum is read in a run
+        self._shifts = {}  # subset -> its shifts k, until `records` reads its spectrum
         self._bases = {}  # n -> the sign basis that the nodes of dimension d0 * n share
 
     # sigma_x, every tower level's slot, decomposed at the first tower
@@ -392,7 +394,6 @@ class _KroneckerFamily:
         if not subset:
             facts = _SubsetFacts(self.h0.space, self.cone.space, 1,
                                  _base_table(self.h0.mat, self.x.mat), 1.0)
-            self._shifts[subset] = np.zeros(1)
         else:
             head, mu = self.facts(subset[:-1]), subset[-1]
             slot, name = self.slots[mu - 1], self.names[mu - 1]
@@ -401,18 +402,20 @@ class _KroneckerFamily:
                                  head.size * self.dims[mu - 1],
                                  _table_with_slot(head.table, self.x.mat, slot),
                                  head.weight * (1.0 / math.sqrt(self.dims[mu - 1])))
-            self._shifts[subset] = (self.shifts(subset[:-1])[:, None] + slot.values).ravel()
         self._facts[subset] = facts
         return facts
 
     def shifts(self, subset: tuple[int, ...]) -> np.ndarray:
         """The eigenvalues k of K_I, I an ascending tuple of slots, in slot
-        order: made with its facts, from those of I less its last slot, or,
-        once its spectrum is read in a run and they are let go, summed again
-        (`numerics._shifts`), with the same bits."""
-        self.facts(subset)
+        order (`numerics._shifts`): held from when they are first asked
+        for until `records` has read I's spectrum, and summed from those of
+        I less its last slot while these are held."""
         k = self._shifts.get(subset)
-        return k if k is not None else _shifts(self.slots[mu - 1] for mu in subset)
+        if k is None:
+            head = self._shifts.get(subset[:-1]) if subset else None
+            tail = subset if head is None else subset[-1:]
+            k = self._shifts[subset] = _shifts((self.slots[mu - 1] for mu in tail), head)
+        return k
 
     def records(self, subsets, tol: float = DEFAULT_TOL):
         """Yield each of ``subsets`` with the `NodeAnalysis` of its node,
@@ -468,15 +471,13 @@ class _KroneckerFamily:
             cone = SelfDualCone(facts.cone_space, _kron(self.cone.generators, np.eye(n)))
         return ChainNode(h, cone)
 
-    def embedding(self, subset, mu: int) -> Embedding:
-        """Node I into node I u {mu}: mu's uniform vector inserted between
-        the slots of I below mu, kept with the base, and those above it."""
-        subset = tuple(subset)
-        above = math.prod(self.dims[nu - 1] for nu in subset if nu > mu)
-        below = self.h0.dim * math.prod(self.dims[nu - 1] for nu in subset if nu < mu)
-        return _insertion_embedding(self.facts(subset).space,
-                                    self.facts(tuple(sorted(subset + (mu,)))).space,
-                                    below, uniform_vector(self.dims[mu - 1]), above)
+    def embedding(self, k: int) -> Embedding:
+        """The node of slots 1..k into that of slots 1..k+1: slot k+1's
+        uniform vector appended."""
+        prefix = tuple(range(1, k + 1))
+        facts = self.facts(prefix)
+        return _appended_embedding(facts.space, self.facts(prefix + (k + 1,)).space,
+                                   self.h0.dim * facts.size, uniform_vector(self.dims[k]))
 
     def frame(self, subset) -> np.ndarray:
         """The isometry from node () into node I, one uniform vector per
@@ -489,7 +490,7 @@ class _KroneckerFamily:
         """H0 itself, then the node of each nonempty prefix, each embedded in the next."""
         prefixes = [tuple(range(1, k + 1)) for k in range(len(self.ys) + 1)]
         nodes = (ChainNode(self.h0, self.cone), *map(self.node, prefixes[1:]))
-        return ArrowChain(nodes, tuple(self.embedding(p, len(p) + 1) for p in prefixes[:-1]))
+        return ArrowChain(nodes, tuple(map(self.embedding, range(len(self.ys)))))
 
 
 def extension_tower(h: LinearOperator, cone: SelfDualCone, o: LinearOperator,

@@ -206,7 +206,7 @@ def edge_embeddings(monkeypatch):
             col, row = 0, 0
             for dim_from, dim_to in zip(dims_from.tolist(), dims_to.tolist()):
                 small, large = diagram.covering_edges[len(out)]
-                out.append(rows_embedding(space[small], space[large],
+                out.append(inheritance._row_embedding(space[small], space[large],
                                           cols[row:row + dim_to] - col,
                                           vals[row:row + dim_to].copy(), dim_from))
                 col, row = col + dim_from, row + dim_to
@@ -215,20 +215,10 @@ def edge_embeddings(monkeypatch):
     return embeddings
 
 
-def rows_embedding(from_space: str, to_space: str, cols: np.ndarray, vals: np.ndarray,
-                   dim_from: int) -> inheritance.Embedding:
-    """The Kronecker embedding whose row r is vals[r] e_{cols[r]}^T."""
-    emb = object.__new__(inheritance.Embedding)
-    for name, value in (("from_space", from_space), ("to_space", to_space), ("_cols", cols),
-                        ("_vals", vals), ("_shape", (cols.size, dim_from))):
-        object.__setattr__(emb, name, value)
-    return emb
-
-
 def edge_loop_oracle(family, records, subsets) -> tuple[list, list]:
     """A lattice's covering edges and their overlaps as a loop over the
     edges verifies them, one link at a time: each edge's embedding built on
-    its own (`_KroneckerFamily.embedding`) and decided by
+    its own (`kronecker_embedding_oracle`) and decided by
     `inheritance._verified_link`, the verdict of chain links, on the
     records of its two nodes."""
     edges, overlaps = [], []
@@ -237,8 +227,15 @@ def edge_loop_oracle(family, records, subsets) -> tuple[list, list]:
             if mu in small:
                 continue
             large = tuple(sorted(small + (mu,)))
-            rep = inheritance._verified_link(len(edges), records[small], records[large],
-                                             family.embedding(small, mu), f"{small} -> {large}: ")
+            source, target = records[small], records[large]
+            blocks = [family.h0.dim]
+            for nu in large:
+                n = family.dims[nu - 1]
+                blocks.append(n if nu in small else uniform_vector(n))
+            emb = kronecker_embedding_oracle(source.hamiltonian.space, target.hamiltonian.space,
+                                             blocks)
+            rep = inheritance._verified_link(len(edges), source, target, emb,
+                                             f"{small} -> {large}: ")
             edges.append((small, large))
             overlaps.append(rep.overlap)
     return edges, overlaps
@@ -374,7 +371,7 @@ def kronecker_embedding_oracle(from_space: str, to_space: str, blocks) -> inheri
                 square_norm *= float(block @ block)
     if not abs(square_norm - 1.0) <= inheritance.ISOMETRY_TOL:
         raise ValueError("isometry columns are not orthonormal")
-    return rows_embedding(from_space, to_space, cols, vals, dim_from)
+    return inheritance._row_embedding(from_space, to_space, cols, vals, dim_from)
 
 
 def subset_embedding(spec: lattice.LatticeSpec, small, large) -> inheritance.Embedding:

@@ -222,6 +222,20 @@ class TestBuildNode:
         expanded = np.einsum("abc,m->abmc", tensor, np.full(3, 1 / math.sqrt(3)))
         assert np.allclose(pushed, expanded.reshape(-1), atol=1e-12)
 
+    def test_a_lattice_of_no_slots_is_its_base_node(self):
+        # ell = 0: one node, no edge and so no run of edges, and the payload
+        # that the loop over edges gave
+        h0 = op("base", np.array([[0.3, -1.0], [-1.0, 0.3]]))
+        spec = LatticeSpec(h0, orthant("base", 2), op("base", PAULI_X), op("base", np.eye(2)), ())
+        diagram = build_lattice(spec)
+        assert [node.subset for node in diagram.nodes] == [()]
+        assert diagram.covering_edges == diagram.edge_overlaps == ()
+        assert diagram.to_payload() == {
+            "nodes": [{"subset": [], "dim": 2, "ground_energy": -0.7,
+                       "mu": 0.9999999999999998, "mu_snapped": 1.0}],
+            "edges": [], "edge_overlaps": [], "node_count": 1, "edge_count": 0,
+        }
+
     def test_dim_cap(self):
         # 2 * 2^12 = 8192 > DIM_CAP: refused before any node matrix is formed
         spec = demo_spec()
@@ -374,7 +388,7 @@ class TestBuildLattice:
         calls, original = [], inheritance._arrow
         monkeypatch.setattr(lattice, "_arrow",
                             lambda *args: calls.append(args[:2]) or original(*args))
-        monkeypatch.setattr(stability, "_insertion_embedding", refuse)
+        monkeypatch.setattr(lattice, "_row_embedding", refuse)
         diagram = build_lattice(demo_spec())
         assert len(diagram.covering_edges) == 12
         space = {node.subset: node.hamiltonian.space for node in diagram.nodes}
@@ -626,9 +640,10 @@ def test_an_inheritance_tolerance_past_the_limit_raises_as_the_per_edge_loop_doe
 
 
 def test_a_read_node_lets_its_shifts_go(monkeypatch):
-    # once a run's spectra are read, its nodes hold no shifts, and the
-    # memory held after the build falls by at least their bytes; a lone
-    # re-read sums them again, slot by slot, with the same bits
+    # once a run's spectra are read, its nodes hold no shifts, and both the
+    # memory held after the build and its peak, reached while the edges are
+    # verified, fall by at least their bytes; a lone re-read sums them
+    # again, slot by slot, with the same bits
     base = demo_spec()
     ys = [np.array([[a, 1.0 + a], [1.0 + a, a]]) for a in np.linspace(0.05, 0.9, 9)]
     spec = LatticeSpec(base.h0, base.cone, base.observable, base.x,
@@ -638,7 +653,7 @@ def test_a_read_node_lets_its_shifts_go(monkeypatch):
         tracemalloc.start()
         try:
             diagram = build_lattice(spec)
-            return diagram, tracemalloc.get_traced_memory()[0]
+            return diagram, tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
 
@@ -648,7 +663,7 @@ def test_a_read_node_lets_its_shifts_go(monkeypatch):
     kept_diagram, kept = held()
     shifts = sum(node.hamiltonian._factors.shifts.nbytes for node in kept_diagram.nodes)
     assert shifts == 8 * 3 ** 9
-    assert kept - released >= shifts
+    assert kept[0] - released[0] >= shifts and kept[1] - released[1] >= shifts
     values = {mu: np.linalg.eigh(y.mat)[0] for mu, (_, y) in enumerate(spec.factors, start=1)}
     for node in diagram.nodes:
         factors = node.hamiltonian._factors

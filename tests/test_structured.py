@@ -52,7 +52,7 @@ from conecalc.inheritance import (
     ArrowChain,
     ChainNode,
     Embedding,
-    _insertion_embedding,
+    _appended_embedding,
     _projector_improves,
     _verified_link,
     append_factor_embedding,
@@ -319,13 +319,22 @@ class TestEmbeddingOracle:
         assert_gathered_products(emb, dense, gen)
 
     def test_an_insertion_has_the_bits_of_its_block_list(self, seed):
-        # a lattice edge's embedding, a signed unit vector between two
-        # identities, by index arithmetic against the block-list oracle
+        # a run of lattice edges, each a uniform vector between two
+        # identities, and a signed unit vector appended after an identity,
+        # by index arithmetic against the block-list oracle
         gen = rng(5500 + seed)
-        below, above = int(gen.integers(1, 5)), int(gen.integers(1, 5))
+        below, n, above = gen.integers(1, 5, size=(3, int(gen.integers(1, 5))))
+        cols, vals = lattice._insertion_rows(below, n, above)
+        col = row = 0
+        for b, k, a in zip(below.tolist(), n.tolist(), above.tolist()):
+            want = kronecker_embedding_oracle("s", "t", [b, uniform_vector(k), a])
+            assert same_bits(cols[row:row + b * k * a] - col, want._cols)
+            assert same_bits(vals[row:row + b * k * a], want._vals)
+            col, row = col + b * a, row + b * k * a
+        assert row == cols.size == vals.size
         vec = signed_unit(gen, int(gen.integers(1, 4)))
-        got = _insertion_embedding("s", "t", below, vec, above)
-        want = kronecker_embedding_oracle("s", "t", [below, vec, above])
+        got = _appended_embedding("s", "t", int(below[0]), vec)
+        want = kronecker_embedding_oracle("s", "t", [int(below[0]), vec])
         assert (got.dim_to, got.dim_from) == (want.dim_to, want.dim_from)
         assert same_bits(got._cols, want._cols) and same_bits(got._vals, want._vals)
         assert not (got._cols.flags.writeable or got._vals.flags.writeable)
@@ -605,7 +614,7 @@ class TestStructuredLinksFormNothingDense:
         # forms an embedding of its own, and none takes a dense test
         monkeypatch.setattr(Embedding, "projection", refuse)
         monkeypatch.setattr(inheritance, "classify", refuse)
-        monkeypatch.setattr(stability, "_insertion_embedding", refuse)
+        monkeypatch.setattr(lattice, "_row_embedding", refuse)
         for name in ("inherits_positivity", "_projector_improves"):
             monkeypatch.setattr(lattice, name, refuse)
         diagram = build_lattice(spec)
