@@ -31,7 +31,7 @@ from .inheritance import (
 )
 from .numerics import DEFAULT_TOL, LinearOperator, hermitian_eig, uniform_vector
 from .positivity import NodeAnalysis, classify, generates_improving_semigroup, is_ergodic
-from .stability import _KroneckerFamily, _quantum_number, commutes_with_observable
+from .stability import _KroneckerFamily, _quantum_numbers, commutes_with_observable
 
 Subset = tuple[int, ...]
 UNIFORM_EIGEN_TOL = 1e-10  # |Y w - lambda w| <= this * max(1, ||Y||) for the uniform w
@@ -178,7 +178,7 @@ def _family(spec: LatticeSpec) -> _KroneckerFamily:
 
 
 def build_node(spec: LatticeSpec, subset: Subset, tol: float = DEFAULT_TOL) -> LatticeNode:
-    """Construct and validate the node of one subset.
+    """Construct and validate the node of one subset, a run of one.
 
     Validation: the Hamiltonian is improving-class on the tensor cone, decided
     by the structural criterion (-H_I Metzler and irreducible), which by
@@ -188,12 +188,10 @@ def build_node(spec: LatticeSpec, subset: Subset, tol: float = DEFAULT_TOL) -> L
     follows from that of every Y_mu (`verify_spec`), and the positivity of a
     sampled exponential from the criterion; both are test oracles only.
     """
-    subset, family = tuple(sorted(subset)), _family(spec)
-    perturbed = family.node(subset)
-    record = NodeAnalysis(perturbed.hamiltonian, perturbed.cone, tol)
     o_spectrum = hermitian_eig(spec.observable)
-    return _build_node(spec, family, subset, record, o_spectrum.norm,
-                       _snap_values(o_spectrum.eigenvalues))
+    family = _family(spec)
+    run, = family.records([tuple(sorted(subset))], tol)
+    return _built_run(spec, family, run, o_spectrum.norm, _snap_values(o_spectrum.eigenvalues))[0]
 
 
 def _snap_values(eigenvalues: np.ndarray) -> np.ndarray:
@@ -201,18 +199,25 @@ def _snap_values(eigenvalues: np.ndarray) -> np.ndarray:
     return np.concatenate([eigenvalues, [0.0]])
 
 
-def _build_node(spec: LatticeSpec, family: _KroneckerFamily, subset: Subset, node: NodeAnalysis,
-                o_norm: float, snap_to: np.ndarray) -> LatticeNode:
-    """`build_node` given the spec's family, the record of the node of an
-    ascending ``subset``, the base observable's norm and the values to snap
-    to.  The pushed observable T O T^* has the norm of the base one.  It is
-    read through the family's frame T of I."""
-    if not node.improving:
-        raise ClassificationFailed(f"H_{set(subset) or '{}'} is not improving-class")
-
-    mu, mu_snapped, _, _ = _quantum_number(node, spec.observable, o_norm, snap_to,
-                                           family.frame(subset))
-    return LatticeNode(subset, node.hamiltonian, node.cone, mu, mu_snapped, node.ground.energy)
+def _built_run(spec: LatticeSpec, family: _KroneckerFamily, run, o_norm: float,
+               snap_to: np.ndarray) -> list[LatticeNode]:
+    """The nodes of a run of (ascending subset, record) pairs of the spec's
+    family, their spectra and improving verdicts read, given the base
+    observable's norm and the values to snap to.  The pushed observable
+    T O T^* has the norm of the base one, and every node reads it through
+    the family's frame T of its subset, all of the run's in one pass
+    (`stability._quantum_numbers`).  The first node that fails raises: one
+    that is not improving-class with `ClassificationFailed`, after the
+    quantum numbers of the nodes before it are read."""
+    bad = next((i for i, (_, record) in enumerate(run) if not record.improving), len(run))
+    subsets, records = [subset for subset, _ in run[:bad]], [record for _, record in run[:bad]]
+    readings = _quantum_numbers(records, spec.observable, o_norm, snap_to,
+                                family.frames(subsets))
+    if bad < len(run):
+        raise ClassificationFailed(f"H_{set(run[bad][0]) or '{}'} is not improving-class")
+    return [LatticeNode(subset, record.hamiltonian, record.cone, mu, mu_snapped,
+                        record.ground.energy)
+            for subset, record, (mu, mu_snapped, _, _) in zip(subsets, records, readings)]
 
 
 @dataclass(frozen=True)
@@ -248,11 +253,13 @@ def build_lattice(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> HasseDiagram:
 
     The standing assumptions are checked first (`verify_spec`), and the
     diagram carries that report.  Nodes are constructed in (size,
-    lexicographic) order, their spectra read in runs of consecutive nodes,
-    one batched `eigh` and one block per distinct shift each, no run
-    holding more blocks than the top node has, and no block held once a
-    run's spectra are read (`stability._KroneckerFamily.records`).  Then
-    each covering pair (I, I u {mu}) is decided by the link verdict of
+    lexicographic) order and read in runs of consecutive nodes whose
+    dimensions sum to no more than `DIM_CAP`, each run in array passes:
+    its spectra from one batched `eigh` of one block per distinct shift,
+    let go before the run is read further, and its improving verdicts
+    (`stability._KroneckerFamily.records`), then its quantum numbers
+    through the nodes' frames (`_built_run`).  The first node that fails
+    raises, whichever pass finds it.  Then each covering pair (I, I u {mu}) is decided by the link verdict of
     chains: a full arrow, a strictly positive ground overlap and a
     compressed ground projector that improves the small cone.  Its
     embedding inserts mu's uniform vector; the edges are read in runs,
@@ -286,9 +293,9 @@ def build_lattice(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> HasseDiagram:
     # blocks of its Kronecker sum holds no eigenbasis
     nodes: list[LatticeNode] = []
     records: dict[Subset, NodeAnalysis] = {}
-    for subset, record in family.records(subsets, tol):
-        nodes.append(_build_node(spec, family, subset, record, o_spectrum.norm, snap_to))
-        records[subset] = record
+    for run in family.records(subsets, tol):
+        nodes += _built_run(spec, family, run, o_spectrum.norm, snap_to)
+        records.update(run)
 
     base_mu = nodes[0].mu_snapped  # the unperturbed node, subset ()
     for n in nodes:
@@ -426,8 +433,11 @@ def _verified_run(family: _KroneckerFamily, records: dict[Subset, NodeAnalysis],
     return overlaps
 
 
-def _node_id(subset: Subset) -> str:
-    return "h" + "".join(str(mu) for mu in subset)
+def _node_id(subset: Subset, ell: int) -> str:
+    """The DOT id of a subset of ``ell`` slots: h and its slot indices,
+    joined by ``_`` from 10 slots on, where joined digits could name two
+    subsets (12 and {1, 2})."""
+    return "h" + ("_" if ell >= 10 else "").join(str(mu) for mu in subset)
 
 
 def _node_label(subset: Subset) -> str:
@@ -437,16 +447,17 @@ def _node_label(subset: Subset) -> str:
 def hasse_export(diagram: HasseDiagram) -> str:
     """Deterministic DOT text: one node per subset ranked by size, edges
     pointing from each perturbed node toward the unperturbed top element."""
+    ell = max((len(n.subset) for n in diagram.nodes), default=0)
     lines = ["digraph hasse {", "  rankdir=BT;", "  node [shape=box];"]
     for node in diagram.nodes:
-        lines.append(f'  {_node_id(node.subset)} [label="{_node_label(node.subset)}"];')
+        lines.append(f'  {_node_id(node.subset, ell)} [label="{_node_label(node.subset)}"];')
     sizes = sorted({len(n.subset) for n in diagram.nodes})
     for size in sizes:
         members = [
-            _node_id(n.subset) for n in diagram.nodes if len(n.subset) == size
+            _node_id(n.subset, ell) for n in diagram.nodes if len(n.subset) == size
         ]
         lines.append("  { rank=same; " + " ".join(f"{m};" for m in members) + " }")
     for small, large in diagram.covering_edges:
-        lines.append(f"  {_node_id(large)} -> {_node_id(small)};")
+        lines.append(f"  {_node_id(large, ell)} -> {_node_id(small, ell)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -39,6 +39,7 @@ SIMPLE_GAP_FACTOR = 1e-8  # a ground state is simple when gap01 > this * ||H||
 DENSITY_TOL = 1e-10  # Hermiticity, unit trace and eigenvalues >= -this of a density matrix
 BLOCK_RESIDUAL_TOL = 1e-10  # a block ground pair is kept when ||H psi - E psi|| <= this * ||H||
 PHASE_PIVOT_FACTOR = 1e-8  # an eigenvector's phase pivot is its first entry above this * its largest
+_MATMUL_ROWS = 256  # a slot of a node of this many rows is applied by a product of its own
 
 
 def _numeric(a) -> np.ndarray:
@@ -177,6 +178,17 @@ class Spectrum:
         object.__setattr__(self, "ground_vector", _freeze(self.ground_vector))
         gap = float(vals[1] - vals[0]) if vals.size > 1 else float("inf")
         object.__setattr__(self, "gap01", gap)
+
+    @classmethod
+    def _read(cls, eigenvalues: np.ndarray, ground_vector: np.ndarray, gap01: float):
+        """The spectrum of read-only arrays, kept uncopied, whose gap01
+        was read with theirs: how `_block_spectra` hands each node of a
+        run views of the run's arrays."""
+        spectrum = object.__new__(cls)
+        for name, value in (("eigenvalues", eigenvalues), ("ground_vector", ground_vector),
+                            ("gap01", gap01)):
+            object.__setattr__(spectrum, name, value)
+        return spectrum
 
     @property
     def ground_energy(self) -> float:
@@ -409,73 +421,19 @@ def _table_with_slot(table: _EntryTable | None, x: np.ndarray,
                      (table.x_max, table.x_symmetric, table.x_positive_weights))
 
 
-class _BlockCache:
-    """The eigenpairs of the d0 x d0 blocks H0 - k X of the Kronecker sums
-    of one family, for one run of its nodes at a time.
-
-    A block is keyed by the bits of its shift k, not by float equality:
-    -0.0 and 0.0 can give blocks whose zeros differ in sign.  A load is one
-    batched `eigh` of the blocks at the distinct shifts of a run of nodes,
-    held as the rows of the read-only ``values`` and ``vectors`` until the
-    run's spectra are read and the cache is cleared.  LAPACK runs once per
-    matrix of a batch, so a block has the same eigenpairs alone, in any
-    batch and at any place in one.
-    """
-
-    def __init__(self, h0: np.ndarray, x: np.ndarray):
-        self.h0, self.x = h0, x
-        self.clear()
-
-    def clear(self) -> None:
-        self.row_of = {}  # the bits of a shift -> its row
-        self.values = self.vectors = None
-
-    def load(self, k: np.ndarray) -> None:
-        """Hold the blocks at the distinct shifts of ``k`` alone, decomposed
-        in one batched `eigh` once the blocks held before are let go."""
-        self.clear()
-        bits = list(dict.fromkeys(k.view(np.int64).tolist()))
-        shifts = np.array(bits, dtype=np.int64).view(np.float64)
-        values, vectors = np.linalg.eigh(self.h0 - shifts[:, None, None] * self.x)
-        values.setflags(write=False)
-        vectors.setflags(write=False)
-        self.row_of = dict(zip(bits, range(len(bits))))
-        self.values, self.vectors = values, vectors
-
-    def rows(self, k: np.ndarray) -> np.ndarray | None:
-        """The row of every shift of ``k``, or None when some are not held."""
-        bits = k.view(np.int64).tolist()
-        if not all(map(self.row_of.__contains__, bits)):
-            return None
-        return np.fromiter(map(self.row_of.__getitem__, bits), dtype=np.intp, count=len(bits))
-
-
 @dataclass(frozen=True, eq=False)
 class _KroneckerFactors:
     """H0, X and the slots of H = H0 (x) 1 - X (x) K, from which every
-    reading of a `_kronecker_sum` is taken: its dimension, its product with
-    a vector or a block, and, only when something reads it, its matrix.
-    It also keeps what its family read for it: the `_BlockCache` that holds
-    the blocks H0 - k X, the `_EntryTable` (None when a factor is complex
-    or has a non-finite entry) and the shifts k, the eigenvalues of K in
-    slot order, until its family has read its spectrum and lets them go
-    (`release_shifts`)."""
+    reading of a `_kronecker_sum` is taken: its dimension, its products
+    and its spectrum, read in runs of its family's nodes (`_applied`,
+    `_block_spectra`), and, only when something reads it, its matrix.  It
+    also keeps the `_EntryTable` that its family read for it (None when a
+    factor is complex or has a non-finite entry)."""
 
     h0: np.ndarray
     x: np.ndarray
     slots: tuple[_Slot, ...]
-    shifts: np.ndarray | None
     table: _EntryTable | None
-    blocks: _BlockCache
-
-    @property
-    def k(self) -> np.ndarray:
-        """The shifts held, or, once they are let go, summed again
-        (`_shifts`), with the same bits."""
-        return self.shifts if self.shifts is not None else _shifts(self.slots)
-
-    def release_shifts(self) -> None:
-        object.__setattr__(self, "shifts", None)
 
     @cached_property
     def dim(self) -> int:
@@ -496,22 +454,6 @@ class _KroneckerFactors:
             view = _slot_view(mat, d0, math.prod(dims[:k]), dims[k], math.prod(dims[k + 1:]))
             view -= self.x[:, :, None, None, None, None] * slot.mat[:, :, None, None]
         return mat
-
-    def apply(self, psi: np.ndarray) -> np.ndarray:
-        """H psi by reshape, for a vector or a dim x k block: H0 on the base
-        axis, and X times Y_mu on slot axis mu, in O(dim k (d0 + sum_mu
-        n_mu)).  A block's columns ride along as one more trailing axis."""
-        d0, shape = self.h0.shape[0], psi.shape
-        psi = psi.reshape(d0, -1)
-        k_psi = np.zeros_like(psi, dtype=np.result_type(psi, *(slot.mat for slot in self.slots)))
-        before, after = d0, psi.shape[1]
-        for slot in self.slots:
-            n = slot.mat.shape[0]
-            after //= n
-            axis = k_psi.reshape(before, n, after)
-            axis += slot.mat @ psi.reshape(before, n, after)
-            before *= n
-        return (self.h0 @ psi - self.x @ k_psi).reshape(shape)
 
 
 def _shifts(slots, k: np.ndarray | None = None) -> np.ndarray:
@@ -536,72 +478,251 @@ def _slot_view(mat: np.ndarray, d0: int, before: int, n: int, after: int) -> np.
                                (row + col) * n * after, row + col))
 
 
-def _kronecker_sum(space: str, h0: LinearOperator, x: LinearOperator, slots, k: np.ndarray,
-                   table: _EntryTable | None, blocks: _BlockCache) -> LinearOperator:
+def _kronecker_sum(space: str, h0: LinearOperator, x: LinearOperator, slots,
+                   table: _EntryTable | None) -> LinearOperator:
     """H = H0 (x) 1 - X (x) K on ``space``, K = sum_mu 1 (x) Y_mu (x) 1 the
-    Kronecker sum of the slots (`_kronecker_slot`), in order, given what
-    `stability._KroneckerFamily`, which lays out every such sum, read for
-    it: the eigenvalues k of K, its entry table and its family's block cache.
+    Kronecker sum of the slots (`_kronecker_slot`), in order, given the
+    entry table that `stability._KroneckerFamily`, which lays out every
+    such sum, read for it.
 
     The operator keeps these (`_KroneckerFactors`), not its matrix.  Its
-    Hermitian test reads the entry table, `_block_spectrum` reads its
-    spectrum from the cached d0 x d0 blocks, `positivity` decides its
-    improving class from the factors, and `stability._commutes` its
-    commutation with a pushed observable from its product with the
-    observable's frame; the matrix is built the first time ``.mat`` is
-    read, with the entries the table describes.  The family keeps its
-    dimension within `DIM_CAP`.
+    Hermitian test reads the entry table, `_block_spectra` reads its
+    spectrum from its d0 x d0 blocks, `positivity` decides its improving
+    class from the factors, and `stability` its commutation with a pushed
+    observable from its products with the observable's frame
+    (`_applied`); the matrix is built the first time ``.mat`` is read,
+    with the entries the table describes.  The family keeps its dimension
+    within `DIM_CAP`.
     """
     h0._check_same_space(x)
-    factors = _KroneckerFactors(h0.mat, x.mat, tuple(slots), k, table, blocks)
+    factors = _KroneckerFactors(h0.mat, x.mat, tuple(slots), table)
     op = object.__new__(LinearOperator)
     object.__setattr__(op, "space", space)
     object.__setattr__(op, "_factors", factors)
     return op
 
 
-def _block_spectrum(op: LinearOperator) -> Spectrum:
-    """The spectrum of a `_kronecker_sum` from its d0 x d0 blocks.
+class _Places(NamedTuple):
+    """Every slot of every node of a run of Kronecker sums, node after node
+    and each node's slots in slot order: the node, the slot's place among
+    the node's slots, its dimension n, its stride (the product of the
+    dimensions of the node's later slots) and where its n x n Y and
+    eigenvectors start in ``mats`` and ``vectors``, which hold each slot of
+    the run once, raveled."""
+
+    node: np.ndarray
+    place: np.ndarray
+    n: np.ndarray
+    stride: np.ndarray
+    offset: np.ndarray
+    mats: np.ndarray
+    vectors: np.ndarray
+
+
+def _places(ops) -> _Places:
+    rows, start, mats, vectors = [], {}, [], []
+    at = 0
+    for i, op in enumerate(ops):
+        slots = op._factors.slots
+        stride = op.dim // op._factors.h0.shape[0]
+        for place, slot in enumerate(slots):
+            n = slot.mat.shape[0]
+            if (offset := start.get(id(slot))) is None:  # the run's slots, each once
+                offset = start[id(slot)] = at
+                at += n * n
+                mats.append(slot.mat.ravel())
+                vectors.append(slot.vectors.ravel())
+            stride //= n
+            rows.append((i, place, n, stride, offset))
+    columns = np.array(rows, dtype=np.intp).reshape(-1, 5).T
+    return _Places(*columns, *(np.concatenate(a) if a else np.zeros(0) for a in (mats, vectors)))
+
+
+def _binned(index: np.ndarray, terms: np.ndarray, size: int) -> np.ndarray:
+    """np.bincount(index, terms, size) for real or complex terms: entry c
+    sums the terms at c, in their order."""
+    if not np.iscomplexobj(terms):
+        return np.bincount(index, terms, size)
+    out = np.empty(size, dtype=terms.dtype)
+    out.real = np.bincount(index, terms.real, size)
+    out.imag = np.bincount(index, terms.imag, size)
+    return out
+
+
+def _applied(ops, places: _Places, v: np.ndarray) -> np.ndarray:
+    """H v for every node of a run of `_kronecker_sum` nodes that share H0
+    and X, whose slots ``places`` lists: ``v`` holds a vector, or a block
+    of c columns, per node, node after node, and so does the result.
+
+    H0 and X act on the base index of the whole run at once, each as one
+    product with a (d0, sum_I N_I c) array, N_I the node's slot states.
+    K adds, on every entry, each slot's sum of Y[s, q] times the entry at
+    slot state q, its other indices kept.  A slot of a node of at least
+    `_MATMUL_ROWS` rows is one product of Y with the node's entries viewed
+    as (before, n, after); the terms of the other slots of the run are
+    gathered and summed by bincount (`_binned`), a quarter of `DIM_CAP`
+    terms at a time, so that the dozen index arrays of a chunk hold no
+    more than a few frames of a run do."""
+    f = ops[0]._factors
+    d0, c = f.h0.shape[0], (v.shape[1] if v.ndim == 2 else 1)
+    dims = np.array([op.dim for op in ops], dtype=np.intp)
+    starts = np.cumsum(dims) - dims
+    v2 = v.reshape(v.shape[0], c)
+    kv = np.zeros(v2.shape, dtype=np.result_type(v, places.mats))
+    rows = dims[places.node]
+    for p in np.flatnonzero(rows >= _MATMUL_ROWS).tolist():
+        n, offset, start = int(places.n[p]), int(places.offset[p]), int(starts[places.node[p]])
+        shape = (-1, n, int(places.stride[p]) * c)
+        view = kv[start:start + int(rows[p])].reshape(shape)
+        view += places.mats[offset:offset + n * n].reshape(n, n) @ v2[
+            start:start + int(rows[p])].reshape(shape)
+    count = np.where(rows >= _MATMUL_ROWS, 0, rows * places.n)
+    ends = np.cumsum(count)
+    for first in range(0, int(ends[-1]) if ends.size else 0, DIM_CAP):
+        term = np.arange(first, min(first + DIM_CAP, int(ends[-1])))
+        at = np.searchsorted(ends, term, side="right")  # the place of every term
+        n, stride = places.n[at], places.stride[at]
+        entry, q = np.divmod(term - ends[at] + count[at], n)
+        s = entry // stride % n
+        rows = entry + starts[places.node[at]]
+        cols = rows + (q - s) * stride
+        terms = places.mats[places.offset[at] + s * n + q]
+        for j in range(c):
+            kv[:, j] += _binned(rows, terms * v2[cols, j], v.shape[0])
+    width = dims // d0 * c
+    perm = (np.repeat(starts * c - np.cumsum(width) + width, width) + np.arange(width.sum())
+            + np.arange(d0)[:, None] * np.repeat(width, width))
+    out = np.empty(v.shape, dtype=np.result_type(kv, f.h0, f.x))
+    out.reshape(-1)[perm] = f.h0 @ v.reshape(-1)[perm] - f.x @ kv.reshape(-1)[perm]
+    return out
+
+
+def _block_spectra(ops, shifts) -> tuple[list[Spectrum], Exception | None]:
+    """The spectra of a run of `_kronecker_sum` nodes that share H0 and X,
+    given each node's shifts k, the eigenvalues of its K in slot order
+    (`_shifts`), read in array passes over the run: the spectra of the
+    longest leading nodes that read, and the failure of the node after
+    them (None when every node reads).  A node read alone is a run of one.
 
     The product V of the slots' eigenbases diagonalises K, so H is unitarily
     equivalent to the direct sum of the blocks H0 - k X, k running over the
     eigenvalues of K, each a sum of one eigenvalue per slot (Horn & Johnson,
-    *Topics in Matrix Analysis*, 4.4).  The blocks' eigenpairs are read from
-    the family's `_BlockCache`: a node of a run that its family loaded reads
-    the blocks of the whole run, decomposed in one batched `eigh`, each
-    block its nodes share once, and a node read alone is a run of one,
-    whose blocks are let go once read.  The ground vector is
-    phi (x) v, phi the lowest block eigenvector and v the column of V at its
-    k, built in O(dim), and no dim x dim eigenbasis is formed: the spectrum
-    has the shape of a dense record's, every eigenvalue and the ground
-    vector.  The pair is kept only when H applied by reshape
-    (`_KroneckerFactors.apply`), with no matrix formed, confirms it:
-    ||H psi - E psi|| <= BLOCK_RESIDUAL_TOL * ||H||.  Slot eigenpairs that
-    disagree with the slots raise `Inconsistent`.
+    *Topics in Matrix Analysis*, 4.4).  The blocks at the run's distinct
+    shifts, told apart by their bits (-0.0 and 0.0 can give blocks whose
+    zeros differ in sign), are decomposed in one batched `eigh` and let go
+    on return; LAPACK runs once per matrix of a batch, so a block has the
+    same eigenpairs alone, in any batch and at any place in one.  One
+    stable sort of the run's eigenvalues by node and value gives every
+    node's ascending eigenvalues and its first least one, the ground pair
+    `argmin` picks.  The ground vector is phi (x) v, phi the lowest block
+    eigenvector and v the column of V at its k: the run's are built at
+    once, one slot place at a time, each entry the product that
+    `np.multiply.outer` forms, and their phases fixed as `_fix_phase`
+    fixes them, so no dim x dim eigenbasis is formed.  A node reads when
+    H applied by reshape (`_applied`), with no matrix formed, confirms its
+    pair: ||H psi - E psi|| <= BLOCK_RESIDUAL_TOL * ||H||.  A node that is
+    not Hermitian fails with `NonHermitian`, and one whose slot eigenpairs
+    disagree with its slots with `Inconsistent`.
     """
-    op.require_hermitian()
-    f = op._factors
-    k = f.k
-    rows = f.blocks.rows(k)
-    alone = rows is None  # not of a loaded run
-    if alone:
-        f.blocks.load(k)
-        rows = f.blocks.rows(k)
-    values = f.blocks.values[rows]
-    block, level = divmod(int(values.argmin()), f.h0.shape[0])
-    ground = f.blocks.vectors[rows[block], :, level].copy()  # _fix_phase rotates it in place
-    if alone:
-        f.blocks.clear()
-    for slot, column in zip(f.slots, np.unravel_index(block, [s.values.size for s in f.slots])):
-        ground = np.multiply.outer(ground, slot.vectors[:, column]).ravel()
-    _fix_phase(ground)
-    eigenvalues = np.sort(values, axis=None)
-    scale = max(-eigenvalues[0], eigenvalues[-1])
-    residual = float(np.linalg.norm(f.apply(ground) - eigenvalues[0] * ground))
-    if not residual <= BLOCK_RESIDUAL_TOL * scale:
-        raise Inconsistent(f"block ground pair of the operator on {op.space!r} has residual "
-                           f"{residual:.3e}, above {BLOCK_RESIDUAL_TOL:g} * ||H||")
-    return Spectrum(eigenvalues, ground)
+    failure = None
+    for i, op in enumerate(ops):
+        try:
+            op.require_hermitian()
+        except NonHermitian as exc:
+            ops, shifts, failure = ops[:i], shifts[:i], exc
+            break
+    if not ops:
+        return [], failure
+    f = ops[0]._factors
+    d0 = f.h0.shape[0]
+    size = np.array([k.size for k in shifts], dtype=np.intp)
+    values, vectors, inverse = _blocks(f.h0, f.x, np.concatenate(shifts))
+    flat = values[inverse].ravel()  # node after node, its blocks in k order
+    first_block = np.cumsum(size) - size
+    dims = size * d0
+    starts = first_block * d0  # of a node's eigenvalues in flat, and of its ground vector
+    order = np.lexsort((flat, np.repeat(np.arange(size.size), dims)))
+    eigenvalues = flat[order]
+    block, level = np.divmod(order[starts] - starts, d0)
+    places = _places(ops)
+    phi = vectors[inverse[first_block + block], :, level]
+    # a node's vector has its own dtype, complex only when phi or one of
+    # its slots is, as its own products would give it
+    kinds = [any(np.iscomplexobj(slot.vectors) for slot in op._factors.slots) for op in ops] \
+        if np.isrealobj(phi) and np.iscomplexobj(places.vectors) else []
+    if len(set(kinds)) <= 1:
+        ground = _ground_vectors(phi, block, size, places)
+        pieces = [ground[start:start + dim] for start, dim in zip(starts.tolist(), dims.tolist())]
+    else:
+        pieces = [None] * len(ops)
+        for kind in (False, True):
+            at = [i for i, k in enumerate(kinds) if k is kind]
+            part = _ground_vectors(phi[at], block[at], size[at], _places([ops[i] for i in at]))
+            for i, start, dim in zip(at, (np.cumsum(dims[at]) - dims[at]).tolist(),
+                                     dims[at].tolist()):
+                pieces[i] = part[start:start + dim]
+        ground = np.concatenate(pieces)
+    energy = eigenvalues[starts]
+    scale = np.maximum(-energy, eigenvalues[starts + dims - 1])
+    miss = _applied(ops, places, ground)
+    miss -= np.repeat(energy, dims) * ground
+    residual = np.sqrt(np.add.reduceat(miss.real ** 2 + miss.imag ** 2 if np.iscomplexobj(miss)
+                                       else miss * miss, starts))
+    for i in np.flatnonzero(~(residual <= BLOCK_RESIDUAL_TOL * scale))[:1].tolist():
+        ops, failure = ops[:i], Inconsistent(
+            f"block ground pair of the operator on {ops[i].space!r} has residual "
+            f"{residual[i]:.3e}, above {BLOCK_RESIDUAL_TOL:g} * ||H||")
+    eigenvalues.setflags(write=False)
+    gaps = np.where(dims > 1, eigenvalues[np.minimum(starts + 1, eigenvalues.size - 1)] - energy,
+                    np.inf).tolist()
+    spectra = []
+    for start, dim, gap, vector in zip(starts[:len(ops)].tolist(), dims.tolist(), gaps, pieces):
+        if np.iscomplexobj(vector) and not vector.imag.any():
+            vector = _freeze(vector)  # real, as `_numeric` makes it
+        vector.base.setflags(write=False)
+        spectra.append(Spectrum._read(eigenvalues[start:start + dim], vector, gap))
+    return spectra, failure
+
+
+def _blocks(h0: np.ndarray, x: np.ndarray, k: np.ndarray):
+    """(values, vectors, row): the eigenpairs of the blocks H0 - k X at the
+    distinct shifts of ``k``, told apart by their bits, from one batched
+    `eigh`, and the row of each shift of ``k``."""
+    bits, row = np.unique(k.view(np.int64), return_inverse=True)
+    values, vectors = np.linalg.eigh(h0 - bits.view(np.float64)[:, None, None] * x)
+    return values, vectors, row
+
+
+def _ground_vectors(phi: np.ndarray, block: np.ndarray, size: np.ndarray,
+                    places: _Places) -> np.ndarray:
+    """phi[i] (x) v_1 (x) ... for every node i of a run, one after another,
+    phase fixed: v_j is column c_j of the j-th slot's eigenbasis, c the
+    digits of the node's ``block`` in the slots' dimensions.  Entry (a, s)
+    of node i is ((phi[i, a] v_1[s_1, c_1]) v_2[s_2, c_2]) ..., the
+    products of `np.multiply.outer` in slot order, so it has their bits,
+    in the dtype of phi and of the run's slots."""
+    d0 = phi.shape[1]
+    dims = size * d0
+    starts = np.cumsum(dims) - dims
+    a, s = np.divmod(np.arange(dims.sum()) - np.repeat(starts, dims), np.repeat(size, dims))
+    out = phi.astype(np.result_type(phi, places.vectors))[np.repeat(np.arange(size.size), dims), a]
+    for place in range(int(places.place.max(initial=-1)) + 1):
+        at = places.place == place
+        node, n, stride = places.node[at], places.n[at], places.stride[at]
+        has = np.zeros(size.size, dtype=bool)
+        has[node] = True
+        rows = np.flatnonzero(np.repeat(has, dims))
+        count = dims[node]
+        n_r, stride_r = np.repeat(n, count), np.repeat(stride, count)
+        column = np.repeat(block[node] // stride % n + places.offset[at], count)
+        out[rows] *= places.vectors[column + s[rows] // stride_r % n_r * n_r]
+    mags = np.abs(out)  # `_fix_phase`, node by node
+    big = np.flatnonzero(mags > np.repeat(PHASE_PIVOT_FACTOR * np.maximum.reduceat(mags, starts),
+                                          dims))
+    pivot = np.append(big, out.size)[np.searchsorted(big, starts)]
+    pivot = out[np.where(pivot < starts + dims, pivot, starts)]
+    out *= np.repeat(pivot.conjugate() / np.abs(pivot), dims)
+    return out
 
 
 def op_exp(op: LinearOperator, t: float) -> LinearOperator:

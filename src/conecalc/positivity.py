@@ -10,7 +10,8 @@ on the support pattern of that matrix, one frontier sweep per source
 walk lengths, and two from generator 0 for irreducibility, one along the
 edges and one against them.  A real Kronecker sum on a cone whose signs
 depend on its base index alone is decided from its factors instead
-(`_factor_improving`), with the same floats and no matrix.
+(`_factors_improving`, one pass over a run of a family's nodes), with the
+same floats and no matrix.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from .numerics import (
     DEFAULT_TOL,
     LinearOperator,
     Spectrum,
-    _block_spectrum,
+    _block_spectra,
+    _shifts,
     _strongly_connected,
     _walk_lengths,
     hermitian_eig,
@@ -192,14 +194,17 @@ def _metzler_coords(h: LinearOperator, cone: SelfDualCone,
     return None if above.any() else (m, scale)
 
 
-def _factor_improving(h: LinearOperator, cone: SelfDualCone, tol: float) -> bool | None:
-    """`generates_improving_semigroup` of a real Kronecker sum
-    H = H0 (x) 1 - X (x) K on a sign cone whose signs t[a] depend on the
-    base index alone (`SelfDualCone._fibers`), read from the entry table of
-    H (`numerics._EntryTable`) with H0 and X flipped to t[a] t[b] h0[a, b]
+def _factors_improving(hs, cones, tol: float) -> list[bool | None]:
+    """`generates_improving_semigroup` of each real Kronecker sum
+    H = H0 (x) 1 - X (x) K of a run of a family's nodes, on a sign cone
+    whose signs t[a] depend on the base index alone
+    (`SelfDualCone._fibers`), read from the entry table of H
+    (`numerics._EntryTable`) with H0 and X flipped to t[a] t[b] h0[a, b]
     and t[a] t[b] x[a, b]; None where the dense route decides.  The nodes
     of one `stability._KroneckerFamily` share their cone's fibers, with
-    t[a] t[b], and their tables carry the facts of X alone.
+    t[a] t[b], and their tables carry the facts of X alone.  The run's
+    tables are read in one pass: their diagonals side by side, each
+    against its own threshold.
 
     The Metzler test and the edge threshold tol * max|H| compare the same
     floats as the dense route.  A fiber {a} x S is strongly connected when
@@ -212,32 +217,53 @@ def _factor_improving(h: LinearOperator, cone: SelfDualCone, tol: float) -> bool
     negative (the structural zeros would then be edges), or H0, X or a
     slot is complex or not finite, the dense route decides.
     """
-    f = h._factors
-    if f is None or (table := f.table) is None or not tol >= 0:
-        return None
-    h.require_hermitian()
-    if (fibers := cone._fibers(h, f.h0.shape[0])) is None:
-        return None
-    thresh = tol * table.scale
-    flip = fibers.flip
-    diagonal = table.diagonal * flip[:, :, None]
-    above = diagonal > thresh
+    verdicts: list[bool | None] = [None] * len(hs)
+    read, flips = [], []
+    for i, (h, cone) in enumerate(zip(hs, cones)):
+        f = h._factors
+        if f is None or f.table is None or not tol >= 0:
+            continue
+        h.require_hermitian()
+        if (fibers := cone._fibers(h, f.h0.shape[0])) is not None:
+            read.append(i)
+            flips.append(fibers.flip)
+    if not read:
+        return verdicts
+    tables = [hs[i]._factors.table for i in read]
+    f = hs[read[0]]._factors
     base = np.arange(f.h0.shape[0])
+    flip = np.stack(flips)  # (node, a, b)
+    width = np.array([table.diagonal.shape[2] for table in tables])
+    starts = np.cumsum(width) - width
+    thresh = tol * np.array([table.scale for table in tables])
+    diagonal = np.concatenate([table.diagonal for table in tables], axis=2)
+    diagonal *= np.repeat(flip, width, axis=0).transpose(1, 2, 0)
+    edge = np.repeat(thresh, width)
+    above = diagonal > edge
     above[base, base] = False
-    if above.any():
-        return False
-    quotient = (diagonal < -thresh).any(axis=2)
-    if table.low is not None:
-        x = f.x * flip
-        ends = x * table.low, x * table.high
-        if np.minimum(*ends).min() < -thresh:  # an entry -x[a, b] y[p, q] above thresh
-            return False
-        quotient |= np.maximum(*ends) > thresh
-        if not (table.x_positive_weights
-                and (thresh < np.diagonal(f.x) * table.bottleneck).all()):
-            return None
-    quotient[base, base] = True
-    return bool(quotient.all()) or _strongly_connected(quotient)  # a complete digraph is connected
+    metzler = ~np.logical_or.reduceat(above.any(axis=(0, 1)), starts)
+    quotient = np.logical_or.reduceat(diagonal < -edge, starts, axis=2).transpose(2, 0, 1)
+    coupled = np.array([table.low is not None for table in tables])
+    fibers = np.ones(len(read), dtype=bool)
+    if coupled.any():
+        x = f.x * flip[coupled]
+        low = np.array([table.low for table in tables if table.low is not None])[:, None, None]
+        high = np.array([table.high for table in tables if table.low is not None])[:, None, None]
+        ends = x * low, x * high
+        at = thresh[coupled]
+        # an entry -x[a, b] y[p, q] above thresh
+        metzler[coupled] &= ~(np.minimum(*ends).min(axis=(1, 2)) < -at)
+        quotient[coupled] |= np.maximum(*ends) > at[:, None, None]
+        bottleneck = np.array([table.bottleneck for table in tables if table.low is not None])
+        fibers[coupled] = tables[0].x_positive_weights and (
+            at[:, None] < np.diagonal(f.x) * bottleneck[:, None]).all(axis=1)
+    quotient[:, base, base] = True
+    for i, ok, connected, q in zip(read, metzler.tolist(), fibers.tolist(), quotient):
+        if not ok:
+            verdicts[i] = False
+        elif connected:  # a complete digraph is connected
+            verdicts[i] = bool(q.all()) or _strongly_connected(q)
+    return verdicts
 
 
 def generates_positive_semigroup(h: LinearOperator, cone: SelfDualCone,
@@ -262,12 +288,20 @@ def generates_improving_semigroup(h: LinearOperator, cone: SelfDualCone,
     generator, so two sweeps from one vertex decide it, one along the edges
     and one against them.  The all-pairs walk lengths stay with `is_ergodic`.
     """
-    if (verdict := _factor_improving(h, cone, tol)) is not None:
-        return verdict
-    if (coords := _metzler_coords(h, cone, tol)) is None:
-        return False
-    m, scale = coords
-    return _strongly_connected(m < -tol * scale)  # the diagonal never shortens a walk
+    return _improving([h], [cone], tol)[0]
+
+
+def _improving(hs, cones, tol: float) -> list[bool]:
+    """`generates_improving_semigroup` of each (H, cone) of a run: the
+    Kronecker sums that their factors decide read in one pass
+    (`_factors_improving`), and every other H by the dense route."""
+    verdicts = _factors_improving(hs, cones, tol)
+    for i, verdict in enumerate(verdicts):
+        if verdict is None:
+            coords = _metzler_coords(hs[i], cones[i], tol)
+            # the diagonal never shortens a walk
+            verdicts[i] = coords is not None and _strongly_connected(coords[0] < -tol * coords[1])
+    return verdicts
 
 
 @dataclass(frozen=True)
@@ -289,6 +323,39 @@ def _toward_cone(x: np.ndarray, cone: SelfDualCone) -> np.ndarray:
     if total.imag != 0.0:
         return x * (abs(total) / total)
     return -x if total.real < 0.0 else x
+
+
+def _grounds(spectra, cones) -> list[GroundState]:
+    """The ground state of each spectrum of a run, oriented toward its cone
+    (`_toward_cone`).  A real vector on a sign cone is negated when its
+    coordinates sum below 0; the run's sums are read in one pass, and a
+    node's own sum is taken again only where the pass's, which adds in
+    another order, lies within its rounding bound of 0, so every sign is
+    `_toward_cone`'s.  Other vectors and cones are read one by one."""
+    vectors = [spectrum.ground_vector for spectrum in spectra]
+    signed = [i for i, (x, cone) in enumerate(zip(vectors, cones))
+              if cone._sign_basis is not None and not np.iscomplexobj(x) and x.size == cone.dim]
+    if signed:
+        dims = np.array([vectors[i].size for i in signed])
+        starts = np.cumsum(dims) - dims
+        x = np.concatenate([vectors[i] for i in signed])
+        coords = x * np.concatenate([cones[i]._sign_basis.signs for i in signed])
+        total = np.add.reduceat(coords, starts)
+        bound = 4.0 * np.finfo(float).eps * dims * np.add.reduceat(np.abs(coords), starts)
+        for j in np.flatnonzero(np.abs(total) <= bound).tolist():
+            total[j] = coords[starts[j]:starts[j] + dims[j]].sum()
+        del x, coords
+        flipped = [signed[j] for j in np.flatnonzero(total < 0.0).tolist()]
+        if flipped:
+            x = -np.concatenate([vectors[i] for i in flipped])
+            x.setflags(write=False)
+            start = 0
+            for i in flipped:
+                start, vectors[i] = start + vectors[i].size, x[start:start + vectors[i].size]
+    for i in set(range(len(vectors))).difference(signed):
+        vectors[i] = _toward_cone(vectors[i], cones[i])
+    return [GroundState(spec.ground_energy, spec.gap01, spec.simple, psi)
+            for spec, psi in zip(spectra, vectors)]
 
 
 def ground_state(h: LinearOperator, cone: SelfDualCone, tol: float = DEFAULT_TOL) -> GroundState:
@@ -315,11 +382,12 @@ class NodeAnalysis:
     The record keeps facts, not an eigenbasis: its spectrum holds the
     eigenvalues and the ground vector alone.  A Kronecker sum (a lattice
     node, a tower level, the `stability` coupling recipe) reads its
-    eigenpairs from the d0 x d0 blocks that its family's block cache
-    (`numerics._BlockCache`) decomposed for a run of the family's nodes
-    (`numerics._block_spectrum`), which forms no eigenbasis, and its
-    improving verdict is read from its factors and the entry table its
-    family built (`_factor_improving`), so neither builds its matrix; any other
+    eigenpairs from its d0 x d0 blocks (`numerics._block_spectra`), which
+    forms no eigenbasis, and its improving verdict from its factors and the
+    entry table its family built (`_factors_improving`), so neither builds
+    its matrix.  Its family reads both for a run of its nodes in one pass
+    and hands each record its own (`stability._KroneckerFamily.records`);
+    a node read alone, as a tower level is, is a run of one.  Any other
     Hamiltonian takes `hermitian_eig`, which copies out and phase-fixes the
     ground column alone.
     """
@@ -334,9 +402,12 @@ class NodeAnalysis:
 
     @cached_property
     def spectrum(self) -> Spectrum:
-        if self.hamiltonian._factors is not None:
-            return _block_spectrum(self.hamiltonian)
-        return hermitian_eig(self.hamiltonian)
+        if (f := self.hamiltonian._factors) is None:
+            return hermitian_eig(self.hamiltonian)
+        spectra, failure = _block_spectra([self.hamiltonian], [_shifts(f.slots)])
+        if failure is not None:
+            raise failure
+        return spectra[0]
 
     @property
     def norm(self) -> float:
@@ -344,6 +415,4 @@ class NodeAnalysis:
 
     @cached_property
     def ground(self) -> GroundState:
-        spec = self.spectrum
-        psi = _toward_cone(spec.ground_vector, self.cone)
-        return GroundState(spec.ground_energy, spec.gap01, spec.simple, psi)
+        return _grounds([self.spectrum], [self.cone])[0]

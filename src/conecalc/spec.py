@@ -294,7 +294,10 @@ def _task_mu(ctx: RunContext, hamiltonian, observable, cone):
 
 
 def _chain_node(ctx: RunContext, hamiltonian, cone):
-    return ctx.operator(hamiltonian), ctx.cone(cone)
+    h, p = ctx.operator(hamiltonian), ctx.cone(cone)
+    _one_dimension(("hamiltonian", hamiltonian, h), ("cone", cone, p))
+    _one_space(("hamiltonian", hamiltonian, h), ("cone", cone, p))
+    return h, p
 
 
 def _task_chain(ctx: RunContext, nodes, embeddings=[], observable=None):

@@ -15,7 +15,7 @@ from .errors import DimCap, PreconditionFailed, SignRuleFailed
 from .inheritance import Embedding
 from .numerics import DEFAULT_TOL, LinearOperator
 from .positivity import NodeAnalysis, generates_positive_semigroup
-from .stability import _quantum_number
+from .stability import _quantum_numbers
 
 SITE_CAP = 12
 SECTOR_TOL = 1e-12  # a sector is non-empty when n/2 - M is within this of a whole number
@@ -263,7 +263,7 @@ def verify_mlm(system: SpinSystem, m: float = 0.0, tol: float = DEFAULT_TOL) -> 
     o_r = LinearOperator(cone.space, _total_spin_sq(n, basis))
     o_r.require_hermitian()
     values = _total_spin_values(n, m)  # ascending, so the last is the norm
-    mu, mu_snapped, _, _ = _quantum_number(node, o_r, float(values[-1]), values)
+    (mu, mu_snapped, _, _), = _quantum_numbers([node], o_r, float(values[-1]), values, [None])
     s_star = abs(len(system.sublattice_a) - len(system.sublattice_b)) / 2.0
     s = max(s_star, round(2 * abs(m)) / 2.0)  # the |M| of the sector built
     expected = s * (s + 1.0)

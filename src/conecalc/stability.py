@@ -41,13 +41,15 @@ from .inheritance import (
 from .numerics import (
     DEFAULT_TOL,
     LinearOperator,
+    _applied,
     _base_table,
-    _BlockCache,
+    _block_spectra,
     _check_density,
     _EntryTable,
     _kron,
     _kronecker_slot,
     _kronecker_sum,
+    _places,
     _reduced,
     _shifts,
     _Slot,
@@ -57,7 +59,14 @@ from .numerics import (
     product_space,
     uniform_vector,
 )
-from .positivity import GroundState, NodeAnalysis, _toward_cone, generates_improving_semigroup
+from .positivity import (
+    GroundState,
+    NodeAnalysis,
+    _grounds,
+    _improving,
+    _toward_cone,
+    generates_improving_semigroup,
+)
 
 COMMUTATOR_TOL = 1e-10
 SNAP_TOL_FACTOR = 1e-8
@@ -75,32 +84,16 @@ def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return c
 
 
-def _commutes(h: LinearOperator, o: np.ndarray, scale: float,
-              frame: np.ndarray | None = None) -> bool:
-    """Whether ||[H, T O T^*]|| <= COMMUTATOR_TOL*scale for Hermitian H and
-    O, where scale is ||H||*||O|| and T is the ``frame``, an n x d0 array
-    with orthonormal columns that pushes O from its base space; without a
-    frame T is the identity and the test is of [H, O] itself.
-
-    With A = H T, read from the factors of a Kronecker sum, G = T^* A and
-    L = A - T G, which is orthogonal to the range of T,
-    [H, T O T^*] = T [G, O] T^* + L O T^* - T O L^*.  The three terms fill
-    orthogonal blocks, so the Frobenius norm squared, which bounds the
-    spectral norm from above, is ||[G, O]||_F^2 + 2 ||L O||_F^2.  The first
-    term is summed over blocks of rows of [G, O], so no n x n product is
-    formed.  Only when that bound exceeds the threshold is the spectral
-    norm itself computed: with L = Q R, Q orthogonal to the frame, the
-    commutator on the range of [T, Q] is the anti-Hermitian
-    [[G O - O G, -(R O)^*], [R O, 0]], whose norm is the largest |eigenvalue|
-    of i times it, complex even when H and O are real.  Without a frame
-    G = H and L = 0, and that matrix is [H, O] alone.
+def _commutes(h: LinearOperator, o: np.ndarray, scale: float) -> bool:
+    """Whether ||[H, O]|| <= COMMUTATOR_TOL*scale for Hermitian H and O on
+    one space, scale being ||H||*||O||.  The Frobenius norm, which bounds
+    the spectral norm from above, is summed over blocks of rows of [H, O],
+    so no second n x n product is held; only when that bound exceeds the
+    threshold is the spectral norm itself computed, as the largest
+    |eigenvalue| of i[H, O].  A Hamiltonian read through a frame, a pushed
+    observable, is tested by `_commuting`.
     """
-    if frame is None:
-        g, beyond = h.mat, None
-    else:
-        a = h._factors.apply(frame) if h._factors is not None else h.mat @ frame
-        g = frame.conj().T @ a
-        beyond = a - frame @ g
+    g = h.mat
     thresh = COMMUTATOR_TOL * max(scale, 1e-300)
     square = 0.0
     for start in range(0, g.shape[0], _COMMUTATOR_ROWS):
@@ -108,16 +101,78 @@ def _commutes(h: LinearOperator, o: np.ndarray, scale: float,
         block = g[rows] @ o
         block -= o[rows] @ g
         square += float(np.vdot(block, block).real)
-    if beyond is not None:
-        lo = beyond @ o
-        square += 2.0 * float(np.vdot(lo, lo).real)
-    if math.sqrt(square) <= thresh:
-        return True
-    c = _commutator(g, o)
-    if beyond is not None:
-        ro = np.linalg.qr(beyond, mode="r") @ o
-        c = np.block([[c, -ro.conj().T], [ro, np.zeros_like(ro)]])
-    return float(np.abs(np.linalg.eigvalsh(1j * c)).max()) <= thresh
+    return (math.sqrt(square) <= thresh
+            or float(np.abs(np.linalg.eigvalsh(1j * _commutator(g, o))).max()) <= thresh)
+
+
+def _squares(m: np.ndarray) -> np.ndarray:
+    """The squared norm of every row of ``m``."""
+    if np.iscomplexobj(m):
+        return (m.real ** 2).sum(axis=1) + (m.imag ** 2).sum(axis=1)
+    return (m * m).sum(axis=1)
+
+
+def _norm(x: np.ndarray) -> float:
+    """np.linalg.norm of a vector, summed as it sums it, without its
+    checks: sqrt(x . x), or of the real and imaginary parts' sum."""
+    if np.iscomplexobj(x):
+        real, imag = x.real, x.imag
+        return math.sqrt(real.dot(real) + imag.dot(imag))
+    return math.sqrt(x.dot(x))
+
+
+def _commuting(hs, o: np.ndarray, scales, frames) -> list[bool]:
+    """Whether ||[H, T O T^*]|| <= COMMUTATOR_TOL*scale for each H of a run,
+    with its scale ||H||*||O|| and its frame T, an n x d0 array with
+    orthonormal columns that pushes O from its base space, or None, the
+    identity, where the test is of [H, O] itself (`_commutes`).  The
+    run's Kronecker sums share H0 and X.
+
+    With A = H T, G = T^* A and L = A - T G, which is orthogonal to the
+    range of T, [H, T O T^*] = T [G, O] T^* + L O T^* - T O L^*.  The three
+    terms fill orthogonal blocks, so the Frobenius norm squared, which
+    bounds the spectral norm from above, is ||[G, O]||_F^2 + 2 ||L O||_F^2.
+    The framed Hamiltonians of a run are read at once: A for all of them,
+    the Kronecker sums by one `numerics._applied` of the stacked frames,
+    then G, L and both norms as array passes over the stacked rows, so no
+    n x n product is formed.  Only where that bound exceeds the threshold
+    is the spectral norm itself computed: with L = Q R, Q orthogonal to the
+    frame, the commutator on the range of [T, Q] is the anti-Hermitian
+    [[G O - O G, -(R O)^*], [R O, 0]], whose norm is the largest
+    |eigenvalue| of i times it, complex even when H and O are real.
+    """
+    verdicts = [None if frame is not None else _commutes(h, o, scale)
+                for h, scale, frame in zip(hs, scales, frames)]
+    framed = [i for i, frame in enumerate(frames) if frame is not None]
+    if not framed:
+        return verdicts
+    ops = [hs[i] for i in framed]
+    t = np.concatenate([frames[i] for i in framed])
+    rows = np.array([frames[i].shape[0] for i in framed])
+    starts = np.cumsum(rows) - rows
+    if all(op._factors is not None for op in ops):
+        a = _applied(ops, _places(ops), t)
+    else:
+        a = np.concatenate([op.mat @ frames[i] for i, op in zip(framed, ops)])
+    d0 = o.shape[0]
+    g = np.stack([np.add.reduceat(t[:, b, None].conj() * a, starts) for b in range(d0)], axis=1)
+    node = np.repeat(np.arange(len(framed)), rows)
+    beyond = a if a.dtype == np.result_type(a, t, g) else a.astype(np.result_type(a, t, g))
+    del a
+    for b in range(d0):
+        beyond -= t[:, b, None] * g[node, b]
+    del node, t
+    c = g @ o - o @ g
+    square = _squares(c.reshape(len(framed), -1)) + 2.0 * np.add.reduceat(
+        _squares(beyond @ o), starts)
+    for j, i in enumerate(framed):
+        thresh = COMMUTATOR_TOL * max(scales[i], 1e-300)
+        verdicts[i] = bool(math.sqrt(square[j]) <= thresh)
+        if not verdicts[i]:
+            ro = np.linalg.qr(beyond[starts[j]:starts[j] + rows[j]], mode="r") @ o
+            block = np.block([[c[j], -ro.conj().T], [ro, np.zeros_like(ro)]])
+            verdicts[i] = float(np.abs(np.linalg.eigvalsh(1j * block)).max()) <= thresh
+    return verdicts
 
 
 def _hermitian_norm(op: LinearOperator) -> float:
@@ -184,47 +239,77 @@ def good_quantum_number(h: LinearOperator, o: LinearOperator, cone: SelfDualCone
     o.require_hermitian()
     node = NodeAnalysis(h, cone, tol)
     o_spectrum = hermitian_eig(o)
-    mu, snapped, residual, _ = _quantum_number(node, o, o_spectrum.norm, o_spectrum.eigenvalues)
+    mu, snapped, residual, _ = _quantum_numbers([node], o, o_spectrum.norm,
+                                                o_spectrum.eigenvalues, [None])[0]
     comm = float(np.linalg.norm(_commutator(h.mat, o.mat), 2))
     return GoodQuantumNumber(mu, snapped, residual, comm, node.ground)
 
 
-def _quantum_number(node: NodeAnalysis, o: LinearOperator, o_norm: float, candidates,
-                    frame: np.ndarray | None = None) -> tuple[float, float, float, np.ndarray]:
-    """The quantum number of O on ``node.ground``, given the norm of O and
-    the eigenvalues to snap to: (mu, snapped mu, residual |O psi - mu psi|,
-    O psi).
+def _quantum_numbers(records, o: LinearOperator, o_norm: float, candidates,
+                     frames) -> list[tuple[float, float, float, np.ndarray]]:
+    """The quantum number of O on the ground state of each record of a run,
+    given the norm of O, the eigenvalues to snap to and each node's frame:
+    (mu, snapped mu, residual |O psi - mu psi|, O psi) per node.  A node
+    read alone is a run of one.
 
-    H must commute with O, be improving-class on the node's cone and have a
-    simple ground state, which must be an eigenvector of O.  Given a
-    ``frame`` T, the observable is T O T^*, pushed from the base space,
-    and is never formed: commutation is `_commutes` through the frame, and
-    with phi = T^* psi, mu = <phi, O phi> and O psi is T (O phi).
+    Each H must commute with its observable, be improving-class on its
+    cone and have a simple ground state, which must be an eigenvector of
+    the observable.  The first node that fails one of these, in order,
+    raises.  Given a frame T, the observable is T O T^*, pushed from the
+    base space, and is never formed: commutation is `_commuting` through
+    the frames, all of the run's at once, and with phi = T^* psi,
+    mu = <phi, O phi> and O psi is T (O phi).  The run's O phi and mu are
+    one stacked product each, which gives every node the bits of its own
+    product.
     """
-    h = node.hamiltonian
-    if h.dim != (o.dim if frame is None else frame.shape[0]):
-        raise NotCommuting("operators act on different spaces")
-    if not _commutes(h, o.mat, node.norm * o_norm, frame):
-        raise NotCommuting("Hamiltonian does not commute with the observable")
-    if not node.improving:
-        raise NotInAPlus("Hamiltonian is not improving-class on the cone")
-    g = node.ground
-    if not g.simple:
-        raise NotSimple(f"ground gap {g.gap01:.3e} is below the simplicity threshold")
-    psi = g.vector
-    phi = psi if frame is None else frame.conj().T @ psi
-    o_phi = o.mat @ phi
-    mu = float(np.vdot(phi, o_phi).real)
-    o_psi = o_phi if frame is None else frame @ o_phi
-    o_scale = max(o_norm, 1e-300)
+    o_mat, d0 = o.mat, o.dim
     candidates = np.asarray(candidates, dtype=float)
-    snapped = float(candidates[np.argmin(np.abs(candidates - mu))])
-    residual = float(np.linalg.norm(o_psi - mu * psi))
-    if residual > SNAP_TOL_FACTOR * o_scale or abs(mu - snapped) > SNAP_TOL_FACTOR * o_scale:
-        raise Inconsistent(
-            f"ground state is not an observable eigenvector: residual {residual:.3e}"
-        )
-    return mu, snapped, residual, o_psi
+    failure = None
+    for i, (record, frame) in enumerate(zip(records, frames)):
+        if record.hamiltonian.dim != (d0 if frame is None else frame.shape[0]):
+            records, failure = records[:i], NotCommuting("operators act on different spaces")
+            break
+    frames = frames[:len(records)]
+    commute = _commuting([record.hamiltonian for record in records], o_mat,
+                         [record.norm * o_norm for record in records], frames)
+    for i, record in enumerate(records):
+        if not commute[i]:
+            exc = NotCommuting("Hamiltonian does not commute with the observable")
+        elif not record.improving:
+            exc = NotInAPlus("Hamiltonian is not improving-class on the cone")
+        elif not record.ground.simple:
+            exc = NotSimple(f"ground gap {record.ground.gap01:.3e} is below the simplicity "
+                            "threshold")
+        else:
+            continue
+        records, failure = records[:i], exc
+        break
+    psis = [record.ground.vector for record in records]
+    # frame.conj() of a real frame has its layout and its bits
+    phis = [psi if frame is None else (frame.conj() if np.iscomplexobj(frame) else frame).T @ psi
+            for psi, frame in zip(psis, frames)]
+    o_phis, mus = [None] * len(phis), [None] * len(phis)
+    for dtype in {phi.dtype for phi in phis}:  # one stack per dtype, as each was multiplied
+        at = [i for i, phi in enumerate(phis) if phi.dtype == dtype]
+        stack = np.stack([phis[i] for i in at])[:, :, None]
+        products = np.matmul(o_mat, stack)
+        values = np.matmul(stack.conj().transpose(0, 2, 1), products)[:, 0, 0].real.tolist()
+        for j, i in enumerate(at):
+            o_phis[i], mus[i] = products[j, :, 0], values[j]
+    o_scale = max(o_norm, 1e-300)
+    snapped = candidates[np.abs(candidates - np.array(mus)[:, None]).argmin(axis=1)].tolist()
+    readings = []
+    for psi, frame, o_phi, mu, mu_snapped in zip(psis, frames, o_phis, mus, snapped):
+        o_psi = o_phi if frame is None else frame @ o_phi
+        residual = _norm(o_psi - mu * psi)
+        if residual > SNAP_TOL_FACTOR * o_scale or abs(mu - mu_snapped) > SNAP_TOL_FACTOR * o_scale:
+            raise Inconsistent(
+                f"ground state is not an observable eigenvector: residual {residual:.3e}"
+            )
+        readings.append((mu, mu_snapped, residual, o_psi))
+    if failure is not None:
+        raise failure
+    return readings
 
 
 @dataclass(frozen=True)
@@ -303,8 +388,8 @@ def _chain_pass(chain: ArrowChain, o: LinearOperator,
     for j, record in enumerate(records):
         candidates = extended_candidates if j else o_spectrum.eigenvalues
         try:
-            mu, mu_snapped, _, o_psi = _quantum_number(record, o, o_spectrum.norm, candidates,
-                                                       frame)
+            (mu, mu_snapped, _, o_psi), = _quantum_numbers([record], o, o_spectrum.norm,
+                                                           candidates, [frame])
         except (NotCommuting, NotSimple, NotInAPlus) as exc:
             raise _indexed(type(exc)(f"node {j}: {exc}"), j) from exc
         values.append(mu)
@@ -347,16 +432,13 @@ class _KroneckerFamily:
     decomposed once, at the first node (the tower's sigma_x once per
     process).  The facts of a subset (`_SubsetFacts`) are made once, from
     those of the subset less its last slot, with the float operations of a
-    loop over its slots, in the same order.  The blocks H0 - k X of its
-    nodes are read through one `numerics._BlockCache`: `records` decomposes
-    those of a run of subsets in one batched `eigh`, and a node read alone,
-    as a tower level is, decomposes its own when its spectrum is first
-    read.  Neither keeps a block once the spectra are read.  The shifts of
-    a subset are summed when `records` forms its run and let go once its
-    spectrum is read, so only a run's shifts are held at once; a lone
-    re-read of its node sums them again.  The nodes of
-    one dimension share one sign basis, which carries the base cone's
-    fibers.
+    loop over its slots, in the same order.  `records` reads the spectra
+    and improving verdicts of a run of nodes in one array pass each; a
+    node read alone, as a tower level is, reads its own as a run of one.
+    The shifts of a subset are summed when `records` reads its run and let
+    go once the run is read, so only a run's shifts are held at once; no
+    node keeps them.  The nodes of one dimension share one sign basis,
+    which carries the base cone's fibers.
     """
 
     def __init__(self, h0: LinearOperator, cone: SelfDualCone, x: LinearOperator, ys, names):
@@ -366,7 +448,7 @@ class _KroneckerFamily:
         if dim > numerics.DIM_CAP:
             raise DimCap(f"Kronecker sum dimension {dim} exceeds cap {numerics.DIM_CAP}")
         self._facts = {}  # subset -> its _SubsetFacts
-        self._shifts = {}  # subset -> its shifts k, until `records` reads its spectrum
+        self._shifts = {}  # subset -> its shifts k, while `records` reads its run
         self._bases = {}  # n -> the sign basis that the nodes of dimension d0 * n share
 
     # sigma_x, every tower level's slot, decomposed at the first tower
@@ -377,13 +459,9 @@ class _KroneckerFamily:
         return tuple(self._flip_slot() if y is PAULI_X else _kronecker_slot(y) for y in self.ys)
 
     @cached_property
-    def blocks(self) -> _BlockCache:
-        return _BlockCache(self.h0.mat, self.x.mat)
-
-    @cached_property
     def _fibers(self):
         """The base cone's signs, which every node's sign cone repeats over
-        its fibers, with their products: read by `_factor_improving`."""
+        its fibers, with their products: read by `_factors_improving`."""
         return _fibers_of(self.cone._sign_basis.signs)
 
     def facts(self, subset: tuple[int, ...]) -> _SubsetFacts:
@@ -407,9 +485,9 @@ class _KroneckerFamily:
 
     def shifts(self, subset: tuple[int, ...]) -> np.ndarray:
         """The eigenvalues k of K_I, I an ascending tuple of slots, in slot
-        order (`numerics._shifts`): held from when they are first asked
-        for until `records` has read I's spectrum, and summed from those of
-        I less its last slot while these are held."""
+        order (`numerics._shifts`): held while `records` reads I's run,
+        and summed from those of I less its last slot while these are
+        held."""
         k = self._shifts.get(subset)
         if k is None:
             head = self._shifts.get(subset[:-1]) if subset else None
@@ -418,45 +496,56 @@ class _KroneckerFamily:
         return k
 
     def records(self, subsets, tol: float = DEFAULT_TOL):
-        """Yield each of ``subsets`` with the `NodeAnalysis` of its node,
-        its spectrum read.
+        """Yield ``subsets`` in runs of consecutive subsets, each run a list
+        of (subset, the `NodeAnalysis` of its node) with every spectrum and
+        improving verdict read.
 
-        Consecutive subsets form one run, whose blocks are decomposed in one
-        batched `eigh`, while the run's distinct shifts number no more than
-        the largest node's shifts, which is as many blocks as that node
-        alone decomposes.  Every spectrum of a run is read before any of its
-        subsets is yielded, and the run's blocks are then let go, so no
-        block is held while a node is read further.
+        A run grows while its frames, one column per base state, hold no
+        more than `DIM_CAP` entries (its nodes' dimensions sum to at most
+        `DIM_CAP` / d0), so that, as in `lattice._covering_edges`, a run
+        holds a few arrays of `DIM_CAP` entries at once; a node whose frame
+        is larger is a run of its own.  Its spectra are read in one array
+        pass (`numerics._block_spectra`), from one batched `eigh` of its
+        distinct blocks, which are let go before the run is yielded, and
+        its improving verdicts in another (`positivity._improving`).  A
+        node whose spectrum cannot be read ends its run: the nodes before
+        it are yielded, and its failure is raised when the next run is
+        asked for.
         """
-        budget = max(self.facts(subset).size for subset in subsets)
-        run, held = [], set()
+        run, rows = [], 0
         for subset in subsets:
-            bits = set(self.shifts(subset).view(np.int64).tolist())
-            if len(held) + len(bits - held) > budget:
+            dim = self.h0.dim * self.facts(subset).size
+            if run and (rows + dim) * self.h0.dim > numerics.DIM_CAP:
                 yield from self._read(run, tol)
-                run, held = [], set()
+                run, rows = [], 0
             run.append(subset)
-            held |= bits
-        yield from self._read(run, tol)
+            rows += dim
+        if run:
+            yield from self._read(run, tol)
 
     def _read(self, run, tol: float):
         nodes = [self.node(subset) for subset in run]
-        records = [NodeAnalysis(node.hamiltonian, node.cone, tol) for node in nodes]
-        self.blocks.load(np.concatenate([self.shifts(subset) for subset in run]))
-        for subset, record in zip(run, records):
-            record.spectrum  # read while the run's blocks are held
-            # and then its shifts are let go; a lone re-read sums them again
-            record.hamiltonian._factors.release_shifts()
-            self._shifts.pop(subset, None)
-        self.blocks.clear()
-        yield from zip(run, records)
+        ops = [node.hamiltonian for node in nodes]
+        spectra, failure = _block_spectra(ops, [self.shifts(subset) for subset in run])
+        for subset in run:
+            del self._shifts[subset]
+        cones = [node.cone for node in nodes]
+        verdicts = _improving(ops[:len(spectra)], cones, tol)
+        records = []
+        for subset, node, spectrum, verdict, ground in zip(run, nodes, spectra, verdicts,
+                                                           _grounds(spectra, cones)):
+            record = NodeAnalysis(node.hamiltonian, node.cone, tol)
+            record.__dict__.update(spectrum=spectrum, improving=verdict, ground=ground)
+            records.append((subset, record))
+        yield records
+        if failure is not None:
+            raise failure
 
     def node(self, subset) -> ChainNode:
         subset = tuple(subset)
         facts = self.facts(subset)
         h = _kronecker_sum(facts.space, self.h0, self.x,
-                           tuple(self.slots[mu - 1] for mu in subset), self.shifts(subset),
-                           facts.table, self.blocks)
+                           tuple(self.slots[mu - 1] for mu in subset), facts.table)
         if not subset:
             return ChainNode(h, self.cone)
         n = facts.size
@@ -479,12 +568,20 @@ class _KroneckerFamily:
         return _appended_embedding(facts.space, self.facts(prefix + (k + 1,)).space,
                                    self.h0.dim * facts.size, uniform_vector(self.dims[k]))
 
-    def frame(self, subset) -> np.ndarray:
-        """The isometry from node () into node I, one uniform vector per
-        slot: the base identity times the subset's weight, whose entries
-        are those of appending the uniform vectors one slot at a time."""
-        facts = self.facts(tuple(subset))
-        return _kron(np.eye(self.h0.dim), np.full((facts.size, 1), facts.weight))
+    def frames(self, subsets) -> list[np.ndarray]:
+        """The isometry from node () into each node I of ``subsets``, one
+        uniform vector per slot: the base identity times the subset's
+        weight, whose entries are those of appending the uniform vectors
+        one slot at a time.  The frames are row blocks of one array."""
+        d0 = self.h0.dim
+        facts = [self.facts(tuple(subset)) for subset in subsets]
+        size = np.array([f.size for f in facts], dtype=np.intp)
+        dims = size * d0
+        rows = np.arange(dims.sum())
+        out = np.zeros((rows.size, d0))
+        out[rows, (rows - np.repeat(np.cumsum(dims) - dims, dims)) // np.repeat(size, dims)] = (
+            np.repeat([f.weight for f in facts], dims))
+        return np.split(out, np.cumsum(dims)[:-1])
 
     def chain(self) -> ArrowChain:
         """H0 itself, then the node of each nonempty prefix, each embedded in the next."""

@@ -230,6 +230,14 @@ CASES = [
          ("append", "operators", {"name": "x2", "space": "other", "kind": "identity"}),
          ("set", "params.x", "x2"),
          line="h0 'h0' on 'base' and x 'x2' on 'other' differ in space"),
+    # a chain node reads its Hamiltonian against its own cone, with or without links
+    case("chain-node-on-a-cone-of-another-dimension", "chain_two_level",
+         ("set", "params", {"nodes": [{"hamiltonian": "h0", "cone": "P1"}]}),
+         line="hamiltonian 'h0' (dim 2) and cone 'P1' (dim 4) differ in dimension"),
+    case("chain-node-on-a-cone-of-another-space", "chain_two_level", ("set", "spaces.other", 2),
+         ("append", "cones", {"name": "Q", "kind": "orthant", "space": "other"}),
+         ("set", "params.nodes.0.cone", "Q"),
+         line="hamiltonian 'h0' on 'base' and cone 'Q' on 'other' differ in space"),
     case("trotter-cone-on-another-space", "trotter_pair", ("set", "spaces.other", 4),
          ("append", "cones", {"name": "Q", "kind": "orthant", "space": "other"}),
          ("set", "params.cone", "Q"),

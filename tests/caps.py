@@ -17,7 +17,12 @@ Run it against the installed package, or a source checkout with
 
 It makes every run in a temporary directory, prints one line per run, its
 status, wall seconds and peak MB, and exits 1 when a run fails its bound.
-It uses the standard library alone.  Run it as its own process: a child's
+A lattice run of l slots must also have written what its size says
+(`lattice_outputs`): 2^l nodes and l 2^(l-1) edges in its report, one
+strictly positive overlap per edge, and a `hasse.dot` that declares 2^l
+distinct ids and draws its edges between declared ids alone; what does
+not hold is printed on stderr and fails the run.  It uses the standard
+library alone.  Run it as its own process: a child's
 `ru_maxrss` is at least what its parent held when it was spawned, so the
 script's own footprint must stay small.
 """
@@ -60,10 +65,34 @@ RUNS = {
 }
 
 
-def measure(name: str, work: Path) -> tuple[str, float, float]:
-    """(report status, wall seconds, peak MB) of one run, its config and
-    output under ``work``.  The peak is the child's own `ru_maxrss`, read
-    when it is reaped."""
+def lattice_outputs(out: Path, ell: int) -> list[str]:
+    """What a lattice run of ``ell`` slots wrote under ``out`` and its size
+    does not allow, one line each; none when both outputs hold."""
+    diagram = json.loads((out / "report.json").read_text())["payload"]["diagram"]
+    nodes, edges = 2 ** ell, ell * 2 ** (ell - 1)
+    wrong = [f"{key} {diagram[key]}, not {want}"
+             for key, want in (("node_count", nodes), ("edge_count", edges))
+             if diagram[key] != want]
+    overlaps = diagram["edge_overlaps"]
+    if len(overlaps) != edges or not all(overlap > 0 for overlap in overlaps):
+        wrong.append(f"{len(overlaps)} edge overlaps, not {edges} strictly positive ones")
+    lines = (out / "hasse.dot").read_text().splitlines()
+    ids = [line.split()[0] for line in lines if "[label=" in line]
+    if len(set(ids)) != nodes or len(ids) != nodes:
+        wrong.append(f"hasse.dot declares {len(set(ids))} distinct ids in {len(ids)} lines, "
+                     f"not {nodes}")
+    arrows = [line.strip().rstrip(";").split(" -> ") for line in lines if " -> " in line]
+    declared = set(ids)
+    if len(arrows) != edges or not all(len(ends) == 2 and declared.issuperset(ends)
+                                       for ends in arrows):
+        wrong.append(f"hasse.dot draws {len(arrows)} edges, not {edges} between declared ids")
+    return wrong
+
+
+def measure(name: str, work: Path) -> tuple[str, float, float, list[str]]:
+    """(report status, wall seconds, peak MB, what its outputs do not hold)
+    of one run, its config and output under ``work``.  The peak is the
+    child's own `ru_maxrss`, read when it is reaped."""
     stem, edit, _ = RUNS[name]
     config = edit(json.loads((CONFIGS / f"{stem}.json").read_text()))
     path, out = work / f"{name}.json", work / name
@@ -78,19 +107,24 @@ def measure(name: str, work: Path) -> tuple[str, float, float]:
     if proc.returncode != 0:
         raise SystemExit(f"{name}: exit {proc.returncode}")
     report = json.loads((out / "report.json").read_text())
-    return report["status"], wall, usage.ru_maxrss / 1024  # kB on Linux
+    wrong = (lattice_outputs(out, len(config["params"]["factors"]))
+             if config["task"] == "lattice" and report["status"] == "pass" else [])
+    return report["status"], wall, usage.ru_maxrss / 1024, wrong  # kB on Linux
 
 
 def main() -> int:
     failed = []
     with tempfile.TemporaryDirectory() as work:
         for name, (_, _, bound) in RUNS.items():
-            status, wall, peak = measure(name, Path(work))
+            status, wall, peak, wrong = measure(name, Path(work))
             print(f"{name}: {status}, {wall:.2f} s, peak {peak:.1f} MB (bound {bound:g} MB)")
-            if not (status == "pass" and peak < bound):
+            for line in wrong:
+                print(f"{name}: {line}", file=sys.stderr)
+            if not (status == "pass" and peak < bound and not wrong):
                 failed.append(name)
     if failed:
-        print(f"over a bound or not passing: {', '.join(failed)}", file=sys.stderr)
+        print(f"over a bound, not passing or with wrong outputs: {', '.join(failed)}",
+              file=sys.stderr)
         return 1
     return 0
 

@@ -8,7 +8,9 @@ quantum numbers from two passes, every link before any node is read, a
 lattice node's coupling from its factor operators summed on the bare factor
 product, a lattice embedding from one block per slot of the larger subset,
 a Kronecker-sum node's shifts, entry table, spectrum and frame from loops
-over its own slots, with nothing shared between nodes, a Kronecker
+over its own slots, with nothing shared between nodes, a lattice from
+the per-node pipeline that the run passes replaced (each node's spectrum,
+improving verdict and quantum number read on their own), a Kronecker
 embedding from a loop over its blocks, sign cones and Kronecker embeddings
 from the same generators and isometries taken as dense matrices, the
 Metzler criterion from exponentials sampled over beta, and a lattice's
@@ -30,6 +32,8 @@ from conecalc.cones import SelfDualCone, _signed_cone, orthant, tensor_cone
 from conecalc.errors import (
     ArrowFailed,
     ChainFailed,
+    ClassificationFailed,
+    Inconsistent,
     LinkFailed,
     MuMismatch,
     NotCommuting,
@@ -41,13 +45,13 @@ from conecalc.numerics import (
     DEFAULT_TOL,
     LinearOperator,
     Spectrum,
-    _BlockCache,
     _EntryTable,
     _finite_real,
     _fix_phase,
     _kron,
     _kronecker_slot,
     _kronecker_sum,
+    _strongly_connected,
     hermitian_eig,
     product_space,
     uniform_vector,
@@ -61,9 +65,11 @@ from conecalc.positivity import (
 )
 from conecalc.spin import MlmReport, SpinSystem, m_sector, marshall_cone
 from conecalc.stability import (
+    COMMUTATOR_TOL,
+    SNAP_TOL_FACTOR,
     ChainMuReport,
+    _commutator,
     _KroneckerFamily,
-    _quantum_number,
     good_quantum_number,
 )
 
@@ -246,13 +252,13 @@ def node_frames(monkeypatch) -> list:
     """Keeps the frame through which each lattice node reads the pushed
     observable, in node order."""
     frames = []
-    original = lattice._quantum_number
+    original = lattice._quantum_numbers
 
     def keeping(*args):
-        frames.append(args[-1])
+        frames.extend(args[-1])
         return original(*args)
 
-    monkeypatch.setattr(lattice, "_quantum_number", keeping)
+    monkeypatch.setattr(lattice, "_quantum_numbers", keeping)
     return frames
 
 
@@ -441,9 +447,29 @@ def entry_table_oracle(h0: np.ndarray, x: np.ndarray, slots) -> _EntryTable | No
                        bool((np.diagonal(x) > 0).all()))
 
 
+def kronecker_apply_oracle(h: LinearOperator, psi: np.ndarray) -> np.ndarray:
+    """H psi of one Kronecker sum by reshape, for a vector or a dim x k
+    block: H0 on the base axis, and X times Y_mu on slot axis mu."""
+    f = h._factors
+    d0, shape = f.h0.shape[0], psi.shape
+    psi = psi.reshape(d0, -1)
+    k_psi = np.zeros_like(psi, dtype=np.result_type(psi, *(slot.mat for slot in f.slots)))
+    before, after = d0, psi.shape[1]
+    for slot in f.slots:
+        n = slot.mat.shape[0]
+        after //= n
+        axis = k_psi.reshape(before, n, after)
+        axis += slot.mat @ psi.reshape(before, n, after)
+        before *= n
+    return (f.h0 @ psi - f.x @ k_psi).reshape(shape)
+
+
 def block_spectrum_oracle(h: LinearOperator) -> Spectrum:
-    """The spectrum of a Kronecker-sum node from one `eigh` of all its
-    blocks H0 - k X, k summed slot by slot, with nothing shared."""
+    """The spectrum of a Kronecker-sum node on its own, from one `eigh` of
+    all its blocks H0 - k X, k summed slot by slot, with nothing shared;
+    a pair that H applied by reshape does not confirm raises
+    `Inconsistent`, with the words of the library."""
+    h.require_hermitian()
     f = h._factors
     k = shifts_oracle([slot.values for slot in f.slots])
     values, vectors = np.linalg.eigh(f.h0 - k[:, None, None] * f.x)
@@ -452,7 +478,142 @@ def block_spectrum_oracle(h: LinearOperator) -> Spectrum:
     for slot, column in zip(f.slots, np.unravel_index(block, [s.values.size for s in f.slots])):
         ground = np.multiply.outer(ground, slot.vectors[:, column]).ravel()
     _fix_phase(ground)
-    return Spectrum(np.sort(values, axis=None), ground)
+    eigenvalues = np.sort(values, axis=None)
+    scale = max(-eigenvalues[0], eigenvalues[-1])
+    residual = float(np.linalg.norm(kronecker_apply_oracle(h, ground) - eigenvalues[0] * ground))
+    if not residual <= 1e-10 * scale:
+        raise Inconsistent(f"block ground pair of the operator on {h.space!r} has residual "
+                           f"{residual:.3e}, above 1e-10 * ||H||")
+    return Spectrum(eigenvalues, ground)
+
+
+def factor_improving_oracle(h: LinearOperator, cone: SelfDualCone, tol: float):
+    """`generates_improving_semigroup` of one real Kronecker sum on a sign
+    cone whose signs depend on the base index alone, from its entry table
+    and its own fibers; None where the dense route decides."""
+    f = h._factors
+    if f is None or (table := f.table) is None or not tol >= 0:
+        return None
+    h.require_hermitian()
+    if (fibers := cone._fibers(h, f.h0.shape[0])) is None:
+        return None
+    thresh = tol * table.scale
+    flip = fibers.flip
+    diagonal = table.diagonal * flip[:, :, None]
+    above = diagonal > thresh
+    base = np.arange(f.h0.shape[0])
+    above[base, base] = False
+    if above.any():
+        return False
+    quotient = (diagonal < -thresh).any(axis=2)
+    if table.low is not None:
+        x = f.x * flip
+        ends = x * table.low, x * table.high
+        if np.minimum(*ends).min() < -thresh:
+            return False
+        quotient |= np.maximum(*ends) > thresh
+        if not (table.x_positive_weights
+                and (thresh < np.diagonal(f.x) * table.bottleneck).all()):
+            return None
+    quotient[base, base] = True
+    return bool(quotient.all()) or _strongly_connected(quotient)
+
+
+def improving_oracle(h: LinearOperator, cone: SelfDualCone, tol: float) -> bool:
+    """The improving verdict of one Hamiltonian: `factor_improving_oracle`,
+    or the dense route where it does not decide."""
+    verdict = factor_improving_oracle(h, cone, tol)
+    return generates_improving_semigroup(h, cone, tol) if verdict is None else verdict
+
+
+def commutes_oracle(h: LinearOperator, o: np.ndarray, scale: float, frame=None) -> bool:
+    """||[H, T O T^*]|| <= COMMUTATOR_TOL * scale for one H and its frame T
+    (None for the identity): the Frobenius bound of G = T^* H T and
+    L = H T - T G, then the spectral norm on the range of [T, Q]."""
+    if frame is None:
+        g, beyond = h.mat, None
+    else:
+        a = kronecker_apply_oracle(h, frame) if h._factors is not None else h.mat @ frame
+        g = frame.conj().T @ a
+        beyond = a - frame @ g
+    thresh = COMMUTATOR_TOL * max(scale, 1e-300)
+    c = _commutator(g, o)
+    square = float(np.vdot(c, c).real)
+    if beyond is not None:
+        lo = beyond @ o
+        square += 2.0 * float(np.vdot(lo, lo).real)
+    if math.sqrt(square) <= thresh:
+        return True
+    if beyond is not None:
+        ro = np.linalg.qr(beyond, mode="r") @ o
+        c = np.block([[c, -ro.conj().T], [ro, np.zeros_like(ro)]])
+    return float(np.abs(np.linalg.eigvalsh(1j * c)).max()) <= thresh
+
+
+def quantum_number_oracle(node: NodeAnalysis, o: LinearOperator, o_norm: float, candidates,
+                          frame=None) -> tuple[float, float, float, np.ndarray]:
+    """The quantum number of O on one record's ground state, through its
+    frame: (mu, snapped mu, residual, O psi), or the library's failure."""
+    h = node.hamiltonian
+    if h.dim != (o.dim if frame is None else frame.shape[0]):
+        raise NotCommuting("operators act on different spaces")
+    if not commutes_oracle(h, o.mat, node.norm * o_norm, frame):
+        raise NotCommuting("Hamiltonian does not commute with the observable")
+    if not node.improving:
+        raise NotInAPlus("Hamiltonian is not improving-class on the cone")
+    g = node.ground
+    if not g.simple:
+        raise NotSimple(f"ground gap {g.gap01:.3e} is below the simplicity threshold")
+    psi = g.vector
+    phi = psi if frame is None else frame.conj().T @ psi
+    o_phi = o.mat @ phi
+    mu = float(np.vdot(phi, o_phi).real)
+    o_psi = o_phi if frame is None else frame @ o_phi
+    o_scale = max(o_norm, 1e-300)
+    candidates = np.asarray(candidates, dtype=float)
+    snapped = float(candidates[np.argmin(np.abs(candidates - mu))])
+    residual = float(np.linalg.norm(o_psi - mu * psi))
+    if residual > SNAP_TOL_FACTOR * o_scale or abs(mu - snapped) > SNAP_TOL_FACTOR * o_scale:
+        raise Inconsistent(
+            f"ground state is not an observable eigenvector: residual {residual:.3e}"
+        )
+    return mu, snapped, residual, o_psi
+
+
+def lattice_oracle(spec: lattice.LatticeSpec, tol: float = DEFAULT_TOL) -> lattice.HasseDiagram:
+    """`build_lattice` as a loop over the nodes: each node's record read on
+    its own (`oracle_record`), then its improving verdict and its quantum
+    number through its own frame (`quantum_number_oracle`), the first
+    failure raised in node order; then the edges as chain links
+    (`edge_loop_oracle`)."""
+    report = lattice.verify_spec(spec, tol)
+    if not report.ok:
+        raise lattice.SpecFailed("; ".join(report.notes))
+    if not report.mu_compatible:
+        raise lattice.SpecFailed(
+            "uniform vector is not an eigenvector of every Y_mu; "
+            "quantum numbers would not transfer to the perturbed nodes")
+    o_spectrum = hermitian_eig(spec.observable)
+    snap_to = np.concatenate([o_spectrum.eigenvalues, [0.0]])
+    subsets = lattice._all_subsets(spec.ell)
+    family = lattice._family(spec)
+    nodes, records = [], {}
+    for subset in subsets:
+        record = oracle_record(spec, subset, tol)
+        if not record.improving:
+            raise ClassificationFailed(f"H_{set(subset) or '{}'} is not improving-class")
+        frame = frame_oracle(spec.h0.dim, [spec.factors[mu - 1][0] for mu in subset])
+        mu, mu_snapped, _, _ = quantum_number_oracle(record, spec.observable, o_spectrum.norm,
+                                                     snap_to, frame)
+        nodes.append(lattice.LatticeNode(subset, record.hamiltonian, record.cone, mu,
+                                         mu_snapped, record.ground.energy))
+        records[subset] = record
+    for node in nodes:
+        if node.mu_snapped != nodes[0].mu_snapped:
+            raise ClassificationFailed(f"snapped quantum number moved at {node.subset}: "
+                                       f"{node.mu_snapped} != {nodes[0].mu_snapped}")
+    edges, overlaps = edge_loop_oracle(family, records, subsets)
+    return lattice.HasseDiagram(tuple(nodes), tuple(edges), tuple(overlaps), report)
 
 
 def frame_oracle(d0: int, dims) -> np.ndarray:
@@ -475,11 +636,11 @@ def oracle_record(spec: lattice.LatticeSpec, subset, tol: float = DEFAULT_TOL) -
         space = product_space(space, f"f{mu}")
         cone = tensor_cone(cone, orthant(f"f{mu}", spec.factors[mu - 1][0]))
     h = _kronecker_sum(space, spec.h0, spec.x, slots,
-                       shifts_oracle([slot.values for slot in slots]),
-                       entry_table_oracle(spec.h0.mat, spec.x.mat, slots),
-                       _BlockCache(spec.h0.mat, spec.x.mat))
+                       entry_table_oracle(spec.h0.mat, spec.x.mat, slots))
     record = NodeAnalysis(h, cone, tol)
-    record.__dict__["spectrum"] = block_spectrum_oracle(h)  # no block cache is read
+    # read on its own, through no run pass
+    record.__dict__["spectrum"] = block_spectrum_oracle(h)
+    record.__dict__["improving"] = improving_oracle(h, cone, tol)
     return record
 
 
@@ -746,7 +907,8 @@ def two_pass_quantum_numbers(chain, o: LinearOperator,
             extended = chain.embeddings[j - 1].extend(extended)
         candidates = base_candidates if j == 0 else extended_candidates
         try:
-            mu, mu_snapped = _quantum_number(record, extended, o_spectrum.norm, candidates)[:2]
+            mu, mu_snapped = quantum_number_oracle(record, extended, o_spectrum.norm,
+                                                   candidates)[:2]
         except (NotCommuting, NotSimple, NotInAPlus) as exc:
             raise _failure(type(exc)(f"node {j}: {exc}"), j) from exc
         values.append(mu)

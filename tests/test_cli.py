@@ -471,7 +471,7 @@ def test_lattice_past_the_node_cap_fails_before_the_spec_is_checked(config, cap,
 
     monkeypatch.setattr(numerics, "DIM_CAP", cap)  # the node count's and the top node's
     monkeypatch.setattr(lattice, "verify_spec", refuse)
-    monkeypatch.setattr(lattice, "_build_node", refuse)
+    monkeypatch.setattr(lattice, "_built_run", refuse)
     monkeypatch.setattr(stability, "_kronecker_slot", refuse)
     report, _ = run_config(config, "0" * 64)
     assert report["payload"]["error_type"] == error_type

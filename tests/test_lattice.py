@@ -1,5 +1,5 @@
+import dataclasses
 import math
-import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -13,6 +13,7 @@ from conftest import (
     frame_oracle,
     op,
     oracle_record,
+    quantum_number_oracle,
     random_lattice_spec,
     rng,
     same_bits,
@@ -45,7 +46,6 @@ from conecalc.positivity import (
 )
 from conecalc.stability import (
     PAULI_X,
-    _quantum_number,
     is_decoupled_extension,
     quantum_number_along_chain,
 )
@@ -74,19 +74,21 @@ def demo_spec(ell: int = 3) -> LatticeSpec:
     )
 
 
-def expected_runs(spec: LatticeSpec, subsets) -> list[int]:
+def expected_runs(spec: LatticeSpec, subsets, cap: int = DIM_CAP) -> list[int]:
     """The distinct shift bit patterns of each run of consecutive subsets
     that `build_lattice` decomposes together: a run takes the next subset
-    while its patterns stay no more than the top node's shifts."""
+    while its frames, its nodes' dimensions times d0, hold no more than
+    ``cap`` entries."""
     values = {mu: np.linalg.eigh(y.mat)[0] for mu, (_, y) in enumerate(spec.factors, start=1)}
-    patterns = [set(shifts_oracle([values[mu] for mu in subset]).view(np.int64).tolist())
-                for subset in subsets]
-    budget = max(map(len, (shifts_oracle([values[mu] for mu in s]) for s in subsets)))
-    runs = [set()]
-    for bits in patterns:
-        if len(runs[-1] | bits) > budget:
+    runs, rows = [set()], 0
+    for subset in subsets:
+        shifts = shifts_oracle([values[mu] for mu in subset])
+        dim = spec.h0.dim * shifts.size
+        if runs[-1] and (rows + dim) * spec.h0.dim > cap:
             runs.append(set())
-        runs[-1] |= bits
+            rows = 0
+        runs[-1] |= set(shifts.view(np.int64).tolist())
+        rows += dim
     return [len(run) for run in runs]
 
 
@@ -335,16 +337,19 @@ class TestBuildLattice:
         assert len(diagram.nodes) == 2
         assert len(diagram.covering_edges) == 1
 
-    def test_decomposition_budget(self, decompositions):
+    @pytest.mark.parametrize("cap", [DIM_CAP, 48])
+    def test_decomposition_budget(self, decompositions, cap, monkeypatch):
         # no node-sized matrix is decomposed: the blocks of the nodes come
         # from one batched eigh per run of consecutive nodes, one block per
         # distinct shift bit pattern of the run, and a run grows while its
-        # patterns number no more than the top node's 12 shifts; each slot
-        # is decomposed once, and so is the observable
+        # frames hold no more entries than the cap: the whole lattice at
+        # DIM_CAP, and runs of at most 12 blocks, 24 rows, under a cap of
+        # 48; each slot is decomposed once, and so is the observable
         spec = demo_spec()
+        monkeypatch.setattr(numerics, "DIM_CAP", cap)
         diagram = build_lattice(spec)
-        want = expected_runs(spec, [node.subset for node in diagram.nodes])
-        assert len(want) > 1 and max(want) <= 12
+        want = expected_runs(spec, [node.subset for node in diagram.nodes], cap)
+        assert (len(want) == 1) is (cap == DIM_CAP) and max(want) <= cap // 4
         assert sum(want) < sum(n.hamiltonian.dim // 2 for n in diagram.nodes)
         shapes = decompositions.shapes
         blocks = [s for name, s in shapes if name == "eigh" and len(s) == 3]
@@ -364,22 +369,24 @@ class TestBuildLattice:
         blocks = [s for name, s in decompositions.shapes if name == "eigh" and len(s) == 3]
         assert blocks == [(13, 2, 2)]
 
-    def test_distinct_slots_hold_no_more_blocks_than_the_top_node(self, decompositions):
-        # generic slots share no shift, so 3^4 = 81 blocks over the lattice
-        # against the top node's 16: each run holds at most 16, and none is
-        # held once the lattice is built
+    def test_distinct_slots_hold_no_more_blocks_than_the_cap_allows(self, decompositions,
+                                                                     monkeypatch):
+        # generic slots share no shift, so 3^4 = 81 blocks over the lattice:
+        # under a cap of 64 frame entries, the top node's, each run holds at
+        # most 16 blocks, one per two rows, and no node keeps a block
         base = demo_spec()
         ys = [np.array([[a, b], [b, a]]) for a, b in [(0.1, 1.2), (0.3, 0.7), (0.2, 1.9),
                                                       (0.05, 0.45)]]
         spec = LatticeSpec(base.h0, base.cone, base.observable, base.x,
                            tuple((2, op(f"f{mu}", y)) for mu, y in enumerate(ys, start=1)))
+        monkeypatch.setattr(numerics, "DIM_CAP", 64)
         diagram = build_lattice(spec)
-        want = expected_runs(spec, [node.subset for node in diagram.nodes])
-        assert sum(want) == 81 and max(want) <= 16
+        want = expected_runs(spec, [node.subset for node in diagram.nodes], 64)
+        assert sum(want) == 81 and max(want) <= 16 and len(want) > 1
         blocks = [s for name, s in decompositions.shapes if name == "eigh" and len(s) == 3]
         assert blocks == [(n, 2, 2) for n in want]
-        cache = diagram.nodes[-1].hamiltonian._factors.blocks
-        assert cache.row_of == {} and cache.vectors is None
+        factors = diagram.nodes[-1].hamiltonian._factors
+        assert [f.name for f in dataclasses.fields(factors)] == ["h0", "x", "slots", "table"]
 
     def test_each_edge_checks_its_arrow_once(self, monkeypatch):
         # the arrow of every link, a chain's (`check_arrow`) or an edge's,
@@ -489,14 +496,15 @@ def test_every_node_and_edge_has_the_bits_of_the_per_node_loops(seed):
         want = oracle_record(spec, node.subset)
         got = NodeAnalysis(node.hamiltonian, node.cone)
         factors = node.hamiltonian._factors
-        assert same_bits(factors.k, want.hamiltonian._factors.k)
+        assert same_bits(numerics._shifts(factors.slots),
+                         shifts_oracle([slot.values for slot in want.hamiltonian._factors.slots]))
         assert same_table(factors.table, want.hamiltonian._factors.table)
         assert same_bits(got.spectrum.eigenvalues, want.spectrum.eigenvalues)
         assert same_bits(got.spectrum.ground_vector, want.spectrum.ground_vector)
         assert got.improving is want.improving is True
         frame = frame_oracle(spec.h0.dim, [spec.factors[mu - 1][0] for mu in node.subset])
-        mu, mu_snapped = _quantum_number(want, spec.observable, o_spectrum.norm, snap_to,
-                                         frame)[:2]
+        mu, mu_snapped = quantum_number_oracle(want, spec.observable, o_spectrum.norm, snap_to,
+                                               frame)[:2]
         assert float_bits(node.mu) == float_bits(mu)
         assert float_bits(node.mu_snapped) == float_bits(mu_snapped)
         assert float_bits(node.ground_energy) == float_bits(want.ground.energy)
@@ -528,7 +536,8 @@ def lattice_records(spec: LatticeSpec, tol: float = DEFAULT_TOL):
     """The spec's family, its subsets and their records, read as
     `build_lattice` reads them."""
     family, subsets = lattice._family(spec), lattice._all_subsets(spec.ell)
-    return family, subsets, dict(family.records(subsets, tol))
+    return family, subsets, {subset: record for run in family.records(subsets, tol)
+                             for subset, record in run}
 
 
 def edge_outcome(verify):
@@ -639,36 +648,25 @@ def test_an_inheritance_tolerance_past_the_limit_raises_as_the_per_edge_loop_doe
     assert got == ("ValueError", None, "inheritance tolerance 0.75 must be below 1/sqrt(2)")
 
 
-def test_a_read_node_lets_its_shifts_go(monkeypatch):
-    # once a run's spectra are read, its nodes hold no shifts, and both the
-    # memory held after the build and its peak, reached while the edges are
-    # verified, fall by at least their bytes; a lone re-read sums them
-    # again, slot by slot, with the same bits
+def test_a_read_node_lets_its_shifts_go():
+    # a run's shifts are held by its family while the run is read and let
+    # go with it: the family holds none between runs, and no node keeps
+    # any; a lone re-read sums them again, slot by slot, with the same bits
     base = demo_spec()
     ys = [np.array([[a, 1.0 + a], [1.0 + a, a]]) for a in np.linspace(0.05, 0.9, 9)]
     spec = LatticeSpec(base.h0, base.cone, base.observable, base.x,
                        tuple((2, op(f"f{mu}", y)) for mu, y in enumerate(ys, start=1)))
-
-    def held():
-        tracemalloc.start()
-        try:
-            diagram = build_lattice(spec)
-            return diagram, tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-
-    held()  # whatever a first build makes once is made before anything is measured
-    diagram, released = held()
-    monkeypatch.setattr(numerics._KroneckerFactors, "release_shifts", lambda self: None)
-    kept_diagram, kept = held()
-    shifts = sum(node.hamiltonian._factors.shifts.nbytes for node in kept_diagram.nodes)
-    assert shifts == 8 * 3 ** 9
-    assert kept[0] - released[0] >= shifts and kept[1] - released[1] >= shifts
+    family = lattice._family(spec)
+    subsets = lattice._all_subsets(spec.ell)
+    for _ in family.records(subsets):
+        assert len(family._shifts) == 0
+    diagram = build_lattice(spec)
     values = {mu: np.linalg.eigh(y.mat)[0] for mu, (_, y) in enumerate(spec.factors, start=1)}
     for node in diagram.nodes:
         factors = node.hamiltonian._factors
-        assert factors.shifts is None
-        assert same_bits(factors.k, shifts_oracle([values[mu] for mu in node.subset]))
+        assert not hasattr(factors, "shifts")
+        assert same_bits(numerics._shifts(factors.slots),
+                         shifts_oracle([values[mu] for mu in node.subset]))
 
 
 class TestStructuralCriterionDecides:
@@ -734,3 +732,18 @@ class TestHasseExport:
         b = hasse_export(build_lattice(demo_spec()))
         assert a == b
         assert a.encode("utf-8") == b.encode("utf-8")
+
+    def test_the_ids_of_twelve_slots_are_distinct(self):
+        # joined digits name both {12} and {1, 2} h12 once a slot index has
+        # two digits; from 10 slots on the indices are joined by "_", and
+        # below 10 the ids keep their bytes.  Combinatorics alone: every
+        # subset of 12 slots, with no lattice built
+        subsets = lattice._all_subsets(12)
+        ids = {lattice._node_id(subset, 12) for subset in subsets}
+        assert len(subsets) == len(ids) == 4096
+        assert (lattice._node_id((1, 2), 12), lattice._node_id((12,), 12)) == ("h1_2", "h12")
+        assert lattice._node_id((), 12) == "h"
+        for ell in range(10):
+            ids = [lattice._node_id(subset, ell) for subset in lattice._all_subsets(ell)]
+            assert ids == ["h" + "".join(map(str, subset)) for subset in lattice._all_subsets(ell)]
+            assert len(set(ids)) == 2 ** ell

@@ -20,10 +20,13 @@ import pytest
 
 from conftest import (
     block_spectrum_oracle,
+    commutes_oracle,
     dense_cone,
     dense_embedding,
     entry_table_oracle,
+    factor_improving_oracle,
     frame_oracle,
+    kronecker_apply_oracle,
     kronecker_embedding_oracle,
     permuted_cone,
     random_hermitian,
@@ -38,7 +41,7 @@ from conftest import (
     subset_embedding,
 )
 
-from conecalc import inheritance, lattice, positivity, stability
+from conecalc import inheritance, lattice, numerics, positivity, stability
 from conecalc.cli import run_config
 from conecalc.cones import (
     SelfDualCone,
@@ -80,7 +83,7 @@ from conecalc.numerics import (
 from conecalc.positivity import (
     NodeAnalysis,
     _abs_max,
-    _factor_improving,
+    _factors_improving,
     _metzler_coords,
     classify,
     generates_improving_semigroup,
@@ -92,9 +95,9 @@ from conecalc.stability import (
     COMMUTATOR_TOL,
     PAULI_X,
     _commutator,
-    _commutes,
+    _commuting,
     _KroneckerFamily,
-    _quantum_number,
+    _quantum_numbers,
     extension_tower,
     quantum_number_along_chain,
 )
@@ -641,7 +644,7 @@ def reading(record: NodeAnalysis, o: LinearOperator, o_norm: float, candidates):
     """The snapped quantum number of O on the record, or the name of the
     error that refused it."""
     try:
-        return _quantum_number(record, o, o_norm, candidates)[1]
+        return _quantum_numbers([record], o, o_norm, candidates, [None])[0][1]
     except ConecalcError as exc:
         return type(exc).__name__
 
@@ -721,12 +724,12 @@ def test_a_family_reads_its_nodes_as_the_per_node_loops_do(seed):
                               [f"f{mu}" for mu in range(1, len(dims) + 1)])
     subsets = _all_subsets(len(dims))
     # a record of a run, read with its run, or of a node read alone
-    records = dict(family.records(subsets)) if seed % 2 else {}
+    records = ({subset: record for run in family.records(subsets) for subset, record in run}
+               if seed % 2 else {})
     for subset in subsets:
         h = family.node(subset).hamiltonian
-        assert family.blocks.row_of == {}  # no block is held between reads
+        assert family._shifts == {}  # no shift is held between runs
         slots = h._factors.slots
-        assert same_bits(h._factors.k, shifts_oracle([slot.values for slot in slots]))
         want = entry_table_oracle(h0.mat, x.mat, slots)
         got = h._factors.table
         assert (got is None) == (want is None)
@@ -739,8 +742,11 @@ def test_a_family_reads_its_nodes_as_the_per_node_loops_do(seed):
         oracle = block_spectrum_oracle(h)
         assert same_bits(spectrum.eigenvalues, oracle.eigenvalues)
         assert same_bits(spectrum.ground_vector, oracle.ground_vector)
-        assert same_bits(family.frame(subset), frame_oracle(d0, [dims[mu - 1] for mu in subset]))
-    assert family.blocks.row_of == {}
+        assert same_bits(family.frames([subset])[0],
+                         frame_oracle(d0, [dims[mu - 1] for mu in subset]))
+    assert same_bits(np.concatenate(family.frames(subsets)),
+                     np.concatenate([frame_oracle(d0, [dims[mu - 1] for mu in subset])
+                                     for subset in subsets]))
 
 
 class TestBlockSpectrumOracle:
@@ -924,7 +930,8 @@ class TestEntryTableOracle:
                 generates_improving_semigroup(h, cone)
             return
         for tol in near_threshold_tols(rng(16000 + seed), cone.operator_coords(dense)):
-            verdict = _factor_improving(h, cone, tol)
+            verdict = _factors_improving([h], [cone], tol)[0]
+            assert verdict is factor_improving_oracle(h, cone, tol)
             want = generates_improving_semigroup(dense, cone, tol)
             assert generates_improving_semigroup(h, cone, tol) == want
             if verdict is None:  # a cone whose signs do not factor, or a fiber fallback
@@ -945,7 +952,7 @@ class TestEntryTableOracle:
                 continue
             dense = dense_copy(h)
             metzler = _metzler_coords(dense, cone, DEFAULT_TOL) is not None
-            verdict = _factor_improving(h, cone, DEFAULT_TOL)
+            verdict = _factors_improving([h], [cone], DEFAULT_TOL)[0]
             if verdict is None:
                 counts["explicit" if cone._sign_basis is None
                        else "cone" if cone._fibers(h, h._factors.h0.shape[0]) is None
@@ -961,7 +968,7 @@ class TestEntryTableOracle:
         h0 = LinearOperator("base", np.array([[0.0, -1.0], [-1.0, 0.0]]))
         x = LinearOperator("base", np.array([[1.0, 0.0], [0.0, 0.0]]))
         node = _KroneckerFamily(h0, orthant("base", 2), x, (PAULI_X,), ["f1"]).node((1,))
-        assert _factor_improving(node.hamiltonian, node.cone, DEFAULT_TOL) is None
+        assert _factors_improving([node.hamiltonian], [node.cone], DEFAULT_TOL) == [None]
         assert generates_improving_semigroup(node.hamiltonian, node.cone)
         assert generates_improving_semigroup(dense_copy(node.hamiltonian), node.cone)
 
@@ -971,9 +978,11 @@ class TestEntryTableOracle:
         for shape in ((h.dim,), (h.dim, 3)):
             psi = rng(17000 + seed).normal(size=shape)
             want = h._factors.matrix() @ psi
-            got = h._factors.apply(psi)
+            got = numerics._applied([h], numerics._places([h]), psi)
             assert got.shape == shape
             assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
+            assert np.abs(got - kronecker_apply_oracle(h, psi)).max() \
+                <= 1e-12 * max(np.abs(want).max(), 1.0)
 
 
 def test_abs_max_is_the_dense_float(monkeypatch):
@@ -1051,16 +1060,22 @@ def complex_chain(h: LinearOperator) -> list[tuple[LinearOperator, Embedding]]:
     return out
 
 
+def commutes(h: LinearOperator, o: np.ndarray, scale: float, frame=None) -> bool:
+    """The commutation verdict of one H through its frame, a run of one."""
+    return _commuting([h], o, [scale], [frame])[0]
+
+
 def frame_verdict(h: LinearOperator, frame: np.ndarray, o: LinearOperator,
                   pushed: LinearOperator) -> bool:
-    """`_commutes` of H and O through the frame, asserted equal to the
-    frame-free `_commutes` of H's dense matrix and the pushed observable
-    T O T^*."""
+    """The test of H and O through the frame, asserted equal to the
+    frame-free test of H's dense matrix and the pushed observable
+    T O T^*, and to the per-node test through the frame."""
     o_norm = float(np.abs(np.linalg.eigvalsh(o.mat)).max())
     dense = LinearOperator(h.space, h._factors.matrix() if h._factors is not None else h.mat)
     scale = float(np.abs(np.linalg.eigvalsh(dense.mat)).max()) * o_norm
-    verdict = _commutes(h, o.mat, scale, frame)
-    assert verdict == _commutes(dense, pushed.mat, scale)
+    verdict = commutes(h, o.mat, scale, frame)
+    assert verdict == commutes(dense, pushed.mat, scale)
+    assert verdict == commutes_oracle(h, o.mat, scale, frame)
     return verdict
 
 
@@ -1106,8 +1121,8 @@ def test_the_spectral_norm_decides_past_the_frobenius_bound(seed):
         frobenius = float(np.linalg.norm(c))
         assert spectral < 0.9 * frobenius
         between = 0.5 * (spectral + frobenius) / COMMUTATOR_TOL
-        assert _commutes(h, o.mat, between, frame)
-        assert not _commutes(h, o.mat, 0.999 * spectral / COMMUTATOR_TOL, frame)
+        assert commutes(h, o.mat, between, frame)
+        assert not commutes(h, o.mat, 0.999 * spectral / COMMUTATOR_TOL, frame)
 
 
 @pytest.mark.parametrize("seed", range(16))
@@ -1129,8 +1144,8 @@ def test_the_identity_frame_is_no_frame(seed):
              (o, 0.5 * (spectral + frobenius) / COMMUTATOR_TOL, True),
              (o, 0.999 * spectral / COMMUTATOR_TOL, False)]
     for obs, scale, want in cases:
-        assert _commutes(h, obs, scale) is want
-        assert _commutes(h, obs, scale, np.eye(n)) is want
+        assert commutes(h, obs, scale) is want
+        assert commutes(h, obs, scale, np.eye(n)) is want
 
 
 class TestKroneckerNodesFormNoMatrix:
@@ -1140,18 +1155,18 @@ class TestKroneckerNodesFormNoMatrix:
     @pytest.fixture
     def made(self, monkeypatch):
         nodes, commuted = [], []
-        build, commutes = stability._kronecker_sum, stability._commutes
+        build, commuting = stability._kronecker_sum, stability._commuting
 
         def recording_build(*args):
             nodes.append(build(*args))
             return nodes[-1]
 
-        def recording_commutes(h, o, scale, frame=None):
-            commuted.append((h, frame))
-            return commutes(h, o, scale, frame)
+        def recording_commuting(hs, o, scales, frames):
+            commuted.extend(zip(hs, frames))
+            return commuting(hs, o, scales, frames)
 
         monkeypatch.setattr(stability, "_kronecker_sum", recording_build)
-        monkeypatch.setattr(stability, "_commutes", recording_commutes)
+        monkeypatch.setattr(stability, "_commuting", recording_commuting)
         return nodes, commuted
 
     @staticmethod
