@@ -16,12 +16,13 @@ from .numerics import (
     DEFAULT_TOL,
     TOL_LIMIT,
     LinearOperator,
+    _binned,
     _freeze,
     _kron,
     _numeric,
     identity,
 )
-from .positivity import NodeAnalysis, classify
+from .positivity import NodeAnalysis, _read, _runs, classify
 
 ISOMETRY_TOL = 1e-10
 
@@ -45,7 +46,7 @@ class Embedding:
     `projection` is `extend` of the identity on either route.  `push` maps a
     vector, or the columns of a block, into the larger space; pushing the
     identity through the embeddings of a chain gives the frame that carries
-    an observable along it, through which `stability._commutes` tests the
+    an observable along it, through which `stability._commuting` tests the
     pushed observable.  `pull` of a vector sums each column's rows in row
     order, which rounds apart from a BLAS product by at most
     2 m eps sum_r |vals[r] x[r]| per entry, m rows to a column.
@@ -124,13 +125,7 @@ class Embedding:
 def _pulled(cols: np.ndarray, vals: np.ndarray, x: np.ndarray, size: int) -> np.ndarray:
     """tau^* x for the Kronecker rows (cols, vals) of tau: entry c sums
     vals[r] x[r] over the rows r of column c, in row order."""
-    terms = vals * x
-    if not np.iscomplexobj(terms):
-        return np.bincount(cols, terms, size)
-    out = np.empty(size, dtype=terms.dtype)
-    out.real = np.bincount(cols, terms.real, size)
-    out.imag = np.bincount(cols, terms.imag, size)
-    return out
+    return _binned(cols, vals * x, size)
 
 
 def _row_embedding(from_space: str, to_space: str, cols: np.ndarray, vals: np.ndarray,
@@ -504,11 +499,16 @@ def _verified_links(chain: ArrowChain, tol: float
     """Every link of a chain verified in order: node j's record and link j's
     `OverlapReport`, for `verify_chain` and for the quantum numbers of
     `stability.quantum_number_along_chain`.  Link j is decided on records
-    j and j+1, and a failed link raises `LinkFailed` at once.  A record is
-    lazy and holds the eigenvalues and the ground vector, no eigenbasis, so
-    no node past a failed link is decomposed.
+    j and j+1, and a failed link raises `LinkFailed` at once.  A record
+    holds the eigenvalues and the ground vector, no eigenbasis.  The
+    records of the Kronecker-sum nodes, a tower's levels or a `coupling`
+    member, are read first, in runs of array passes (`positivity._runs`),
+    so a tower's levels past a failed link are read too; every other
+    record is lazy, and no dense node past a failed link is decomposed.
     """
     records = [NodeAnalysis(node.hamiltonian, node.cone, tol) for node in chain.nodes]
+    for run in _runs(records):
+        _read(run)
     links = []
     for j, emb in enumerate(chain.embeddings):
         links.append(_verified_link(j, records[j], records[j + 1], emb))

@@ -1,8 +1,9 @@
 """Boolean lattice of perturbed Hamiltonians H_I = H0 (x) 1 - X (x) K_I, K_I
 the Kronecker sum of the coupling slots Y_mu, mu in I: one node per subset,
 whose nodes and frames a `stability._KroneckerFamily` lays out as it does
-tower levels and `coupling` members, with the covering edges verified in
-runs of array passes and deterministic Hasse-diagram export.
+tower levels and `coupling` members, with the nodes read and the covering
+edges verified in runs of array passes, and deterministic Hasse-diagram
+export.
 """
 
 from __future__ import annotations
@@ -208,13 +209,19 @@ def _built_run(spec: LatticeSpec, family: _KroneckerFamily, run, o_norm: float,
     the family's frame T of its subset, all of the run's in one pass
     (`stability._quantum_numbers`).  The first node that fails raises: one
     that is not improving-class with `ClassificationFailed`, after the
-    quantum numbers of the nodes before it are read."""
-    bad = next((i for i, (_, record) in enumerate(run) if not record.improving), len(run))
+    quantum numbers of the nodes before it are read, and one whose
+    spectrum its run left unread with its own failure, read alone."""
+    bad = next((i for i, (_, record) in enumerate(run)
+                if "spectrum" not in record.__dict__ or not record.improving), len(run))
     subsets, records = [subset for subset, _ in run[:bad]], [record for _, record in run[:bad]]
-    readings = _quantum_numbers(records, spec.observable, o_norm, snap_to,
-                                family.frames(subsets))
+    readings, failure = _quantum_numbers(records, spec.observable, o_norm, [snap_to] * bad,
+                                         family.frames(subsets))
+    if failure is not None:
+        raise failure
     if bad < len(run):
-        raise ClassificationFailed(f"H_{set(run[bad][0]) or '{}'} is not improving-class")
+        subset, record = run[bad]
+        record.spectrum  # a node left unread raises its own failure, read alone
+        raise ClassificationFailed(f"H_{set(subset) or '{}'} is not improving-class")
     return [LatticeNode(subset, record.hamiltonian, record.cone, mu, mu_snapped,
                         record.ground.energy)
             for subset, record, (mu, mu_snapped, _, _) in zip(subsets, records, readings)]

@@ -165,7 +165,7 @@ class Spectrum:
     """Hermitian spectrum, ascending, with its phase-fixed ground vector:
     every eigenvalue and one eigenvector, never an eigenbasis, whether read
     from a dense `hermitian_eig` or from the blocks of a Kronecker sum
-    (`_block_spectrum`)."""
+    (`_block_spectra`)."""
 
     eigenvalues: np.ndarray
     ground_vector: np.ndarray  # pairs with eigenvalues[0]
@@ -377,9 +377,12 @@ class _EntryTable(NamedTuple):
 
 
 def _table_of(diagonal: np.ndarray, low, high, bottleneck: float, coupled_skew: float,
-              x_facts: tuple[float, bool, bool]) -> _EntryTable:
+              x_facts: tuple[float, bool, bool], symmetric: bool = False) -> _EntryTable:
+    """The table of ``diagonal`` and its slot facts; a ``symmetric``
+    diagonal, known to equal its transpose entry for entry, has skew 0.0
+    without being read."""
     scale = max(float(diagonal.max()), float(-diagonal.min()))
-    skew = float(np.abs(diagonal - diagonal.transpose(1, 0, 2)).max())
+    skew = 0.0 if symmetric else float(np.abs(diagonal - diagonal.transpose(1, 0, 2)).max())
     if low is not None:
         scale = max(scale, x_facts[0] * max(-low, high))
     return _EntryTable(diagonal, low, high, bottleneck, scale + 0.0, max(skew, coupled_skew),
@@ -417,8 +420,11 @@ def _table_with_slot(table: _EntryTable | None, x: np.ndarray,
             swapped = np.abs(terms - terms.transpose(1, 0, 3, 2))
             coupled_skew = max(coupled_skew,
                                float(swapped[:, :, ~np.eye(len(slot.mat), dtype=bool)].max()))
+    # a symmetric diagonal less the same multiples of a symmetric X stays
+    # symmetric, entry for entry (equal floats less one value stay equal)
     return _table_of(diagonal, low, high, bottleneck, coupled_skew,
-                     (table.x_max, table.x_symmetric, table.x_positive_weights))
+                     (table.x_max, table.x_symmetric, table.x_positive_weights),
+                     table.x_symmetric and table.skew == 0.0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,6 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import numerics
 from .cones import SelfDualCone
 from .errors import NotPreserving, NotRealForm
 from .numerics import (
@@ -356,6 +357,47 @@ def _grounds(spectra, cones) -> list[GroundState]:
         vectors[i] = _toward_cone(vectors[i], cones[i])
     return [GroundState(spec.ground_energy, spec.gap01, spec.simple, psi)
             for spec, psi in zip(spectra, vectors)]
+
+
+def _runs(records):
+    """The records in runs of consecutive ones: records of Kronecker sums
+    that share H0 and X, while their frames, one column per base state
+    (their dimensions' sum times d0), hold no more than `DIM_CAP` entries,
+    so that a run holds a few arrays of that size at once and a larger
+    node is a run of its own, as `lattice._covering_edges` bounds its runs
+    of edges; any other record is a run of its own."""
+    run, rows = [], 0
+    for record in records:
+        f, h = record.hamiltonian._factors, record.hamiltonian
+        if run and not (f is not None and (g := run[0].hamiltonian._factors) is not None
+                        and f.h0 is g.h0 and f.x is g.x
+                        and (rows + h.dim) * f.h0.shape[0] <= numerics.DIM_CAP):
+            yield run
+            run, rows = [], 0
+        run.append(record)
+        rows += h.dim
+    if run:
+        yield run
+
+
+def _read(run) -> None:
+    """Read the spectra (`numerics._block_spectra`), improving verdicts
+    (`_improving`) and cone-oriented ground states (`_grounds`) of a run
+    of records of Kronecker sums (`_runs`), one array pass each, into the
+    records, which share one tolerance.  The blocks are let go on return.
+    A record whose spectrum does not read is left unread, and so are the
+    records after it, so that each raises its own failure, read alone,
+    where its reader asks for it; any other run is left to its readers."""
+    ops = [record.hamiltonian for record in run]
+    if ops[0]._factors is None:
+        return
+    spectra, _ = _block_spectra(ops, [_shifts(op._factors.slots) for op in ops])
+    read = run[:len(spectra)]
+    cones = [record.cone for record in read]
+    for record, spectrum, verdict, ground in zip(
+            read, spectra, _improving(ops[:len(read)], cones, read[0].tol if read else 0.0),
+            _grounds(spectra, cones)):
+        record.__dict__.update(spectrum=spectrum, improving=verdict, ground=ground)
 
 
 def ground_state(h: LinearOperator, cone: SelfDualCone, tol: float = DEFAULT_TOL) -> GroundState:

@@ -263,7 +263,10 @@ def verify_mlm(system: SpinSystem, m: float = 0.0, tol: float = DEFAULT_TOL) -> 
     o_r = LinearOperator(cone.space, _total_spin_sq(n, basis))
     o_r.require_hermitian()
     values = _total_spin_values(n, m)  # ascending, so the last is the norm
-    (mu, mu_snapped, _, _), = _quantum_numbers([node], o_r, float(values[-1]), values, [None])
+    readings, failure = _quantum_numbers([node], o_r, float(values[-1]), [values], [None])
+    if failure is not None:
+        raise failure
+    (mu, mu_snapped, _, _), = readings
     s_star = abs(len(system.sublattice_a) - len(system.sublattice_b)) / 2.0
     s = max(s_star, round(2 * abs(m)) / 2.0)  # the |M| of the sector built
     expected = s * (s + 1.0)

@@ -43,7 +43,6 @@ from .numerics import (
     LinearOperator,
     _applied,
     _base_table,
-    _block_spectra,
     _check_density,
     _EntryTable,
     _kron,
@@ -51,7 +50,6 @@ from .numerics import (
     _kronecker_sum,
     _places,
     _reduced,
-    _shifts,
     _Slot,
     _table_with_slot,
     hermitian_eig,
@@ -62,8 +60,8 @@ from .numerics import (
 from .positivity import (
     GroundState,
     NodeAnalysis,
-    _grounds,
-    _improving,
+    _read,
+    _runs,
     _toward_cone,
     generates_improving_semigroup,
 )
@@ -110,15 +108,6 @@ def _squares(m: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(m):
         return (m.real ** 2).sum(axis=1) + (m.imag ** 2).sum(axis=1)
     return (m * m).sum(axis=1)
-
-
-def _norm(x: np.ndarray) -> float:
-    """np.linalg.norm of a vector, summed as it sums it, without its
-    checks: sqrt(x . x), or of the real and imaginary parts' sum."""
-    if np.iscomplexobj(x):
-        real, imag = x.real, x.imag
-        return math.sqrt(real.dot(real) + imag.dot(imag))
-    return math.sqrt(x.dot(x))
 
 
 def _commuting(hs, o: np.ndarray, scales, frames) -> list[bool]:
@@ -239,31 +228,35 @@ def good_quantum_number(h: LinearOperator, o: LinearOperator, cone: SelfDualCone
     o.require_hermitian()
     node = NodeAnalysis(h, cone, tol)
     o_spectrum = hermitian_eig(o)
-    mu, snapped, residual, _ = _quantum_numbers([node], o, o_spectrum.norm,
-                                                o_spectrum.eigenvalues, [None])[0]
+    readings, failure = _quantum_numbers([node], o, o_spectrum.norm, [o_spectrum.eigenvalues],
+                                         [None])
+    if failure is not None:
+        raise failure
+    (mu, snapped, residual, _), = readings
     comm = float(np.linalg.norm(_commutator(h.mat, o.mat), 2))
     return GoodQuantumNumber(mu, snapped, residual, comm, node.ground)
 
 
 def _quantum_numbers(records, o: LinearOperator, o_norm: float, candidates,
-                     frames) -> list[tuple[float, float, float, np.ndarray]]:
+                     frames) -> tuple[list[tuple[float, float, float, np.ndarray]],
+                                      Exception | None]:
     """The quantum number of O on the ground state of each record of a run,
-    given the norm of O, the eigenvalues to snap to and each node's frame:
-    (mu, snapped mu, residual |O psi - mu psi|, O psi) per node.  A node
-    read alone is a run of one.
+    given the norm of O and, for each node, the eigenvalues to snap to and
+    its frame: (mu, snapped mu, residual |O psi - mu psi|, O psi) for the
+    leading nodes that read, and the failure of the node after them (None
+    when every node reads).  A node read alone is a run of one.
 
     Each H must commute with its observable, be improving-class on its
     cone and have a simple ground state, which must be an eigenvector of
-    the observable.  The first node that fails one of these, in order,
-    raises.  Given a frame T, the observable is T O T^*, pushed from the
-    base space, and is never formed: commutation is `_commuting` through
-    the frames, all of the run's at once, and with phi = T^* psi,
+    the observable; the first node that fails one of these, in order, is
+    the failure.  Given a frame T, the observable is T O T^*, pushed from
+    the base space, and is never formed: commutation is `_commuting`
+    through the frames, all of the run's at once, and with phi = T^* psi,
     mu = <phi, O phi> and O psi is T (O phi).  The run's O phi and mu are
     one stacked product each, which gives every node the bits of its own
-    product.
+    product, and its snaps one pass per array of candidates.
     """
     o_mat, d0 = o.mat, o.dim
-    candidates = np.asarray(candidates, dtype=float)
     failure = None
     for i, (record, frame) in enumerate(zip(records, frames)):
         if record.hamiltonian.dim != (d0 if frame is None else frame.shape[0]):
@@ -288,7 +281,7 @@ def _quantum_numbers(records, o: LinearOperator, o_norm: float, candidates,
     # frame.conj() of a real frame has its layout and its bits
     phis = [psi if frame is None else (frame.conj() if np.iscomplexobj(frame) else frame).T @ psi
             for psi, frame in zip(psis, frames)]
-    o_phis, mus = [None] * len(phis), [None] * len(phis)
+    o_phis, mus, snapped = [None] * len(phis), [None] * len(phis), [None] * len(phis)
     for dtype in {phi.dtype for phi in phis}:  # one stack per dtype, as each was multiplied
         at = [i for i, phi in enumerate(phis) if phi.dtype == dtype]
         stack = np.stack([phis[i] for i in at])[:, :, None]
@@ -296,20 +289,24 @@ def _quantum_numbers(records, o: LinearOperator, o_norm: float, candidates,
         values = np.matmul(stack.conj().transpose(0, 2, 1), products)[:, 0, 0].real.tolist()
         for j, i in enumerate(at):
             o_phis[i], mus[i] = products[j, :, 0], values[j]
+    groups = {}
+    for i in range(len(phis)):
+        groups.setdefault(id(candidates[i]), []).append(i)
+    for at in groups.values():
+        values = np.asarray(candidates[at[0]], dtype=float)
+        near = np.abs(values - np.array([mus[i] for i in at])[:, None]).argmin(axis=1)
+        for i, value in zip(at, values[near].tolist()):
+            snapped[i] = value
     o_scale = max(o_norm, 1e-300)
-    snapped = candidates[np.abs(candidates - np.array(mus)[:, None]).argmin(axis=1)].tolist()
     readings = []
     for psi, frame, o_phi, mu, mu_snapped in zip(psis, frames, o_phis, mus, snapped):
         o_psi = o_phi if frame is None else frame @ o_phi
-        residual = _norm(o_psi - mu * psi)
+        residual = float(np.linalg.norm(o_psi - mu * psi))
         if residual > SNAP_TOL_FACTOR * o_scale or abs(mu - mu_snapped) > SNAP_TOL_FACTOR * o_scale:
-            raise Inconsistent(
-                f"ground state is not an observable eigenvector: residual {residual:.3e}"
-            )
+            return readings, Inconsistent(
+                f"ground state is not an observable eigenvector: residual {residual:.3e}")
         readings.append((mu, mu_snapped, residual, o_psi))
-    if failure is not None:
-        raise failure
-    return readings
+    return readings, failure
 
 
 @dataclass(frozen=True)
@@ -372,36 +369,41 @@ def _chain_pass(chain: ArrowChain, o: LinearOperator,
     a failed link raises `LinkFailed` itself.
 
     Once `_verified_links` has passed every link, O is decomposed once and
-    node j is read from its record.  Node 0 reads O itself; node j > 0
-    reads tau O tau^* through its frame T_j = tau_{j-1} ... tau_0, the
-    identity pushed one embedding at a time (`Embedding.push`), an
-    n_j x d0 array.  spec(T O T^*) is spec(O) and 0, so every pushed
-    observable has the norm of O.  The first reading failure is raised
-    with its index.
+    every node is read from its record, all in one run
+    (`_quantum_numbers`).  Node 0 reads O itself; node j > 0 reads
+    tau O tau^* through its frame T_j = tau_{j-1} ... tau_0, the identity
+    pushed one embedding at a time (`Embedding.push`), an n_j x d0 array.
+    spec(T O T^*) is spec(O) and 0, so every pushed observable has the
+    norm of O.  The nodes are checked in order: a moved quantum number
+    raises `MuMismatch` at its node, and the first reading failure is
+    raised with its index.
     """
     records, links = _verified_links(chain, tol)
     report = _chain_report(links)
     o_spectrum = hermitian_eig(o)
     extended_candidates = np.concatenate([o_spectrum.eigenvalues, [0.0]])
+    frames = [None]  # the base reads O itself
+    for emb in chain.embeddings:
+        frames.append(emb.push(np.eye(o.dim) if frames[-1] is None else frames[-1]))
+    readings, failure = _quantum_numbers(
+        records, o, o_spectrum.norm,
+        [o_spectrum.eigenvalues] + [extended_candidates] * len(chain.embeddings), frames)
     values, snapped, telescopes = [], [], []
-    frame = None  # the base reads O itself
-    for j, record in enumerate(records):
-        candidates = extended_candidates if j else o_spectrum.eigenvalues
-        try:
-            (mu, mu_snapped, _, o_psi), = _quantum_numbers([record], o, o_spectrum.norm,
-                                                           candidates, [frame])
-        except (NotCommuting, NotSimple, NotInAPlus) as exc:
-            raise _indexed(type(exc)(f"node {j}: {exc}"), j) from exc
+    for j, (mu, mu_snapped, _, o_psi) in enumerate(readings):
         values.append(mu)
         snapped.append(mu_snapped)
         if mu_snapped != snapped[0]:
             raise MuMismatch(j, snapped[0], mu_snapped)
         if j:  # <O psi_{j-1}, tau^* psi_j> against mu_{j-1} times link j-1's overlap
-            lhs = complex(np.vdot(last_o_psi, chain.embeddings[j - 1].pull(record.ground.vector)))
+            lhs = complex(np.vdot(last_o_psi,
+                                  chain.embeddings[j - 1].pull(records[j].ground.vector)))
             telescopes.append(abs(lhs - snapped[j - 1] * report.overlaps[j - 1]))
         last_o_psi = o_psi
-        if j < len(chain.embeddings):
-            frame = chain.embeddings[j].push(np.eye(o.dim) if frame is None else frame)
+    if isinstance(failure, (NotCommuting, NotSimple, NotInAPlus)):
+        j = len(readings)
+        raise _indexed(type(failure)(f"node {j}: {failure}"), j) from failure
+    if failure is not None:
+        raise failure
     return report, ChainMuReport(tuple(values), tuple(snapped), report.overlaps,
                                  tuple(telescopes))
 
@@ -432,13 +434,12 @@ class _KroneckerFamily:
     decomposed once, at the first node (the tower's sigma_x once per
     process).  The facts of a subset (`_SubsetFacts`) are made once, from
     those of the subset less its last slot, with the float operations of a
-    loop over its slots, in the same order.  `records` reads the spectra
-    and improving verdicts of a run of nodes in one array pass each; a
-    node read alone, as a tower level is, reads its own as a run of one.
-    The shifts of a subset are summed when `records` reads its run and let
-    go once the run is read, so only a run's shifts are held at once; no
-    node keeps them.  The nodes of one dimension share one sign basis,
-    which carries the base cone's fibers.
+    loop over its slots, in the same order.  `records` reads the spectra,
+    improving verdicts and ground states of a run of nodes in one array
+    pass each, as a chain of its nodes is read (`_verified_links`); a node
+    read alone is a run of one.  No node keeps the shifts of its spectrum.
+    The nodes of one dimension share one sign basis, which carries the
+    base cone's fibers.
     """
 
     def __init__(self, h0: LinearOperator, cone: SelfDualCone, x: LinearOperator, ys, names):
@@ -448,7 +449,6 @@ class _KroneckerFamily:
         if dim > numerics.DIM_CAP:
             raise DimCap(f"Kronecker sum dimension {dim} exceeds cap {numerics.DIM_CAP}")
         self._facts = {}  # subset -> its _SubsetFacts
-        self._shifts = {}  # subset -> its shifts k, while `records` reads its run
         self._bases = {}  # n -> the sign basis that the nodes of dimension d0 * n share
 
     # sigma_x, every tower level's slot, decomposed at the first tower
@@ -483,63 +483,22 @@ class _KroneckerFamily:
         self._facts[subset] = facts
         return facts
 
-    def shifts(self, subset: tuple[int, ...]) -> np.ndarray:
-        """The eigenvalues k of K_I, I an ascending tuple of slots, in slot
-        order (`numerics._shifts`): held while `records` reads I's run,
-        and summed from those of I less its last slot while these are
-        held."""
-        k = self._shifts.get(subset)
-        if k is None:
-            head = self._shifts.get(subset[:-1]) if subset else None
-            tail = subset if head is None else subset[-1:]
-            k = self._shifts[subset] = _shifts((self.slots[mu - 1] for mu in tail), head)
-        return k
-
     def records(self, subsets, tol: float = DEFAULT_TOL):
-        """Yield ``subsets`` in runs of consecutive subsets, each run a list
-        of (subset, the `NodeAnalysis` of its node) with every spectrum and
-        improving verdict read.
-
-        A run grows while its frames, one column per base state, hold no
-        more than `DIM_CAP` entries (its nodes' dimensions sum to at most
-        `DIM_CAP` / d0), so that, as in `lattice._covering_edges`, a run
-        holds a few arrays of `DIM_CAP` entries at once; a node whose frame
-        is larger is a run of its own.  Its spectra are read in one array
-        pass (`numerics._block_spectra`), from one batched `eigh` of its
-        distinct blocks, which are let go before the run is yielded, and
-        its improving verdicts in another (`positivity._improving`).  A
-        node whose spectrum cannot be read ends its run: the nodes before
-        it are yielded, and its failure is raised when the next run is
-        asked for.
+        """Yield ``subsets`` in runs (`positivity._runs`), each run a list
+        of (subset, the `NodeAnalysis` of its node), its spectra, improving
+        verdicts and ground states read in one array pass each
+        (`positivity._read`).  A run's blocks are let go before it is
+        yielded.  A node whose spectrum does not read is left unread, and
+        so are the nodes after it in its run, so that each raises its own
+        failure, read alone, where its reader asks for it.
         """
-        run, rows = [], 0
-        for subset in subsets:
-            dim = self.h0.dim * self.facts(subset).size
-            if run and (rows + dim) * self.h0.dim > numerics.DIM_CAP:
-                yield from self._read(run, tol)
-                run, rows = [], 0
-            run.append(subset)
-            rows += dim
-        if run:
-            yield from self._read(run, tol)
-
-    def _read(self, run, tol: float):
-        nodes = [self.node(subset) for subset in run]
-        ops = [node.hamiltonian for node in nodes]
-        spectra, failure = _block_spectra(ops, [self.shifts(subset) for subset in run])
-        for subset in run:
-            del self._shifts[subset]
-        cones = [node.cone for node in nodes]
-        verdicts = _improving(ops[:len(spectra)], cones, tol)
-        records = []
-        for subset, node, spectrum, verdict, ground in zip(run, nodes, spectra, verdicts,
-                                                           _grounds(spectra, cones)):
-            record = NodeAnalysis(node.hamiltonian, node.cone, tol)
-            record.__dict__.update(spectrum=spectrum, improving=verdict, ground=ground)
-            records.append((subset, record))
-        yield records
-        if failure is not None:
-            raise failure
+        pairs = [(subset, NodeAnalysis(node.hamiltonian, node.cone, tol))
+                 for subset, node in zip(subsets, map(self.node, subsets))]
+        first = 0
+        for run in _runs([record for _, record in pairs]):
+            _read(run)
+            yield pairs[first:first + len(run)]
+            first += len(run)
 
     def node(self, subset) -> ChainNode:
         subset = tuple(subset)

@@ -649,17 +649,17 @@ def test_an_inheritance_tolerance_past_the_limit_raises_as_the_per_edge_loop_doe
 
 
 def test_a_read_node_lets_its_shifts_go():
-    # a run's shifts are held by its family while the run is read and let
-    # go with it: the family holds none between runs, and no node keeps
-    # any; a lone re-read sums them again, slot by slot, with the same bits
+    # a run's shifts are summed while the run is read and let go with it:
+    # neither the family nor any node keeps them; a lone re-read sums them
+    # again, slot by slot, with the same bits
     base = demo_spec()
     ys = [np.array([[a, 1.0 + a], [1.0 + a, a]]) for a in np.linspace(0.05, 0.9, 9)]
     spec = LatticeSpec(base.h0, base.cone, base.observable, base.x,
                        tuple((2, op(f"f{mu}", y)) for mu, y in enumerate(ys, start=1)))
     family = lattice._family(spec)
-    subsets = lattice._all_subsets(spec.ell)
-    for _ in family.records(subsets):
-        assert len(family._shifts) == 0
+    for run in family.records(lattice._all_subsets(spec.ell)):
+        assert not any(isinstance(value, dict) and value and isinstance(
+            next(iter(value.values())), np.ndarray) for value in vars(family).values())
     diagram = build_lattice(spec)
     values = {mu: np.linalg.eigh(y.mat)[0] for mu, (_, y) in enumerate(spec.factors, start=1)}
     for node in diagram.nodes:
