@@ -22,7 +22,7 @@ from .numerics import (
     _numeric,
     identity,
 )
-from .positivity import NodeAnalysis, _read, _runs, classify
+from .positivity import NodeAnalysis, _read_together, _runs, classify
 
 ISOMETRY_TOL = 1e-10
 
@@ -500,16 +500,39 @@ def _verified_links(chain: ArrowChain, tol: float
     `OverlapReport`, for `verify_chain` and for the quantum numbers of
     `stability.quantum_number_along_chain`.  Link j is decided on records
     j and j+1, and a failed link raises `LinkFailed` at once.  A record
-    holds the eigenvalues and the ground vector, no eigenbasis.  The
-    records of the Kronecker-sum nodes, a tower's levels or a `coupling`
-    member, are read first, in runs of array passes (`positivity._runs`),
-    so a tower's levels past a failed link are read too; every other
-    record is lazy, and no dense node past a failed link is decomposed.
+    is lazy and holds the eigenvalues and the ground vector, no
+    eigenbasis.  The records of the Kronecker-sum nodes, a tower's levels
+    or a `coupling` member, read their facts in runs
+    (`positivity._read_together`).  The arrows are decided first, in
+    order, up to the first that fails or raises, their verdicts read in
+    runs; then the overlaps of the links before it, in order, their ground
+    states read in runs of the nodes those links reach alone; then that
+    arrow's failure.  A failed link still raises at the first link that
+    fails, and no node past a failed arrow is decomposed.
     """
     records = [NodeAnalysis(node.hamiltonian, node.cone, tol) for node in chain.nodes]
     for run in _runs(records):
-        _read(run)
-    links = []
+        _read_together(run)
+    arrows, failure = [], None
     for j, emb in enumerate(chain.embeddings):
-        links.append(_verified_link(j, records[j], records[j + 1], emb))
+        try:
+            arrows.append(check_arrow(records[j], records[j + 1], emb))
+        except Exception as exc:  # raised in its turn, after the links before it
+            failure = exc
+            break
+        if not arrows[-1]:
+            break
+    reached = records[:len(arrows) + (0 if arrows and not arrows[-1] else 1)]
+    for record in records[len(reached):]:
+        record.__dict__.pop("_run", None)
+    for run in _runs(reached):  # no ground state past the last arrow is read
+        _read_together(run)
+    links = []
+    for j, arrow in enumerate(arrows):
+        source, target, emb = records[j], records[j + 1], chain.embeddings[j]
+        read = functools.partial(_overlap_report, arrow,
+                                 functools.partial(_pulled_overlap, source, target, emb), tol)
+        links.append(_link_verdict(j, read, tol))
+    if failure is not None:
+        raise failure
     return records, links

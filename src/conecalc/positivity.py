@@ -23,7 +23,7 @@ import numpy as np
 
 from . import numerics
 from .cones import SelfDualCone
-from .errors import NotPreserving, NotRealForm
+from .errors import ConecalcError, NotPreserving, NotRealForm
 from .numerics import (
     DEFAULT_TOL,
     LinearOperator,
@@ -380,24 +380,50 @@ def _runs(records):
         yield run
 
 
-def _read(run) -> None:
-    """Read the spectra (`numerics._block_spectra`), improving verdicts
-    (`_improving`) and cone-oriented ground states (`_grounds`) of a run
-    of records of Kronecker sums (`_runs`), one array pass each, into the
-    records, which share one tolerance.  The blocks are let go on return.
+def _read_together(run) -> None:
+    """Let the records of a run of Kronecker sums (`_runs`) read their
+    facts together: the first of them whose improving verdict is asked for
+    reads the verdicts of the whole run in one pass (`_improving`), and the
+    first whose spectrum or ground state is asked for reads the run's
+    spectra and cone-oriented ground states in one pass each
+    (`numerics._block_spectra`, `_grounds`), the blocks let go on return.
     A record whose spectrum does not read is left unread, and so are the
-    records after it, so that each raises its own failure, read alone,
-    where its reader asks for it; any other run is left to its readers."""
-    ops = [record.hamiltonian for record in run]
-    if ops[0]._factors is None:
+    records after it, and a run whose verdicts do not read leaves every
+    verdict unread, so that each record raises its own failure, read
+    alone, where its reader asks for it.  Any other run reads as before."""
+    if run[0].hamiltonian._factors is not None:
+        for record in run:
+            record.__dict__["_run"] = run
+
+
+def _read(run) -> None:
+    """`_read_together`, and then read the run's verdicts and spectra."""
+    _read_together(run)
+    if "_run" in run[0].__dict__:
+        _run_verdicts(run)
+        _run_spectra(run)
+
+
+def _run_verdicts(run) -> None:
+    todo = [record for record in run if "improving" not in record.__dict__]
+    try:
+        verdicts = _improving([record.hamiltonian for record in todo],
+                              [record.cone for record in todo], run[0].tol)
+    except ConecalcError:
         return
+    for record, verdict in zip(todo, verdicts):
+        record.__dict__["improving"] = verdict
+
+
+def _run_spectra(run) -> None:
+    ops = [record.hamiltonian for record in run]
     spectra, _ = _block_spectra(ops, [_shifts(op._factors.slots) for op in ops])
     read = run[:len(spectra)]
-    cones = [record.cone for record in read]
-    for record, spectrum, verdict, ground in zip(
-            read, spectra, _improving(ops[:len(read)], cones, read[0].tol if read else 0.0),
-            _grounds(spectra, cones)):
-        record.__dict__.update(spectrum=spectrum, improving=verdict, ground=ground)
+    for record, spectrum, ground in zip(read, spectra,
+                                        _grounds(spectra, [record.cone for record in read])):
+        record.__dict__.update(spectrum=spectrum, ground=ground)
+    for record in run:  # the rest read alone
+        del record.__dict__["_run"]
 
 
 def ground_state(h: LinearOperator, cone: SelfDualCone, tol: float = DEFAULT_TOL) -> GroundState:
@@ -420,16 +446,19 @@ class NodeAnalysis:
     The improving-class verdict needs only the generator-basis matrix.  The
     spectrum, its norm max|lambda| and the cone-oriented ground state all
     come from a single eigendecomposition, made the first time one of them
-    is asked for, so a link that fails its arrow never decomposes anything.
+    is asked for, so a dense node past a link that fails its arrow is
+    never decomposed.
     The record keeps facts, not an eigenbasis: its spectrum holds the
     eigenvalues and the ground vector alone.  A Kronecker sum (a lattice
     node, a tower level, the `stability` coupling recipe) reads its
     eigenpairs from its d0 x d0 blocks (`numerics._block_spectra`), which
     forms no eigenbasis, and its improving verdict from its factors and the
     entry table its family built (`_factors_improving`), so neither builds
-    its matrix.  Its family reads both for a run of its nodes in one pass
-    and hands each record its own (`stability._KroneckerFamily.records`);
-    a node read alone, as a tower level is, is a run of one.  Any other
+    its matrix.  Both, and the ground state, are read for a run of such
+    records in one pass each (`_read`), the nodes of a lattice
+    (`stability._KroneckerFamily.records`) and of a chain
+    (`inheritance._verified_links`) alike; a record read on its own is a
+    run of one.  Any other
     Hamiltonian takes `hermitian_eig`, which copies out and phase-fixes the
     ground column alone.
     """
@@ -440,12 +469,20 @@ class NodeAnalysis:
 
     @cached_property
     def improving(self) -> bool:
+        if (run := self.__dict__.get("_run")) is not None:
+            _run_verdicts(run)
+            if "improving" in self.__dict__:
+                return self.__dict__["improving"]
         return generates_improving_semigroup(self.hamiltonian, self.cone, self.tol)
 
     @cached_property
     def spectrum(self) -> Spectrum:
         if (f := self.hamiltonian._factors) is None:
             return hermitian_eig(self.hamiltonian)
+        if (run := self.__dict__.get("_run")) is not None:
+            _run_spectra(run)
+            if "spectrum" in self.__dict__:
+                return self.__dict__["spectrum"]
         spectra, failure = _block_spectra([self.hamiltonian], [_shifts(f.slots)])
         if failure is not None:
             raise failure
@@ -457,4 +494,5 @@ class NodeAnalysis:
 
     @cached_property
     def ground(self) -> GroundState:
-        return _grounds([self.spectrum], [self.cone])[0]
+        spectrum = self.spectrum  # a run's read sets the ground state with it
+        return self.__dict__.get("ground") or _grounds([spectrum], [self.cone])[0]
