@@ -572,18 +572,18 @@ def _applied(ops, places: _Places, v: np.ndarray) -> np.ndarray:
     f = ops[0]._factors
     d0, c = f.h0.shape[0], (v.shape[1] if v.ndim == 2 else 1)
     dims = np.array([op.dim for op in ops], dtype=np.intp)
-    starts = np.cumsum(dims) - dims
+    starts = dims.cumsum() - dims
     v2 = v.reshape(v.shape[0], c)
     kv = np.zeros(v2.shape, dtype=np.result_type(v, places.mats))
     rows = dims[places.node]
-    for p in np.flatnonzero(rows >= _MATMUL_ROWS).tolist():
+    for p in (rows >= _MATMUL_ROWS).nonzero()[0].tolist():
         n, offset, start = int(places.n[p]), int(places.offset[p]), int(starts[places.node[p]])
         shape = (-1, n, int(places.stride[p]) * c)
         view = kv[start:start + int(rows[p])].reshape(shape)
         view += places.mats[offset:offset + n * n].reshape(n, n) @ v2[
             start:start + int(rows[p])].reshape(shape)
     count = np.where(rows >= _MATMUL_ROWS, 0, rows * places.n)
-    ends = np.cumsum(count)
+    ends = count.cumsum()
     for first in range(0, int(ends[-1]) if ends.size else 0, DIM_CAP):
         term = np.arange(first, min(first + DIM_CAP, int(ends[-1])))
         at = np.searchsorted(ends, term, side="right")  # the place of every term
@@ -596,8 +596,8 @@ def _applied(ops, places: _Places, v: np.ndarray) -> np.ndarray:
         for j in range(c):
             kv[:, j] += _binned(rows, terms * v2[cols, j], v.shape[0])
     width = dims // d0 * c
-    perm = (np.repeat(starts * c - np.cumsum(width) + width, width) + np.arange(width.sum())
-            + np.arange(d0)[:, None] * np.repeat(width, width))
+    perm = ((starts * c - width.cumsum() + width).repeat(width) + np.arange(width.sum())
+            + np.arange(d0)[:, None] * width.repeat(width))
     out = np.empty(v.shape, dtype=np.result_type(kv, f.h0, f.x))
     out.reshape(-1)[perm] = f.h0 @ v.reshape(-1)[perm] - f.x @ kv.reshape(-1)[perm]
     return out
@@ -644,10 +644,10 @@ def _block_spectra(ops, shifts) -> tuple[list[Spectrum], Exception | None]:
     size = np.array([k.size for k in shifts], dtype=np.intp)
     values, vectors, inverse = _blocks(f.h0, f.x, np.concatenate(shifts))
     flat = values[inverse].ravel()  # node after node, its blocks in k order
-    first_block = np.cumsum(size) - size
+    first_block = size.cumsum() - size
     dims = size * d0
     starts = first_block * d0  # of a node's eigenvalues in flat, and of its ground vector
-    order = np.lexsort((flat, np.repeat(np.arange(size.size), dims)))
+    order = np.lexsort((flat, np.arange(size.size).repeat(dims)))
     eigenvalues = flat[order]
     block, level = np.divmod(order[starts] - starts, d0)
     places = _places(ops)
@@ -671,10 +671,10 @@ def _block_spectra(ops, shifts) -> tuple[list[Spectrum], Exception | None]:
     energy = eigenvalues[starts]
     scale = np.maximum(-energy, eigenvalues[starts + dims - 1])
     miss = _applied(ops, places, ground)
-    miss -= np.repeat(energy, dims) * ground
+    miss -= energy.repeat(dims) * ground
     residual = np.sqrt(np.add.reduceat(miss.real ** 2 + miss.imag ** 2 if np.iscomplexobj(miss)
                                        else miss * miss, starts))
-    for i in np.flatnonzero(~(residual <= BLOCK_RESIDUAL_TOL * scale))[:1].tolist():
+    for i in (~(residual <= BLOCK_RESIDUAL_TOL * scale)).nonzero()[0][:1].tolist():
         ops, failure = ops[:i], Inconsistent(
             f"block ground pair of the operator on {ops[i].space!r} has residual "
             f"{residual[i]:.3e}, above {BLOCK_RESIDUAL_TOL:g} * ||H||")
@@ -709,25 +709,25 @@ def _ground_vectors(phi: np.ndarray, block: np.ndarray, size: np.ndarray,
     in the dtype of phi and of the run's slots."""
     d0 = phi.shape[1]
     dims = size * d0
-    starts = np.cumsum(dims) - dims
-    a, s = np.divmod(np.arange(dims.sum()) - np.repeat(starts, dims), np.repeat(size, dims))
-    out = phi.astype(np.result_type(phi, places.vectors))[np.repeat(np.arange(size.size), dims), a]
+    starts = dims.cumsum() - dims
+    a, s = np.divmod(np.arange(dims.sum()) - starts.repeat(dims), size.repeat(dims))
+    out = phi.astype(np.result_type(phi, places.vectors))[np.arange(size.size).repeat(dims), a]
     for place in range(int(places.place.max(initial=-1)) + 1):
         at = places.place == place
         node, n, stride = places.node[at], places.n[at], places.stride[at]
         has = np.zeros(size.size, dtype=bool)
         has[node] = True
-        rows = np.flatnonzero(np.repeat(has, dims))
+        rows = has.repeat(dims).nonzero()[0]
         count = dims[node]
-        n_r, stride_r = np.repeat(n, count), np.repeat(stride, count)
-        column = np.repeat(block[node] // stride % n + places.offset[at], count)
+        n_r, stride_r = n.repeat(count), stride.repeat(count)
+        column = (block[node] // stride % n + places.offset[at]).repeat(count)
         out[rows] *= places.vectors[column + s[rows] // stride_r % n_r * n_r]
     mags = np.abs(out)  # `_fix_phase`, node by node
-    big = np.flatnonzero(mags > np.repeat(PHASE_PIVOT_FACTOR * np.maximum.reduceat(mags, starts),
-                                          dims))
+    big = (mags > (PHASE_PIVOT_FACTOR * np.maximum.reduceat(mags, starts)).repeat(dims)
+           ).nonzero()[0]
     pivot = np.append(big, out.size)[np.searchsorted(big, starts)]
     pivot = out[np.where(pivot < starts + dims, pivot, starts)]
-    out *= np.repeat(pivot.conjugate() / np.abs(pivot), dims)
+    out *= (pivot.conjugate() / np.abs(pivot)).repeat(dims)
     return out
 
 

@@ -235,11 +235,11 @@ def _factors_improving(hs, cones, tol: float) -> list[bool | None]:
     base = np.arange(f.h0.shape[0])
     flip = np.stack(flips)  # (node, a, b)
     width = np.array([table.diagonal.shape[2] for table in tables])
-    starts = np.cumsum(width) - width
+    starts = width.cumsum() - width
     thresh = tol * np.array([table.scale for table in tables])
     diagonal = np.concatenate([table.diagonal for table in tables], axis=2)
-    diagonal *= np.repeat(flip, width, axis=0).transpose(1, 2, 0)
-    edge = np.repeat(thresh, width)
+    diagonal *= flip.repeat(width, axis=0).transpose(1, 2, 0)
+    edge = thresh.repeat(width)
     above = diagonal > edge
     above[base, base] = False
     metzler = ~np.logical_or.reduceat(above.any(axis=(0, 1)), starts)

@@ -138,14 +138,14 @@ def _commuting(hs, o: np.ndarray, scales, frames) -> list[bool]:
     ops = [hs[i] for i in framed]
     t = np.concatenate([frames[i] for i in framed])
     rows = np.array([frames[i].shape[0] for i in framed])
-    starts = np.cumsum(rows) - rows
+    starts = rows.cumsum() - rows
     if all(op._factors is not None for op in ops):
         a = _applied(ops, _places(ops), t)
     else:
         a = np.concatenate([op.mat @ frames[i] for i, op in zip(framed, ops)])
     d0 = o.shape[0]
     g = np.stack([np.add.reduceat(t[:, b, None].conj() * a, starts) for b in range(d0)], axis=1)
-    node = np.repeat(np.arange(len(framed)), rows)
+    node = np.arange(len(framed)).repeat(rows)
     beyond = a if a.dtype == np.result_type(a, t, g) else a.astype(np.result_type(a, t, g))
     del a
     for b in range(d0):
