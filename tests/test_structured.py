@@ -37,7 +37,6 @@ from conftest import (
     random_spin_system,
     rng,
     same_bits,
-    shifts_oracle,
     subset_embedding,
 )
 
