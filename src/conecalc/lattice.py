@@ -261,13 +261,14 @@ def build_lattice(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> HasseDiagram:
     The standing assumptions are checked first (`verify_spec`), and the
     diagram carries that report.  Nodes are constructed in (size,
     lexicographic) order and read in runs of consecutive nodes whose
-    dimensions sum to no more than `DIM_CAP`, each run in array passes:
-    its spectra from one batched `eigh` of one block per distinct shift,
-    let go before the run is read further, and its improving verdicts
+    frames, their dimensions' sum times d0, hold no more than `DIM_CAP`
+    entries, each run in array passes: its improving verdicts, its
+    spectra from one batched `eigh` of one block per distinct shift, let
+    go before the run is read further, and its ground states
     (`stability._KroneckerFamily.records`), then its quantum numbers
     through the nodes' frames (`_built_run`).  The first node that fails
-    raises, whichever pass finds it.  Then each covering pair (I, I u {mu}) is decided by the link verdict of
-    chains: a full arrow, a strictly positive ground overlap and a
+    raises, whichever pass finds it.  Then each covering pair
+    (I, I u {mu}) is decided by the link verdict of chains: a full arrow, a strictly positive ground overlap and a
     compressed ground projector that improves the small cone.  Its
     embedding inserts mu's uniform vector; the edges are read in runs,
     one array pass each, with no embedding formed per edge

@@ -595,15 +595,12 @@ def _applied(ops, places: _Places, v: np.ndarray) -> np.ndarray:
         terms = places.mats[places.offset[at] + s * n + q]
         for j in range(c):
             kv[:, j] += _binned(rows, terms * v2[cols, j], v.shape[0])
-    bounds = list(zip(starts.tolist(), (starts + dims).tolist()))
-    both = (f.h0 @ np.concatenate([v2[s:e].reshape(d0, -1) for s, e in bounds], axis=1)
-            - f.x @ np.concatenate([kv[s:e].reshape(d0, -1) for s, e in bounds], axis=1))
-    out = np.empty(v2.shape, dtype=both.dtype)
-    at = 0
-    for s, e in bounds:  # node by node, its (d0, N c) columns back in its rows
-        out[s:e] = both[:, at:at + (e - s) // d0 * c].reshape(e - s, c)
-        at += (e - s) // d0 * c
-    return out.reshape(v.shape)
+    width = dims // d0 * c
+    perm = ((starts * c - width.cumsum() + width).repeat(width) + np.arange(width.sum())
+            + np.arange(d0)[:, None] * width.repeat(width))
+    out = np.empty(v.shape, dtype=np.result_type(kv, f.h0, f.x))
+    out.reshape(-1)[perm] = f.h0 @ v.reshape(-1)[perm] - f.x @ kv.reshape(-1)[perm]
+    return out
 
 
 def _block_spectra(ops, shifts) -> tuple[list[Spectrum], Exception | None]:

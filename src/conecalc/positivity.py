@@ -328,11 +328,12 @@ def _toward_cone(x: np.ndarray, cone: SelfDualCone) -> np.ndarray:
 
 def _grounds(spectra, cones) -> list[GroundState]:
     """The ground state of each spectrum of a run, oriented toward its cone
-    (`_toward_cone`).  A real vector on a sign cone is negated when its
-    coordinates sum below 0; the run's sums are read in one pass, and a
-    node's own sum is taken again only where the pass's, which adds in
-    another order, lies within its rounding bound of 0, so every sign is
-    `_toward_cone`'s.  Other vectors and cones are read one by one."""
+    as `_toward_cone` orients a record's own.  A real vector on a sign
+    cone is negated when its coordinates sum below 0; the run's sums are
+    read in one pass, and a node's own sum is taken again only where the
+    pass's, which adds in another order, lies within its rounding bound of
+    0, so every sign is `_toward_cone`'s.  Other vectors and cones are read
+    one by one."""
     vectors = [spectrum.ground_vector for spectrum in spectra]
     signed = [i for i, (x, cone) in enumerate(zip(vectors, cones))
               if cone._sign_basis is not None and not np.iscomplexobj(x) and x.size == cone.dim]
@@ -390,7 +391,8 @@ def _read_together(run) -> None:
     A record whose spectrum does not read is left unread, and so are the
     records after it, and a run whose verdicts do not read leaves every
     verdict unread, so that each record raises its own failure, read
-    alone, where its reader asks for it.  Any other run reads as before."""
+    alone, where its reader asks for it.  A run of any other record is
+    left to the record's own reads."""
     if run[0].hamiltonian._factors is not None:
         for record in run:
             record.__dict__["_run"] = run
@@ -494,5 +496,7 @@ class NodeAnalysis:
 
     @cached_property
     def ground(self) -> GroundState:
-        spectrum = self.spectrum  # a run's read sets the ground state with it
-        return self.__dict__.get("ground") or _grounds([spectrum], [self.cone])[0]
+        spec = self.spectrum  # a run's read sets the ground state with it
+        return self.__dict__.get("ground") or GroundState(
+            spec.ground_energy, spec.gap01, spec.simple,
+            _toward_cone(spec.ground_vector, self.cone))

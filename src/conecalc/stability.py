@@ -302,7 +302,8 @@ def _quantum_numbers(records, o: LinearOperator, o_norm: float, candidates,
     for psi, frame, o_phi, mu, mu_snapped in zip(psis, frames, o_phis, mus, snapped):
         o_psi = o_phi if frame is None else frame @ o_phi
         residual = float(np.linalg.norm(o_psi - mu * psi))
-        if residual > SNAP_TOL_FACTOR * o_scale or abs(mu - mu_snapped) > SNAP_TOL_FACTOR * o_scale:
+        if (residual > SNAP_TOL_FACTOR * o_scale
+                or abs(mu - mu_snapped) > SNAP_TOL_FACTOR * o_scale):
             return readings, Inconsistent(
                 f"ground state is not an observable eigenvector: residual {residual:.3e}")
         readings.append((mu, mu_snapped, residual, o_psi))

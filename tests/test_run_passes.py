@@ -31,7 +31,14 @@ from conftest import (
 )
 
 from conecalc import lattice, numerics, stability
-from conecalc.errors import ChainFailed, LinkFailed, MuMismatch, NotCommuting, NotInAPlus, NotSimple
+from conecalc.errors import (
+    ChainFailed,
+    LinkFailed,
+    MuMismatch,
+    NotCommuting,
+    NotInAPlus,
+    NotSimple,
+)
 from conecalc.inheritance import _verified_link
 from conecalc.lattice import LatticeSpec, SpecReport, build_lattice, hasse_export
 from conecalc.numerics import DEFAULT_TOL, hermitian_eig
