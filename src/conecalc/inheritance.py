@@ -16,7 +16,6 @@ from .numerics import (
     DEFAULT_TOL,
     TOL_LIMIT,
     LinearOperator,
-    _binned,
     _freeze,
     _kron,
     _numeric,
@@ -125,7 +124,13 @@ class Embedding:
 def _pulled(cols: np.ndarray, vals: np.ndarray, x: np.ndarray, size: int) -> np.ndarray:
     """tau^* x for the Kronecker rows (cols, vals) of tau: entry c sums
     vals[r] x[r] over the rows r of column c, in row order."""
-    return _binned(cols, vals * x, size)
+    terms = vals * x
+    if not np.iscomplexobj(terms):
+        return np.bincount(cols, terms, size)
+    out = np.empty(size, dtype=terms.dtype)
+    out.real = np.bincount(cols, terms.real, size)
+    out.imag = np.bincount(cols, terms.imag, size)
+    return out
 
 
 def _row_embedding(from_space: str, to_space: str, cols: np.ndarray, vals: np.ndarray,

@@ -39,7 +39,6 @@ SIMPLE_GAP_FACTOR = 1e-8  # a ground state is simple when gap01 > this * ||H||
 DENSITY_TOL = 1e-10  # Hermiticity, unit trace and eigenvalues >= -this of a density matrix
 BLOCK_RESIDUAL_TOL = 1e-10  # a block ground pair is kept when ||H psi - E psi|| <= this * ||H||
 PHASE_PIVOT_FACTOR = 1e-8  # an eigenvector's phase pivot is its first entry above this * its largest
-_MATMUL_ROWS = 256  # a slot of a node of this many rows is applied by a product of its own
 
 
 def _numeric(a) -> np.ndarray:
@@ -512,21 +511,19 @@ class _Places(NamedTuple):
     """Every slot of every node of a run of Kronecker sums, node after node
     and each node's slots in slot order: the node, the slot's place among
     the node's slots, its dimension n, its stride (the product of the
-    dimensions of the node's later slots) and where its n x n Y and
-    eigenvectors start in ``mats`` and ``vectors``, which hold each slot of
-    the run once, raveled."""
+    dimensions of the node's later slots) and where its n x n eigenvectors
+    start in ``vectors``, which holds each slot of the run once, raveled."""
 
     node: np.ndarray
     place: np.ndarray
     n: np.ndarray
     stride: np.ndarray
     offset: np.ndarray
-    mats: np.ndarray
     vectors: np.ndarray
 
 
 def _places(ops) -> _Places:
-    rows, start, mats, vectors = [], {}, [], []
+    rows, start, vectors = [], {}, []
     at = 0
     for i, op in enumerate(ops):
         slots = op._factors.slots
@@ -536,68 +533,42 @@ def _places(ops) -> _Places:
             if (offset := start.get(id(slot))) is None:  # the run's slots, each once
                 offset = start[id(slot)] = at
                 at += n * n
-                mats.append(slot.mat.ravel())
                 vectors.append(slot.vectors.ravel())
             stride //= n
             rows.append((i, place, n, stride, offset))
     columns = np.array(rows, dtype=np.intp).reshape(-1, 5).T
-    return _Places(*columns, *(np.concatenate(a) if a else np.zeros(0) for a in (mats, vectors)))
+    return _Places(*columns, np.concatenate(vectors) if vectors else np.zeros(0))
 
 
-def _binned(index: np.ndarray, terms: np.ndarray, size: int) -> np.ndarray:
-    """np.bincount(index, terms, size) for real or complex terms: entry c
-    sums the terms at c, in their order."""
-    if not np.iscomplexobj(terms):
-        return np.bincount(index, terms, size)
-    out = np.empty(size, dtype=terms.dtype)
-    out.real = np.bincount(index, terms.real, size)
-    out.imag = np.bincount(index, terms.imag, size)
-    return out
-
-
-def _applied(ops, places: _Places, v: np.ndarray) -> np.ndarray:
+def _applied(ops, v: np.ndarray) -> np.ndarray:
     """H v for every node of a run of `_kronecker_sum` nodes that share H0
-    and X, whose slots ``places`` lists: ``v`` holds a vector, or a block
-    of c columns, per node, node after node, and so does the result.
+    and X: ``v`` holds a vector, or a block of c columns, per node, node
+    after node, and so does the result.
 
-    H0 and X act on the base index of the whole run at once, each as one
-    product with a (d0, sum_I N_I c) array, N_I the node's slot states.
-    K adds, on every entry, each slot's sum of Y[s, q] times the entry at
-    slot state q, its other indices kept.  A slot of a node of at least
-    `_MATMUL_ROWS` rows is one product of Y with the node's entries viewed
-    as (before, n, after); the terms of the other slots of the run are
-    gathered and summed by bincount (`_binned`), a quarter of `DIM_CAP`
-    terms at a time, so that the dozen index arrays of a chunk hold no
-    more than a few frames of a run do."""
+    K adds, slot by slot, the product of Y with the node's entries viewed
+    as (before, n, after), its other indices kept.  H0 and X then act on
+    the base index of the whole run at once, each as one product with a
+    (d0, sum_I N_I c) array, N_I the node's slot states."""
     f = ops[0]._factors
     d0, c = f.h0.shape[0], (v.shape[1] if v.ndim == 2 else 1)
-    dims = np.array([op.dim for op in ops], dtype=np.intp)
-    starts = dims.cumsum() - dims
+    dims = [op.dim for op in ops]
     v2 = v.reshape(v.shape[0], c)
-    kv = np.zeros(v2.shape, dtype=np.result_type(v, places.mats))
-    rows = dims[places.node]
-    for p in (rows >= _MATMUL_ROWS).nonzero()[0].tolist():
-        n, offset, start = int(places.n[p]), int(places.offset[p]), int(starts[places.node[p]])
-        shape = (-1, n, int(places.stride[p]) * c)
-        view = kv[start:start + int(rows[p])].reshape(shape)
-        view += places.mats[offset:offset + n * n].reshape(n, n) @ v2[
-            start:start + int(rows[p])].reshape(shape)
-    count = np.where(rows >= _MATMUL_ROWS, 0, rows * places.n)
-    ends = count.cumsum()
-    for first in range(0, int(ends[-1]) if ends.size else 0, DIM_CAP):
-        term = np.arange(first, min(first + DIM_CAP, int(ends[-1])))
-        at = np.searchsorted(ends, term, side="right")  # the place of every term
-        n, stride = places.n[at], places.stride[at]
-        entry, q = np.divmod(term - ends[at] + count[at], n)
-        s = entry // stride % n
-        rows = entry + starts[places.node[at]]
-        cols = rows + (q - s) * stride
-        terms = places.mats[places.offset[at] + s * n + q]
-        for j in range(c):
-            kv[:, j] += _binned(rows, terms * v2[cols, j], v.shape[0])
+    kv = np.zeros(v2.shape, dtype=np.result_type(
+        v, *{slot.mat.dtype for op in ops for slot in op._factors.slots}))
+    start = 0
+    for op, dim in zip(ops, dims):
+        rows, before, after = slice(start, start + dim), d0, dim // d0 * c
+        for slot in op._factors.slots:
+            n = slot.mat.shape[0]
+            after //= n
+            view = kv[rows].reshape(before, n, after)
+            view += slot.mat @ v2[rows].reshape(before, n, after)
+            before *= n
+        start += dim
+    dims = np.array(dims, dtype=np.intp)
     width = dims // d0 * c
-    perm = ((starts * c - width.cumsum() + width).repeat(width) + np.arange(width.sum())
-            + np.arange(d0)[:, None] * width.repeat(width))
+    perm = (((dims.cumsum() - dims) * c - width.cumsum() + width).repeat(width)
+            + np.arange(width.sum()) + np.arange(d0)[:, None] * width.repeat(width))
     out = np.empty(v.shape, dtype=np.result_type(kv, f.h0, f.x))
     out.reshape(-1)[perm] = f.h0 @ v.reshape(-1)[perm] - f.x @ kv.reshape(-1)[perm]
     return out
@@ -670,7 +641,7 @@ def _block_spectra(ops, shifts) -> tuple[list[Spectrum], Exception | None]:
         ground = np.concatenate(pieces)
     energy = eigenvalues[starts]
     scale = np.maximum(-energy, eigenvalues[starts + dims - 1])
-    miss = _applied(ops, places, ground)
+    miss = _applied(ops, ground)
     miss -= energy.repeat(dims) * ground
     residual = np.sqrt(np.add.reduceat(miss.real ** 2 + miss.imag ** 2 if np.iscomplexobj(miss)
                                        else miss * miss, starts))
@@ -684,8 +655,9 @@ def _block_spectra(ops, shifts) -> tuple[list[Spectrum], Exception | None]:
     spectra = []
     for start, dim, gap, vector in zip(starts[:len(ops)].tolist(), dims.tolist(), gaps, pieces):
         if np.iscomplexobj(vector) and not vector.imag.any():
-            vector = _freeze(vector)  # real, as `_numeric` makes it
-        vector.base.setflags(write=False)
+            vector = _freeze(vector)  # a real copy, as `_numeric` makes it
+        else:
+            vector.base.setflags(write=False)
         spectra.append(Spectrum._read(eigenvalues[start:start + dim], vector, gap))
     return spectra, failure
 

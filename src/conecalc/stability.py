@@ -48,7 +48,6 @@ from .numerics import (
     _kron,
     _kronecker_slot,
     _kronecker_sum,
-    _places,
     _reduced,
     _Slot,
     _table_with_slot,
@@ -140,7 +139,7 @@ def _commuting(hs, o: np.ndarray, scales, frames) -> list[bool]:
     rows = np.array([frames[i].shape[0] for i in framed])
     starts = rows.cumsum() - rows
     if all(op._factors is not None for op in ops):
-        a = _applied(ops, _places(ops), t)
+        a = _applied(ops, t)
     else:
         a = np.concatenate([op.mat @ frames[i] for i, op in zip(framed, ops)])
     d0 = o.shape[0]

@@ -255,3 +255,25 @@ def test_tower_levels_read_alone_have_the_bits_of_the_per_node_reading(seed):
         chain = type(chain)(tuple(nodes), chain.embeddings)
     got = chain_outcome(lambda: quantum_number_along_chain(chain, o))
     assert got == chain_outcome(lambda: chain_oracle(chain, o))
+
+
+def test_a_complex_node_whose_ground_vector_is_real_reads_it_as_float():
+    # H0 is complex, but its ground block H0 - k X is the real 1 x 1 corner,
+    # so every node's ground vector has a zero imaginary part: read alone
+    # or in a run, it comes out float64, as `Spectrum` makes it
+    h0 = op("base", np.array([[-3.0, 0.0, 0.0], [0.0, 0.0, 1j], [0.0, -1j, 0.0]]))
+    family = stability._KroneckerFamily(h0, conftest.orthant("base", 3),
+                                        numerics.identity("base", 3), (PAULI_X, RING3),
+                                        ("f1", "f2"))
+    subsets = [(), (1,), (2,), (1, 2)]
+    alone = [NodeAnalysis(node.hamiltonian, node.cone) for node in map(family.node, subsets)]
+    together = [record for run in family.records(subsets) for _, record in run]
+    for subset, record, read in zip(subsets, alone, together):
+        if not subset:
+            continue
+        want = block_spectrum_oracle(record.hamiltonian)
+        for got in (record.spectrum, read.spectrum):
+            assert got.ground_vector.dtype == want.ground_vector.dtype == np.float64
+            assert conftest.same_bits(got.ground_vector, want.ground_vector)
+            assert conftest.same_bits(got.eigenvalues, want.eigenvalues)
+            assert not got.ground_vector.flags.writeable

@@ -979,11 +979,31 @@ class TestEntryTableOracle:
         for shape in ((h.dim,), (h.dim, 3)):
             psi = rng(17000 + seed).normal(size=shape)
             want = h._factors.matrix() @ psi
-            got = numerics._applied([h], numerics._places([h]), psi)
+            got = numerics._applied([h], psi)
             assert got.shape == shape
             assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
             assert np.abs(got - kronecker_apply_oracle(h, psi)).max() \
                 <= 1e-12 * max(np.abs(want).max(), 1.0)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_product_over_a_run_of_nodes(self, seed):
+        # the nodes of every slot subset, stacked node after node, one
+        # product for the run
+        gen = rng(17500 + seed)
+        d0 = int(gen.integers(1, 4))
+        ys = [random_nonneg_irreducible(gen, int(n)) for n in gen.integers(1, 4, size=3)]
+        h0 = LinearOperator("base", random_metzler_generator(gen, d0))
+        x = LinearOperator("base", random_nonneg_irreducible(gen, d0))
+        family = _KroneckerFamily(h0, orthant("base", d0), x, ys, ["f1", "f2", "f3"])
+        hs = [family.node(subset).hamiltonian
+              for subset in [(), (1,), (3,), (1, 2), (2, 3), (1, 2, 3)]]
+        for c in ((), (2,)):
+            psis = [gen.normal(size=(h.dim, *c)) for h in hs]
+            got = numerics._applied(hs, np.concatenate(psis))
+            at = np.cumsum([h.dim for h in hs])[:-1]
+            for h, psi, part in zip(hs, psis, np.split(got, at)):
+                want = kronecker_apply_oracle(h, psi)
+                assert np.abs(part - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
 
 
 def test_abs_max_is_the_dense_float(monkeypatch):
