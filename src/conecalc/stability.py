@@ -113,17 +113,15 @@ def _commuting(hs, o: np.ndarray, scales, frames) -> list[bool]:
     """Whether ||[H, T O T^*]|| <= COMMUTATOR_TOL*scale for each H of a run,
     with its scale ||H||*||O|| and its frame T, an n x d0 array with
     orthonormal columns that pushes O from its base space, or None, the
-    identity, where the test is of [H, O] itself (`_commutes`).  The
-    run's Kronecker sums share H0 and X.
+    identity, where the test is of [H, O] itself (`_commutes`).
 
     With A = H T, G = T^* A and L = A - T G, which is orthogonal to the
     range of T, [H, T O T^*] = T [G, O] T^* + L O T^* - T O L^*.  The three
     terms fill orthogonal blocks, so the Frobenius norm squared, which
     bounds the spectral norm from above, is ||[G, O]||_F^2 + 2 ||L O||_F^2.
-    The framed Hamiltonians of a run are read at once: A for all of them,
-    the Kronecker sums by one `numerics._applied` of the stacked frames,
-    then G, L and both norms as array passes over the stacked rows, so no
-    n x n product is formed.  Only where that bound exceeds the threshold
+    The framed Hamiltonians of a run are read at once: A for all of them
+    (`_framed_products`), then G, L and both norms as array passes over
+    the stacked rows, so no n x n product is formed.  Only where that bound exceeds the threshold
     is the spectral norm itself computed: with L = Q R, Q orthogonal to the
     frame, the commutator on the range of [T, Q] is the anti-Hermitian
     [[G O - O G, -(R O)^*], [R O, 0]], whose norm is the largest
@@ -134,14 +132,10 @@ def _commuting(hs, o: np.ndarray, scales, frames) -> list[bool]:
     framed = [i for i, frame in enumerate(frames) if frame is not None]
     if not framed:
         return verdicts
-    ops = [hs[i] for i in framed]
     t = np.concatenate([frames[i] for i in framed])
     rows = np.array([frames[i].shape[0] for i in framed])
     starts = rows.cumsum() - rows
-    if all(op._factors is not None for op in ops):
-        a = _applied(ops, t)
-    else:
-        a = np.concatenate([op.mat @ frames[i] for i, op in zip(framed, ops)])
+    a = _framed_products([hs[i] for i in framed], [frames[i] for i in framed], t)
     d0 = o.shape[0]
     g = np.stack([np.add.reduceat(t[:, b, None].conj() * a, starts) for b in range(d0)], axis=1)
     node = np.arange(len(framed)).repeat(rows)
@@ -161,6 +155,28 @@ def _commuting(hs, o: np.ndarray, scales, frames) -> list[bool]:
             block = np.block([[c[j], -ro.conj().T], [ro, np.zeros_like(ro)]])
             verdicts[i] = float(np.abs(np.linalg.eigvalsh(1j * block)).max()) <= thresh
     return verdicts
+
+
+def _framed_products(hs, frames, t: np.ndarray) -> np.ndarray:
+    """H T for each H of a run and its frame T, stacked as the frames are
+    in ``t``: the Kronecker sums that share H0 and X, as `positivity._runs`
+    groups them, by one `numerics._applied` of their stacked frames, and
+    any other H by its matrix."""
+    keys = [None if (f := h._factors) is None else (id(f.h0), id(f.x)) for h in hs]
+    if None not in keys and len(set(keys)) == 1:
+        return _applied(hs, t)
+    products = [None] * len(hs)
+    for key in dict.fromkeys(keys):
+        at = [i for i, k in enumerate(keys) if k == key]
+        if key is None:
+            for i in at:
+                products[i] = hs[i].mat @ frames[i]
+            continue
+        stacked = _applied([hs[i] for i in at], np.concatenate([frames[i] for i in at]))
+        ends = np.cumsum([frames[i].shape[0] for i in at])[:-1]
+        for i, part in zip(at, np.split(stacked, ends)):
+            products[i] = part
+    return np.concatenate(products)
 
 
 def _hermitian_norm(op: LinearOperator) -> float:

@@ -1146,6 +1146,37 @@ def test_the_spectral_norm_decides_past_the_frobenius_bound(seed):
         assert not commutes(h, o.mat, 0.999 * spectral / COMMUTATOR_TOL, frame)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_a_run_of_two_families_and_dense_nodes_reads_each_with_its_own_factors(seed):
+    # the levels of two towers, whose bases differ, and dense copies of
+    # them, in one run: each is tested with its own H0 and X, and no
+    # Kronecker sum's matrix is formed; the level of the base that commutes
+    # with sigma_x passes and the other fails
+    gen = rng(19650 + seed)
+    o = LinearOperator("base", PAULI_X)
+    bases = [LinearOperator("base", gen.uniform(-1.0, 1.0) * np.eye(2)
+                            - gen.uniform(0.5, 1.5) * PAULI_X),
+             LinearOperator("base", np.diag(gen.uniform(-1.0, 1.0, 2)) - 0.5 * PAULI_X)]
+    hs, frames = [], []
+    for base in bases:
+        family = _KroneckerFamily(base, orthant("base", 2), identity("base", 2),
+                                  (PAULI_X,) * 3, ["q1", "q2", "q3"])
+        for subset in [(1,), (1, 2), (1, 2, 3)]:
+            hs.append(family.node(subset).hamiltonian)
+            frames.append(family.frames([subset])[0])
+    hs += [LinearOperator(h.space, h._factors.matrix()) for h in hs[2::3]]
+    frames += frames[2::3]
+    order = gen.permutation(len(hs)).tolist()
+    hs, frames = [hs[i] for i in order], [frames[i] for i in order]
+    scales = [float(np.abs(np.linalg.eigvalsh(
+        h._factors.matrix() if h._factors is not None else h.mat)).max()) for h in hs]
+    got = _commuting(hs, o.mat, scales, frames)
+    assert got == [commutes_oracle(h, o.mat, scale, frame)
+                   for h, scale, frame in zip(hs, scales, frames)]
+    assert got.count(True) == got.count(False) == 4
+    assert not any("mat" in vars(h) for h in hs if h._factors is not None)
+
+
 @pytest.mark.parametrize("seed", range(16))
 def test_the_identity_frame_is_no_frame(seed):
     # on seeded Hermitian pairs, real and complex, the test through the
