@@ -21,7 +21,7 @@ from .numerics import (
     _numeric,
     identity,
 )
-from .positivity import NodeAnalysis, _read_together, _runs, classify
+from .positivity import NodeAnalysis, _read_together, classify
 
 ISOMETRY_TOL = 1e-10
 
@@ -400,12 +400,11 @@ def _projectors_improve(coords: np.ndarray, starts: np.ndarray, tol: float) -> n
     return (scale != 0.0) & (np.minimum(np.minimum(hi * lo, hi * hi), lo * lo) >= tol * scale)
 
 
-def _verified_link(index: int, source: NodeAnalysis, target: NodeAnalysis,
-                   emb: Embedding, label: str = "") -> OverlapReport:
-    """The `_link_verdict` of a link through its embedding, read by
-    `ground_overlap`."""
-    return _link_verdict(index, functools.partial(ground_overlap, source, target, emb),
-                         source.tol, label)
+def _returned(value):
+    """``value``, or raise it when it is an exception."""
+    if isinstance(value, Exception):
+        raise value
+    return value
 
 
 def _link_verdict(index: int, read, tol: float, label: str = "") -> OverlapReport:
@@ -508,30 +507,39 @@ def _verified_links(chain: ArrowChain, tol: float
     is lazy and holds the eigenvalues and the ground vector, no
     eigenbasis.  The records of the Kronecker-sum nodes, a tower's levels
     or a `coupling` member, read their facts in runs
-    (`positivity._read_together`).  The arrows are decided first, in
-    order, up to the first that fails or raises, their verdicts read in
-    runs; then the overlaps of the links before it, in order, their ground
+    (`positivity._read_together`).  The cone inheritance of each link is
+    read first, in order, up to the first that fails or raises; then the
+    arrows up to that link, in order, up to the first that fails or
+    raises, their verdicts read in runs of the nodes those links reach;
+    then the overlaps of the links before it, in order, their ground
     states read in runs of the nodes those links reach alone; then that
-    arrow's failure.  A failed link still raises at the first link that
-    fails, and no node past a failed arrow is decomposed.
+    arrow's failure.  Each arrow reads its link's inheritance, or raises
+    what reading it raised, after both improving verdicts, so a failed
+    link still raises at the first link that fails, with its own reasons,
+    and no node past a failed arrow is decomposed.
     """
     records = [NodeAnalysis(node.hamiltonian, node.cone, tol) for node in chain.nodes]
-    for run in _runs(records):
-        _read_together(run)
-    arrows, failure = [], None
+    inherited = []  # a link's inheritance, or what reading it raised
     for j, emb in enumerate(chain.embeddings):
         try:
-            arrows.append(check_arrow(records[j], records[j + 1], emb))
+            inherited.append(inherits_positivity(records[j].cone, records[j + 1].cone, emb, tol))
+        except Exception as exc:  # raised in its turn, by the link's arrow
+            inherited.append(exc)
+        if isinstance(inherited[-1], Exception) or not inherited[-1]:
+            break
+    _read_together(records, upto=len(inherited) + 1)
+    arrows, failure = [], None
+    for j, inherits in enumerate(inherited):
+        try:
+            arrows.append(_arrow(records[j], records[j + 1],
+                                 functools.partial(_returned, inherits)))
         except Exception as exc:  # raised in its turn, after the links before it
             failure = exc
             break
         if not arrows[-1]:
             break
-    reached = records[:len(arrows) + (0 if arrows and not arrows[-1] else 1)]
-    for record in records[len(reached):]:
-        record.__dict__.pop("_run", None)
-    for run in _runs(reached):  # no ground state past the last arrow is read
-        _read_together(run)
+    # no ground state past the last arrow is read
+    _read_together(records, upto=len(arrows) + (0 if arrows and not arrows[-1] else 1))
     links = []
     for j, arrow in enumerate(arrows):
         source, target, emb = records[j], records[j + 1], chain.embeddings[j]

@@ -212,7 +212,7 @@ def _built_run(spec: LatticeSpec, family: _KroneckerFamily, run, o_norm: float,
     quantum numbers of the nodes before it are read, and one whose
     spectrum its run left unread with its own failure, read alone."""
     bad = next((i for i, (_, record) in enumerate(run)
-                if "spectrum" not in record.__dict__ or not record.improving), len(run))
+                if record.unread or not record.improving), len(run))
     subsets, records = [subset for subset, _ in run[:bad]], [record for _, record in run[:bad]]
     readings, failure = _quantum_numbers(records, spec.observable, o_norm, [snap_to] * bad,
                                          family.frames(subsets))

@@ -461,12 +461,10 @@ class _KroneckerFactors:
         return mat
 
 
-def _shifts(slots, k: np.ndarray | None = None) -> np.ndarray:
+def _shifts(slots) -> np.ndarray:
     """The eigenvalues of the Kronecker sum of ``slots``, summed slot by
-    slot in slot order, onto the shifts ``k`` of the slots before them
-    when given: a node's shifts, summed from none or from its prefix's,
-    have the same bits."""
-    k = np.zeros(1) if k is None else k
+    slot in slot order."""
+    k = np.zeros(1)
     for slot in slots:
         k = (k[:, None] + slot.values).ravel()
     return k

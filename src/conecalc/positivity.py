@@ -381,25 +381,32 @@ def _runs(records):
         yield run
 
 
-def _read_together(run) -> None:
-    """Let the records of a run of Kronecker sums (`_runs`) read their
-    facts together: the first of them whose improving verdict is asked for
-    reads the verdicts of the whole run in one pass (`_improving`), and the
-    first whose spectrum or ground state is asked for reads the run's
-    spectra and cone-oriented ground states in one pass each
+def _read_together(records, upto: int | None = None) -> None:
+    """Let the first ``upto`` of ``records`` (all by default) read their
+    facts together, in runs (`_runs`): the first record of a run of
+    Kronecker sums whose improving verdict is asked for reads the verdicts
+    of the whole run in one pass (`_improving`), and the first whose
+    spectrum or ground state is asked for reads the run's spectra and
+    cone-oriented ground states in one pass each
     (`numerics._block_spectra`, `_grounds`), the blocks let go on return.
-    A record whose spectrum does not read is left unread, and so are the
-    records after it, and a run whose verdicts do not read leaves every
-    verdict unread, so that each record raises its own failure, read
-    alone, where its reader asks for it.  A run of any other record is
-    left to the record's own reads."""
-    if run[0].hamiltonian._factors is not None:
-        for record in run:
-            record.__dict__["_run"] = run
+    A record whose spectrum does not read is left unread (`unread`), and
+    so are the records after it, and a run whose verdicts do not read
+    leaves every verdict unread, so that each record raises its own
+    failure, read alone, where its reader asks for it.  The records past
+    the first ``upto``, in a run before or not, and a run of any other
+    record are left to each record's own reads."""
+    upto = len(records) if upto is None else upto
+    for record in records[upto:]:
+        record.__dict__.pop("_run", None)
+    for run in _runs(records[:upto]):
+        if run[0].hamiltonian._factors is not None:
+            for record in run:
+                record.__dict__["_run"] = run
 
 
 def _read(run) -> None:
-    """`_read_together`, and then read the run's verdicts and spectra."""
+    """Read the improving verdicts, spectra and ground states of a run of
+    records (`_runs`) now, as `_read_together` lets them be read."""
     _read_together(run)
     if "_run" in run[0].__dict__:
         _run_verdicts(run)
@@ -493,6 +500,12 @@ class NodeAnalysis:
     @property
     def norm(self) -> float:
         return self.spectrum.norm
+
+    @property
+    def unread(self) -> bool:
+        """Whether the spectrum is still to be read: so it is of a record
+        whose run's read (`_read`) stopped at or before it."""
+        return "spectrum" not in self.__dict__
 
     @cached_property
     def ground(self) -> GroundState:

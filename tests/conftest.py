@@ -175,17 +175,19 @@ def op(space: str, mat) -> LinearOperator:
 
 @pytest.fixture
 def arrow_calls(monkeypatch) -> list:
-    """Keeps the arguments of every `check_arrow` call, under whichever module binds it."""
+    """Keeps the arguments of every arrow decided (`inheritance._arrow`,
+    which `check_arrow`, chain links and lattice edges call), under
+    whichever module binds it."""
     calls = []
-    original = inheritance.check_arrow
+    original = inheritance._arrow
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
     for module in (inheritance, lattice):
-        if getattr(module, "check_arrow", None) is original:
-            monkeypatch.setattr(module, "check_arrow", counting)
+        if getattr(module, "_arrow", None) is original:
+            monkeypatch.setattr(module, "_arrow", counting)
     return calls
 
 
@@ -221,11 +223,19 @@ def edge_embeddings(monkeypatch):
     return embeddings
 
 
+def link_oracle(index: int, source: NodeAnalysis, target: NodeAnalysis,
+                emb: inheritance.Embedding, label: str = "") -> inheritance.OverlapReport:
+    """The verdict of one chain link on its own: `inheritance._link_verdict`
+    of the link's `ground_overlap`, its arrow checked by `check_arrow`."""
+    return inheritance._link_verdict(index, functools.partial(ground_overlap, source, target, emb),
+                                     source.tol, label)
+
+
 def edge_loop_oracle(family, records, subsets) -> tuple[list, list]:
     """A lattice's covering edges and their overlaps as a loop over the
     edges verifies them, one link at a time: each edge's embedding built on
     its own (`kronecker_embedding_oracle`) and decided by
-    `inheritance._verified_link`, the verdict of chain links, on the
+    `link_oracle`, the verdict of chain links, on the
     records of its two nodes."""
     edges, overlaps = [], []
     for small in subsets:
@@ -240,8 +250,7 @@ def edge_loop_oracle(family, records, subsets) -> tuple[list, list]:
                 blocks.append(n if nu in small else uniform_vector(n))
             emb = kronecker_embedding_oracle(source.hamiltonian.space, target.hamiltonian.space,
                                              blocks)
-            rep = inheritance._verified_link(len(edges), source, target, emb,
-                                             f"{small} -> {large}: ")
+            rep = link_oracle(len(edges), source, target, emb, f"{small} -> {large}: ")
             edges.append((small, large))
             overlaps.append(rep.overlap)
     return edges, overlaps

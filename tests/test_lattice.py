@@ -11,6 +11,7 @@ from conftest import (
     expm_oracle,
     factor_cone,
     frame_oracle,
+    link_oracle,
     op,
     oracle_record,
     quantum_number_oracle,
@@ -27,7 +28,6 @@ from conecalc.errors import DimCap, DimMismatch, LinkFailed, SpecFailed
 from conecalc.inheritance import (
     ArrowChain,
     ChainNode,
-    _verified_link,
     verify_chain,
 )
 from conecalc.lattice import (
@@ -510,7 +510,7 @@ def test_every_node_and_edge_has_the_bits_of_the_per_node_loops(seed):
         assert float_bits(node.ground_energy) == float_bits(want.ground.energy)
         records[node.subset] = want
     for j, (small, large) in enumerate(diagram.covering_edges):
-        link = _verified_link(j, records[small], records[large],
+        link = link_oracle(j, records[small], records[large],
                               subset_embedding(spec, small, large))
         assert float_bits(diagram.edge_overlaps[j]) == float_bits(link.overlap)
 

@@ -23,6 +23,7 @@ from conftest import (
     block_spectrum_oracle,
     improving_oracle,
     lattice_oracle,
+    link_oracle,
     op,
     quantum_number_oracle,
     random_lattice_spec,
@@ -39,7 +40,6 @@ from conecalc.errors import (
     NotInAPlus,
     NotSimple,
 )
-from conecalc.inheritance import _verified_link
 from conecalc.lattice import LatticeSpec, SpecReport, build_lattice, hasse_export
 from conecalc.numerics import DEFAULT_TOL, hermitian_eig
 from conecalc.positivity import NodeAnalysis
@@ -201,7 +201,7 @@ def chain_oracle(chain, o, tol: float = DEFAULT_TOL):
             record.__dict__["improving"] = improving_oracle(node.hamiltonian, node.cone, tol)
         records.append(record)
     try:
-        overlaps = [_verified_link(j, records[j], records[j + 1], emb).overlap
+        overlaps = [link_oracle(j, records[j], records[j + 1], emb).overlap
                     for j, emb in enumerate(chain.embeddings)]
     except LinkFailed as exc:
         raise ChainFailed(str(exc)) from exc

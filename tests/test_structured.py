@@ -28,6 +28,7 @@ from conftest import (
     frame_oracle,
     kronecker_apply_oracle,
     kronecker_embedding_oracle,
+    link_oracle,
     permuted_cone,
     random_hermitian,
     random_lattice_spec,
@@ -56,7 +57,6 @@ from conecalc.inheritance import (
     Embedding,
     _appended_embedding,
     _projector_improves,
-    _verified_link,
     append_factor_embedding,
     check_arrow,
     ground_overlap,
@@ -794,7 +794,7 @@ class TestBlockSpectrumOracle:
                                               o_spectrum.norm, candidates)
         for j, (small, large) in enumerate(diagram.covering_edges):
             emb = dense_embedding(subset_embedding(spec, small, large))
-            want = _verified_link(j, records[small], records[large], emb).overlap
+            want = link_oracle(j, records[small], records[large], emb).overlap
             assert abs(diagram.edge_overlaps[j] - want) <= 1e-12
 
     def test_equal_slot_spectra_are_refused_as_not_simple(self):
