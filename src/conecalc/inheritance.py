@@ -157,7 +157,7 @@ def _appended_embedding(from_space: str, to_space: str, dim: int,
     between two identities, as on a lattice's covering edges, is laid out
     by `lattice._insertion_rows`."""
     return _row_embedding(from_space, to_space, np.arange(dim).repeat(vec.size),
-                          np.broadcast_to(vec, (dim, vec.size)).reshape(-1), dim)
+                          vec[None].repeat(dim, axis=0).ravel(), dim)
 
 
 def identity_embedding(space: str, dim: int) -> Embedding:

@@ -505,39 +505,6 @@ def _kronecker_sum(space: str, h0: LinearOperator, x: LinearOperator, slots,
     return op
 
 
-class _Places(NamedTuple):
-    """Every slot of every node of a run of Kronecker sums, node after node
-    and each node's slots in slot order: the node, the slot's place among
-    the node's slots, its dimension n, its stride (the product of the
-    dimensions of the node's later slots) and where its n x n eigenvectors
-    start in ``vectors``, which holds each slot of the run once, raveled."""
-
-    node: np.ndarray
-    place: np.ndarray
-    n: np.ndarray
-    stride: np.ndarray
-    offset: np.ndarray
-    vectors: np.ndarray
-
-
-def _places(ops) -> _Places:
-    rows, start, vectors = [], {}, []
-    at = 0
-    for i, op in enumerate(ops):
-        slots = op._factors.slots
-        stride = op.dim // op._factors.h0.shape[0]
-        for place, slot in enumerate(slots):
-            n = slot.mat.shape[0]
-            if (offset := start.get(id(slot))) is None:  # the run's slots, each once
-                offset = start[id(slot)] = at
-                at += n * n
-                vectors.append(slot.vectors.ravel())
-            stride //= n
-            rows.append((i, place, n, stride, offset))
-    columns = np.array(rows, dtype=np.intp).reshape(-1, 5).T
-    return _Places(*columns, np.concatenate(vectors) if vectors else np.zeros(0))
-
-
 def _applied(ops, v: np.ndarray) -> np.ndarray:
     """H v for every node of a run of `_kronecker_sum` nodes that share H0
     and X: ``v`` holds a vector, or a block of c columns, per node, node
@@ -590,10 +557,10 @@ def _block_spectra(ops, shifts) -> tuple[list[Spectrum], Exception | None]:
     stable sort of the run's eigenvalues by node and value gives every
     node's ascending eigenvalues and its first least one, the ground pair
     `argmin` picks.  The ground vector is phi (x) v, phi the lowest block
-    eigenvector and v the column of V at its k: the run's are built at
-    once, one slot place at a time, each entry the product that
-    `np.multiply.outer` forms, and their phases fixed as `_fix_phase`
-    fixes them, so no dim x dim eigenbasis is formed.  A node reads when
+    eigenvector and v the column of V at its k, built by `np.multiply.outer`
+    products and its phase fixed as `_fix_phase` fixes it, the run's
+    phases in one pass (`_ground_vectors`), so no dim x dim eigenbasis is
+    formed.  A node reads when
     H applied by reshape (`_applied`), with no matrix formed, confirms its
     pair: ||H psi - E psi|| <= BLOCK_RESIDUAL_TOL * ||H||.  A node that is
     not Hermitian fails with `NonHermitian`, and one whose slot eigenpairs
@@ -619,43 +586,25 @@ def _block_spectra(ops, shifts) -> tuple[list[Spectrum], Exception | None]:
     order = np.lexsort((flat, np.arange(size.size).repeat(dims)))
     eigenvalues = flat[order]
     block, level = np.divmod(order[starts] - starts, d0)
-    places = _places(ops)
-    phi = vectors[inverse[first_block + block], :, level]
-    # a node's vector has its own dtype, complex only when phi or one of
-    # its slots is, as its own products would give it
-    kinds = [any(np.iscomplexobj(slot.vectors) for slot in op._factors.slots) for op in ops] \
-        if np.isrealobj(phi) and np.iscomplexobj(places.vectors) else []
-    if len(set(kinds)) <= 1:
-        ground = _ground_vectors(phi, block, size, places)
-        pieces = [ground[start:start + dim] for start, dim in zip(starts.tolist(), dims.tolist())]
-    else:
-        pieces = [None] * len(ops)
-        for kind in (False, True):
-            at = [i for i, k in enumerate(kinds) if k is kind]
-            part = _ground_vectors(phi[at], block[at], size[at], _places([ops[i] for i in at]))
-            for i, start, dim in zip(at, (np.cumsum(dims[at]) - dims[at]).tolist(),
-                                     dims[at].tolist()):
-                pieces[i] = part[start:start + dim]
-        ground = np.concatenate(pieces)
+    ground, pieces = _ground_vectors(vectors[inverse[first_block + block], :, level], block, ops)
     energy = eigenvalues[starts]
-    scale = np.maximum(-energy, eigenvalues[starts + dims - 1])
     miss = _applied(ops, ground)
     miss -= energy.repeat(dims) * ground
     residual = np.sqrt(np.add.reduceat(miss.real ** 2 + miss.imag ** 2 if np.iscomplexobj(miss)
-                                       else miss * miss, starts))
-    for i in (~(residual <= BLOCK_RESIDUAL_TOL * scale)).nonzero()[0][:1].tolist():
-        ops, failure = ops[:i], Inconsistent(
-            f"block ground pair of the operator on {ops[i].space!r} has residual "
-            f"{residual[i]:.3e}, above {BLOCK_RESIDUAL_TOL:g} * ||H||")
+                                       else miss * miss, starts)).tolist()
     eigenvalues.setflags(write=False)
-    gaps = np.where(dims > 1, eigenvalues[np.minimum(starts + 1, eigenvalues.size - 1)] - energy,
-                    np.inf).tolist()
     spectra = []
-    for start, dim, gap, vector in zip(starts[:len(ops)].tolist(), dims.tolist(), gaps, pieces):
+    for i, (start, dim, vector) in enumerate(zip(starts.tolist(), dims.tolist(), pieces)):
+        low, high = eigenvalues[start], eigenvalues[start + dim - 1]
+        if not residual[i] <= BLOCK_RESIDUAL_TOL * max(-low, high):
+            return spectra, Inconsistent(
+                f"block ground pair of the operator on {ops[i].space!r} has residual "
+                f"{residual[i]:.3e}, above {BLOCK_RESIDUAL_TOL:g} * ||H||")
         if np.iscomplexobj(vector) and not vector.imag.any():
             vector = _freeze(vector)  # a real copy, as `_numeric` makes it
         else:
             vector.base.setflags(write=False)
+        gap = float(eigenvalues[start + 1] - low) if dim > 1 else math.inf
         spectra.append(Spectrum._read(eigenvalues[start:start + dim], vector, gap))
     return spectra, failure
 
@@ -669,36 +618,40 @@ def _blocks(h0: np.ndarray, x: np.ndarray, k: np.ndarray):
     return values, vectors, row
 
 
-def _ground_vectors(phi: np.ndarray, block: np.ndarray, size: np.ndarray,
-                    places: _Places) -> np.ndarray:
-    """phi[i] (x) v_1 (x) ... for every node i of a run, one after another,
-    phase fixed: v_j is column c_j of the j-th slot's eigenbasis, c the
-    digits of the node's ``block`` in the slots' dimensions.  Entry (a, s)
-    of node i is ((phi[i, a] v_1[s_1, c_1]) v_2[s_2, c_2]) ..., the
-    products of `np.multiply.outer` in slot order, so it has their bits,
-    in the dtype of phi and of the run's slots."""
-    d0 = phi.shape[1]
-    dims = size * d0
-    starts = dims.cumsum() - dims
-    a, s = np.divmod(np.arange(dims.sum()) - starts.repeat(dims), size.repeat(dims))
-    out = phi.astype(np.result_type(phi, places.vectors))[np.arange(size.size).repeat(dims), a]
-    for place in range(int(places.place.max(initial=-1)) + 1):
-        at = places.place == place
-        node, n, stride = places.node[at], places.n[at], places.stride[at]
-        has = np.zeros(size.size, dtype=bool)
-        has[node] = True
-        rows = has.repeat(dims).nonzero()[0]
-        count = dims[node]
-        n_r, stride_r = n.repeat(count), stride.repeat(count)
-        column = (block[node] // stride % n + places.offset[at]).repeat(count)
-        out[rows] *= places.vectors[column + s[rows] // stride_r % n_r * n_r]
-    mags = np.abs(out)  # `_fix_phase`, node by node
-    big = (mags > (PHASE_PIVOT_FACTOR * np.maximum.reduceat(mags, starts)).repeat(dims)
-           ).nonzero()[0]
-    pivot = np.append(big, out.size)[np.searchsorted(big, starts)]
-    pivot = out[np.where(pivot < starts + dims, pivot, starts)]
-    out *= (pivot.conjugate() / np.abs(pivot)).repeat(dims)
-    return out
+def _ground_vectors(phi: np.ndarray, block: np.ndarray, ops) -> tuple[np.ndarray, list]:
+    """The ground vector phi[i] (x) v_1 (x) ... of every node i of a run,
+    phase fixed, node after node in one array, and each node's own: v_j is
+    column c_j of the node's j-th slot's eigenbasis, c the digits of its
+    ``block`` in the slots' dimensions.  Each is the chain of
+    `np.multiply.outer` products in slot order, in its own dtype, complex
+    only when phi or one of its slots is, and its phase is fixed as
+    `_fix_phase` fixes it, in one pass over the run's vectors of that
+    dtype; a node's own is a view of the array that pass holds."""
+    pieces = []
+    for g, rest, op in zip(phi, block.tolist(), ops):
+        slots = op._factors.slots
+        columns = []
+        for slot in reversed(slots):
+            rest, column = divmod(rest, slot.mat.shape[0])
+            columns.append(column)
+        for slot, column in zip(slots, reversed(columns)):
+            g = np.multiply.outer(g, slot.vectors[:, column]).ravel()
+        pieces.append(g)
+    kinds = dict.fromkeys(piece.dtype for piece in pieces)
+    for kind in kinds:
+        at = [i for i, piece in enumerate(pieces) if piece.dtype == kind]
+        out = np.concatenate([pieces[i] for i in at])
+        dims = np.array([pieces[i].size for i in at])
+        starts = dims.cumsum() - dims
+        mags = np.abs(out)  # `_fix_phase`, node by node
+        big = (mags > (PHASE_PIVOT_FACTOR * np.maximum.reduceat(mags, starts)).repeat(dims)
+               ).nonzero()[0]
+        pivot = np.append(big, out.size)[np.searchsorted(big, starts)]
+        pivot = out[np.where(pivot < starts + dims, pivot, starts)]
+        out *= (pivot.conjugate() / np.abs(pivot)).repeat(dims)
+        for i, start, dim in zip(at, starts.tolist(), dims.tolist()):
+            pieces[i] = out[start:start + dim]
+    return (out if len(kinds) == 1 else np.concatenate(pieces)), pieces
 
 
 def op_exp(op: LinearOperator, t: float) -> LinearOperator:
