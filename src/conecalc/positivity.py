@@ -16,6 +16,7 @@ same floats and no matrix.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -233,29 +234,27 @@ def _factors_improving(hs, cones, tol: float) -> list[bool | None]:
     tables = [hs[i]._factors.table for i in read]
     f = hs[read[0]]._factors
     base = np.arange(f.h0.shape[0])
-    flip = np.stack(flips)  # (node, a, b)
-    width = np.array([table.diagonal.shape[2] for table in tables])
-    starts = width.cumsum() - width
-    thresh = tol * np.array([table.scale for table in tables])
+    width = [table.diagonal.shape[2] for table in tables]
+    starts = [0, *itertools.accumulate(width[:-1])]
+    thresh = [tol * table.scale for table in tables]
     diagonal = np.concatenate([table.diagonal for table in tables], axis=2)
-    diagonal *= flip.repeat(width, axis=0).transpose(1, 2, 0)
-    edge = thresh.repeat(width)
+    diagonal *= np.repeat(np.stack(flips), width, axis=0).transpose(1, 2, 0)
+    edge = np.repeat(thresh, width)
     above = diagonal > edge
     above[base, base] = False
     metzler = ~np.logical_or.reduceat(above.any(axis=(0, 1)), starts)
     quotient = np.logical_or.reduceat(diagonal < -edge, starts, axis=2).transpose(2, 0, 1)
-    coupled = np.array([table.low is not None for table in tables])
+    coupled = [j for j, table in enumerate(tables) if table.low is not None]
     fibers = np.ones(len(read), dtype=bool)
-    if coupled.any():
-        x = f.x * flip[coupled]
-        low = np.array([table.low for table in tables if table.low is not None])[:, None, None]
-        high = np.array([table.high for table in tables if table.low is not None])[:, None, None]
-        ends = x * low, x * high
-        at = thresh[coupled]
+    if coupled:
+        x = f.x * np.stack([flips[j] for j in coupled])
+        ends = (x * np.array([tables[j].low for j in coupled])[:, None, None],
+                x * np.array([tables[j].high for j in coupled])[:, None, None])
+        at = np.array([thresh[j] for j in coupled])
         # an entry -x[a, b] y[p, q] above thresh
         metzler[coupled] &= ~(np.minimum(*ends).min(axis=(1, 2)) < -at)
         quotient[coupled] |= np.maximum(*ends) > at[:, None, None]
-        bottleneck = np.array([table.bottleneck for table in tables if table.low is not None])
+        bottleneck = np.array([tables[j].bottleneck for j in coupled])
         fibers[coupled] = tables[0].x_positive_weights and (
             at[:, None] < np.diagonal(f.x) * bottleneck[:, None]).all(axis=1)
     quotient[:, base, base] = True
