@@ -237,26 +237,27 @@ def _factors_improving(hs, cones, tol: float) -> list[bool | None]:
     width = [table.diagonal.shape[2] for table in tables]
     starts = [0, *itertools.accumulate(width[:-1])]
     thresh = [tol * table.scale for table in tables]
+    flip = np.stack(flips)  # (node, a, b)
     diagonal = np.concatenate([table.diagonal for table in tables], axis=2)
-    diagonal *= np.repeat(np.stack(flips), width, axis=0).transpose(1, 2, 0)
+    diagonal *= flip.transpose(1, 2, 0).repeat(width, axis=2)
     edge = np.repeat(thresh, width)
     above = diagonal > edge
     above[base, base] = False
     metzler = ~np.logical_or.reduceat(above.any(axis=(0, 1)), starts)
     quotient = np.logical_or.reduceat(diagonal < -edge, starts, axis=2).transpose(2, 0, 1)
-    coupled = [j for j, table in enumerate(tables) if table.low is not None]
-    fibers = np.ones(len(read), dtype=bool)
-    if coupled:
-        x = f.x * np.stack([flips[j] for j in coupled])
-        ends = (x * np.array([tables[j].low for j in coupled])[:, None, None],
-                x * np.array([tables[j].high for j in coupled])[:, None, None])
-        at = np.array([thresh[j] for j in coupled])
-        # an entry -x[a, b] y[p, q] above thresh
-        metzler[coupled] &= ~(np.minimum(*ends).min(axis=(1, 2)) < -at)
-        quotient[coupled] |= np.maximum(*ends) > at[:, None, None]
-        bottleneck = np.array([tables[j].bottleneck for j in coupled])
-        fibers[coupled] = tables[0].x_positive_weights and (
-            at[:, None] < np.diagonal(f.x) * bottleneck[:, None]).all(axis=1)
+    # the entries -x[a, b] y[p, q] off the slots' diagonals lie between
+    # x[a, b] low and x[a, b] high; a node whose slots are all 1 x 1 has
+    # none, and its 0.0 bounds change no verdict
+    coupled = np.array([table.low is not None for table in tables])
+    bounds = np.array([(table.low, table.high, table.bottleneck) if table.low is not None
+                       else (0.0, 0.0, 0.0) for table in tables])
+    at = np.array(thresh)[:, None, None]
+    x = f.x * flip
+    ends = x * bounds[:, 0, None, None], x * bounds[:, 1, None, None]
+    metzler &= ~(np.minimum(*ends).min(axis=(1, 2)) < -at[:, 0, 0])
+    quotient |= np.maximum(*ends) > at
+    fibers = ~coupled | (tables[0].x_positive_weights
+                         & (at[:, :, 0] < np.diagonal(f.x) * bounds[:, 2, None]).all(axis=1))
     quotient[:, base, base] = True
     for i, ok, connected, q in zip(read, metzler.tolist(), fibers.tolist(), quotient):
         if not ok:
