@@ -237,7 +237,7 @@ def _factors_improving(hs, cones, tol: float) -> list[bool | None]:
     width = [table.diagonal.shape[2] for table in tables]
     starts = [0, *itertools.accumulate(width[:-1])]
     thresh = [tol * table.scale for table in tables]
-    flip = np.stack(flips)  # (node, a, b)
+    flip = np.array(flips)  # (node, a, b)
     diagonal = np.concatenate([table.diagonal for table in tables], axis=2)
     diagonal *= flip.transpose(1, 2, 0).repeat(width, axis=2)
     edge = np.repeat(thresh, width)
@@ -338,15 +338,16 @@ def _grounds(spectra, cones) -> list[GroundState]:
     signed = [i for i, (x, cone) in enumerate(zip(vectors, cones))
               if cone._sign_basis is not None and not np.iscomplexobj(x) and x.size == cone.dim]
     if signed:
-        dims = np.array([vectors[i].size for i in signed])
-        starts = np.cumsum(dims) - dims
-        x = np.concatenate([vectors[i] for i in signed])
-        coords = x * np.concatenate([cones[i]._sign_basis.signs for i in signed])
+        dims = [vectors[i].size for i in signed]
+        starts = [0, *itertools.accumulate(dims[:-1])]
+        coords = (np.concatenate([vectors[i] for i in signed])
+                  * np.concatenate([cones[i]._sign_basis.signs for i in signed]))
         total = np.add.reduceat(coords, starts)
-        bound = 4.0 * np.finfo(float).eps * dims * np.add.reduceat(np.abs(coords), starts)
+        eps = float(np.finfo(float).eps)
+        bound = np.add.reduceat(np.abs(coords), starts) * [4.0 * eps * dim for dim in dims]
         for j in np.flatnonzero(np.abs(total) <= bound).tolist():
             total[j] = coords[starts[j]:starts[j] + dims[j]].sum()
-        del x, coords
+        del coords
         flipped = [signed[j] for j in np.flatnonzero(total < 0.0).tolist()]
         if flipped:
             x = -np.concatenate([vectors[i] for i in flipped])
