@@ -55,6 +55,15 @@ class _SignBasis:
         self.positive = bool((signs > 0).all())  # every sign is +1
         self.fibers = fibers
 
+    def repeated(self, n: int, fibers: _Fibers | None) -> "_SignBasis":
+        """The basis whose signs are these, each repeated n times, with the
+        given fibers: already checked, as every sign is one of these."""
+        basis = object.__new__(_SignBasis)
+        basis.signs = np.repeat(self.signs, n)
+        basis.signs.setflags(write=False)
+        basis.positive, basis.fibers = self.positive, fibers
+        return basis
+
     def matrix(self) -> np.ndarray:
         """The dense generator stack, read-only."""
         gen = np.diag(self.signs)

@@ -512,15 +512,15 @@ def _applied(ops, v: np.ndarray) -> np.ndarray:
 
     K adds, slot by slot, the product of Y with the node's entries viewed
     as (before, n, after), its other indices kept.  H0 and X then act on
-    the base index of the whole run at once, each as one product with a
-    (d0, sum_I N_I c) array, N_I the node's slot states."""
+    the base index of the whole run at once, each as one product with the
+    nodes' (d0, N_I c) views side by side, N_I the node's slot states."""
     f = ops[0]._factors
     d0, c = f.h0.shape[0], (v.shape[1] if v.ndim == 2 else 1)
     dims = [op.dim for op in ops]
     v2 = v.reshape(v.shape[0], c)
     kv = np.zeros(v2.shape, dtype=np.result_type(
         v, *{slot.mat.dtype for op in ops for slot in op._factors.slots}))
-    start = 0
+    blocks, start = [], 0
     for op, dim in zip(ops, dims):
         rows, before, after = slice(start, start + dim), d0, dim // d0 * c
         for slot in op._factors.slots:
@@ -529,14 +529,17 @@ def _applied(ops, v: np.ndarray) -> np.ndarray:
             view = kv[rows].reshape(before, n, after)
             view += slot.mat @ v2[rows].reshape(before, n, after)
             before *= n
+        blocks.append(rows)
         start += dim
-    dims = np.array(dims, dtype=np.intp)
-    width = dims // d0 * c
-    perm = (((dims.cumsum() - dims) * c - width.cumsum() + width).repeat(width)
-            + np.arange(width.sum()) + np.arange(d0)[:, None] * width.repeat(width))
-    out = np.empty(v.shape, dtype=np.result_type(kv, f.h0, f.x))
-    out.reshape(-1)[perm] = f.h0 @ v.reshape(-1)[perm] - f.x @ kv.reshape(-1)[perm]
-    return out
+    base = (f.h0 @ np.concatenate([v2[rows].reshape(d0, -1) for rows in blocks], axis=1)
+            - f.x @ np.concatenate([kv[rows].reshape(d0, -1) for rows in blocks], axis=1))
+    out = np.empty(v2.shape, dtype=base.dtype)
+    column = 0
+    for rows in blocks:
+        view = out[rows].reshape(d0, -1)
+        view[...] = base[:, column:column + view.shape[1]]
+        column += view.shape[1]
+    return out.reshape(v.shape)
 
 
 def _block_spectra(ops, shifts) -> tuple[list[Spectrum], Exception | None]:

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import numerics
-from .cones import SelfDualCone, _fibers_of, _SignBasis, _signed_cone
+from .cones import SelfDualCone, _fibers_of, _signed_cone
 from .errors import (
     BadFactorization,
     ChainFailed,
@@ -527,9 +527,7 @@ class _KroneckerFamily:
         if (base := self.cone._sign_basis) is not None:  # s_a times the joint orthant's 1.0
             basis = self._bases.get(n)
             if basis is None:
-                signs = np.repeat(base.signs, n)
-                signs.setflags(write=False)  # so the basis keeps it, uncopied
-                basis = self._bases[n] = _SignBasis(signs, self._fibers)
+                basis = self._bases[n] = base.repeated(n, self._fibers)
             cone = _signed_cone(facts.cone_space, basis)
         else:
             cone = SelfDualCone(facts.cone_space, _kron(self.cone.generators, np.eye(n)))
