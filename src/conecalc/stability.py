@@ -299,9 +299,11 @@ def _quantum_numbers(records, o: LinearOperator, o_norm: float, candidates,
     o_phis, mus, snapped = [None] * len(phis), [None] * len(phis), [None] * len(phis)
     for dtype in {phi.dtype for phi in phis}:  # one stack per dtype, as each was multiplied
         at = [i for i, phi in enumerate(phis) if phi.dtype == dtype]
-        stack = np.stack([phis[i] for i in at])[:, :, None]
+        stack = np.array([phis[i] for i in at])[:, :, None]
+        rows = stack.transpose(0, 2, 1)
         products = np.matmul(o_mat, stack)
-        values = np.matmul(stack.conj().transpose(0, 2, 1), products)[:, 0, 0].real.tolist()
+        values = np.matmul(rows.conj() if np.iscomplexobj(rows) else rows,
+                           products)[:, 0, 0].real.tolist()
         for j, i in enumerate(at):
             o_phis[i], mus[i] = products[j, :, 0], values[j]
     groups = {}
