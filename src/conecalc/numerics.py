@@ -254,9 +254,13 @@ def _walk_lengths(out: np.ndarray, source: int) -> np.ndarray:
 
 def _strongly_connected(edges: np.ndarray) -> bool:
     """Whether every vertex reaches vertex 0 and vertex 0 every vertex:
-    two sweeps, one along the edges and one against them."""
-    return bool(_walk_lengths(np.ascontiguousarray(edges.T), 0).min() >= 0
-                and _walk_lengths(edges, 0).min() >= 0)
+    one sweep on ``edges`` as it is, and one on a transposed copy unless
+    ``edges`` is symmetric, where each walk reversed is a walk, so a
+    symmetric digraph is strongly connected exactly when it is connected."""
+    if _walk_lengths(edges, 0).min() < 0:
+        return False
+    return bool(np.array_equal(edges, edges.T)
+                or _walk_lengths(np.ascontiguousarray(edges.T), 0).min() >= 0)
 
 
 def _bottleneck(y: np.ndarray, off: np.ndarray) -> float:

@@ -7,11 +7,11 @@ improves it iff the entries are strictly positive; both follow from linearity
 over the generators.  Ergodicity and irreducibility are digraph reachability
 on the support pattern of that matrix, one frontier sweep per source
 (`numerics._walk_lengths`): one from every generator for ergodicity's least
-walk lengths, and two from generator 0 for irreducibility, one along the
-edges and one against them.  A real Kronecker sum on a cone whose signs
-depend on its base index alone is decided from its factors instead
-(`_factors_improving`, one pass over a run of a family's nodes), with the
-same floats and no matrix.
+walk lengths, and for irreducibility one from generator 0 against the
+edges, then one along them unless the support is symmetric.  A real
+Kronecker sum on a cone whose signs depend on its base index alone is
+decided from its factors instead (`_factors_improving`, one pass over a run
+of a family's nodes), with the same floats and no matrix.
 """
 
 from __future__ import annotations
@@ -287,7 +287,10 @@ def generates_improving_semigroup(h: LinearOperator, cone: SelfDualCone,
     generator pair forever uncoupled.  Strong connectivity holds iff every
     generator is reachable from generator 0 and generator 0 from every
     generator, so two sweeps from one vertex decide it, one along the edges
-    and one against them.  The all-pairs walk lengths stay with `is_ergodic`.
+    and one against them.  A symmetric support, such as that of a real
+    symmetric H, takes one sweep alone: there a walk reversed is a walk,
+    so it is strongly connected exactly when it is connected.  The
+    all-pairs walk lengths stay with `is_ergodic`.
     """
     return _improving([h], [cone], tol)[0]
 

@@ -8,7 +8,10 @@ resident memory.
 - `lattice` with eleven `y1` slots over the 2-dimensional base of
   `lattice_ell3` (top dimension 4096, 2048 nodes) passes below 100 MB;
 - `lattice` with twelve one-dimensional slots over that base (4096 nodes,
-  the node cap, and 24576 edges) passes below 100 MB.
+  the node cap, and 24576 edges) passes below 100 MB;
+- `spin-demo` of `spin_demo_n4` grown to 12 sites, the site cap, with the
+  odd sites as sublattice A and M = 0 (a 924-dimensional sector) passes
+  below 100 MB.
 
 Run it against the installed package, or a source checkout with
 `PYTHONPATH=src`:
@@ -57,11 +60,17 @@ def _lattice_one_dimensional(config: dict) -> dict:
     return config
 
 
+def _spin_twelve_sites(config: dict) -> dict:
+    config["params"].update(sites=12, sublattice_a=list(range(1, 13, 2)), sector_m=0)
+    return config
+
+
 # name -> (shipped config, its edit, the peak bound in MB)
 RUNS = {
     "richness-depth-11": ("richness_depth5", _richness, 80.0),
     "lattice-11-slots": ("lattice_ell3", _lattice, 100.0),
     "lattice-12-one-dimensional-slots": ("lattice_ell3", _lattice_one_dimensional, 100.0),
+    "mlm-12-sites": ("spin_demo_n4", _spin_twelve_sites, 100.0),
 }
 
 

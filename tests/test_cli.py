@@ -482,8 +482,9 @@ def test_lattice_past_the_node_cap_fails_before_the_spec_is_checked(config, cap,
 
 def test_the_cap_script_passes_its_runs():
     # tests/caps.py, which CI runs, as its own process: the richness tower
-    # at depth 11, the 11-slot lattice and the lattice of 12 one-dimensional
-    # slots pass below their bounds, each with its time and peak on one line
+    # at depth 11, the 11-slot lattice, the lattice of 12 one-dimensional
+    # slots and the 12-site spin demo pass below their bounds, each with its
+    # time and peak on one line
     done = subprocess.run([sys.executable, "-W", "error", caps.__file__],
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr

@@ -415,6 +415,68 @@ def test_irreducibility_runs_two_sweeps(monkeypatch):
         assert "deque" not in path.read_text(), path.name
 
 
+def symmetric_pattern(gen, n: int) -> np.ndarray:
+    """edges[i, j] = edges[j, i], random, with no loops."""
+    upper = np.triu(gen.random((n, n)) < gen.uniform(0.05, 0.6), 1)
+    return upper | upper.T
+
+
+def one_edge_reversed(gen, n: int) -> np.ndarray:
+    """A symmetric pattern with one of its edges reversed: the edge's
+    reverse is there already, so one direction is dropped."""
+    edges = symmetric_pattern(gen, n)
+    while not edges.any():
+        edges = symmetric_pattern(gen, n)
+    i, j = np.argwhere(edges)[gen.integers(np.count_nonzero(edges))]
+    edges[i, j] = False
+    return edges
+
+
+def directed_pattern(gen, n: int) -> np.ndarray:
+    edges = gen.random((n, n)) < gen.uniform(0.1, 0.6)
+    np.fill_diagonal(edges, False)
+    return edges
+
+
+@pytest.mark.parametrize("pattern", [symmetric_pattern, one_edge_reversed, directed_pattern])
+def test_strong_connectivity_agrees_with_the_reach_table_oracle(monkeypatch, pattern):
+    # a symmetric support is decided by one sweep; on any other the second
+    # sweep runs whenever the first reaches every vertex
+    sources = []
+    sweep = numerics._walk_lengths
+    monkeypatch.setattr(numerics, "_walk_lengths",
+                        lambda out, source: sources.append(source) or sweep(out, source))
+    gen = rng(171)
+    verdicts = []
+    for case in range(600):
+        edges = pattern(gen, int(gen.integers(2, 14)))
+        symmetric = np.array_equal(edges, edges.T)
+        assert symmetric == (pattern is symmetric_pattern) or pattern is directed_pattern
+        expected = bool((reach_table_oracle(edges) >= 0).all())
+        sources.clear()
+        assert numerics._strongly_connected(edges) == expected, f"case {case}"
+        if expected:
+            assert sources == ([0] if symmetric else [0, 0]), f"case {case}"
+        verdicts.append(expected)
+    assert 0.2 <= sum(verdicts) / len(verdicts) <= 0.8
+
+
+def test_a_symmetric_support_takes_one_sweep(monkeypatch):
+    sources = []
+    sweep = positivity._walk_lengths
+
+    def counting(edges, source):
+        sources.append(source)
+        return sweep(edges, source)
+
+    monkeypatch.setattr(numerics, "_walk_lengths", counting)
+    assert generates_improving_semigroup(three_vertex(rng(173), "two-way path"), orthant("s", 3))
+    assert sources == [0]
+    sources.clear()
+    assert verify_mlm(SpinSystem(8, (1, 3, 5, 7), (2, 4, 6, 8))).ok
+    assert sources == [0]
+
+
 def ergodic(h, cone):
     return is_ergodic(h, cone).ergodic
 

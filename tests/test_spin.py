@@ -14,6 +14,7 @@ from conftest import (
     heisenberg_hamiltonian,
     random_spin_system,
     rng,
+    same_bits,
 )
 
 from conecalc import spin
@@ -203,15 +204,12 @@ class TestMarshallCone:
 def test_both_sublattice_sign_gauges_give_one_matrix(n):
     # every state of a sector has n/2 - M down spins, so the B signs are the
     # A signs times one global sign: testing the A gauge alone suffices
-    basis = np.arange(2 ** n)
-    downs = spin._down_count(n, basis)
+    tables = [spin._sector_table(n, k) for k in range(n + 1)]
     for mask in range(2 ** (n - 1)):  # A holds site n; swapping A and B swaps the gauges
         a = tuple(x for x in range(1, n + 1) if x == n or mask >> (x - 1) & 1)
         b = tuple(x for x in range(1, n + 1) if x not in a)
-        for k in range(n + 1):
-            sector = basis[downs == k]
-            signs_a = spin._marshall_signs(n, a, sector)
-            signs_b = spin._marshall_signs(n, b, sector)
+        for table in tables:
+            signs_a, signs_b = table.marshall_signs(a), table.marshall_signs(b)
             assert np.array_equal(np.outer(signs_a, signs_a), np.outer(signs_b, signs_b))
 
 
@@ -286,15 +284,21 @@ def _sector_cases():
                     SpinSystem(10, (2, 3, 5, 7, 10), (1, 4, 6, 8, 9))]
 
 
+def site_bits(n: int, basis: np.ndarray, site: int) -> np.ndarray:
+    """Bit of `site` in each basis index: 0 = up, 1 = down."""
+    return (basis >> (n - site)) & 1
+
+
 def exchange_oracle(n: int, basis: np.ndarray, pairs) -> np.ndarray:
-    """`spin._exchange` one pair at a time: the diagonal accumulated, and the
-    swap entries of each pair added where its two bits differ."""
+    """The sector table's exchange one pair at a time: the diagonal
+    accumulated, and the swap entries of each pair added where its two bits
+    differ, each swapped state found by binary search in `basis`."""
     dim = basis.size
     mat = np.zeros((dim, dim))
     diag = np.zeros(dim)
     rows = np.arange(dim)
     for x, y in pairs:
-        differ = (spin._bits(n, basis, x) ^ spin._bits(n, basis, y)).astype(bool)
+        differ = (site_bits(n, basis, x) ^ site_bits(n, basis, y)).astype(bool)
         diag += np.where(differ, -0.25, 0.25)
         swapped = basis[differ] ^ ((1 << (n - x)) | (1 << (n - y)))
         mat[rows[differ], np.searchsorted(basis, swapped)] += 0.5
@@ -302,9 +306,28 @@ def exchange_oracle(n: int, basis: np.ndarray, pairs) -> np.ndarray:
     return mat
 
 
+def total_spin_sq_oracle(n: int, basis: np.ndarray) -> np.ndarray:
+    """S_tot^2 = 3n/4 + 2 sum_{x<y} S_x . S_y, by `exchange_oracle`."""
+    mat = 2.0 * exchange_oracle(n, basis, itertools.combinations(range(1, n + 1), 2))
+    mat[np.diag_indices(basis.size)] += 0.75 * n
+    return mat
+
+
+def marshall_signs_oracle(n: int, sublattice, basis: np.ndarray) -> np.ndarray:
+    """(-1)^(down spins on the sublattice) of each state, one site at a time."""
+    parity = np.zeros(basis.size, dtype=np.int64)
+    for site in sublattice:
+        parity ^= site_bits(n, basis, site)
+    return 1.0 - 2.0 * parity
+
+
+def crossing_pairs(system: SpinSystem) -> list[tuple[int, int]]:
+    return [(x, y) for x in system.sublattice_a for y in system.sublattice_b]
+
+
 class TestSectorBuilders:
-    """The bit-pattern builders against the per-pair loop and the kron-built
-    dense operators, on every sector and on the full space."""
+    """The sector tables' builders against the per-pair loop and the
+    kron-built dense operators, on every sector and on the full space."""
 
     @pytest.mark.parametrize("system", _sector_cases(),
                              ids=lambda s: f"n{s.sites}-A{s.sublattice_a}")
@@ -312,17 +335,56 @@ class TestSectorBuilders:
         n = system.sites
         h = dense_mlm_hamiltonian(system).mat
         s_sq = dense_total_spin(n)[0].mat
-        pairs = [(x, y) for x in system.sublattice_a for y in system.sublattice_b]
-        every_pair = list(itertools.combinations(range(1, n + 1), 2))
-        bases = [np.asarray(m_sector(n, n / 2.0 - k).indices) for k in range(n + 1)]
-        for basis in bases + [np.arange(2 ** n)]:
-            block = np.ix_(basis, basis)
-            exchange = spin._exchange(n, basis, pairs)
-            assert np.array_equal(exchange, exchange_oracle(n, basis, pairs))
+        pairs = crossing_pairs(system)
+        for table in [spin._sector_table(n, k) for k in range(n + 1)] + [spin._sector_table(n)]:
+            block = np.ix_(table.basis, table.basis)
+            exchange = table.hamiltonian(system)
+            assert same_bits(exchange, exchange_oracle(n, table.basis, pairs))
             assert np.array_equal(exchange, h[block])
-            assert np.array_equal(spin._exchange(n, basis, every_pair),
-                                  exchange_oracle(n, basis, every_pair))
-            assert np.array_equal(spin._total_spin_sq(n, basis), s_sq[block])
+            total = table.total_spin_sq()
+            assert same_bits(total, total_spin_sq_oracle(n, table.basis))
+            assert np.array_equal(total, s_sq[block])
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_bipartition_and_sector_equals_the_dense_operators(self, n):
+        # H, S_tot^2, S_z and the Marshall signs of every sector and of the
+        # full space, for every split of the sites (A holds site 1)
+        s_sq, s_z = (op.mat for op in dense_total_spin(n))
+        states = np.arange(2 ** n)
+        downs = sum(site_bits(n, states, x) for x in range(1, n + 1))
+        tables = [spin._sector_table(n, k) for k in range(n + 1)] + [spin._sector_table(n)]
+        for k, table in enumerate(tables):
+            assert np.array_equal(table.basis, states[downs == k] if k <= n else states)
+            assert np.array_equal(table.rank[table.basis], np.arange(table.basis.size))
+            block = np.ix_(table.basis, table.basis)
+            if k <= n:
+                assert np.array_equal(s_z[block], (n / 2.0 - k) * np.eye(table.basis.size))
+            total = table.total_spin_sq()
+            assert np.array_equal(total, s_sq[block])
+            assert same_bits(total, total_spin_sq_oracle(n, table.basis))
+        for mask in range(2 ** (n - 1)):
+            a = (1, *(x for x in range(2, n + 1) if mask >> (x - 2) & 1))
+            system = SpinSystem(n, a, tuple(x for x in range(1, n + 1) if x not in a))
+            h = dense_mlm_hamiltonian(system).mat
+            for table in tables:
+                exchange = table.hamiltonian(system)
+                assert np.array_equal(exchange, h[np.ix_(table.basis, table.basis)])
+                assert same_bits(exchange, exchange_oracle(n, table.basis, crossing_pairs(system)))
+                for side in (system.sublattice_a, system.sublattice_b):
+                    assert same_bits(table.marshall_signs(side),
+                                     marshall_signs_oracle(n, side, table.basis))
+
+    @pytest.mark.parametrize("n", (10, 11, 12))
+    def test_sectors_at_the_site_cap_equal_the_pair_loop(self, n):
+        gen = rng(560 + n)
+        for _ in range(2):
+            system = random_spin_system(gen, n)
+            table = spin._sector_table(n, n // 2 + int(gen.integers(-1, 2)))
+            assert same_bits(table.hamiltonian(system),
+                             exchange_oracle(n, table.basis, crossing_pairs(system)))
+            assert same_bits(table.total_spin_sq(), total_spin_sq_oracle(n, table.basis))
+            assert same_bits(table.marshall_signs(system.sublattice_a),
+                             marshall_signs_oracle(n, system.sublattice_a, table.basis))
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_full_space_operators_equal_dense_operators(self, n):
@@ -409,8 +471,18 @@ class TestVerifyMlmInSector:
         assert report.ok and report.mu_snapped == 0.0
 
     def test_empty_sector_raises_before_any_build(self, monkeypatch):
-        monkeypatch.setattr(spin, "_exchange", _refuse)
+        monkeypatch.setattr(spin, "_sector_table", _refuse)
         with pytest.raises(PreconditionFailed):
             verify_mlm(SpinSystem(10, (1, 2, 3, 4, 5), (6, 7, 8, 9, 10)), 1.5)
         with pytest.raises(PreconditionFailed):
             m_sector(10, 0.5)
+
+    @pytest.mark.parametrize("m", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_sector_is_refused_by_name_before_any_build(self, monkeypatch, m):
+        monkeypatch.setattr(spin, "_sector_table", _refuse)
+        for call in (lambda: verify_mlm(SpinSystem(4, (1, 2), (3, 4)), m),
+                     lambda: m_sector(4, m),
+                     lambda: marshall_cone(SpinSystem(4, (1, 2), (3, 4)),
+                                           spin.MSector(m, (), None))):
+            with pytest.raises(ValueError, match=f"^sector M={m} is not a finite number$"):
+                call()
