@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
@@ -30,8 +30,21 @@ from .inheritance import (
     _row_embedding,
     inherits_positivity,
 )
-from .numerics import DEFAULT_TOL, LinearOperator, hermitian_eig, uniform_vector
-from .positivity import NodeAnalysis, classify, generates_improving_semigroup, is_ergodic
+from .numerics import (
+    DEFAULT_TOL,
+    LinearOperator,
+    _slot_facts,
+    _SlotFacts,
+    hermitian_eig,
+    uniform_vector,
+)
+from .positivity import (
+    NodeAnalysis,
+    _abs_max,
+    classify,
+    generates_improving_semigroup,
+    is_ergodic,
+)
 from .stability import _KroneckerFamily, _quantum_numbers, commutes_with_observable
 
 Subset = tuple[int, ...]
@@ -70,7 +83,12 @@ class LatticeSpec:
 
 @dataclass(frozen=True)
 class SpecReport:
-    """Pass/fail of every standing assumption, with failure witnesses."""
+    """Pass/fail of every standing assumption, with failure witnesses.
+
+    A report made by `verify_spec` also carries the `numerics._SlotFacts`
+    it read from each slot (None for a complex or non-finite one), for the
+    nodes of the same `build_lattice` call; they are neither compared nor
+    in the payload, and a diagram keeps its report without them."""
 
     x_preserving: bool
     x_commutes: bool
@@ -79,6 +97,8 @@ class SpecReport:
     h0_commutes: bool
     y_uniform_eigen: tuple[bool, ...]
     notes: tuple[str, ...] = ()
+    _slot_facts: tuple[_SlotFacts | None, ...] | None = field(default=None, compare=False,
+                                                              repr=False)
 
     @property
     def ok(self) -> bool:
@@ -114,6 +134,17 @@ def verify_spec(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> SpecReport:
     last is decided by the structural criterion alone (-H0 Metzler and
     irreducible); by Perron-Frobenius every e^{-beta H0}, beta > 0, is then
     strictly positive, so no sampled exponential is classified.
+
+    Each slot is read once.  A real, finite Y_mu has its `_SlotFacts` read
+    (`numerics._slot_facts`), which the report carries to the nodes, and
+    its ergodicity comes from their bottleneck (`_ergodic_by_bottleneck`);
+    `is_ergodic` runs only for a slot that fails that reading, to name its
+    unconnected pair, and for a complex one.  A slot with a non-finite
+    entry fails both of its tests with one note that names it.  The uniform
+    vector w passes when |Y w - lambda w| is within UNIFORM_EIGEN_TOL, and
+    else within UNIFORM_EIGEN_TOL ||Y||: max(1, ||Y||) is at least 1, so
+    this is the test against UNIFORM_EIGEN_TOL max(1, ||Y||), with the
+    spectral norm taken only when the floor does not decide it.
     """
     notes = []
     x_preserving = classify(spec.x, spec.cone, tol).preserving
@@ -126,29 +157,54 @@ def verify_spec(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> SpecReport:
     if not h0_commutes:
         notes.append("H0 does not commute with the observable")
 
-    y_ergodic = []
-    y_uniform = []
+    y_ergodic, y_uniform, slot_facts = [], [], []
     for mu, (n, y) in enumerate(spec.factors, start=1):
-        try:
-            report = is_ergodic(y, orthant(y.space, n), tol)
-        except NotPreserving:
+        if not np.isfinite(y.mat).all():
             y_ergodic.append(False)
-            notes.append(f"Y_{mu} is not cone-preserving on its orthant")
+            y_uniform.append(False)
+            slot_facts.append(None)
+            notes.append(f"Y_{mu} has a non-finite entry")
+            continue
+        facts = None if np.iscomplexobj(y.mat) else _slot_facts(y.mat)
+        slot_facts.append(facts)
+        if facts is not None and _ergodic_by_bottleneck(y.mat, facts, tol):
+            y_ergodic.append(True)
         else:
-            y_ergodic.append(report.ergodic)
-            if not report.ergodic:
-                notes.append(f"Y_{mu} is not ergodic: pair {report.failing_pair} unconnected")
+            try:
+                report = is_ergodic(y, orthant(y.space, n), tol)
+            except NotPreserving:
+                y_ergodic.append(False)
+                notes.append(f"Y_{mu} is not cone-preserving on its orthant")
+            else:
+                y_ergodic.append(report.ergodic)
+                if not report.ergodic:
+                    notes.append(f"Y_{mu} is not ergodic: pair {report.failing_pair} unconnected")
         w = uniform_vector(n)
         image = y.mat @ w
         lam = float(np.vdot(w, image).real)
-        y_uniform.append(bool(np.linalg.norm(image - lam * w)
-                              <= UNIFORM_EIGEN_TOL * max(1.0, y.norm())))
+        residual = np.linalg.norm(image - lam * w)
+        y_uniform.append(bool(residual <= UNIFORM_EIGEN_TOL
+                              or residual <= UNIFORM_EIGEN_TOL * max(1.0, y.norm())))
 
     h0_improving = generates_improving_semigroup(spec.h0, spec.cone, tol)
     if not h0_improving:
         notes.append("H0 is not improving-class on the base cone")
     return SpecReport(x_preserving, x_commutes, tuple(y_ergodic),
-                      h0_improving, h0_commutes, tuple(y_uniform), tuple(notes))
+                      h0_improving, h0_commutes, tuple(y_uniform), tuple(notes),
+                      tuple(slot_facts))
+
+
+def _ergodic_by_bottleneck(y: np.ndarray, facts: _SlotFacts, tol: float) -> bool:
+    """Whether a real, finite Y is ergodic on its orthant, as `is_ergodic`
+    decides it, read from its `_SlotFacts`: Y is cone-preserving (min Y >=
+    -t) and its bottleneck w exceeds t, for t = tol max|Y|.  `is_ergodic`
+    asks that the digraph {Y > t} of the off-diagonal entries be strongly
+    connected.  When w > t, the strongly connected {Y >= w} lies within
+    it; and when it is strongly connected, its least entry w' > t gives
+    {Y >= w'}, which holds it, so w >= w' > t.  A 1 x 1 Y has bottleneck
+    inf, and an all-zero Y of n > 1 bottleneck 0 = t."""
+    thresh = tol * _abs_max(y)
+    return bool(y.min() >= -thresh) and facts.bottleneck > thresh
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,7 +315,8 @@ def build_lattice(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> HasseDiagram:
     """Build every subset node and verify every covering-relation arrow.
 
     The standing assumptions are checked first (`verify_spec`), and the
-    diagram carries that report.  Nodes are constructed in (size,
+    diagram carries that report; the nodes read the slot facts that the
+    check read, within this call alone.  Nodes are constructed in (size,
     lexicographic) order and read in runs of consecutive nodes whose
     frames, their dimensions' sum times d0, hold no more than `DIM_CAP`
     entries, each run in array passes: its improving verdicts, its
@@ -292,6 +349,10 @@ def build_lattice(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> HasseDiagram:
             "uniform vector is not an eigenvector of every Y_mu; "
             "quantum numbers would not transfer to the perturbed nodes"
         )
+    # the nodes read the slot facts the check read (none from a report
+    # made elsewhere), and the diagram keeps its report without them
+    family.slot_facts = report._slot_facts
+    report = replace(report, _slot_facts=None)
 
     subsets = _all_subsets(spec.ell)
     o_spectrum = hermitian_eig(spec.observable)

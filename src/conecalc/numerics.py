@@ -125,8 +125,15 @@ class LinearOperator:
         sum reads both maxima from its entry table, the same floats."""
         if self._factors is not None and (table := self._factors.table) is not None:
             return table.skew <= HERMITIAN_TOL * max(table.scale, 1e-300)
-        scale = max(np.abs(self.mat).max(), 1e-300)
-        return float(np.abs(self.mat - self.mat.conj().T).max()) <= HERMITIAN_TOL * scale
+        if np.iscomplexobj(self.mat):
+            scale = max(np.abs(self.mat).max(), 1e-300)
+            return float(np.abs(self.mat - self.mat.conj().T).max()) <= HERMITIAN_TOL * scale
+        # a real H's maxima with one dim x dim temporary, the skew, made
+        # absolute in place: the same floats as the two np.abs arrays
+        scale = max(self.mat.max(), -self.mat.min(), 1e-300)
+        skew = self.mat - self.mat.T
+        np.abs(skew, out=skew)
+        return float(skew.max()) <= HERMITIAN_TOL * scale
 
     def require_hermitian(self) -> None:
         """Raise `NonHermitian` unless `is_hermitian()`.  The matrix is
@@ -322,11 +329,14 @@ def _finite_real(a: np.ndarray) -> bool:
     return not np.iscomplexobj(a) and bool(np.isfinite(a).all())
 
 
-def _kronecker_slot(y: np.ndarray) -> _Slot:
+def _kronecker_slot(y: np.ndarray, facts: _SlotFacts | None = None) -> _Slot:
     """Y with its eigendecomposition and facts, made once and shared by
-    every node that has the slot."""
+    every node that has the slot; ``facts``, when given, are the
+    `_slot_facts` of Y that a caller has read already."""
     values, vectors = np.linalg.eigh(y)
-    return _Slot(y, values, vectors, _slot_facts(y) if _finite_real(y) else None)
+    if facts is None and _finite_real(y):
+        facts = _slot_facts(y)
+    return _Slot(y, values, vectors, facts)
 
 
 def _slot_facts(y: np.ndarray) -> _SlotFacts:

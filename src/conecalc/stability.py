@@ -450,7 +450,9 @@ class _KroneckerFamily:
     The top node's dimension is checked against `numerics.DIM_CAP`, read
     when the family is made, before any slot is decomposed; each slot is
     decomposed once, at the first node (the tower's sigma_x once per
-    process).  The facts of a subset (`_SubsetFacts`) are made once, from
+    process).  A caller that has read the slots' `_SlotFacts` already sets
+    ``slot_facts`` before the first node, and no slot's facts are read
+    again.  The facts of a subset (`_SubsetFacts`) are made once, from
     those of the subset less its last slot, with the float operations of a
     loop over its slots, in the same order.  `records` reads the spectra,
     improving verdicts and ground states of a run of nodes in one array
@@ -466,6 +468,7 @@ class _KroneckerFamily:
         dim = h0.dim * math.prod(self.dims)
         if dim > numerics.DIM_CAP:
             raise DimCap(f"Kronecker sum dimension {dim} exceeds cap {numerics.DIM_CAP}")
+        self.slot_facts = None  # the slots' _SlotFacts, when read before the first node
         self._facts = {}  # subset -> its _SubsetFacts
         self._bases = {}  # n -> the sign basis that the nodes of dimension d0 * n share
 
@@ -474,7 +477,9 @@ class _KroneckerFamily:
 
     @cached_property
     def slots(self) -> tuple[_Slot, ...]:
-        return tuple(self._flip_slot() if y is PAULI_X else _kronecker_slot(y) for y in self.ys)
+        given = self.slot_facts or (None,) * len(self.ys)
+        return tuple(self._flip_slot() if y is PAULI_X else _kronecker_slot(y, facts)
+                     for y, facts in zip(self.ys, given))
 
     @cached_property
     def _fibers(self):

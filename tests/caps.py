@@ -21,13 +21,14 @@ Run it against the installed package, or a source checkout with
 It makes every run in a temporary directory, prints one line per run, its
 status, wall seconds and peak MB, and exits 1 when a run fails its bound.
 A lattice run of l slots must also have written what its size says
-(`lattice_outputs`): 2^l nodes and l 2^(l-1) edges in its report, one
-strictly positive overlap per edge, and a `hasse.dot` that declares 2^l
-distinct ids and draws its edges between declared ids alone; what does
-not hold is printed on stderr and fails the run.  It uses the standard
-library alone.  Run it as its own process: a child's
-`ru_maxrss` is at least what its parent held when it was spawned, so the
-script's own footprint must stay small.
+(`lattice_outputs`): standing assumptions that hold, with l passed slots
+in `y_ergodic` and in `y_uniform_eigenvector`, 2^l nodes and l 2^(l-1)
+edges in its report, one strictly positive overlap per edge, and a
+`hasse.dot` that declares 2^l distinct ids and draws its edges between
+declared ids alone; what does not hold is printed on stderr and fails the
+run.  It uses the standard library alone.  Run it as its own process: a
+child's `ru_maxrss` is at least what its parent held when it was spawned,
+so the script's own footprint must stay small.
 """
 
 from __future__ import annotations
@@ -77,11 +78,16 @@ RUNS = {
 def lattice_outputs(out: Path, ell: int) -> list[str]:
     """What a lattice run of ``ell`` slots wrote under ``out`` and its size
     does not allow, one line each; none when both outputs hold."""
-    diagram = json.loads((out / "report.json").read_text())["payload"]["diagram"]
+    payload = json.loads((out / "report.json").read_text())["payload"]
+    assumptions, diagram = payload["assumptions"], payload["diagram"]
+    wrong = [f"assumptions {key} {assumptions[key]}, not {want}"
+             for key, want in (("ok", True), ("y_ergodic", [True] * ell),
+                               ("y_uniform_eigenvector", [True] * ell))
+             if assumptions[key] != want]
     nodes, edges = 2 ** ell, ell * 2 ** (ell - 1)
-    wrong = [f"{key} {diagram[key]}, not {want}"
-             for key, want in (("node_count", nodes), ("edge_count", edges))
-             if diagram[key] != want]
+    wrong += [f"{key} {diagram[key]}, not {want}"
+              for key, want in (("node_count", nodes), ("edge_count", edges))
+              if diagram[key] != want]
     overlaps = diagram["edge_overlaps"]
     if len(overlaps) != edges or not all(overlap > 0 for overlap in overlaps):
         wrong.append(f"{len(overlaps)} edge overlaps, not {edges} strictly positive ones")

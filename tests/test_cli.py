@@ -494,6 +494,25 @@ def test_the_cap_script_passes_its_runs():
         assert ": pass, " in line and line.endswith(f" MB (bound {bound:g} MB)")
 
 
+def test_the_cap_script_reads_a_lattice_run_s_assumptions(tmp_path):
+    # the outputs of lattice_ell3 hold; a report whose slot 2 is not read
+    # as ergodic, or which passes with one slot too few, does not
+    out = tmp_path / "out"
+    assert main(["lattice", "--config", str(CONFIGS / "lattice_ell3.json"),
+                 "--out", str(out)]) == 0
+    assert caps.lattice_outputs(out, 3) == []
+    report = json.loads((out / "report.json").read_text())
+    report["payload"]["assumptions"]["y_ergodic"][1] = False
+    (out / "report.json").write_text(json.dumps(report))
+    assert caps.lattice_outputs(out, 3) == [
+        "assumptions y_ergodic [True, False, True], not [True, True, True]"]
+    report["payload"]["assumptions"]["y_ergodic"][1] = True
+    report["payload"]["assumptions"]["y_uniform_eigenvector"].pop()
+    (out / "report.json").write_text(json.dumps(report))
+    assert caps.lattice_outputs(out, 3) == [
+        "assumptions y_uniform_eigenvector [True, True], not [True, True, True]"]
+
+
 def test_an_identity_operator_keeps_the_array_it_is_built_from(monkeypatch):
     # the identity is made read-only, so the operator does not copy it: a
     # 4096-dimensional identity holds one 128 MB array, not two

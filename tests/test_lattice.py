@@ -24,7 +24,7 @@ from conftest import (
 
 from conecalc.cones import SelfDualCone, _signed_cone, orthant
 from conecalc import inheritance, lattice, numerics, stability
-from conecalc.errors import DimCap, DimMismatch, LinkFailed, SpecFailed
+from conecalc.errors import DimCap, DimMismatch, LinkFailed, NotPreserving, SpecFailed
 from conecalc.inheritance import (
     ArrowChain,
     ChainNode,
@@ -37,7 +37,7 @@ from conecalc.lattice import (
     hasse_export,
     verify_spec,
 )
-from conecalc.numerics import DEFAULT_TOL, DIM_CAP, LinearOperator, hermitian_eig
+from conecalc.numerics import DEFAULT_TOL, DIM_CAP, LinearOperator, _slot_facts, hermitian_eig
 from conecalc.positivity import (
     GroundState,
     NodeAnalysis,
@@ -181,6 +181,108 @@ class TestVerifySpec:
         with pytest.raises(SpecFailed, match="uniform"):
             build_lattice(LatticeSpec(spec.h0, spec.cone, spec.observable,
                                       spec.x, ((2, op("f1", lopsided)),)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.nan, 1.0)])
+    def test_a_non_finite_factor_is_named(self, bad):
+        spec = demo_spec()
+        y = np.array(PAULI_X, dtype=type(bad))
+        y[0, 1] = bad
+        broken = LatticeSpec(spec.h0, spec.cone, spec.observable, spec.x,
+                             (spec.factors[0], (2, op("f2", y)), spec.factors[2]))
+        report = verify_spec(broken)
+        assert report.y_ergodic == (True, False, True)
+        assert report.y_uniform_eigen == (True, False, True)
+        assert report.notes == ("Y_2 has a non-finite entry",)
+        with pytest.raises(SpecFailed, match="^Y_2 has a non-finite entry$"):
+            build_lattice(broken)
+
+
+def slot_oracle(y: np.ndarray, mu: int, tol: float = DEFAULT_TOL) -> tuple[bool, tuple]:
+    """A slot's ergodicity verdict and note as `is_ergodic` gives them."""
+    n = y.shape[0]
+    try:
+        report = is_ergodic(op(f"f{mu}", y), orthant(f"f{mu}", n), tol)
+    except NotPreserving:
+        return False, (f"Y_{mu} is not cone-preserving on its orthant",)
+    if report.ergodic:
+        return True, ()
+    return False, (f"Y_{mu} is not ergodic: pair {report.failing_pair} unconnected",)
+
+
+def ergodicity_cases(seed: int) -> list[np.ndarray]:
+    """Seeded real slots of 1 to 6 rows, symmetric and directed: sparse
+    supports, an all-zero slot, negative entries (some inside the tol band),
+    -0.0 entries, and entries at tol max|Y| and one ulp either side of it."""
+    gen = rng(52000 + seed)
+    n = 1 + seed % 6
+    scale = float(gen.uniform(0.5, 4.0))
+    edge = DEFAULT_TOL * scale
+    cases = [np.zeros((n, n))]
+    for _ in range(6):
+        y = gen.uniform(0.0, scale, (n, n)) * (gen.uniform(size=(n, n)) < 0.5)
+        y[gen.uniform(size=(n, n)) < 0.2] = -0.0
+        if gen.uniform() < 0.5:
+            y = np.maximum(y, y.T)
+        near = gen.uniform(size=(n, n)) < 0.4
+        y[near] = gen.choice([edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)],
+                             size=int(near.sum()))
+        if gen.uniform() < 0.3:
+            y[int(gen.integers(n)), int(gen.integers(n))] = -gen.choice(
+                [edge, np.nextafter(edge, np.inf), 0.5 * scale])
+        y.flat[int(gen.integers(n * n))] = scale  # max|Y| is the scale the band reads
+        cases.append(y)
+    # a directed ring whose one link sits at the edge of the band
+    for link in (edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)):
+        y = np.roll(np.eye(n), 1, axis=1) * scale
+        y[n - 1, 0] = link
+        cases.append(y)
+    return cases
+
+
+class TestErgodicityReading:
+    @pytest.mark.parametrize("seed", range(36))
+    def test_the_bottleneck_reading_is_the_reachability_one(self, seed):
+        for y in ergodicity_cases(seed):
+            ergodic, notes = slot_oracle(y, 1)
+            assert lattice._ergodic_by_bottleneck(y, _slot_facts(y), DEFAULT_TOL) == ergodic
+            spec = demo_spec(1)
+            report = verify_spec(LatticeSpec(spec.h0, spec.cone, spec.observable, spec.x,
+                                             ((y.shape[0], op("f1", y)),)))
+            assert report.y_ergodic == (ergodic,)
+            assert report.notes == notes
+
+    def test_a_passing_lattice_reads_each_slot_once(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(lattice, "is_ergodic", counted("is_ergodic", lattice.is_ergodic))
+        monkeypatch.setattr(numerics, "_bottleneck", counted("_bottleneck", numerics._bottleneck))
+        monkeypatch.setattr(LinearOperator, "norm", counted("norm", LinearOperator.norm))
+        spec = demo_spec()
+        spec = LatticeSpec(spec.h0, spec.cone, spec.observable, spec.x,
+                           spec.factors + ((3, op("f4", RING3)),))
+        diagram = build_lattice(spec)
+        assert diagram.assumptions.ok and diagram.assumptions._slot_facts is None
+        assert calls == {"_bottleneck": 4}
+        # a multiple of the identity is named by the reachability reading
+        calls.clear()
+        bad = LatticeSpec(spec.h0, spec.cone, spec.observable, spec.x,
+                          spec.factors[:3] + ((3, op("f4", 0.7 * np.eye(3))),))
+        with pytest.raises(SpecFailed, match=r"^Y_4 is not ergodic: pair \(0, 1\) unconnected$"):
+            build_lattice(bad)
+        assert calls == {"_bottleneck": 4, "is_ergodic": 1}
+
+    def test_the_report_compares_without_its_slot_facts(self):
+        spec = demo_spec()
+        report = verify_spec(spec)
+        assert len(report._slot_facts) == 3 and "_slot_facts" not in repr(report)
+        assert report == dataclasses.replace(report, _slot_facts=None)
+        assert "_slot_facts" not in report.to_payload()
 
 
 class TestBuildNode:

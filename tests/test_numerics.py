@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from conftest import (
 
 from conecalc.errors import BadFactorization, NonHermitian, NotDensityMatrix
 from conecalc.numerics import (
+    HERMITIAN_TOL,
     LinearOperator,
     Spectrum,
     _blocks,
@@ -291,3 +294,43 @@ def test_the_blocks_key_a_shift_by_its_bits():
         assert same_bits(values[row], want_values) and same_bits(vectors[row], want_vectors)
     assert not (h0 - k[0] * x).tobytes() == (h0 - k[1] * x).tobytes()
 
+
+
+def hermitian_oracle(mat: np.ndarray) -> bool:
+    """max|H - H^*| <= HERMITIAN_TOL max|H|, read on the dense temporaries."""
+    scale = max(np.abs(mat).max(), 1e-300)
+    return float(np.abs(mat - mat.conj().T).max()) <= HERMITIAN_TOL * scale
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_the_hermitian_check_reads_the_floats_of_the_dense_one(seed):
+    # real and complex, skews at the threshold and one ulp either side of
+    # it, -0.0 entries and an all-zero matrix
+    gen = rng(41000 + seed)
+    n = int(gen.integers(1, 7))
+    mats = [np.zeros((n, n)), np.where(gen.uniform(size=(n, n)) < 0.4, -0.0, 1.0)]
+    for complex_ in (False, True):
+        h = random_hermitian(gen, n) if complex_ else random_real_symmetric(gen, n)
+        h = (h + h.conj().T) / 2
+        i, j = int(gen.integers(n)), int(gen.integers(n))
+        edge = HERMITIAN_TOL * np.abs(h).max()
+        for skew in (edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf), 1e-3):
+            bumped = h.copy()
+            bumped[i, j] += skew
+            mats.append(bumped)
+    for mat in mats:
+        assert LinearOperator("s", mat).is_hermitian() == hermitian_oracle(mat)
+
+
+def test_a_real_hermitian_check_holds_one_temporary():
+    # the skew of a 924 x 924 real operator, the largest spin sector at the
+    # site cap, takes its absolute value in place
+    a = rng(41100).normal(size=(924, 924))
+    h = LinearOperator("s", a + a.T)
+    tracemalloc.start()
+    try:
+        assert h.is_hermitian()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * h.mat.nbytes

@@ -170,8 +170,8 @@ def test_a_spectrum_failure_of_a_later_node_waits_for_the_nodes_before_it(monkey
     spec = with_slots(base, [(2, op("f1", 0.7 * np.eye(2))), base.factors[1]])
     original = numerics._kronecker_slot
 
-    def scrambled(y):
-        slot = original(y)
+    def scrambled(y, facts=None):
+        slot = original(y, facts)
         if y.shape[0] == 3:
             return slot._replace(vectors=slot.vectors[:, ::-1].copy())
         return slot

@@ -70,6 +70,7 @@ from conecalc.lattice import (
     _all_subsets,
     build_lattice,
     build_node,
+    verify_spec,
 )
 from conecalc.numerics import (
     DEFAULT_TOL,
@@ -1064,6 +1065,46 @@ def pushed_pairs(seed: int):
     for subset in _all_subsets(spec.ell):
         node = family.node(subset)
         yield node.hamiltonian, subset_embedding(spec, (), subset), o
+
+
+def uniform_residual(y: np.ndarray) -> float:
+    """|Y w - lambda w| for the uniform w, as `verify_spec` reads it."""
+    w = uniform_vector(y.shape[0])
+    image = y @ w
+    return np.linalg.norm(image - float(np.vdot(w, image).real) * w)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_the_uniform_floor_decides_only_what_the_full_threshold_does(seed, monkeypatch):
+    # a circulant slot (directed or symmetric) of norm above 1, bumped so
+    # that the uniform vector's residual is 0.9 and 1.1 times
+    # UNIFORM_EIGEN_TOL max(1, ||Y||), above the floor UNIFORM_EIGEN_TOL,
+    # where the norm decides as before; and half the floor, where the
+    # floor decides with no norm taken
+    gen = rng(53000 + seed)
+    n = int(gen.integers(2, 6))
+    y0 = sum(c * np.roll(np.eye(n), k, axis=1) for k, c in enumerate(gen.uniform(1.0, 3.0, n)))
+    if seed % 2:
+        y0 = y0 + y0.T
+    bump = np.zeros((n, n))
+    bump[tuple(gen.integers(n, size=2))] = 1.0
+    unit = uniform_residual(bump)
+    full = UNIFORM_EIGEN_TOL * max(1.0, np.linalg.norm(y0, 2))
+    spec = random_lattice_spec(gen, structured=True)
+    norms = []
+    norm = LinearOperator.norm
+    monkeypatch.setattr(LinearOperator, "norm", lambda self: norms.append(self) or norm(self))
+    for target, want in ((0.9 * full, True), (1.1 * full, False),
+                         (0.5 * UNIFORM_EIGEN_TOL, True)):
+        y = y0 + target / unit * bump
+        residual = uniform_residual(y)
+        # the test of the parent, one threshold with the norm always taken
+        assert (residual <= UNIFORM_EIGEN_TOL * max(1.0, np.linalg.norm(y, 2))) == want
+        norms.clear()
+        report = verify_spec(LatticeSpec(spec.h0, spec.cone, spec.observable, spec.x,
+                                         ((n, LinearOperator("f1", y)),)))
+        assert report.y_uniform_eigen == (want,)
+        assert len(norms) == (residual > UNIFORM_EIGEN_TOL) == (target > UNIFORM_EIGEN_TOL)
 
 
 def complex_chain(h: LinearOperator) -> list[tuple[LinearOperator, Embedding]]:
