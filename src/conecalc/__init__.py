@@ -14,6 +14,7 @@ __version__ = "0.1.0"
 DEFAULT_TOL = 1e-9
 TOL_LIMIT = math.sqrt(0.5)  # inheritance.inherits_positivity needs tol below this
 DIM_CAP = 4096
+SITE_CAP = 12  # spin sites, whose 2^12 states fill DIM_CAP
 
 # submodule -> the names the package exports from it
 _EXPORTS = {

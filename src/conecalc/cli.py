@@ -4,13 +4,13 @@ out, with a strict exit-code contract.
 Exit codes: 0 = task ran and every asserted invariant held; 1 = task failed
 or errored; 2 = the configuration did not validate.  Reports are byte-stable
 functions of the config bytes.  A config is read by `spec`, with the standard
-library alone; numpy and the verifier modules load as it is built and run.
+library alone; its digest is taken once it has read, and numpy and the
+verifier modules load as it is built and run.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -20,15 +20,21 @@ from .errors import ConecalcError, IoError, SchemaError
 from .spec import TASKS, _require, read_config
 
 
-def run_config(config: dict, digest: str) -> tuple[dict, dict]:
+def run_config(config: dict, digest: str | bytes) -> tuple[dict, dict]:
     """Read the config, build its registries, run its task, and wrap the
     outcome as a report object.
 
-    Returns (report, extra_files).  A config that does not read or build
-    raises SchemaError; every failure of the run is folded into the report's
-    status.
+    ``digest`` is the report's config digest, or the config's bytes, whose
+    sha256 hex digest it is: taken once the config reads, so a refusal
+    loads no `hashlib`.  Returns (report, extra_files).  A config that does
+    not read or build raises SchemaError; every failure of the run is
+    folded into the report's status.
     """
     task, ctx, run = read_config(config)
+    if isinstance(digest, bytes):
+        import hashlib
+
+        digest = hashlib.sha256(digest).hexdigest()
     ctx.build()  # refuses what only floats can tell: a non-orthonormal cone or isometry
 
     extra_files: dict[str, str] = {}
@@ -116,7 +122,7 @@ def main(argv: list[str] | None = None) -> int:
             raise SchemaError(
                 f"config task {config.get('task')!r} does not match CLI task {args.task!r}"
             )
-        report, extra = run_config(config, hashlib.sha256(raw).hexdigest())
+        report, extra = run_config(config, raw)
     except SchemaError as exc:
         print(f"conecalc: schema error: {exc}", file=sys.stderr)
         return 2

@@ -1,7 +1,6 @@
 """Exception hierarchy shared by all conecalc modules."""
 
 import functools
-import traceback
 
 
 class ConecalcError(Exception):
@@ -126,13 +125,17 @@ def clears_failure_frames(fn):
     reference cycle through its own frame, would keep all of that alive
     until the garbage collector breaks the cycle.  The failure's message and
     index say what failed, so the finished frames on its tracebacks, and on
-    those of its causes, are cleared as it leaves.
+    those of its causes, are cleared as it leaves.  `traceback`, which
+    clears them, is imported only then: a program whose verifiers all
+    return, such as the CLI reading and refusing a config, never loads it.
     """
     @functools.wraps(fn)
     def verifier(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
         except ConecalcError as exc:
+            import traceback
+
             cause = exc
             while cause is not None:
                 traceback.clear_frames(cause.__traceback__)

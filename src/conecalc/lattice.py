@@ -35,7 +35,6 @@ from .numerics import (
     LinearOperator,
     _slot_facts,
     _SlotFacts,
-    hermitian_eig,
     uniform_vector,
 )
 from .positivity import (
@@ -45,7 +44,7 @@ from .positivity import (
     generates_improving_semigroup,
     is_ergodic,
 )
-from .stability import _KroneckerFamily, _quantum_numbers, commutes_with_observable
+from .stability import _commutes_with, _KroneckerFamily, _quantum_numbers
 
 Subset = tuple[int, ...]
 UNIFORM_EIGEN_TOL = 1e-10  # |Y w - lambda w| <= this * max(1, ||Y||) for the uniform w
@@ -86,9 +85,11 @@ class SpecReport:
     """Pass/fail of every standing assumption, with failure witnesses.
 
     A report made by `verify_spec` also carries the `numerics._SlotFacts`
-    it read from each slot (None for a complex or non-finite one), for the
-    nodes of the same `build_lattice` call; they are neither compared nor
-    in the payload, and a diagram keeps its report without them."""
+    it read from each slot (None for a complex or non-finite one) and the
+    observable's reading (`_observable_reading`), for the nodes of the same
+    `build_lattice` call;
+    they are neither compared nor in the payload, and a diagram keeps its
+    report without them."""
 
     x_preserving: bool
     x_commutes: bool
@@ -99,6 +100,8 @@ class SpecReport:
     notes: tuple[str, ...] = ()
     _slot_facts: tuple[_SlotFacts | None, ...] | None = field(default=None, compare=False,
                                                               repr=False)
+    _observable: tuple[float, np.ndarray] | None = field(default=None, compare=False,
+                                                        repr=False)
 
     @property
     def ok(self) -> bool:
@@ -135,7 +138,10 @@ def verify_spec(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> SpecReport:
     irreducible); by Perron-Frobenius every e^{-beta H0}, beta > 0, is then
     strictly positive, so no sampled exponential is classified.
 
-    Each slot is read once.  A real, finite Y_mu has its `_SlotFacts` read
+    The observable is decomposed once (`_observable_reading`), after X is
+    found Hermitian, as the commutation test reads them: its norm scales
+    both commutation tests, and the report carries it with the values the
+    nodes' quantum numbers snap to.  Each slot is read once.  A real, finite Y_mu has its `_SlotFacts` read
     (`numerics._slot_facts`), which the report carries to the nodes, and
     its ergodicity comes from their bottleneck (`_ergodic_by_bottleneck`);
     `is_ergodic` runs only for a slot that fails that reading, to name its
@@ -150,10 +156,12 @@ def verify_spec(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> SpecReport:
     x_preserving = classify(spec.x, spec.cone, tol).preserving
     if not x_preserving:
         notes.append("coupling operator X has a negative generator-basis entry")
-    x_commutes = commutes_with_observable(spec.x, spec.observable)
+    spec.x.require_hermitian()
+    o_reading = _observable_reading(spec.observable)
+    x_commutes = _commutes_with(spec.x, spec.observable, o_reading[0])
     if not x_commutes:
         notes.append("coupling operator X does not commute with the observable")
-    h0_commutes = commutes_with_observable(spec.h0, spec.observable)
+    h0_commutes = _commutes_with(spec.h0, spec.observable, o_reading[0])
     if not h0_commutes:
         notes.append("H0 does not commute with the observable")
 
@@ -191,7 +199,7 @@ def verify_spec(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> SpecReport:
         notes.append("H0 is not improving-class on the base cone")
     return SpecReport(x_preserving, x_commutes, tuple(y_ergodic),
                       h0_improving, h0_commutes, tuple(y_uniform), tuple(notes),
-                      tuple(slot_facts))
+                      tuple(slot_facts), o_reading)
 
 
 def _ergodic_by_bottleneck(y: np.ndarray, facts: _SlotFacts, tol: float) -> bool:
@@ -245,15 +253,20 @@ def build_node(spec: LatticeSpec, subset: Subset, tol: float = DEFAULT_TOL) -> L
     follows from that of every Y_mu (`verify_spec`), and the positivity of a
     sampled exponential from the criterion; both are test oracles only.
     """
-    o_spectrum = hermitian_eig(spec.observable)
+    o_norm, snap_to = _observable_reading(spec.observable)
     family = _family(spec)
     run, = family.records([tuple(sorted(subset))], tol)
-    return _built_run(spec, family, run, o_spectrum.norm, _snap_values(o_spectrum.eigenvalues))[0]
+    return _built_run(spec, family, run, o_norm, snap_to)[0]
 
 
-def _snap_values(eigenvalues: np.ndarray) -> np.ndarray:
-    """spec(T O T^*) is spec(O) and 0: what a node's quantum number snaps to."""
-    return np.concatenate([eigenvalues, [0.0]])
+def _observable_reading(o: LinearOperator) -> tuple[float, np.ndarray]:
+    """The norm max|lambda| of the base observable O and the values a
+    node's quantum number snaps to: spec(T O T^*) is spec(O) and 0.  One
+    `eigh`, whose eigenvalues are those `hermitian_eig` reads; O's
+    eigenvectors are not kept."""
+    o.require_hermitian()
+    values = np.linalg.eigh(o.mat)[0]
+    return float(max(-values[0], values[-1])), np.concatenate([values, [0.0]])
 
 
 def _built_run(spec: LatticeSpec, family: _KroneckerFamily, run, o_norm: float,
@@ -315,8 +328,9 @@ def build_lattice(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> HasseDiagram:
     """Build every subset node and verify every covering-relation arrow.
 
     The standing assumptions are checked first (`verify_spec`), and the
-    diagram carries that report; the nodes read the slot facts that the
-    check read, within this call alone.  Nodes are constructed in (size,
+    diagram carries that report; the nodes read the slot facts, the
+    observable's reading and H0's improving verdict, the verdict of node
+    (), that the check read, within this call alone.  Nodes are constructed in (size,
     lexicographic) order and read in runs of consecutive nodes whose
     frames, their dimensions' sum times d0, hold no more than `DIM_CAP`
     entries, each run in array passes: its improving verdicts, its
@@ -349,21 +363,26 @@ def build_lattice(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> HasseDiagram:
             "uniform vector is not an eigenvector of every Y_mu; "
             "quantum numbers would not transfer to the perturbed nodes"
         )
-    # the nodes read the slot facts the check read (none from a report
-    # made elsewhere), and the diagram keeps its report without them
+    # the nodes read what the check read (nothing from a report made
+    # elsewhere, whose family reads its own), and the diagram keeps its
+    # report without it
+    o_reading = report._observable
+    if o_reading is None:
+        o_reading = _observable_reading(spec.observable)
+    else:
+        family.base_improving = report.h0_improving
     family.slot_facts = report._slot_facts
-    report = replace(report, _slot_facts=None)
+    report = replace(report, _slot_facts=None, _observable=None)
 
     subsets = _all_subsets(spec.ell)
-    o_spectrum = hermitian_eig(spec.observable)
-    snap_to = _snap_values(o_spectrum.eigenvalues)
+    o_norm, snap_to = o_reading
     # every node's record stays alive through the edges, which read the
     # improving verdicts and ground states again; a record read from the
     # blocks of its Kronecker sum holds no eigenbasis
     nodes: list[LatticeNode] = []
     records: dict[Subset, NodeAnalysis] = {}
     for run in family.records(subsets, tol):
-        nodes += _built_run(spec, family, run, o_spectrum.norm, snap_to)
+        nodes += _built_run(spec, family, run, o_norm, snap_to)
         records.update(run)
 
     base_mu = nodes[0].mu_snapped  # the unperturbed node, subset ()

@@ -2,24 +2,30 @@
 
 Every key, JSON type, name, dimension and matrix entry of a config is checked
 here, before any numeric object exists, so a config refused here has loaded
-neither numpy nor a verifier module.  Matrix entries, plain real numbers or
-[re, im] pairs, are read to nested tuples of `complex`.  Each reader returns
-the build of what it read: a closure that calls the package's exports, which
-import their modules as they are first used (see `conecalc.__init__`).
+neither numpy nor a verifier module.  The caps are read here too: a declared
+space or tensor cone past `DIM_CAP`, a lattice of more slots than `DIM_CAP`
+has room for nodes, and a spin system past `SITE_CAP` sites.  Matrix
+entries, plain real numbers or [re, im] pairs, are read to nested tuples of
+`complex`.  Each reader returns the build of what it read: a closure that
+calls the package's exports, which import their modules as they are first
+used (see `conecalc.__init__`).
+
+Reading imports only what it uses: the registries are plain classes, not
+dataclasses, and a config object's keys are read from its reader's code
+object (`_read`), not from an `inspect` signature, so a refused config
+loads neither `dataclasses` nor `inspect`.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
-import inspect
 import math
 import sys
-from dataclasses import dataclass, field
 
 import conecalc
 
-from . import DEFAULT_TOL, DIM_CAP, TOL_LIMIT
+from . import DEFAULT_TOL, DIM_CAP, SITE_CAP, TOL_LIMIT
 from .errors import DimMismatch, SchemaError
 
 
@@ -82,44 +88,44 @@ def _read(what: str, obj, reader, *leading):
     """`reader(*leading, **obj)` for the config object `obj`, whose keys are
     exactly the reader's parameters after `leading`: one with a default is an
     optional key.  A missing or unknown key is refused with a line naming
-    `what` and the key, before the reader runs."""
+    `what` and the key, before the reader runs.  The parameters, all
+    positional, are read from the reader's code object, and the last
+    `len(__defaults__)` of them have defaults."""
     _require(isinstance(obj, dict), f"{what} must be an object, got {obj!r}")
-    signature = inspect.signature(reader)
-    try:
-        signature.bind(*leading, **obj)
-    except TypeError:
-        keys = list(signature.parameters.values())[len(leading):]
-        names = [p.name for p in keys]
-        unknown = [key for key in obj if key not in names]
-        if unknown:
-            raise SchemaError(f"{what}: unknown key {unknown[0]!r}; "
-                              f"it takes {', '.join(map(repr, names))}") from None
-        missing = [p.name for p in keys if p.default is p.empty and p.name not in obj]
-        raise SchemaError(f"{what}: missing key {missing[0]!r}") from None
+    code = reader.__code__
+    names = code.co_varnames[len(leading):code.co_argcount]
+    unknown = [key for key in obj if key not in names]
+    if unknown:
+        raise SchemaError(f"{what}: unknown key {unknown[0]!r}; "
+                          f"it takes {', '.join(map(repr, names))}")
+    required = names[:len(names) - len(reader.__defaults__ or ())]
+    missing = [name for name in required if name not in obj]
+    if missing:
+        raise SchemaError(f"{what}: missing key {missing[0]!r}")
     return reader(*leading, **obj)
 
 
-@dataclass(eq=False)
 class Entry:
     """A registry entry as read: the dimension and the name of its space
     (an embedding's target) and the build of its object, kept as `value`
     once built."""
 
-    dim: int
-    space: str
-    build: object
-    value: object = None
+    def __init__(self, dim: int, space: str, build, value=None):
+        self.dim, self.space, self.build, self.value = dim, space, build, value
 
 
-@dataclass
 class RunContext:
     """The registries of one config, as read, and its tolerance."""
 
-    spaces: dict[str, int] = field(default_factory=dict)
-    operators: dict[str, Entry] = field(default_factory=dict)
-    cones: dict[str, Entry] = field(default_factory=dict)
-    embeddings: dict[str, Entry] = field(default_factory=dict)
-    tol: float = DEFAULT_TOL
+    def __init__(self, spaces: dict[str, int] | None = None,
+                 operators: dict[str, Entry] | None = None,
+                 cones: dict[str, Entry] | None = None,
+                 embeddings: dict[str, Entry] | None = None, tol: float = DEFAULT_TOL):
+        self.spaces = {} if spaces is None else spaces
+        self.operators = {} if operators is None else operators
+        self.cones = {} if cones is None else cones
+        self.embeddings = {} if embeddings is None else embeddings
+        self.tol = tol
 
     def _entry(self, kind: str, name):
         registry = getattr(self, f"{kind}s")
@@ -354,6 +360,9 @@ def _lattice_factor(ctx: RunContext, operator):
 
 def _task_lattice(ctx: RunContext, h0, cone, observable, x, factors):
     _require(isinstance(factors, list) and factors, "lattice needs a factors list")
+    # 2^ell > DIM_CAP exactly when ell > DIM_CAP.bit_length() - 1; no power is formed
+    _require(len(factors) < DIM_CAP.bit_length(), f"lattice of {len(factors)} slots has "
+                                                   f"2^{len(factors)} nodes, over cap {DIM_CAP}")
     ys = [_read(f"lattice factor {mu}", factor, _lattice_factor, ctx)
           for mu, factor in enumerate(factors, start=1)]
     h, p, o, c = ctx.operator(h0), ctx.cone(cone), ctx.operator(observable), ctx.operator(x)
@@ -398,6 +407,7 @@ def _task_weak_equiv(ctx: RunContext, h2, h_star, env_cone):
 
 def _task_spin_demo(ctx: RunContext, sites, sublattice_a, sector_m=0.0):
     _require(_is_int(sites) and sites >= 2, "spin-demo needs sites >= 2")
+    _require(sites <= SITE_CAP, f"spin-demo: {sites} sites exceed the {SITE_CAP}-site cap")
     a = sublattice_a
     _require(isinstance(a, list) and a and all(_is_int(s) and 1 <= s <= sites for s in a),
              f"spin-demo sublattice_a must be a non-empty list of sites 1..{sites}, got {a!r}")
@@ -405,7 +415,6 @@ def _task_spin_demo(ctx: RunContext, sites, sublattice_a, sector_m=0.0):
     m = _finite(sector_m, "spin-demo sector_m")
 
     def run():
-        conecalc.spin._check_cap(sites)  # before sublattice b, a list over the sites, is built
         b = tuple(s for s in range(1, sites + 1) if s not in a)
         report = conecalc.verify_mlm(conecalc.SpinSystem(sites, tuple(a), b), m, ctx.tol)
         return report.ok, report.to_payload()

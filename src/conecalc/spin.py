@@ -12,6 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import SITE_CAP
 from .cones import SelfDualCone, _signed_cone
 from .errors import DimCap, PreconditionFailed, SignRuleFailed
 from .inheritance import Embedding
@@ -19,7 +20,6 @@ from .numerics import DEFAULT_TOL, LinearOperator, _adopt
 from .positivity import NodeAnalysis, generates_positive_semigroup
 from .stability import _quantum_numbers
 
-SITE_CAP = 12
 SECTOR_TOL = 1e-12  # a sector is non-empty when n/2 - M is within this of a whole number
 
 

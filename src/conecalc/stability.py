@@ -192,11 +192,19 @@ def commutes_with_observable(h: LinearOperator, o: LinearOperator) -> bool:
     so they could only disagree by rounding.  The tests keep that comparison
     as a property oracle.
     """
+    return _commutes_with(h, o)
+
+
+def _commutes_with(h: LinearOperator, o: LinearOperator, o_norm: float | None = None) -> bool:
+    """`commutes_with_observable`, given ||O|| when its caller has read O's
+    spectrum already (`lattice.verify_spec`), else reading it here."""
     h.require_hermitian()
     o.require_hermitian()
     if h.dim != o.dim:
         raise NotCommuting("operators act on different spaces")
-    return _commutes(h, o.mat, _hermitian_norm(h) * _hermitian_norm(o))
+    if o_norm is None:
+        o_norm = _hermitian_norm(o)
+    return _commutes(h, o.mat, _hermitian_norm(h) * o_norm)
 
 
 @dataclass(frozen=True)
@@ -452,7 +460,8 @@ class _KroneckerFamily:
     decomposed once, at the first node (the tower's sigma_x once per
     process).  A caller that has read the slots' `_SlotFacts` already sets
     ``slot_facts`` before the first node, and no slot's facts are read
-    again.  The facts of a subset (`_SubsetFacts`) are made once, from
+    again; one that has decided the improving verdict of H0 on its cone,
+    node ()'s, sets ``base_improving``, which node ()'s record then takes.  The facts of a subset (`_SubsetFacts`) are made once, from
     those of the subset less its last slot, with the float operations of a
     loop over its slots, in the same order.  `records` reads the spectra,
     improving verdicts and ground states of a run of nodes in one array
@@ -469,6 +478,7 @@ class _KroneckerFamily:
         if dim > numerics.DIM_CAP:
             raise DimCap(f"Kronecker sum dimension {dim} exceeds cap {numerics.DIM_CAP}")
         self.slot_facts = None  # the slots' _SlotFacts, when read before the first node
+        self.base_improving = None  # node ()'s improving verdict, when decided before
         self._facts = {}  # subset -> its _SubsetFacts
         self._bases = {}  # n -> the sign basis that the nodes of dimension d0 * n share
 
@@ -517,6 +527,10 @@ class _KroneckerFamily:
         """
         pairs = [(subset, NodeAnalysis(node.hamiltonian, node.cone, tol))
                  for subset, node in zip(subsets, map(self.node, subsets))]
+        if self.base_improving is not None:
+            for subset, record in pairs:
+                if not subset:  # left out of its run's verdict pass
+                    record.__dict__["improving"] = self.base_improving
         first = 0
         for run in _runs([record for _, record in pairs]):
             _read(run)

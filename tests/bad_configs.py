@@ -251,6 +251,16 @@ CASES = [
          '"operators": [{"name": "one", "space": "a", "kind": "identity"}], "cones": '
          '[{"name": "P", "kind": "orthant", "space": "a"}], "params": {"operator": "one", '
          '"cone": "P"}}', line="space 'a' dimension 1000000000 exceeds cap 4096"),
+    # the two count caps: 2^13 lattice nodes, each of dimension 2, and spin sites
+    # past the 12 whose 2^12 states fill the dimension cap
+    case("lattice-13-one-dimensional-slots", "lattice_ell3", ("set", "spaces.e", 1),
+         ("append", "operators", {"name": "zero", "space": "e", "entries": [[0]]}),
+         ("set", "params.factors", [{"operator": "zero"}] * 13),
+         line="lattice of 13 slots has 2^13 nodes, over cap 4096"),
+    case("spin-13-sites", "spin_demo_n4", ("set", "params.sites", 13),
+         line="spin-demo: 13 sites exceed the 12-site cap"),
+    case("spin-a-million-sites", "spin_demo_n4", ("set", "params.sites", 10 ** 6),
+         line="spin-demo: 1000000 sites exceed the 12-site cap"),
     # a bad entry or row names its operator, embedding or cone
     case("append-vector-cell-true", "chain_two_level",
          ("set", "embeddings.0.vector", [True, ROOT_HALF]),
@@ -377,11 +387,6 @@ CASES = [
          fail=("PreconditionFailed", "sector M=0.25 is empty for 4 sites")),
     case("lattice-y1-negated", "lattice_ell3", ("set", "operators.3.entries", [[0, -1], [-1, 0]]),
          stage="run", fail=("SpecFailed", "Y_1 is not cone-preserving on its orthant")),
-    # 2^13 nodes, each of dimension 2, and a top node of 2 x 4096
-    case("lattice-13-one-dimensional-slots", "lattice_ell3", ("set", "spaces.e", 1),
-         ("append", "operators", {"name": "zero", "space": "e", "entries": [[0]]}),
-         ("set", "params.factors", [{"operator": "zero"}] * 13), stage="run",
-         fail=("DimCap", "lattice of 13 slots has 2^13 nodes, over cap 4096")),
     case("lattice-top-dimension-8192", "lattice_ell3", ("set", "spaces.e", 4096),
          ("append", "operators", {"name": "one", "space": "e", "kind": "identity"}),
          ("set", "params.factors", [{"operator": "one"}]), stage="run",

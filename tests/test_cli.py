@@ -302,17 +302,16 @@ def test_a_bad_config_ends_as_its_case_says(case, tmp_path):
 BAD_CONFIG = {case.id: case for case in bad_configs.CASES}
 
 
-def test_spin_sites_past_the_cap_fail_before_any_site_list_is_built():
+def test_spin_sites_past_the_cap_are_refused_before_any_site_list_is_built():
     config = {"version": 1, "task": "spin-demo",
               "params": {"sites": 10 ** 6, "sublattice_a": [1]}}
     tracemalloc.start()
     try:
-        report, _ = run_config(config, "0" * 64)
+        with pytest.raises(SchemaError, match=r"^spin-demo: 1000000 sites exceed the 12-site cap$"):
+            run_config(config, "0" * 64)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report["status"] == "fail"
-    assert report["payload"]["error_type"] == "DimCap"
     assert peak < 1_000_000
 
 
@@ -453,19 +452,28 @@ def identity_factor_lattice(n: int) -> dict:
     return config
 
 
+def test_lattice_past_the_node_count_cap_is_refused_while_reading(monkeypatch):
+    # 13 one-dimensional slots: 2^13 nodes of the base's dimension 2
+    def refuse(ctx):
+        raise AssertionError("a config past the node count cap was built")
+
+    monkeypatch.setattr(spec.RunContext, "build", refuse)
+    with pytest.raises(SchemaError, match=r"^lattice of 13 slots has 2\^13 nodes, over cap 4096$"):
+        run_config(one_dimensional_lattice(13), "0" * 64)
+
+
 @pytest.mark.parametrize("config, cap, error_type, reason", [
-    (one_dimensional_lattice(13), 4096, "DimCap",
-     "lattice of 13 slots has 2^13 nodes, over cap 4096"),
     (one_dimensional_lattice(12), 4096, "AssertionError", None),
     (identity_factor_lattice(64), 64, "DimCap", "Kronecker sum dimension 128 exceeds cap 64"),
-], ids=["13-DimCap", "12-AssertionError", "top-dimension-DimCap"])
+], ids=["12-AssertionError", "top-dimension-DimCap"])
 def test_lattice_past_the_node_cap_fails_before_the_spec_is_checked(config, cap, error_type,
                                                                     reason, monkeypatch):
-    # every node of the one-dimensional lattices has the base's dimension
-    # 2, so only the 2^ell node count can pass the cap; at 12 slots the cap
-    # lets the spec check run.  The identity slot makes a top node of twice
-    # the lowered cap and is not ergodic, so a spec checked first would
-    # report SpecFailed instead of the cap
+    # every node of the one-dimensional lattice has the base's dimension 2,
+    # so only the 2^ell node count can pass the cap, which the reader
+    # refuses past 12 slots; at 12 the cap lets the spec check run.  The
+    # identity slot makes a top node of twice the lowered cap and is not
+    # ergodic, so a spec checked first would report SpecFailed instead of
+    # the cap
     def refuse(*args, **kwargs):
         raise AssertionError("the spec was checked, a slot decomposed or a node built")
 

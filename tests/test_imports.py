@@ -1,9 +1,11 @@
 """The import graph: `import conecalc` loads none of the package's modules,
-the CLI loads only the standard-library reader of a config, with no numpy,
-building a config that has been read adds numpy and the numeric core, and
-each task adds the modules README "CLI" lists for it.  Each case runs in a
-fresh interpreter; the cases of `bad_configs.py` run in one."""
+the CLI loads only the standard-library reader of a config, with no numpy
+and none of the standard-library modules that reading never uses, building
+a config that has been read adds numpy and the numeric core, and each task
+adds the modules README "CLI" lists for it.  Each case runs in a fresh
+interpreter; the cases of `bad_configs.py` run in one."""
 
+import functools
 import importlib
 import json
 import re
@@ -20,6 +22,10 @@ CONFIGS = ROOT / "configs"
 VALIDATION = {"cli", "errors", "spec"}
 BUILD = {"cones", "jsonio", "numerics", "numpy"}
 TASK_MODULES = {"inheritance", "lattice", "positivity", "semigroup", "spin", "stability"}
+# standard-library modules that reading a config does not use: a refused
+# config loads none of them beyond what the interpreter starts with, and a
+# run that passes loads no `traceback`, which only a failure's frames need
+UNUSED_BY_READING = {"dataclasses", "hashlib", "inspect", "traceback"}
 
 ALL = [
     "ArrowChain", "ChainNode", "Embedding", "ErgodicityReport", "GoodQuantumNumber",
@@ -40,25 +46,37 @@ ALL = [
 ]
 
 
-def run_probe(code: str, *args: str) -> tuple[list[str], set[str]]:
-    """(lines printed, package modules loaded) of `code` in a fresh
-    interpreter; `numpy` is among the modules if it was loaded."""
+def run_probe(code: str, *args: str) -> tuple[list[str], set[str], set[str]]:
+    """(lines printed, package modules loaded, modules of UNUSED_BY_READING
+    loaded) of `code` in a fresh interpreter; `numpy` is among the package
+    modules if it was loaded."""
     script = ("import json, sys\n" + code + "\nprint(json.dumps(sorted("
-              "m for m in sys.modules if m.startswith('conecalc.') or m == 'numpy')))")
+              f"m for m in sys.modules if m.startswith('conecalc.') or m == 'numpy' "
+              f"or m in {sorted(UNUSED_BY_READING)!r})))")
     result = subprocess.run([sys.executable, "-c", script, *args],
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     *lines, last = result.stdout.splitlines()
-    return lines, {name.split(".", 1)[-1] for name in json.loads(last)}
+    loaded = set(json.loads(last))
+    return (lines, {name.split(".", 1)[-1] for name in loaded - UNUSED_BY_READING},
+            loaded & UNUSED_BY_READING)
 
 
-def cli_run(argvs: list[list[str]]) -> tuple[list[int], set[str]]:
-    """(exit codes, package modules loaded) of one interpreter running the CLI
-    on each argument list in turn."""
-    lines, modules = run_probe("from conecalc.cli import main\n"
-                               "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))",
-                               json.dumps(argvs))
-    return json.loads(lines[-1]), modules
+@functools.cache
+def unused_at_start(code: str = "pass") -> frozenset[str]:
+    """The modules of UNUSED_BY_READING that a fresh interpreter has loaded
+    after `code` alone: those that it starts with, for `pass`."""
+    return frozenset(run_probe(code)[2])
+
+
+def cli_run(argvs: list[list[str]]) -> tuple[list[int], set[str], set[str]]:
+    """(exit codes, package modules loaded, modules of UNUSED_BY_READING
+    loaded beyond a bare interpreter's) of one interpreter running the CLI on
+    each argument list in turn."""
+    lines, modules, unused = run_probe("from conecalc.cli import main\n"
+                                       "print(json.dumps([main(argv) for argv in "
+                                       "json.loads(sys.argv[1])]))", json.dumps(argvs))
+    return json.loads(lines[-1]), modules, unused - unused_at_start()
 
 
 def documented_modules() -> dict[str, set[str]]:
@@ -72,18 +90,32 @@ def documented_modules() -> dict[str, set[str]]:
 
 
 def test_importing_the_package_loads_no_module():
-    _, modules = run_probe("import conecalc")
+    _, modules, _ = run_probe("import conecalc")
     assert modules == set()
 
 
 def test_importing_the_cli_loads_what_validation_needs():
-    _, modules = run_probe("import conecalc.cli")
+    _, modules, unused = run_probe("import conecalc.cli")
     assert modules == VALIDATION
     assert "numpy" not in modules
+    assert unused <= unused_at_start()
+
+
+def test_a_refused_config_loads_only_the_reader(tmp_path):
+    # a config refused while reading: a tolerance that is no number
+    config = json.loads((CONFIGS / "mu_flip.json").read_text())
+    config["tolerances"] = {"default": "abc"}
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(json.dumps(config))
+    codes, modules, unused = cli_run([["mu", "--config", str(path), "--out", str(out)]])
+    assert codes == [2]
+    assert not out.exists()
+    assert modules == VALIDATION
+    assert unused == set()
 
 
 def test_an_export_loads_only_the_modules_it_needs():
-    _, modules = run_probe("import conecalc\nconecalc.trotter_verify")
+    _, modules, _ = run_probe("import conecalc\nconecalc.trotter_verify")
     assert modules == {"cones", "errors", "numerics", "numpy", "positivity", "semigroup"}
 
 
@@ -97,9 +129,11 @@ def test_every_task_has_a_documented_module_set():
 @pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
 def test_each_shipped_config_loads_its_documented_modules(config, tmp_path):
     task = json.loads(config.read_text())["task"]
-    codes, modules = cli_run([[task, "--config", str(config), "--out", str(tmp_path)]])
+    codes, modules, unused = cli_run([[task, "--config", str(config), "--out", str(tmp_path)]])
     assert codes == [0]
     assert modules == VALIDATION | BUILD | documented_modules()[task]
+    # a run that passes clears no failure's frames
+    assert "traceback" not in unused - unused_at_start("import numpy")
 
 
 def test_the_bad_config_runner_passes_and_its_read_cases_load_no_numpy():

@@ -23,7 +23,7 @@ from conftest import (
 )
 
 from conecalc.cones import SelfDualCone, _signed_cone, orthant
-from conecalc import inheritance, lattice, numerics, stability
+from conecalc import inheritance, lattice, numerics, positivity, stability
 from conecalc.errors import DimCap, DimMismatch, LinkFailed, NotPreserving, SpecFailed
 from conecalc.inheritance import (
     ArrowChain,
@@ -281,8 +281,63 @@ class TestErgodicityReading:
         spec = demo_spec()
         report = verify_spec(spec)
         assert len(report._slot_facts) == 3 and "_slot_facts" not in repr(report)
-        assert report == dataclasses.replace(report, _slot_facts=None)
-        assert "_slot_facts" not in report.to_payload()
+        assert report._observable is not None and "_observable" not in repr(report)
+        assert report == dataclasses.replace(report, _slot_facts=None, _observable=None)
+        assert not {"_slot_facts", "_observable"} & set(report.to_payload())
+
+    def test_a_passing_lattice_decomposes_its_observable_once(self, monkeypatch):
+        # one eigh of O gives both commutation scales and the snap values
+        spec = demo_spec()
+        seen = []
+        for name in ("eigh", "eigvalsh"):
+            def recorded(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+                if a is spec.observable.mat:
+                    seen.append(_name)
+                return _original(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, recorded)
+        diagram = build_lattice(spec)
+        assert seen == ["eigh"]
+        assert diagram.assumptions._observable is None
+
+    def test_a_passing_lattice_decides_h0_s_verdict_once(self, monkeypatch):
+        # verify_spec decides H0's improving verdict, and node (), whose
+        # Hamiltonian is H0, takes it: every node is decided once
+        decided = []
+        original = positivity._improving
+
+        def recorded(hs, cones, tol):
+            decided.extend(h.dim for h in hs)
+            return original(hs, cones, tol)
+
+        monkeypatch.setattr(positivity, "_improving", recorded)
+        spec = demo_spec()
+        diagram = build_lattice(spec)
+        assert len(decided) == len(diagram.nodes) == 2 ** spec.ell
+        assert decided.count(spec.h0.dim) == 1
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_node_empty_s_own_verdict_is_the_spec_check_s(self, seed):
+        # what makes the hand-over exact: the family's own reading of node ()
+        # and verify_spec's dense reading of H0 agree, whether H0 is
+        # improving, a multiple of the identity, not Metzler or has an
+        # off-diagonal coordinate at the edge of the tolerance band
+        gen = rng(99000 + seed)
+        spec = random_lattice_spec(gen, structured=bool(seed % 2))
+        q = spec.cone.generators
+        coords = q.conj().T @ spec.h0.mat @ q
+        kind = seed // 2 % 4
+        if kind == 1:
+            coords = gen.normal() * np.eye(len(coords))
+        elif kind == 2:
+            coords[0, 1] = coords[1, 0] = abs(coords[0, 1]) + 0.1
+        elif kind == 3:
+            band = DEFAULT_TOL * np.abs(coords).max()
+            coords[0, 1] = coords[1, 0] = -band * (1 + gen.choice([-1e-6, 0.0, 1e-6]))
+        h = q @ coords @ q.conj().T
+        spec = LatticeSpec(op("base", 0.5 * (h + h.conj().T)), spec.cone, spec.observable,
+                           spec.x, spec.factors)
+        (((), record),), = lattice._family(spec).records([()])
+        assert record.improving == generates_improving_semigroup(spec.h0, spec.cone)
 
 
 class TestBuildNode:
@@ -349,6 +404,17 @@ class TestBuildNode:
             build_node(wide, ())
         with pytest.raises(DimCap):
             build_lattice(wide)
+
+    def test_node_count_cap(self, monkeypatch):
+        # 13 one-dimensional slots: every node has the base's dimension 2,
+        # and 2^13 nodes are refused before the spec is checked
+        spec = demo_spec()
+        flat = LatticeSpec(spec.h0, spec.cone, spec.observable, spec.x,
+                           tuple((1, op(f"f{mu}", [[0.0]])) for mu in range(1, 14)))
+        monkeypatch.setattr(lattice, "verify_spec", refuse)
+        with pytest.raises(DimCap, match=rf"^lattice of 13 slots has 2\^13 nodes, over cap "
+                                         rf"{DIM_CAP}$"):
+            build_lattice(flat)
 
 
 @pytest.fixture(scope="module")
