@@ -21,7 +21,7 @@ from .numerics import (
     _numeric,
     identity,
 )
-from .positivity import NodeAnalysis, _read_together, classify
+from .positivity import NodeAnalysis, _run_spectra, _run_verdicts, _runs, classify
 
 ISOMETRY_TOL = 1e-10
 
@@ -505,18 +505,24 @@ def _verified_links(chain: ArrowChain, tol: float
     `stability.quantum_number_along_chain`.  Link j is decided on records
     j and j+1, and a failed link raises `LinkFailed` at once.  A record
     is lazy and holds the eigenvalues and the ground vector, no
-    eigenbasis.  The records of the Kronecker-sum nodes, a tower's levels
-    or a `coupling` member, read their facts in runs
-    (`positivity._read_together`).  The cone inheritance of each link is
-    read first, in order, up to the first that fails or raises; then the
-    arrows up to that link, in order, up to the first that fails or
-    raises, their verdicts read in runs of the nodes those links reach;
-    then the overlaps of the links before it, in order, their ground
-    states read in runs of the nodes those links reach alone; then that
-    arrow's failure.  Each arrow reads its link's inheritance, or raises
-    what reading it raised, after both improving verdicts, so a failed
-    link still raises at the first link that fails, with its own reasons,
-    and no node past a failed arrow is decomposed.
+    eigenbasis.  Four passes, in order:
+
+    1. the cone inheritance of each link, up to the first that fails or
+       raises;
+    2. the improving verdicts of the runs of Kronecker-sum records, a
+       tower's levels or a `coupling` member (`positivity._runs`), among
+       the nodes those links reach (`positivity._run_verdicts`);
+    3. the arrows up to that link, in order, up to the first that fails
+       or raises;
+    4. the spectra and ground states of the runs among the nodes the
+       passing arrows reach (`positivity._run_spectra`), then the overlaps
+       of those links, in order, then the failed arrow's failure.
+
+    Each arrow reads its link's inheritance, or raises what reading it
+    raised, after both improving verdicts, so a failed link still raises
+    at the first link that fails, with its own reasons, and no node past
+    a failed arrow is decomposed.  Any other record reads its own facts
+    where a link asks for them.
     """
     records = [NodeAnalysis(node.hamiltonian, node.cone, tol) for node in chain.nodes]
     inherited = []  # a link's inheritance, or what reading it raised
@@ -527,7 +533,8 @@ def _verified_links(chain: ArrowChain, tol: float
             inherited.append(exc)
         if isinstance(inherited[-1], Exception) or not inherited[-1]:
             break
-    _read_together(records, upto=len(inherited) + 1)
+    for run in _runs(records[:len(inherited) + 1]):
+        _run_verdicts(run)
     arrows, failure = [], None
     for j, inherits in enumerate(inherited):
         try:
@@ -538,8 +545,10 @@ def _verified_links(chain: ArrowChain, tol: float
             break
         if not arrows[-1]:
             break
-    # no ground state past the last arrow is read
-    _read_together(records, upto=len(arrows) + (0 if arrows and not arrows[-1] else 1))
+    passed = len(arrows) - (1 if arrows and not arrows[-1] else 0)
+    # no ground state past the last passing arrow is read
+    for run in _runs(records[:passed + 1] if passed else []):
+        _run_spectra(run)
     links = []
     for j, arrow in enumerate(arrows):
         source, target, emb = records[j], records[j + 1], chain.embeddings[j]

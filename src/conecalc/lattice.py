@@ -44,7 +44,7 @@ from .positivity import (
     generates_improving_semigroup,
     is_ergodic,
 )
-from .stability import _commutes_with, _KroneckerFamily, _quantum_numbers
+from .stability import _commutes_with, _KroneckerFamily, _observable_reading, _quantum_numbers
 
 Subset = tuple[int, ...]
 UNIFORM_EIGEN_TOL = 1e-10  # |Y w - lambda w| <= this * max(1, ||Y||) for the uniform w
@@ -86,10 +86,9 @@ class SpecReport:
 
     A report made by `verify_spec` also carries the `numerics._SlotFacts`
     it read from each slot (None for a complex or non-finite one) and the
-    observable's reading (`_observable_reading`), for the nodes of the same
-    `build_lattice` call;
-    they are neither compared nor in the payload, and a diagram keeps its
-    report without them."""
+    observable's reading (`stability._observable_reading`), for the nodes
+    of the same `build_lattice` call; they are neither compared nor in the
+    payload, and a diagram keeps its report without them."""
 
     x_preserving: bool
     x_commutes: bool
@@ -138,10 +137,11 @@ def verify_spec(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> SpecReport:
     irreducible); by Perron-Frobenius every e^{-beta H0}, beta > 0, is then
     strictly positive, so no sampled exponential is classified.
 
-    The observable is decomposed once (`_observable_reading`), after X is
-    found Hermitian, as the commutation test reads them: its norm scales
-    both commutation tests, and the report carries it with the values the
-    nodes' quantum numbers snap to.  Each slot is read once.  A real, finite Y_mu has its `_SlotFacts` read
+    The observable is read once (`stability._observable_reading`), after
+    X is found Hermitian, as the commutation test reads them: its norm
+    scales both commutation tests, and the report carries it with the
+    eigenvalues the nodes' quantum numbers snap to.  Each slot is read
+    once.  A real, finite Y_mu has its `_SlotFacts` read
     (`numerics._slot_facts`), which the report carries to the nodes, and
     its ergodicity comes from their bottleneck (`_ergodic_by_bottleneck`);
     `is_ergodic` runs only for a slot that fails that reading, to name its
@@ -253,37 +253,28 @@ def build_node(spec: LatticeSpec, subset: Subset, tol: float = DEFAULT_TOL) -> L
     follows from that of every Y_mu (`verify_spec`), and the positivity of a
     sampled exponential from the criterion; both are test oracles only.
     """
-    o_norm, snap_to = _observable_reading(spec.observable)
+    o_reading = _observable_reading(spec.observable)
     family = _family(spec)
     run, = family.records([tuple(sorted(subset))], tol)
-    return _built_run(spec, family, run, o_norm, snap_to)[0]
+    return _built_run(spec, family, run, o_reading)[0]
 
 
-def _observable_reading(o: LinearOperator) -> tuple[float, np.ndarray]:
-    """The norm max|lambda| of the base observable O and the values a
-    node's quantum number snaps to: spec(T O T^*) is spec(O) and 0.  One
-    `eigh`, whose eigenvalues are those `hermitian_eig` reads; O's
-    eigenvectors are not kept."""
-    o.require_hermitian()
-    values = np.linalg.eigh(o.mat)[0]
-    return float(max(-values[0], values[-1])), np.concatenate([values, [0.0]])
-
-
-def _built_run(spec: LatticeSpec, family: _KroneckerFamily, run, o_norm: float,
-               snap_to: np.ndarray) -> list[LatticeNode]:
+def _built_run(spec: LatticeSpec, family: _KroneckerFamily, run,
+               o_reading: tuple[float, np.ndarray]) -> list[LatticeNode]:
     """The nodes of a run of (ascending subset, record) pairs of the spec's
     family, their spectra and improving verdicts read, given the base
-    observable's norm and the values to snap to.  The pushed observable
-    T O T^* has the norm of the base one, and every node reads it through
-    the family's frame T of its subset, all of the run's in one pass
-    (`stability._quantum_numbers`).  The first node that fails raises: one
-    that is not improving-class with `ClassificationFailed`, after the
-    quantum numbers of the nodes before it are read, and one whose
-    spectrum its run left unread with its own failure, read alone."""
+    observable's norm and eigenvalues (`stability._observable_reading`).
+    The pushed observable T O T^* has the norm of the base one, and every
+    node reads it through the family's frame T of its subset, all of the
+    run's in one pass (`stability._quantum_numbers`).  The first node that
+    fails raises: one that is not improving-class with
+    `ClassificationFailed`, after the quantum numbers of the nodes before
+    it are read, and one whose spectrum its run left unread with its own
+    failure, read alone."""
     bad = next((i for i, (_, record) in enumerate(run)
                 if record.unread or not record.improving), len(run))
     subsets, records = [subset for subset, _ in run[:bad]], [record for _, record in run[:bad]]
-    readings, failure = _quantum_numbers(records, spec.observable, o_norm, [snap_to] * bad,
+    readings, failure = _quantum_numbers(records, spec.observable, *o_reading,
                                          family.frames(subsets))
     if failure is not None:
         raise failure
@@ -328,22 +319,23 @@ def build_lattice(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> HasseDiagram:
     """Build every subset node and verify every covering-relation arrow.
 
     The standing assumptions are checked first (`verify_spec`), and the
-    diagram carries that report; the nodes read the slot facts, the
-    observable's reading and H0's improving verdict, the verdict of node
-    (), that the check read, within this call alone.  Nodes are constructed in (size,
-    lexicographic) order and read in runs of consecutive nodes whose
-    frames, their dimensions' sum times d0, hold no more than `DIM_CAP`
-    entries, each run in array passes: its improving verdicts, its
-    spectra from one batched `eigh` of one block per distinct shift, let
-    go before the run is read further, and its ground states
-    (`stability._KroneckerFamily.records`), then its quantum numbers
-    through the nodes' frames (`_built_run`).  The first node that fails
-    raises, whichever pass finds it.  Then each covering pair
-    (I, I u {mu}) is decided by the link verdict of chains: a full arrow, a strictly positive ground overlap and a
-    compressed ground projector that improves the small cone.  Its
-    embedding inserts mu's uniform vector; the edges are read in runs,
-    one array pass each, with no embedding formed per edge
-    (`_covering_edges`), and the first that fails raises `LinkFailed`.
+    diagram carries that report.  The nodes take from that report, within
+    this call alone, the slot facts, the one reading of the observable
+    (`stability._observable_reading`) and H0's improving verdict, which is
+    node ()'s.  Nodes are constructed in (size, lexicographic) order and
+    read in runs of consecutive nodes whose frames, their dimensions' sum
+    times d0, hold no more than `DIM_CAP` entries, each run in array
+    passes: its improving verdicts, its spectra from one batched `eigh` of
+    one block per distinct shift, let go before the run is read further,
+    and its ground states (`stability._KroneckerFamily.records`), then its
+    quantum numbers through the nodes' frames (`_built_run`).  The first
+    node that fails raises, whichever pass finds it.  Then each covering pair
+    (I, I u {mu}) is decided by the link verdict of chains: a full arrow,
+    a strictly positive ground overlap and a compressed ground projector
+    that improves the small cone.  Its embedding inserts mu's uniform
+    vector; the edges are read in runs, one array pass each, with no
+    embedding formed per edge (`_covering_edges`), and the first that
+    fails raises `LinkFailed`.
 
     A lattice of more than `DIM_CAP` nodes or a top node over `DIM_CAP`
     raises `DimCap` before anything is checked or built; one-dimensional
@@ -363,26 +355,19 @@ def build_lattice(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> HasseDiagram:
             "uniform vector is not an eigenvector of every Y_mu; "
             "quantum numbers would not transfer to the perturbed nodes"
         )
-    # the nodes read what the check read (nothing from a report made
-    # elsewhere, whose family reads its own), and the diagram keeps its
-    # report without it
+    # the nodes read what the check read, and the diagram keeps its report without it
     o_reading = report._observable
-    if o_reading is None:
-        o_reading = _observable_reading(spec.observable)
-    else:
-        family.base_improving = report.h0_improving
-    family.slot_facts = report._slot_facts
+    family.slot_facts, family.base_improving = report._slot_facts, report.h0_improving
     report = replace(report, _slot_facts=None, _observable=None)
 
     subsets = _all_subsets(spec.ell)
-    o_norm, snap_to = o_reading
     # every node's record stays alive through the edges, which read the
     # improving verdicts and ground states again; a record read from the
     # blocks of its Kronecker sum holds no eigenbasis
     nodes: list[LatticeNode] = []
     records: dict[Subset, NodeAnalysis] = {}
     for run in family.records(subsets, tol):
-        nodes += _built_run(spec, family, run, o_norm, snap_to)
+        nodes += _built_run(spec, family, run, o_reading)
         records.update(run)
 
     base_mu = nodes[0].mu_snapped  # the unperturbed node, subset ()

@@ -365,12 +365,12 @@ def _grounds(spectra, cones) -> list[GroundState]:
 
 
 def _runs(records):
-    """The records in runs of consecutive ones: records of Kronecker sums
-    that share H0 and X, while their frames, one column per base state
-    (their dimensions' sum times d0), hold no more than `DIM_CAP` entries,
-    so that a run holds a few arrays of that size at once and a larger
-    node is a run of its own, as `lattice._covering_edges` bounds its runs
-    of edges; any other record is a run of its own."""
+    """The records of Kronecker sums in runs of consecutive ones that
+    share H0 and X, while their frames, one column per base state (their
+    dimensions' sum times d0), hold no more than `DIM_CAP` entries, so
+    that a run holds a few arrays of that size at once and a larger node
+    is a run of its own, as `lattice._covering_edges` bounds its runs of
+    edges.  Any other record is in no run and reads its own facts."""
     run, rows = [], 0
     for record in records:
         f, h = record.hamiltonian._factors, record.hamiltonian
@@ -379,45 +379,19 @@ def _runs(records):
                         and (rows + h.dim) * f.h0.shape[0] <= numerics.DIM_CAP):
             yield run
             run, rows = [], 0
-        run.append(record)
-        rows += h.dim
+        if f is not None:
+            run.append(record)
+            rows += h.dim
     if run:
         yield run
 
 
-def _read_together(records, upto: int | None = None) -> None:
-    """Let the first ``upto`` of ``records`` (all by default) read their
-    facts together, in runs (`_runs`): the first record of a run of
-    Kronecker sums whose improving verdict is asked for reads the verdicts
-    of the whole run in one pass (`_improving`), and the first whose
-    spectrum or ground state is asked for reads the run's spectra and
-    cone-oriented ground states in one pass each
-    (`numerics._block_spectra`, `_grounds`), the blocks let go on return.
-    A record whose spectrum does not read is left unread (`unread`), and
-    so are the records after it, and a run whose verdicts do not read
-    leaves every verdict unread, so that each record raises its own
-    failure, read alone, where its reader asks for it.  The records past
-    the first ``upto``, in a run before or not, and a run of any other
-    record are left to each record's own reads."""
-    upto = len(records) if upto is None else upto
-    for record in records[upto:]:
-        record.__dict__.pop("_run", None)
-    for run in _runs(records[:upto]):
-        if run[0].hamiltonian._factors is not None:
-            for record in run:
-                record.__dict__["_run"] = run
-
-
-def _read(run) -> None:
-    """Read the improving verdicts, spectra and ground states of a run of
-    records (`_runs`) now, as `_read_together` lets them be read."""
-    _read_together(run)
-    if "_run" in run[0].__dict__:
-        _run_verdicts(run)
-        _run_spectra(run)
-
-
 def _run_verdicts(run) -> None:
+    """Read the improving verdicts of a run of Kronecker-sum records
+    (`_runs`) in one pass (`_improving`), leaving out a record whose
+    verdict is decided already.  A run whose verdicts do not read leaves
+    every verdict unread, so that each record raises its own failure, read
+    alone, where its reader asks for it."""
     todo = [record for record in run if "improving" not in record.__dict__]
     try:
         verdicts = _improving([record.hamiltonian for record in todo],
@@ -429,14 +403,18 @@ def _run_verdicts(run) -> None:
 
 
 def _run_spectra(run) -> None:
+    """Read the spectra and cone-oriented ground states of a run of
+    Kronecker-sum records (`_runs`) in one pass each
+    (`numerics._block_spectra`, `_grounds`), the blocks let go on return.
+    A record whose spectrum does not read is left unread (`unread`), and
+    so are the records after it, so that each raises its own failure,
+    read alone, where its reader asks for it."""
     ops = [record.hamiltonian for record in run]
     spectra, _ = _block_spectra(ops, [_shifts(op._factors.slots) for op in ops])
     read = run[:len(spectra)]
     for record, spectrum, ground in zip(read, spectra,
                                         _grounds(spectra, [record.cone for record in read])):
         record.__dict__.update(spectrum=spectrum, ground=ground)
-    for record in run:  # the rest read alone
-        del record.__dict__["_run"]
 
 
 def ground_state(h: LinearOperator, cone: SelfDualCone, tol: float = DEFAULT_TOL) -> GroundState:
@@ -467,13 +445,14 @@ class NodeAnalysis:
     eigenpairs from its d0 x d0 blocks (`numerics._block_spectra`), which
     forms no eigenbasis, and its improving verdict from its factors and the
     entry table its family built (`_factors_improving`), so neither builds
-    its matrix.  Both, and the ground state, are read for a run of such
-    records in one pass each (`_read`), the nodes of a lattice
-    (`stability._KroneckerFamily.records`) and of a chain
-    (`inheritance._verified_links`) alike; a record read on its own is a
-    run of one.  Any other
-    Hamiltonian takes `hermitian_eig`, which copies out and phase-fixes the
-    ground column alone.
+    its matrix.  Each property reads its own record's fact alone, a run of
+    one.  The callers that hold many records, a lattice's family
+    (`stability._KroneckerFamily.records`) and a chain
+    (`inheritance._verified_links`), read each run of them (`_runs`) in
+    one pass per fact before they ask: the verdicts (`_run_verdicts`),
+    then the spectra with their ground states (`_run_spectra`), which set
+    the properties' values.  Any other Hamiltonian takes `hermitian_eig`,
+    which copies out and phase-fixes the ground column alone.
     """
 
     hamiltonian: LinearOperator
@@ -482,20 +461,12 @@ class NodeAnalysis:
 
     @cached_property
     def improving(self) -> bool:
-        if (run := self.__dict__.get("_run")) is not None:
-            _run_verdicts(run)
-            if "improving" in self.__dict__:
-                return self.__dict__["improving"]
         return generates_improving_semigroup(self.hamiltonian, self.cone, self.tol)
 
     @cached_property
     def spectrum(self) -> Spectrum:
         if (f := self.hamiltonian._factors) is None:
             return hermitian_eig(self.hamiltonian)
-        if (run := self.__dict__.get("_run")) is not None:
-            _run_spectra(run)
-            if "spectrum" in self.__dict__:
-                return self.__dict__["spectrum"]
         spectra, failure = _block_spectra([self.hamiltonian], [_shifts(f.slots)])
         if failure is not None:
             raise failure
@@ -508,12 +479,11 @@ class NodeAnalysis:
     @property
     def unread(self) -> bool:
         """Whether the spectrum is still to be read: so it is of a record
-        whose run's read (`_read`) stopped at or before it."""
+        whose run's spectra pass (`_run_spectra`) stopped at or before it."""
         return "spectrum" not in self.__dict__
 
     @cached_property
     def ground(self) -> GroundState:
-        spec = self.spectrum  # a run's read sets the ground state with it
-        return self.__dict__.get("ground") or GroundState(
-            spec.ground_energy, spec.gap01, spec.simple,
-            _toward_cone(spec.ground_vector, self.cone))
+        spec = self.spectrum
+        return GroundState(spec.ground_energy, spec.gap01, spec.simple,
+                           _toward_cone(spec.ground_vector, self.cone))

@@ -302,7 +302,7 @@ def verify_mlm(system: SpinSystem, m: float = 0.0, tol: float = DEFAULT_TOL) -> 
     del table  # its pair pass, kept for S_tot^2, is not held beside the checks that follow
     o_r.require_hermitian()
     values = _total_spin_values(n, m)  # ascending, so the last is the norm
-    readings, failure = _quantum_numbers([node], o_r, float(values[-1]), [values], [None])
+    readings, failure = _quantum_numbers([node], o_r, float(values[-1]), values, [None])
     if failure is not None:
         raise failure
     (mu, mu_snapped, _, _), = readings

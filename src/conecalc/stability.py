@@ -59,7 +59,8 @@ from .numerics import (
 from .positivity import (
     GroundState,
     NodeAnalysis,
-    _read,
+    _run_spectra,
+    _run_verdicts,
     _runs,
     _toward_cone,
     generates_improving_semigroup,
@@ -183,6 +184,16 @@ def _hermitian_norm(op: LinearOperator) -> float:
     return float(np.abs(np.linalg.eigvalsh(op.mat)).max())
 
 
+def _observable_reading(o: LinearOperator) -> tuple[float, np.ndarray]:
+    """The norm max|lambda| of an observable O and its eigenvalues,
+    ascending, from one `eigh`, the eigenvalues `hermitian_eig` reads: the
+    scale of the commutation tests against O and the values its quantum
+    numbers snap to (`_quantum_numbers`).  O's eigenvectors are not kept."""
+    o.require_hermitian()
+    values = np.linalg.eigh(o.mat)[0]
+    return float(max(-values[0], values[-1])), values
+
+
 def commutes_with_observable(h: LinearOperator, o: LinearOperator) -> bool:
     """Whether H and O strongly commute, via the commutator norm.
 
@@ -196,8 +207,9 @@ def commutes_with_observable(h: LinearOperator, o: LinearOperator) -> bool:
 
 
 def _commutes_with(h: LinearOperator, o: LinearOperator, o_norm: float | None = None) -> bool:
-    """`commutes_with_observable`, given ||O|| when its caller has read O's
-    spectrum already (`lattice.verify_spec`), else reading it here."""
+    """`commutes_with_observable`, given ||O|| when its caller has read O
+    already (`_observable_reading`, in `lattice.verify_spec`), else
+    reading it here."""
     h.require_hermitian()
     o.require_hermitian()
     if h.dim != o.dim:
@@ -248,11 +260,8 @@ def good_quantum_number(h: LinearOperator, o: LinearOperator, cone: SelfDualCone
     value of HO - OH.
     """
     h.require_hermitian()
-    o.require_hermitian()
     node = NodeAnalysis(h, cone, tol)
-    o_spectrum = hermitian_eig(o)
-    readings, failure = _quantum_numbers([node], o, o_spectrum.norm, [o_spectrum.eigenvalues],
-                                         [None])
+    readings, failure = _quantum_numbers([node], o, *_observable_reading(o), [None])
     if failure is not None:
         raise failure
     (mu, snapped, residual, _), = readings
@@ -260,14 +269,15 @@ def good_quantum_number(h: LinearOperator, o: LinearOperator, cone: SelfDualCone
     return GoodQuantumNumber(mu, snapped, residual, comm, node.ground)
 
 
-def _quantum_numbers(records, o: LinearOperator, o_norm: float, candidates,
+def _quantum_numbers(records, o: LinearOperator, o_norm: float, o_values: np.ndarray,
                      frames) -> tuple[list[tuple[float, float, float, np.ndarray]],
                                       Exception | None]:
     """The quantum number of O on the ground state of each record of a run,
-    given the norm of O and, for each node, the eigenvalues to snap to and
-    its frame: (mu, snapped mu, residual |O psi - mu psi|, O psi) for the
-    leading nodes that read, and the failure of the node after them (None
-    when every node reads).  A node read alone is a run of one.
+    given the norm of O, its eigenvalues, ascending (`_observable_reading`,
+    or `spin.verify_mlm`'s closed form), and each node's frame: (mu,
+    snapped mu, residual |O psi - mu psi|, O psi) for the leading nodes
+    that read, and the failure of the node after them (None when every
+    node reads).  A node read alone is a run of one.
 
     Each H must commute with its observable, be improving-class on its
     cone and have a simple ground state, which must be an eigenvector of
@@ -277,7 +287,8 @@ def _quantum_numbers(records, o: LinearOperator, o_norm: float, candidates,
     through the frames, all of the run's at once, and with phi = T^* psi,
     mu = <phi, O phi> and O psi is T (O phi).  The run's O phi and mu are
     one stacked product each, which gives every node the bits of its own
-    product, and its snaps one pass per array of candidates.
+    product.  A node read through no frame snaps to spec(O), and a framed
+    one to spec(T O T^*), which is spec(O) and 0: one pass for each.
     """
     o_mat, d0 = o.mat, o.dim
     failure = None
@@ -314,11 +325,8 @@ def _quantum_numbers(records, o: LinearOperator, o_norm: float, candidates,
                            products)[:, 0, 0].real.tolist()
         for j, i in enumerate(at):
             o_phis[i], mus[i] = products[j, :, 0], values[j]
-    groups = {}
-    for i in range(len(phis)):
-        groups.setdefault(id(candidates[i]), []).append(i)
-    for at in groups.values():
-        values = np.asarray(candidates[at[0]], dtype=float)
+    for values, framed in ((o_values, False), (np.concatenate([o_values, [0.0]]), True)):
+        at = [i for i, frame in enumerate(frames[:len(phis)]) if (frame is not None) == framed]
         near = np.abs(values - np.array([mus[i] for i in at])[:, None]).argmin(axis=1)
         for i, value in zip(at, values[near].tolist()):
             snapped[i] = value
@@ -394,9 +402,9 @@ def _chain_pass(chain: ArrowChain, o: LinearOperator,
     """`quantum_number_along_chain`, also returning the chain's link report;
     a failed link raises `LinkFailed` itself.
 
-    Once `_verified_links` has passed every link, O is decomposed once and
-    every node is read from its record, all in one run
-    (`_quantum_numbers`).  Node 0 reads O itself; node j > 0 reads
+    Once `_verified_links` has passed every link, O is read once
+    (`_observable_reading`) and every node is read from its record, all in
+    one run (`_quantum_numbers`).  Node 0 reads O itself; node j > 0 reads
     tau O tau^* through its frame T_j = tau_{j-1} ... tau_0, the identity
     pushed one embedding at a time (`Embedding.push`), an n_j x d0 array.
     spec(T O T^*) is spec(O) and 0, so every pushed observable has the
@@ -406,14 +414,10 @@ def _chain_pass(chain: ArrowChain, o: LinearOperator,
     """
     records, links = _verified_links(chain, tol)
     report = _chain_report(links)
-    o_spectrum = hermitian_eig(o)
-    extended_candidates = np.concatenate([o_spectrum.eigenvalues, [0.0]])
     frames = [None]  # the base reads O itself
     for emb in chain.embeddings:
         frames.append(emb.push(np.eye(o.dim) if frames[-1] is None else frames[-1]))
-    readings, failure = _quantum_numbers(
-        records, o, o_spectrum.norm,
-        [o_spectrum.eigenvalues] + [extended_candidates] * len(chain.embeddings), frames)
+    readings, failure = _quantum_numbers(records, o, *_observable_reading(o), frames)
     values, snapped, telescopes = [], [], []
     for j, (mu, mu_snapped, _, o_psi) in enumerate(readings):
         values.append(mu)
@@ -461,14 +465,16 @@ class _KroneckerFamily:
     process).  A caller that has read the slots' `_SlotFacts` already sets
     ``slot_facts`` before the first node, and no slot's facts are read
     again; one that has decided the improving verdict of H0 on its cone,
-    node ()'s, sets ``base_improving``, which node ()'s record then takes.  The facts of a subset (`_SubsetFacts`) are made once, from
-    those of the subset less its last slot, with the float operations of a
-    loop over its slots, in the same order.  `records` reads the spectra,
-    improving verdicts and ground states of a run of nodes in one array
-    pass each, as a chain of its nodes is read (`_verified_links`); a node
-    read alone is a run of one.  No node keeps the shifts of its spectrum.
-    The nodes of one dimension share one sign basis, which carries the
-    base cone's fibers.
+    node ()'s, sets ``base_improving``, which node ()'s record then takes.
+    The facts of a subset (`_SubsetFacts`) are made once, from those of
+    the subset less its last slot, with the float operations of a loop
+    over its slots, in the same order.  `records` runs the passes of
+    `positivity` over each run of nodes: its improving verdicts
+    (`_run_verdicts`), then its spectra and ground states (`_run_spectra`),
+    one array pass each, as `inheritance._verified_links` runs them over
+    a chain of its nodes; a node read alone is a run of one.  No node
+    keeps the shifts of its spectrum.  The nodes of one dimension share
+    one sign basis, which carries the base cone's fibers.
     """
 
     def __init__(self, h0: LinearOperator, cone: SelfDualCone, x: LinearOperator, ys, names):
@@ -518,12 +524,13 @@ class _KroneckerFamily:
 
     def records(self, subsets, tol: float = DEFAULT_TOL):
         """Yield ``subsets`` in runs (`positivity._runs`), each run a list
-        of (subset, the `NodeAnalysis` of its node), its spectra, improving
-        verdicts and ground states read in one array pass each
-        (`positivity._read`).  A run's blocks are let go before it is
-        yielded.  A node whose spectrum does not read is left unread, and
-        so are the nodes after it in its run, so that each raises its own
-        failure, read alone, where its reader asks for it.
+        of (subset, the `NodeAnalysis` of its node), its improving verdicts,
+        then its spectra and ground states read in one array pass each
+        (`positivity._run_verdicts`, `positivity._run_spectra`).  A run's
+        blocks are let go before it is yielded.  A node whose spectrum does
+        not read is left unread, and so are the nodes after it in its run,
+        so that each raises its own failure, read alone, where its reader
+        asks for it.
         """
         pairs = [(subset, NodeAnalysis(node.hamiltonian, node.cone, tol))
                  for subset, node in zip(subsets, map(self.node, subsets))]
@@ -533,7 +540,8 @@ class _KroneckerFamily:
                     record.__dict__["improving"] = self.base_improving
         first = 0
         for run in _runs([record for _, record in pairs]):
-            _read(run)
+            _run_verdicts(run)
+            _run_spectra(run)
             yield pairs[first:first + len(run)]
             first += len(run)
 

@@ -68,3 +68,57 @@ def test_one_constructor_lays_out_kronecker_sum_nodes():
                         "_kronecker_sum", "_kronecker_slot"}:
                     users.add(f"{path.stem}.{getattr(function, 'name', '<module>')}")
     assert users == {"stability._KroneckerFamily"}
+
+
+MUTATORS = {"update", "pop", "popitem", "setdefault", "clear", "__setitem__", "__delitem__"}
+
+
+def dict_writes(function) -> set[str]:
+    """The keys a function writes into the ``__dict__`` of an object other
+    than its own ``self``: by item assignment or deletion, or by a
+    mutating method of that dict; ``?`` where the key is not a literal."""
+    keys = set()
+
+    def is_other_dict(node) -> bool:
+        return (isinstance(node, ast.Attribute) and node.attr == "__dict__"
+                and not (isinstance(node.value, ast.Name) and node.value.id == "self"))
+
+    def key(node) -> str:
+        return node.value if isinstance(node, ast.Constant) else "?"
+
+    for node in ast.walk(function):
+        targets = (node.targets if isinstance(node, (ast.Assign, ast.Delete))
+                   else [node.target] if isinstance(node, ast.AugAssign) else [])
+        for target in targets:
+            if isinstance(target, ast.Subscript) and is_other_dict(target.value):
+                keys.add(key(target.slice))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and is_other_dict(node.func.value) and node.func.attr in MUTATORS):
+            keys.update(key(arg) for arg in node.args[:1])
+            keys.update(keyword.arg or "?" for keyword in node.keywords)
+            if not node.args and not node.keywords:
+                keys.add("?")
+    return keys
+
+
+def test_only_the_run_passes_write_a_record_s_facts():
+    # a `NodeAnalysis` record's facts are its cached properties; from
+    # outside the record they are set only by the run passes of
+    # `positivity` and by a `_KroneckerFamily` handing node () the verdict
+    # its caller decided, under the properties' own names, so no record
+    # holds a key that makes its properties read other records
+    writers = {}
+    for path in sorted(Path(conecalc.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            members = top.body if isinstance(top, ast.ClassDef) else []
+            for function in [top] + members:
+                if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = (f"{top.name}.{function.name}" if function is not top
+                            else function.name)
+                    if keys := dict_writes(function):
+                        writers[f"{path.stem}.{name}"] = keys
+    assert writers == {
+        "positivity._run_verdicts": {"improving"},
+        "positivity._run_spectra": {"spectrum", "ground"},
+        "stability._KroneckerFamily.records": {"improving"},
+    }

@@ -13,6 +13,7 @@ words, at the same node.  A tower level is read alone, a run of one, and
 its quantum number along the chain has the bits of the per-node reading.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -31,7 +32,7 @@ from conftest import (
     rng,
 )
 
-from conecalc import lattice, numerics, stability
+from conecalc import lattice, numerics, positivity, stability
 from conecalc.errors import (
     ChainFailed,
     LinkFailed,
@@ -40,7 +41,8 @@ from conecalc.errors import (
     NotInAPlus,
     NotSimple,
 )
-from conecalc.lattice import LatticeSpec, SpecReport, build_lattice, hasse_export
+from conecalc.lattice import LatticeSpec, SpecReport, build_lattice, hasse_export, verify_spec
+from conecalc.inheritance import ArrowChain, append_factor_embedding
 from conecalc.numerics import DEFAULT_TOL, hermitian_eig
 from conecalc.positivity import NodeAnalysis
 from conecalc.stability import PAULI_X, extension_tower, quantum_number_along_chain
@@ -101,8 +103,12 @@ def test_the_named_lattices_have_the_bits_of_the_per_node_pipeline(spec):
 
 
 def passing_report(spec, tol=DEFAULT_TOL) -> SpecReport:
-    """A report that lets a broken spec through to its nodes."""
-    return SpecReport(True, True, (True,) * spec.ell, True, True, (True,) * spec.ell)
+    """`verify_spec`'s own report with every verdict set to pass, so that a
+    broken spec reaches its nodes with the readings the check made."""
+    report = verify_spec(spec, tol)
+    return dataclasses.replace(report, x_preserving=True, x_commutes=True,
+                               y_ergodic=(True,) * spec.ell, h0_improving=True,
+                               h0_commutes=True, y_uniform_eigen=(True,) * spec.ell)
 
 
 def broken_spec(seed: int) -> tuple[LatticeSpec, set]:
@@ -277,3 +283,48 @@ def test_a_complex_node_whose_ground_vector_is_real_reads_it_as_float():
             assert conftest.same_bits(got.ground_vector, want.ground_vector)
             assert conftest.same_bits(got.eigenvalues, want.eigenvalues)
             assert not got.ground_vector.flags.writeable
+
+
+def run_passes(monkeypatch) -> dict:
+    """The dimensions of the nodes each improving-verdict pass
+    (`positivity._improving`) and each spectra pass
+    (`positivity._block_spectra`) reads, call by call: a record's own
+    reads among them, as a run of one."""
+    calls = {"_improving": [], "_block_spectra": []}
+    for name, seen in calls.items():
+        def recorded(hs, *args, _seen=seen, _original=getattr(positivity, name)):
+            _seen.append([h.dim for h in hs])
+            return _original(hs, *args)
+        monkeypatch.setattr(positivity, name, recorded)
+    return calls
+
+
+def test_a_tower_s_levels_are_read_in_one_pass_each(monkeypatch):
+    # the dense seed reads its own verdict and spectrum; its six levels
+    # share one run, read by one verdict pass and one spectra pass
+    h = op("base", np.diag([0.0, 1.0]) - 0.1 * PAULI_X)
+    chain = extension_tower(h, conftest.orthant("base", 2), h, 6)
+    calls = run_passes(monkeypatch)
+    quantum_number_along_chain(chain, h)
+    levels = [2 * 2 ** k for k in range(1, 7)]
+    assert sorted(calls["_improving"]) == [[2], levels]
+    assert calls["_block_spectra"] == [levels]
+
+
+@pytest.mark.parametrize("j", range(6))
+def test_a_tower_broken_at_a_link_reads_no_spectrum_past_it(j, monkeypatch):
+    # link j appends a sign-alternating vector, which no orthant inherits:
+    # the verdicts of the levels up to node j + 1 are read, in one pass,
+    # for the arrows, but no spectrum past node j
+    h = op("base", np.diag([0.0, 1.0]) - 0.1 * PAULI_X)
+    tower = extension_tower(h, conftest.orthant("base", 2), h, 6)
+    emb = tower.embeddings[j]
+    flipped = append_factor_embedding(emb.from_space, emb.to_space, emb.dim_from,
+                                      np.array([1.0, -1.0]) / np.sqrt(2.0))
+    chain = ArrowChain(tower.nodes, tower.embeddings[:j] + (flipped,)
+                       + tower.embeddings[j + 1:])
+    calls = run_passes(monkeypatch)
+    with pytest.raises(ChainFailed, match=f"^link {j}: cone inheritance failed$"):
+        quantum_number_along_chain(chain, h)
+    assert sorted(calls["_improving"]) == sorted([[2], [2 * 2 ** k for k in range(1, j + 2)]])
+    assert calls["_block_spectra"] == ([[2 * 2 ** k for k in range(1, j + 1)]] if j else [])

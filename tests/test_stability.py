@@ -424,18 +424,54 @@ class TestChainInvariance:
 
     def test_broken_link_never_decomposes_the_observable(self, monkeypatch):
         h = seed_hamiltonian()
-        tower = extension_tower(h, orthant("base", 2), h, 3)
+        o = LinearOperator(h.space, np.array(h.mat))  # not node 0's matrix
+        tower = extension_tower(h, orthant("base", 2), o, 3)
         emb = tower.embeddings[2]
         flipped = append_factor_embedding(emb.from_space, emb.to_space, emb.dim_from,
                                           np.array([1.0, -1.0]) / np.sqrt(2.0))
         chain = ArrowChain(tower.nodes, tower.embeddings[:2] + (flipped,))
-        decomposed = []
-        monkeypatch.setattr(stability, "hermitian_eig",
-                            lambda op: decomposed.append(op) or hermitian_eig(op))
+        reads = observable_reads(monkeypatch, o)
         with pytest.raises(ChainFailed) as err:
-            quantum_number_along_chain(chain, h)
+            quantum_number_along_chain(chain, o)
         assert err.value.index == 2
-        assert decomposed == []
+        assert reads == []
+
+    def test_a_passing_chain_reads_its_observable_once(self, monkeypatch):
+        h = seed_hamiltonian()
+        o = LinearOperator(h.space, np.array(h.mat))
+        chain = extension_tower(h, orthant("base", 2), o, 3)
+        reads = observable_reads(monkeypatch, o)
+        quantum_number_along_chain(chain, o)
+        assert reads == ["reader", "eigh"]
+
+    def test_good_quantum_number_reads_its_observable_once(self, monkeypatch):
+        h = seed_hamiltonian()
+        o = LinearOperator(h.space, np.array(h.mat))
+        reads = observable_reads(monkeypatch, o)
+        good_quantum_number(h, o, orthant("base", 2))
+        assert reads == ["reader", "eigh"]
+
+
+def observable_reads(monkeypatch, o: LinearOperator) -> list[str]:
+    """Every reading of O from here on, in order: each call of its one
+    reader, `stability._observable_reading`, and each `np.linalg` eigh or
+    eigvalsh of its matrix, whatever makes it."""
+    reads = []
+    reader = stability._observable_reading
+
+    def reading(op):
+        if op is o:
+            reads.append("reader")
+        return reader(op)
+
+    monkeypatch.setattr(stability, "_observable_reading", reading)
+    for name in ("eigh", "eigvalsh"):
+        def recorded(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            if a is o.mat:
+                reads.append(_name)
+            return _original(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return reads
 
 
 class TestOneSpectrumPerNode:

@@ -640,11 +640,11 @@ def dense_copy(h: LinearOperator) -> LinearOperator:
     return LinearOperator(h.space, np.array(h.mat))
 
 
-def reading(record: NodeAnalysis, o: LinearOperator, o_norm: float, candidates):
-    """The snapped quantum number of O on the record, or the name of the
-    error that refused it."""
+def reading(record: NodeAnalysis, o: LinearOperator, o_norm: float, o_values):
+    """The quantum number of O on the record, snapped to O's eigenvalues
+    ``o_values``, or the name of the error that refused it."""
     try:
-        readings, failure = _quantum_numbers([record], o, o_norm, [candidates], [None])
+        readings, failure = _quantum_numbers([record], o, o_norm, o_values, [None])
         if failure is not None:
             raise failure
         return readings[0][1]
@@ -653,7 +653,7 @@ def reading(record: NodeAnalysis, o: LinearOperator, o_norm: float, candidates):
 
 
 def assert_routes_agree(h: LinearOperator, cone: SelfDualCone, o: LinearOperator | None = None,
-                        o_norm: float = 0.0, candidates=None) -> None:
+                        o_norm: float = 0.0, o_values=None) -> None:
     """The block spectrum of a Kronecker sum against `hermitian_eig` of its
     matrix: eigenvalues within 1e-12 ||H||, ground vectors with overlap
     1 - 1e-12, and the same simple, improving and snapped-mu verdicts."""
@@ -667,7 +667,7 @@ def assert_routes_agree(h: LinearOperator, cone: SelfDualCone, o: LinearOperator
         assert abs(np.vdot(got.ground_vector, want.ground_vector)) >= 1.0 - 1e-12
     assert block.improving == dense.improving
     if o is not None:
-        assert reading(block, o, o_norm, candidates) == reading(dense, o, o_norm, candidates)
+        assert reading(block, o, o_norm, o_values) == reading(dense, o, o_norm, o_values)
 
 
 def slot_by_slot(h0: np.ndarray, x: np.ndarray, ys: list[np.ndarray]) -> np.ndarray:
@@ -784,15 +784,16 @@ class TestBlockSpectrumOracle:
         spec = random_lattice_spec(rng(400 + seed), structured=seed % 4 != 3)
         diagram = build_lattice(spec)
         o_spectrum = hermitian_eig(spec.observable)
-        candidates = np.concatenate([o_spectrum.eigenvalues, [0.0]])
+        # the pushed observable's eigenvalues, as a lattice node snaps to them
+        pushed_values = np.concatenate([o_spectrum.eigenvalues, [0.0]])
         records = {}
         for node in diagram.nodes:
             observable = subset_embedding(spec, (), node.subset).extend(spec.observable)
             assert_routes_agree(node.hamiltonian, node.cone, observable, o_spectrum.norm,
-                                candidates)
+                                pushed_values)
             records[node.subset] = NodeAnalysis(dense_copy(node.hamiltonian), node.cone)
             assert node.mu_snapped == reading(records[node.subset], observable,
-                                              o_spectrum.norm, candidates)
+                                              o_spectrum.norm, pushed_values)
         for j, (small, large) in enumerate(diagram.covering_edges):
             emb = dense_embedding(subset_embedding(spec, small, large))
             want = link_oracle(j, records[small], records[large], emb).overlap
