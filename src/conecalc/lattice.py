@@ -323,10 +323,10 @@ def build_lattice(spec: LatticeSpec, tol: float = DEFAULT_TOL) -> HasseDiagram:
     this call alone, the slot facts, the one reading of the observable
     (`stability._observable_reading`) and H0's improving verdict, which is
     node ()'s.  Nodes are constructed in (size, lexicographic) order and
-    read in runs of consecutive nodes whose frames, their dimensions' sum
-    times d0, hold no more than `DIM_CAP` entries, each run in array
-    passes: its improving verdicts, its spectra from one batched `eigh` of
-    one block per distinct shift, let go before the run is read further,
+    read in runs of consecutive nodes whose rows, the sum of their
+    dimensions, stay within `DIM_CAP`, as runs of edges do, each run in
+    array passes: its improving verdicts, its spectra from one batched
+    `eigh` of one block per distinct shift, let go before it is read further,
     and its ground states (`stability._KroneckerFamily.records`), then its
     quantum numbers through the nodes' frames (`_built_run`).  The first
     node that fails raises, whichever pass finds it.  Then each covering pair
@@ -391,10 +391,9 @@ def _covering_edges(family: _KroneckerFamily, records: dict[Subset, NodeAnalysis
 
     The edges are read in runs of consecutive edges (`_verified_run`), one
     array pass each.  A run grows while its rows, the dimensions of its
-    larger nodes, number no more than `DIM_CAP`, the largest dimension a
-    top node may have, so that a run holds a few vectors of that size at
-    once (one edge into a top node at the cap is a run of its own), and
-    while its target ground vectors share one dtype.
+    larger nodes, stay within `DIM_CAP`, as runs of nodes do
+    (`positivity._runs`), so that it holds a few vectors of that many rows
+    at once, and while its target ground vectors share one dtype.
     """
     ell = len(family.dims)
     edges = [(small, tuple(sorted(small + (mu,))), mu)

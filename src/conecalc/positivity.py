@@ -366,17 +366,16 @@ def _grounds(spectra, cones) -> list[GroundState]:
 
 def _runs(records):
     """The records of Kronecker sums in runs of consecutive ones that
-    share H0 and X, while their frames, one column per base state (their
-    dimensions' sum times d0), hold no more than `DIM_CAP` entries, so
-    that a run holds a few arrays of that size at once and a larger node
-    is a run of its own, as `lattice._covering_edges` bounds its runs of
-    edges.  Any other record is in no run and reads its own facts."""
+    share H0 and X, while a run's rows, the sum of its dimensions, stay
+    within `DIM_CAP`, as `lattice._covering_edges` bounds its runs of
+    edges, so a node at the cap is a run of its own.  Any other record is
+    in no run and reads its own facts."""
     run, rows = [], 0
     for record in records:
         f, h = record.hamiltonian._factors, record.hamiltonian
         if run and not (f is not None and (g := run[0].hamiltonian._factors) is not None
                         and f.h0 is g.h0 and f.x is g.x
-                        and (rows + h.dim) * f.h0.shape[0] <= numerics.DIM_CAP):
+                        and rows + h.dim <= numerics.DIM_CAP):
             yield run
             run, rows = [], 0
         if f is not None:

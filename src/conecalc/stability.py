@@ -121,30 +121,30 @@ def _commuting(hs, o: np.ndarray, scales, frames) -> list[bool]:
     terms fill orthogonal blocks, so the Frobenius norm squared, which
     bounds the spectral norm from above, is ||[G, O]||_F^2 + 2 ||L O||_F^2.
     The framed Hamiltonians of a run are read at once: A for all of them
-    (`_framed_products`), then G, L and both norms as array passes over
-    the stacked rows, so no n x n product is formed.  Only where that bound exceeds the threshold
-    is the spectral norm itself computed: with L = Q R, Q orthogonal to the
-    frame, the commutator on the range of [T, Q] is the anti-Hermitian
-    [[G O - O G, -(R O)^*], [R O, 0]], whose norm is the largest
-    |eigenvalue| of i times it, complex even when H and O are real.
+    (`_framed_products`), then each node's G = T^* A and L = A - T G by
+    one product each, L in place of A, and both norms as array passes over
+    the stacked rows, so no n x n product is formed and no pass runs once
+    per base state.  Only where that bound exceeds the threshold is the
+    spectral norm itself computed: with L = Q R, Q orthogonal to the frame,
+    the commutator on the range of [T, Q] is the anti-Hermitian
+    [[G O - O G, -(R O)^*], [R O, 0]], whose norm is the largest |eigenvalue|
+    of i times it, complex even when H and O are real.
     """
     verdicts = [None if frame is not None else _commutes(h, o, scale)
                 for h, scale, frame in zip(hs, scales, frames)]
     framed = [i for i, frame in enumerate(frames) if frame is not None]
     if not framed:
         return verdicts
-    t = np.concatenate([frames[i] for i in framed])
-    rows = np.array([frames[i].shape[0] for i in framed])
+    ts = [frames[i] for i in framed]
+    rows = np.array([frame.shape[0] for frame in ts])
     starts = rows.cumsum() - rows
-    a = _framed_products([hs[i] for i in framed], [frames[i] for i in framed], t)
-    d0 = o.shape[0]
-    g = np.stack([np.add.reduceat(t[:, b, None].conj() * a, starts) for b in range(d0)], axis=1)
-    node = np.arange(len(framed)).repeat(rows)
-    beyond = a if a.dtype == np.result_type(a, t, g) else a.astype(np.result_type(a, t, g))
-    del a
-    for b in range(d0):
-        beyond -= t[:, b, None] * g[node, b]
-    del node, t
+    beyond = _framed_products([hs[i] for i in framed], ts)
+    beyond = beyond.astype(np.result_type(beyond, *ts), copy=False)
+    g = np.empty((len(ts), o.shape[0], o.shape[0]), dtype=beyond.dtype)
+    for j, (t, start) in enumerate(zip(ts, starts.tolist())):
+        part = beyond[start:start + t.shape[0]]
+        np.matmul(t.conj().T, part, out=g[j])
+        part -= t @ g[j]
     c = g @ o - o @ g
     square = _squares(c.reshape(len(framed), -1)) + 2.0 * np.add.reduceat(
         _squares(beyond @ o), starts)
@@ -158,14 +158,14 @@ def _commuting(hs, o: np.ndarray, scales, frames) -> list[bool]:
     return verdicts
 
 
-def _framed_products(hs, frames, t: np.ndarray) -> np.ndarray:
-    """H T for each H of a run and its frame T, stacked as the frames are
-    in ``t``: the Kronecker sums that share H0 and X, as `positivity._runs`
-    groups them, by one `numerics._applied` of their stacked frames, and
-    any other H by its matrix."""
+def _framed_products(hs, frames) -> np.ndarray:
+    """H T for each H of a run and its frame T, stacked in run order: the
+    Kronecker sums that share H0 and X, as `positivity._runs` groups them,
+    by one `numerics._applied` of their stacked frames, and any other H by
+    its matrix."""
     keys = [None if (f := h._factors) is None else (id(f.h0), id(f.x)) for h in hs]
     if None not in keys and len(set(keys)) == 1:
-        return _applied(hs, t)
+        return _applied(hs, np.concatenate(frames))
     products = [None] * len(hs)
     for key in dict.fromkeys(keys):
         at = [i for i, k in enumerate(keys) if k == key]
@@ -469,12 +469,14 @@ class _KroneckerFamily:
     The facts of a subset (`_SubsetFacts`) are made once, from those of
     the subset less its last slot, with the float operations of a loop
     over its slots, in the same order.  `records` runs the passes of
-    `positivity` over each run of nodes: its improving verdicts
-    (`_run_verdicts`), then its spectra and ground states (`_run_spectra`),
-    one array pass each, as `inheritance._verified_links` runs them over
-    a chain of its nodes; a node read alone is a run of one.  No node
-    keeps the shifts of its spectrum.  The nodes of one dimension share
-    one sign basis, which carries the base cone's fibers.
+    `positivity` over each run of nodes, its rows within `DIM_CAP` as an
+    edge run's are (`_runs`): its improving verdicts (`_run_verdicts`),
+    then its spectra and ground states (`_run_spectra`), one array pass
+    each, as `inheritance._verified_links` runs them over a chain of its
+    nodes; a node read alone is a run of one.  `_commuting` reads a run
+    through its frames (`frames`) by one product per node.  No node keeps
+    the shifts of its spectrum.  The nodes of one dimension share one sign
+    basis, which carries the base cone's fibers.
     """
 
     def __init__(self, h0: LinearOperator, cone: SelfDualCone, x: LinearOperator, ys, names):

@@ -11,7 +11,12 @@ resident memory.
   the node cap, and 24576 edges) passes below 100 MB;
 - `spin-demo` of `spin_demo_n4` grown to 12 sites, the site cap, with the
   odd sites as sublattice A and M = 0 (a 924-dimensional sector) passes
-  below 100 MB.
+  below 100 MB;
+- `lattice` with four `y1` slots over a dense 256 x 256 Metzler base
+  drawn from `random.Random(0)`, with O = X = 1 (16 nodes, top dimension
+  4096) passes below 120 MB: no pass may run once per base state.
+
+Every run must also pass within `WALL_BOUND` seconds.
 
 Run it against the installed package, or a source checkout with
 `PYTHONPATH=src`:
@@ -19,7 +24,7 @@ Run it against the installed package, or a source checkout with
     python -W error tests/caps.py
 
 It makes every run in a temporary directory, prints one line per run, its
-status, wall seconds and peak MB, and exits 1 when a run fails its bound.
+status, wall seconds and peak MB, and exits 1 when a run fails a bound.
 A lattice run of l slots must also have written what its size says
 (`lattice_outputs`): standing assumptions that hold, with l passed slots
 in `y_ergodic` and in `y_uniform_eigenvector`, 2^l nodes and l 2^(l-1)
@@ -35,6 +40,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -42,6 +48,7 @@ import time
 from pathlib import Path
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+WALL_BOUND = 10.0  # seconds, for every run
 
 
 def _richness(config: dict) -> dict:
@@ -61,6 +68,25 @@ def _lattice_one_dimensional(config: dict) -> dict:
     return config
 
 
+def _lattice_large_base(config: dict) -> dict:
+    """Four `y1` slots over a symmetric 256 x 256 base with couplings in
+    -[0.5, 1] and a diagonal in [0, 1], O and X the identity."""
+    gen, n = random.Random(0), 256
+    h0 = [[0.0] * n for _ in range(n)]
+    for a in range(n):
+        h0[a][a] = gen.uniform(0.0, 1.0)
+        for b in range(a + 1, n):
+            h0[a][b] = h0[b][a] = -gen.uniform(0.5, 1.0)
+    config["spaces"]["base"] = n
+    for i, op in enumerate(config["operators"]):
+        if op["name"] == "h0":
+            op["entries"] = h0
+        elif op["name"] in ("obs", "x"):
+            config["operators"][i] = {"name": op["name"], "kind": "identity", "space": "base"}
+    config["params"]["factors"] = [{"operator": "y1"}] * 4
+    return config
+
+
 def _spin_twelve_sites(config: dict) -> dict:
     config["params"].update(sites=12, sublattice_a=list(range(1, 13, 2)), sector_m=0)
     return config
@@ -72,6 +98,7 @@ RUNS = {
     "lattice-11-slots": ("lattice_ell3", _lattice, 100.0),
     "lattice-12-one-dimensional-slots": ("lattice_ell3", _lattice_one_dimensional, 100.0),
     "mlm-12-sites": ("spin_demo_n4", _spin_twelve_sites, 100.0),
+    "lattice-large-base": ("lattice_ell3", _lattice_large_base, 120.0),
 }
 
 
@@ -132,10 +159,11 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as work:
         for name, (_, _, bound) in RUNS.items():
             status, wall, peak, wrong = measure(name, Path(work))
-            print(f"{name}: {status}, {wall:.2f} s, peak {peak:.1f} MB (bound {bound:g} MB)")
+            print(f"{name}: {status}, {wall:.2f} s (bound {WALL_BOUND:g} s), "
+                  f"peak {peak:.1f} MB (bound {bound:g} MB)")
             for line in wrong:
                 print(f"{name}: {line}", file=sys.stderr)
-            if not (status == "pass" and peak < bound and not wrong):
+            if not (status == "pass" and wall < WALL_BOUND and peak < bound and not wrong):
                 failed.append(name)
     if failed:
         print(f"over a bound, not passing or with wrong outputs: {', '.join(failed)}",

@@ -491,8 +491,9 @@ def test_lattice_past_the_node_cap_fails_before_the_spec_is_checked(config, cap,
 def test_the_cap_script_passes_its_runs():
     # tests/caps.py, which CI runs, as its own process: the richness tower
     # at depth 11, the 11-slot lattice, the lattice of 12 one-dimensional
-    # slots and the 12-site spin demo pass below their bounds, each with its
-    # time and peak on one line
+    # slots, the 12-site spin demo and the 4-slot lattice over a 256-state
+    # base pass within their time and memory bounds, each with its time and
+    # peak on one line
     done = subprocess.run([sys.executable, "-W", "error", caps.__file__],
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
@@ -500,6 +501,7 @@ def test_the_cap_script_passes_its_runs():
     assert [line.split(":")[0] for line in lines] == list(caps.RUNS)
     for line, (_, _, bound) in zip(lines, caps.RUNS.values()):
         assert ": pass, " in line and line.endswith(f" MB (bound {bound:g} MB)")
+        assert f" s (bound {caps.WALL_BOUND:g} s), " in line
 
 
 def test_the_cap_script_reads_a_lattice_run_s_assumptions(tmp_path):

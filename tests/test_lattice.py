@@ -77,14 +77,13 @@ def demo_spec(ell: int = 3) -> LatticeSpec:
 def expected_runs(spec: LatticeSpec, subsets, cap: int = DIM_CAP) -> list[int]:
     """The distinct shift bit patterns of each run of consecutive subsets
     that `build_lattice` decomposes together: a run takes the next subset
-    while its frames, its nodes' dimensions times d0, hold no more than
-    ``cap`` entries."""
+    while its rows, its nodes' dimensions, number no more than ``cap``."""
     values = {mu: np.linalg.eigh(y.mat)[0] for mu, (_, y) in enumerate(spec.factors, start=1)}
     runs, rows = [set()], 0
     for subset in subsets:
         shifts = shifts_oracle([values[mu] for mu in subset])
         dim = spec.h0.dim * shifts.size
-        if runs[-1] and (rows + dim) * spec.h0.dim > cap:
+        if runs[-1] and rows + dim > cap:
             runs.append(set())
             rows = 0
         runs[-1] |= set(shifts.view(np.int64).tolist())
@@ -510,14 +509,15 @@ class TestBuildLattice:
         # no node-sized matrix is decomposed: the blocks of the nodes come
         # from one batched eigh per run of consecutive nodes, one block per
         # distinct shift bit pattern of the run, and a run grows while its
-        # frames hold no more entries than the cap: the whole lattice at
-        # DIM_CAP, and runs of at most 12 blocks, 24 rows, under a cap of
-        # 48; each slot is decomposed once, and so is the observable
+        # rows number no more than the cap, as a run of edges does: the
+        # whole lattice at DIM_CAP, and runs of at most 24 blocks, 48 rows,
+        # under a cap of 48; each slot is decomposed once, and so is the
+        # observable
         spec = demo_spec()
         monkeypatch.setattr(numerics, "DIM_CAP", cap)
         diagram = build_lattice(spec)
         want = expected_runs(spec, [node.subset for node in diagram.nodes], cap)
-        assert (len(want) == 1) is (cap == DIM_CAP) and max(want) <= cap // 4
+        assert (len(want) == 1) is (cap == DIM_CAP) and max(want) <= cap // spec.h0.dim
         assert sum(want) < sum(n.hamiltonian.dim // 2 for n in diagram.nodes)
         shapes = decompositions.shapes
         blocks = [s for name, s in shapes if name == "eigh" and len(s) == 3]
@@ -540,8 +540,8 @@ class TestBuildLattice:
     def test_distinct_slots_hold_no_more_blocks_than_the_cap_allows(self, decompositions,
                                                                      monkeypatch):
         # generic slots share no shift, so 3^4 = 81 blocks over the lattice:
-        # under a cap of 64 frame entries, the top node's, each run holds at
-        # most 16 blocks, one per two rows, and no node keeps a block
+        # under a cap of 64 rows, twice the top node's, each run holds at
+        # most 32 blocks, one per two rows, and no node keeps a block
         base = demo_spec()
         ys = [np.array([[a, b], [b, a]]) for a, b in [(0.1, 1.2), (0.3, 0.7), (0.2, 1.9),
                                                       (0.05, 0.45)]]
@@ -550,7 +550,7 @@ class TestBuildLattice:
         monkeypatch.setattr(numerics, "DIM_CAP", 64)
         diagram = build_lattice(spec)
         want = expected_runs(spec, [node.subset for node in diagram.nodes], 64)
-        assert sum(want) == 81 and max(want) <= 16 and len(want) > 1
+        assert sum(want) == 81 and max(want) <= 32 and len(want) > 1
         blocks = [s for name, s in decompositions.shapes if name == "eigh" and len(s) == 3]
         assert blocks == [(n, 2, 2) for n in want]
         factors = diagram.nodes[-1].hamiltonian._factors

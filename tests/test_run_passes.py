@@ -83,7 +83,7 @@ def seeded_spec(seed: int) -> LatticeSpec:
 @pytest.mark.parametrize("cap", [numerics.DIM_CAP, 24])
 @pytest.mark.parametrize("seed", range(30))
 def test_a_lattice_has_the_bits_of_the_per_node_pipeline(seed, cap, monkeypatch):
-    # in one run, or, under a cap of 24 frame entries, in many
+    # in one run, or, under a cap of 24 rows, in many
     spec = seeded_spec(seed)
     monkeypatch.setattr(numerics, "DIM_CAP", max(cap, spec.full_dim()))
     got = outcome(lambda: build_lattice(spec))

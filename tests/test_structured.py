@@ -12,6 +12,7 @@ block spectrum is compared with `hermitian_eig` of the same matrix.
 
 import copy
 import math
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -1163,19 +1164,23 @@ def test_commutation_through_the_frame_is_the_dense_test(seed):
     assert np.iscomplexobj(frame)
 
 
-@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("seed", range(12))
 def test_the_spectral_norm_decides_past_the_frobenius_bound(seed):
     # a threshold between the commutator's spectral and Frobenius norms is
     # decided by the 2 d0 x 2 d0 route alone, and one just below the
-    # spectral norm refuses, on a Kronecker sum and on a dense node
+    # spectral norm refuses, on a Kronecker sum and on a dense node, over
+    # bases of 2 to 16 states and complex frames: each node alone, and
+    # both in one run of unequal row counts, 3 d0 and 4 d0
     gen = rng(19600 + seed)
-    d0 = 2 + seed % 3
+    d0 = (2, 3, 4, 7, 11, 16)[seed % 6]
     o = LinearOperator("base", random_hermitian(gen, d0))
     parts = [LinearOperator("base", random_hermitian(gen, d0)) for _ in range(2)]
     y = random_hermitian(gen, 3)
-    for h in (_KroneckerFamily(parts[0], orthant("base", d0), parts[1], [y],
-                               ["f1"]).node((1,)).hamiltonian,
-              LinearOperator("v", random_hermitian(gen, 4 * d0))):
+    hs = [_KroneckerFamily(parts[0], orthant("base", d0), parts[1], [y],
+                           ["f1"]).node((1,)).hamiltonian,
+          LinearOperator("v", random_hermitian(gen, 4 * d0))]
+    frames, betweens, belows = [], [], []
+    for h in hs:
         frame = np.linalg.qr(gen.standard_normal((h.dim, d0))
                              + 1j * gen.standard_normal((h.dim, d0)))[0]
         dense = h._factors.matrix() if h._factors is not None else h.mat
@@ -1184,28 +1189,41 @@ def test_the_spectral_norm_decides_past_the_frobenius_bound(seed):
         frobenius = float(np.linalg.norm(c))
         assert spectral < 0.9 * frobenius
         between = 0.5 * (spectral + frobenius) / COMMUTATOR_TOL
+        below = 0.999 * spectral / COMMUTATOR_TOL
         assert commutes(h, o.mat, between, frame)
-        assert not commutes(h, o.mat, 0.999 * spectral / COMMUTATOR_TOL, frame)
+        assert not commutes(h, o.mat, below, frame)
+        frames.append(frame)
+        betweens.append(between)
+        belows.append(below)
+    for scales in ([betweens[0], belows[1]], [belows[0], betweens[1]]):
+        got = _commuting(hs, o.mat, scales, frames)
+        assert got == [scale in betweens for scale in scales]
+        assert got == [commutes_oracle(h, o.mat, scale, frame)
+                       for h, scale, frame in zip(hs, scales, frames)]
 
 
-@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("seed", range(12))
 def test_a_run_of_two_families_and_dense_nodes_reads_each_with_its_own_factors(seed):
     # the levels of two towers, whose bases differ, and dense copies of
-    # them, in one run: each is tested with its own H0 and X, and no
-    # Kronecker sum's matrix is formed; the level of the base that commutes
-    # with sigma_x passes and the other fails
+    # them, in one run of rows 2 d0, 4 d0 and 8 d0, over bases of 2 to 16
+    # states and, on odd seeds, frames turned complex by a phase: each is
+    # tested with its own H0 and X, and no Kronecker sum's matrix is
+    # formed; the level of the base that commutes with O passes and the
+    # other fails
     gen = rng(19650 + seed)
-    o = LinearOperator("base", PAULI_X)
-    bases = [LinearOperator("base", gen.uniform(-1.0, 1.0) * np.eye(2)
-                            - gen.uniform(0.5, 1.5) * PAULI_X),
-             LinearOperator("base", np.diag(gen.uniform(-1.0, 1.0, 2)) - 0.5 * PAULI_X)]
+    d0 = (2, 3, 5, 8, 12, 16)[seed % 6]
+    o = LinearOperator("base", PAULI_X if d0 == 2 else random_real_symmetric(gen, d0))
+    bases = [LinearOperator("base", gen.uniform(-1.0, 1.0) * np.eye(d0)
+                            - gen.uniform(0.5, 1.5) * o.mat),
+             LinearOperator("base", np.diag(gen.uniform(-1.0, 1.0, d0)) - 0.5 * o.mat)]
+    phase = np.exp(1j * gen.uniform(0.1, 3.0)) if seed % 2 else 1.0
     hs, frames = [], []
     for base in bases:
-        family = _KroneckerFamily(base, orthant("base", 2), identity("base", 2),
+        family = _KroneckerFamily(base, orthant("base", d0), identity("base", d0),
                                   (PAULI_X,) * 3, ["q1", "q2", "q3"])
         for subset in [(1,), (1, 2), (1, 2, 3)]:
             hs.append(family.node(subset).hamiltonian)
-            frames.append(family.frames([subset])[0])
+            frames.append(phase * family.frames([subset])[0])
     hs += [LinearOperator(h.space, h._factors.matrix()) for h in hs[2::3]]
     frames += frames[2::3]
     order = gen.permutation(len(hs)).tolist()
@@ -1217,6 +1235,39 @@ def test_a_run_of_two_families_and_dense_nodes_reads_each_with_its_own_factors(s
                    for h, scale, frame in zip(hs, scales, frames)]
     assert got.count(True) == got.count(False) == 4
     assert not any("mat" in vars(h) for h in hs if h._factors is not None)
+
+
+def test_framed_commutation_makes_as_many_c_calls_at_every_base_dimension():
+    # no pass runs once per base state: the same run of four family nodes
+    # over bases of 2, 3, 16 and 33 states makes the same number of C-level
+    # calls, with the oracle's verdicts; X = 1, and O commutes with H0, so
+    # the nodes (), (1,) of sigma_x commute with O, and (2,), (1, 2), whose
+    # slot 2 does not have the uniform vector as an eigenvector, do not
+    subsets = [(), (1,), (2,), (1, 2)]
+    counts = []
+    for d0 in (2, 3, 16, 33):
+        gen = rng(19680 + d0)
+        h0 = random_real_symmetric(gen, d0)
+        family = _KroneckerFamily(LinearOperator("base", h0), orthant("base", d0),
+                                  identity("base", d0),
+                                  [PAULI_X, np.array([[0.0, 1.0], [1.0, 1.0]])], ["f1", "f2"])
+        hs = [family.node(subset).hamiltonian for subset in subsets]
+        frames = family.frames(subsets)
+        o = h0 @ h0 - 2.0 * h0
+        o_norm = float(np.abs(np.linalg.eigvalsh(o)).max())
+        scales = [float(np.abs(np.linalg.eigvalsh(h._factors.matrix())).max()) * o_norm
+                  for h in hs]
+        calls = Counter()
+        sys.setprofile(lambda frame, event, arg: calls.update([event]))
+        try:
+            got = _commuting(hs, o, scales, frames)
+        finally:
+            sys.setprofile(None)
+        assert got == [commutes_oracle(h, o, scale, frame)
+                       for h, scale, frame in zip(hs, scales, frames)]
+        assert got == [True, True, False, False]
+        counts.append(calls["c_call"])
+    assert len(set(counts)) == 1, counts
 
 
 @pytest.mark.parametrize("seed", range(16))
