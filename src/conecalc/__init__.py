@@ -20,7 +20,7 @@ SITE_CAP = 12  # spin sites, whose 2^12 states fill DIM_CAP
 _EXPORTS = {
     "cones": ("SelfDualCone", "orthant", "tensor_cone"),
     "errors": (),
-    "inheritance": ("ArrowChain", "ChainNode", "Embedding", "append_factor_embedding",
+    "inheritance": ("ArrowChain", "Embedding", "append_factor_embedding",
                     "check_arrow", "conditional_expectation", "ground_overlap",
                     "identity_embedding", "inherits_positivity", "verify_chain"),
     "lattice": ("HasseDiagram", "LatticeNode", "LatticeSpec", "build_lattice", "build_node",

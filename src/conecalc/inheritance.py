@@ -427,19 +427,12 @@ def _link_verdict(index: int, read, tol: float, label: str = "") -> OverlapRepor
 
 
 @dataclass(frozen=True, eq=False)
-class ChainNode:
-    """One Hamiltonian in a chain with its cone: the pair (H, P) that both
-    of the node's links read."""
-
-    hamiltonian: LinearOperator
-    cone: SelfDualCone
-
-
-@dataclass(frozen=True, eq=False)
 class ArrowChain:
-    """A finite chain of ordered pairs realized by explicit embeddings."""
+    """A finite chain of ordered pairs realized by explicit embeddings, each
+    node the `NodeAnalysis` record of its pair (H, P) that both of its links
+    read, so what the chain's builder decided is not decided again."""
 
-    nodes: tuple[ChainNode, ...]
+    nodes: tuple[NodeAnalysis, ...]
     embeddings: tuple[Embedding, ...]
 
     def __post_init__(self):
@@ -502,10 +495,11 @@ def _verified_links(chain: ArrowChain, tol: float
                     ) -> tuple[list[NodeAnalysis], list[OverlapReport]]:
     """Every link of a chain verified in order: node j's record and link j's
     `OverlapReport`, for `verify_chain` and for the quantum numbers of
-    `stability.quantum_number_along_chain`.  Link j is decided on records
-    j and j+1, and a failed link raises `LinkFailed` at once.  A record
-    is lazy and holds the eigenvalues and the ground vector, no
-    eigenbasis.  Four passes, in order:
+    `stability.quantum_number_along_chain`: the chain's node at ``tol``, a
+    fresh record at another tolerance.  Link j is decided on records j and
+    j+1, and a failed link raises `LinkFailed` at once.  A record is lazy
+    and holds the eigenvalues and the ground vector, no eigenbasis.  Four
+    passes, in order, each leaving out what a record has read already:
 
     1. the cone inheritance of each link, up to the first that fails or
        raises;
@@ -524,7 +518,8 @@ def _verified_links(chain: ArrowChain, tol: float
     a failed arrow is decomposed.  Any other record reads its own facts
     where a link asks for them.
     """
-    records = [NodeAnalysis(node.hamiltonian, node.cone, tol) for node in chain.nodes]
+    records = [node if node.tol == tol else NodeAnalysis(node.hamiltonian, node.cone, tol)
+               for node in chain.nodes]
     inherited = []  # a link's inheritance, or what reading it raised
     for j, emb in enumerate(chain.embeddings):
         try:

@@ -76,9 +76,6 @@ class LatticeSpec:
     def ell(self) -> int:
         return len(self.factors)
 
-    def full_dim(self) -> int:
-        return self.h0.dim * math.prod(n for n, _ in self.factors)
-
 
 @dataclass(frozen=True)
 class SpecReport:

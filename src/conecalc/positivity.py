@@ -402,15 +402,16 @@ def _run_verdicts(run) -> None:
 
 
 def _run_spectra(run) -> None:
-    """Read the spectra and cone-oriented ground states of a run of
-    Kronecker-sum records (`_runs`) in one pass each
+    """Read the spectra and cone-oriented ground states of the records of
+    a run of Kronecker sums (`_runs`) still `unread`, in one pass each
     (`numerics._block_spectra`, `_grounds`), the blocks let go on return.
-    A record whose spectrum does not read is left unread (`unread`), and
-    so are the records after it, so that each raises its own failure,
-    read alone, where its reader asks for it."""
-    ops = [record.hamiltonian for record in run]
+    A record whose spectrum does not read is left unread, and so are the
+    records after it, so that each raises its own failure, read alone,
+    where its reader asks for it."""
+    todo = [record for record in run if record.unread]
+    ops = [record.hamiltonian for record in todo]
     spectra, _ = _block_spectra(ops, [_shifts(op._factors.slots) for op in ops])
-    read = run[:len(spectra)]
+    read = todo[:len(spectra)]
     for record, spectrum, ground in zip(read, spectra,
                                         _grounds(spectra, [record.cone for record in read])):
         record.__dict__.update(spectrum=spectrum, ground=ground)
@@ -446,11 +447,11 @@ class NodeAnalysis:
     entry table its family built (`_factors_improving`), so neither builds
     its matrix.  Each property reads its own record's fact alone, a run of
     one.  The callers that hold many records, a lattice's family
-    (`stability._KroneckerFamily.records`) and a chain
-    (`inheritance._verified_links`), read each run of them (`_runs`) in
-    one pass per fact before they ask: the verdicts (`_run_verdicts`),
-    then the spectra with their ground states (`_run_spectra`), which set
-    the properties' values.  Any other Hamiltonian takes `hermitian_eig`,
+    (`stability._KroneckerFamily.records`) and a chain of records
+    (`inheritance._verified_links`), read what each run of them (`_runs`)
+    has not read, one pass per fact: the verdicts (`_run_verdicts`), then
+    the spectra with their ground states (`_run_spectra`), which set the
+    properties' values.  Any other Hamiltonian takes `hermitian_eig`,
     which copies out and phase-fixes the ground column alone.
     """
 

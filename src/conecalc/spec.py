@@ -317,8 +317,8 @@ def _task_chain(ctx: RunContext, nodes, embeddings=[], observable=None):
     o = None if observable is None else ctx.operator(observable)
 
     def run():
-        chain = conecalc.ArrowChain(tuple(conecalc.ChainNode(h.value, p.value) for h, p in pairs),
-                                    tuple(link.value for link in links))
+        nodes = tuple(conecalc.NodeAnalysis(h.value, p.value, ctx.tol) for h, p in pairs)
+        chain = conecalc.ArrowChain(nodes, tuple(link.value for link in links))
         payload: dict = {"nodes": len(chain.nodes)}
         if o is None:
             report = conecalc.verify_chain(chain, ctx.tol)
@@ -421,20 +421,20 @@ def _task_spin_demo(ctx: RunContext, sites, sublattice_a, sector_m=0.0):
     return run
 
 
-# A stability member's recipe reads to the build of its chain, which
-# `_task_stability` runs once every member is read; ``star`` is the
-# (role, id, Entry) of the class's h_star.
+# A stability member's recipe reads to the build of its chain from the
+# class's base record, which `_task_stability` runs once every member is
+# read; ``star`` is the (role, id, Entry) of the class's h_star.
 def _tower_recipe(ctx: RunContext, star, type, depth=1):
     _require(_is_int(depth) and depth >= 1, "tower depth must be >= 1")
-    return lambda h_star, cone, o: conecalc.extension_tower(h_star, cone, o, depth, ctx.tol)
+    return lambda base: conecalc.stability._tower(base.hamiltonian, base.cone, depth).chain(base)
 
 
 def _coupling_recipe(ctx: RunContext, star, type, x, y):
     _one_dimension(star, ("x", x, ctx.operator(x)))
     _one_space(star, ("x", x, ctx.operator(x)))
     x, y = ctx.operator(x), ctx.operator(y)
-    return lambda h_star, cone, o: conecalc.stability._KroneckerFamily(
-        h_star, cone, x.value, (y.value.mat,), (y.value.space,)).chain()
+    return lambda base: conecalc.stability._KroneckerFamily(
+        base.hamiltonian, base.cone, x.value, (y.value.mat,), (y.value.space,)).chain(base)
 
 
 _RECIPES = {"tower": _tower_recipe, "coupling": _coupling_recipe}
@@ -462,10 +462,9 @@ def _task_stability(ctx: RunContext, h_star, cone, observable, members=[]):
         builds[member_id] = build
 
     def run():
-        base = h.value, p.value, o.value
-        record = conecalc.StabilityClassRecord.for_base(h_star, *base, ctx.tol)
+        record = conecalc.StabilityClassRecord.for_base(h_star, h.value, p.value, o.value, ctx.tol)
         for member_id, build in builds.items():
-            record.add_member(member_id, build(*base), ctx.tol)
+            record.add_member(member_id, build(record.base), ctx.tol)
         return True, record.to_payload()
     return run
 

@@ -6,6 +6,7 @@ quantum relative entropy.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -31,7 +32,6 @@ from .errors import (
 )
 from .inheritance import (
     ArrowChain,
-    ChainNode,
     ChainReport,
     Embedding,
     _appended_embedding,
@@ -114,70 +114,47 @@ def _commuting(hs, o: np.ndarray, scales, frames) -> list[bool]:
     """Whether ||[H, T O T^*]|| <= COMMUTATOR_TOL*scale for each H of a run,
     with its scale ||H||*||O|| and its frame T, an n x d0 array with
     orthonormal columns that pushes O from its base space, or None, the
-    identity, where the test is of [H, O] itself (`_commutes`).
+    identity, where the test is of [H, O] itself (`_commutes`).  A run is
+    one family's Kronecker sums (`positivity._runs`) or one node alone.
 
     With A = H T, G = T^* A and L = A - T G, which is orthogonal to the
     range of T, [H, T O T^*] = T [G, O] T^* + L O T^* - T O L^*.  The three
     terms fill orthogonal blocks, so the Frobenius norm squared, which
     bounds the spectral norm from above, is ||[G, O]||_F^2 + 2 ||L O||_F^2.
     The framed Hamiltonians of a run are read at once: A for all of them
-    (`_framed_products`), then each node's G = T^* A and L = A - T G by
-    one product each, L in place of A, and both norms as array passes over
-    the stacked rows, so no n x n product is formed and no pass runs once
-    per base state.  Only where that bound exceeds the threshold is the
-    spectral norm itself computed: with L = Q R, Q orthogonal to the frame,
-    the commutator on the range of [T, Q] is the anti-Hermitian
-    [[G O - O G, -(R O)^*], [R O, 0]], whose norm is the largest |eigenvalue|
-    of i times it, complex even when H and O are real.
+    (one `numerics._applied`, or a lone node's matrix), then each node's
+    G = T^* A and L = A - T G by one product each, L in place of A, and
+    both norms as array passes over the stacked rows, so no n x n product
+    is formed and no pass runs once per base state.  Only where that bound
+    exceeds the threshold is the spectral norm itself computed: with L = Q R,
+    Q orthogonal to the frame, the commutator on the range of [T, Q] is the
+    anti-Hermitian [[G O - O G, -(R O)^*], [R O, 0]], whose norm is the
+    largest |eigenvalue| of i times it, complex even when H and O are real.
     """
-    verdicts = [None if frame is not None else _commutes(h, o, scale)
-                for h, scale, frame in zip(hs, scales, frames)]
-    framed = [i for i, frame in enumerate(frames) if frame is not None]
-    if not framed:
-        return verdicts
-    ts = [frames[i] for i in framed]
-    rows = np.array([frame.shape[0] for frame in ts])
+    if frames[0] is None:  # one node
+        return [_commutes(hs[0], o, scales[0])]
+    rows = np.array([frame.shape[0] for frame in frames])
     starts = rows.cumsum() - rows
-    beyond = _framed_products([hs[i] for i in framed], ts)
-    beyond = beyond.astype(np.result_type(beyond, *ts), copy=False)
-    g = np.empty((len(ts), o.shape[0], o.shape[0]), dtype=beyond.dtype)
-    for j, (t, start) in enumerate(zip(ts, starts.tolist())):
+    beyond = (hs[0].mat @ frames[0] if hs[0]._factors is None
+              else _applied(hs, np.concatenate(frames)))
+    beyond = beyond.astype(np.result_type(beyond, *frames), copy=False)
+    g = np.empty((len(frames), o.shape[0], o.shape[0]), dtype=beyond.dtype)
+    for j, (t, start) in enumerate(zip(frames, starts.tolist())):
         part = beyond[start:start + t.shape[0]]
         np.matmul(t.conj().T, part, out=g[j])
         part -= t @ g[j]
     c = g @ o - o @ g
-    square = _squares(c.reshape(len(framed), -1)) + 2.0 * np.add.reduceat(
+    square = _squares(c.reshape(len(frames), -1)) + 2.0 * np.add.reduceat(
         _squares(beyond @ o), starts)
-    for j, i in enumerate(framed):
-        thresh = COMMUTATOR_TOL * max(scales[i], 1e-300)
-        verdicts[i] = bool(math.sqrt(square[j]) <= thresh)
-        if not verdicts[i]:
+    verdicts = []
+    for j, scale in enumerate(scales):
+        thresh = COMMUTATOR_TOL * max(scale, 1e-300)
+        verdicts.append(bool(math.sqrt(square[j]) <= thresh))
+        if not verdicts[j]:
             ro = np.linalg.qr(beyond[starts[j]:starts[j] + rows[j]], mode="r") @ o
             block = np.block([[c[j], -ro.conj().T], [ro, np.zeros_like(ro)]])
-            verdicts[i] = float(np.abs(np.linalg.eigvalsh(1j * block)).max()) <= thresh
+            verdicts[j] = float(np.abs(np.linalg.eigvalsh(1j * block)).max()) <= thresh
     return verdicts
-
-
-def _framed_products(hs, frames) -> np.ndarray:
-    """H T for each H of a run and its frame T, stacked in run order: the
-    Kronecker sums that share H0 and X, as `positivity._runs` groups them,
-    by one `numerics._applied` of their stacked frames, and any other H by
-    its matrix."""
-    keys = [None if (f := h._factors) is None else (id(f.h0), id(f.x)) for h in hs]
-    if None not in keys and len(set(keys)) == 1:
-        return _applied(hs, np.concatenate(frames))
-    products = [None] * len(hs)
-    for key in dict.fromkeys(keys):
-        at = [i for i, k in enumerate(keys) if k == key]
-        if key is None:
-            for i in at:
-                products[i] = hs[i].mat @ frames[i]
-            continue
-        stacked = _applied([hs[i] for i in at], np.concatenate([frames[i] for i in at]))
-        ends = np.cumsum([frames[i].shape[0] for i in at])[:-1]
-        for i, part in zip(at, np.split(stacked, ends)):
-            products[i] = part
-    return np.concatenate(products)
 
 
 def _hermitian_norm(op: LinearOperator) -> float:
@@ -259,14 +236,19 @@ def good_quantum_number(h: LinearOperator, o: LinearOperator, cone: SelfDualCone
     and lattice node.  The reported commutator norm is the largest singular
     value of HO - OH.
     """
+    node, (mu, snapped, residual, _) = _read_alone(h, o, cone, tol)
+    comm = float(np.linalg.norm(_commutator(h.mat, o.mat), 2))
+    return GoodQuantumNumber(mu, snapped, residual, comm, node.ground)
+
+
+def _read_alone(h: LinearOperator, o: LinearOperator, cone: SelfDualCone, tol: float):
+    """H's record on its cone and its reading of O itself, a run of one, or its failure raised."""
     h.require_hermitian()
     node = NodeAnalysis(h, cone, tol)
     readings, failure = _quantum_numbers([node], o, *_observable_reading(o), [None])
     if failure is not None:
         raise failure
-    (mu, snapped, residual, _), = readings
-    comm = float(np.linalg.norm(_commutator(h.mat, o.mat), 2))
-    return GoodQuantumNumber(mu, snapped, residual, comm, node.ground)
+    return node, readings[0]
 
 
 def _quantum_numbers(records, o: LinearOperator, o_norm: float, o_values: np.ndarray,
@@ -277,7 +259,7 @@ def _quantum_numbers(records, o: LinearOperator, o_norm: float, o_values: np.nda
     or `spin.verify_mlm`'s closed form), and each node's frame: (mu,
     snapped mu, residual |O psi - mu psi|, O psi) for the leading nodes
     that read, and the failure of the node after them (None when every
-    node reads).  A node read alone is a run of one.
+    node reads).  A run is one family's Kronecker sums or one node alone.
 
     Each H must commute with its observable, be improving-class on its
     cone and have a simple ground state, which must be an eigenvector of
@@ -288,7 +270,7 @@ def _quantum_numbers(records, o: LinearOperator, o_norm: float, o_values: np.nda
     mu = <phi, O phi> and O psi is T (O phi).  The run's O phi and mu are
     one stacked product each, which gives every node the bits of its own
     product.  A node read through no frame snaps to spec(O), and a framed
-    one to spec(T O T^*), which is spec(O) and 0: one pass for each.
+    one to spec(T O T^*), which is spec(O) and 0.
     """
     o_mat, d0 = o.mat, o.dim
     failure = None
@@ -296,9 +278,10 @@ def _quantum_numbers(records, o: LinearOperator, o_norm: float, o_values: np.nda
         if record.hamiltonian.dim != (d0 if frame is None else frame.shape[0]):
             records, failure = records[:i], NotCommuting("operators act on different spaces")
             break
-    frames = frames[:len(records)]
+    if not records:
+        return [], failure
     commute = _commuting([record.hamiltonian for record in records], o_mat,
-                         [record.norm * o_norm for record in records], frames)
+                         [record.norm * o_norm for record in records], frames[:len(records)])
     for i, record in enumerate(records):
         if not commute[i]:
             exc = NotCommuting("Hamiltonian does not commute with the observable")
@@ -315,7 +298,7 @@ def _quantum_numbers(records, o: LinearOperator, o_norm: float, o_values: np.nda
     # frame.conj() of a real frame has its layout and its bits
     phis = [psi if frame is None else (frame.conj() if np.iscomplexobj(frame) else frame).T @ psi
             for psi, frame in zip(psis, frames)]
-    o_phis, mus, snapped = [None] * len(phis), [None] * len(phis), [None] * len(phis)
+    o_phis, mus = [None] * len(phis), [None] * len(phis)
     for dtype in {phi.dtype for phi in phis}:  # one stack per dtype, as each was multiplied
         at = [i for i, phi in enumerate(phis) if phi.dtype == dtype]
         stack = np.array([phis[i] for i in at])[:, :, None]
@@ -325,11 +308,8 @@ def _quantum_numbers(records, o: LinearOperator, o_norm: float, o_values: np.nda
                            products)[:, 0, 0].real.tolist()
         for j, i in enumerate(at):
             o_phis[i], mus[i] = products[j, :, 0], values[j]
-    for values, framed in ((o_values, False), (np.concatenate([o_values, [0.0]]), True)):
-        at = [i for i, frame in enumerate(frames[:len(phis)]) if (frame is not None) == framed]
-        near = np.abs(values - np.array([mus[i] for i in at])[:, None]).argmin(axis=1)
-        for i, value in zip(at, values[near].tolist()):
-            snapped[i] = value
+    values = o_values if frames[0] is None else np.concatenate([o_values, [0.0]])
+    snapped = values[np.abs(values - np.array(mus)[:, None]).argmin(axis=1)].tolist()
     o_scale = max(o_norm, 1e-300)
     readings = []
     for psi, frame, o_phi, mu, mu_snapped in zip(psis, frames, o_phis, mus, snapped):
@@ -383,9 +363,8 @@ def quantum_number_along_chain(chain: ArrowChain, o: LinearOperator,
     <O psi_j, tau^* psi_{j+1}> with mu_j times the link's overlap, using the
     ground states the quantum numbers were read from.
 
-    Two phases do the work.  First every link is verified, which decomposes
-    each node once and keeps its record.  Then the observable is decomposed
-    and each node's quantum number is read from its kept record, in order.
+    Two phases do the work: every link is verified on the chain's records,
+    then each node's quantum number is read from its record, in order.
     Failures carry the index of the offending node or link.  A failed link
     raises `ChainFailed`; as no node is read before every link has passed,
     a broken link always wins over a quantum-number failure, wherever the
@@ -403,39 +382,53 @@ def _chain_pass(chain: ArrowChain, o: LinearOperator,
     a failed link raises `LinkFailed` itself.
 
     Once `_verified_links` has passed every link, O is read once
-    (`_observable_reading`) and every node is read from its record, all in
-    one run (`_quantum_numbers`).  Node 0 reads O itself; node j > 0 reads
-    tau O tau^* through its frame T_j = tau_{j-1} ... tau_0, the identity
-    pushed one embedding at a time (`Embedding.push`), an n_j x d0 array.
-    spec(T O T^*) is spec(O) and 0, so every pushed observable has the
-    norm of O.  The nodes are checked in order: a moved quantum number
-    raises `MuMismatch` at its node, and the first reading failure is
-    raised with its index.
+    (`_observable_reading`) and the nodes are read from their records one
+    run at a time (`_passes`, `_quantum_numbers`).  Node j > 0 reads
+    tau O tau^* through its frame T_j = tau_{j-1} ... tau_0, an n_j x d0
+    array pushed from the identity as its run is read (`Embedding.push`),
+    so one run's frames are held at a time; every pushed observable has
+    the norm of O.  The nodes are checked in order and the first failure
+    ends the reading: a moved quantum number raises `MuMismatch` at its
+    node, and a reading failure is raised with its index.
     """
     records, links = _verified_links(chain, tol)
     report = _chain_report(links)
-    frames = [None]  # the base reads O itself
-    for emb in chain.embeddings:
-        frames.append(emb.push(np.eye(o.dim) if frames[-1] is None else frames[-1]))
-    readings, failure = _quantum_numbers(records, o, *_observable_reading(o), frames)
+    o_reading = _observable_reading(o)
+    pushed = itertools.accumulate(chain.embeddings, lambda frame, emb: emb.push(frame),
+                                  initial=np.eye(o.dim))
+    next(pushed)  # the identity: the base reads O itself
     values, snapped, telescopes = [], [], []
-    for j, (mu, mu_snapped, _, o_psi) in enumerate(readings):
-        values.append(mu)
-        snapped.append(mu_snapped)
-        if mu_snapped != snapped[0]:
-            raise MuMismatch(j, snapped[0], mu_snapped)
-        if j:  # <O psi_{j-1}, tau^* psi_j> against mu_{j-1} times link j-1's overlap
-            lhs = complex(np.vdot(last_o_psi,
-                                  chain.embeddings[j - 1].pull(records[j].ground.vector)))
-            telescopes.append(abs(lhs - snapped[j - 1] * report.overlaps[j - 1]))
-        last_o_psi = o_psi
-    if isinstance(failure, (NotCommuting, NotSimple, NotInAPlus)):
-        j = len(readings)
-        raise _indexed(type(failure)(f"node {j}: {failure}"), j) from failure
-    if failure is not None:
-        raise failure
+    for start, run in _passes(records):
+        frames = [next(pushed) for _ in run] if start else [None]
+        readings, failure = _quantum_numbers(run, o, *o_reading, frames)
+        for j, (mu, mu_snapped, _, o_psi) in enumerate(readings, start):
+            values.append(mu)
+            snapped.append(mu_snapped)
+            if mu_snapped != snapped[0]:
+                raise MuMismatch(j, snapped[0], mu_snapped)
+            if j:  # <O psi_{j-1}, tau^* psi_j> against mu_{j-1} times link j-1's overlap
+                lhs = complex(np.vdot(last_o_psi,
+                                      chain.embeddings[j - 1].pull(records[j].ground.vector)))
+                telescopes.append(abs(lhs - snapped[j - 1] * report.overlaps[j - 1]))
+            last_o_psi = o_psi
+        if isinstance(failure, (NotCommuting, NotSimple, NotInAPlus)):
+            j = start + len(readings)
+            raise _indexed(type(failure)(f"node {j}: {failure}"), j) from failure
+        if failure is not None:
+            raise failure
     return report, ChainMuReport(tuple(values), tuple(snapped), report.overlaps,
                                  tuple(telescopes))
+
+
+def _passes(records):
+    """(index, records) of each run of a chain: node 0, `positivity._runs`, lone nodes."""
+    yield 0, records[:1]
+    runs, start = _runs(records[1:]), 1
+    while start < len(records):
+        alone = records[start].hamiltonian._factors is None  # no Kronecker sum: in no run
+        run = records[start:start + 1] if alone else next(runs)
+        yield start, run
+        start += len(run)
 
 
 class _SubsetFacts(NamedTuple):
@@ -468,15 +461,16 @@ class _KroneckerFamily:
     node ()'s, sets ``base_improving``, which node ()'s record then takes.
     The facts of a subset (`_SubsetFacts`) are made once, from those of
     the subset less its last slot, with the float operations of a loop
-    over its slots, in the same order.  `records` runs the passes of
-    `positivity` over each run of nodes, its rows within `DIM_CAP` as an
-    edge run's are (`_runs`): its improving verdicts (`_run_verdicts`),
-    then its spectra and ground states (`_run_spectra`), one array pass
-    each, as `inheritance._verified_links` runs them over a chain of its
-    nodes; a node read alone is a run of one.  `_commuting` reads a run
-    through its frames (`frames`) by one product per node.  No node keeps
-    the shifts of its spectrum.  The nodes of one dimension share one sign
-    basis, which carries the base cone's fibers.
+    over its slots, in the same order.  A node is its record (`node`), and
+    a chain starts from the builder's record of H0 (`chain`).  `records`
+    runs the passes of `positivity` over each run of nodes, its rows within
+    `DIM_CAP` as an edge run's are (`_runs`): its improving verdicts
+    (`_run_verdicts`), then its spectra and ground states (`_run_spectra`),
+    one array pass each, as `inheritance._verified_links` runs them over a
+    chain of its nodes; a node read alone is a run of one.  `_commuting`
+    reads a run through its frames (`frames`) by one product per node.  No
+    node keeps the shifts of its spectrum.  The nodes of one dimension
+    share one sign basis, which carries the base cone's fibers.
     """
 
     def __init__(self, h0: LinearOperator, cone: SelfDualCone, x: LinearOperator, ys, names):
@@ -534,8 +528,7 @@ class _KroneckerFamily:
         so that each raises its own failure, read alone, where its reader
         asks for it.
         """
-        pairs = [(subset, NodeAnalysis(node.hamiltonian, node.cone, tol))
-                 for subset, node in zip(subsets, map(self.node, subsets))]
+        pairs = [(subset, self.node(subset, tol)) for subset in subsets]
         if self.base_improving is not None:
             for subset, record in pairs:
                 if not subset:  # left out of its run's verdict pass
@@ -547,13 +540,14 @@ class _KroneckerFamily:
             yield pairs[first:first + len(run)]
             first += len(run)
 
-    def node(self, subset) -> ChainNode:
+    def node(self, subset, tol: float = DEFAULT_TOL) -> NodeAnalysis:
+        """The record at ``tol``, unread, of an ascending tuple of slots' node."""
         subset = tuple(subset)
         facts = self.facts(subset)
         h = _kronecker_sum(facts.space, self.h0, self.x,
                            tuple(self.slots[mu - 1] for mu in subset), facts.table)
         if not subset:
-            return ChainNode(h, self.cone)
+            return NodeAnalysis(h, self.cone, tol)
         n = facts.size
         if (base := self.cone._sign_basis) is not None:  # s_a times the joint orthant's 1.0
             basis = self._bases.get(n)
@@ -562,7 +556,7 @@ class _KroneckerFamily:
             cone = _signed_cone(facts.cone_space, basis)
         else:
             cone = SelfDualCone(facts.cone_space, _kron(self.cone.generators, np.eye(n)))
-        return ChainNode(h, cone)
+        return NodeAnalysis(h, cone, tol)
 
     def embedding(self, k: int) -> Embedding:
         """The node of slots 1..k into that of slots 1..k+1: slot k+1's
@@ -587,11 +581,25 @@ class _KroneckerFamily:
             np.repeat([f.weight for f in facts], dims))
         return np.split(out, np.cumsum(dims)[:-1])
 
-    def chain(self) -> ArrowChain:
-        """H0 itself, then the node of each nonempty prefix, each embedded in the next."""
-        prefixes = [tuple(range(1, k + 1)) for k in range(len(self.ys) + 1)]
-        nodes = (ChainNode(self.h0, self.cone), *map(self.node, prefixes[1:]))
+    def chain(self, base: NodeAnalysis) -> ArrowChain:
+        """``base``, the record of H0 on its cone, then the node of each
+        nonempty prefix at its tolerance, each embedded in the next."""
+        prefixes = [tuple(range(1, k + 1)) for k in range(1, len(self.ys) + 1)]
+        nodes = (base, *(self.node(prefix, base.tol) for prefix in prefixes))
         return ArrowChain(nodes, tuple(map(self.embedding, range(len(self.ys)))))
+
+
+def _tower(h: LinearOperator, cone: SelfDualCone, depth: int) -> _KroneckerFamily:
+    """The family of a tower's levels over H, spins q1..qd of sigma_x and X = 1;
+    a top dimension h.dim * 2^depth over `DIM_CAP` raises `DimCap` first."""
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    # 2^bit_length exceeds the cap already, so no huge power is formed
+    cap = numerics.DIM_CAP
+    if h.dim * 2 ** min(depth, cap.bit_length()) > cap:
+        raise DimCap(f"tower dimension {h.dim} * 2^{depth} exceeds cap {cap}")
+    return _KroneckerFamily(h, cone, identity(h.space, h.dim), (PAULI_X,) * depth,
+                            [f"q{level}" for level in range(1, depth + 1)])
 
 
 def extension_tower(h: LinearOperator, cone: SelfDualCone, o: LinearOperator,
@@ -604,21 +612,17 @@ def extension_tower(h: LinearOperator, cone: SelfDualCone, o: LinearOperator,
     every link verifies with overlap 1.  Level d is the `_KroneckerFamily`
     node of spins q1..qd with X = 1, H (x) 1 - 1 (x) K_d, K_d the sum of
     sigma_x over those spins, so its spectrum is read from 2^d blocks
-    H - k of the base's size.  A tower whose top dimension h.dim * 2^depth
-    exceeds `DIM_CAP` raises `DimCap` before any level is built.
+    H - k of the base's size (`_tower`, which refuses a tower over
+    `DIM_CAP`).  The chain starts with the seed's record, which has
+    decided the improving-class precondition, so no reader decides it again.
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    # 2^bit_length exceeds the cap already, so no huge power is formed
-    cap = numerics.DIM_CAP
-    if h.dim * 2 ** min(depth, cap.bit_length()) > cap:
-        raise DimCap(f"tower dimension {h.dim} * 2^{depth} exceeds cap {cap}")
-    if not generates_improving_semigroup(h, cone, tol):
+    family = _tower(h, cone, depth)
+    base = NodeAnalysis(h, cone, tol)
+    if not base.improving:
         raise PreconditionFailed("seed Hamiltonian is not improving-class on its cone")
     if not commutes_with_observable(h, o):
         raise PreconditionFailed("seed Hamiltonian does not commute with the observable")
-    return _KroneckerFamily(h, cone, identity(h.space, h.dim), (PAULI_X,) * depth,
-                            [f"q{level}" for level in range(1, depth + 1)]).chain()
+    return family.chain(base)
 
 
 @dataclass(frozen=True)
@@ -745,21 +749,24 @@ def ground_state_factorizes(h2: LinearOperator, h_star: LinearOperator,
 class StabilityClassRecord:
     """Extensional record of a stability class: verified members only.
 
-    Every added member must come with a chain witness from the base, and its
-    snapped quantum number must equal the base's; violations raise instead of
-    being recorded.
+    Every added member must come with a chain witness from the base (the
+    recipes start it from the class's base record), and its snapped quantum
+    number must equal the base's; violations raise instead of being recorded.
     """
 
     base_id: str
     mu_star: float
     observable: LinearOperator
+    base: NodeAnalysis = field(repr=False)
     members: list[tuple[str, ChainMuReport]] = field(default_factory=list)
 
     @classmethod
     def for_base(cls, base_id: str, h: LinearOperator, cone: SelfDualCone,
                  o: LinearOperator, tol: float = DEFAULT_TOL) -> "StabilityClassRecord":
-        gqn = good_quantum_number(h, o, cone, tol)
-        return cls(base_id, gqn.snapped, o)
+        """mu* read from H's record alone (`_read_alone`): H must be
+        improving-class, commute with O and have a simple ground state."""
+        base, (_, mu_star, _, _) = _read_alone(h, o, cone, tol)
+        return cls(base_id, mu_star, o, base)
 
     def add_member(self, member_id: str, chain: ArrowChain,
                    tol: float = DEFAULT_TOL) -> ChainMuReport:

@@ -14,7 +14,10 @@ resident memory.
   below 100 MB;
 - `lattice` with four `y1` slots over a dense 256 x 256 Metzler base
   drawn from `random.Random(0)`, with O = X = 1 (16 nodes, top dimension
-  4096) passes below 120 MB: no pass may run once per base state.
+  4096) passes below 120 MB: no pass may run once per base state;
+- `richness` at depth 4 over that base, with the base Hamiltonian as its
+  own observable (top dimension 4096), passes below 120 MB: a chain reads
+  its quantum numbers one run at a time, holding that run's frames alone.
 
 Every run must also pass within `WALL_BOUND` seconds.
 
@@ -49,6 +52,7 @@ from pathlib import Path
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 WALL_BOUND = 10.0  # seconds, for every run
+LARGE_BASE = 256  # states of the dense base that the large-base runs share
 
 
 def _richness(config: dict) -> dict:
@@ -68,22 +72,37 @@ def _lattice_one_dimensional(config: dict) -> dict:
     return config
 
 
-def _lattice_large_base(config: dict) -> dict:
-    """Four `y1` slots over a symmetric 256 x 256 base with couplings in
-    -[0.5, 1] and a diagonal in [0, 1], O and X the identity."""
-    gen, n = random.Random(0), 256
+def _large_base() -> list[list[float]]:
+    """The symmetric `LARGE_BASE`-state Metzler base of the large-base runs,
+    drawn from `random.Random(0)`: couplings in -[0.5, 1] and a diagonal
+    in [0, 1]."""
+    gen, n = random.Random(0), LARGE_BASE
     h0 = [[0.0] * n for _ in range(n)]
     for a in range(n):
         h0[a][a] = gen.uniform(0.0, 1.0)
         for b in range(a + 1, n):
             h0[a][b] = h0[b][a] = -gen.uniform(0.5, 1.0)
-    config["spaces"]["base"] = n
+    return h0
+
+
+def _lattice_large_base(config: dict) -> dict:
+    """Four `y1` slots over `_large_base`, O and X the identity."""
+    config["spaces"]["base"] = LARGE_BASE
     for i, op in enumerate(config["operators"]):
         if op["name"] == "h0":
-            op["entries"] = h0
+            op["entries"] = _large_base()
         elif op["name"] in ("obs", "x"):
             config["operators"][i] = {"name": op["name"], "kind": "identity", "space": "base"}
     config["params"]["factors"] = [{"operator": "y1"}] * 4
+    return config
+
+
+def _richness_large_base(config: dict) -> dict:
+    """A tower of depth 4 over `_large_base` (top dimension 4096), its own
+    Hamiltonian as the observable."""
+    config["spaces"]["base"] = LARGE_BASE
+    config["operators"] = [{"name": "h", "space": "base", "entries": _large_base()}]
+    config["params"].update(observable="h", depth=4)
     return config
 
 
@@ -99,6 +118,7 @@ RUNS = {
     "lattice-12-one-dimensional-slots": ("lattice_ell3", _lattice_one_dimensional, 100.0),
     "mlm-12-sites": ("spin_demo_n4", _spin_twelve_sites, 100.0),
     "lattice-large-base": ("lattice_ell3", _lattice_large_base, 120.0),
+    "richness-large-base": ("richness_depth5", _richness_large_base, 120.0),
 }
 
 

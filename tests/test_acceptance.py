@@ -18,7 +18,6 @@ from conecalc.cones import orthant, tensor_cone
 from conecalc.errors import ChainFailed
 from conecalc.inheritance import (
     ArrowChain,
-    ChainNode,
     append_factor_embedding,
     identity_embedding,
     verify_chain,
@@ -26,6 +25,7 @@ from conecalc.inheritance import (
 from conecalc.lattice import build_lattice
 from conecalc.numerics import LinearOperator, identity, kron
 from conecalc.positivity import (
+    NodeAnalysis,
     generates_improving_semigroup,
     generates_positive_semigroup,
     ground_state,
@@ -156,7 +156,7 @@ def test_criterion_06_lattice_demo_ell3(tmp_path):
     with criterion(6, "3-slot lattice: 8 nodes, 12 verified edges, constant mu, stable DOT"):
         start = time.monotonic()
         spec = demo_spec()
-        assert spec.full_dim() <= 512
+        assert spec.h0.dim * math.prod(n for n, _ in spec.factors) <= 512
         diagram = build_lattice(spec)
         assert len(diagram.nodes) == 8
         assert len(diagram.covering_edges) == 12
@@ -255,11 +255,11 @@ def _composite_chain(break_link: bool = False) -> tuple[ArrowChain, LinearOperat
     emb_cd = append_factor_embedding(h_c.space, h_d.space, 12, UNIFORM2)
 
     nodes = (
-        ChainNode(h_a, p_a),
-        ChainNode(h_b, p_b),
-        ChainNode(h_b, p_b),  # identity link in the middle
-        ChainNode(h_c, p_c),
-        ChainNode(h_d, p_d),
+        NodeAnalysis(h_a, p_a),
+        NodeAnalysis(h_b, p_b),
+        NodeAnalysis(h_b, p_b),  # identity link in the middle
+        NodeAnalysis(h_c, p_c),
+        NodeAnalysis(h_d, p_d),
     )
     embeddings = (
         tower1.embeddings[0],

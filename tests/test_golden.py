@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from conecalc.cli import main
+from conecalc.cli import main, run_config
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -65,3 +65,34 @@ def test_runtime_needs_no_scipy(tmp_path):
         for golden in (GOLDEN / name).iterdir():
             assert (tmp_path / name / golden.name).read_bytes() == golden.read_bytes(), \
                 f"{name}/{golden.name} differs from the golden bytes without scipy"
+
+
+# (eigh, eigvalsh, svd) that running each shipped config makes, counted as
+# the `decompositions` fixture counts them.  A stability class's base and a
+# tower's seed are each decided once: `stability_demo` decomposes O once
+# per reading, its base once, one slot and one block batch per member, and
+# takes no SVD.
+DECOMPOSITIONS = {
+    "chain_two_level": (3, 0, 0),
+    "classify_flip": (0, 0, 0),
+    "lattice_ell3": (5, 2, 0),
+    "lattice_explicit": (4, 2, 0),
+    "mu_flip": (2, 0, 1),
+    "richness_depth5": (3, 2, 0),
+    "spin_demo_n4": (1, 0, 0),
+    "stability_demo": (7, 0, 0),
+    "trotter_pair": (3, 0, 9),
+    "weak_equiv_4x4": (4, 2, 2),
+    "weak_equiv_decoupled": (4, 2, 2),
+}
+
+
+def test_every_config_has_a_decomposition_count():
+    assert sorted(DECOMPOSITIONS) == CONFIG_NAMES
+
+
+@pytest.mark.parametrize("name", CONFIG_NAMES)
+def test_a_config_makes_its_pinned_decompositions(name, decompositions):
+    run_config(json.loads((CONFIGS / f"{name}.json").read_text()), "0" * 64)
+    got = tuple(decompositions[kind] for kind in ("eigh", "eigvalsh", "svd"))
+    assert got == DECOMPOSITIONS[name]

@@ -28,7 +28,7 @@ TASK_MODULES = {"inheritance", "lattice", "positivity", "semigroup", "spin", "st
 UNUSED_BY_READING = {"dataclasses", "hashlib", "inspect", "traceback"}
 
 ALL = [
-    "ArrowChain", "ChainNode", "Embedding", "ErgodicityReport", "GoodQuantumNumber",
+    "ArrowChain", "Embedding", "ErgodicityReport", "GoodQuantumNumber",
     "HasseDiagram", "LatticeNode", "LatticeSpec", "LinearOperator", "MSector",
     "NodeAnalysis", "PositivityReport", "SelfDualCone", "Spectrum", "SpinSystem",
     "StabilityClassRecord", "TrotterReport", "append_factor_embedding", "build_lattice",

@@ -11,7 +11,6 @@ from conecalc.cones import SelfDualCone, orthant, tensor_cone
 from conecalc.errors import ArrowFailed, DimMismatch, LinkFailed
 from conecalc.inheritance import (
     ArrowChain,
-    ChainNode,
     Embedding,
     append_factor_embedding,
     check_arrow,
@@ -304,7 +303,7 @@ class TestGroundOverlap:
 def three_link_tower():
     h = flip_op("a")
     p = orthant("a", 2)
-    nodes = [ChainNode(h, p)]
+    nodes = [NodeAnalysis(h, p)]
     embeddings = []
     for level in range(3):
         aux = f"b{level}"
@@ -314,13 +313,13 @@ def three_link_tower():
         p2 = tensor_cone(nodes[-1].cone, orthant(aux, 2))
         embeddings.append(append_factor_embedding(
             nodes[-1].hamiltonian.space, h2.space, nodes[-1].hamiltonian.dim, UNIFORM2))
-        nodes.append(ChainNode(h2, p2))
+        nodes.append(NodeAnalysis(h2, p2))
     return ArrowChain(tuple(nodes), tuple(embeddings))
 
 
 class TestChain:
     def test_singleton_chain(self):
-        chain = ArrowChain((ChainNode(flip_op(), orthant("s", 2)),), ())
+        chain = ArrowChain((NodeAnalysis(flip_op(), orthant("s", 2)),), ())
         report = verify_chain(chain)
         assert report.overlaps == ()
         assert report.product == 1.0
@@ -371,7 +370,7 @@ class TestChain:
             identity(h_end.space, h_end.dim), op("c", SIGMA_X))
         p_next = tensor_cone(p_end, orthant("c", 2))
         emb = append_factor_embedding(h_end.space, h_next.space, h_end.dim, UNIFORM2)
-        second = ArrowChain((ChainNode(h_end, p_end), ChainNode(h_next, p_next)), (emb,))
+        second = ArrowChain((NodeAnalysis(h_end, p_end), NodeAnalysis(h_next, p_next)), (emb,))
         verify_chain(second)
         joined = ArrowChain(first.nodes[:-1] + second.nodes,
                             first.embeddings + second.embeddings)
@@ -380,7 +379,7 @@ class TestChain:
 
     def test_mismatched_concatenation_rejected(self):
         first = three_link_tower()
-        other = ArrowChain((ChainNode(flip_op(), orthant("s", 2)),), ())
+        other = ArrowChain((NodeAnalysis(flip_op(), orthant("s", 2)),), ())
         with pytest.raises(DimMismatch):
             ArrowChain(first.nodes[:-1] + other.nodes, first.embeddings + other.embeddings)
 

@@ -27,7 +27,6 @@ from conecalc import inheritance, lattice, numerics, positivity, stability
 from conecalc.errors import DimCap, DimMismatch, LinkFailed, NotPreserving, SpecFailed
 from conecalc.inheritance import (
     ArrowChain,
-    ChainNode,
     verify_chain,
 )
 from conecalc.lattice import (
@@ -478,7 +477,7 @@ class TestBuildLattice:
                 for mu in sorted(set(large) - set(small)):
                     current = tuple(sorted(current + (mu,)))
                     path.append(current)
-                nodes = tuple(ChainNode(by_subset[s].hamiltonian, by_subset[s].cone)
+                nodes = tuple(NodeAnalysis(by_subset[s].hamiltonian, by_subset[s].cone)
                               for s in path)
                 embeddings = tuple(edges[path[j], path[j + 1]] for j in range(len(path) - 1))
                 chain = ArrowChain(nodes, embeddings)

@@ -20,7 +20,7 @@ from conftest import (
     two_pass_quantum_numbers,
 )
 
-from conecalc import numerics, stability
+from conecalc import numerics, positivity, stability
 from conecalc.cones import SelfDualCone, orthant, tensor_cone
 from conecalc.errors import (
     ArrowFailed,
@@ -37,9 +37,9 @@ from conecalc.errors import (
 )
 from conecalc.inheritance import (
     ArrowChain,
-    ChainNode,
     ChainReport,
     Embedding,
+    _verified_links,
     append_factor_embedding,
     check_arrow,
     ground_overlap,
@@ -373,7 +373,7 @@ class TestChainInvariance:
 
     def test_singleton_chain(self):
         h = op("s", -PAULI_X)
-        chain = ArrowChain((ChainNode(h, orthant("s", 2)),), ())
+        chain = ArrowChain((NodeAnalysis(h, orthant("s", 2)),), ())
         report = quantum_number_along_chain(chain, h)
         assert report.snapped == (-1.0,)
 
@@ -390,7 +390,7 @@ class TestChainInvariance:
         h2 = kron(h1, identity("f", 3)) - kron(identity(h1.space, 4), y)
         p2 = tensor_cone(p1, orthant("f", 3))
         emb = append_factor_embedding(h1.space, h2.space, 4, np.full(3, 1 / math.sqrt(3)))
-        chain = ArrowChain(chain01.nodes + (ChainNode(h2, p2),),
+        chain = ArrowChain(chain01.nodes + (NodeAnalysis(h2, p2),),
                            chain01.embeddings + (emb,))
         verify_chain(chain)  # the arrows themselves are fine
         with pytest.raises(NotCommuting) as err:
@@ -405,7 +405,7 @@ class TestChainInvariance:
         o = op("base", PAULI_X)
         tower = extension_tower(h0, orthant("base", 2), o, 2)
         n2 = tower.nodes[2]
-        chain = ArrowChain(tower.nodes[:2] + (ChainNode(n2.hamiltonian, negated(n2.cone)),),
+        chain = ArrowChain(tower.nodes[:2] + (NodeAnalysis(n2.hamiltonian, negated(n2.cone)),),
                            tower.embeddings)
         got = outcome(quantum_number_along_chain, chain, o)
         assert decompositions["eigh"] == 2
@@ -414,8 +414,8 @@ class TestChainInvariance:
 
     def test_broken_link_raises_chain_failed(self):
         h = op("s", -PAULI_X)
-        good = ChainNode(h, orthant("s", 2))
-        bad = ChainNode(op("s2", np.diag([0.0, 1.0])), orthant("s2", 2))
+        good = NodeAnalysis(h, orthant("s", 2))
+        bad = NodeAnalysis(op("s2", np.diag([0.0, 1.0])), orthant("s2", 2))
         emb = identity_embedding("s", 2)
         chain = ArrowChain((good, bad), (emb,))
         with pytest.raises(ChainFailed) as err:
@@ -474,6 +474,72 @@ def observable_reads(monkeypatch, o: LinearOperator) -> list[str]:
     return reads
 
 
+def dense_verdicts(monkeypatch) -> list[int]:
+    """The dimension of every H whose improving verdict is read by the
+    dense route (`positivity._metzler_coords`) from here on, in order."""
+    calls = []
+    original = positivity._metzler_coords
+
+    def counting(h, cone, tol):
+        calls.append(h.dim)
+        return original(h, cone, tol)
+
+    monkeypatch.setattr(positivity, "_metzler_coords", counting)
+    return calls
+
+
+def two_node_chain(tol: float = DEFAULT_TOL) -> ArrowChain:
+    """H on the orthant, then H (x) 1 - 1 (x) sigma_x on its tensor cone,
+    linked by appending the uniform vector: two dense records at ``tol``."""
+    h = seed_hamiltonian()
+    h2 = kron(h, identity("q", 2)) - kron(identity("base", 2), op("q", PAULI_X))
+    nodes = (NodeAnalysis(h, orthant("base", 2), tol),
+             NodeAnalysis(h2, tensor_cone(orthant("base", 2), orthant("q", 2)), tol))
+    return ArrowChain(nodes, (append_factor_embedding("base", h2.space, 2, UNIFORM2),))
+
+
+class TestAChainReusesItsRecords:
+    def test_a_record_read_already_is_not_read_again(self, monkeypatch, decompositions):
+        chain = two_node_chain()
+        for node in chain.nodes:
+            assert node.improving and node.ground.simple
+        verdicts = dense_verdicts(monkeypatch)
+        decompositions.clear()
+        records, _ = _verified_links(chain, DEFAULT_TOL)
+        assert all(record is node for record, node in zip(records, chain.nodes))
+        assert verdicts == [] and decompositions["eigh"] == 0
+
+    def test_a_record_at_another_tolerance_is_replaced(self, monkeypatch):
+        chain = two_node_chain(1e-6)
+        verdicts = dense_verdicts(monkeypatch)
+        records, _ = _verified_links(chain, DEFAULT_TOL)
+        assert [record.tol for record in records] == [DEFAULT_TOL] * 2
+        assert not any(record is node for record, node in zip(records, chain.nodes))
+        assert verdicts == [2, 4]
+        assert all("improving" not in vars(node) and node.unread for node in chain.nodes)
+
+    def test_a_tower_s_seed_is_decided_once(self, monkeypatch, decompositions):
+        # its improving verdict by the tower, and its spectrum by the chain;
+        # the levels' verdicts are read from their factors
+        h = seed_hamiltonian()
+        verdicts = dense_verdicts(monkeypatch)
+        chain = extension_tower(h, orthant("base", 2), h, 3)
+        quantum_number_along_chain(chain, h)
+        assert verdicts == [2]
+        assert [s for name, s in decompositions.shapes if name == "eigh"].count((2, 2)) == 2
+
+    def test_a_stability_class_s_base_is_decided_once(self, monkeypatch, decompositions):
+        # the class reads its base, and its members' chains start from that record
+        h, cone = seed_hamiltonian(), orthant("base", 2)
+        verdicts = dense_verdicts(monkeypatch)
+        record = StabilityClassRecord.for_base("H*", h, cone, h)
+        for depth in (1, 2):
+            record.add_member(f"tower{depth}", stability._tower(h, cone, depth).chain(record.base))
+        assert verdicts == [2] and decompositions["svd"] == 0
+        # O once per reading, by the class and by each member, and the base once
+        assert [s for name, s in decompositions.shapes if name == "eigh"].count((2, 2)) == 4
+
+
 class TestOneSpectrumPerNode:
     def test_depth_six_tower_budget(self, decompositions):
         h = seed_hamiltonian()
@@ -486,8 +552,9 @@ class TestOneSpectrumPerNode:
         h = seed_hamiltonian()
         tower = extension_tower(h, orthant("base", 2), h, 6)
         # operators the tower's own checks have not seen
-        chain = ArrowChain(tuple(ChainNode(LinearOperator(n.hamiltonian.space, n.hamiltonian.mat),
-                                           n.cone) for n in tower.nodes), tower.embeddings)
+        nodes = tuple(NodeAnalysis(LinearOperator(n.hamiltonian.space, n.hamiltonian.mat), n.cone)
+                      for n in tower.nodes)
+        chain = ArrowChain(nodes, tower.embeddings)
         observable = LinearOperator(h.space, h.mat)
         checks = []
         original = LinearOperator.is_hermitian
@@ -553,7 +620,7 @@ def level_chain(h: LinearOperator, levels, signs=(), broken=None) -> ArrowChain:
         embeddings.append(append_factor_embedding(prev.space, hams[-1].space, prev.dim,
                                                   vec / np.sqrt(d)))
     signs = tuple(signs) or (1,) * len(hams)
-    nodes = tuple(ChainNode(ham, cone if sign > 0 else negated(cone))
+    nodes = tuple(NodeAnalysis(ham, cone if sign > 0 else negated(cone))
                   for ham, cone, sign in zip(hams, cones, signs))
     return ArrowChain(nodes, tuple(embeddings))
 
@@ -807,7 +874,7 @@ class TestStabilityClassStructure:
         record = StabilityClassRecord.for_base("H*", h, orthant("base", 2), o)
         assert record.mu_star == 1.0
         flipped = SelfDualCone("base", np.diag([1.0, -1.0]).astype(complex))
-        foreign = ArrowChain((ChainNode(op("base", PAULI_X), flipped),), ())
+        foreign = ArrowChain((NodeAnalysis(op("base", PAULI_X), flipped),), ())
         with pytest.raises(MuMismatch):
             record.add_member("foreign", foreign)
 
@@ -828,7 +895,7 @@ class TestStabilityClassStructure:
     def test_relation_is_reflexive_and_transitive(self):
         h = op("s", -PAULI_X)
         p = orthant("s", 2)
-        refl = ArrowChain((ChainNode(h, p), ChainNode(h, p)),
+        refl = ArrowChain((NodeAnalysis(h, p), NodeAnalysis(h, p)),
                           (identity_embedding("s", 2),))
         verify_chain(refl)  # H -> H
         both_ways = ArrowChain(refl.nodes[:-1] + refl.nodes,  # symmetric closure on this pair

@@ -54,7 +54,6 @@ from conecalc.errors import ConecalcError, Inconsistent, NonHermitian, NotPreser
 from conecalc.inheritance import (
     TOL_LIMIT,
     ArrowChain,
-    ChainNode,
     Embedding,
     _appended_embedding,
     _projector_improves,
@@ -579,9 +578,10 @@ def test_a_coupling_member_is_a_one_slot_lattice_chain(seed):
     ctx = RunContext(operators={"x": Entry(n, "base", None, x), "y": Entry(m, "env", None, y)})
     build = _coupling_recipe(ctx, ("h_star", "h", Entry(n, "base", None, h)), type="coupling",
                              x="x", y="y")
-    chain = build(h, orthant("base", n), h)
+    base = NodeAnalysis(h, orthant("base", n))
+    chain = build(base)
     spec = LatticeSpec(h, orthant("base", n), h, x, ((m, y),))
-    assert chain.nodes[0].hamiltonian is h
+    assert chain.nodes[0] is base
     assert_same_node(chain.nodes[1], build_node(spec, (1,)), {"env": "f1"})
     assert_same_embedding(chain.embeddings[0], subset_embedding(spec, (), (1,)))
 
@@ -768,7 +768,7 @@ class TestBlockSpectrumOracle:
         for node in chain.nodes[1:]:
             assert_routes_agree(node.hamiltonian, node.cone)
         dense = ArrowChain(
-            tuple(ChainNode(dense_copy(node.hamiltonian) if j else node.hamiltonian, node.cone)
+            tuple(NodeAnalysis(dense_copy(node.hamiltonian) if j else node.hamiltonian, node.cone)
                   for j, node in enumerate(chain.nodes)),
             tuple(dense_embedding(emb) for emb in chain.embeddings))
         got, want = quantum_number_along_chain(chain, h), quantum_number_along_chain(dense, h)
@@ -1168,16 +1168,17 @@ def test_commutation_through_the_frame_is_the_dense_test(seed):
 def test_the_spectral_norm_decides_past_the_frobenius_bound(seed):
     # a threshold between the commutator's spectral and Frobenius norms is
     # decided by the 2 d0 x 2 d0 route alone, and one just below the
-    # spectral norm refuses, on a Kronecker sum and on a dense node, over
+    # spectral norm refuses, on Kronecker sums and on a dense node, over
     # bases of 2 to 16 states and complex frames: each node alone, and
-    # both in one run of unequal row counts, 3 d0 and 4 d0
+    # the two nodes of one family in one run of unequal row counts, 3 d0
+    # and 4 d0
     gen = rng(19600 + seed)
     d0 = (2, 3, 4, 7, 11, 16)[seed % 6]
     o = LinearOperator("base", random_hermitian(gen, d0))
     parts = [LinearOperator("base", random_hermitian(gen, d0)) for _ in range(2)]
-    y = random_hermitian(gen, 3)
-    hs = [_KroneckerFamily(parts[0], orthant("base", d0), parts[1], [y],
-                           ["f1"]).node((1,)).hamiltonian,
+    family = _KroneckerFamily(parts[0], orthant("base", d0), parts[1],
+                              [random_hermitian(gen, 3), random_hermitian(gen, 4)], ["f1", "f2"])
+    hs = [family.node((1,)).hamiltonian, family.node((2,)).hamiltonian,
           LinearOperator("v", random_hermitian(gen, 4 * d0))]
     frames, betweens, belows = [], [], []
     for h in hs:
@@ -1196,20 +1197,20 @@ def test_the_spectral_norm_decides_past_the_frobenius_bound(seed):
         betweens.append(between)
         belows.append(below)
     for scales in ([betweens[0], belows[1]], [belows[0], betweens[1]]):
-        got = _commuting(hs, o.mat, scales, frames)
+        got = _commuting(hs[:2], o.mat, scales, frames[:2])
         assert got == [scale in betweens for scale in scales]
         assert got == [commutes_oracle(h, o.mat, scale, frame)
                        for h, scale, frame in zip(hs, scales, frames)]
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_a_run_of_two_families_and_dense_nodes_reads_each_with_its_own_factors(seed):
-    # the levels of two towers, whose bases differ, and dense copies of
-    # them, in one run of rows 2 d0, 4 d0 and 8 d0, over bases of 2 to 16
-    # states and, on odd seeds, frames turned complex by a phase: each is
-    # tested with its own H0 and X, and no Kronecker sum's matrix is
-    # formed; the level of the base that commutes with O passes and the
-    # other fails
+def test_each_family_s_run_and_each_dense_node_reads_with_its_own_factors(seed):
+    # the levels of two towers, whose bases differ, each tower's in one run
+    # of rows 2 d0, 4 d0 and 8 d0, and dense copies of their top levels,
+    # each alone, over bases of 2 to 16 states and, on odd seeds, frames
+    # turned complex by a phase: each is tested with its own H0 and X, and
+    # no Kronecker sum's matrix is formed; the levels of the base that
+    # commutes with O pass and the others fail
     gen = rng(19650 + seed)
     d0 = (2, 3, 5, 8, 12, 16)[seed % 6]
     o = LinearOperator("base", PAULI_X if d0 == 2 else random_real_symmetric(gen, d0))
@@ -1217,24 +1218,25 @@ def test_a_run_of_two_families_and_dense_nodes_reads_each_with_its_own_factors(s
                             - gen.uniform(0.5, 1.5) * o.mat),
              LinearOperator("base", np.diag(gen.uniform(-1.0, 1.0, d0)) - 0.5 * o.mat)]
     phase = np.exp(1j * gen.uniform(0.1, 3.0)) if seed % 2 else 1.0
-    hs, frames = [], []
+    runs = []
     for base in bases:
         family = _KroneckerFamily(base, orthant("base", d0), identity("base", d0),
                                   (PAULI_X,) * 3, ["q1", "q2", "q3"])
-        for subset in [(1,), (1, 2), (1, 2, 3)]:
-            hs.append(family.node(subset).hamiltonian)
-            frames.append(phase * family.frames([subset])[0])
-    hs += [LinearOperator(h.space, h._factors.matrix()) for h in hs[2::3]]
-    frames += frames[2::3]
-    order = gen.permutation(len(hs)).tolist()
-    hs, frames = [hs[i] for i in order], [frames[i] for i in order]
-    scales = [float(np.abs(np.linalg.eigvalsh(
-        h._factors.matrix() if h._factors is not None else h.mat)).max()) for h in hs]
-    got = _commuting(hs, o.mat, scales, frames)
-    assert got == [commutes_oracle(h, o.mat, scale, frame)
-                   for h, scale, frame in zip(hs, scales, frames)]
+        subsets = [(1,), (1, 2), (1, 2, 3)]
+        runs.append(([family.node(subset).hamiltonian for subset in subsets],
+                     [phase * frame for frame in family.frames(subsets)]))
+    runs += [([LinearOperator(hs[-1].space, hs[-1]._factors.matrix())], frames[-1:])
+             for hs, frames in runs[:2]]
+    got = []
+    for hs, frames in runs:
+        scales = [float(np.abs(np.linalg.eigvalsh(
+            h._factors.matrix() if h._factors is not None else h.mat)).max()) for h in hs]
+        verdicts = _commuting(hs, o.mat, scales, frames)
+        assert verdicts == [commutes_oracle(h, o.mat, scale, frame)
+                            for h, scale, frame in zip(hs, scales, frames)]
+        got += verdicts
     assert got.count(True) == got.count(False) == 4
-    assert not any("mat" in vars(h) for h in hs if h._factors is not None)
+    assert not any("mat" in vars(h) for hs, _ in runs for h in hs if h._factors is not None)
 
 
 def test_framed_commutation_makes_as_many_c_calls_at_every_base_dimension():
